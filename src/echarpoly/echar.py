@@ -298,19 +298,26 @@ def _homogenized_system(A: Hypermatrix, lam: Fraction) -> HomogeneousSystem:
 def echar_macaulay(A: Hypermatrix) -> EcharResult:
     """Characteristic polynomial through the homogenized Macaulay resultant.
 
-    The resultant is interpolated over the degree bound 2n(m-1)^(n-1).  For
-    even order it equals (up to a universal sign) the square of the direct
-    definition; the exact polynomial square root is taken and its sign is
-    pinned by the constant-term prediction, then the top-coefficient
-    prediction, then (dimension 2 only) the direct route.
+    The resultant has degree at most 2h in lambda, h = ((m-1)^n - 1)/(m-2)
+    the proven degree bound of psi (n for order 2), so it is interpolated
+    on 2h + 2 nodes: 2h + 1 determine it and the last one checks the
+    bound, which raises ``ArithmeticError`` when the interpolant exceeds
+    it.  For even order it equals (up to a universal sign) the square of
+    the direct definition; the exact polynomial square root is taken and
+    its sign is pinned by the constant-term prediction, then the
+    top-coefficient prediction, then (dimension 2 only) the direct route.
     """
     n, m = A.dim, A.order
     if n < 2:
         raise UnsupportedSizeError("the homogenized route needs dimension >= 2")
-    bound = 2 * n * (m - 1) ** (n - 1)
-    nodes = interpolation_nodes(bound + 1)
+    bound = 2 * _generic_top(m, n)
+    nodes = interpolation_nodes(bound + 2)
     points = [(t, macaulay_resultant(_homogenized_system(A, t))) for t in nodes]
     raw = lagrange_interpolate(points)
+    if not raw.is_zero() and raw.degree > bound:
+        raise ArithmeticError(
+            f"homogenized resultant has degree {raw.degree}, above the bound {bound}"
+        )
     if m % 2 == 1:
         return _result(A, raw, ROUTE_MACAULAY)
     psi = _even_square_root(A, raw)

@@ -362,10 +362,8 @@ def _is_regular_n3(A: Hypermatrix) -> RegularityReport:
     deltas = tuple(deltas)
     if any(d != 0 for d in deltas):
         return RegularityReport(regular=True, witness=None, deltas=deltas)
-    witness = _conic_witness(A, forms)
-    if witness is not None:
-        return RegularityReport(regular=False, witness=witness, deltas=deltas)
-    return RegularityReport(regular=True, witness=None, deltas=deltas)
+    irregular, witness = _conic_witness(A, forms)
+    return RegularityReport(regular=not irregular, witness=witness, deltas=deltas)
 
 
 # parametrization of x1^2 + x2^2 + x3^2 = 0: t -> (1 - t^2, i(1 + t^2), 2t),
@@ -373,35 +371,36 @@ def _is_regular_n3(A: Hypermatrix) -> RegularityReport:
 
 
 def _conic_witness(A: Hypermatrix, forms: list[dict]):
+    """Whether the forms share a zero on the isotropic conic, and a witness.
+
+    The verdict is exact: the point at t = infinity, else a nonconstant
+    Q(i) gcd of the parametrized forms.  The witness is exact when the gcd
+    has a root at 0 or is linear; otherwise it is the float root of the gcd
+    with the smallest residual, or None when no residual reaches 1e-10.
+    """
     one = ComplexRational(Fraction(1))
     zero = ComplexRational(Fraction(0))
     inf_point = (-one, I_UNIT, zero)
     if all(v == 0 for v in eval_map(A, list(inf_point))):
-        return inf_point
+        return True, inf_point
     x1 = [one, zero, -one]
     x2 = [I_UNIT, zero, I_UNIT]
     x3 = [zero, ComplexRational(Fraction(2))]
     polys = [_compose_form(form, [x1, x2, x3]) for form in forms]
-    g = None
+    g = []
     for p in polys:
-        g = p if g is None else _cgcd(g, p)
-    if g is None or len(g) <= 1:
-        return None
+        g = _cgcd(g, p)
+    if len(g) == 1:
+        return False, None
     if g[0].is_zero():  # exact root at t = 0
-        return (one, I_UNIT, zero)
+        return True, (one, I_UNIT, zero)
     if len(g) == 2:  # linear gcd: exact root
         t = -g[0] / g[1]
-        return _conic_point_exact(t)
+        return True, _conic_point_exact(t)
     roots = np.roots([complex(c) for c in reversed(g)])
-    best = None
-    for root in roots:
-        point = _conic_point_numeric(complex(root))
-        res = _irregularity_residual(A, point)
-        if best is None or res < best[0]:
-            best = (res, point)
-    if best is not None and best[0] <= 1e-10:
-        return best[1]
-    return None
+    points = [_conic_point_numeric(complex(root)) for root in roots]
+    best = min(points, key=lambda point: _irregularity_residual(A, point))
+    return True, best if _irregularity_residual(A, best) <= 1e-10 else None
 
 
 def _conic_point_exact(t: ComplexRational):

@@ -9,6 +9,7 @@ double root is a double root by construction, not by luck of clustering.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -347,23 +348,40 @@ def interpolation_nodes(count: int) -> list[Fraction]:
 
 
 def lagrange_interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
-    """Exact interpolating polynomial through distinct-abscissa points."""
+    """Exact interpolating polynomial through distinct-abscissa points.
+
+    The work is on integers: with d and D the common denominators of the
+    abscissae and of the values, D*y is interpolated at the integer nodes
+    a = d*x in Lagrange form, each basis polynomial M(u) / (u - a_i) over
+    the weight w_i = prod_{j != i} (a_i - a_j), M(u) = prod_j (u - a_j).
+    The sum is taken over the common denominator lcm(w_i), which is divided
+    out once, together with D and the substitution u = d*x.
+    """
     xs = [Fraction(x) for x, _ in points]
     ys = [Fraction(y) for _, y in points]
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation nodes must be distinct")
-    # Newton form: divided differences, then expand.
     n = len(xs)
-    table = list(ys)
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            table[i] = (table[i] - table[i - 1]) / (xs[i] - xs[i - level])
-    result = Poly()
-    basis = Poly.one()
-    for i in range(n):
-        result = result + basis.scale(table[i])
-        basis = basis * Poly([-xs[i], 1])
-    return result
+    d = lcm(*(x.denominator for x in xs))
+    big_d = lcm(*(y.denominator for y in ys))
+    nodes = [x.numerator * (d // x.denominator) for x in xs]
+    values = [y.numerator * (big_d // y.denominator) for y in ys]
+    master = [1]  # M(u), highest power first
+    for a in nodes:
+        master = [hi - a * lo for hi, lo in zip(master + [0], [0] + master)]
+    weights = [prod(a - b for b in nodes if b != a) for a in nodes]
+    common = lcm(*weights)
+    total = [0] * n  # common * D * p(u / d), highest power first
+    for a, value, weight in zip(nodes, values, weights):
+        if value == 0:
+            continue
+        factor = value * (common // weight)
+        q = 0
+        for k in range(n):  # synthetic division of M by (u - a)
+            q = master[k] + a * q
+            total[k] += factor * q
+    denom = common * big_d
+    return Poly([Fraction(c * d**k, denom) for k, c in enumerate(reversed(total))])
 
 
 # -- numeric roots --------------------------------------------------------------------

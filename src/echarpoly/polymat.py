@@ -2,8 +2,13 @@
 
 Two independent paths exist for polynomial matrices: evaluate/interpolate
 (the default) and fraction-free elimination over the polynomial ring; the
-test suite asserts they agree.  Scalar determinants clear denominators and
-run integer Bareiss elimination, using gmpy2 big integers when available.
+test suite asserts they agree.  The evaluate/interpolate path clears each
+row's denominators once, evaluates the integer coefficient arrays at small
+integer nodes and divides the product of the row scales out of the
+interpolant, so every node determinant is an integer one.  Scalar
+determinants run fraction-free integer elimination (Bareiss); integer rows
+enter it as they are, rational rows are scaled to integers first.  gmpy2
+big integers are used when importable.
 """
 
 from __future__ import annotations
@@ -15,14 +20,9 @@ from typing import Sequence
 from .poly import Poly, interpolation_nodes, lagrange_interpolate
 
 try:  # pragma: no cover - exercised implicitly when gmpy2 is installed
-    from gmpy2 import mpz
-
-    def _to_int(x):
-        return mpz(x)
-
+    from gmpy2 import mpz as _to_int
 except ImportError:  # pragma: no cover
-    def _to_int(x):
-        return int(x)
+    _to_int = int
 
 
 class PolyMatrix:
@@ -47,9 +47,6 @@ class PolyMatrix:
     def evaluate(self, point: Fraction) -> list[list[Fraction]]:
         return [[e(point) for e in row] for row in self.rows]
 
-    def det(self) -> Poly:
-        return det_interpolated(self)
-
     def __repr__(self):
         return f"PolyMatrix(size={self.size})"
 
@@ -65,21 +62,54 @@ def _coerce_poly(entry) -> Poly:
 def det_interpolated(matrix: PolyMatrix) -> Poly:
     """det via evaluation at small integer nodes and exact interpolation.
 
-    The degree bound is the sum over rows of each row's maximal entry
-    degree, which dominates the degree of any term in the Leibniz expansion.
+    Each row is multiplied once by the lcm of its coefficients'
+    denominators, so the nodes evaluate integer coefficient arrays and the
+    node determinants are integer ones; the product of those row scales is
+    divided out of the interpolant.  The degree bound is the sum over rows
+    of each row's maximal entry degree, which dominates the degree of any
+    term in the Leibniz expansion.
     """
     n = matrix.size
     if n == 0:
         return Poly.one()
     bound = 0
+    scale = 1
+    # per row: the constant entries as integers (zero elsewhere), and the
+    # column and integer coefficients, highest first, of every other entry
+    constants = []
+    variables = []
     for row in matrix.rows:
-        degs = [e.degree for e in row if not e.is_zero()]
-        if not degs:
+        top = max(len(e.coeffs) for e in row) - 1
+        if top < 0:
             return Poly.zero()
-        bound += max(max(degs), 0)
-    nodes = interpolation_nodes(bound + 1)
-    points = [(t, det_rational(matrix.evaluate(t))) for t in nodes]
-    return lagrange_interpolate(points)
+        bound += top
+        denom = lcm(*(c.denominator for e in row for c in e.coeffs))
+        scale *= denom
+        const = [0] * n
+        var = []
+        for j, e in enumerate(row):
+            cs = [c.numerator * (denom // c.denominator) for c in e.coeffs]
+            if len(cs) == 1:
+                const[j] = cs[0]
+            elif cs:
+                var.append((j, cs[::-1]))
+        constants.append(const)
+        variables.append(var)
+    points = []
+    for t in interpolation_nodes(bound + 1):
+        x = int(t)
+        rows = []
+        for const, var in zip(constants, variables):
+            row = const.copy()
+            for j, cs in var:
+                acc = 0
+                for c in cs:
+                    acc = acc * x + c
+                row[j] = acc
+            rows.append(row)
+        points.append((t, det_rational(rows)))
+    psi = lagrange_interpolate(points)
+    return psi if scale == 1 else psi.scale(Fraction(1, scale))
 
 
 def det_fraction_free(matrix: PolyMatrix) -> Poly:
@@ -111,8 +141,9 @@ def det_fraction_free(matrix: PolyMatrix) -> Poly:
 def det_rational(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     """Exact determinant of a rational matrix.
 
-    Rows are scaled to integers, eliminated fraction-free over the integers
-    (Bareiss), and the row scalings divided back out.
+    Rows are eliminated fraction-free over the integers (Bareiss).  A row
+    of ints enters as it is; any other row is scaled to integers by the
+    lcm of its denominators, and the scalings are divided back out.
     """
     n = len(rows)
     if n == 0:
@@ -122,8 +153,11 @@ def det_rational(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     scale = 1
     m = []
     for row in rows:
+        if set(map(type, row)) == {int}:
+            m.append(list(map(_to_int, row)))
+            continue
         row = [Fraction(e) for e in row]
-        denom = lcm(*(e.denominator for e in row)) if row else 1
+        denom = lcm(*(e.denominator for e in row))
         scale *= denom
         m.append([_to_int(e.numerator * (denom // e.denominator)) for e in row])
     det = _det_int_bareiss(m)
@@ -131,32 +165,49 @@ def det_rational(rows: Sequence[Sequence[Fraction]]) -> Fraction:
 
 
 def _det_int_bareiss(m: list[list]) -> int:
+    """Fraction-free integer elimination (Bareiss 1968), skipping zero heads.
+
+    pivots[k] is the divisor of step k: 1 at step 0, then the pivot of the
+    step before.  Step k changes a row whose entry in column k is zero only
+    by the factor pivots[k+1] / pivots[k], so such a row is skipped: it
+    keeps its entries as of step last[i], short by pivots[k] /
+    pivots[last[i]].  Its next elimination divides by pivots[last[i]]
+    instead of pivots[k], which yields the same integer minors, and a row
+    that becomes the pivot row is brought up to date first.  Sparse
+    Macaulay and banded Sylvester rows skip most steps this way, and their
+    entries stay short.
+    """
     n = len(m)
     if n == 1:
         return m[0][0]
     sign = 1
-    prev = _to_int(1)
+    pivots = [_to_int(1)]
+    last = [0] * n
     for k in range(n - 1):
         if m[k][k] == 0:
             for i in range(k + 1, n):
                 if m[i][k] != 0:
                     m[k], m[i] = m[i], m[k]
+                    last[k], last[i] = last[i], last[k]
                     sign = -sign
                     break
             else:
                 return 0
-        pivot = m[k][k]
         row_k = m[k]
+        if last[k] != k:
+            scale, prev = pivots[k], pivots[last[k]]
+            for j in range(k, n):
+                row_k[j] = scale * row_k[j] // prev
+        pivot = row_k[k]
         for i in range(k + 1, n):
             row_i = m[i]
             head = row_i[k]
             if head == 0:
-                # still need the pivot rescaling of untouched entries
-                for j in range(k + 1, n):
-                    row_i[j] = pivot * row_i[j] // prev
-            else:
-                for j in range(k + 1, n):
-                    row_i[j] = (pivot * row_i[j] - head * row_k[j]) // prev
+                continue
+            prev = pivots[last[i]]
+            for j in range(k + 1, n):
+                row_i[j] = (pivot * row_i[j] - head * row_k[j]) // prev
             row_i[k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
+            last[i] = k + 1
+        pivots.append(pivot)
+    return sign * m[n - 1][n - 1] * pivots[n - 1] // pivots[last[n - 1]]

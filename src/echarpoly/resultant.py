@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from math import lcm, prod
 from typing import Mapping, Sequence
 
 from .poly import Poly
@@ -132,11 +133,15 @@ def sylvester_resultant(f: BinaryForm, g: BinaryForm) -> Poly:
 
 @dataclass(frozen=True)
 class HomogeneousSystem:
-    """k homogeneous forms in k variables, each a map exponent -> rational."""
+    """k homogeneous forms in k variables, each a map exponent -> rational.
+
+    Integral coefficients are stored as ints, so an integer system builds
+    integer Macaulay matrices.
+    """
 
     nvars: int
     degrees: tuple[int, ...]
-    forms: tuple[Mapping[tuple[int, ...], Fraction], ...]
+    forms: tuple[Mapping[tuple[int, ...], int | Fraction], ...]
 
     def __init__(self, forms: Sequence[Mapping[tuple[int, ...], object]], degrees: Sequence[int]):
         k = len(forms)
@@ -151,7 +156,7 @@ class HomogeneousSystem:
                     raise ValueError(f"exponent {expo} is not degree {deg} in {k} variables")
                 v = Fraction(value)
                 if v != 0:
-                    clean[expo] = v
+                    clean[expo] = v.numerator if v.denominator == 1 else v
             frozen.append(clean)
         object.__setattr__(self, "nvars", k)
         object.__setattr__(self, "degrees", tuple(int(d) for d in degrees))
@@ -210,7 +215,7 @@ def _macaulay_rows(system: HomogeneousSystem, perturbation: bool):
         i = _partition_index(alpha, degrees)
         shift = list(alpha)
         shift[i] -= degrees[i]
-        row = [Poly.zero()] * dim if perturbation else [Fraction(0)] * dim
+        row = [Poly.zero()] * dim if perturbation else [0] * dim
         for expo, value in system.forms[i].items():
             target = tuple(s + e for s, e in zip(shift, expo))
             if perturbation:
@@ -256,24 +261,41 @@ def _perm_sign(perm: tuple[int, ...]) -> int:
     return sign
 
 
+def _clear_denominators(system: HomogeneousSystem) -> tuple[HomogeneousSystem, int]:
+    """The system with each form F_i times the lcm c_i of its denominators.
+
+    Also returns prod_i c_i^(D / d_i), D the product of the degrees: by
+    homogeneity, Res(c_1 F_1, ..., c_k F_k) is that factor times Res(F).
+    """
+    total = prod(system.degrees)
+    forms = []
+    factor = 1
+    for form, degree in zip(system.forms, system.degrees):
+        c = lcm(*(v.denominator for v in form.values()))
+        forms.append({e: v.numerator * (c // v.denominator) for e, v in form.items()})
+        factor *= c ** (total // degree)
+    return HomogeneousSystem(forms, system.degrees), factor
+
+
 def macaulay_resultant(system: HomogeneousSystem) -> Fraction:
     """Canonical resultant of k forms in k variables (k <= 4).
 
-    Computes the Macaulay quotient det(M) / det(M').  A vanishing minor is
-    retried under variable relabelings (with the sign of the relabeling
-    corrected for), and if every ordering degenerates the system is
-    perturbed with an auxiliary parameter toward the pure-power reference
-    system; the quotient is then a polynomial in the parameter whose value
-    at zero is the resultant.
+    Computes the Macaulay quotient det(M) / det(M') of the system with its
+    denominators cleared, so both matrices are integer ones, and divides
+    the clearing factor back out.  A vanishing minor is retried under
+    variable relabelings (with the sign of the relabeling corrected for),
+    and if every ordering degenerates the system is perturbed with an
+    auxiliary parameter toward the pure-power reference system; the
+    quotient is then a polynomial in the parameter whose value at zero is
+    the resultant.
     """
     k = system.nvars
     if k < 2:
         raise UnsupportedSizeError("need at least two forms")
     if k > MAX_FORMS:
         raise UnsupportedSizeError(f"at most {MAX_FORMS} forms are supported, got {k}")
-    product_deg = 1
-    for d in system.degrees:
-        product_deg *= d
+    product_deg = prod(system.degrees)
+    system, factor = _clear_denominators(system)
     for perm in _variable_orderings(k):
         permuted = _permute_system(system, perm)
         rows, non_reduced = _macaulay_rows(permuted, perturbation=False)
@@ -283,8 +305,8 @@ def macaulay_resultant(system: HomogeneousSystem) -> Fraction:
             continue
         det_full = det_rational(rows)
         sign = _perm_sign(perm) ** product_deg
-        return sign * det_full / det_minor
-    return _macaulay_perturbed(system)
+        return sign * det_full / (det_minor * factor)
+    return _macaulay_perturbed(system) / factor
 
 
 def _variable_orderings(k: int):

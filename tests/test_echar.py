@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 
@@ -385,3 +386,35 @@ def test_routes_report_names():
     assert echar_macaulay(Hypermatrix.diagonal(3, 2)).route == "macaulay"
     with pytest.raises(ValueError):
         echar(Hypermatrix.diagonal(4, 2), route="cayley")
+
+
+@pytest.mark.parametrize("dim, order, nodes", [(3, 3, 16), (2, 5, 12), (2, 3, 8)])
+def test_macaulay_interpolates_on_2h_plus_2_nodes(monkeypatch, dim, order, nodes):
+    module = importlib.import_module("echarpoly.echar")
+    real = module.macaulay_resultant
+    homogenized = []
+
+    def counting(system):
+        # a0_predicted also calls it at dimension 3, on the bare map in `dim` variables
+        if system.nvars == dim + 1:
+            homogenized.append(system)
+        return real(system)
+
+    monkeypatch.setattr(module, "macaulay_resultant", counting)
+    echar_macaulay(fuzz_tensor(random.Random(order), order, dim))
+    assert len(homogenized) == nodes == 2 * h_bound(order, dim) + 2
+
+
+@pytest.mark.parametrize("order", [3, 4])
+def test_macaulay_rejects_resultant_above_degree_bound(monkeypatch, order):
+    module = importlib.import_module("echarpoly.echar")
+    bound = 2 * h_bound(order, 2)
+
+    def too_high(system):
+        # form 1 of the zero tensor's homogenized system is -t x1 x0^(m-2)
+        t = -sum(system.forms[0].values())
+        return t ** (bound + 1)
+
+    monkeypatch.setattr(module, "macaulay_resultant", too_high)
+    with pytest.raises(ArithmeticError, match="above the bound"):
+        echar_macaulay(Hypermatrix.zero(order, 2))

@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 
@@ -245,6 +246,21 @@ def test_is_regular_dimension3_irregular_witness():
     assert not report.regular
     assert report.deltas == (0, 0, 0)
     assert irregularity_residual(A, report.witness) <= 1e-10
+
+
+def test_is_regular_dimension3_verdict_is_exact_without_float_witness(monkeypatch):
+    # (x1^2, x1 x2, x1 x3) vanishes at the conic points (0, +-i, 1): the Q(i)
+    # gcd of the parametrized forms is t^2 - 1, so only the float root search
+    # yields a witness; the verdict must not depend on it
+    A = Hypermatrix.from_one_based(3, 3, {(1, 1, 1): 1, (2, 1, 2): 1, (3, 1, 3): 1})
+    report = is_regular(A)
+    assert not report.regular
+    assert irregularity_residual(A, report.witness) <= 1e-10
+    module = importlib.import_module("echarpoly.eigen")
+    monkeypatch.setattr(module, "_irregularity_residual", lambda A, point: 1.0)
+    report = is_regular(A)
+    assert not report.regular
+    assert report.witness is None
 
 
 def test_is_regular_rejects_dimension4():

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from echarpoly.poly import (
     MINUS_INFINITY,
@@ -95,6 +97,17 @@ def test_interpolation_round_trip():
         nodes = interpolation_nodes(max(count, 1))
         rebuilt = lagrange_interpolate([(t, p(t)) for t in nodes])
         assert rebuilt == p
+
+
+_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_rationals, max_size=8), st.lists(_rationals, min_size=9, max_size=9, unique=True))
+def test_interpolation_round_trip_at_rational_nodes(coeffs, nodes):
+    p = Poly(coeffs)
+    assert lagrange_interpolate([(t, p(t)) for t in nodes]) == p
+    assert lagrange_interpolate([(t, p(t)) for t in nodes[: len(p.coeffs)]]) == p
 
 
 def test_complex_roots_simple_pair():

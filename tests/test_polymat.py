@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from echarpoly.poly import Poly
 from echarpoly.polymat import PolyMatrix, det_fraction_free, det_interpolated, det_rational
@@ -71,3 +73,42 @@ def test_rejects_non_square():
         PolyMatrix([[Poly.one(), Poly.one()]])
     with pytest.raises(ValueError):
         det_rational([[Fraction(1)], [Fraction(2)]])
+
+
+# p/q entries of degree <= 2, about half of them zero, and now and then a zero row
+_poly_entries = st.one_of(
+    st.just(Poly.zero()),
+    st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=9), max_size=3).map(Poly),
+)
+
+
+@st.composite
+def poly_matrices(draw):
+    size = draw(st.integers(0, 6))
+    rows = [draw(st.lists(_poly_entries, min_size=size, max_size=size)) for _ in range(size)]
+    if size and draw(st.integers(0, 4)) == 0:
+        rows[draw(st.integers(0, size - 1))] = [Poly.zero()] * size
+    return PolyMatrix(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(poly_matrices())
+def test_interpolated_det_matches_fraction_free_property(matrix):
+    assert det_interpolated(matrix) == det_fraction_free(matrix)
+
+
+_int_entries = st.one_of(st.just(0), st.integers(-10**6, 10**6))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 6).flatmap(
+        lambda n: st.lists(st.lists(_int_entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+)
+def test_det_rational_integer_rows_match_fraction_rows(rows):
+    as_fractions = [[Fraction(e) for e in row] for row in rows]
+    value = det_rational(rows)
+    assert value == det_rational(as_fractions)
+    if rows:
+        assert value == cofactor_det(as_fractions)
