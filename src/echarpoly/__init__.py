@@ -27,7 +27,7 @@ from .eigen import (
     z_eigenpairs,
 )
 from .poly import MINUS_INFINITY, Poly, complex_roots
-from .polymat import PolyMatrix, det_fraction_free, det_interpolated, det_rational
+from .polymat import PolyMatrix, det_interpolated, det_rational
 from .rational import ComplexRational, I_UNIT
 from .resultant import (
     BinaryForm,
@@ -76,7 +76,6 @@ __all__ = [
     "binary_slices",
     "complex_roots",
     "deficit_indicator",
-    "det_fraction_free",
     "det_interpolated",
     "det_rational",
     "echar",

@@ -13,7 +13,7 @@ import sys
 
 from .document import DocumentError, TensorDocument
 from .echar import IrregularTensorError, echar
-from .eigen import DEFICIT, eigenpairs_n2
+from .eigen import DEFICIT, eigenpairs_n2, is_z_eigenpair
 from .rational import format_rational
 from .resultant import UnsupportedSizeError
 from .tensor import DimensionError
@@ -115,12 +115,6 @@ def cmd_eigen(args) -> int:
     report = eigenpairs_n2(A)
     rows = []
     for pair in report.pairs:
-        is_z = (
-            pair.kind != DEFICIT
-            and abs(pair.eigenvalue.imag) <= 1e-10
-            and abs(pair.vector[0].imag) <= 1e-10
-            and abs(pair.vector[1].imag) <= 1e-10
-        )
         rows.append(
             {
                 "lambda": [pair.eigenvalue.real, pair.eigenvalue.imag],
@@ -131,7 +125,7 @@ def cmd_eigen(args) -> int:
                 "kind": pair.kind,
                 "multiplicity": pair.multiplicity,
                 "sign_pair": pair.sign_pair,
-                "z_eigenpair": is_z,
+                "z_eigenpair": is_z_eigenpair(pair),
             }
         )
     payload = {

@@ -6,7 +6,9 @@ sylvester-direct
     Even order: the resultant of the two eigen-equations themselves,
     (Ax^{m-1})_i - lambda (x^T x)^{(m-2)/2} x_i.  Odd order: the resultant
     of the product form G1 = (Ax^{m-1})_1 (Ax^{m-1})_2 - lambda^2
-    (x^T x)^{m-2} x1 x2 against the cross form, divided exactly by b_m*c_1.
+    (x^T x)^{m-2} x1 x2 against the cross form, divided exactly by b_m*c_1;
+    when b_m*c_1 = 0, after an exact rotation that makes it nonzero (psi
+    is an orthonormal invariant), with no fallback to another route.
 M1-det / M2-det
     The compact (2m-2)- and (3m-4)-square determinant formulas.  The even
     one is only proven for regular tensors and is gated on regularity; the
@@ -40,10 +42,12 @@ from .resultant import (
 from .tensor import (
     DimensionError,
     Hypermatrix,
+    OrthogonalMatrix,
     SliceCoeffs,
     binary_slices,
     direction_form_coeffs,
     pq_sums,
+    rotate,
 )
 
 ROUTE_SYLVESTER = "sylvester-direct"
@@ -166,21 +170,49 @@ def echar_even_n2(A: Hypermatrix) -> EcharResult:
 
 
 def echar_odd_n2(A: Hypermatrix) -> EcharResult:
-    """Resultant of the product/cross pair divided by b_m*c_1, else Macaulay.
+    """Resultant of the product/cross pair divided by b_m*c_1.
 
     The big resultant equals b_m*c_1 times the characteristic polynomial,
-    so the division is exact whenever that scalar is nonzero; degenerate
-    tensors fall back to the homogenized Macaulay definition.
+    so the division is exact whenever that scalar is nonzero.  Since
+    b_m*c_1 = -cross(e1)*cross(e2), it vanishes exactly when a frame axis
+    is an eigenvector direction.  psi is an orthonormal invariant, so such
+    a tensor is first turned into a frame whose axes are not (see
+    ``_nonsingular_frame``); a tensor whose cross form vanishes identically
+    has every direction as an eigenvector, and psi = 0.
     """
     _require(A, parity=1)
     slices = binary_slices(A)
     m = A.order
     pivot = slices.b[m - 1] * slices.c[0]
     if pivot == 0:
-        return echar_macaulay(A)
+        cross = direction_form_coeffs(slices)
+        if not any(cross):
+            return _result(A, Poly.zero(), ROUTE_SYLVESTER)
+        slices = binary_slices(rotate(A, _nonsingular_frame(cross)))
+        pivot = slices.b[m - 1] * slices.c[0]
     big = sylvester_resultant(_odd_product_form(slices), _cross_form(slices))
     psi = big.scale(Fraction(1) / pivot)
     return _result(A, psi, ROUTE_SYLVESTER)
+
+
+def _nonsingular_frame(cross: tuple[Fraction, ...]) -> OrthogonalMatrix:
+    """The first rotation k = 2, 3, ... whose two axes are not roots of the cross form.
+
+    The cross form of rotate(A, C) at x is that of A at C^T x, so the new
+    frame's axes are, in the old one, the rows of C: (k^2-1, 2k) and
+    (-2k, k^2-1) up to scale.  The identity is rejected already.  A nonzero
+    cross form has at most m root directions, each an axis of at most two
+    frames, so one of the first 2m rotations qualifies.
+    """
+    m = len(cross) - 1
+
+    def value(x1: int, x2: int) -> Fraction:
+        return sum(w * x1 ** (m - j) * x2**j for j, w in enumerate(cross))
+
+    for k in range(2, 2 * m + 2):
+        if value(k * k - 1, 2 * k) != 0 and value(-2 * k, k * k - 1) != 0:
+            return OrthogonalMatrix.rotation(k)
+    raise ArithmeticError("no rotation avoids the cross form's roots")  # impossible: see above
 
 
 # -- compact determinant formulas ----------------------------------------------------
@@ -404,14 +436,7 @@ def echar(A: Hypermatrix, route: str = "auto") -> EcharResult:
         raise UnsupportedSizeError(f"no route for dimension {n}")
     if route == "sylvester":
         _require(A)
-        if m % 2 == 0:
-            return echar_even_n2(A)
-        slices = binary_slices(A)
-        if slices.b[m - 1] * slices.c[0] == 0:
-            raise UnsupportedSizeError(
-                "the direct odd route needs b_m * c_1 != 0; use the macaulay route"
-            )
-        return echar_odd_n2(A)
+        return echar_even_n2(A) if m % 2 == 0 else echar_odd_n2(A)
     if route == "det":
         _require(A)
         return echar_det_even(A) if m % 2 == 0 else echar_det_odd(A)

@@ -288,16 +288,14 @@ def z_eigenpairs(A: Hypermatrix, tol: float = 1e-10) -> list[Eigenpair]:
     report = eigenpairs_n2(A)
     if report.infinite:
         return []
-    out = []
-    for pair in report.pairs:
-        if pair.kind != NORMALIZED:
-            continue
-        if abs(pair.eigenvalue.imag) > tol:
-            continue
-        if abs(pair.vector[0].imag) > tol or abs(pair.vector[1].imag) > tol:
-            continue
-        out.append(pair)
-    return out
+    return [pair for pair in report.pairs if is_z_eigenpair(pair, tol)]
+
+
+def is_z_eigenpair(pair: Eigenpair, tol: float = 1e-10) -> bool:
+    """A normalized pair whose eigenvalue and vector have |imag| <= tol."""
+    return pair.kind == NORMALIZED and all(
+        abs(z.imag) <= tol for z in (pair.eigenvalue, *pair.vector)
+    )
 
 
 # -- regularity ------------------------------------------------------------------

@@ -1,14 +1,14 @@
 """Exact determinants of matrices with rational or polynomial entries.
 
-Two independent paths exist for polynomial matrices: evaluate/interpolate
-(the default) and fraction-free elimination over the polynomial ring; the
-test suite asserts they agree.  The evaluate/interpolate path clears each
-row's denominators once, evaluates the integer coefficient arrays at small
-integer nodes and divides the product of the row scales out of the
-interpolant, so every node determinant is an integer one.  Scalar
-determinants run fraction-free integer elimination (Bareiss); integer rows
-enter it as they are, rational rows are scaled to integers first.  gmpy2
-big integers are used when importable.
+Polynomial matrices take one path, evaluate/interpolate; the test suite
+checks it against fraction-free elimination over the polynomial ring (an
+oracle kept in the tests).  Each row's denominators are cleared once, the
+integer coefficient arrays are evaluated at small integer nodes and the
+product of the row scales is divided out of the interpolant, so every
+node determinant is an integer one.  Scalar determinants run
+fraction-free integer elimination (Bareiss); integer rows enter it as they
+are, rational rows are scaled to integers first.  gmpy2 big integers are
+used when importable.
 """
 
 from __future__ import annotations
@@ -110,32 +110,6 @@ def det_interpolated(matrix: PolyMatrix) -> Poly:
         points.append((t, det_rational(rows)))
     psi = lagrange_interpolate(points)
     return psi if scale == 1 else psi.scale(Fraction(1, scale))
-
-
-def det_fraction_free(matrix: PolyMatrix) -> Poly:
-    """Bareiss elimination directly over Q[x]; divisions are exact."""
-    n = matrix.size
-    if n == 0:
-        return Poly.one()
-    m = [list(row) for row in matrix.rows]
-    sign = 1
-    prev = Poly.one()
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero():
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Poly.zero()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = num.exact_div(prev)
-            m[i][k] = Poly.zero()
-        prev = m[k][k]
-    return m[n - 1][n - 1] if sign == 1 else -m[n - 1][n - 1]
 
 
 def det_rational(rows: Sequence[Sequence[Fraction]]) -> Fraction:

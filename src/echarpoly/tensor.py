@@ -125,9 +125,14 @@ class OrthogonalMatrix:
         return cls([[s if i == j else 0 for j, s in enumerate(signs)] for i in range(len(signs))])
 
     @classmethod
-    def rotation_3_4_5(cls) -> "OrthogonalMatrix":
-        """The exact 2-D rotation with cosine 3/5 and sine 4/5."""
-        return cls([[Fraction(3, 5), Fraction(4, 5)], [Fraction(-4, 5), Fraction(3, 5)]])
+    def rotation(cls, k: int = 2) -> "OrthogonalMatrix":
+        """The exact 2-D rotation with cosine (k^2-1)/(k^2+1) and sine 2k/(k^2+1).
+
+        Rows (cos, sin) and (-sin, cos); k = 2 is the 3-4-5 rotation.
+        """
+        r = k * k + 1
+        cos, sin = Fraction(k * k - 1, r), Fraction(2 * k, r)
+        return cls([[cos, sin], [-sin, cos]])
 
     def compose(self, other: "OrthogonalMatrix") -> "OrthogonalMatrix":
         if self.dim != other.dim:

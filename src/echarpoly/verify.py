@@ -39,7 +39,7 @@ def fuzz_corpus(count: int, seed: int, order: int, dim: int = 2) -> list[Hyperma
 def standard_rotations(seed: int = 0, extra: int = 2) -> list[OrthogonalMatrix]:
     """The 3-4-5 rotation, the axis reflections, and seeded products."""
     base = [
-        OrthogonalMatrix.rotation_3_4_5(),
+        OrthogonalMatrix.rotation(),
         OrthogonalMatrix.diagonal_signs([1, -1]),
         OrthogonalMatrix.diagonal_signs([-1, 1]),
     ]

@@ -1,9 +1,10 @@
 """Independent oracles for the test suite.
 
 These deliberately avoid the library's computation paths: determinants are
-cofactor expansions, the multilinear map is a dense brute-force sum, and
-golden polynomials are rebuilt from eigenvalues via Vieta.  They stay dumb
-so that agreement with the fast paths means something.
+cofactor expansions or fraction-free elimination over Q[x] itself, the
+multilinear map is a dense brute-force sum, and golden polynomials are
+rebuilt from eigenvalues via Vieta.  They stay dumb so that agreement with
+the fast paths means something.
 """
 
 from __future__ import annotations
@@ -29,6 +30,32 @@ def cofactor_det(rows):
             term = -term
         total = term if total is None else total + term
     return total
+
+
+def det_fraction_free(matrix) -> Poly:
+    """Determinant of a PolyMatrix by Bareiss elimination directly over Q[x]."""
+    n = matrix.size
+    if n == 0:
+        return Poly.one()
+    m = [list(row) for row in matrix.rows]
+    sign = 1
+    prev = Poly.one()
+    for k in range(n - 1):
+        if m[k][k].is_zero():
+            for i in range(k + 1, n):
+                if not m[i][k].is_zero():
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return Poly.zero()
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
+                m[i][j] = num.exact_div(prev)
+            m[i][k] = Poly.zero()
+        prev = m[k][k]
+    return m[n - 1][n - 1] if sign == 1 else -m[n - 1][n - 1]
 
 
 def brute_eval_map(A, x):

@@ -222,7 +222,7 @@ def test_criterion_3_leading_coefficient(corpus):
 
 def rotation_battery():
     base = [
-        OrthogonalMatrix.rotation_3_4_5(),
+        OrthogonalMatrix.rotation(),
         OrthogonalMatrix.diagonal_signs([1, -1]),
         OrthogonalMatrix.diagonal_signs([-1, 1]),
     ]

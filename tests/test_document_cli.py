@@ -127,8 +127,8 @@ def test_cli_eigen_deficit(tmp_path):
     report = json.loads(proc.stdout)
     assert report["normalized_count"] == 1
     assert report["deficit_count"] == 2
-    kinds = sorted(row["kind"] for row in report["eigenpairs"])
-    assert kinds == ["deficit", "deficit", "normalized"]
+    kinds = sorted((row["kind"], row["z_eigenpair"]) for row in report["eigenpairs"])
+    assert kinds == [("deficit", False), ("deficit", False), ("normalized", True)]
 
 
 def test_cli_eigen_infinitely_many(tmp_path):
@@ -159,9 +159,13 @@ def test_cli_unsupported_exit_2(tmp_path):
         tmp_path, "dim3.json", {"order": 3, "dim": 3, "entries": {"1,1,1": "1"}}
     )
     assert run_cli("eigen", path3).returncode == 2
-    # degenerate odd tensor cannot take the direct route on request
+    # the direct route is for dimension 2 only
+    assert run_cli("echar", path3, "--route", "sylvester").returncode == 2
+    # a degenerate odd tensor (b_m c_1 = 0) takes it after a frame change
     diag3 = write_doc(tmp_path, "diag3.json", DIAG3)
-    assert run_cli("echar", diag3, "--route", "sylvester").returncode == 2
+    proc = run_cli("echar", diag3, "--route", "sylvester")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["route"] == "sylvester-direct"
 
 
 def test_cli_verify_file_mode(tmp_path):

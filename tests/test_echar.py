@@ -20,7 +20,15 @@ from echarpoly.echar import (
 )
 from echarpoly.poly import Poly
 from echarpoly.resultant import UnsupportedSizeError, sylvester_matrix
-from echarpoly.tensor import Hypermatrix, OrthogonalMatrix, binary_slices, pq_sums, rotate
+from echarpoly.tensor import (
+    Hypermatrix,
+    OrthogonalMatrix,
+    all_indices,
+    binary_slices,
+    direction_form_coeffs,
+    pq_sums,
+    rotate,
+)
 from echarpoly.verify import fuzz_tensor
 from oracles import cofactor_det, poly_from_roots, poly_in_square_from_roots
 
@@ -320,7 +328,7 @@ def test_order4_leading_identity_in_raw_entries():
 
 def test_orthonormal_invariance_sample():
     rng = random.Random(103)
-    C = OrthogonalMatrix.rotation_3_4_5()
+    C = OrthogonalMatrix.rotation()
     for m in (3, 4):
         A = fuzz_tensor(rng, m)
         assert echar(rotate(A, C)).psi == echar(A).psi
@@ -375,8 +383,10 @@ def test_unsupported_sizes():
         echar(Hypermatrix.diagonal(3, 4))
     A = Hypermatrix.diagonal(3, 2, [0, 0])
     assert echar(A, route="macaulay").psi.is_zero()
-    with pytest.raises(UnsupportedSizeError):
-        echar(Hypermatrix.diagonal(3, 2), route="sylvester")  # b_m c_1 = 0 here
+    # b_m c_1 = 0 here: the direct route takes it after a frame change
+    direct = echar(Hypermatrix.diagonal(3, 2), route="sylvester")
+    assert direct.route == "sylvester-direct"
+    assert direct.psi == Poly([1, 0, -4, 0, 5, 0, -2])
 
 
 def test_routes_report_names():
@@ -418,3 +428,123 @@ def test_macaulay_rejects_resultant_above_degree_bound(monkeypatch, order):
     monkeypatch.setattr(module, "macaulay_resultant", too_high)
     with pytest.raises(ArithmeticError, match="above the bound"):
         echar_macaulay(Hypermatrix.zero(order, 2))
+
+
+# -- odd order with b_m*c_1 = 0: the frame change ------------------------------------------
+
+
+def _dense_int(rng, m):
+    return {idx: rng.choice((-1, 1)) * rng.randint(1, 9) for idx in all_indices(m, 2)}
+
+
+def _from_slices(m, b, c):
+    """One entry per slice class realizes the sums (b, c)."""
+    entries = {}
+    for j in range(m):
+        tail = (1,) * j + (0,) * (m - 1 - j)
+        entries[(0,) + tail] = b[j]
+        entries[(1,) + tail] = c[j]
+    return entries
+
+
+def _mul(f, g):
+    """Product of two binary forms given by their coefficient lists."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def _zero_entries(*indices):
+    def build(rng, m):
+        entries = _dense_int(rng, m)
+        for first, axis in indices:
+            entries[(first,) + (axis,) * (m - 1)] = 0
+        return entries
+
+    return build
+
+
+def _gx_times_x(rng, m):
+    """Ax^{m-1} = g(x) x: every direction is an eigenvector."""
+    g = [rng.randint(-9, 9) for _ in range(m - 1)]
+    return _from_slices(m, g + [0], [0] + g)
+
+
+ODD_DEGENERATE_FAMILIES = {
+    "c1-zero": _zero_entries((1, 0)),
+    "bm-zero": _zero_entries((0, 1)),
+    "coordinate-zero-first": _zero_entries((0, 0), (1, 0)),
+    "coordinate-zero-last": _zero_entries((0, 1), (1, 1)),
+    "diagonal": lambda rng, m: {(0,) * m: rng.randint(1, 9), (1,) * m: rng.randint(-9, -1)},
+    "g-times-x": _gx_times_x,
+    "zero": lambda rng, m: {},
+}
+
+
+@pytest.mark.parametrize("order", [3, 5])
+@pytest.mark.parametrize("family", sorted(ODD_DEGENERATE_FAMILIES))
+def test_odd_zero_pivot_families_stay_on_sylvester(family, order):
+    rng = random.Random(f"{family}-{order}")
+    for _ in range(3):
+        A = Hypermatrix(order, 2, ODD_DEGENERATE_FAMILIES[family](rng, order))
+        slices = binary_slices(A)
+        assert slices.b[order - 1] * slices.c[0] == 0
+        result = echar(A)
+        assert result.route == "sylvester-direct"
+        assert result.psi == echar_det_odd(A).psi
+        if family in ("g-times-x", "zero"):
+            assert result.psi.is_zero()
+        if order == 3:
+            assert result.psi == echar_macaulay(A).psi
+
+
+def test_odd_zero_pivot_order7_coordinate_zero():
+    A = Hypermatrix(7, 2, _zero_entries((0, 1), (1, 1))(random.Random(7), 7))
+    result = echar(A)
+    assert result.route == "sylvester-direct"
+    assert result.psi == echar_det_odd(A).psi
+    assert not result.psi.is_zero()
+
+
+@pytest.mark.parametrize(
+    "factor, k",
+    [
+        # (4 x1 - 3 x2) (x1 + 2 x2): a root at the first axis (3, 4) of k = 2
+        ([1, 2], 3),
+        # (4 x1 - 3 x2) (4 x1 + 3 x2): also one at the second axis (-3, 4) of k = 3
+        ([4, 3], 4),
+    ],
+)
+def test_frame_search_skips_rotations_with_an_eigenvector_axis(monkeypatch, factor, k):
+    """Cross form x2 (4 x1 - 3 x2) (linear factor): a root at e1, so the identity is rejected.
+
+    The cross form x2 (Ax^2)_1 - x1 (Ax^2)_2 of an order-3 tensor is a
+    cubic.  Every frame before k has an axis among its roots; frame k has
+    none and is the one taken.
+    """
+    cross = _mul([0, 1], _mul([4, -3], factor))  # ascending powers of x2
+    # cross = -c_1 x1^3 + (b_1 - c_2) x1^2 x2 + (b_2 - c_3) x1 x2^2 + b_3 x2^3
+    b = [cross[1] + 1, cross[2] - 2, cross[3]]
+    c = [-cross[0], 1, -2]
+    A = Hypermatrix(3, 2, _from_slices(3, b, c))
+    assert tuple(direction_form_coeffs(binary_slices(A))) == tuple(cross)
+    module = importlib.import_module("echarpoly.echar")
+    frames = []
+
+    def recording(tensor, C):
+        frames.append(C.rows)
+        return rotate(tensor, C)
+
+    monkeypatch.setattr(module, "rotate", recording)
+    result = echar(A)
+    assert frames == [OrthogonalMatrix.rotation(k).rows]
+    assert result.route == "sylvester-direct"
+    assert result.psi == echar_det_odd(A).psi
+    assert result.psi == echar_macaulay(A).psi
+    # the pivot is zero in the frames before k and nonzero in frame k
+    for j in range(2, k + 1):
+        turned = binary_slices(rotate(A, OrthogonalMatrix.rotation(j)))
+        assert (turned.b[2] * turned.c[0] != 0) == (j == k)
+

@@ -205,7 +205,7 @@ def test_root_correspondence_random_regular():
 
 def test_eigenvalue_multiset_invariant_under_rotation():
     rng = random.Random(13)
-    C = OrthogonalMatrix.rotation_3_4_5()
+    C = OrthogonalMatrix.rotation()
     for m in (3, 4):
         A = fuzz_tensor(rng, m)
         lam_a = sorted(

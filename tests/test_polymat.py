@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from echarpoly.poly import Poly
-from echarpoly.polymat import PolyMatrix, det_fraction_free, det_interpolated, det_rational
-from oracles import cofactor_det
+from echarpoly.polymat import PolyMatrix, det_interpolated, det_rational
+from oracles import cofactor_det, det_fraction_free
 
 
 def rand_poly(rng, max_deg):

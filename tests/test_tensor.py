@@ -68,7 +68,7 @@ def test_rotate_matrix_congruence():
     # rotation against diag(1, 2).  The transpose convention gives the
     # mirrored off-diagonal sign.
     A = Hypermatrix.from_one_based(2, 2, {(1, 1): 1, (2, 2): 2})
-    C = OrthogonalMatrix.rotation_3_4_5()
+    C = OrthogonalMatrix.rotation()
     B = rotate(A, C)
     assert B[(0, 0)] == Fraction(41, 25)
     assert B[(0, 1)] == Fraction(12, 25)
@@ -90,7 +90,7 @@ def test_rejects_non_orthogonal():
 def test_frame_change_consistency():
     # the image vector transforms like the argument vector
     rng = random.Random(17)
-    C = OrthogonalMatrix.rotation_3_4_5().compose(OrthogonalMatrix.diagonal_signs([1, -1]))
+    C = OrthogonalMatrix.rotation().compose(OrthogonalMatrix.diagonal_signs([1, -1]))
     for m in (3, 4):
         A = fuzz_tensor(rng, m)
         B = rotate(A, C)
@@ -101,7 +101,7 @@ def test_frame_change_consistency():
 
 def test_rotation_preserves_square_sum():
     rng = random.Random(29)
-    C = OrthogonalMatrix.rotation_3_4_5()
+    C = OrthogonalMatrix.rotation()
     for _ in range(20):
         x = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(2)]
         y = C.apply(x)
