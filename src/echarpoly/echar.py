@@ -15,27 +15,30 @@ M1-det / M2-det
     odd one is obtained from the big Sylvester matrix by exact
     determinant-preserving eliminations and holds unconditionally.
 macaulay
-    The resultant of the homogenized system {Ax^{m-1} - lambda x0^{m-2} x,
-    x^T x - x0^2} by evaluate/interpolate over lambda.  For odd order this
-    *is* the definition; for even order the homogenized resultant is a
-    perfect square up to sign and the square root is extracted.
+    The definition itself, by Macaulay resultants evaluated at integer
+    values of lambda and interpolated: for even order the resultant of the
+    n forms (Ax^{m-1})_i - lambda (x^T x)^{(m-2)/2} x_i, for odd order that
+    of the homogenized system {Ax^{m-1} - lambda x0^{m-2} x, x^T x - x0^2},
+    interpolated in lambda^2.  Dimensions 2 and 3 (the latter up to order 4).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from itertools import product
+from math import comb, factorial, prod
 from typing import Optional
 
 from .eigen import is_regular
-from .poly import Poly, interpolation_nodes, lagrange_interpolate, poly_sqrt
+from .poly import Poly, interpolation_nodes, lagrange_interpolate
 from .polymat import PolyMatrix, det_interpolated
 from .resultant import (
     BinaryForm,
     HomogeneousSystem,
     UnsupportedSizeError,
     macaulay_resultant,
+    macaulay_size,
     sylvester_matrix,
     sylvester_resultant,
 )
@@ -46,6 +49,7 @@ from .tensor import (
     SliceCoeffs,
     binary_slices,
     direction_form_coeffs,
+    map_forms,
     pq_sums,
     rotate,
 )
@@ -288,97 +292,80 @@ def echar_det_odd(A: Hypermatrix) -> EcharResult:
     return _result(A, psi, ROUTE_M2)
 
 
-# -- homogenized Macaulay route --------------------------------------------------------
+# -- Macaulay route ----------------------------------------------------------------------
+
+
+def _eigen_system(A: Hypermatrix, lam: Fraction) -> HomogeneousSystem:
+    """{(Ax^{m-1})_i - lam (x^T x)^{(m-2)/2} x_i} in variables (x1..xn), m even."""
+    n, m = A.dim, A.order
+    k = (m - 2) // 2
+    forms = map_forms(A)
+    for half in product(range(k + 1), repeat=n):
+        if sum(half) != k:
+            continue
+        # the multinomial coefficient of x^(2*half) in (x1^2 + ... + xn^2)^k
+        weight = lam * (factorial(k) // prod(factorial(a) for a in half))
+        for i, form in enumerate(forms):
+            key = tuple(2 * a + (j == i) for j, a in enumerate(half))
+            form[key] = form.get(key, 0) - weight
+    return HomogeneousSystem(forms, [m - 1] * n)
 
 
 def _homogenized_system(A: Hypermatrix, lam: Fraction) -> HomogeneousSystem:
     """{Ax^{m-1} - lam x0^{m-2} x, x^T x - x0^2} in variables (x1..xn, x0)."""
     n, m = A.dim, A.order
-    k = n + 1
-    forms = []
-    degrees = []
-    for i in range(n):
-        form: dict = {}
-        for idx, value in A.entries.items():
-            if idx[0] != i:
-                continue
-            expo = [0] * k
-            for pos in idx[1:]:
-                expo[pos] += 1
-            key = tuple(expo)
-            form[key] = form.get(key, Fraction(0)) + value
-        expo = [0] * k
-        expo[i] += 1
-        expo[n] += m - 2
-        key = tuple(expo)
-        form[key] = form.get(key, Fraction(0)) - lam
-        forms.append(form)
-        degrees.append(m - 1)
-    quadric = {}
-    for j in range(n):
-        expo = [0] * k
-        expo[j] = 2
-        quadric[tuple(expo)] = Fraction(1)
-    expo = [0] * k
-    expo[n] = 2
-    quadric[tuple(expo)] = Fraction(-1)
-    forms.append(quadric)
-    degrees.append(2)
-    return HomogeneousSystem(forms, degrees)
+    forms = map_forms(A, n + 1)
+    for i, form in enumerate(forms):
+        key = tuple((j == i) + (m - 2) * (j == n) for j in range(n + 1))
+        form[key] = form.get(key, 0) - lam
+    quadric = {tuple(2 * (j == v) for j in range(n + 1)): 1 if v < n else -1 for v in range(n + 1)}
+    return HomogeneousSystem(forms + [quadric], [m - 1] * n + [2])
 
 
 def echar_macaulay(A: Hypermatrix) -> EcharResult:
-    """Characteristic polynomial through the homogenized Macaulay resultant.
+    """Characteristic polynomial by Macaulay resultants interpolated over lambda.
 
-    The resultant has degree at most 2h in lambda, h = ((m-1)^n - 1)/(m-2)
-    the proven degree bound of psi (n for order 2), so it is interpolated
-    on 2h + 2 nodes: 2h + 1 determine it and the last one checks the
-    bound, which raises ``ArithmeticError`` when the interpolant exceeds
-    it.  For even order it equals (up to a universal sign) the square of
-    the direct definition; the exact polynomial square root is taken and
-    its sign is pinned by the constant-term prediction, then the
-    top-coefficient prediction, then (dimension 2 only) the direct route.
+    Even order takes the definition itself: the resultant of the n forms
+    (Ax^{m-1})_i - lambda (x^T x)^{(m-2)/2} x_i in (x1..xn).  Odd order
+    takes the resultant of the homogenized system {Ax^{m-1} - lambda
+    x0^{m-2} x, x^T x - x0^2}, which is even in lambda: x0 -> -x0 turns
+    the system at lambda into the one at -lambda (m - 2 is odd) and changes
+    the resultant by (-1)^(2 (m-1)^n) = 1.  So it is interpolated in
+    mu = lambda^2 at lambda = 0, 1, 2, ...
+
+    Either way the interpolant has degree at most h, h = ((m-1)^n - 1)/(m-2)
+    the proven degree bound of psi (n for order 2), in lambda or in mu, and
+    is taken on h + 2 nodes: h + 1 determine it and the last one checks the
+    bound, which raises ``ArithmeticError`` when the interpolant exceeds it.
+    Dimension 3 is taken up to order 4; beyond that ``UnsupportedSizeError``
+    is raised before any node, with the work it would take.
     """
     n, m = A.dim, A.order
-    if n < 2:
-        raise UnsupportedSizeError("the homogenized route needs dimension >= 2")
-    bound = 2 * _generic_top(m, n)
-    nodes = interpolation_nodes(bound + 2)
-    points = [(t, macaulay_resultant(_homogenized_system(A, t))) for t in nodes]
-    raw = lagrange_interpolate(points)
-    if not raw.is_zero() and raw.degree > bound:
+    if n not in (2, 3):
+        raise UnsupportedSizeError("the macaulay route supports dimensions 2 and 3")
+    top = _generic_top(m, n)
+    if n == 3 and m > 4:
+        size = macaulay_size([m - 1] * n if m % 2 == 0 else [m - 1] * n + [2])
+        raise UnsupportedSizeError(
+            f"the macaulay route takes dimension 3 up to order 4; order {m} would need "
+            f"{top + 2} interpolation nodes of a {size}-square Macaulay matrix"
+        )
+    if m % 2 == 0:
+        nodes = interpolation_nodes(top + 2)
+        points = [(t, macaulay_resultant(_eigen_system(A, t))) for t in nodes]
+    else:
+        points = [
+            (t * t, macaulay_resultant(_homogenized_system(A, t))) for t in range(top + 2)
+        ]
+    psi = lagrange_interpolate(points)
+    if not psi.is_zero() and psi.degree > top:
+        variable = "lambda" if m % 2 == 0 else "lambda^2"
         raise ArithmeticError(
-            f"homogenized resultant has degree {raw.degree}, above the bound {bound}"
+            f"resultant has degree {psi.degree} in {variable}, above the bound {top}"
         )
     if m % 2 == 1:
-        return _result(A, raw, ROUTE_MACAULAY)
-    psi = _even_square_root(A, raw)
+        psi = Poly([c for a in psi.coeffs for c in (a, 0)])
     return _result(A, psi, ROUTE_MACAULAY)
-
-
-def _even_square_root(A: Hypermatrix, raw: Poly) -> Poly:
-    if raw.is_zero():
-        return raw
-    root = poly_sqrt(raw)
-    if root is None:
-        root = poly_sqrt(-raw)
-    if root is None:
-        raise ArithmeticError("homogenized resultant of an even-order tensor is not a square")
-    # poly_sqrt returns the branch with positive top coefficient; pin the sign
-    a0 = a0_predicted(A)
-    if a0 != 0:
-        return root if root.coefficient(0) == a0 else -root
-    if A.dim == 2:
-        lead = leading_predicted(A)
-        if lead != 0:
-            top = _generic_top(A.order, 2)
-            return root if root.coefficient(top) == lead else -root
-        direct = echar_even_n2(A).psi
-        if direct.is_zero():
-            return direct
-        power = min(j for j, c in enumerate(direct.coeffs) if c != 0)
-        return root if root.coefficient(power) == direct.coefficient(power) else -root
-    raise ArithmeticError("cannot pin the square-root sign for this tensor")
 
 
 # -- closed-form predictions ------------------------------------------------------------
@@ -393,19 +380,7 @@ def a0_predicted(A: Hypermatrix) -> Fraction:
         f2 = BinaryForm.from_scalars(slices.c)
         value = sylvester_resultant(f1, f2).coefficient(0)
     elif 3 <= n <= 4:
-        forms = []
-        for i in range(n):
-            form: dict = {}
-            for idx, entry in A.entries.items():
-                if idx[0] != i:
-                    continue
-                expo = [0] * n
-                for pos in idx[1:]:
-                    expo[pos] += 1
-                key = tuple(expo)
-                form[key] = form.get(key, Fraction(0)) + entry
-            forms.append(form)
-        value = macaulay_resultant(HomogeneousSystem(forms, [m - 1] * n))
+        value = macaulay_resultant(HomogeneousSystem(map_forms(A), [m - 1] * n))
     else:
         raise UnsupportedSizeError("constant-term prediction supports dimensions 2..4")
     return value if m % 2 == 0 else value * value

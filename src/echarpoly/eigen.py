@@ -26,6 +26,7 @@ from .tensor import (
     binary_slices,
     direction_form_coeffs,
     eval_map,
+    map_forms,
     pq_sums,
 )
 
@@ -332,25 +333,9 @@ def _is_regular_n2(A: Hypermatrix) -> RegularityReport:
     return RegularityReport(regular=True, witness=None, deltas=deltas)
 
 
-def _form_dicts_n3(A: Hypermatrix) -> list[dict]:
-    forms = []
-    for i in range(3):
-        form: dict = {}
-        for idx, value in A.entries.items():
-            if idx[0] != i:
-                continue
-            expo = [0, 0, 0]
-            for k in idx[1:]:
-                expo[k] += 1
-            key = tuple(expo)
-            form[key] = form.get(key, Fraction(0)) + value
-        forms.append({k: v for k, v in form.items() if v != 0})
-    return forms
-
-
 def _is_regular_n3(A: Hypermatrix) -> RegularityReport:
     m = A.order
-    forms = _form_dicts_n3(A)
+    forms = map_forms(A)
     quadric = {(2, 0, 0): Fraction(1), (0, 2, 0): Fraction(1), (0, 0, 2): Fraction(1)}
     deltas = []
     for omit in range(3):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import lcm, prod
+from math import comb, lcm, prod
 from typing import Mapping, Sequence
 
 from .poly import Poly
@@ -180,6 +180,13 @@ def _monomials(nvars: int, total: int) -> list[tuple[int, ...]]:
     return out
 
 
+def macaulay_size(degrees: Sequence[int]) -> int:
+    """Side of the Macaulay matrix of forms of these degrees: the number of
+    monomials of the critical degree sum(d_i - 1) + 1 in len(degrees) variables."""
+    k = len(degrees)
+    return comb(sum(d - 1 for d in degrees) + k, k - 1)
+
+
 def _partition_index(alpha: tuple[int, ...], degrees: tuple[int, ...]) -> int:
     """Smallest i with alpha_i >= d_i; exists since |alpha| exceeds sum(d_i - 1)."""
     for i, (a, d) in enumerate(zip(alpha, degrees)):
@@ -202,11 +209,10 @@ def _macaulay_rows(system: HomogeneousSystem, perturbation: bool):
     """
     k = system.nvars
     degrees = system.degrees
-    critical = sum(d - 1 for d in degrees) + 1
-    monomials = _monomials(k, critical)
-    dim = len(monomials)
+    dim = macaulay_size(degrees)
     if dim > MAX_MACAULAY_DIM:
         raise UnsupportedSizeError(f"Macaulay matrix would be {dim}x{dim}")
+    monomials = _monomials(k, sum(d - 1 for d in degrees) + 1)
     col_of = {mono: j for j, mono in enumerate(monomials)}
     rows = []
     non_reduced = []

@@ -98,6 +98,25 @@ def eval_map(A: Hypermatrix, x: Sequence) -> list:
     return out
 
 
+def map_forms(A: Hypermatrix, nvars: int | None = None) -> list[dict]:
+    """Ax^(m-1) as forms: component i maps exponent tuples to coefficients.
+
+    Exponent tuples have ``nvars`` places (default the dimension); places
+    past the dimension stay 0, for variables the map does not involve.
+    Zero coefficients are left out.
+    """
+    k = A.dim if nvars is None else nvars
+    forms: list[dict] = [{} for _ in range(A.dim)]
+    for idx, value in A.entries.items():
+        expo = [0] * k
+        for pos in idx[1:]:
+            expo[pos] += 1
+        form = forms[idx[0]]
+        key = tuple(expo)
+        form[key] = form.get(key, Fraction(0)) + value
+    return [{e: v for e, v in form.items() if v != 0} for form in forms]
+
+
 class OrthogonalMatrix:
     """Exactly orthogonal rational matrix: C C^T = I with no tolerance."""
 

@@ -12,7 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from echarpoly.poly import Poly
+from echarpoly.echar import _homogenized_system, h_bound
+from echarpoly.poly import Poly, interpolation_nodes, lagrange_interpolate
+from echarpoly.resultant import macaulay_resultant
 
 
 def cofactor_det(rows):
@@ -97,3 +99,16 @@ def poly_in_square_from_roots(leading: Fraction, square_roots) -> Poly:
     for s in square_roots:
         acc = acc * Poly([-Fraction(s), Fraction(0), Fraction(1)])
     return acc
+
+
+def homogenized_resultant(A) -> Poly:
+    """Resultant of {Ax^{m-1} - lambda x0^{m-2} x, x^T x - x0^2} in (x1..xn, x0).
+
+    A polynomial in lambda of degree at most 2h (h the degree bound of psi),
+    interpolated on 2h + 2 nodes.  At even order it is +-psi^2, so it
+    cross-checks the n-variable system the macaulay route takes there.
+    Unlike the oracles above it runs the library's Macaulay kernel: what it
+    checks is the identity between the two systems.
+    """
+    nodes = interpolation_nodes(2 * h_bound(A.order, A.dim) + 2)
+    return lagrange_interpolate([(t, macaulay_resultant(_homogenized_system(A, t))) for t in nodes])

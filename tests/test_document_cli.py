@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -118,6 +119,32 @@ def test_cli_echar_routes(tmp_path):
         proc = run_cli("echar", path, "--route", route)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["coefficients"] == ["1", "-6", "13", "-12", "4"]
+
+
+def test_cli_echar_dimension3_diagonal_with_a_zero_entry(tmp_path):
+    path = write_doc(
+        tmp_path,
+        "diag110.json",
+        {"order": 4, "dim": 3, "entries": {"1,1,1,1": "1", "2,2,2,2": "1"}},
+    )
+    proc = run_cli("echar", path)
+    assert proc.returncode == 0
+    report = json.loads(proc.stdout)
+    assert report["route"] == "macaulay"
+    assert report["coefficients"] == ["0"] * 9 + ["-1", "6", "-13", "12", "-4"]
+
+
+def test_cli_dimension3_order6_exit_2_fast(tmp_path):
+    path = write_doc(
+        tmp_path,
+        "dim3-order6.json",
+        {"order": 6, "dim": 3, "entries": {"1,1,1,1,1,1": "1", "2,2,2,2,2,2": "2", "3,3,3,3,3,3": "3"}},
+    )
+    start = time.perf_counter()
+    proc = run_cli("echar", path)
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 2
+    assert "interpolation nodes" in proc.stderr
 
 
 def test_cli_eigen_deficit(tmp_path):

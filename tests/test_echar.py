@@ -1,5 +1,6 @@
 import importlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,12 @@ from echarpoly.tensor import (
     rotate,
 )
 from echarpoly.verify import fuzz_tensor
-from oracles import cofactor_det, poly_from_roots, poly_in_square_from_roots
+from oracles import (
+    cofactor_det,
+    homogenized_resultant,
+    poly_from_roots,
+    poly_in_square_from_roots,
+)
 
 DEFICIT_ENTRIES = {
     (1, 1, 1): 2,
@@ -398,21 +404,25 @@ def test_routes_report_names():
         echar(Hypermatrix.diagonal(4, 2), route="cayley")
 
 
-@pytest.mark.parametrize("dim, order, nodes", [(3, 3, 16), (2, 5, 12), (2, 3, 8)])
-def test_macaulay_interpolates_on_2h_plus_2_nodes(monkeypatch, dim, order, nodes):
+@pytest.mark.parametrize(
+    "dim, order, nodes", [(3, 3, 9), (2, 5, 7), (2, 3, 5), (3, 4, 15), (2, 4, 6)]
+)
+def test_macaulay_interpolates_on_h_plus_2_nodes(monkeypatch, dim, order, nodes):
     module = importlib.import_module("echarpoly.echar")
     real = module.macaulay_resultant
-    homogenized = []
+    calls = []
 
     def counting(system):
-        # a0_predicted also calls it at dimension 3, on the bare map in `dim` variables
-        if system.nvars == dim + 1:
-            homogenized.append(system)
+        calls.append(system.nvars)
         return real(system)
 
     monkeypatch.setattr(module, "macaulay_resultant", counting)
+    # a0_predicted calls it too at dimension 3, on the bare map; only nodes count here
+    monkeypatch.setattr(module, "a0_predicted", lambda A: Fraction(0))
     echar_macaulay(fuzz_tensor(random.Random(order), order, dim))
-    assert len(homogenized) == nodes == 2 * h_bound(order, dim) + 2
+    assert len(calls) == nodes == h_bound(order, dim) + 2
+    # even order takes the n-variable eigen-system, odd order the homogenized one
+    assert set(calls) == {dim if order % 2 == 0 else dim + 1}
 
 
 @pytest.mark.parametrize("order", [3, 4])
@@ -421,13 +431,69 @@ def test_macaulay_rejects_resultant_above_degree_bound(monkeypatch, order):
     bound = 2 * h_bound(order, 2)
 
     def too_high(system):
-        # form 1 of the zero tensor's homogenized system is -t x1 x0^(m-2)
+        # the zero tensor's first form is -lambda x1 times x0^(m-2) (odd order)
+        # or (x1^2 + x2^2)^((m-2)/2) (even order): its coefficients sum to a
+        # nonzero multiple t of lambda
         t = -sum(system.forms[0].values())
         return t ** (bound + 1)
 
     monkeypatch.setattr(module, "macaulay_resultant", too_high)
     with pytest.raises(ArithmeticError, match="above the bound"):
         echar_macaulay(Hypermatrix.zero(order, 2))
+
+
+@pytest.mark.parametrize("order", [5, 6])
+def test_macaulay_refuses_dimension3_beyond_order4_before_any_node(monkeypatch, order):
+    module = importlib.import_module("echarpoly.echar")
+
+    def no_node(system):
+        raise AssertionError("a node was evaluated")
+
+    monkeypatch.setattr(module, "macaulay_resultant", no_node)
+    with pytest.raises(UnsupportedSizeError, match="interpolation nodes"):
+        echar(Hypermatrix.diagonal(order, 3))
+
+
+def test_dimension3_diagonal_with_a_zero_entry():
+    """diag(1, 1, 0) at order 4: the bare map vanishes on e3, so psi(0) = a0 = 0.
+
+    The eigen-system's third form is -lambda x3 (x1^2 + x2^2 + x3^2).  By
+    multiplicativity of the resultant in that form, Res = Res(F1, F2,
+    -lambda x3) * Res(F1, F2, x^T x).  The first factor is (-lambda)^9 times
+    the dimension-2 resultant of F1, F2 at x3 = 0, which is psi of the
+    order-4 dimension-2 diagonal tensor; the second is Res(x1^3, x2^3, x^T x)
+    = 1, since F1 and F2 reduce to x1^3 and x2^3 modulo x^T x.
+    """
+    A = Hypermatrix.diagonal(4, 3, [1, 1, 0])
+    start = time.perf_counter()
+    result = echar(A)
+    assert time.perf_counter() - start < 1.0
+    assert result.route == "macaulay"
+    assert result.a0_predicted == 0
+    planar = echar(Hypermatrix.diagonal(4, 2)).psi
+    assert planar == Poly([1, -6, 13, -12, 4])
+    assert result.psi == -(Poly.monomial(9) * planar)
+    third = Fraction(1, 3)
+    C = OrthogonalMatrix(
+        [[third, 2 * third, 2 * third], [2 * third, third, -2 * third], [2 * third, -2 * third, third]]
+    )
+    assert echar(rotate(A, C)).psi == result.psi
+
+
+def test_homogenized_resultant_is_psi_squared_up_to_sign():
+    rng = random.Random(113)
+    tensors = [fuzz_tensor(rng, m, 2) for m in (4, 4, 6, 6)]
+    tensors.append(
+        Hypermatrix(
+            4,
+            3,
+            {(0, 0, 0, 0): 2, (1, 1, 1, 1): -1, (2, 2, 2, 2): 3, (0, 1, 2, 2): 1, (2, 0, 1, 1): -2},
+        )
+    )
+    for A in tensors:
+        psi = echar(A).psi
+        assert not psi.is_zero()
+        assert homogenized_resultant(A) in (psi * psi, -(psi * psi))
 
 
 # -- odd order with b_m*c_1 = 0: the frame change ------------------------------------------
