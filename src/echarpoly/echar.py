@@ -24,8 +24,9 @@ macaulay
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import comb, factorial, prod
 from typing import Optional
@@ -84,15 +85,26 @@ class EcharResult:
     """A characteristic polynomial plus the closed-form predictions.
 
     ``leading_power`` is the power of lambda carrying the generically
-    nonzero top coefficient: h for even order, 2h for odd.
+    nonzero top coefficient: h for even order, 2h for odd.  The predictions
+    ``a0_predicted`` and ``leading_predicted`` (None beyond dimension 2)
+    are computed from ``tensor`` on first read, since most callers that
+    cross-check routes never read them.
     """
 
     psi: Poly
     route: str
     h_bound: int
-    a0_predicted: Fraction
-    leading_predicted: Optional[Fraction]
     leading_power: int
+    tensor: Hypermatrix = field(repr=False)
+
+    # the bodies call the module-level functions of the same names
+    @cached_property
+    def a0_predicted(self) -> Fraction:
+        return a0_predicted(self.tensor)
+
+    @cached_property
+    def leading_predicted(self) -> Optional[Fraction]:
+        return leading_predicted(self.tensor) if self.tensor.dim == 2 else None
 
     @property
     def identically_zero(self) -> bool:
@@ -113,14 +125,7 @@ def _result(A: Hypermatrix, psi: Poly, route: str) -> EcharResult:
         raise ArithmeticError(
             f"degree {psi.degree} exceeds the bound {power} (route {route})"
         )
-    return EcharResult(
-        psi=psi,
-        route=route,
-        h_bound=top,
-        a0_predicted=a0_predicted(A),
-        leading_predicted=leading_predicted(A) if n == 2 else None,
-        leading_power=power,
-    )
+    return EcharResult(psi=psi, route=route, h_bound=top, leading_power=power, tensor=A)
 
 
 # -- slice-form builders ---------------------------------------------------------

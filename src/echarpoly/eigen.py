@@ -16,7 +16,7 @@ import cmath
 
 import numpy as np
 
-from .poly import Poly, squarefree_decomposition
+from .poly import Poly, poly_gcd, squarefree_decomposition
 from .rational import ComplexRational, I_UNIT
 from .resultant import BinaryForm, HomogeneousSystem, macaulay_resultant, sylvester_resultant
 from .tensor import (
@@ -366,27 +366,35 @@ def _conic_witness(A: Hypermatrix, forms: list[dict]):
     inf_point = (-one, I_UNIT, zero)
     if all(v == 0 for v in eval_map(A, list(inf_point))):
         return True, inf_point
-    x1 = [one, zero, -one]
-    x2 = [I_UNIT, zero, I_UNIT]
-    x3 = [zero, ComplexRational(Fraction(2))]
-    polys = [_compose_form(form, [x1, x2, x3]) for form in forms]
-    g = []
-    for p in polys:
-        g = _cgcd(g, p)
-    if len(g) == 1:
+    conic = (Poly([1, 0, -1]), Poly([I_UNIT, 0, I_UNIT]), Poly([0, 2]))
+    g = Poly()
+    for form in forms:
+        g = poly_gcd(g, _substitute(form, conic))
+    if g.degree == 0:
         return False, None
-    if g[0].is_zero():  # exact root at t = 0
+    if g.coefficient(0) == 0:  # exact root at t = 0
         return True, (one, I_UNIT, zero)
-    if len(g) == 2:  # linear gcd: exact root
-        t = -g[0] / g[1]
+    if g.degree == 1:  # linear gcd: exact root
+        t = -g.coefficient(0) / g.coefficient(1)
         return True, _conic_point_exact(t)
-    roots = np.roots([complex(c) for c in reversed(g)])
+    roots = np.roots([complex(c) for c in reversed(g.coeffs)])
     points = [_conic_point_numeric(complex(root)) for root in roots]
-    best = min(points, key=lambda point: _irregularity_residual(A, point))
-    return True, best if _irregularity_residual(A, best) <= 1e-10 else None
+    best = min(points, key=lambda point: irregularity_residual(A, point))
+    return True, best if irregularity_residual(A, best) <= 1e-10 else None
 
 
-def _conic_point_exact(t: ComplexRational):
+def _substitute(form: dict, var_polys: tuple[Poly, ...]) -> Poly:
+    """The exponent-dict form with a polynomial substituted for each variable."""
+    total = Poly()
+    for expo, value in form.items():
+        term = Poly([value])
+        for var, power in zip(var_polys, expo):
+            term = term * var**power
+        total = total + term
+    return total
+
+
+def _conic_point_exact(t: Fraction | ComplexRational):
     one = ComplexRational(Fraction(1))
     two = ComplexRational(Fraction(2))
     return (one - t * t, I_UNIT * (one + t * t), two * t)
@@ -398,7 +406,8 @@ def _conic_point_numeric(t: complex) -> tuple[complex, complex, complex]:
     return tuple(c / scale for c in point)
 
 
-def _irregularity_residual(A: Hypermatrix, point) -> float:
+def irregularity_residual(A: Hypermatrix, point) -> float:
+    """max |(Ax^{m-1})_i| together with |x^T x| at a max-normalized witness."""
     xs = [complex(c) for c in point]
     scale = max(abs(c) for c in xs) or 1.0
     xs = [c / scale for c in xs]
@@ -406,79 +415,6 @@ def _irregularity_residual(A: Hypermatrix, point) -> float:
     res = max(abs(complex(v)) for v in image)
     res = max(res, abs(sum(c * c for c in xs)))
     return res
-
-
-def irregularity_residual(A: Hypermatrix, witness) -> float:
-    """max |(Ax^{m-1})_i| together with |x^T x| at a max-normalized witness."""
-    return _irregularity_residual(A, witness)
-
-
-# -- complex-rational polynomial helpers (dense lists over Q(i)) -------------------
-
-
-def _ctrim(cs: list[ComplexRational]) -> list[ComplexRational]:
-    while cs and cs[-1].is_zero():
-        cs.pop()
-    return cs
-
-
-def _cadd(a, b):
-    n = max(len(a), len(b))
-    zero = ComplexRational(Fraction(0))
-    out = [(a[i] if i < len(a) else zero) + (b[i] if i < len(b) else zero) for i in range(n)]
-    return _ctrim(out)
-
-
-def _cmul(a, b):
-    if not a or not b:
-        return []
-    zero = ComplexRational(Fraction(0))
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return _ctrim(out)
-
-
-def _cdivmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero over Q(i)")
-    rem = list(a)
-    quot = [ComplexRational(Fraction(0))] * max(len(a) - len(b) + 1, 0)
-    inv = ComplexRational(Fraction(1)) / b[-1]
-    for i in range(len(quot) - 1, -1, -1):
-        q = rem[i + len(b) - 1] * inv
-        quot[i] = q
-        if not q.is_zero():
-            for j, d in enumerate(b):
-                rem[i + j] = rem[i + j] - q * d
-    return _ctrim(quot), _ctrim(rem[: len(b) - 1])
-
-
-def _cgcd(a, b):
-    a, b = list(a), list(b)
-    while b:
-        _, r = _cdivmod(a, b)
-        a, b = b, r
-    if a:
-        inv = ComplexRational(Fraction(1)) / a[-1]
-        a = [c * inv for c in a]
-    return a
-
-
-def _compose_form(form: dict, var_polys: list[list[ComplexRational]]):
-    """Substitute polynomial parametrizations into an exponent-dict form."""
-    one = [ComplexRational(Fraction(1))]
-    total: list[ComplexRational] = []
-    for expo, value in form.items():
-        term = [ComplexRational(Fraction(value))]
-        for var, power in zip(var_polys, expo):
-            for _ in range(power):
-                term = _cmul(term, var)
-        total = _cadd(total, term)
-    return total
 
 
 # -- deficit indicator ----------------------------------------------------------

@@ -1,5 +1,7 @@
-"""Dense univariate polynomials over the exact rationals.
+"""Dense univariate polynomials over Q and Q(i).
 
+Coefficients are ``Fraction`` or ``ComplexRational`` values; the field
+operations, ``divmod``, ``monic`` and ``poly_gcd`` work the same over both.
 Everything here is exact except :func:`complex_roots`, which is the single
 place floating point enters the package.  Root multiplicities are recovered
 from an exact square-free (Yun) decomposition before any numerics run, so a
@@ -14,25 +16,36 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .rational import ComplexRational, as_fraction
+
 #: Degree reported for the identically-zero polynomial.
 MINUS_INFINITY = float("-inf")
 
 
-def _frac(value) -> Fraction:
+#: Scalars a polynomial operation accepts in place of a constant polynomial.
+_SCALARS = (int, Fraction, ComplexRational)
+
+
+def _coeff(value):
+    """A coefficient in Q or Q(i); ints are promoted, anything else raises TypeError."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"polynomial coefficients must be rational, got {type(value).__name__}")
+    if isinstance(value, ComplexRational):
+        return value
+    return as_fraction(value)
 
 
 class Poly:
-    """Polynomial in one variable with Fraction coefficients, ascending order."""
+    """Polynomial in one variable over Q or Q(i), coefficients in ascending order.
+
+    Coefficients are ``Fraction`` or ``ComplexRational`` values, ints are
+    promoted to ``Fraction``.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [_frac(c) for c in coeffs]
+        cs = [_coeff(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -85,7 +98,7 @@ class Poly:
     # -- ring operations -------------------------------------------------------
 
     def __add__(self, other):
-        other = _as_poly(other)
+        other = as_poly(other)
         n = max(len(self.coeffs), len(other.coeffs))
         return Poly(
             [self.coefficient(i) + other.coefficient(i) for i in range(n)]
@@ -94,22 +107,22 @@ class Poly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _as_poly(other)
+        other = as_poly(other)
         n = max(len(self.coeffs), len(other.coeffs))
         return Poly(
             [self.coefficient(i) - other.coefficient(i) for i in range(n)]
         )
 
     def __rsub__(self, other):
-        return _as_poly(other) - self
+        return as_poly(other) - self
 
     def __neg__(self):
         return Poly([-c for c in self.coeffs])
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, _SCALARS):
             return self.scale(other)
-        other = _as_poly(other)
+        other = as_poly(other)
         if not self.coeffs or not other.coeffs:
             return Poly()
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -124,7 +137,7 @@ class Poly:
     __rmul__ = __mul__
 
     def scale(self, factor) -> "Poly":
-        factor = _frac(factor)
+        factor = _coeff(factor)
         if factor == 0:
             return Poly()
         return Poly([c * factor for c in self.coeffs])
@@ -143,7 +156,7 @@ class Poly:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, _SCALARS):
             other = Poly.constant(other)
         if isinstance(other, Poly):
             return self.coeffs == other.coeffs
@@ -175,7 +188,7 @@ class Poly:
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def divmod(self, divisor: "Poly"):
-        """Quotient and remainder over the rationals."""
+        """Quotient and remainder over the coefficient field."""
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
@@ -194,10 +207,10 @@ class Poly:
         return Poly(quot), Poly(rem[: dn - 1])
 
     def __floordiv__(self, divisor):
-        return self.divmod(_as_poly(divisor))[0]
+        return self.divmod(as_poly(divisor))[0]
 
     def __mod__(self, divisor):
-        return self.divmod(_as_poly(divisor))[1]
+        return self.divmod(as_poly(divisor))[1]
 
     def exact_div(self, divisor: "Poly") -> "Poly":
         q, r = self.divmod(divisor)
@@ -236,19 +249,18 @@ class Poly:
         return " ".join(parts)
 
 
-def _as_poly(value) -> Poly:
+def as_poly(value) -> Poly:
+    """A Poly as it is, a scalar in Q or Q(i) as a constant; otherwise TypeError."""
     if isinstance(value, Poly):
         return value
-    if isinstance(value, (int, Fraction)):
-        return Poly.constant(value)
-    raise TypeError(f"cannot coerce {type(value).__name__} to Poly")
+    return Poly.constant(value)
 
 
 # -- gcd and square-free structure ------------------------------------------------
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over the rationals (Euclid)."""
+    """Monic gcd over Q or Q(i) (Euclid)."""
     while not b.is_zero():
         a, b = b, a % b
     if a.is_zero():

@@ -17,7 +17,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .poly import Poly, interpolation_nodes, lagrange_interpolate
+from .poly import Poly, as_poly, interpolation_nodes, lagrange_interpolate
+from .rational import as_fraction
 
 try:  # pragma: no cover - exercised implicitly when gmpy2 is installed
     from gmpy2 import mpz as _to_int
@@ -31,7 +32,7 @@ class PolyMatrix:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Sequence[Sequence[Poly]]):
-        rows = tuple(tuple(_coerce_poly(e) for e in row) for row in rows)
+        rows = tuple(tuple(as_poly(e) for e in row) for row in rows)
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise ValueError("polynomial matrix must be square")
@@ -49,14 +50,6 @@ class PolyMatrix:
 
     def __repr__(self):
         return f"PolyMatrix(size={self.size})"
-
-
-def _coerce_poly(entry) -> Poly:
-    if isinstance(entry, Poly):
-        return entry
-    if isinstance(entry, (int, Fraction)):
-        return Poly.constant(entry)
-    raise TypeError(f"matrix entries must be Poly or rational, got {type(entry).__name__}")
 
 
 def det_interpolated(matrix: PolyMatrix) -> Poly:
@@ -130,7 +123,7 @@ def det_rational(rows: Sequence[Sequence[Fraction]]) -> Fraction:
         if set(map(type, row)) == {int}:
             m.append(list(map(_to_int, row)))
             continue
-        row = [Fraction(e) for e in row]
+        row = [as_fraction(e) for e in row]
         denom = lcm(*(e.denominator for e in row))
         scale *= denom
         m.append([_to_int(e.numerator * (denom // e.denominator)) for e in row])

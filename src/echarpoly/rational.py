@@ -1,9 +1,12 @@
-"""Exact complex-rational scalars on top of ``fractions.Fraction``.
+"""The exact scalars of the package: Q as ``Fraction``, Q(i) as ``ComplexRational``.
 
 Real scalars throughout the package are plain ``Fraction`` values (already
-arbitrary precision, lowest terms, positive denominator).  This module adds
-the Gaussian-rational field Q(i) needed for eigenvector directions such as
-(1, i) and for exact evaluation of the multilinear map at complex points.
+arbitrary precision, lowest terms, positive denominator); ``as_fraction``
+is the one coercion into them, and it admits ints and nothing else, so a
+float cannot leak in.  This module adds the Gaussian-rational field Q(i)
+needed for eigenvector directions such as (1, i), for exact evaluation of
+the multilinear map at complex points, and for polynomials over Q(i) (the
+irregularity test on the isotropic cone).
 """
 
 from __future__ import annotations
@@ -27,12 +30,13 @@ def format_rational(value: Fraction) -> str:
     return str(value)
 
 
-def _as_fraction(value) -> Fraction:
+def as_fraction(value) -> Fraction:
+    """A Fraction or an int as a Fraction; any other type raises ``TypeError``."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
-    raise TypeError(f"cannot coerce {type(value).__name__} to Fraction")
+    raise TypeError(f"exact scalars must be rational, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -43,8 +47,8 @@ class ComplexRational:
     im: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "re", _as_fraction(self.re))
-        object.__setattr__(self, "im", _as_fraction(self.im))
+        object.__setattr__(self, "re", as_fraction(self.re))
+        object.__setattr__(self, "im", as_fraction(self.im))
 
     # -- coercion -----------------------------------------------------------
 
@@ -52,7 +56,7 @@ class ComplexRational:
     def coerce(value) -> "ComplexRational":
         if isinstance(value, ComplexRational):
             return value
-        return ComplexRational(_as_fraction(value))
+        return ComplexRational(as_fraction(value))
 
     # -- ring/field operations ---------------------------------------------
 

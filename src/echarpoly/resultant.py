@@ -16,8 +16,9 @@ from itertools import permutations
 from math import comb, lcm, prod
 from typing import Mapping, Sequence
 
-from .poly import Poly
+from .poly import Poly, as_poly
 from .polymat import PolyMatrix, det_interpolated, det_rational
+from .rational import as_fraction
 
 
 class UnsupportedSizeError(ValueError):
@@ -26,12 +27,6 @@ class UnsupportedSizeError(ValueError):
 
 MAX_FORMS = 4
 MAX_MACAULAY_DIM = 500
-
-
-def _coerce_poly(value) -> Poly:
-    if isinstance(value, Poly):
-        return value
-    return Poly.constant(value)
 
 
 @dataclass(frozen=True)
@@ -49,11 +44,11 @@ class BinaryForm:
         if len(coeffs) != degree + 1:
             raise ValueError(f"degree {degree} form needs {degree + 1} coefficients")
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", tuple(_coerce_poly(c) for c in coeffs))
+        object.__setattr__(self, "coeffs", tuple(as_poly(c) for c in coeffs))
 
     @classmethod
     def from_scalars(cls, values: Sequence) -> "BinaryForm":
-        return cls(len(values) - 1, [Poly.constant(Fraction(v)) for v in values])
+        return cls(len(values) - 1, [as_fraction(v) for v in values])
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
@@ -69,11 +64,11 @@ class BinaryForm:
         return BinaryForm(self.degree + other.degree, out)
 
     def scale(self, factor) -> "BinaryForm":
-        return BinaryForm(self.degree, [c * Fraction(factor) for c in self.coeffs])
+        return BinaryForm(self.degree, [c * as_fraction(factor) for c in self.coeffs])
 
     def linear_substitute(self, mat: Sequence[Sequence]) -> "BinaryForm":
         """Substitute x1 -> a11*x1 + a12*x2, x2 -> a21*x1 + a22*x2."""
-        (a11, a12), (a21, a22) = [[Fraction(v) for v in row] for row in mat]
+        (a11, a12), (a21, a22) = [[as_fraction(v) for v in row] for row in mat]
         # powers of the two substituted variables, built incrementally
         u = BinaryForm(1, [a11, a12])
         v = BinaryForm(1, [a21, a22])
@@ -90,17 +85,6 @@ class BinaryForm:
             for j in range(self.degree + 1):
                 result[j] = result[j] + coeff * term.coeffs[j]
         return BinaryForm(self.degree, result)
-
-    def evaluate(self, x1, x2):
-        """Exact value at a point; coefficients must be constant polynomials."""
-        total = None
-        for i, coeff in enumerate(self.coeffs):
-            c = coeff.coefficient(0)
-            if not coeff.is_zero() and coeff.degree > 0:
-                raise ValueError("cannot evaluate a parameterized form at a point")
-            term = c * x1 ** (self.degree - i) * x2**i
-            total = term if total is None else total + term
-        return total
 
 
 def sylvester_matrix(f: BinaryForm, g: BinaryForm) -> PolyMatrix:
@@ -154,7 +138,7 @@ class HomogeneousSystem:
                 expo = tuple(expo)
                 if len(expo) != k or any(a < 0 for a in expo) or sum(expo) != deg:
                     raise ValueError(f"exponent {expo} is not degree {deg} in {k} variables")
-                v = Fraction(value)
+                v = as_fraction(value)
                 if v != 0:
                     clean[expo] = v.numerator if v.denominator == 1 else v
             frozen.append(clean)
@@ -163,7 +147,7 @@ class HomogeneousSystem:
         object.__setattr__(self, "forms", tuple(frozen))
 
     def scale_form(self, index: int, factor) -> "HomogeneousSystem":
-        factor = Fraction(factor)
+        factor = as_fraction(factor)
         forms = [dict(f) for f in self.forms]
         forms[index] = {e: v * factor for e, v in forms[index].items()}
         return HomogeneousSystem(forms, self.degrees)

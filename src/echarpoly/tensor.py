@@ -13,18 +13,11 @@ from fractions import Fraction
 from itertools import product
 from typing import Mapping, Sequence
 
+from .rational import as_fraction
 
 
 class DimensionError(ValueError):
     """Input has a dimension/order the operation does not accept."""
-
-
-def _frac(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"entries must be rational, got {type(value).__name__}")
 
 
 class Hypermatrix:
@@ -44,7 +37,7 @@ class Hypermatrix:
             idx = tuple(idx)
             if len(idx) != order or any(not 0 <= i < dim for i in idx):
                 raise DimensionError(f"bad index tuple {idx} for order {order}, dim {dim}")
-            v = _frac(value)
+            v = as_fraction(value)
             if v != 0:
                 clean[idx] = v
         self.entries = clean
@@ -72,7 +65,7 @@ class Hypermatrix:
         return (self.order, self.dim, self.entries) == (other.order, other.dim, other.entries)
 
     def scale(self, factor) -> "Hypermatrix":
-        factor = _frac(factor)
+        factor = as_fraction(factor)
         return Hypermatrix(
             self.order, self.dim, {idx: v * factor for idx, v in self.entries.items()}
         )
@@ -123,7 +116,7 @@ class OrthogonalMatrix:
     __slots__ = ("dim", "rows")
 
     def __init__(self, rows: Sequence[Sequence]):
-        rows = tuple(tuple(_frac(e) for e in row) for row in rows)
+        rows = tuple(tuple(as_fraction(e) for e in row) for row in rows)
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise DimensionError("orthogonal matrix must be square")
@@ -134,10 +127,6 @@ class OrthogonalMatrix:
                     raise ValueError("matrix is not exactly orthogonal")
         self.dim = n
         self.rows = rows
-
-    @classmethod
-    def identity(cls, n: int) -> "OrthogonalMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
     def diagonal_signs(cls, signs: Sequence[int]) -> "OrthogonalMatrix":
@@ -163,11 +152,6 @@ class OrthogonalMatrix:
                 for i in range(n)
             ]
         )
-
-    def apply(self, x: Sequence) -> list:
-        if len(x) != self.dim:
-            raise DimensionError("vector length mismatch")
-        return [sum(row[j] * x[j] for j in range(self.dim)) for row in self.rows]
 
     def __repr__(self):
         return f"OrthogonalMatrix(dim={self.dim})"

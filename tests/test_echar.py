@@ -417,12 +417,33 @@ def test_macaulay_interpolates_on_h_plus_2_nodes(monkeypatch, dim, order, nodes)
         return real(system)
 
     monkeypatch.setattr(module, "macaulay_resultant", counting)
-    # a0_predicted calls it too at dimension 3, on the bare map; only nodes count here
+    # reading the a0 prediction would call it too (at dimension 3, on the bare map);
+    # only nodes count here
     monkeypatch.setattr(module, "a0_predicted", lambda A: Fraction(0))
     echar_macaulay(fuzz_tensor(random.Random(order), order, dim))
     assert len(calls) == nodes == h_bound(order, dim) + 2
     # even order takes the n-variable eigen-system, odd order the homogenized one
     assert set(calls) == {dim if order % 2 == 0 else dim + 1}
+
+
+@pytest.mark.parametrize(
+    "route, order", [(echar_even_n2, 4), (echar_odd_n2, 3), (echar_det_odd, 5), (echar_macaulay, 3)]
+)
+def test_route_call_computes_the_predictions_on_first_read(monkeypatch, route, order):
+    module = importlib.import_module("echarpoly.echar")
+    real_a0, real_leading = module.a0_predicted, module.leading_predicted
+    calls = []
+    monkeypatch.setattr(module, "a0_predicted", lambda A: calls.append("a0") or real_a0(A))
+    monkeypatch.setattr(
+        module, "leading_predicted", lambda A: calls.append("leading") or real_leading(A)
+    )
+    A = fuzz_tensor(random.Random(order), order)
+    result = route(A)
+    assert calls == []
+    for _ in range(2):
+        assert result.a0_predicted == real_a0(A) == result.psi.coefficient(0)
+        assert result.leading_predicted == real_leading(A)
+    assert calls == ["a0", "leading"]
 
 
 @pytest.mark.parametrize("order", [3, 4])

@@ -257,7 +257,7 @@ def test_is_regular_dimension3_verdict_is_exact_without_float_witness(monkeypatc
     assert not report.regular
     assert irregularity_residual(A, report.witness) <= 1e-10
     module = importlib.import_module("echarpoly.eigen")
-    monkeypatch.setattr(module, "_irregularity_residual", lambda A, point: 1.0)
+    monkeypatch.setattr(module, "irregularity_residual", lambda A, point: 1.0)
     report = is_regular(A)
     assert not report.regular
     assert report.witness is None

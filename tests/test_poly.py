@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from echarpoly.poly import (
@@ -15,6 +15,7 @@ from echarpoly.poly import (
     poly_sqrt,
     squarefree_decomposition,
 )
+from echarpoly.rational import I_UNIT, ComplexRational
 
 
 def rand_poly(rng, max_deg=6):
@@ -108,6 +109,45 @@ def test_interpolation_round_trip_at_rational_nodes(coeffs, nodes):
     p = Poly(coeffs)
     assert lagrange_interpolate([(t, p(t)) for t in nodes]) == p
     assert lagrange_interpolate([(t, p(t)) for t in nodes[: len(p.coeffs)]]) == p
+
+
+_gaussians = st.builds(ComplexRational, _rationals, _rationals)
+
+
+def test_gaussian_coefficients_are_kept_and_ints_promoted():
+    p = Poly([1, I_UNIT, 0])
+    assert p.coeffs == (Fraction(1), I_UNIT)
+    assert p * I_UNIT == Poly([I_UNIT, -1])
+    assert Poly([I_UNIT]) * Poly([-I_UNIT]) == Poly.one()
+    with pytest.raises(TypeError):
+        Poly([0.5])
+    with pytest.raises(TypeError):
+        Poly([1j])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_gaussians, max_size=7), st.lists(_gaussians, min_size=1, max_size=5))
+def test_gaussian_divmod_reconstructs(a_coeffs, b_coeffs):
+    a, b = Poly(a_coeffs), Poly(b_coeffs)
+    assume(not b.is_zero())
+    q, r = a.divmod(b)
+    assert q * b + r == a
+    assert r.degree < b.degree
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(_gaussians, min_size=1, max_size=4),
+    st.lists(_gaussians, min_size=1, max_size=4),
+    st.lists(_gaussians, min_size=2, max_size=3),
+)
+def test_gaussian_gcd_keeps_a_common_factor(f_coeffs, g_coeffs, h_coeffs):
+    f, g, h = Poly(f_coeffs), Poly(g_coeffs), Poly(h_coeffs)
+    assume(not f.is_zero() and not g.is_zero() and h.degree >= 1)
+    h = h.monic()
+    common = poly_gcd(f * h, g * h)
+    assert common.leading() == 1
+    assert (common % h).is_zero()
 
 
 def test_complex_roots_simple_pair():

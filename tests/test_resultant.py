@@ -25,6 +25,18 @@ def res_scalar(f, g):
     return sylvester_resultant(f, g).coefficient(0)
 
 
+def test_constructors_reject_floats():
+    with pytest.raises(TypeError):
+        HomogeneousSystem([{(1, 0): 0.1}, {(0, 1): 1}], [1, 1])
+    with pytest.raises(TypeError):
+        BinaryForm.from_scalars([0.1, 1])
+    f = BinaryForm.from_scalars([1, 2])
+    with pytest.raises(TypeError):
+        f.scale(0.5)
+    with pytest.raises(TypeError):
+        f.linear_substitute([[1, 0.5], [0, 1]])
+
+
 def test_pure_powers_normalize_to_one():
     for d in (1, 2, 3):
         for e in (1, 2, 4):
