@@ -34,6 +34,7 @@ from typing import Optional
 from .eigen import is_regular
 from .poly import Poly, interpolation_nodes, lagrange_interpolate
 from .polymat import PolyMatrix, det_interpolated
+from .rational import I_UNIT
 from .resultant import (
     BinaryForm,
     HomogeneousSystem,
@@ -50,8 +51,8 @@ from .tensor import (
     SliceCoeffs,
     binary_slices,
     direction_form_coeffs,
+    isotropic_value,
     map_forms,
-    pq_sums,
     rotate,
 )
 
@@ -392,11 +393,14 @@ def a0_predicted(A: Hypermatrix) -> Fraction:
 
 
 def leading_predicted(A: Hypermatrix) -> Fraction:
-    """Top generic coefficient from the signed slice sums (dimension 2)."""
+    """Top generic coefficient from P^2 + Q^2 (dimension 2).
+
+    P + iQ = f1 + i*f2 is A x^m at x = (1, i), with (f1, f2) the map there.
+    """
     if A.dim != 2:
         raise DimensionError("the top-coefficient formula is for dimension 2")
-    p, q = pq_sums(binary_slices(A))
-    s = p * p + q * q
+    f1, f2 = isotropic_value(binary_slices(A))
+    s = (f1 + I_UNIT * f2).norm2()
     if A.order % 2 == 0:
         return s ** ((A.order - 2) // 2)
     return -(s ** (A.order - 2))

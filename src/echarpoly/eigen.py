@@ -18,7 +18,7 @@ import numpy as np
 
 from .poly import Poly, poly_gcd, squarefree_decomposition
 from .rational import ComplexRational, I_UNIT
-from .resultant import BinaryForm, HomogeneousSystem, macaulay_resultant, sylvester_resultant
+from .resultant import HomogeneousSystem, macaulay_resultant
 from .tensor import (
     DimensionError,
     Hypermatrix,
@@ -26,12 +26,15 @@ from .tensor import (
     binary_slices,
     direction_form_coeffs,
     eval_map,
+    isotropic_value,
     map_forms,
-    pq_sums,
 )
 
 NORMALIZED = "normalized"
 DEFICIT = "deficit"
+
+#: Largest |imaginary part| a Z-eigenpair's eigenvalue and vector may show.
+Z_TOLERANCE = 1e-10
 
 
 @dataclass
@@ -210,11 +213,13 @@ def eigenpairs_n2(A: Hypermatrix) -> EigenReport:
         return EigenReport(infinite=True, pairs=[])
     slices = binary_slices(A)
     m = A.order
+    f1 = isotropic_value(slices)[0]
     pairs: list[Eigenpair] = []
     for direction in result.directions:
         if direction.isotropic:
             x = direction.exact
-            lam = _slice_eval_exact(slices, 0, x[0], x[1])  # first component is 1
+            # first component is 1: lambda is the first map component at x
+            lam = f1 if x[1] == I_UNIT else f1.conjugate()
             pairs.append(
                 Eigenpair(
                     eigenvalue=complex(lam),
@@ -284,18 +289,18 @@ def _align_odd(slices, m, lam, vec):
     return lam, vec
 
 
-def z_eigenpairs(A: Hypermatrix, tol: float = 1e-10) -> list[Eigenpair]:
+def z_eigenpairs(A: Hypermatrix) -> list[Eigenpair]:
     """Real normalized eigenpairs of a real tensor (positive representative)."""
     report = eigenpairs_n2(A)
     if report.infinite:
         return []
-    return [pair for pair in report.pairs if is_z_eigenpair(pair, tol)]
+    return [pair for pair in report.pairs if is_z_eigenpair(pair)]
 
 
-def is_z_eigenpair(pair: Eigenpair, tol: float = 1e-10) -> bool:
-    """A normalized pair whose eigenvalue and vector have |imag| <= tol."""
+def is_z_eigenpair(pair: Eigenpair) -> bool:
+    """A normalized pair whose eigenvalue and vector have |imag| <= Z_TOLERANCE."""
     return pair.kind == NORMALIZED and all(
-        abs(z.imag) <= tol for z in (pair.eigenvalue, *pair.vector)
+        abs(z.imag) <= Z_TOLERANCE for z in (pair.eigenvalue, *pair.vector)
     )
 
 
@@ -318,18 +323,16 @@ def is_regular(A: Hypermatrix) -> RegularityReport:
 
 
 def _is_regular_n2(A: Hypermatrix) -> RegularityReport:
-    slices = binary_slices(A)
-    m = A.order
-    circle = BinaryForm.from_scalars([1, 0, 1])
-    delta1 = sylvester_resultant(BinaryForm.from_scalars(slices.c), circle).coefficient(0)
-    delta2 = sylvester_resultant(BinaryForm.from_scalars(slices.b), circle).coefficient(0)
-    deltas = (delta1, delta2)
-    for sign in (1, -1):
-        point = (ComplexRational(Fraction(1)), ComplexRational(Fraction(0), Fraction(sign)))
-        f1 = _slice_eval_exact(slices, 0, *point)
-        f2 = _slice_eval_exact(slices, 1, *point)
-        if f1.is_zero() and f2.is_zero():
-            return RegularityReport(regular=False, witness=point, deltas=deltas)
+    """Irregular exactly when the map vanishes at (1, i), hence also at (1, -i).
+
+    The deltas are the resultants of the second and the first component
+    against x1^2 + x2^2, that is |f2(1, i)|^2 and |f1(1, i)|^2.
+    """
+    f1, f2 = isotropic_value(binary_slices(A))
+    deltas = (f2.norm2(), f1.norm2())
+    if f1.is_zero() and f2.is_zero():
+        witness = (ComplexRational(Fraction(1)), I_UNIT)
+        return RegularityReport(regular=False, witness=witness, deltas=deltas)
     return RegularityReport(regular=True, witness=None, deltas=deltas)
 
 
@@ -423,12 +426,15 @@ def irregularity_residual(A: Hypermatrix, point) -> float:
 def deficit_indicator(A: Hypermatrix) -> tuple[Fraction, bool]:
     """P^2 + Q^2 and whether it vanishes (the deficit-system criterion).
 
+    P and Q are the real and imaginary parts of f1 + i*f2, where (f1, f2) is
+    the map at the isotropic point (1, i).
+
     For a regular tensor the deficit system has a nontrivial solution
     exactly when this value is zero, which is also when the top generic
     coefficient of the characteristic polynomial drops.
     """
     if A.dim != 2:
         raise DimensionError("deficit indicator requires dimension 2")
-    p, q = pq_sums(binary_slices(A))
-    value = p * p + q * q
+    f1, f2 = isotropic_value(binary_slices(A))
+    value = (f1 + I_UNIT * f2).norm2()
     return value, value == 0

@@ -2,10 +2,13 @@
 
 Coefficients are ``Fraction`` or ``ComplexRational`` values; the field
 operations, ``divmod``, ``monic`` and ``poly_gcd`` work the same over both.
-Everything here is exact except :func:`complex_roots`, which is the single
-place floating point enters the package.  Root multiplicities are recovered
-from an exact square-free (Yun) decomposition before any numerics run, so a
-double root is a double root by construction, not by luck of clustering.
+Everything here is exact except :func:`complex_roots` and the float
+evaluation :meth:`Poly.eval_complex` that polishes its roots; the only other
+place floating point enters the package is ``np.roots`` in ``eigen`` (the
+eigenvector directions and the dimension-3 irregularity witness).  Root
+multiplicities come from the exact square-free (Yun) decomposition alone,
+so a double root is a double root by construction, not by luck of
+clustering.
 """
 
 from __future__ import annotations
@@ -28,9 +31,7 @@ _SCALARS = (int, Fraction, ComplexRational)
 
 def _coeff(value):
     """A coefficient in Q or Q(i); ints are promoted, anything else raises TypeError."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, ComplexRational):
+    if isinstance(value, (Fraction, ComplexRational)):
         return value
     return as_fraction(value)
 
@@ -179,7 +180,7 @@ class Poly:
     def eval_complex(self, z: complex) -> complex:
         acc = 0j
         for c in reversed(self.coeffs):
-            acc = acc * z + float(c)
+            acc = acc * z + _numeric(c)
         return acc
 
     # -- calculus / division -----------------------------------------------------
@@ -236,17 +237,30 @@ class Poly:
             c = self.coeffs[power]
             if c == 0:
                 continue
-            mag = abs(c)
+            if isinstance(c, ComplexRational):
+                mag, negative = _gaussian_str(c), False
+            else:
+                mag, negative = abs(c), c < 0
             if power == 0:
                 body = str(mag)
             else:
                 var = "L" if power == 1 else f"L^{power}"
                 body = var if mag == 1 else f"{mag}*{var}"
             if not parts:
-                parts.append(body if c > 0 else f"-{body}")
+                parts.append(f"-{body}" if negative else body)
             else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+                parts.append(f"- {body}" if negative else f"+ {body}")
         return " ".join(parts)
+
+
+def _gaussian_str(c: ComplexRational) -> str:
+    """A Q(i) coefficient as a parenthesised a+bi, e.g. (1/2-3i)."""
+    return f"({c.re}{'-' if c.im < 0 else '+'}{abs(c.im)}i)"
+
+
+def _numeric(c):
+    """A coefficient as a float (over Q) or a complex (over Q(i))."""
+    return float(c) if isinstance(c, Fraction) else complex(c)
 
 
 def as_poly(value) -> Poly:
@@ -369,8 +383,8 @@ def lagrange_interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
     The sum is taken over the common denominator lcm(w_i), which is divided
     out once, together with D and the substitution u = d*x.
     """
-    xs = [Fraction(x) for x, _ in points]
-    ys = [Fraction(y) for _, y in points]
+    xs = [as_fraction(x) for x, _ in points]
+    ys = [as_fraction(y) for _, y in points]
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation nodes must be distinct")
     n = len(xs)
@@ -399,32 +413,30 @@ def lagrange_interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
 # -- numeric roots --------------------------------------------------------------------
 
 
-def complex_roots(p: Poly, tol: float = 1e-8) -> list[tuple[complex, int]]:
+def complex_roots(p: Poly) -> list[tuple[complex, int]]:
     """All complex roots with multiplicities, sorted by (re, im).
 
-    Multiplicities come from the exact square-free decomposition; roots of
-    each square-free factor are simple and found with numpy's companion
-    matrix, then polished by one Newton step.  Clusters closer than ``tol``
-    are merged as a final safeguard.
+    Multiplicities come from the exact square-free decomposition alone;
+    roots of each square-free factor are simple and found with numpy's
+    companion matrix, then polished by Newton steps.
     """
     if p.is_zero():
         raise ValueError("the zero polynomial has every number as a root")
     found: list[tuple[complex, int]] = []
     for factor, mult in squarefree_decomposition(p):
-        coeffs = [float(c) for c in reversed(factor.coeffs)]
+        coeffs = [_numeric(c) for c in reversed(factor.coeffs)]
         for root in np.roots(coeffs):
             z = complex(root)
             z = _newton_polish(factor, z)
             found.append((z, mult))
-    merged = _merge_clusters(found, tol)
-    merged.sort(key=lambda item: (item[0].real, item[0].imag))
-    total = sum(m for _, m in merged)
+    found.sort(key=lambda item: (item[0].real, item[0].imag))
+    total = sum(m for _, m in found)
     expected = p.degree
     if total != expected:
         raise ArithmeticError(
             f"root count with multiplicity {total} != degree {expected}"
         )
-    return merged
+    return found
 
 
 def _newton_polish(factor: Poly, z: complex, steps: int = 2) -> complex:
@@ -439,17 +451,3 @@ def _newton_polish(factor: Poly, z: complex, steps: int = 2) -> complex:
         z = z - step
     return z
 
-
-def _merge_clusters(roots: list[tuple[complex, int]], tol: float) -> list[tuple[complex, int]]:
-    clusters: list[list] = []  # [sum, count, multiplicity]
-    for z, mult in roots:
-        for cluster in clusters:
-            center = cluster[0] / cluster[1]
-            if abs(z - center) <= tol:
-                cluster[0] += z
-                cluster[1] += 1
-                cluster[2] += mult
-                break
-        else:
-            clusters.append([z, 1, mult])
-    return [(c[0] / c[1], c[2]) for c in clusters]

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Mapping, Sequence
 
-from .rational import as_fraction
+from .rational import ComplexRational, as_fraction
 
 
 class DimensionError(ValueError):
@@ -224,32 +224,21 @@ def binary_slices(A: Hypermatrix) -> SliceCoeffs:
     return SliceCoeffs(tuple(b), tuple(c), tuple(d), tuple(e))
 
 
-#: Sign cycles of the two alternating series; index by (term - 1) % 4.
-_P_SIGNS = (1, -1, -1, 1)
-_Q_SIGNS = (1, 1, -1, -1)
+def isotropic_value(slices: SliceCoeffs) -> tuple[ComplexRational, ComplexRational]:
+    """The map Ax^{m-1} at the isotropic point x = (1, i), as (f1, f2).
 
-
-def pq_sums(slices: SliceCoeffs) -> tuple[Fraction, Fraction]:
-    """First-m partial sums of the two sign-cycled series over b and c.
-
-    The first series alternates odd b's and even c's with sign cycle
-    +,-,-,+; the second odd c's and even b's with cycle +,+,-,-.  Their sum
-    of squares controls the top coefficient of the characteristic
-    polynomial.
+    f1 = sum_j b_j i^j and f2 = sum_j c_j i^j: the real parts alternate over
+    the even j, the imaginary parts over the odd j.  At the conjugate point
+    (1, -i) the map takes the conjugate values, since the slices are real.
     """
-    m = slices.order
-    p = Fraction(0)
-    q = Fraction(0)
-    for k in range(1, m + 1):
-        sp = _P_SIGNS[(k - 1) % 4]
-        sq = _Q_SIGNS[(k - 1) % 4]
-        if k % 2 == 1:
-            p += sp * slices.b[k - 1]
-            q += sq * slices.c[k - 1]
-        else:
-            p += sp * slices.c[k - 1]
-            q += sq * slices.b[k - 1]
-    return p, q
+    return _at_i(slices.b), _at_i(slices.c)
+
+
+def _at_i(seq: Sequence[Fraction]) -> ComplexRational:
+    """sum_j seq[j] i^j, from the four residues of j mod 4."""
+    return ComplexRational(
+        sum(seq[0::4]) - sum(seq[2::4]), sum(seq[1::4]) - sum(seq[3::4])
+    )
 
 
 def direction_form_coeffs(slices: SliceCoeffs) -> tuple[Fraction, ...]:

@@ -15,6 +15,7 @@ from itertools import product
 from echarpoly.echar import _homogenized_system, h_bound
 from echarpoly.poly import Poly, interpolation_nodes, lagrange_interpolate
 from echarpoly.resultant import macaulay_resultant
+from echarpoly.tensor import SliceCoeffs
 
 
 def cofactor_det(rows):
@@ -112,3 +113,32 @@ def homogenized_resultant(A) -> Poly:
     """
     nodes = interpolation_nodes(2 * h_bound(A.order, A.dim) + 2)
     return lagrange_interpolate([(t, macaulay_resultant(_homogenized_system(A, t))) for t in nodes])
+
+
+#: Sign cycles of the two alternating series; index by (term - 1) % 4.
+_P_SIGNS = (1, -1, -1, 1)
+_Q_SIGNS = (1, 1, -1, -1)
+
+
+def pq_sums(slices: SliceCoeffs) -> tuple[Fraction, Fraction]:
+    """First-m partial sums of the two sign-cycled series over b and c.
+
+    The first series alternates odd b's and even c's with sign cycle
+    +,-,-,+; the second odd c's and even b's with cycle +,+,-,-.  Their sum
+    of squares controls the top coefficient of the characteristic
+    polynomial.  This is the paper's literal formula, kept as an oracle for
+    the library's evaluation of the map at the isotropic point (1, i).
+    """
+    m = slices.order
+    p = Fraction(0)
+    q = Fraction(0)
+    for k in range(1, m + 1):
+        sp = _P_SIGNS[(k - 1) % 4]
+        sq = _Q_SIGNS[(k - 1) % 4]
+        if k % 2 == 1:
+            p += sp * slices.b[k - 1]
+            q += sq * slices.c[k - 1]
+        else:
+            p += sp * slices.c[k - 1]
+            q += sq * slices.b[k - 1]
+    return p, q

@@ -39,11 +39,10 @@ from echarpoly.tensor import (
     Hypermatrix,
     OrthogonalMatrix,
     binary_slices,
-    pq_sums,
     rotate,
 )
 from echarpoly.verify import fuzz_tensor
-from oracles import cofactor_det, poly_from_roots, poly_in_square_from_roots
+from oracles import cofactor_det, poly_from_roots, poly_in_square_from_roots, pq_sums
 
 ORDERS = (3, 4, 5, 6)
 CORPUS_SEED = 20260810

@@ -27,7 +27,6 @@ from echarpoly.tensor import (
     all_indices,
     binary_slices,
     direction_form_coeffs,
-    pq_sums,
     rotate,
 )
 from echarpoly.verify import fuzz_tensor
@@ -36,6 +35,7 @@ from oracles import (
     homogenized_resultant,
     poly_from_roots,
     poly_in_square_from_roots,
+    pq_sums,
 )
 
 DEFICIT_ENTRIES = {

@@ -17,8 +17,10 @@ from echarpoly.eigen import (
 )
 from echarpoly.poly import complex_roots
 from echarpoly.rational import ComplexRational, I_UNIT
-from echarpoly.tensor import DimensionError, Hypermatrix, OrthogonalMatrix, rotate
+from echarpoly.resultant import BinaryForm, sylvester_resultant
+from echarpoly.tensor import DimensionError, Hypermatrix, OrthogonalMatrix, binary_slices, rotate
 from echarpoly.verify import fuzz_tensor
+from oracles import brute_eval_map, convolution
 
 DEFICIT_ENTRIES = {
     (1, 1, 1): 2,
@@ -261,6 +263,46 @@ def test_is_regular_dimension3_verdict_is_exact_without_float_witness(monkeypatc
     report = is_regular(A)
     assert not report.regular
     assert report.witness is None
+
+
+def from_slices(b, c):
+    """The order-len(b) tensor whose slice sums are b and c."""
+    m = len(b)
+    index = lambda first, j: tuple([first] + [2] * j + [1] * (m - 1 - j))
+    entries = {index(1, j): b[j] for j in range(m)} | {index(2, j): c[j] for j in range(m)}
+    return Hypermatrix.from_one_based(m, 2, entries)
+
+
+def test_is_regular_n2_against_sylvester_deltas_and_brute_map():
+    # deltas are the resultants of each component against x1^2 + x2^2, and
+    # the verdict is whether the dense map vanishes at (1, i)
+    circle = BinaryForm.from_scalars([1, 0, 1])
+    rng = random.Random(61)
+    irregular = 0
+    for trial in range(60):
+        m = 3 + trial % 4
+        if trial % 3 == 0:  # both components divisible by x1^2 + x2^2
+            g, h = ([Fraction(rng.randint(-5, 5)) for _ in range(m - 2)] for _ in range(2))
+            A = from_slices(convolution([1, 0, 1], g), convolution([1, 0, 1], h))
+        else:  # sparse draw: about half the entries zero
+            dense = fuzz_tensor(rng, m)
+            A = Hypermatrix(m, 2, {k: v for k, v in dense.entries.items() if rng.random() < 0.5})
+        s = binary_slices(A)
+        report = is_regular(A)
+        expected = tuple(
+            sylvester_resultant(BinaryForm.from_scalars(seq), circle).coefficient(0)
+            for seq in (s.c, s.b)
+        )
+        assert report.deltas == expected
+        vanishes = all(v == 0 for v in brute_eval_map(A, [ComplexRational(1), I_UNIT]))
+        assert report.regular == (not vanishes)
+        if vanishes:
+            irregular += 1
+            assert report.witness == (ComplexRational(1), I_UNIT)
+            assert report.deltas == (0, 0)
+        else:
+            assert report.witness is None
+    assert irregular >= 20
 
 
 def test_is_regular_rejects_dimension4():

@@ -157,7 +157,7 @@ def test_complex_roots_simple_pair():
 
 def test_complex_roots_double_roots():
     # 4(L-1)^2 (L-1/2)^2, frozen from the expansion oracle
-    roots = complex_roots(Poly([1, -6, 13, -12, 4]), tol=1e-10)
+    roots = complex_roots(Poly([1, -6, 13, -12, 4]))
     assert [(m) for _, m in roots] == [2, 2]
     assert abs(roots[0][0] - 0.5) < 1e-10
     assert abs(roots[1][0] - 1.0) < 1e-10
@@ -168,7 +168,7 @@ def test_complex_roots_even_powers():
     p = Poly([1, 0, -4, 0, 5, 0, -2])
     expansion = Poly([-1, 0, 1]) ** 2 * Poly([Fraction(-1, 2), 0, 1]) * Fraction(-2)
     assert p == expansion
-    roots = complex_roots(p, tol=1e-10)
+    roots = complex_roots(p)
     values = sorted((round(r.real, 9), m) for r, m in roots)
     assert values == [(-1.0, 2), (round(-(0.5**0.5), 9), 1), (round(0.5**0.5, 9), 1), (1.0, 2)]
 
@@ -189,3 +189,45 @@ def test_complex_roots_residual_and_count_invariant():
 def test_complex_roots_rejects_zero():
     with pytest.raises(ValueError):
         complex_roots(Poly())
+
+
+def test_complex_roots_near_double_root_stays_two_simple_roots():
+    # square-free with two roots 1e-9 apart: Yun says simple, and no
+    # clustering step may merge them into a double root
+    p = Poly([-1, 1]) * Poly([-(1 + Fraction(1, 10**9)), 1])
+    roots = complex_roots(p)
+    assert [m for _, m in roots] == [1, 1]
+    # the values themselves are only as good as float conditioning allows
+    assert all(abs(r - 1) < 1e-8 for r, _ in roots)
+
+
+def test_complex_roots_and_eval_complex_over_gaussian_rationals():
+    p = Poly([I_UNIT, 1])  # root -i
+    assert p.eval_complex(-1j) == 0
+    assert p.eval_complex(1 + 0j) == 1 + 1j
+    [(root, mult)] = complex_roots(p)
+    assert mult == 1 and abs(root + 1j) < 1e-12
+    # (L - i)^2 (L + 2): one double and one simple root
+    q = Poly([-I_UNIT, 1]) ** 2 * Poly([2, 1])
+    roots = complex_roots(q)
+    assert [m for _, m in roots] == [1, 2]
+    assert abs(roots[0][0] + 2) < 1e-12 and abs(roots[1][0] - 1j) < 1e-12
+
+
+def test_str_prints_gaussian_coefficients():
+    half = Fraction(1, 2)
+    assert str(Poly([I_UNIT, 1])) == "L + (0+1i)"
+    assert str(Poly([ComplexRational(half, -3), -I_UNIT, 2])) == "2*L^2 + (0-1i)*L + (1/2-3i)"
+    assert str(Poly([ComplexRational(Fraction(-2), Fraction(1, 3)), ComplexRational(-1)])) == "(-1+0i)*L + (-2+1/3i)"
+    # real polynomials print as before
+    assert str(Poly([1, -6, 13, -12, 4])) == "4*L^4 - 12*L^3 + 13*L^2 - 6*L + 1"
+    assert str(Poly([Fraction(-1, 2), 0, -1])) == "-L^2 - 1/2"
+    assert str(Poly()) == "0"
+
+
+def test_interpolation_rejects_float_nodes_and_values():
+    with pytest.raises(TypeError):
+        lagrange_interpolate([(0.1, 1), (1, 2)])
+    with pytest.raises(TypeError):
+        lagrange_interpolate([(0, 0.5), (1, 2)])
+

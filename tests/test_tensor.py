@@ -11,11 +11,11 @@ from echarpoly.tensor import (
     binary_slices,
     direction_form_coeffs,
     eval_map,
-    pq_sums,
+    isotropic_value,
     rotate,
 )
 from echarpoly.verify import fuzz_tensor
-from oracles import brute_eval_map, convolution
+from oracles import brute_eval_map, convolution, pq_sums
 
 
 def identity(n: int) -> OrthogonalMatrix:
@@ -180,6 +180,21 @@ def test_pq_sums_examples():
         3, 2, {(1, 1, 1): 2, (1, 1, 2): 2, (1, 2, 2): 1, (2, 1, 1): 1, (2, 1, 2): 1, (2, 2, 2): 3}
     )
     assert pq_sums(binary_slices(A)) == (0, 0)
+
+
+def test_isotropic_value_is_the_map_at_one_i_and_carries_p_plus_iq():
+    rng = random.Random(43)
+    point = [ComplexRational(1), I_UNIT]
+    for m in range(2, 9):
+        for _ in range(5):
+            dense = fuzz_tensor(rng, m)
+            A = Hypermatrix(m, 2, {k: v for k, v in dense.entries.items() if rng.random() < 0.6})
+            s = binary_slices(A)
+            f1, f2 = isotropic_value(s)
+            assert [f1, f2] == brute_eval_map(A, point)
+            p, q = pq_sums(s)
+            assert f1 + I_UNIT * f2 == ComplexRational(p, q)
+    assert isotropic_value(binary_slices(Hypermatrix.zero(3, 2))) == (0, 0)
 
 
 def test_pq_sums_sign_cycle_order_six():
