@@ -53,7 +53,7 @@ from .tensor import (
     direction_form_coeffs,
     isotropic_value,
     map_forms,
-    rotate,
+    rotate_slices,
 )
 
 ROUTE_SYLVESTER = "sylvester-direct"
@@ -172,10 +172,15 @@ def _odd_product_form(slices: SliceCoeffs) -> BinaryForm:
 
 
 def echar_even_n2(A: Hypermatrix) -> EcharResult:
-    """Resultant of the eigen-equations; valid for every even-order tensor."""
+    """Resultant of the eigen-equations; valid for every even-order tensor.
+
+    Its degree in lambda is at most h, h = m for dimension 2, so it is
+    interpolated on h + 2 nodes instead of the 2m - 1 of the row-degree
+    bound: h + 1 determine it and the last one checks the bound.
+    """
     _require(A, parity=0)
     f1, f2 = _even_eigen_forms(binary_slices(A))
-    psi = sylvester_resultant(f1, f2)
+    psi = sylvester_resultant(f1, f2, _generic_top(A.order, 2))
     return _result(A, psi, ROUTE_SYLVESTER)
 
 
@@ -198,7 +203,7 @@ def echar_odd_n2(A: Hypermatrix) -> EcharResult:
         cross = direction_form_coeffs(slices)
         if not any(cross):
             return _result(A, Poly.zero(), ROUTE_SYLVESTER)
-        slices = binary_slices(rotate(A, _nonsingular_frame(cross)))
+        slices = rotate_slices(slices, _nonsingular_frame(cross))
         pivot = slices.b[m - 1] * slices.c[0]
     big = sylvester_resultant(_odd_product_form(slices), _cross_form(slices))
     psi = big.scale(Fraction(1) / pivot)

@@ -430,8 +430,11 @@ def deficit_indicator(A: Hypermatrix) -> tuple[Fraction, bool]:
     the map at the isotropic point (1, i).
 
     For a regular tensor the deficit system has a nontrivial solution
-    exactly when this value is zero, which is also when the top generic
-    coefficient of the characteristic polynomial drops.
+    exactly when this value is zero.  From order 3 on, that is also when
+    the top generic coefficient of the characteristic polynomial, a power
+    of this value, drops.  At order 2 the top coefficient is
+    (P^2+Q^2)^0 = 1 and never drops: an isotropic eigenvector of a matrix
+    is an ordinary eigenpair.
     """
     if A.dim != 2:
         raise DimensionError("deficit indicator requires dimension 2")

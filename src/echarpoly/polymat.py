@@ -52,7 +52,7 @@ class PolyMatrix:
         return f"PolyMatrix(size={self.size})"
 
 
-def det_interpolated(matrix: PolyMatrix) -> Poly:
+def det_interpolated(matrix: PolyMatrix, bound: int | None = None) -> Poly:
     """det via evaluation at small integer nodes and exact interpolation.
 
     Each row is multiplied once by the lcm of its coefficients'
@@ -61,35 +61,52 @@ def det_interpolated(matrix: PolyMatrix) -> Poly:
     divided out of the interpolant.  The degree bound is the sum over rows
     of each row's maximal entry degree, which dominates the degree of any
     term in the Leibniz expansion.
+
+    When every entry has only even powers of the variable, so has the
+    determinant: the entries are evaluated as polynomials in mu =
+    lambda^2, on the mu row-degree bound + 1 nodes, and the interpolant is
+    spread back to lambda.
+
+    ``bound`` is an optional proven bound on the determinant's degree.
+    Below the row-degree bound it sets the nodes instead: bound + 1 of
+    them determine the determinant and one more checks it.  An
+    interpolant above the bound raises ``ArithmeticError``.
     """
     n = matrix.size
     if n == 0:
         return Poly.one()
-    bound = 0
+    even = not any(c for row in matrix.rows for e in row for c in e.coeffs[1::2])
+    step = 2 if even else 1
+    row_bound = 0
     scale = 1
     # per row: the constant entries as integers (zero elsewhere), and the
-    # column and integer coefficients, highest first, of every other entry
+    # column and integer coefficients in the node variable, highest first,
+    # of every other entry
     constants = []
     variables = []
     for row in matrix.rows:
         top = max(len(e.coeffs) for e in row) - 1
         if top < 0:
             return Poly.zero()
-        bound += top
+        row_bound += top // step
         denom = lcm(*(c.denominator for e in row for c in e.coeffs))
         scale *= denom
         const = [0] * n
         var = []
         for j, e in enumerate(row):
-            cs = [c.numerator * (denom // c.denominator) for c in e.coeffs]
+            cs = [c.numerator * (denom // c.denominator) for c in e.coeffs[::step]]
             if len(cs) == 1:
                 const[j] = cs[0]
             elif cs:
                 var.append((j, cs[::-1]))
         constants.append(const)
         variables.append(var)
+    count = row_bound + 1
+    if bound is not None:
+        bound //= step
+        count = min(count, bound + 2)
     points = []
-    for t in interpolation_nodes(bound + 1):
+    for t in interpolation_nodes(count):
         x = int(t)
         rows = []
         for const, var in zip(constants, variables):
@@ -101,8 +118,15 @@ def det_interpolated(matrix: PolyMatrix) -> Poly:
                 row[j] = acc
             rows.append(row)
         points.append((t, det_rational(rows)))
-    psi = lagrange_interpolate(points)
-    return psi if scale == 1 else psi.scale(Fraction(1, scale))
+    det = lagrange_interpolate(points)
+    if bound is not None and not det.is_zero() and det.degree > bound:
+        variable = "lambda^2" if even else "lambda"
+        raise ArithmeticError(
+            f"determinant has degree {det.degree} in {variable}, above the bound {bound}"
+        )
+    if even:
+        det = Poly([c for a in det.coeffs for c in (a, 0)])
+    return det if scale == 1 else det.scale(Fraction(1, scale))
 
 
 def det_rational(rows: Sequence[Sequence[Fraction]]) -> Fraction:

@@ -107,9 +107,13 @@ def sylvester_matrix(f: BinaryForm, g: BinaryForm) -> PolyMatrix:
     return PolyMatrix(rows)
 
 
-def sylvester_resultant(f: BinaryForm, g: BinaryForm) -> Poly:
-    """Resultant of two binary forms, exact; a polynomial in the parameter."""
-    return det_interpolated(sylvester_matrix(f, g))
+def sylvester_resultant(f: BinaryForm, g: BinaryForm, bound: int | None = None) -> Poly:
+    """Resultant of two binary forms, exact; a polynomial in the parameter.
+
+    ``bound``, a proven bound on its degree in the parameter, is passed on
+    to ``det_interpolated``.
+    """
+    return det_interpolated(sylvester_matrix(f, g), bound)
 
 
 # -- Macaulay construction -----------------------------------------------------

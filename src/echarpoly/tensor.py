@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import Mapping, Sequence
 
 from .rational import ComplexRational, as_fraction
@@ -46,6 +47,21 @@ class Hypermatrix:
     def from_one_based(cls, order: int, dim: int, entries: Mapping[tuple, object]) -> "Hypermatrix":
         shifted = {tuple(i - 1 for i in idx): v for idx, v in entries.items()}
         return cls(order, dim, shifted)
+
+    @classmethod
+    def from_slices(cls, slices: "SliceCoeffs") -> "Hypermatrix":
+        """A dimension-2 tensor with the slice sums of ``slices``, one entry per class.
+
+        Class j of either slice is represented by the trailing indices
+        (2, ..., 2, 1, ..., 1) with j twos.
+        """
+        m = slices.order
+        entries = {}
+        for j in range(m):
+            tail = (1,) * j + (0,) * (m - 1 - j)
+            entries[(0,) + tail] = slices.b[j]
+            entries[(1,) + tail] = slices.c[j]
+        return cls(m, 2, entries)
 
     @classmethod
     def zero(cls, order: int, dim: int) -> "Hypermatrix":
@@ -200,28 +216,97 @@ class SliceCoeffs:
     def order(self) -> int:
         return len(self.b)
 
+    @classmethod
+    def from_numerators(cls, b: Sequence[int], c: Sequence[int], denom: int) -> "SliceCoeffs":
+        """The slice data of the sums b/denom and c/denom, built on integers.
+
+        d has the denominator denom and e, a convolution, denom^2; each
+        value is reduced once, when it becomes a Fraction.
+        """
+        m = len(b)
+        d = [b[j] - c[j + 1] for j in range(m - 1)] + [b[m - 1]]
+        e = [0] * (2 * m - 1)
+        for i, bi in enumerate(b):
+            if bi:
+                for j, cj in enumerate(c):
+                    e[i + j] += bi * cj
+        square = denom * denom
+        return cls(
+            tuple(Fraction(v, denom) for v in b),
+            tuple(Fraction(v, denom) for v in c),
+            tuple(Fraction(v, denom) for v in d),
+            tuple(Fraction(v, square) for v in e),
+        )
+
+
+def _numerators(values, denom: int) -> list[int]:
+    """values * denom as ints; denom must be a common multiple of their denominators."""
+    return [v.numerator * (denom // v.denominator) for v in values]
+
 
 def binary_slices(A: Hypermatrix) -> SliceCoeffs:
-    """Compute (b, c, d, e) for a dimension-2 tensor of any order."""
+    """Compute (b, c, d, e) for a dimension-2 tensor of any order.
+
+    The entries are summed as integers over their common denominator.
+    """
     if A.dim != 2:
         raise DimensionError("slice coefficients are defined for dimension 2 only")
     m = A.order
-    b = [Fraction(0)] * m
-    c = [Fraction(0)] * m
+    denom = lcm(*(v.denominator for v in A.entries.values()))
+    b = [0] * m
+    c = [0] * m
     for idx, value in A.entries.items():
-        twos = sum(idx[1:])
+        num = value.numerator * (denom // value.denominator)
         if idx[0] == 0:
-            b[twos] += value
+            b[sum(idx[1:])] += num
         else:
-            c[twos] += value
-    d = [b[j] - c[j + 1] for j in range(m - 1)] + [b[m - 1]]
-    e = [Fraction(0)] * (2 * m - 1)
-    for i in range(m):
-        if b[i] == 0:
+            c[sum(idx[1:])] += num
+    return SliceCoeffs.from_numerators(b, c, denom)
+
+
+def rotate_slices(slices: SliceCoeffs, C: OrthogonalMatrix) -> SliceCoeffs:
+    """The slice data of rotate(A, C), from the slice data of A alone.
+
+    The map of rotate(A, C) is C F(C^T x), F = (sum_j b_j x1^{m-1-j} x2^j,
+    sum_j c_j x1^{m-1-j} x2^j) the map of A: two binary substitutions of
+    y = C^T x and one 2x2 mix.  All of it runs on integers: with D the
+    common denominator of the sums and r that of C, the numerators D*b,
+    D*c are substituted into y = (r C)^T x and mixed by r C, and the
+    result is divided by D * r^m once.
+    """
+    if C.dim != 2:
+        raise DimensionError(f"matrix dimension {C.dim} != tensor dimension 2")
+    m = slices.order
+    denom = lcm(*(v.denominator for v in slices.b + slices.c))
+    r = lcm(*(v.denominator for row in C.rows for v in row))
+    (k11, k12), (k21, k22) = (_numerators(row, r) for row in C.rows)
+    # powers of y1 = k11 x1 + k21 x2 and y2 = k12 x1 + k22 x2, ascending in x2
+    y1_pows, y2_pows = [[1]], [[1]]
+    for _ in range(m - 1):
+        y1_pows.append(_times_linear(y1_pows[-1], k11, k21))
+        y2_pows.append(_times_linear(y2_pows[-1], k12, k22))
+    f1 = [0] * m
+    f2 = [0] * m
+    for j, (bj, cj) in enumerate(
+        zip(_numerators(slices.b, denom), _numerators(slices.c, denom))
+    ):
+        if not (bj or cj):
             continue
-        for j in range(m):
-            e[i + j] += b[i] * c[j]
-    return SliceCoeffs(tuple(b), tuple(c), tuple(d), tuple(e))
+        p, q = y1_pows[m - 1 - j], y2_pows[j]
+        for s, ps in enumerate(p):
+            if ps:
+                for t, qt in enumerate(q):
+                    term = ps * qt
+                    f1[s + t] += bj * term
+                    f2[s + t] += cj * term
+    b = [k11 * u + k12 * v for u, v in zip(f1, f2)]
+    c = [k21 * u + k22 * v for u, v in zip(f1, f2)]
+    return SliceCoeffs.from_numerators(b, c, denom * r**m)
+
+
+def _times_linear(poly: list[int], a: int, b: int) -> list[int]:
+    """poly * (a x1 + b x2) for a binary form given ascending in x2."""
+    return [a * same + b * shifted for same, shifted in zip(poly + [0], [0] + poly)]
 
 
 def isotropic_value(slices: SliceCoeffs) -> tuple[ComplexRational, ComplexRational]:

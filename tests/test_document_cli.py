@@ -221,6 +221,18 @@ def test_cli_verify_requires_seed():
     assert proc.returncode == 1
 
 
+def test_cli_verify_order2_skew_matrix_skips_the_deficit_drop_law(tmp_path):
+    # an isotropic eigenvector of a matrix is an ordinary eigenpair: the
+    # top coefficient stays 1 although P^2+Q^2 = 0
+    skew = {"order": 2, "dim": 2, "entries": {"1,2": "1", "2,1": "-1"}}
+    proc = run_cli("verify", write_doc(tmp_path, "skew.json", skew))
+    assert proc.returncode == 0
+    report = json.loads(proc.stdout)
+    assert report["failures"] == []
+    verdicts = {v["check"]: v for v in report["verdicts"]}
+    assert verdicts["deficit-degree-drop"]["detail"].startswith("skipped: order 2")
+
+
 def test_cli_verify_rotation_invariance_line(tmp_path):
     path = write_doc(tmp_path, "diag4.json", DIAG4)
     proc = run_cli("verify", path)

@@ -24,10 +24,12 @@ from echarpoly.resultant import UnsupportedSizeError, sylvester_matrix
 from echarpoly.tensor import (
     Hypermatrix,
     OrthogonalMatrix,
+    SliceCoeffs,
     all_indices,
     binary_slices,
     direction_form_coeffs,
     rotate,
+    rotate_slices,
 )
 from echarpoly.verify import fuzz_tensor
 from oracles import (
@@ -524,14 +526,9 @@ def _dense_int(rng, m):
     return {idx: rng.choice((-1, 1)) * rng.randint(1, 9) for idx in all_indices(m, 2)}
 
 
-def _from_slices(m, b, c):
-    """One entry per slice class realizes the sums (b, c)."""
-    entries = {}
-    for j in range(m):
-        tail = (1,) * j + (0,) * (m - 1 - j)
-        entries[(0,) + tail] = b[j]
-        entries[(1,) + tail] = c[j]
-    return entries
+def _from_slices(b, c):
+    """The entries of a tensor with the integer slice sums (b, c)."""
+    return Hypermatrix.from_slices(SliceCoeffs.from_numerators(b, c, 1)).entries
 
 
 def _mul(f, g):
@@ -556,7 +553,32 @@ def _zero_entries(*indices):
 def _gx_times_x(rng, m):
     """Ax^{m-1} = g(x) x: every direction is an eigenvector."""
     g = [rng.randint(-9, 9) for _ in range(m - 1)]
-    return _from_slices(m, g + [0], [0] + g)
+    return _from_slices(g + [0], [0] + g)
+
+
+@pytest.mark.parametrize("order", [4, 6])
+def test_even_sylvester_takes_h_plus_two_nodes(node_sizes, order):
+    # h = m at dimension 2; the row-degree bound would take 2m - 1 nodes
+    A = fuzz_tensor(random.Random(order), order)
+    expected = echar_macaulay(A).psi
+    node_sizes.clear()
+    assert echar_even_n2(A).psi == expected
+    assert node_sizes == [2 * order - 2] * (order + 2)
+
+
+@pytest.mark.parametrize("order", [3, 5])
+@pytest.mark.parametrize("route", [echar_odd_n2, echar_det_odd])
+def test_odd_routes_interpolate_in_lambda_squared(node_sizes, order, route):
+    # every entry is even in lambda: h + 1 = m + 1 nodes in lambda^2, where
+    # the row-degree bound in lambda would take 2m + 1
+    rng = random.Random(order)
+    A = fuzz_tensor(rng, order)
+    while A[(0,) + (1,) * (order - 1)] * A[(1,) + (0,) * (order - 1)] == 0:  # b_m * c_1
+        A = fuzz_tensor(rng, order)
+    expected = echar_macaulay(A).psi
+    node_sizes.clear()
+    assert route(A).psi == expected
+    assert len(node_sizes) == order + 1
 
 
 ODD_DEGENERATE_FAMILIES = {
@@ -615,16 +637,16 @@ def test_frame_search_skips_rotations_with_an_eigenvector_axis(monkeypatch, fact
     # cross = -c_1 x1^3 + (b_1 - c_2) x1^2 x2 + (b_2 - c_3) x1 x2^2 + b_3 x2^3
     b = [cross[1] + 1, cross[2] - 2, cross[3]]
     c = [-cross[0], 1, -2]
-    A = Hypermatrix(3, 2, _from_slices(3, b, c))
+    A = Hypermatrix(3, 2, _from_slices(b, c))
     assert tuple(direction_form_coeffs(binary_slices(A))) == tuple(cross)
     module = importlib.import_module("echarpoly.echar")
     frames = []
 
-    def recording(tensor, C):
+    def recording(slices, C):
         frames.append(C.rows)
-        return rotate(tensor, C)
+        return rotate_slices(slices, C)
 
-    monkeypatch.setattr(module, "rotate", recording)
+    monkeypatch.setattr(module, "rotate_slices", recording)
     result = echar(A)
     assert frames == [OrthogonalMatrix.rotation(k).rows]
     assert result.route == "sylvester-direct"

@@ -112,3 +112,52 @@ def test_det_rational_integer_rows_match_fraction_rows(rows):
     assert value == det_rational(as_fractions)
     if rows:
         assert value == cofactor_det(as_fractions)
+
+
+# entries with only even powers of lambda, degree <= 4: polynomials in lambda^2
+_even_entries = st.one_of(
+    st.just(Poly.zero()),
+    st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=9), max_size=3).map(
+        lambda cs: Poly([c for a in cs for c in (a, 0)])
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.lists(_even_entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+)
+def test_even_in_lambda_matrices_match_fraction_free(rows):
+    matrix = PolyMatrix(rows)
+    assert det_interpolated(matrix) == det_fraction_free(matrix)
+
+
+def test_even_in_lambda_matrix_takes_the_mu_bound_plus_one_nodes(node_sizes):
+    # rows of mu-degree 2, 1 and 0: 4 nodes in mu instead of 7 in lambda
+    lam2 = Poly.monomial(2)
+    one = Poly.one()
+    matrix = PolyMatrix([[lam2 * lam2, lam2, one], [one, lam2, one], [one, one, Poly.constant(3)]])
+    assert det_interpolated(matrix) == det_fraction_free(matrix)
+    assert len(node_sizes) == 4
+
+
+def test_degree_bound_sets_the_nodes_and_checks_them(node_sizes):
+    lam = Poly.x()
+    # row-degree bound 4, determinant lam^2 + 1: with the bound 5 the rows
+    # set the nodes (5), with the bound 2 the bound does (2 + 2)
+    one, zero = Poly.one(), Poly.zero()
+    matrix = PolyMatrix([[lam, one, zero], [-one, lam, lam**3], [zero, zero, one]])
+    assert det_interpolated(matrix, 5) == Poly([1, 0, 1])
+    assert len(node_sizes) == 5
+    node_sizes.clear()
+    assert det_interpolated(matrix, 2) == Poly([1, 0, 1])
+    assert len(node_sizes) == 4
+    with pytest.raises(ArithmeticError):
+        det_interpolated(matrix, 0)
+    # even in lambda: the bound, in lambda, halves to one in lambda^2
+    square = PolyMatrix([[lam * lam, one], [-one, lam * lam]])
+    assert det_interpolated(square, 4) == Poly([1, 0, 0, 0, 1])
+    with pytest.raises(ArithmeticError):
+        det_interpolated(square, 2)

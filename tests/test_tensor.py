@@ -2,19 +2,23 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from echarpoly.rational import ComplexRational, I_UNIT
 from echarpoly.tensor import (
     DimensionError,
     Hypermatrix,
     OrthogonalMatrix,
+    all_indices,
     binary_slices,
     direction_form_coeffs,
     eval_map,
     isotropic_value,
     rotate,
+    rotate_slices,
 )
-from echarpoly.verify import fuzz_tensor
+from echarpoly.verify import fuzz_tensor, standard_rotations
 from oracles import brute_eval_map, convolution, pq_sums
 
 
@@ -164,6 +168,34 @@ def test_first_component_reconstruction():
             x2 = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
             expected = sum(s.b[j] * x1 ** (m - 1 - j) * x2**j for j in range(m))
             assert eval_map(A, [x1, x2])[0] == expected
+
+
+FRAMES = (
+    [OrthogonalMatrix.rotation(k) for k in (2, 3, 5)]
+    + [OrthogonalMatrix.diagonal_signs(s) for s in ([1, -1], [-1, 1], [-1, -1])]
+    + standard_rotations(seed=7, extra=4)
+)
+
+
+@st.composite
+def binary_tensors(draw):
+    """Orders 2..8, p/q entries, dense or with about half the entries zero."""
+    m = draw(st.integers(2, 8))
+    sparse = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    entries = {}
+    for idx in all_indices(m, 2):
+        if not (sparse and rng.random() < 0.5):
+            entries[idx] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    return Hypermatrix(m, 2, entries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(binary_tensors(), st.sampled_from(FRAMES))
+def test_rotate_slices_matches_rotating_the_tensor(A, C):
+    slices = binary_slices(A)
+    assert rotate_slices(slices, C) == binary_slices(rotate(A, C))
+    assert binary_slices(Hypermatrix.from_slices(slices)) == slices
 
 
 def test_binary_slices_requires_dim2():
