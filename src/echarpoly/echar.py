@@ -40,6 +40,7 @@ from .resultant import (
     HomogeneousSystem,
     UnsupportedSizeError,
     macaulay_resultant,
+    macaulay_resultants,
     macaulay_size,
     sylvester_matrix,
     sylvester_resultant,
@@ -306,31 +307,34 @@ def echar_det_odd(A: Hypermatrix) -> EcharResult:
 # -- Macaulay route ----------------------------------------------------------------------
 
 
-def _eigen_system(A: Hypermatrix, lam: Fraction) -> HomogeneousSystem:
-    """{(Ax^{m-1})_i - lam (x^T x)^{(m-2)/2} x_i} in variables (x1..xn), m even."""
+def _eigen_system(A: Hypermatrix) -> tuple[HomogeneousSystem, HomogeneousSystem]:
+    """{(Ax^{m-1})_i - lambda (x^T x)^{(m-2)/2} x_i} in variables (x1..xn), m even,
+    as the pencil F0 + lambda F1: F0 the bare map, F1 the -(x^T x)^k x_i terms."""
     n, m = A.dim, A.order
     k = (m - 2) // 2
-    forms = map_forms(A)
+    slope = [{} for _ in range(n)]
     for half in product(range(k + 1), repeat=n):
         if sum(half) != k:
             continue
         # the multinomial coefficient of x^(2*half) in (x1^2 + ... + xn^2)^k
-        weight = lam * (factorial(k) // prod(factorial(a) for a in half))
-        for i, form in enumerate(forms):
-            key = tuple(2 * a + (j == i) for j, a in enumerate(half))
-            form[key] = form.get(key, 0) - weight
-    return HomogeneousSystem(forms, [m - 1] * n)
+        weight = factorial(k) // prod(factorial(a) for a in half)
+        for i, form in enumerate(slope):
+            form[tuple(2 * a + (j == i) for j, a in enumerate(half))] = -weight
+    degrees = [m - 1] * n
+    return HomogeneousSystem(map_forms(A), degrees), HomogeneousSystem(slope, degrees)
 
 
-def _homogenized_system(A: Hypermatrix, lam: Fraction) -> HomogeneousSystem:
-    """{Ax^{m-1} - lam x0^{m-2} x, x^T x - x0^2} in variables (x1..xn, x0)."""
+def _homogenized_system(A: Hypermatrix) -> tuple[HomogeneousSystem, HomogeneousSystem]:
+    """{Ax^{m-1} - lambda x0^{m-2} x, x^T x - x0^2} in variables (x1..xn, x0),
+    as the pencil F0 + lambda F1: F1 holds the -x0^{m-2} x_i terms."""
     n, m = A.dim, A.order
-    forms = map_forms(A, n + 1)
-    for i, form in enumerate(forms):
-        key = tuple((j == i) + (m - 2) * (j == n) for j in range(n + 1))
-        form[key] = form.get(key, 0) - lam
     quadric = {tuple(2 * (j == v) for j in range(n + 1)): 1 if v < n else -1 for v in range(n + 1)}
-    return HomogeneousSystem(forms + [quadric], [m - 1] * n + [2])
+    slope = [{tuple((j == i) + (m - 2) * (j == n) for j in range(n + 1)): -1} for i in range(n)]
+    degrees = [m - 1] * n + [2]
+    return (
+        HomogeneousSystem(map_forms(A, n + 1) + [quadric], degrees),
+        HomogeneousSystem(slope + [{}], degrees),
+    )
 
 
 def echar_macaulay(A: Hypermatrix) -> EcharResult:
@@ -348,8 +352,15 @@ def echar_macaulay(A: Hypermatrix) -> EcharResult:
     the proven degree bound of psi (n for order 2), in lambda or in mu, and
     is taken on h + 2 nodes: h + 1 determine it and the last one checks the
     bound, which raises ``ArithmeticError`` when the interpolant exceeds it.
-    Dimension 3 is taken up to order 4; beyond that ``UnsupportedSizeError``
-    is raised before any node, with the work it would take.
+
+    The system is a pencil F0 + lambda F1, built once per tensor, and
+    ``macaulay_resultants`` takes all the nodes in one call: it builds the
+    integer Macaulay rows once per variable ordering that some node
+    reaches, eliminates them in a row and column count order (its sign
+    corrected for), and perturbs only a node at which every ordering's
+    minor vanishes.  Dimension 3 is taken up to order 4; beyond that
+    ``UnsupportedSizeError`` is raised before any node, with the work it
+    would take.
     """
     n, m = A.dim, A.order
     if n not in (2, 3):
@@ -363,11 +374,11 @@ def echar_macaulay(A: Hypermatrix) -> EcharResult:
         )
     if m % 2 == 0:
         nodes = interpolation_nodes(top + 2)
-        points = [(t, macaulay_resultant(_eigen_system(A, t))) for t in nodes]
+        points = list(zip(nodes, macaulay_resultants(*_eigen_system(A), nodes)))
     else:
-        points = [
-            (t * t, macaulay_resultant(_homogenized_system(A, t))) for t in range(top + 2)
-        ]
+        nodes = range(top + 2)
+        values = macaulay_resultants(*_homogenized_system(A), nodes)
+        points = [(t * t, v) for t, v in zip(nodes, values)]
     psi = lagrange_interpolate(points)
     if not psi.is_zero() and psi.degree > top:
         variable = "lambda" if m % 2 == 0 else "lambda^2"

@@ -6,6 +6,19 @@ Normalization is anchored once and for all: the resultant of the pure-power
 system (x1^d1, ..., xk^dk) is +1.  With the row and column orderings used
 here that anchor holds by construction, so outputs are canonical including
 sign, never "up to sign".
+
+The Macaulay kernel, ``macaulay_resultants``, takes a pencil F0 + t F1 and
+a list of nodes t; ``macaulay_resultant`` is its one-node, zero-slope call.
+Per pencil, denominators are cleared once per form across both parts.  Per
+variable ordering, built only when some node reaches it, the integer rows
+are built once as (constant, slope) pairs, and rows and columns are put in
+ascending order of their nonzero counts in either part (Markowitz's
+fill-reducing rule, taken once from Macaulay's fixed sparsity pattern); the
+minor takes the same order, restricted, and the signs of all four orders
+are corrected for.  Each node evaluates the int rows and eliminates them.
+A node where a form vanishes identically gives 0 at once; a node whose
+minor vanishes tries the next ordering; a node where every ordering's
+minor vanishes alone falls back to the perturbed quotient.
 """
 
 from __future__ import annotations
@@ -14,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import comb, lcm, prod
+from operator import add
 from typing import Mapping, Sequence
 
 from .poly import Poly, as_poly
@@ -187,58 +201,56 @@ def _is_reduced(alpha: tuple[int, ...], degrees: tuple[int, ...]) -> bool:
     return sum(1 for a, d in zip(alpha, degrees) if a >= d) == 1
 
 
-def _macaulay_rows(system: HomogeneousSystem, perturbation: bool):
-    """Rows of the Macaulay matrix (and the reduced minor's index set).
+def _macaulay_rows(forms: Sequence[Mapping], degrees: tuple[int, ...]):
+    """Sparse rows of the Macaulay matrix of a pencil, and the minor's index set.
 
-    Row for monomial alpha in partition class i holds the coefficients of
-    (x^alpha / x_i^{d_i}) * F_i.  With perturbation=True each form gains an
-    auxiliary-parameter times x_i^{d_i} term, which lands exactly on the
-    diagonal.
+    ``forms[i]`` maps exponents to (constant, slope) pairs.  The row for
+    monomial alpha in partition class i holds the coefficients of
+    (x^alpha / x_i^{d_i}) * F_i as (column, constant, slope) triples.  Rows
+    and columns are both the monomials of the critical degree in
+    lexicographic order, so the x_i^{d_i} term of F_i lands on the diagonal.
     """
-    k = system.nvars
-    degrees = system.degrees
-    dim = macaulay_size(degrees)
-    if dim > MAX_MACAULAY_DIM:
-        raise UnsupportedSizeError(f"Macaulay matrix would be {dim}x{dim}")
-    monomials = _monomials(k, sum(d - 1 for d in degrees) + 1)
+    monomials = _monomials(len(degrees), sum(d - 1 for d in degrees) + 1)
     col_of = {mono: j for j, mono in enumerate(monomials)}
+    terms = [list(form.items()) for form in forms]
     rows = []
     non_reduced = []
-    eps = Poly.x()
     for r, alpha in enumerate(monomials):
         i = _partition_index(alpha, degrees)
         shift = list(alpha)
         shift[i] -= degrees[i]
-        row = [Poly.zero()] * dim if perturbation else [0] * dim
-        for expo, value in system.forms[i].items():
-            target = tuple(s + e for s, e in zip(shift, expo))
-            if perturbation:
-                row[col_of[target]] = row[col_of[target]] + Poly.constant(value)
-            else:
-                row[col_of[target]] += value
-        if perturbation:
-            row[r] = row[r] + eps
+        rows.append([(col_of[tuple(map(add, shift, e))], a, b) for e, (a, b) in terms[i]])
         if not _is_reduced(alpha, degrees):
             non_reduced.append(r)
-        rows.append(row)
     return rows, non_reduced
 
 
-def _permute_system(system: HomogeneousSystem, perm: tuple[int, ...]) -> HomogeneousSystem:
-    """Relabel variables x_i -> x_{perm[i]} in every exponent tuple."""
-    forms = []
-    for form in system.forms:
-        moved = {}
-        for expo, value in form.items():
-            new = [0] * len(expo)
-            for pos, a in enumerate(expo):
-                new[perm[pos]] = a
-            moved[tuple(new)] = value
-        forms.append(moved)
-    return HomogeneousSystem(forms, system.degrees)
+def _count_order(supports: Sequence[Sequence[int]], size: int) -> tuple[list[int], list[int]]:
+    """Rows by ascending nonzero count, then columns likewise (both stable).
+
+    ``supports[r]`` lists the nonzero columns of row r.  Eliminating the
+    sparsest columns first, with the sparsest rows as pivots, keeps the
+    fill-in and the growth of the Bareiss entries small (Markowitz's rule
+    taken once, from the pattern, instead of at every step).
+    """
+    counts = [0] * size
+    for support in supports:
+        for j in support:
+            counts[j] += 1
+    rows = sorted(range(size), key=lambda r: len(supports[r]))
+    cols = sorted(range(size), key=counts.__getitem__)
+    return rows, cols
 
 
-def _perm_sign(perm: tuple[int, ...]) -> int:
+def _restrict(order: Sequence[int], kept: Sequence[int]) -> tuple[list[int], int]:
+    """Positions in ``order`` of the indices in ``kept`` (ascending), and the
+    sign of the order in which ``order`` visits them."""
+    rank = {r: i for i, r in enumerate(kept)}
+    positions = [p for p, r in enumerate(order) if r in rank]
+    return positions, _perm_sign([rank[order[p]] for p in positions])
+
+
+def _perm_sign(perm: Sequence[int]) -> int:
     sign = 1
     seen = [False] * len(perm)
     for start in range(len(perm)):
@@ -255,63 +267,168 @@ def _perm_sign(perm: tuple[int, ...]) -> int:
     return sign
 
 
-def _clear_denominators(system: HomogeneousSystem) -> tuple[HomogeneousSystem, int]:
-    """The system with each form F_i times the lcm c_i of its denominators.
-
-    Also returns prod_i c_i^(D / d_i), D the product of the degrees: by
-    homogeneity, Res(c_1 F_1, ..., c_k F_k) is that factor times Res(F).
-    """
-    total = prod(system.degrees)
-    forms = []
-    factor = 1
-    for form, degree in zip(system.forms, system.degrees):
-        c = lcm(*(v.denominator for v in form.values()))
-        forms.append({e: v.numerator * (c // v.denominator) for e, v in form.items()})
-        factor *= c ** (total // degree)
-    return HomogeneousSystem(forms, system.degrees), factor
-
-
-def macaulay_resultant(system: HomogeneousSystem) -> Fraction:
-    """Canonical resultant of k forms in k variables (k <= 4).
-
-    Computes the Macaulay quotient det(M) / det(M') of the system with its
-    denominators cleared, so both matrices are integer ones, and divides
-    the clearing factor back out.  A vanishing minor is retried under
-    variable relabelings (with the sign of the relabeling corrected for),
-    and if every ordering degenerates the system is perturbed with an
-    auxiliary parameter toward the pure-power reference system; the
-    quotient is then a polynomial in the parameter whose value at zero is
-    the resultant.
-    """
-    k = system.nvars
-    if k < 2:
-        raise UnsupportedSizeError("need at least two forms")
-    if k > MAX_FORMS:
-        raise UnsupportedSizeError(f"at most {MAX_FORMS} forms are supported, got {k}")
-    product_deg = prod(system.degrees)
-    system, factor = _clear_denominators(system)
-    for perm in _variable_orderings(k):
-        permuted = _permute_system(system, perm)
-        rows, non_reduced = _macaulay_rows(permuted, perturbation=False)
-        minor = [[rows[r][c] for c in non_reduced] for r in non_reduced]
-        det_minor = det_rational(minor)
-        if det_minor == 0:
-            continue
-        det_full = det_rational(rows)
-        sign = _perm_sign(perm) ** product_deg
-        return sign * det_full / (det_minor * factor)
-    return _macaulay_perturbed(system) / factor
-
-
 def _variable_orderings(k: int):
     if k == 2:
         return [tuple(range(2)), (1, 0)]
     return list(permutations(range(k)))
 
 
+class _EliminationPlan:
+    """The Macaulay matrix of a pencil under one variable ordering, in count order.
+
+    ``rows`` are the sparse (column, constant, slope) rows, rows and columns
+    renumbered into the elimination order; ``minor_rows`` and
+    ``minor_cols`` are the positions of the non-reduced minor in it.
+    ``sign`` turns det(full) / det(minor) of the reordered matrices into
+    the canonical resultant: the relabeling's sign to the power prod(d_i)
+    times the signs of the row and column orders of both matrices.
+    """
+
+    __slots__ = ("rows", "minor_rows", "minor_cols", "sign")
+
+    def __init__(self, forms: Sequence[Mapping], degrees: tuple[int, ...], perm: tuple[int, ...]):
+        moved = [{_relabel(e, perm): v for e, v in form.items()} for form in forms]
+        rows, non_reduced = _macaulay_rows(moved, degrees)
+        row_order, col_order = _count_order([[j for j, _, _ in row] for row in rows], len(rows))
+        new_col = [0] * len(rows)
+        for p, c in enumerate(col_order):
+            new_col[c] = p
+        self.rows = [[(new_col[j], a, b) for j, a, b in rows[r]] for r in row_order]
+        self.minor_rows, minor_row_sign = _restrict(row_order, non_reduced)
+        self.minor_cols, minor_col_sign = _restrict(col_order, non_reduced)
+        self.sign = (
+            _perm_sign(perm) ** prod(degrees)
+            * _perm_sign(row_order)
+            * _perm_sign(col_order)
+            * minor_row_sign
+            * minor_col_sign
+        )
+
+    def evaluate(self, t) -> list[list]:
+        size = len(self.rows)
+        out = []
+        for entries in self.rows:
+            row = [0] * size
+            for j, a, b in entries:
+                row[j] = a + t * b
+            out.append(row)
+        return out
+
+    def minor(self, rows: list[list]) -> list[list]:
+        cols = self.minor_cols
+        return [[rows[r][c] for c in cols] for r in self.minor_rows]
+
+
+def _relabel(expo: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
+    """The exponent of x_i moves to x_{perm[i]}."""
+    new = [0] * len(expo)
+    for pos, a in enumerate(expo):
+        new[perm[pos]] = a
+    return tuple(new)
+
+
+def _clear_denominators(base: HomogeneousSystem, slope: HomogeneousSystem) -> tuple[list[dict], int]:
+    """The pencil's forms with each F0_i + t F1_i times the lcm c_i of the
+    denominators of both parts, as maps exponent -> (constant, slope) ints.
+
+    Also returns prod_i c_i^(D / d_i), D the product of the degrees: by
+    homogeneity, Res(c_1 F_1, ..., c_k F_k) is that factor times Res(F) at
+    every value of t.
+    """
+    total = prod(base.degrees)
+    forms = []
+    factor = 1
+    for f0, f1, degree in zip(base.forms, slope.forms, base.degrees):
+        c = lcm(*(v.denominator for part in (f0, f1) for v in part.values()))
+        form = {}
+        for e in dict.fromkeys([*f0, *f1]):
+            a, b = f0.get(e, 0), f1.get(e, 0)
+            form[e] = (a.numerator * (c // a.denominator), b.numerator * (c // b.denominator))
+        forms.append(form)
+        factor *= c ** (total // degree)
+    return forms, factor
+
+
+def macaulay_resultants(
+    base: HomogeneousSystem, slope: HomogeneousSystem, nodes: Sequence
+) -> list[Fraction]:
+    """Canonical resultants of the pencil F0 + t F1 at each node t (k <= 4 forms).
+
+    Each value is the Macaulay quotient det(M) / det(M') at t.  What the
+    nodes share is built once (see the module docstring), so a node costs
+    the evaluation of int rows and two ``det_rational`` calls, whose pivot
+    search covers a planned pivot that is zero at that t.  A node is 0 when
+    a form vanishes there identically; while its minor vanishes it tries
+    the next variable relabeling, and only when every one fails is it
+    perturbed toward the pure-power system (``_macaulay_perturbed``).
+    """
+    k = base.nvars
+    if k < 2:
+        raise UnsupportedSizeError("need at least two forms")
+    if k > MAX_FORMS:
+        raise UnsupportedSizeError(f"at most {MAX_FORMS} forms are supported, got {k}")
+    if slope.degrees != base.degrees:
+        raise ValueError("the two parts of a pencil need the same degrees")
+    degrees = base.degrees
+    dim = macaulay_size(degrees)
+    if dim > MAX_MACAULAY_DIM:
+        raise UnsupportedSizeError(f"Macaulay matrix would be {dim}x{dim}")
+    forms, factor = _clear_denominators(base, slope)
+    orderings = _variable_orderings(k)
+    plans: list[_EliminationPlan] = []
+    values = []
+    for t in nodes:
+        t = as_fraction(t)
+        if t.denominator == 1:
+            t = t.numerator
+        values.append(_node_resultant(forms, degrees, orderings, plans, t) / factor)
+    return values
+
+
+def _node_resultant(forms, degrees, orderings, plans, t) -> Fraction:
+    """The resultant of the cleared pencil at t; ``plans`` grows as orderings are reached."""
+    if any(all(a + t * b == 0 for a, b in form.values()) for form in forms):
+        return Fraction(0)
+    for index, perm in enumerate(orderings):
+        if index == len(plans):
+            plans.append(_EliminationPlan(forms, degrees, perm))
+        plan = plans[index]
+        rows = plan.evaluate(t)
+        det_minor = det_rational(plan.minor(rows))
+        if det_minor == 0:
+            continue
+        return plan.sign * det_rational(rows) / det_minor
+    node = [{e: a + t * b for e, (a, b) in form.items()} for form in forms]
+    return _macaulay_perturbed(HomogeneousSystem(node, degrees))
+
+
+def macaulay_resultant(system: HomogeneousSystem) -> Fraction:
+    """Canonical resultant of k forms in k variables (k <= 4).
+
+    The one-node, zero-slope case of ``macaulay_resultants``.
+    """
+    zero = HomogeneousSystem([{}] * system.nvars, system.degrees)
+    return macaulay_resultants(system, zero, [0])[0]
+
+
 def _macaulay_perturbed(system: HomogeneousSystem) -> Fraction:
-    """Perturb toward the pure-power system and extract the value at zero."""
-    rows, non_reduced = _macaulay_rows(system, perturbation=True)
+    """Perturb toward the pure-power system and extract the value at zero.
+
+    Each form F_i gains eps * x_i^{d_i}, which lands on the diagonal of the
+    lexicographic Macaulay matrix; the quotient is then a polynomial in eps
+    whose value at zero is the resultant.
+    """
+    sparse, non_reduced = _macaulay_rows(
+        [{e: (v, 0) for e, v in form.items()} for form in system.forms], system.degrees
+    )
+    eps = Poly.x()
+    rows = []
+    for r, entries in enumerate(sparse):
+        row = [Poly.zero()] * len(sparse)
+        for j, a, _ in entries:
+            row[j] = Poly.constant(a)
+        row[r] = row[r] + eps
+        rows.append(row)
     minor_rows = [[rows[r][c] for c in non_reduced] for r in non_reduced]
     det_full = det_interpolated(PolyMatrix(rows))
     det_minor = det_interpolated(PolyMatrix(minor_rows))

@@ -10,11 +10,12 @@ the fast paths means something.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 from echarpoly.echar import _homogenized_system, h_bound
 from echarpoly.poly import Poly, interpolation_nodes, lagrange_interpolate
-from echarpoly.resultant import macaulay_resultant
+from echarpoly.polymat import det_rational
+from echarpoly.resultant import macaulay_resultants
 from echarpoly.tensor import SliceCoeffs
 
 
@@ -112,7 +113,49 @@ def homogenized_resultant(A) -> Poly:
     checks is the identity between the two systems.
     """
     nodes = interpolation_nodes(2 * h_bound(A.order, A.dim) + 2)
-    return lagrange_interpolate([(t, macaulay_resultant(_homogenized_system(A, t))) for t in nodes])
+    return lagrange_interpolate(list(zip(nodes, macaulay_resultants(*_homogenized_system(A), nodes))))
+
+
+def macaulay_quotient(forms, degrees) -> tuple[Fraction, int]:
+    """Macaulay's quotient det(M) / det(M') of one system, built densely.
+
+    ``forms`` map exponent tuples to rationals.  Rows and columns are the
+    monomials of degree sum(d_i - 1) + 1 in lexicographic order, the row
+    of alpha holding (x^alpha / x_i^{d_i}) F_i for the first i with
+    alpha_i >= d_i; M' keeps the monomials with two or more such i.  The
+    variables are relabeled, in the order of itertools.permutations, until
+    M' is nonsingular; the quotient then carries the relabeling's sign to
+    the power prod(d_i).  Returns the value and the index of the
+    relabeling used, and raises when every M' is singular.  The
+    determinants are the library's ``det_rational`` on these unordered
+    matrices (checked on its own against ``det_fraction_free``), so what
+    this checks is the Macaulay kernel's construction, order and signs.
+    """
+    k = len(degrees)
+    critical = sum(degrees) - k + 1
+    monomials = [a for a in product(range(critical, -1, -1), repeat=k) if sum(a) == critical]
+    col = {a: j for j, a in enumerate(monomials)}
+    power = 1
+    for d in degrees:
+        power *= d
+    for index, perm in enumerate(permutations(range(k))):
+        moved = [{tuple(e[perm.index(p)] for p in range(k)): v for e, v in f.items()} for f in forms]
+        rows = []
+        for alpha in monomials:
+            i = next(i for i in range(k) if alpha[i] >= degrees[i])
+            row = [Fraction(0)] * len(monomials)
+            for e, v in moved[i].items():
+                target = tuple(a - (degrees[i] if p == i else 0) + x for p, (a, x) in enumerate(zip(alpha, e)))
+                row[col[target]] += v
+            rows.append(row)
+        kept = [j for j, a in enumerate(monomials) if sum(x >= d for x, d in zip(a, degrees)) > 1]
+        det_minor = det_rational([[rows[r][c] for c in kept] for r in kept])
+        if det_minor == 0:
+            continue
+        inversions = sum(1 for a in range(k) for b in range(a + 1, k) if perm[a] > perm[b])
+        sign = (-1) ** (inversions * power)
+        return sign * det_rational(rows) / det_minor, index
+    raise ArithmeticError("every relabeling leaves the Macaulay minor singular")
 
 
 #: Sign cycles of the two alternating series; index by (term - 1) % 4.

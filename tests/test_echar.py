@@ -277,10 +277,10 @@ def test_irregular_tensor_zero_polynomial():
     assert res.psi.is_zero()
     # cross-check: the homogenized resultant vanishes at sample parameter values
     from echarpoly.echar import _homogenized_system
-    from echarpoly.resultant import macaulay_resultant
+    from echarpoly.resultant import macaulay_resultants
 
-    for lam in (Fraction(0), Fraction(1), Fraction(-2)):
-        assert macaulay_resultant(_homogenized_system(A, lam)) == 0
+    nodes = (Fraction(0), Fraction(1), Fraction(-2))
+    assert macaulay_resultants(*_homogenized_system(A), nodes) == [0, 0, 0]
 
 
 def test_constant_term_prediction_examples():
@@ -411,21 +411,20 @@ def test_routes_report_names():
 )
 def test_macaulay_interpolates_on_h_plus_2_nodes(monkeypatch, dim, order, nodes):
     module = importlib.import_module("echarpoly.echar")
-    real = module.macaulay_resultant
+    real = module.macaulay_resultants
     calls = []
 
-    def counting(system):
-        calls.append(system.nvars)
-        return real(system)
+    def counting(base, slope, points):
+        calls.append((base.nvars, len(points)))
+        return real(base, slope, points)
 
-    monkeypatch.setattr(module, "macaulay_resultant", counting)
-    # reading the a0 prediction would call it too (at dimension 3, on the bare map);
-    # only nodes count here
-    monkeypatch.setattr(module, "a0_predicted", lambda A: Fraction(0))
+    monkeypatch.setattr(module, "macaulay_resultants", counting)
     echar_macaulay(fuzz_tensor(random.Random(order), order, dim))
-    assert len(calls) == nodes == h_bound(order, dim) + 2
+    # one pencil per tensor, evaluated at every node
+    [(nvars, count)] = calls
+    assert count == nodes == h_bound(order, dim) + 2
     # even order takes the n-variable eigen-system, odd order the homogenized one
-    assert set(calls) == {dim if order % 2 == 0 else dim + 1}
+    assert nvars == (dim if order % 2 == 0 else dim + 1)
 
 
 @pytest.mark.parametrize(
@@ -453,14 +452,14 @@ def test_macaulay_rejects_resultant_above_degree_bound(monkeypatch, order):
     module = importlib.import_module("echarpoly.echar")
     bound = 2 * h_bound(order, 2)
 
-    def too_high(system):
+    def too_high(base, slope, nodes):
         # the zero tensor's first form is -lambda x1 times x0^(m-2) (odd order)
         # or (x1^2 + x2^2)^((m-2)/2) (even order): its coefficients sum to a
         # nonzero multiple t of lambda
-        t = -sum(system.forms[0].values())
-        return t ** (bound + 1)
+        assert not base.forms[0]
+        return [(-lam * sum(slope.forms[0].values())) ** (bound + 1) for lam in nodes]
 
-    monkeypatch.setattr(module, "macaulay_resultant", too_high)
+    monkeypatch.setattr(module, "macaulay_resultants", too_high)
     with pytest.raises(ArithmeticError, match="above the bound"):
         echar_macaulay(Hypermatrix.zero(order, 2))
 
@@ -469,10 +468,10 @@ def test_macaulay_rejects_resultant_above_degree_bound(monkeypatch, order):
 def test_macaulay_refuses_dimension3_beyond_order4_before_any_node(monkeypatch, order):
     module = importlib.import_module("echarpoly.echar")
 
-    def no_node(system):
+    def no_node(base, slope, nodes):
         raise AssertionError("a node was evaluated")
 
-    monkeypatch.setattr(module, "macaulay_resultant", no_node)
+    monkeypatch.setattr(module, "macaulay_resultants", no_node)
     with pytest.raises(UnsupportedSizeError, match="interpolation nodes"):
         echar(Hypermatrix.diagonal(order, 3))
 

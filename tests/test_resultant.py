@@ -1,18 +1,31 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from echarpoly.poly import Poly, complex_roots
+from echarpoly import resultant
+from echarpoly.echar import _eigen_system, _homogenized_system
+from echarpoly.eigen import is_regular
+from echarpoly.poly import Poly, complex_roots, interpolation_nodes, lagrange_interpolate
+from echarpoly.polymat import PolyMatrix, det_rational
 from echarpoly.resultant import (
     BinaryForm,
     HomogeneousSystem,
     UnsupportedSizeError,
+    _count_order,
+    _perm_sign,
+    _restrict,
     macaulay_resultant,
+    macaulay_resultants,
     sylvester_matrix,
     sylvester_resultant,
 )
-from oracles import cofactor_det
+from echarpoly.tensor import Hypermatrix
+from echarpoly.verify import fuzz_tensor
+from oracles import cofactor_det, det_fraction_free, macaulay_quotient
 
 
 def rand_form(rng, degree, lo=-6, hi=6):
@@ -243,10 +256,9 @@ def test_macaulay_variable_relabelings_agree_after_sign_correction():
 
     from echarpoly.polymat import det_rational
     from echarpoly.resultant import (
+        _clear_denominators,
+        _EliminationPlan,
         _macaulay_perturbed,
-        _macaulay_rows,
-        _perm_sign,
-        _permute_system,
         _variable_orderings,
     )
 
@@ -265,18 +277,147 @@ def test_macaulay_variable_relabelings_agree_after_sign_correction():
             forms.append(form)
         system = HomogeneousSystem(forms, degrees)
         reference = _macaulay_perturbed(system)
-        product_deg = degrees[0] * degrees[1] * degrees[2]
+        cleared, factor = _clear_denominators(system, HomogeneousSystem([{}] * 3, degrees))
         for perm in _variable_orderings(3):
-            permuted = _permute_system(system, perm)
-            rows, non_reduced = _macaulay_rows(permuted, perturbation=False)
-            minor = [[rows[r][c] for c in non_reduced] for r in non_reduced]
-            det_minor = det_rational(minor)
+            # every ordering, in its count order, with the signs of both
+            plan = _EliminationPlan(cleared, system.degrees, perm)
+            rows = plan.evaluate(0)
+            det_minor = det_rational(plan.minor(rows))
             if det_minor == 0:
                 continue
-            value = _perm_sign(perm) ** product_deg * det_rational(rows) / det_minor
-            assert value == reference
+            assert plan.sign * det_rational(rows) / (det_minor * factor) == reference
             tested += 1
     assert tested >= 20
+
+
+@st.composite
+def sparse_integer_matrices(draw):
+    """A sparse integer matrix of side 0-8, some rows and columns zeroed,
+    and a subset of its indices for a minor."""
+    n = draw(st.integers(0, 8))
+    entry = st.one_of(st.just(0), st.integers(-9, 9))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n:
+        for r in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+            rows[r] = [0] * n
+        for c in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+            for row in rows:
+                row[c] = 0
+    kept = sorted(draw(st.sets(st.integers(0, n - 1)))) if n else []
+    return rows, kept
+
+
+def _oracle_det(rows) -> Fraction:
+    return det_fraction_free(PolyMatrix(rows)).coefficient(0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_integer_matrices())
+# identity count order whose first planned pivot is zero
+@example(([[0, 1], [1, 0]], [0]))
+@example(([[0, 2, 0], [1, 0, 3], [0, 0, 0]], [1, 2]))
+@example(([], []))
+def test_count_ordered_determinant_keeps_its_sign(case):
+    rows, kept = case
+    n = len(rows)
+    row_order, col_order = _count_order([[j for j, v in enumerate(row) if v] for row in rows], n)
+    assert sorted(row_order) == sorted(col_order) == list(range(n))
+    ordered = [[rows[r][c] for c in col_order] for r in row_order]
+    sign = _perm_sign(row_order) * _perm_sign(col_order)
+    assert sign * det_rational(ordered) == _oracle_det(rows)
+    # the same order restricted to a minor, with the signs of the restrictions
+    minor_rows, row_sign = _restrict(row_order, kept)
+    minor_cols, col_sign = _restrict(col_order, kept)
+    minor = [[ordered[r][c] for c in minor_cols] for r in minor_rows]
+    expected = _oracle_det([[rows[r][c] for c in kept] for r in kept])
+    assert row_sign * col_sign * det_rational(minor) == expected
+
+
+def _node_forms(base, slope, t):
+    return [
+        {e: f0.get(e, 0) + t * f1.get(e, 0) for e in {**f0, **f1}}
+        for f0, f1 in zip(base.forms, slope.forms)
+    ]
+
+
+def _integer_tensor(order, dim):
+    rng = random.Random(order)
+    entries = {idx: rng.choice([-2, -1, 1, 3]) for idx in product(range(dim), repeat=order)}
+    return Hypermatrix(order, dim, entries)
+
+
+def _second_draw():
+    rng = random.Random(1)
+    fuzz_tensor(rng, 3, 3)
+    return fuzz_tensor(rng, 3, 3)
+
+
+@pytest.mark.parametrize(
+    "tensor, build, nodes, identity_fails",
+    [
+        (fuzz_tensor(random.Random(5), 3, 3), _homogenized_system, range(9), False),
+        (_second_draw(), _homogenized_system, range(9), True),
+        (fuzz_tensor(random.Random(6), 4, 3), _eigen_system, interpolation_nodes(15), False),
+        (_integer_tensor(4, 3), _eigen_system, interpolation_nodes(15), False),
+    ],
+    ids=["m3-fuzz", "m3-identity-minor-vanishes", "m4-fuzz", "m4-integer"],
+)
+def test_pencil_values_equal_the_per_node_macaulay_quotient(tensor, build, nodes, identity_fails):
+    base, slope = build(tensor)
+    values = macaulay_resultants(base, slope, nodes)
+    for t, value in zip(nodes, values):
+        expected, ordering = macaulay_quotient(_node_forms(base, slope, t), base.degrees)
+        assert value == expected
+        if identity_fails:
+            assert ordering > 0
+
+
+def test_pencil_perturbs_only_the_node_where_every_ordering_degenerates(monkeypatch):
+    """At t = 0 the first form has no pure square, and the Macaulay minor of
+    three ternary quadrics vanishes under every relabeling; at other t it
+    does not."""
+    degrees = [2, 2, 2]
+    base = HomogeneousSystem(
+        [
+            {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1},
+            {(2, 0, 0): 1, (0, 2, 0): -1, (0, 0, 2): 2, (1, 0, 1): 1},
+            {(2, 0, 0): 3, (0, 2, 0): 1, (0, 0, 2): -1, (0, 1, 1): 1, (1, 1, 0): -1},
+        ],
+        degrees,
+    )
+    slope = HomogeneousSystem([{(2, 0, 0): 1, (0, 2, 0): 2, (0, 0, 2): 3}, {}, {}], degrees)
+    real = resultant._macaulay_perturbed
+    perturbed = []
+    monkeypatch.setattr(
+        resultant, "_macaulay_perturbed", lambda system: perturbed.append(system) or real(system)
+    )
+    values = macaulay_resultants(base, slope, [1, 0, 2])
+    assert len(perturbed) == 1
+    assert perturbed[0].forms[0] == base.forms[0]
+    # the resultant has degree D / d_1 = 4 in t: five quotients fix it
+    psi = lagrange_interpolate(
+        [(t, macaulay_quotient(_node_forms(base, slope, t), degrees)[0]) for t in range(1, 6)]
+    )
+    assert psi(0) != 0
+    assert values == [psi(1), psi(0), psi(2)]
+
+
+def test_zero_form_gives_zero_without_orderings_or_perturbation(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the kernel eliminated a system with a zero form")
+
+    monkeypatch.setattr(resultant, "_macaulay_perturbed", refuse)
+    monkeypatch.setattr(resultant, "det_rational", refuse)
+    system = HomogeneousSystem([{}, {}, {}, {(0, 0, 0, 2): 1}], [2, 2, 2, 2])
+    assert macaulay_resultant(system) == 0
+    report = is_regular(Hypermatrix.zero(3, 3))
+    assert not report.regular
+    assert report.deltas == (0, 0, 0)
+    # a pencil whose form vanishes at one node only
+    base = HomogeneousSystem([{(1, 0): 1}, {(0, 1): 1}], [1, 1])
+    slope = HomogeneousSystem([{(1, 0): 1}, {}], [1, 1])
+    monkeypatch.undo()
+    assert macaulay_resultants(base, slope, [0, -1, 2]) == [1, 0, 3]
 
 
 def test_sylvester_cross_engine_values():
