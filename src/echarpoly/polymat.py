@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .poly import Poly, as_poly, interpolation_nodes, lagrange_interpolate
+from .poly import Poly, as_poly, interpolate_at_nodes
 from .rational import as_fraction
 
 try:  # pragma: no cover - exercised implicitly when gmpy2 is installed
@@ -101,13 +101,8 @@ def det_interpolated(matrix: PolyMatrix, bound: int | None = None) -> Poly:
                 var.append((j, cs[::-1]))
         constants.append(const)
         variables.append(var)
-    count = row_bound + 1
-    if bound is not None:
-        bound //= step
-        count = min(count, bound + 2)
-    points = []
-    for t in interpolation_nodes(count):
-        x = int(t)
+
+    def det_at(x: int) -> Fraction:
         rows = []
         for const, var in zip(constants, variables):
             row = const.copy()
@@ -117,15 +112,9 @@ def det_interpolated(matrix: PolyMatrix, bound: int | None = None) -> Poly:
                     acc = acc * x + c
                 row[j] = acc
             rows.append(row)
-        points.append((t, det_rational(rows)))
-    det = lagrange_interpolate(points)
-    if bound is not None and not det.is_zero() and det.degree > bound:
-        variable = "lambda^2" if even else "lambda"
-        raise ArithmeticError(
-            f"determinant has degree {det.degree} in {variable}, above the bound {bound}"
-        )
-    if even:
-        det = Poly([c for a in det.coeffs for c in (a, 0)])
+        return det_rational(rows)
+
+    det = interpolate_at_nodes(det_at, row_bound, even, bound)
     return det if scale == 1 else det.scale(Fraction(1, scale))
 
 
@@ -144,8 +133,12 @@ def det_rational(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     scale = 1
     m = []
     for row in rows:
-        if set(map(type, row)) == {int}:
-            m.append(list(map(_to_int, row)))
+        for e in row:
+            if type(e) is not int:
+                break
+        else:
+            # Bareiss works in place: every row is a copy
+            m.append(list(row) if _to_int is int else list(map(_to_int, row)))
             continue
         row = [as_fraction(e) for e in row]
         denom = lcm(*(e.denominator for e in row))
@@ -165,8 +158,8 @@ def _det_int_bareiss(m: list[list]) -> int:
     pivots[last[i]].  Its next elimination divides by pivots[last[i]]
     instead of pivots[k], which yields the same integer minors, and a row
     that becomes the pivot row is brought up to date first.  Sparse
-    Macaulay and banded Sylvester rows skip most steps this way, and their
-    entries stay short.
+    Macaulay rows and banded compact-formula rows skip most steps this
+    way, and their entries stay short.
     """
     n = len(m)
     if n == 1:

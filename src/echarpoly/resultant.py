@@ -7,6 +7,15 @@ system (x1^d1, ..., xk^dk) is +1.  With the row and column orderings used
 here that anchor holds by construction, so outputs are canonical including
 sign, never "up to sign".
 
+The binary kernel, ``sylvester_resultant``, has the sign of det of the
+f-rows-first Sylvester matrix but never builds it.  Each form becomes an
+integer pencil once (denominators cleared, their homogeneity factor
+divided back out); at each integer node the two evaluated coefficient
+lists give the resultant by the subresultant PRS in O(d e) integer
+operations, formal degrees kept by the Sylvester column expansions; the
+node values are interpolated.  ``sylvester_matrix`` serves the compact
+odd-order determinant and the tests.
+
 The Macaulay kernel, ``macaulay_resultants``, takes a pencil F0 + t F1 and
 a list of nodes t; ``macaulay_resultant`` is its one-node, zero-slope call.
 Per pencil, denominators are cleared once per form across both parts.  Per
@@ -30,7 +39,7 @@ from math import comb, lcm, prod
 from operator import add
 from typing import Mapping, Sequence
 
-from .poly import Poly, as_poly
+from .poly import Poly, as_poly, interpolate_at_nodes
 from .polymat import PolyMatrix, det_interpolated, det_rational
 from .rational import as_fraction
 
@@ -124,10 +133,118 @@ def sylvester_matrix(f: BinaryForm, g: BinaryForm) -> PolyMatrix:
 def sylvester_resultant(f: BinaryForm, g: BinaryForm, bound: int | None = None) -> Poly:
     """Resultant of two binary forms, exact; a polynomial in the parameter.
 
-    ``bound``, a proven bound on its degree in the parameter, is passed on
-    to ``det_interpolated``.
+    The value is det of the f-rows-first Sylvester matrix, which is never
+    built.  Each form is cleared of denominators once, as integer
+    coefficient arrays in the parameter (in mu = lambda^2 when neither form
+    has an odd power of it), and the factor c_f^deg(g) * c_g^deg(f) of the
+    homogeneity law is divided back out of the interpolant.  Each node
+    evaluates the arrays by Horner and takes the integer resultant of the
+    two coefficient lists (``_prs_resultant``).  The nodes are those of
+    ``interpolate_at_nodes`` for the row-degree bound and the optional
+    proven degree ``bound``, which is checked.
     """
-    return det_interpolated(sylvester_matrix(f, g), bound)
+    if f.degree < 1 or g.degree < 1:
+        raise ValueError("Sylvester resultant needs two forms of degree >= 1")
+    even = not any(c for form in (f, g) for e in form.coeffs for c in e.coeffs[1::2])
+    step = 2 if even else 1
+    row_bound = 0
+    factor = 1
+    # per form: each coefficient's integer array in the node variable, highest first
+    pencils = []
+    for form, rows in ((f, g.degree), (g, f.degree)):
+        top = max(len(c.coeffs) for c in form.coeffs) - 1
+        if top < 0:
+            return Poly.zero()
+        row_bound += rows * (top // step)
+        denom = lcm(*(v.denominator for c in form.coeffs for v in c.coeffs))
+        factor *= denom**rows
+        pencils.append(
+            [
+                [v.numerator * (denom // v.denominator) for v in c.coeffs[::step]][::-1]
+                for c in form.coeffs
+            ]
+        )
+
+    def res_at(x: int) -> int:
+        f_at, g_at = ([_horner(cs, x) for cs in pencil] for pencil in pencils)
+        return _prs_resultant(f_at, g_at)
+
+    res = interpolate_at_nodes(res_at, row_bound, even, bound)
+    return res if factor == 1 else res.scale(Fraction(1, factor))
+
+
+def _horner(coeffs: Sequence[int], x: int) -> int:
+    acc = 0
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
+
+
+def _prs_resultant(f: list[int], g: list[int]) -> int:
+    """Res_{d,e}(f, g) of integer coefficient lists, highest power first.
+
+    The value is det of the f-rows-first Sylvester matrix of the formal
+    degrees d = len(f) - 1 and e = len(g) - 1.  A vanishing leading
+    coefficient is expanded along the first column: Res_{d,e} is
+    (-1)^e g0 Res_{d-1,e} when f0 = 0, f0 Res_{d,e-1} when g0 = 0, and 0
+    when both vanish.  With both leading coefficients nonzero the
+    subresultant PRS (Collins, JACM 1967; Brown and Traub, JACM 1971)
+    takes the value in O(d e) integer operations, every division exact.
+    """
+    scale = 1
+    while True:
+        d, e = len(f) - 1, len(g) - 1
+        if d == 0:
+            return scale * f[0] ** e
+        if e == 0:
+            return scale * g[0] ** d
+        if f[0]:
+            if g[0]:
+                break
+            scale *= f[0]
+            g = g[1:]
+        elif g[0]:
+            scale *= -g[0] if e % 2 else g[0]
+            f = f[1:]
+        else:
+            return 0
+    if d < e:
+        f, g = g, f
+        if d & e & 1:
+            scale = -scale
+    # g_k and h_k of the subresultant PRS; f and g are consecutive members
+    lead = h = 1
+    while True:
+        d, e = len(f) - 1, len(g) - 1
+        delta = d - e
+        if d & e & 1:
+            scale = -scale
+        r = _pseudo_remainder(f, g)
+        if not r:
+            return 0
+        divisor = lead * h**delta
+        f, g = g, [c // divisor for c in r]
+        lead = f[0]
+        if delta:
+            h = lead**delta // h ** (delta - 1)
+        if len(g) == 1:
+            d = len(f) - 1
+            return scale * (g[0] ** d // h ** (d - 1))
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """b0^(deg a - deg b + 1) * a mod b, its leading zeros stripped."""
+    lead = b[0]
+    tail = b[1:]
+    n = len(b)
+    r = a
+    for _ in range(len(a) - n + 1):
+        q = r[0]
+        r = [lead * x - q * y for x, y in zip(r[1:n], tail)] + [lead * x for x in r[n:]]
+    for k, c in enumerate(r):
+        if c:
+            return r[k:]
+    return []
 
 
 # -- Macaulay construction -----------------------------------------------------

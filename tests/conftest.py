@@ -20,3 +20,19 @@ def node_sizes(monkeypatch):
 
     monkeypatch.setattr(polymat, "det_rational", counting)
     return sizes
+
+
+@pytest.fixture
+def node_degrees(monkeypatch):
+    """The formal degrees of every node resultant ``sylvester_resultant`` takes from here on."""
+    from echarpoly import resultant
+
+    degrees = []
+    original = resultant._prs_resultant
+
+    def counting(f, g):
+        degrees.append((len(f) - 1, len(g) - 1))
+        return original(f, g)
+
+    monkeypatch.setattr(resultant, "_prs_resultant", counting)
+    return degrees

@@ -556,28 +556,36 @@ def _gx_times_x(rng, m):
 
 
 @pytest.mark.parametrize("order", [4, 6])
-def test_even_sylvester_takes_h_plus_two_nodes(node_sizes, order):
+def test_even_sylvester_takes_h_plus_two_nodes(node_degrees, order):
     # h = m at dimension 2; the row-degree bound would take 2m - 1 nodes
     A = fuzz_tensor(random.Random(order), order)
     expected = echar_macaulay(A).psi
-    node_sizes.clear()
+    node_degrees.clear()
     assert echar_even_n2(A).psi == expected
-    assert node_sizes == [2 * order - 2] * (order + 2)
+    assert node_degrees == [(order - 1, order - 1)] * (order + 2)
 
 
 @pytest.mark.parametrize("order", [3, 5])
 @pytest.mark.parametrize("route", [echar_odd_n2, echar_det_odd])
-def test_odd_routes_interpolate_in_lambda_squared(node_sizes, order, route):
+def test_odd_routes_interpolate_in_lambda_squared(node_degrees, node_sizes, order, route):
     # every entry is even in lambda: h + 1 = m + 1 nodes in lambda^2, where
-    # the row-degree bound in lambda would take 2m + 1
+    # the row-degree bound in lambda would take 2m + 1; the Sylvester route
+    # takes them as node resultants of the product and cross forms, the
+    # compact route as node determinants
     rng = random.Random(order)
     A = fuzz_tensor(rng, order)
     while A[(0,) + (1,) * (order - 1)] * A[(1,) + (0,) * (order - 1)] == 0:  # b_m * c_1
         A = fuzz_tensor(rng, order)
     expected = echar_macaulay(A).psi
+    node_degrees.clear()
     node_sizes.clear()
     assert route(A).psi == expected
-    assert len(node_sizes) == order + 1
+    if route is echar_odd_n2:
+        assert node_degrees == [(2 * order - 2, order)] * (order + 1)
+        assert node_sizes == []
+    else:
+        assert len(node_sizes) == order + 1
+        assert node_degrees == []
 
 
 ODD_DEGENERATE_FAMILIES = {

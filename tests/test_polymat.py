@@ -108,7 +108,9 @@ _int_entries = st.one_of(st.just(0), st.integers(-10**6, 10**6))
 )
 def test_det_rational_integer_rows_match_fraction_rows(rows):
     as_fractions = [[Fraction(e) for e in row] for row in rows]
+    before = [row.copy() for row in rows]
     value = det_rational(rows)
+    assert rows == before  # the elimination works on copies
     assert value == det_rational(as_fractions)
     if rows:
         assert value == cofactor_det(as_fractions)

@@ -81,6 +81,85 @@ def test_degree_zero_rejected():
         sylvester_resultant(BinaryForm.from_scalars([1]), BinaryForm.from_scalars([1, 2]))
 
 
+@st.composite
+def node_form_pairs(draw, scalars=st.integers(-20, 20)):
+    """Coefficient lists of formal degrees 1-9, highest power first; the
+    leading coefficient of f, of g or of both may vanish, and the two may
+    share the root of a linear factor."""
+    d, e = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    shared = draw(st.booleans())
+    sizes = [k + 1 - shared for k in (d, e)]
+    lists = [draw(st.lists(scalars, min_size=n, max_size=n)) for n in sizes]
+    for zero, coeffs in zip(draw(st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1)])), lists):
+        if zero:
+            coeffs[0] = 0
+    if shared:
+        a, b = draw(st.sampled_from([(0, 1), (1, 0), (2, -3), (1, 1), (-1, 4)]))
+        lists = [[x * a + y * b for x, y in zip(c + [0], [0] + c)] for c in lists]
+    return lists
+
+
+def _oracle_resultant(f: BinaryForm, g: BinaryForm) -> Poly:
+    return det_fraction_free(sylvester_matrix(f, g))
+
+
+@settings(max_examples=120, deadline=None)
+@given(node_form_pairs())
+@example([[0, 1], [0, 1]])
+@example([[0, 0, 1], [3, 2]])
+@example([[1, 2], [0, 0, 5]])
+def test_node_resultant_matches_sylvester_determinant(pair):
+    f, g = pair
+    forms = [BinaryForm.from_scalars(c) for c in pair]
+    value = resultant._prs_resultant(f, g)
+    assert value == _oracle_resultant(*forms).coefficient(0)
+    if len(f) + len(g) <= 7:
+        assert value == cofactor_det([list(row) for row in sylvester_matrix(*forms).rows])
+
+
+@settings(max_examples=80, deadline=None)
+@given(node_form_pairs(st.fractions(-20, 20, max_denominator=12)))
+def test_rational_forms_match_sylvester_determinant(pair):
+    forms = [BinaryForm.from_scalars(c) for c in pair]
+    assert sylvester_resultant(*forms) == _oracle_resultant(*forms)
+
+
+@st.composite
+def pencil_form_pairs(draw):
+    """Forms of degrees 1-5 whose coefficients are a + b*lambda or, on the
+    even path, a + b*lambda^2; a leading coefficient may be b*lambda alone,
+    which vanishes at the node lambda = 0."""
+    power = draw(st.sampled_from([1, 2]))
+    small = st.fractions(-6, 6, max_denominator=4)
+
+    def coefficient():
+        a, b = draw(small), draw(small)
+        return Poly.constant(a) + Poly.monomial(power, b)
+
+    forms = []
+    for _ in range(2):
+        degree = draw(st.integers(1, 5))
+        coeffs = [coefficient() for _ in range(degree + 1)]
+        if draw(st.booleans()):
+            coeffs[0] = Poly.monomial(power, draw(small))
+        forms.append(BinaryForm(degree, coeffs))
+    return forms
+
+
+@settings(max_examples=80, deadline=None)
+@given(pencil_form_pairs())
+def test_pencil_resultant_matches_sylvester_determinant(forms):
+    oracle = _oracle_resultant(*forms)
+    assert sylvester_resultant(*forms) == oracle
+    if not oracle.is_zero():
+        # a bound at the true degree sets the nodes and one more checks it;
+        # one below it still takes enough nodes to see the true degree
+        assert sylvester_resultant(*forms, oracle.degree) == oracle
+        if oracle.degree > 0:
+            with pytest.raises(ArithmeticError, match="above the bound"):
+                sylvester_resultant(*forms, oracle.degree - 1)
+
+
 def test_scaling_homogeneity_binary():
     # scaling one form by t scales the resultant by t^(degree of the other)
     rng = random.Random(5)
