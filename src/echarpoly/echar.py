@@ -325,15 +325,21 @@ def _eigen_system(A: Hypermatrix) -> tuple[HomogeneousSystem, HomogeneousSystem]
 
 
 def _homogenized_system(A: Hypermatrix) -> tuple[HomogeneousSystem, HomogeneousSystem]:
-    """{Ax^{m-1} - lambda x0^{m-2} x, x^T x - x0^2} in variables (x1..xn, x0),
-    as the pencil F0 + lambda F1: F1 holds the -x0^{m-2} x_i terms."""
+    """{x^T x - x0^2, Ax^{m-1} - lambda x0^{m-2} x} in variables (x0, x1..xn),
+    as the pencil F0 + lambda F1: F1 holds the -x0^{m-2} x_i terms.
+
+    The quadric leads, and x0 with it, so most Macaulay rows are its sparse
+    unit rows.  The degree 2 makes prod(d_i) even, so this order of forms
+    and variables has the same canonical resultant as any other.
+    """
     n, m = A.dim, A.order
-    quadric = {tuple(2 * (j == v) for j in range(n + 1)): 1 if v < n else -1 for v in range(n + 1)}
-    slope = [{tuple((j == i) + (m - 2) * (j == n) for j in range(n + 1)): -1} for i in range(n)]
-    degrees = [m - 1] * n + [2]
+    quadric = {tuple(2 * (j == v) for j in range(n + 1)): -1 if v == 0 else 1 for v in range(n + 1)}
+    slope = [{tuple((m - 2) * (j == 0) + (j == i + 1) for j in range(n + 1)): -1} for i in range(n)]
+    forms = [{(0,) + e: v for e, v in form.items()} for form in map_forms(A)]
+    degrees = [2] + [m - 1] * n
     return (
-        HomogeneousSystem(map_forms(A, n + 1) + [quadric], degrees),
-        HomogeneousSystem(slope + [{}], degrees),
+        HomogeneousSystem([quadric] + forms, degrees),
+        HomogeneousSystem([{}] + slope, degrees),
     )
 
 
@@ -342,8 +348,9 @@ def echar_macaulay(A: Hypermatrix) -> EcharResult:
 
     Even order takes the definition itself: the resultant of the n forms
     (Ax^{m-1})_i - lambda (x^T x)^{(m-2)/2} x_i in (x1..xn).  Odd order
-    takes the resultant of the homogenized system {Ax^{m-1} - lambda
-    x0^{m-2} x, x^T x - x0^2}, which is even in lambda: x0 -> -x0 turns
+    takes the resultant of the homogenized system {x^T x - x0^2, Ax^{m-1}
+    - lambda x0^{m-2} x} in (x0, x1..xn), the quadric first (see
+    ``_homogenized_system``), which is even in lambda: x0 -> -x0 turns
     the system at lambda into the one at -lambda (m - 2 is odd) and changes
     the resultant by (-1)^(2 (m-1)^n) = 1.  So it is interpolated in
     mu = lambda^2 at lambda = 0, 1, 2, ...
@@ -356,11 +363,11 @@ def echar_macaulay(A: Hypermatrix) -> EcharResult:
     The system is a pencil F0 + lambda F1, built once per tensor, and
     ``macaulay_resultants`` takes all the nodes in one call: it builds the
     integer Macaulay rows once per variable ordering that some node
-    reaches, eliminates them in a row and column count order (its sign
-    corrected for), and perturbs only a node at which every ordering's
-    minor vanishes.  Dimension 3 is taken up to order 4; beyond that
-    ``UnsupportedSizeError`` is raised before any node, with the work it
-    would take.
+    reaches, eliminates them in the pivot order of a symbolic Markowitz
+    elimination of their pattern (its sign corrected for), and perturbs
+    only a node at which every ordering's minor vanishes.  Dimension 3 is
+    taken up to order 4; beyond that ``UnsupportedSizeError`` is raised
+    before any node, with the work it would take.
     """
     n, m = A.dim, A.order
     if n not in (2, 3):

@@ -342,8 +342,10 @@ def _is_regular_n3(A: Hypermatrix) -> RegularityReport:
     quadric = {(2, 0, 0): Fraction(1), (0, 2, 0): Fraction(1), (0, 0, 2): Fraction(1)}
     deltas = []
     for omit in range(3):
-        kept = [forms[j] for j in range(3) if j != omit] + [quadric]
-        system = HomogeneousSystem(kept, [m - 1, m - 1, 2])
+        # the quadric's sparse rows lead, as in echar._homogenized_system;
+        # its degree 2 makes prod(d_i) even, so the order keeps each delta
+        kept = [quadric] + [forms[j] for j in range(3) if j != omit]
+        system = HomogeneousSystem(kept, [2, m - 1, m - 1])
         deltas.append(macaulay_resultant(system))
     deltas = tuple(deltas)
     if any(d != 0 for d in deltas):

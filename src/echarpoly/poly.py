@@ -411,7 +411,7 @@ def lagrange_interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
 
 
 def interpolate_at_nodes(
-    value_at: Callable[[int], int], top: int, even: bool, bound: int | None
+    value_at: Callable[[int], int], top: int, even: bool, bound: int | None = None
 ) -> Poly:
     """The polynomial p in lambda with p = value_at(x) at small integer nodes x.
 

@@ -52,7 +52,7 @@ class PolyMatrix:
         return f"PolyMatrix(size={self.size})"
 
 
-def det_interpolated(matrix: PolyMatrix, bound: int | None = None) -> Poly:
+def det_interpolated(matrix: PolyMatrix) -> Poly:
     """det via evaluation at small integer nodes and exact interpolation.
 
     Each row is multiplied once by the lcm of its coefficients'
@@ -66,11 +66,6 @@ def det_interpolated(matrix: PolyMatrix, bound: int | None = None) -> Poly:
     determinant: the entries are evaluated as polynomials in mu =
     lambda^2, on the mu row-degree bound + 1 nodes, and the interpolant is
     spread back to lambda.
-
-    ``bound`` is an optional proven bound on the determinant's degree.
-    Below the row-degree bound it sets the nodes instead: bound + 1 of
-    them determine the determinant and one more checks it.  An
-    interpolant above the bound raises ``ArithmeticError``.
     """
     n = matrix.size
     if n == 0:
@@ -114,7 +109,7 @@ def det_interpolated(matrix: PolyMatrix, bound: int | None = None) -> Poly:
             rows.append(row)
         return det_rational(rows)
 
-    det = interpolate_at_nodes(det_at, row_bound, even, bound)
+    det = interpolate_at_nodes(det_at, row_bound, even)
     return det if scale == 1 else det.scale(Fraction(1, scale))
 
 

@@ -21,10 +21,11 @@ a list of nodes t; ``macaulay_resultant`` is its one-node, zero-slope call.
 Per pencil, denominators are cleared once per form across both parts.  Per
 variable ordering, built only when some node reaches it, the integer rows
 are built once as (constant, slope) pairs, and rows and columns are put in
-ascending order of their nonzero counts in either part (Markowitz's
-fill-reducing rule, taken once from Macaulay's fixed sparsity pattern); the
-minor takes the same order, restricted, and the signs of all four orders
-are corrected for.  Each node evaluates the int rows and eliminates them.
+the pivot order of a symbolic Markowitz elimination of their pattern in
+either part (Markowitz's fill-reducing rule, run once on Macaulay's fixed
+sparsity pattern and memoized per pattern); the minor takes the same
+order, restricted, and the signs of all four orders are corrected for.
+Each node evaluates the int rows and eliminates them.
 A node where a form vanishes identically gives 0 at once; a node whose
 minor vanishes tries the next ordering; a node where every ordering's
 minor vanishes alone falls back to the perturbed quotient.
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from math import comb, lcm, prod
 from operator import add
@@ -342,21 +344,62 @@ def _macaulay_rows(forms: Sequence[Mapping], degrees: tuple[int, ...]):
     return rows, non_reduced
 
 
-def _count_order(supports: Sequence[Sequence[int]], size: int) -> tuple[list[int], list[int]]:
-    """Rows by ascending nonzero count, then columns likewise (both stable).
+@lru_cache(maxsize=16)
+def _markowitz_order(
+    supports: tuple[tuple[int, ...], ...],
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Row and column order of a symbolic Markowitz elimination of a pattern.
 
-    ``supports[r]`` lists the nonzero columns of row r.  Eliminating the
-    sparsest columns first, with the sparsest rows as pivots, keeps the
-    fill-in and the growth of the Bareiss entries small (Markowitz's rule
-    taken once, from the pattern, instead of at every step).
+    ``supports[r]`` lists the nonzero columns of row r.  Each step pivots on
+    the nonzero of the active submatrix with the least (r - 1)(c - 1), r
+    and c the counts of its row and column there, ties going to the lowest
+    row and then the lowest column (Markowitz, Management Science 1957);
+    the pivot row's pattern then fills every active row of the pivot
+    column.  A pattern with no active nonzero left is structurally
+    singular: its remaining rows and columns follow in index order.
     """
-    counts = [0] * size
-    for support in supports:
-        for j in support:
-            counts[j] += 1
-    rows = sorted(range(size), key=lambda r: len(supports[r]))
-    cols = sorted(range(size), key=counts.__getitem__)
-    return rows, cols
+    size = len(supports)
+    row_cols = [set(s) for s in supports]
+    col_rows: list[set[int]] = [set() for _ in range(size)]
+    for r, support in enumerate(supports):
+        for c in support:
+            col_rows[c].add(r)
+    rows_left = list(range(size))
+    row_order: list[int] = []
+    col_order: list[int] = []
+    while rows_left:
+        best = None
+        for r in rows_left:
+            cols = row_cols[r]
+            if not cols:
+                continue
+            weight = len(cols) - 1
+            for c in cols:
+                key = (weight * (len(col_rows[c]) - 1), r, c)
+                if best is None or key < best:
+                    best = key
+            if best[0] == 0:
+                break
+        if best is None:
+            break
+        _, p, q = best
+        pivot_cols = row_cols[p]
+        pivot_cols.discard(q)
+        for c in pivot_cols:
+            col_rows[c].discard(p)
+        for r in col_rows[q]:
+            if r != p:
+                cols = row_cols[r]
+                cols.discard(q)
+                for c in pivot_cols - cols:
+                    col_rows[c].add(r)
+                cols |= pivot_cols
+        rows_left.remove(p)
+        row_order.append(p)
+        col_order.append(q)
+    row_order += rows_left
+    col_order += sorted(set(range(size)).difference(col_order))
+    return tuple(row_order), tuple(col_order)
 
 
 def _restrict(order: Sequence[int], kept: Sequence[int]) -> tuple[list[int], int]:
@@ -391,11 +434,13 @@ def _variable_orderings(k: int):
 
 
 class _EliminationPlan:
-    """The Macaulay matrix of a pencil under one variable ordering, in count order.
+    """The Macaulay matrix of a pencil under one variable ordering, in Markowitz order.
 
     ``rows`` are the sparse (column, constant, slope) rows, rows and columns
-    renumbered into the elimination order; ``minor_rows`` and
-    ``minor_cols`` are the positions of the non-reduced minor in it.
+    renumbered into the pivot order of ``_markowitz_order`` on the pattern
+    of both parts, so Bareiss's step k pivots where the symbolic
+    elimination did; ``minor_rows`` and ``minor_cols`` are the positions
+    of the non-reduced minor in it.
     ``sign`` turns det(full) / det(minor) of the reordered matrices into
     the canonical resultant: the relabeling's sign to the power prod(d_i)
     times the signs of the row and column orders of both matrices.
@@ -406,7 +451,8 @@ class _EliminationPlan:
     def __init__(self, forms: Sequence[Mapping], degrees: tuple[int, ...], perm: tuple[int, ...]):
         moved = [{_relabel(e, perm): v for e, v in form.items()} for form in forms]
         rows, non_reduced = _macaulay_rows(moved, degrees)
-        row_order, col_order = _count_order([[j for j, _, _ in row] for row in rows], len(rows))
+        pattern = tuple(tuple(sorted(j for j, _, _ in row)) for row in rows)
+        row_order, col_order = _markowitz_order(pattern)
         new_col = [0] * len(rows)
         for p, c in enumerate(col_order):
             new_col[c] = p

@@ -107,17 +107,14 @@ def eval_map(A: Hypermatrix, x: Sequence) -> list:
     return out
 
 
-def map_forms(A: Hypermatrix, nvars: int | None = None) -> list[dict]:
+def map_forms(A: Hypermatrix) -> list[dict]:
     """Ax^(m-1) as forms: component i maps exponent tuples to coefficients.
 
-    Exponent tuples have ``nvars`` places (default the dimension); places
-    past the dimension stay 0, for variables the map does not involve.
     Zero coefficients are left out.
     """
-    k = A.dim if nvars is None else nvars
     forms: list[dict] = [{} for _ in range(A.dim)]
     for idx, value in A.entries.items():
-        expo = [0] * k
+        expo = [0] * A.dim
         for pos in idx[1:]:
             expo[pos] += 1
         form = forms[idx[0]]

@@ -2,8 +2,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# CI runs ``--hypothesis-profile=ci``: a failing property prints the blob
+# that reproduces it with ``@reproduce_failure``
+settings.register_profile("ci", print_blob=True)
 
 
 @pytest.fixture

@@ -104,7 +104,7 @@ def poly_in_square_from_roots(leading: Fraction, square_roots) -> Poly:
 
 
 def homogenized_resultant(A) -> Poly:
-    """Resultant of {Ax^{m-1} - lambda x0^{m-2} x, x^T x - x0^2} in (x1..xn, x0).
+    """Resultant of {x^T x - x0^2, Ax^{m-1} - lambda x0^{m-2} x} in (x0, x1..xn).
 
     A polynomial in lambda of degree at most 2h (h the degree bound of psi),
     interpolated on 2h + 2 nodes.  At even order it is +-psi^2, so it

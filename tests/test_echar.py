@@ -453,11 +453,12 @@ def test_macaulay_rejects_resultant_above_degree_bound(monkeypatch, order):
     bound = 2 * h_bound(order, 2)
 
     def too_high(base, slope, nodes):
-        # the zero tensor's first form is -lambda x1 times x0^(m-2) (odd order)
-        # or (x1^2 + x2^2)^((m-2)/2) (even order): its coefficients sum to a
-        # nonzero multiple t of lambda
-        assert not base.forms[0]
-        return [(-lam * sum(slope.forms[0].values())) ** (bound + 1) for lam in nodes]
+        # the zero tensor's first map form (after the quadric at odd order) is
+        # -lambda x1 times x0^(m-2) (odd order) or (x1^2 + x2^2)^((m-2)/2)
+        # (even order): its coefficients sum to a nonzero multiple t of lambda
+        first = order % 2
+        assert not base.forms[first]
+        return [(-lam * sum(slope.forms[first].values())) ** (bound + 1) for lam in nodes]
 
     monkeypatch.setattr(module, "macaulay_resultants", too_high)
     with pytest.raises(ArithmeticError, match="above the bound"):
@@ -474,6 +475,43 @@ def test_macaulay_refuses_dimension3_beyond_order4_before_any_node(monkeypatch, 
     monkeypatch.setattr(module, "macaulay_resultants", no_node)
     with pytest.raises(UnsupportedSizeError, match="interpolation nodes"):
         echar(Hypermatrix.diagonal(order, 3))
+
+
+def test_order3_draw_with_zero_constant_term_needs_no_perturbation(monkeypatch):
+    """The 19th order-3 draw of random.Random(880051790) has psi(0) = 0.
+
+    With the quadric leading the homogenized system, every one of the nine
+    nodes finds a variable ordering with a nonsingular Macaulay minor, so
+    none takes the perturbed quotient, and psi is the one pinned here.
+    """
+    from echarpoly import resultant
+
+    def refuse(system):
+        raise AssertionError("a node took the perturbed quotient")
+
+    monkeypatch.setattr(resultant, "_macaulay_perturbed", refuse)
+    rng = random.Random(880051790)
+    for _ in range(18):
+        fuzz_tensor(rng, 3, 3)
+    A = fuzz_tensor(rng, 3, 3)
+    # psi in mu = lambda^2, constant term first
+    in_mu = [
+        0,
+        Fraction("-109259591569758069965429139587641/82950686472517567119360000"),
+        Fraction(
+            "14403979472127665370389210684526246761243/2939564951869841284792320000000000"
+        ),
+        Fraction(
+            "-392594454648723327134021794698066371768093/185192591967800000941916160000000000"
+        ),
+        Fraction(
+            "13851360743420417664440373466880133919933/1889720326202040825937920000000000"
+        ),
+        Fraction("-1107481888014008468534140101204443845969/77131441885797584732160000000000"),
+        Fraction("343047742313478929625088474558566479/482071511786234904576000000000"),
+        Fraction("-22344424625937600720593367852461/245954852952160665600000000"),
+    ]
+    assert echar_macaulay(A).psi == Poly([c for a in in_mu for c in (a, 0)])
 
 
 def test_dimension3_diagonal_with_a_zero_entry():

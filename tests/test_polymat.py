@@ -143,23 +143,3 @@ def test_even_in_lambda_matrix_takes_the_mu_bound_plus_one_nodes(node_sizes):
     matrix = PolyMatrix([[lam2 * lam2, lam2, one], [one, lam2, one], [one, one, Poly.constant(3)]])
     assert det_interpolated(matrix) == det_fraction_free(matrix)
     assert len(node_sizes) == 4
-
-
-def test_degree_bound_sets_the_nodes_and_checks_them(node_sizes):
-    lam = Poly.x()
-    # row-degree bound 4, determinant lam^2 + 1: with the bound 5 the rows
-    # set the nodes (5), with the bound 2 the bound does (2 + 2)
-    one, zero = Poly.one(), Poly.zero()
-    matrix = PolyMatrix([[lam, one, zero], [-one, lam, lam**3], [zero, zero, one]])
-    assert det_interpolated(matrix, 5) == Poly([1, 0, 1])
-    assert len(node_sizes) == 5
-    node_sizes.clear()
-    assert det_interpolated(matrix, 2) == Poly([1, 0, 1])
-    assert len(node_sizes) == 4
-    with pytest.raises(ArithmeticError):
-        det_interpolated(matrix, 0)
-    # even in lambda: the bound, in lambda, halves to one in lambda^2
-    square = PolyMatrix([[lam * lam, one], [-one, lam * lam]])
-    assert det_interpolated(square, 4) == Poly([1, 0, 0, 0, 1])
-    with pytest.raises(ArithmeticError):
-        det_interpolated(square, 2)

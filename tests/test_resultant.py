@@ -15,7 +15,7 @@ from echarpoly.resultant import (
     BinaryForm,
     HomogeneousSystem,
     UnsupportedSizeError,
-    _count_order,
+    _markowitz_order,
     _perm_sign,
     _restrict,
     macaulay_resultant,
@@ -358,7 +358,7 @@ def test_macaulay_variable_relabelings_agree_after_sign_correction():
         reference = _macaulay_perturbed(system)
         cleared, factor = _clear_denominators(system, HomogeneousSystem([{}] * 3, degrees))
         for perm in _variable_orderings(3):
-            # every ordering, in its count order, with the signs of both
+            # every ordering, in its Markowitz order, with the signs of both
             plan = _EliminationPlan(cleared, system.degrees, perm)
             rows = plan.evaluate(0)
             det_minor = det_rational(plan.minor(rows))
@@ -392,14 +392,19 @@ def _oracle_det(rows) -> Fraction:
 
 @settings(max_examples=150, deadline=None)
 @given(sparse_integer_matrices())
-# identity count order whose first planned pivot is zero
+# the first Markowitz pivot of the pattern is zero in value
 @example(([[0, 1], [1, 0]], [0]))
 @example(([[0, 2, 0], [1, 0, 3], [0, 0, 0]], [1, 2]))
+# structurally singular with no zero row or column: rows 1 and 2 share one column
+@example(([[1, 2, 3], [4, 0, 0], [5, 0, 0]], [0, 1]))
+@example(([[0, 0, 7, 1], [0, 0, 2, 0], [3, 1, 0, 0], [0, 0, 5, 0]], [0, 2, 3]))
 @example(([], []))
-def test_count_ordered_determinant_keeps_its_sign(case):
+def test_markowitz_ordered_determinant_keeps_its_sign(case):
     rows, kept = case
     n = len(rows)
-    row_order, col_order = _count_order([[j for j, v in enumerate(row) if v] for row in rows], n)
+    row_order, col_order = _markowitz_order(
+        tuple(tuple(j for j, v in enumerate(row) if v) for row in rows)
+    )
     assert sorted(row_order) == sorted(col_order) == list(range(n))
     ordered = [[rows[r][c] for c in col_order] for r in row_order]
     sign = _perm_sign(row_order) * _perm_sign(col_order)
@@ -410,6 +415,56 @@ def test_count_ordered_determinant_keeps_its_sign(case):
     minor = [[ordered[r][c] for c in minor_cols] for r in minor_rows]
     expected = _oracle_det([[rows[r][c] for c in kept] for r in kept])
     assert row_sign * col_sign * det_rational(minor) == expected
+
+
+def test_markowitz_order_pivots_on_the_least_fill_first():
+    # an arrow matrix: its spokes go first, without fill; in the dense 2x2
+    # left over, ties go to the lowest row, then the lowest column
+    arrow = ((0, 1, 2, 3), (0, 1), (0, 2), (0, 3))
+    assert _markowitz_order(arrow) == ((1, 2, 0, 3), (1, 2, 0, 3))
+    # structurally singular: the rows and columns no pivot reaches follow in index order
+    assert _markowitz_order(((0,), (0,), (1, 2))) == ((0, 2, 1), (0, 1, 2))
+
+
+@st.composite
+def permuted_systems(draw):
+    """Integer forms of a degree vector with odd or even prod(d), and a
+    permutation of its positions."""
+    odd = [(1, 1), (1, 3), (3, 3), (1, 1, 3), (1, 3, 3)]
+    even = [(2, 3), (1, 2, 3), (2, 2, 2), (1, 1, 1, 2)]
+    degrees = draw(st.sampled_from(odd + even))
+    k = len(degrees)
+    coefficient = st.one_of(st.just(0), st.integers(-5, 5))
+    forms = []
+    for d in degrees:
+        forms.append({e: draw(coefficient) for e in product(range(d + 1), repeat=k) if sum(e) == d})
+    return degrees, forms, draw(st.permutations(range(k)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(permuted_systems())
+# an odd permutation of a system with odd prod(d)
+@example(((1, 3), [{(1, 0): 2, (0, 1): 1}, {(3, 0): 1, (1, 2): -1, (0, 3): 4}], [1, 0]))
+@example(
+    (
+        (1, 1, 3),
+        [
+            {(1, 0, 0): 1, (0, 1, 0): 1},
+            {(0, 1, 0): 3, (0, 0, 1): -1},
+            {(3, 0, 0): 1, (0, 0, 3): 2, (1, 1, 1): 1},
+        ],
+        [0, 2, 1],
+    )
+)
+def test_joint_permutation_of_forms_and_variables_keeps_the_resultant(case):
+    """Form i of the permuted system is form sigma(i) with variable sigma(j)
+    renamed x_j: the pure-power system maps to itself, so the canonical
+    resultant is exactly unchanged, whatever the parity of prod(d)."""
+    degrees, forms, sigma = case
+    moved = [{tuple(e[s] for s in sigma): v for e, v in forms[i].items()} for i in sigma]
+    original = macaulay_resultant(HomogeneousSystem(forms, degrees))
+    permuted = macaulay_resultant(HomogeneousSystem(moved, [degrees[i] for i in sigma]))
+    assert permuted == original
 
 
 def _node_forms(base, slope, t):
