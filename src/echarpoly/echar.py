@@ -42,7 +42,6 @@ from .resultant import (
     macaulay_resultant,
     macaulay_resultants,
     macaulay_size,
-    sylvester_matrix,
     sylvester_resultant,
 )
 from .tensor import (
@@ -235,7 +234,7 @@ def _nonsingular_frame(cross: tuple[Fraction, ...]) -> OrthogonalMatrix:
 
 
 def det_matrix_even(A: Hypermatrix) -> PolyMatrix:
-    """The (2m-2)-square determinant formula matrix for even order.
+    """The (2m-2)-square determinant formula matrix for even order, a pencil in lambda.
 
     Rows 1..m-1 shift the first eigen-form's coefficients; row m holds the
     second slice sequence (c1, c2-bar, ...) ending in the last column; the
@@ -244,25 +243,22 @@ def det_matrix_even(A: Hypermatrix) -> PolyMatrix:
     _require(A, parity=0)
     m = A.order
     slices = binary_slices(A)
-    f1, f2 = _even_eigen_forms(slices)
-    cross = direction_form_coeffs(slices)
-    size = 2 * m - 2
-    rows = []
-    for shift in range(m - 1):
-        row = [Poly.zero()] * size
-        for j, c in enumerate(f1.coeffs):
-            row[shift + j] = c
-        rows.append(row)
-    row = [Poly.zero()] * size
-    for j, c in enumerate(f2.coeffs):
-        row[m - 2 + j] = c
-    rows.append(row)
-    for shift in range(m - 2):
-        row = [Poly.zero()] * size
-        for j, c in enumerate(cross):
-            row[shift + j] = Poly.constant(c)
-        rows.append(row)
+    f1, f2 = (_pairs(form, 1) for form in _even_eigen_forms(slices))
+    cross = _pairs(_cross_form(slices), 1)
+    rows = [_shifted(f1, shift) for shift in range(m - 1)]
+    rows.append(_shifted(f2, m - 2))
+    rows += [_shifted(cross, shift) for shift in range(m - 2)]
     return PolyMatrix(rows)
+
+
+def _pairs(form: BinaryForm, power: int) -> list[tuple[Fraction, Fraction]]:
+    """Each coefficient a + b lambda^power of a form as (a, b)."""
+    return [(c.coefficient(0), c.coefficient(power)) for c in form.coeffs]
+
+
+def _shifted(pairs: list[tuple], shift: int) -> list[tuple]:
+    """The pencil row with the coefficient pairs from column ``shift`` on, zeros left out."""
+    return [(shift + j, a, b) for j, (a, b) in enumerate(pairs) if a or b]
 
 
 def echar_det_even(A: Hypermatrix) -> EcharResult:
@@ -277,26 +273,38 @@ def echar_det_even(A: Hypermatrix) -> EcharResult:
 
 
 def det_matrix_odd(A: Hypermatrix) -> PolyMatrix:
-    """The (3m-4)-square determinant formula matrix for odd order.
+    """The (3m-4)-square determinant formula matrix for odd order, a pencil in mu = lambda^2.
 
-    Built from the big Sylvester matrix of the product/cross pair by the
-    exact eliminations that cancel e_1 = b_1*c_1 and e_{2m-1} = b_m*c_m,
-    after which the first/last columns and the pivot rows are removed.
-    The determinant equals the characteristic polynomial identically.
+    Built from the big Sylvester matrix of the product/cross pair (m rows
+    of the product form, then 2m-2 of the cross form) by the exact
+    eliminations that cancel e_1 = b_1*c_1 and e_{2m-1} = b_m*c_m, after
+    which the first/last columns and the pivot rows are removed.  The
+    eliminations add constant cross-form rows, so it stays a pencil.  The
+    determinant equals the characteristic polynomial identically.
     """
     _require(A, parity=1)
     m = A.order
     slices = binary_slices(A)
-    big = sylvester_matrix(_odd_product_form(slices), _cross_form(slices))
-    rows = [list(r) for r in big.rows]
-    n = len(rows)  # 3m - 2
-    b1 = Fraction(slices.b[0])
-    cm = Fraction(slices.c[m - 1])
-    rows[0] = [rows[0][j] + rows[m][j].scale(b1) for j in range(n)]
-    rows[m - 1] = [rows[m - 1][j] - rows[n - 1][j].scale(cm) for j in range(n)]
-    keep_rows = [i for i in range(n) if i not in (m, n - 1)]
-    keep_cols = [j for j in range(n) if j not in (0, n - 1)]
-    return PolyMatrix([[rows[i][j] for j in keep_cols] for i in keep_rows])
+    size = 3 * m - 2
+    product_form = _pairs(_odd_product_form(slices), 2)
+    cross = _pairs(_cross_form(slices), 2)
+    rows = [_shifted(product_form, shift) for shift in range(m)]
+    rows += [_shifted(cross, shift) for shift in range(2 * m - 2)]
+    rows[0] = _combined(rows[0], rows[m], slices.b[0])
+    rows[m - 1] = _combined(rows[m - 1], rows[size - 1], -slices.c[m - 1])
+    del rows[size - 1], rows[m]
+    return PolyMatrix(
+        [[(j - 1, a, b) for j, a, b in row if 0 < j < size - 1] for row in rows], even=True
+    )
+
+
+def _combined(row: list[tuple], other: list[tuple], factor: Fraction) -> list[tuple]:
+    """The pencil row ``row + factor * other``, zeros left out."""
+    entries = {j: (a, b) for j, a, b in row}
+    for j, a, b in other:
+        x, y = entries.get(j, (0, 0))
+        entries[j] = (x + factor * a, y + factor * b)
+    return [(j, a, b) for j, (a, b) in sorted(entries.items()) if a or b]
 
 
 def echar_det_odd(A: Hypermatrix) -> EcharResult:

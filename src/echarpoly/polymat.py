@@ -1,14 +1,17 @@
-"""Exact determinants of matrices with rational or polynomial entries.
+"""Exact determinants: integer pencils by evaluate/interpolate, scalars by Bareiss.
 
-Polynomial matrices take one path, evaluate/interpolate; the test suite
-checks it against fraction-free elimination over the polynomial ring (an
-oracle kept in the tests).  Each row's denominators are cleared once, the
-integer coefficient arrays are evaluated at small integer nodes and the
-product of the row scales is divided out of the interpolant, so every
-node determinant is an integer one.  Scalar determinants run
-fraction-free integer elimination (Bareiss); integer rows enter it as they
-are, rational rows are scaled to integers first.  gmpy2 big integers are
-used when importable.
+Every determinant the library takes is of a pencil M0 + t M1 over the
+integers: the compact even-order matrix is linear in lambda, the odd-order
+one in mu = lambda^2, the perturbed Macaulay matrix is M + eps I, and each
+Macaulay node evaluates a pencil in lambda.  ``PolyMatrix`` holds one as
+sparse (column, constant, slope) rows, each row cleared of denominators
+once; ``det_interpolated`` evaluates it at small integer nodes, one more
+than the number of rows that carry t, and interpolates the integer node
+determinants, dividing the row scales out once (the test suite checks it
+against fraction-free elimination over Q[x], an oracle kept in the
+tests).  Scalar determinants run fraction-free integer elimination
+(Bareiss); integer rows enter it as they are, rational rows are scaled to
+integers first.
 """
 
 from __future__ import annotations
@@ -17,100 +20,81 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .poly import Poly, as_poly, interpolate_at_nodes
+from .poly import Poly, interpolate_at_nodes
 from .rational import as_fraction
-
-try:  # pragma: no cover - exercised implicitly when gmpy2 is installed
-    from gmpy2 import mpz as _to_int
-except ImportError:  # pragma: no cover
-    _to_int = int
 
 
 class PolyMatrix:
-    """Square matrix of Poly entries."""
+    """The square pencil (M0 + t M1) / denominator, M0 and M1 integer.
 
-    __slots__ = ("rows",)
+    ``rows[i]`` lists the (column, constant, slope) int triples of row i,
+    one per column at most; absent columns are zero.  Rows given with
+    rational values are each multiplied by the lcm of their denominators,
+    and the product of those scales is ``denominator``.  ``even`` says
+    that t stands for lambda^2, so the determinant, as a polynomial in
+    lambda, has only even powers; the builder of the matrix sets it.
+    """
 
-    def __init__(self, rows: Sequence[Sequence[Poly]]):
-        rows = tuple(tuple(as_poly(e) for e in row) for row in rows)
-        n = len(rows)
-        if any(len(row) != n for row in rows):
-            raise ValueError("polynomial matrix must be square")
-        self.rows = rows
+    __slots__ = ("rows", "denominator", "even")
+
+    def __init__(self, rows: Sequence[Sequence[tuple]], even: bool = False):
+        size = len(rows)
+        denominator = 1
+        cleared = []
+        for row in rows:
+            # one pass for the common case, a row of ints
+            for j, a, b in row:
+                if not (0 <= j < size and type(a) is int and type(b) is int):
+                    break
+            else:
+                cleared.append(row)
+                continue
+            if any(not 0 <= j < size for j, _, _ in row):
+                raise ValueError("pencil must be square")
+            row = [(j, as_fraction(a), as_fraction(b)) for j, a, b in row]
+            scale = lcm(*(v.denominator for _, a, b in row for v in (a, b)))
+            denominator *= scale
+            cleared.append(
+                [
+                    (j, a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator))
+                    for j, a, b in row
+                ]
+            )
+        self.rows = cleared
+        self.denominator = denominator
+        self.even = even
 
     @property
     def size(self) -> int:
         return len(self.rows)
 
-    def entry(self, i: int, j: int) -> Poly:
-        return self.rows[i][j]
-
-    def evaluate(self, point: Fraction) -> list[list[Fraction]]:
-        return [[e(point) for e in row] for row in self.rows]
+    def evaluate(self, t) -> list[list]:
+        """The dense rows of M0 + t M1: ints at an integer node."""
+        size = len(self.rows)
+        out = []
+        for entries in self.rows:
+            row = [0] * size
+            for j, a, b in entries:
+                row[j] = a + t * b
+            out.append(row)
+        return out
 
     def __repr__(self):
-        return f"PolyMatrix(size={self.size})"
+        return f"PolyMatrix(size={self.size}, even={self.even})"
 
 
 def det_interpolated(matrix: PolyMatrix) -> Poly:
-    """det via evaluation at small integer nodes and exact interpolation.
+    """det of the pencil, exact, as a polynomial in lambda.
 
-    Each row is multiplied once by the lcm of its coefficients'
-    denominators, so the nodes evaluate integer coefficient arrays and the
-    node determinants are integer ones; the product of those row scales is
-    divided out of the interpolant.  The degree bound is the sum over rows
-    of each row's maximal entry degree, which dominates the degree of any
-    term in the Leibniz expansion.
-
-    When every entry has only even powers of the variable, so has the
-    determinant: the entries are evaluated as polynomials in mu =
-    lambda^2, on the mu row-degree bound + 1 nodes, and the interpolant is
-    spread back to lambda.
+    Each row is at most linear in t, so the determinant has degree at most
+    the number of rows with a nonzero slope, and one more node than that
+    determines it.  The node determinants are integer ones; the
+    denominator is divided out of the interpolant once.  For an ``even``
+    pencil the interpolant in mu = t is spread back to lambda.
     """
-    n = matrix.size
-    if n == 0:
-        return Poly.one()
-    even = not any(c for row in matrix.rows for e in row for c in e.coeffs[1::2])
-    step = 2 if even else 1
-    row_bound = 0
-    scale = 1
-    # per row: the constant entries as integers (zero elsewhere), and the
-    # column and integer coefficients in the node variable, highest first,
-    # of every other entry
-    constants = []
-    variables = []
-    for row in matrix.rows:
-        top = max(len(e.coeffs) for e in row) - 1
-        if top < 0:
-            return Poly.zero()
-        row_bound += top // step
-        denom = lcm(*(c.denominator for e in row for c in e.coeffs))
-        scale *= denom
-        const = [0] * n
-        var = []
-        for j, e in enumerate(row):
-            cs = [c.numerator * (denom // c.denominator) for c in e.coeffs[::step]]
-            if len(cs) == 1:
-                const[j] = cs[0]
-            elif cs:
-                var.append((j, cs[::-1]))
-        constants.append(const)
-        variables.append(var)
-
-    def det_at(x: int) -> Fraction:
-        rows = []
-        for const, var in zip(constants, variables):
-            row = const.copy()
-            for j, cs in var:
-                acc = 0
-                for c in cs:
-                    acc = acc * x + c
-                row[j] = acc
-            rows.append(row)
-        return det_rational(rows)
-
-    det = interpolate_at_nodes(det_at, row_bound, even)
-    return det if scale == 1 else det.scale(Fraction(1, scale))
+    top = sum(1 for row in matrix.rows if any(b for _, _, b in row))
+    det = interpolate_at_nodes(lambda t: det_rational(matrix.evaluate(t)), top, matrix.even)
+    return det if matrix.denominator == 1 else det.scale(Fraction(1, matrix.denominator))
 
 
 def det_rational(rows: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -133,17 +117,16 @@ def det_rational(rows: Sequence[Sequence[Fraction]]) -> Fraction:
                 break
         else:
             # Bareiss works in place: every row is a copy
-            m.append(list(row) if _to_int is int else list(map(_to_int, row)))
+            m.append(list(row))
             continue
         row = [as_fraction(e) for e in row]
         denom = lcm(*(e.denominator for e in row))
         scale *= denom
-        m.append([_to_int(e.numerator * (denom // e.denominator)) for e in row])
-    det = _det_int_bareiss(m)
-    return Fraction(int(det), scale)
+        m.append([e.numerator * (denom // e.denominator) for e in row])
+    return Fraction(_det_int_bareiss(m), scale)
 
 
-def _det_int_bareiss(m: list[list]) -> int:
+def _det_int_bareiss(m: list[list[int]]) -> int:
     """Fraction-free integer elimination (Bareiss 1968), skipping zero heads.
 
     pivots[k] is the divisor of step k: 1 at step 0, then the pivot of the
@@ -160,7 +143,7 @@ def _det_int_bareiss(m: list[list]) -> int:
     if n == 1:
         return m[0][0]
     sign = 1
-    pivots = [_to_int(1)]
+    pivots = [1]
     last = [0] * n
     for k in range(n - 1):
         if m[k][k] == 0:

@@ -13,8 +13,7 @@ integer pencil once (denominators cleared, their homogeneity factor
 divided back out); at each integer node the two evaluated coefficient
 lists give the resultant by the subresultant PRS in O(d e) integer
 operations, formal degrees kept by the Sylvester column expansions; the
-node values are interpolated.  ``sylvester_matrix`` serves the compact
-odd-order determinant and the tests.
+node values are interpolated.
 
 The Macaulay kernel, ``macaulay_resultants``, takes a pencil F0 + t F1 and
 a list of nodes t; ``macaulay_resultant`` is its one-node, zero-slope call.
@@ -25,7 +24,8 @@ the pivot order of a symbolic Markowitz elimination of their pattern in
 either part (Markowitz's fill-reducing rule, run once on Macaulay's fixed
 sparsity pattern and memoized per pattern); the minor takes the same
 order, restricted, and the signs of all four orders are corrected for.
-Each node evaluates the int rows and eliminates them.
+Those rows are a ``PolyMatrix``, the integer pencil every determinant of
+the library takes; each node evaluates its int rows and eliminates them.
 A node where a form vanishes identically gives 0 at once; a node whose
 minor vanishes tries the next ordering; a node where every ordering's
 minor vanishes alone falls back to the perturbed quotient.
@@ -77,59 +77,6 @@ class BinaryForm:
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
-
-    def multiply(self, other: "BinaryForm") -> "BinaryForm":
-        out = [Poly.zero()] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return BinaryForm(self.degree + other.degree, out)
-
-    def scale(self, factor) -> "BinaryForm":
-        return BinaryForm(self.degree, [c * as_fraction(factor) for c in self.coeffs])
-
-    def linear_substitute(self, mat: Sequence[Sequence]) -> "BinaryForm":
-        """Substitute x1 -> a11*x1 + a12*x2, x2 -> a21*x1 + a22*x2."""
-        (a11, a12), (a21, a22) = [[as_fraction(v) for v in row] for row in mat]
-        # powers of the two substituted variables, built incrementally
-        u = BinaryForm(1, [a11, a12])
-        v = BinaryForm(1, [a21, a22])
-        result = [Poly.zero()] * (self.degree + 1)
-        u_pows = [BinaryForm(0, [Fraction(1)])]
-        v_pows = [BinaryForm(0, [Fraction(1)])]
-        for _ in range(self.degree):
-            u_pows.append(u_pows[-1].multiply(u))
-            v_pows.append(v_pows[-1].multiply(v))
-        for i, coeff in enumerate(self.coeffs):
-            if coeff.is_zero():
-                continue
-            term = u_pows[self.degree - i].multiply(v_pows[i])
-            for j in range(self.degree + 1):
-                result[j] = result[j] + coeff * term.coeffs[j]
-        return BinaryForm(self.degree, result)
-
-
-def sylvester_matrix(f: BinaryForm, g: BinaryForm) -> PolyMatrix:
-    """The (deg f + deg g)-square Sylvester matrix, f-rows first."""
-    if f.degree < 1 or g.degree < 1:
-        raise ValueError("Sylvester resultant needs two forms of degree >= 1")
-    d, e = f.degree, g.degree
-    n = d + e
-    rows = []
-    for shift in range(e):
-        row = [Poly.zero()] * n
-        for j, c in enumerate(f.coeffs):
-            row[shift + j] = c
-        rows.append(row)
-    for shift in range(d):
-        row = [Poly.zero()] * n
-        for j, c in enumerate(g.coeffs):
-            row[shift + j] = c
-        rows.append(row)
-    return PolyMatrix(rows)
 
 
 def sylvester_resultant(f: BinaryForm, g: BinaryForm, bound: int | None = None) -> Poly:
@@ -283,12 +230,6 @@ class HomogeneousSystem:
         object.__setattr__(self, "degrees", tuple(int(d) for d in degrees))
         object.__setattr__(self, "forms", tuple(frozen))
 
-    def scale_form(self, index: int, factor) -> "HomogeneousSystem":
-        factor = as_fraction(factor)
-        forms = [dict(f) for f in self.forms]
-        forms[index] = {e: v * factor for e, v in forms[index].items()}
-        return HomogeneousSystem(forms, self.degrees)
-
 
 def _monomials(nvars: int, total: int) -> list[tuple[int, ...]]:
     """All exponent tuples of the given total degree, lexicographic order."""
@@ -436,7 +377,7 @@ def _variable_orderings(k: int):
 class _EliminationPlan:
     """The Macaulay matrix of a pencil under one variable ordering, in Markowitz order.
 
-    ``rows`` are the sparse (column, constant, slope) rows, rows and columns
+    ``pencil`` holds the sparse (column, constant, slope) rows, rows and columns
     renumbered into the pivot order of ``_markowitz_order`` on the pattern
     of both parts, so Bareiss's step k pivots where the symbolic
     elimination did; ``minor_rows`` and ``minor_cols`` are the positions
@@ -446,7 +387,7 @@ class _EliminationPlan:
     times the signs of the row and column orders of both matrices.
     """
 
-    __slots__ = ("rows", "minor_rows", "minor_cols", "sign")
+    __slots__ = ("pencil", "minor_rows", "minor_cols", "sign")
 
     def __init__(self, forms: Sequence[Mapping], degrees: tuple[int, ...], perm: tuple[int, ...]):
         moved = [{_relabel(e, perm): v for e, v in form.items()} for form in forms]
@@ -456,7 +397,7 @@ class _EliminationPlan:
         new_col = [0] * len(rows)
         for p, c in enumerate(col_order):
             new_col[c] = p
-        self.rows = [[(new_col[j], a, b) for j, a, b in rows[r]] for r in row_order]
+        self.pencil = PolyMatrix([[(new_col[j], a, b) for j, a, b in rows[r]] for r in row_order])
         self.minor_rows, minor_row_sign = _restrict(row_order, non_reduced)
         self.minor_cols, minor_col_sign = _restrict(col_order, non_reduced)
         self.sign = (
@@ -466,16 +407,6 @@ class _EliminationPlan:
             * minor_row_sign
             * minor_col_sign
         )
-
-    def evaluate(self, t) -> list[list]:
-        size = len(self.rows)
-        out = []
-        for entries in self.rows:
-            row = [0] * size
-            for j, a, b in entries:
-                row[j] = a + t * b
-            out.append(row)
-        return out
 
     def minor(self, rows: list[list]) -> list[list]:
         cols = self.minor_cols
@@ -556,7 +487,7 @@ def _node_resultant(forms, degrees, orderings, plans, t) -> Fraction:
         if index == len(plans):
             plans.append(_EliminationPlan(forms, degrees, perm))
         plan = plans[index]
-        rows = plan.evaluate(t)
+        rows = plan.pencil.evaluate(t)
         det_minor = det_rational(plan.minor(rows))
         if det_minor == 0:
             continue
@@ -578,23 +509,22 @@ def _macaulay_perturbed(system: HomogeneousSystem) -> Fraction:
     """Perturb toward the pure-power system and extract the value at zero.
 
     Each form F_i gains eps * x_i^{d_i}, which lands on the diagonal of the
-    lexicographic Macaulay matrix; the quotient is then a polynomial in eps
-    whose value at zero is the resultant.
+    lexicographic Macaulay matrix: the ``_macaulay_rows`` of the pencil
+    F + eps x^d are the integer pencil M + eps I, and its non-reduced
+    minor is one too.  The quotient of the two ``det_interpolated`` values
+    is a polynomial in eps whose value at zero is the resultant.
     """
-    sparse, non_reduced = _macaulay_rows(
-        [{e: (v, 0) for e, v in form.items()} for form in system.forms], system.degrees
-    )
-    eps = Poly.x()
-    rows = []
-    for r, entries in enumerate(sparse):
-        row = [Poly.zero()] * len(sparse)
-        for j, a, _ in entries:
-            row[j] = Poly.constant(a)
-        row[r] = row[r] + eps
-        rows.append(row)
-    minor_rows = [[rows[r][c] for c in non_reduced] for r in non_reduced]
+    forms = []
+    for i, (form, degree) in enumerate(zip(system.forms, system.degrees)):
+        pencil = {e: (v, 0) for e, v in form.items()}
+        power = tuple(degree * (j == i) for j in range(system.nvars))
+        pencil[power] = (form.get(power, 0), 1)
+        forms.append(pencil)
+    rows, non_reduced = _macaulay_rows(forms, system.degrees)
+    kept = {c: k for k, c in enumerate(non_reduced)}
+    minor = [[(kept[j], a, b) for j, a, b in rows[r] if j in kept] for r in non_reduced]
     det_full = det_interpolated(PolyMatrix(rows))
-    det_minor = det_interpolated(PolyMatrix(minor_rows))
+    det_minor = det_interpolated(PolyMatrix(minor))
     if det_minor.is_zero():
         raise ArithmeticError("degenerate Macaulay minor even after perturbation")
     quotient = det_full.exact_div(det_minor)

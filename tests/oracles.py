@@ -1,10 +1,13 @@
 """Independent oracles for the test suite.
 
 These deliberately avoid the library's computation paths: determinants are
-cofactor expansions or fraction-free elimination over Q[x] itself, the
-multilinear map is a dense brute-force sum, and golden polynomials are
-rebuilt from eigenvalues via Vieta.  They stay dumb so that agreement with
-the fast paths means something.
+cofactor expansions or fraction-free elimination over Q[x] itself, on
+dense Poly matrices (the Sylvester matrix and the compact formulas built
+entry by entry), the multilinear map is a dense brute-force sum, and golden
+polynomials are rebuilt from eigenvalues via Vieta.  They stay dumb so
+that agreement with the fast paths means something.  The binary-form and
+system operations the resultant laws need (product, scaling, linear
+substitution) live here too, since the library itself never needs them.
 """
 
 from __future__ import annotations
@@ -12,11 +15,18 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations, product
 
-from echarpoly.echar import _homogenized_system, h_bound
+from echarpoly.echar import (
+    _cross_form,
+    _even_eigen_forms,
+    _homogenized_system,
+    _odd_product_form,
+    h_bound,
+)
 from echarpoly.poly import Poly, interpolation_nodes, lagrange_interpolate
 from echarpoly.polymat import det_rational
-from echarpoly.resultant import macaulay_resultants
-from echarpoly.tensor import SliceCoeffs
+from echarpoly.rational import as_fraction
+from echarpoly.resultant import BinaryForm, HomogeneousSystem, macaulay_resultants
+from echarpoly.tensor import SliceCoeffs, binary_slices
 
 
 def cofactor_det(rows):
@@ -36,12 +46,13 @@ def cofactor_det(rows):
     return total
 
 
-def det_fraction_free(matrix) -> Poly:
-    """Determinant of a PolyMatrix by Bareiss elimination directly over Q[x]."""
-    n = matrix.size
+def det_fraction_free(rows) -> Poly:
+    """Determinant of a square list of Poly rows by Bareiss elimination directly over Q[x]."""
+    n = len(rows)
     if n == 0:
         return Poly.one()
-    m = [list(row) for row in matrix.rows]
+    assert all(len(r) == n for r in rows)
+    m = [list(row) for row in rows]
     sign = 1
     prev = Poly.one()
     for k in range(n - 1):
@@ -60,6 +71,117 @@ def det_fraction_free(matrix) -> Poly:
             m[i][k] = Poly.zero()
         prev = m[k][k]
     return m[n - 1][n - 1] if sign == 1 else -m[n - 1][n - 1]
+
+
+def poly_rows(rows, size: int, even: bool = False) -> list[list[Poly]]:
+    """The dense Poly rows a + b t of sparse (column, a, b) pencil rows, t
+    being lambda^2 when ``even``.  Of a ``PolyMatrix``'s cleared rows, their
+    determinant is the pencil's times its ``denominator``."""
+    power = 2 if even else 1
+    out = []
+    for entries in rows:
+        row = [Poly.zero()] * size
+        for j, a, b in entries:
+            row[j] = Poly.constant(a) + Poly.monomial(power, b)
+        out.append(row)
+    return out
+
+
+# -- binary forms and Sylvester matrices, densely -------------------------------------
+
+
+def sylvester_matrix(f: BinaryForm, g: BinaryForm) -> list[list[Poly]]:
+    """The (deg f + deg g)-square Sylvester matrix, f-rows first."""
+    if f.degree < 1 or g.degree < 1:
+        raise ValueError("Sylvester resultant needs two forms of degree >= 1")
+    d, e = f.degree, g.degree
+    n = d + e
+    rows = []
+    for form, count in ((f, e), (g, d)):
+        for shift in range(count):
+            row = [Poly.zero()] * n
+            for j, c in enumerate(form.coeffs):
+                row[shift + j] = c
+            rows.append(row)
+    return rows
+
+
+def multiply(f: BinaryForm, g: BinaryForm) -> BinaryForm:
+    """The product form f * g."""
+    out = [Poly.zero()] * (f.degree + g.degree + 1)
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            out[i + j] = out[i + j] + a * b
+    return BinaryForm(f.degree + g.degree, out)
+
+
+def scale(f: BinaryForm, factor) -> BinaryForm:
+    """factor * f; the factor must be exact (a float raises ``TypeError``)."""
+    return BinaryForm(f.degree, [c * as_fraction(factor) for c in f.coeffs])
+
+
+def linear_substitute(f: BinaryForm, mat) -> BinaryForm:
+    """Substitute x1 -> a11*x1 + a12*x2, x2 -> a21*x1 + a22*x2 (exact entries only)."""
+    (a11, a12), (a21, a22) = [[as_fraction(v) for v in row] for row in mat]
+    u = BinaryForm(1, [a11, a12])
+    v = BinaryForm(1, [a21, a22])
+    one = BinaryForm(0, [Fraction(1)])
+    result = [Poly.zero()] * (f.degree + 1)
+    for i, coeff in enumerate(f.coeffs):
+        term = one
+        for _ in range(f.degree - i):
+            term = multiply(term, u)
+        for _ in range(i):
+            term = multiply(term, v)
+        for j in range(f.degree + 1):
+            result[j] = result[j] + coeff * term.coeffs[j]
+    return BinaryForm(f.degree, result)
+
+
+def scale_form(system: HomogeneousSystem, index: int, factor) -> HomogeneousSystem:
+    """The system with form ``index`` multiplied by ``factor``."""
+    factor = as_fraction(factor)
+    forms = [dict(f) for f in system.forms]
+    forms[index] = {e: v * factor for e, v in forms[index].items()}
+    return HomogeneousSystem(forms, system.degrees)
+
+
+# -- the compact determinant formulas, as Poly matrices ------------------------------
+
+
+def det_matrix_even_poly(A) -> list[list[Poly]]:
+    """The compact even-order matrix with Poly entries: the eigen-form rows
+    shifted, the second eigen-form's row ending in the last column, then the
+    cross-form rows shifted."""
+    m = A.order
+    slices = binary_slices(A)
+    f1, f2 = _even_eigen_forms(slices)
+    cross = _cross_form(slices).coeffs
+    size = 2 * m - 2
+    rows = []
+    for coeffs, shifts in ((f1.coeffs, range(m - 1)), (f2.coeffs, [m - 2]), (cross, range(m - 2))):
+        for shift in shifts:
+            row = [Poly.zero()] * size
+            for j, c in enumerate(coeffs):
+                row[shift + j] = c
+            rows.append(row)
+    return rows
+
+
+def det_matrix_odd_poly(A) -> list[list[Poly]]:
+    """The compact odd-order matrix with Poly entries, reduced from the big
+    Sylvester matrix of the product/cross pair: b_1 times the first cross
+    row is added to the first row and c_m times the last cross row taken
+    from row m, then those two cross rows and the first and last columns
+    go."""
+    m = A.order
+    slices = binary_slices(A)
+    rows = sylvester_matrix(_odd_product_form(slices), _cross_form(slices))
+    n = len(rows)
+    b1, cm = slices.b[0], slices.c[m - 1]
+    rows[0] = [rows[0][j] + rows[m][j].scale(b1) for j in range(n)]
+    rows[m - 1] = [rows[m - 1][j] - rows[n - 1][j].scale(cm) for j in range(n)]
+    return [[rows[i][j] for j in range(1, n - 1)] for i in range(n) if i not in (m, n - 1)]
 
 
 def brute_eval_map(A, x):

@@ -20,7 +20,8 @@ from echarpoly.echar import (
     leading_predicted,
 )
 from echarpoly.poly import Poly
-from echarpoly.resultant import UnsupportedSizeError, sylvester_matrix
+from echarpoly.polymat import det_interpolated
+from echarpoly.resultant import UnsupportedSizeError
 from echarpoly.tensor import (
     Hypermatrix,
     OrthogonalMatrix,
@@ -31,13 +32,18 @@ from echarpoly.tensor import (
     rotate,
     rotate_slices,
 )
-from echarpoly.verify import fuzz_tensor
+from echarpoly.verify import fuzz_corpus, fuzz_tensor
 from oracles import (
     cofactor_det,
+    det_fraction_free,
+    det_matrix_even_poly,
+    det_matrix_odd_poly,
     homogenized_resultant,
     poly_from_roots,
     poly_in_square_from_roots,
+    poly_rows,
     pq_sums,
+    sylvester_matrix,
 )
 
 DEFICIT_ENTRIES = {
@@ -88,7 +94,7 @@ def test_golden_even_diagonal_vieta_oracle():
     from echarpoly.echar import _even_eigen_forms
 
     f1, f2 = _even_eigen_forms(binary_slices(A))
-    assert cofactor_det([list(r) for r in sylvester_matrix(f1, f2).rows]) == pinned
+    assert cofactor_det(sylvester_matrix(f1, f2)) == pinned
     assert echar_even_n2(A).psi == pinned
     assert echar_det_even(A).psi == pinned
     assert echar_macaulay(A).psi == pinned
@@ -111,7 +117,9 @@ def test_golden_odd_diagonal_vieta_oracle():
     pinned = Poly([1, 0, -4, 0, 5, 0, -2])
     assert oracle == pinned
     # independent determinant oracle on the reduced 5x5 matrix
-    assert cofactor_det([list(r) for r in det_matrix_odd(A).rows]) == pinned
+    compact = det_matrix_odd(A)
+    assert compact.denominator == 1
+    assert cofactor_det(poly_rows(compact.rows, compact.size, compact.even)) == pinned
     assert echar_odd_n2(A).psi == pinned
     assert echar_det_odd(A).psi == pinned
     assert echar_macaulay(A).psi == pinned
@@ -125,7 +133,7 @@ def test_golden_deficit_family_oracle():
     from echarpoly.resultant import BinaryForm
 
     matrix = sylvester_matrix(BinaryForm.from_scalars(s.b), BinaryForm.from_scalars(s.c))
-    res = cofactor_det([list(r) for r in matrix.rows])
+    res = cofactor_det(matrix)
     assert res == Poly.constant(25)
     # single normalized direction (1, 1): lambda^2 = 25/2; deficit classes
     # at (1, +-i) do not contribute roots
@@ -150,27 +158,41 @@ def test_m2_regression_characteristic_polynomial():
         assert echar(A).psi == expected
 
 
+def _pair(M, i, j, scale=1):
+    """The (constant, slope) pair of the pencil M at (i, j), divided by the row's scale."""
+    for col, a, b in M.rows[i]:
+        if col == j:
+            return Fraction(a, scale), Fraction(b, scale)
+    return 0, 0
+
+
 def test_even_det_matrix_structure():
     """Binomial placement of the parameter in the compact even matrix."""
-    lam = Poly.x()
     for m, second_binomial in ((4, 1), (6, 2)):
         A = fuzz_tensor(random.Random(m), m)
         s = binary_slices(A)
         M = det_matrix_even(A)
         assert M.size == 2 * m - 2
-        assert M.entry(0, 0) == Poly.constant(s.b[0]) - lam
-        assert M.entry(0, 2) == Poly.constant(s.b[2]) - lam.scale(second_binomial)
-        assert M.entry(0, 1) == Poly.constant(s.b[1])
+        assert not M.even
+        # each row is cleared of denominators by a positive scale, read off
+        # a slope of -1 times it
+        first = -_pair(M, 0, 0)[1]
+        assert first > 0
+        assert _pair(M, 0, 0, first) == (s.b[0], -1)
+        assert _pair(M, 0, 2, first) == (s.b[2], -second_binomial)
+        assert _pair(M, 0, 1, first) == (s.b[1], 0)
         # row m holds (c1, c2-bar, ...) starting in column m-2
-        assert M.entry(m - 1, m - 2) == Poly.constant(s.c[0])
-        assert M.entry(m - 1, m - 1) == Poly.constant(s.c[1]) - lam
+        second = -_pair(M, m - 1, m - 1)[1]
+        assert second > 0
+        assert _pair(M, m - 1, m - 2, second) == (s.c[0], 0)
+        assert _pair(M, m - 1, m - 1, second) == (s.c[1], -1)
         # the cross-form rows are parameter-free
         for i in range(m, 2 * m - 2):
             for j in range(2 * m - 2):
-                assert M.entry(i, j).degree <= 0
+                assert _pair(M, i, j)[1] == 0
         # shifted first rows
         for i in range(1, m - 1):
-            assert M.entry(i, i) == M.entry(0, 0)
+            assert _pair(M, i, i) == _pair(M, 0, 0)
 
 
 def test_odd_det_matrix_structure():
@@ -179,11 +201,39 @@ def test_odd_det_matrix_structure():
         M = det_matrix_odd(A)
         assert M.size == 3 * m - 4
         # parameter appears squared, never linearly, and only in the first m rows
+        assert M.even
         for i in range(M.size):
             for j in range(M.size):
-                assert M.entry(i, j).coefficient(1) == 0
                 if i >= m:
-                    assert M.entry(i, j).degree <= 0
+                    assert _pair(M, i, j)[1] == 0
+
+
+def _compact_identity_draws(m):
+    """Fuzz draws, sparse integer draws, a zero-pivot draw and the diagonal tensor."""
+    draws = list(fuzz_corpus(2, 20260810 + m, m))
+    rng = random.Random(m)
+    for _ in range(2):
+        entries = {idx: rng.randint(-3, 3) for idx in all_indices(m, 2) if rng.random() < 0.4}
+        draws.append(Hypermatrix(m, 2, entries))
+    # a_{1..1} = a_{2..2} = 0: the first and last slice sums vanish, so the
+    # compact matrices start on zero pivots
+    draws.append(
+        Hypermatrix(m, 2, {idx: 1 + sum(idx) for idx in all_indices(m, 2) if 0 < sum(idx) < m})
+    )
+    draws.append(Hypermatrix.diagonal(m, 2))
+    return draws
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_compact_pencils_match_the_poly_construction(m):
+    """det of the compact pencils equals fraction-free elimination of the
+    compact matrices built entry by entry from the Sylvester construction."""
+    for A in _compact_identity_draws(m):
+        if m % 2 == 0:
+            pencil, rows = det_matrix_even(A), det_matrix_even_poly(A)
+        else:
+            pencil, rows = det_matrix_odd(A), det_matrix_odd_poly(A)
+        assert det_interpolated(pencil) == det_fraction_free(rows)
 
 
 def test_odd_product_form_binomials():
@@ -255,8 +305,6 @@ def test_even_det_open_question_irregular_probe():
     The formula is only proven for regular tensors; this documents observed
     behavior on the canonical irregular example.
     """
-    from echarpoly.polymat import det_interpolated
-
     A = Hypermatrix.from_one_based(4, 2, {(1, 1, 1, 2): 1, (1, 2, 2, 2): 1})
     det_value = det_interpolated(det_matrix_even(A))
     true_psi = echar_even_n2(A).psi

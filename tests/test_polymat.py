@@ -7,45 +7,51 @@ from hypothesis import strategies as st
 
 from echarpoly.poly import Poly
 from echarpoly.polymat import PolyMatrix, det_interpolated, det_rational
-from oracles import cofactor_det, det_fraction_free
+from oracles import cofactor_det, det_fraction_free, poly_rows
 
 
-def rand_poly(rng, max_deg):
-    return Poly([Fraction(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(rng.randint(0, max_deg + 1))])
-
-
-def rand_matrix(rng, size, max_deg):
-    return PolyMatrix([[rand_poly(rng, max_deg) for _ in range(size)] for _ in range(size)])
+def rand_rows(rng, size):
+    """Rational pencil rows, about a third of the entries absent."""
+    rows = []
+    for _ in range(size):
+        rows.append(
+            [
+                (j, Fraction(rng.randint(-5, 5), rng.randint(1, 5)), Fraction(rng.randint(-5, 5), rng.randint(1, 5)))
+                for j in range(size)
+                if rng.random() < 0.7
+            ]
+        )
+    return rows
 
 
 def test_diagonal_lambda_matrix():
-    lam = Poly.x()
-    m = PolyMatrix([[lam, Poly.zero()], [Poly.zero(), lam]])
+    m = PolyMatrix([[(0, 0, 1)], [(1, 0, 1)]])
     assert det_interpolated(m) == Poly([0, 0, 1])
 
 
 def test_off_diagonal_example():
-    lam = Poly.x()
-    m = PolyMatrix([[lam, Poly.one()], [Poly.one(), lam]])
+    m = PolyMatrix([[(0, 0, 1), (1, 1, 0)], [(0, 1, 0), (1, 0, 1)]])
     assert det_interpolated(m) == Poly([-1, 0, 1])
 
 
-def test_matches_scalar_determinant_on_constant_matrices():
+def test_matches_scalar_determinant_on_constant_matrices(node_sizes):
     rng = random.Random(5)
     for _ in range(30):
         size = rng.randint(1, 5)
         rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(size)] for _ in range(size)]
-        as_polys = PolyMatrix([[Poly.constant(e) for e in row] for row in rows])
-        assert det_interpolated(as_polys) == Poly.constant(det_rational(rows))
+        pencil = PolyMatrix([[(j, a, 0) for j, a in enumerate(row)] for row in rows])
+        node_sizes.clear()
+        assert det_interpolated(pencil) == Poly.constant(det_rational(rows))
+        # a constant pencil takes one node
+        assert node_sizes == [size]
 
 
 def test_matches_cofactor_oracle_small_sizes():
     rng = random.Random(23)
     for _ in range(25):
         size = rng.randint(1, 6)
-        m = rand_matrix(rng, size, 2)
-        oracle = cofactor_det([list(row) for row in m.rows])
-        assert det_interpolated(m) == oracle
+        rows = rand_rows(rng, size)
+        assert det_interpolated(PolyMatrix(rows)) == cofactor_det(poly_rows(rows, size))
 
 
 def test_interpolation_and_fraction_free_agree():
@@ -53,8 +59,9 @@ def test_interpolation_and_fraction_free_agree():
     rng = random.Random(41)
     for _ in range(50):
         size = rng.randint(1, 8)
-        m = rand_matrix(rng, size, 2)
-        assert det_interpolated(m) == det_fraction_free(m)
+        rows = rand_rows(rng, size)
+        even = rng.random() < 0.5
+        assert det_interpolated(PolyMatrix(rows, even)) == det_fraction_free(poly_rows(rows, size, even))
 
 
 def test_det_rational_known_values():
@@ -69,32 +76,58 @@ def test_det_rational_singular():
 
 
 def test_rejects_non_square():
+    # a column beyond the last row
     with pytest.raises(ValueError):
-        PolyMatrix([[Poly.one(), Poly.one()]])
+        PolyMatrix([[(0, 1, 0), (1, 1, 0)]])
     with pytest.raises(ValueError):
         det_rational([[Fraction(1)], [Fraction(2)]])
 
 
-# p/q entries of degree <= 2, about half of them zero, and now and then a zero row
-_poly_entries = st.one_of(
-    st.just(Poly.zero()),
-    st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=9), max_size=3).map(Poly),
-)
+def test_rows_are_cleared_of_denominators():
+    m = PolyMatrix([[(0, Fraction(1, 2), Fraction(1, 3))], [(1, 2, 0)]])
+    assert m.rows == [[(0, 3, 2)], [(1, 2, 0)]]
+    assert m.denominator == 6
+    assert det_interpolated(m) == Poly([1, Fraction(2, 3)])
+
+
+_values = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 
 
 @st.composite
-def poly_matrices(draw):
+def pencils(draw, even):
+    """Sparse rational pencils up to size 6: (column, constant, slope)
+    triples, each entry absent, constant, or with a slope; now and then a
+    zero row or a zero column."""
     size = draw(st.integers(0, 6))
-    rows = [draw(st.lists(_poly_entries, min_size=size, max_size=size)) for _ in range(size)]
+    kinds = st.sampled_from(["absent", "absent", "constant", "pencil"])
+    rows = []
+    for _ in range(size):
+        row = []
+        for j in range(size):
+            kind = draw(kinds)
+            if kind != "absent":
+                row.append((j, draw(_values), draw(_values) if kind == "pencil" else 0))
+        rows.append(row)
     if size and draw(st.integers(0, 4)) == 0:
-        rows[draw(st.integers(0, size - 1))] = [Poly.zero()] * size
-    return PolyMatrix(rows)
+        rows[draw(st.integers(0, size - 1))] = []
+    if size and draw(st.integers(0, 4)) == 0:
+        column = draw(st.integers(0, size - 1))
+        rows = [[e for e in row if e[0] != column] for row in rows]
+    return PolyMatrix(rows, even), poly_rows(rows, size, even)
 
 
 @settings(max_examples=80, deadline=None)
-@given(poly_matrices())
-def test_interpolated_det_matches_fraction_free_property(matrix):
-    assert det_interpolated(matrix) == det_fraction_free(matrix)
+@given(pencils(even=False))
+def test_interpolated_det_matches_fraction_free_property(case):
+    pencil, rows = case
+    assert det_interpolated(pencil) == det_fraction_free(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pencils(even=True))
+def test_even_in_lambda_matrices_match_fraction_free(case):
+    pencil, rows = case
+    assert det_interpolated(pencil) == det_fraction_free(rows)
 
 
 _int_entries = st.one_of(st.just(0), st.integers(-10**6, 10**6))
@@ -116,30 +149,9 @@ def test_det_rational_integer_rows_match_fraction_rows(rows):
         assert value == cofactor_det(as_fractions)
 
 
-# entries with only even powers of lambda, degree <= 4: polynomials in lambda^2
-_even_entries = st.one_of(
-    st.just(Poly.zero()),
-    st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=9), max_size=3).map(
-        lambda cs: Poly([c for a in cs for c in (a, 0)])
-    ),
-)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(1, 5).flatmap(
-        lambda n: st.lists(st.lists(_even_entries, min_size=n, max_size=n), min_size=n, max_size=n)
-    )
-)
-def test_even_in_lambda_matrices_match_fraction_free(rows):
-    matrix = PolyMatrix(rows)
-    assert det_interpolated(matrix) == det_fraction_free(matrix)
-
-
 def test_even_in_lambda_matrix_takes_the_mu_bound_plus_one_nodes(node_sizes):
-    # rows of mu-degree 2, 1 and 0: 4 nodes in mu instead of 7 in lambda
-    lam2 = Poly.monomial(2)
-    one = Poly.one()
-    matrix = PolyMatrix([[lam2 * lam2, lam2, one], [one, lam2, one], [one, one, Poly.constant(3)]])
-    assert det_interpolated(matrix) == det_fraction_free(matrix)
+    # every row carries mu = lambda^2: 4 nodes in mu instead of 7 in lambda
+    rows = [[(0, 1, 1), (1, 0, 1), (2, 1, 0)], [(0, 1, 0), (1, 2, 1), (2, 1, 0)], [(0, 1, 0), (1, 1, 0), (2, 3, -1)]]
+    matrix = PolyMatrix(rows, even=True)
+    assert det_interpolated(matrix) == det_fraction_free(poly_rows(rows, 3, even=True))
     assert len(node_sizes) == 4
