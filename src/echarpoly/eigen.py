@@ -13,10 +13,11 @@ from fractions import Fraction
 from typing import Optional
 
 import cmath
+from math import lcm
 
 import numpy as np
 
-from .poly import Poly, poly_gcd, squarefree_decomposition
+from .poly import Poly, integral_coeffs, poly_gcd, squarefree_split
 from .rational import ComplexRational, I_UNIT
 from .resultant import HomogeneousSystem, macaulay_resultant
 from .tensor import (
@@ -96,11 +97,15 @@ def eigen_directions_n2(A: Hypermatrix) -> DirectionsResult:
     """
     if A.dim != 2:
         raise DimensionError("direction enumeration requires dimension 2")
-    slices = binary_slices(A)
-    coeffs = list(direction_form_coeffs(slices))
+    return _directions(binary_slices(A))
+
+
+def _directions(slices: SliceCoeffs) -> DirectionsResult:
+    """The directions of :func:`eigen_directions_n2`, from the slice data."""
+    coeffs = direction_form_coeffs(slices)
     if all(c == 0 for c in coeffs):
         return DirectionsResult(infinite=True, directions=[])
-    m = A.order
+    m = slices.order
     directions: list[Direction] = []
 
     # q(t) = form(1, t); trailing zeros of the coefficient list are roots at
@@ -125,18 +130,16 @@ def eigen_directions_n2(A: Hypermatrix) -> DirectionsResult:
                 exact=(ComplexRational(Fraction(1)), ComplexRational(Fraction(0))),
             )
         )
-    q = Poly(coeffs[low : top + 1])
+    q = integral_coeffs(coeffs[low : top + 1])
 
     # isotropic directions: exact repeated division by t^2 + 1
-    circle = Poly([1, 0, 1])
     iso_mult = 0
-    while True:
-        quot, rem = q.divmod(circle)
-        if rem.is_zero() and not quot.is_zero():
-            q = quot
-            iso_mult += 1
-        else:
+    while len(q) > 2:
+        quotient = _divide_by_circle(q)
+        if quotient is None:
             break
+        q = quotient
+        iso_mult += 1
     if iso_mult:
         for sign in (1, -1):
             directions.append(
@@ -151,10 +154,10 @@ def eigen_directions_n2(A: Hypermatrix) -> DirectionsResult:
                 )
             )
 
-    if q.degree >= 1:
-        for factor, mult in squarefree_decomposition(q):
-            if factor.degree == 1:
-                root_exact = -factor.coefficient(0) / factor.coefficient(1)
+    if len(q) > 1:
+        for factor, mult in squarefree_split(q):
+            if len(factor) == 2:
+                root_exact = Fraction(-factor[0], factor[1])
                 directions.append(
                     Direction(
                         vector=(1 + 0j, complex(float(root_exact), 0.0)),
@@ -167,7 +170,9 @@ def eigen_directions_n2(A: Hypermatrix) -> DirectionsResult:
                     )
                 )
                 continue
-            for root in np.roots([float(c) for c in reversed(factor.coeffs)]):
+            lead = factor[-1]
+            monic = [float(Fraction(c, lead)) for c in reversed(factor)]
+            for root in np.roots(monic):
                 directions.append(
                     Direction(
                         vector=(1 + 0j, complex(root)),
@@ -182,24 +187,78 @@ def eigen_directions_n2(A: Hypermatrix) -> DirectionsResult:
     return DirectionsResult(infinite=False, directions=directions)
 
 
+def _divide_by_circle(q: list[int]):
+    """q / (t^2 + 1) when t^2 + 1 divides q, else None; ascending ints."""
+    work = q[::-1]
+    for k in range(len(work) - 2):
+        work[k + 2] -= work[k]
+    if work[-1] or work[-2]:
+        return None
+    return work[-3::-1]
+
+
 # -- eigenpairs -----------------------------------------------------------------
 
 
-def _slice_eval_complex(slices: SliceCoeffs, which: int, x1: complex, x2: complex) -> complex:
-    seq = slices.b if which == 0 else slices.c
-    m = slices.order
-    return sum(float(seq[j]) * x1 ** (m - 1 - j) * x2**j for j in range(m))
+class _SliceMap:
+    """The map components sum_j s_j x1^{m-1-j} x2^j, s = b (first) or c (second).
+
+    The slice sums are kept once per tensor as integer numerators over one
+    denominator, for exact values, and as floats, for numeric ones.
+    """
+
+    __slots__ = ("order", "denom", "nums", "floats")
+
+    def __init__(self, slices: SliceCoeffs):
+        seqs = (slices.b, slices.c)
+        self.order = slices.order
+        self.denom = lcm(*(v.denominator for seq in seqs for v in seq))
+        self.nums = tuple(
+            [v.numerator * (self.denom // v.denominator) for v in seq] for seq in seqs
+        )
+        self.floats = tuple([float(v) for v in seq] for seq in seqs)
+
+    def value_complex(self, which: int, x1: complex, x2: complex) -> complex:
+        seq = self.floats[which]
+        m = self.order
+        return sum(seq[j] * x1 ** (m - 1 - j) * x2**j for j in range(m))
+
+    def eigenvalue_exact(self, x1: ComplexRational, x2: ComplexRational) -> ComplexRational:
+        """lambda (even order) or lambda^2 (odd order) at the exact direction (x1, x2).
+
+        With s = x1^2 + x2^2 and k the first nonzero coordinate, lambda is
+        f_k(x) / (x_k s^{(m-2)/2}) and lambda^2 is f_k(x)^2 / (x_k^2 s^{m-2}).
+        Both are homogeneous of degree 0, so they are evaluated at an integer
+        representative of the direction: over Z by integer Horner with one
+        Fraction at the end, over Z[i] when the direction is Gaussian.
+        """
+        m = self.order
+        u1, u2 = _integer_representative(x1, x2)
+        which = 0 if u1 != 0 else 1
+        uk = u1 if which == 0 else u2
+        seq = self.nums[which]
+        value = seq[0]
+        power = 1
+        for j in range(1, m):
+            power = power * u2
+            value = value * u1 + seq[j] * power
+        s = u1 * u1 + u2 * u2
+        if m % 2 == 0:
+            num, den = value, self.denom * uk * s ** ((m - 2) // 2)
+        else:
+            num, den = value * value, (self.denom * uk) ** 2 * s ** (m - 2)
+        if isinstance(num, int) and isinstance(den, int):
+            return ComplexRational(Fraction(num, den))
+        return ComplexRational.coerce(num) / den
 
 
-def _slice_eval_exact(slices: SliceCoeffs, which: int, x1: ComplexRational, x2: ComplexRational):
-    seq = slices.b if which == 0 else slices.c
-    m = slices.order
-    total = ComplexRational(Fraction(0))
-    for j in range(m):
-        if seq[j] == 0:
-            continue
-        total = total + seq[j] * x1 ** (m - 1 - j) * x2**j
-    return total
+def _integer_representative(x1: ComplexRational, x2: ComplexRational):
+    """(x1, x2) times the lcm of the denominators: ints when real, else Gaussian integers."""
+    parts = (x1.re, x1.im, x2.re, x2.im)
+    scale = lcm(*(v.denominator for v in parts))
+    if x1.im == 0 and x2.im == 0:
+        return tuple(v.numerator * (scale // v.denominator) for v in (x1.re, x2.re))
+    return (x1 * scale, x2 * scale)
 
 
 def _canonical_sign(lam: complex) -> bool:
@@ -208,12 +267,14 @@ def _canonical_sign(lam: complex) -> bool:
 
 def eigenpairs_n2(A: Hypermatrix) -> EigenReport:
     """One entry per eigenvector direction, classified normalized/deficit."""
-    result = eigen_directions_n2(A)
+    if A.dim != 2:
+        raise DimensionError("direction enumeration requires dimension 2")
+    slices = binary_slices(A)
+    result = _directions(slices)
     if result.infinite:
         return EigenReport(infinite=True, pairs=[])
-    slices = binary_slices(A)
-    m = A.order
     f1 = isotropic_value(slices)[0]
+    smap = _SliceMap(slices)
     pairs: list[Eigenpair] = []
     for direction in result.directions:
         if direction.isotropic:
@@ -231,34 +292,29 @@ def eigenpairs_n2(A: Hypermatrix) -> EigenReport:
                 )
             )
             continue
-        pairs.append(_normalized_pair(slices, m, direction))
+        pairs.append(_normalized_pair(smap, direction))
     return EigenReport(infinite=False, pairs=pairs)
 
 
-def _normalized_pair(slices: SliceCoeffs, m: int, direction: Direction) -> Eigenpair:
+def _normalized_pair(smap: _SliceMap, direction: Direction) -> Eigenpair:
+    m = smap.order
     exact_lam = None
     if direction.exact is not None:
         x1, x2 = direction.exact
-        s = x1 * x1 + x2 * x2
-        which = 0 if not x1.is_zero() else 1
-        xk = x1 if which == 0 else x2
-        value = _slice_eval_exact(slices, which, x1, x2)
+        vec = _unit_vector((complex(x1), complex(x2)))
         if m % 2 == 0:
-            exact_lam = value / (xk * s ** ((m - 2) // 2))
+            exact_lam = smap.eigenvalue_exact(x1, x2)
             lam = complex(exact_lam)
-            vec = _unit_vector((complex(x1), complex(x2)))
         else:
-            lam_sq = (value * value) / (xk * xk * s ** (m - 2))
-            lam = cmath.sqrt(complex(lam_sq))
-            vec = _unit_vector((complex(x1), complex(x2)))
-            lam, vec = _align_odd(slices, m, lam, vec)
+            lam = cmath.sqrt(complex(smap.eigenvalue_exact(x1, x2)))
+            lam, vec = _align_odd(smap, lam, vec)
     else:
         x = direction.vector
         vec = _unit_vector(x)
         which = 0 if abs(vec[0]) >= abs(vec[1]) else 1
-        lam = _slice_eval_complex(slices, which, vec[0], vec[1]) / vec[which]
+        lam = smap.value_complex(which, vec[0], vec[1]) / vec[which]
         if m % 2 == 1:
-            lam, vec = _align_odd(slices, m, lam, vec)
+            lam, vec = _align_odd(smap, lam, vec)
     return Eigenpair(
         eigenvalue=lam,
         vector=vec,
@@ -276,10 +332,10 @@ def _unit_vector(x: tuple[complex, complex]) -> tuple[complex, complex]:
     return (x[0] / root, x[1] / root)
 
 
-def _align_odd(slices, m, lam, vec):
+def _align_odd(smap: _SliceMap, lam, vec):
     """Pick the class representative with canonical eigenvalue sign."""
     which = 0 if abs(vec[0]) >= abs(vec[1]) else 1
-    measured = _slice_eval_complex(slices, which, vec[0], vec[1]) / vec[which]
+    measured = smap.value_complex(which, vec[0], vec[1]) / vec[which]
     # make (lam, vec) consistent, then canonicalize the sign
     if abs(measured - lam) > abs(measured + lam):
         lam = -lam

@@ -1,20 +1,26 @@
 """Dense univariate polynomials over Q and Q(i).
 
 Coefficients are ``Fraction`` or ``ComplexRational`` values; the field
-operations, ``divmod``, ``monic`` and ``poly_gcd`` work the same over both.
+operations, ``divmod`` and ``monic`` work the same over both.  The gcd and
+Yun's square-free split do not use them: they clear the coefficients to Z
+or Z[i] once and run a primitive pseudo-remainder sequence there, with
+ring operations and content removal only, returning monic factors over
+the field.
+
 Everything here is exact except :func:`complex_roots` and the float
-evaluation :meth:`Poly.eval_complex` that polishes its roots; the only other
-place floating point enters the package is ``np.roots`` in ``eigen`` (the
-eigenvector directions and the dimension-3 irregularity witness).  Root
-multiplicities come from the exact square-free (Yun) decomposition alone,
-so a double root is a double root by construction, not by luck of
-clustering.
+evaluation :meth:`Poly.eval_complex`; the only other place floating point
+enters the package is ``np.roots`` in ``eigen`` (the eigenvector
+directions and the dimension-3 irregularity witness).  Root multiplicities
+come from the exact square-free (Yun) decomposition alone, so a double
+root is a double root by construction, not by luck of clustering.  The
+float coefficients that polish the roots are converted once per factor,
+each from its exact value.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -178,10 +184,7 @@ class Poly:
         return acc
 
     def eval_complex(self, z: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + _numeric(c)
-        return acc
+        return _horner([_numeric(c) for c in reversed(self.coeffs)], z)
 
     # -- calculus / division -----------------------------------------------------
 
@@ -271,47 +274,204 @@ def as_poly(value) -> Poly:
 
 
 # -- gcd and square-free structure ------------------------------------------------
+#
+# Both run fraction-free.  A polynomial over Q is cleared to an integer
+# coefficient list, one over Q(i) to a list of Gaussian integers
+# (``ComplexRational`` values with integer parts), ascending as in ``Poly``.
+# The same code serves both rings: it multiplies, subtracts, pseudo-divides
+# and divides out the content, the gcd of the coefficients in Z or Z[i], and
+# never divides in the field.  Over Z[i] the content must be the Gaussian
+# gcd: with only the rational integer gcd removed, Gaussian factors of the
+# leading coefficients pile up from step to step and the coefficients grow
+# exponentially.
+
+
+def integral_coeffs(coeffs: Sequence) -> list:
+    """The coefficients times the lcm of their denominators, as a primitive list.
+
+    Over Q the entries are ints; when a coefficient is a ``ComplexRational``
+    they are all Gaussian integers.  Either way the list is divided by its
+    content.
+    """
+    if any(isinstance(c, ComplexRational) for c in coeffs):
+        cs = [ComplexRational.coerce(c) for c in coeffs]
+        d = lcm(*(v.denominator for c in cs for v in (c.re, c.im)))
+        return _primitive([ComplexRational(c.re * d, c.im * d) for c in cs])
+    d = lcm(*(c.denominator for c in coeffs))
+    return _primitive([c.numerator * (d // c.denominator) for c in coeffs])
+
+
+def _content(cs: list):
+    """A gcd of the entries of a nonzero list in their ring, Z or Z[i]."""
+    if isinstance(cs[0], int):
+        return gcd(*cs)
+    a = (0, 0)
+    for c in cs:
+        b = (c.re.numerator, c.im.numerator)
+        while b != (0, 0):
+            a, b = b, _gaussian_remainder(a, b)
+        if a[0] * a[0] + a[1] * a[1] == 1:
+            break
+    return ComplexRational(*a)
+
+
+def _gaussian_remainder(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """a - q b in Z[i], q the Gaussian integer nearest a / b: its norm is below b's."""
+    (p, q), (c, d) = a, b
+    n = c * c + d * d
+    qr = (2 * (p * c + q * d) + n) // (2 * n)
+    qi = (2 * (q * c - p * d) + n) // (2 * n)
+    return p - (qr * c - qi * d), q - (qr * d + qi * c)
+
+
+def _divide(cs: list, g) -> list:
+    """Each entry divided by g, a common divisor in their ring."""
+    if g == 1 or not cs:
+        return cs
+    if isinstance(cs[0], int):
+        return [c // g for c in cs]
+    return [c / g for c in cs]
+
+
+def _primitive(cs: list) -> list:
+    return _divide(cs, _content(cs))
+
+
+def _trim(cs: list) -> list:
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _derivative(cs: list) -> list:
+    return [i * c for i, c in enumerate(cs)][1:]
+
+
+def _pseudo_divmod(a: list, b: list, power: int):
+    """(q, r) with lc(b)^power * a = q * b + r and deg r < deg b <= deg a.
+
+    Knuth's pseudo-division (TAOCP 4.6.1, Algorithm R) takes the power
+    deg a - deg b + 1; a larger ``power`` scales q and r by the rest.
+    """
+    lead, db = b[-1], len(b) - 1
+    r = list(a)
+    n = len(a) - db  # quotient length
+    q = [0] * n
+    for k in range(n - 1, -1, -1):
+        top = r[db + k]
+        q[k] = top * lead**k
+        for j in range(db + k - 1, k - 1, -1):
+            r[j] = lead * r[j] - top * b[j - k]
+        for j in range(k - 1, -1, -1):
+            r[j] = lead * r[j]
+    extra = power - n
+    if extra:
+        scale = lead**extra
+        q = [scale * c for c in q]
+        r = [scale * c for c in r]
+    return _trim(q), _trim(r[:db])
+
+
+def _exact_quotient(a: list, b: list, power: int) -> list:
+    """lc(b)^power * a / b, for b dividing a."""
+    q, r = _pseudo_divmod(a, b, power)
+    if r:
+        raise ArithmeticError("exact polynomial division left a remainder")
+    return q
+
+
+def _gcd(a: list, b: list) -> list:
+    """A primitive gcd of two nonzero lists, by the primitive pseudo-remainder sequence.
+
+    One list may be over Z and the other over Z[i]: the first
+    pseudo-remainder is then over Z[i].
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    a, b = _primitive(a), _primitive(b)
+    while len(b) > 1:
+        r = _pseudo_divmod(a, b, len(a) - len(b) + 1)[1]
+        if not r:
+            return b
+        a, b = b, _primitive(r)
+    return b
+
+
+def _joint_primitive(w: list, z: list):
+    """w and z divided by one common divisor, the content of both together."""
+    g = _content(w + z)
+    return _divide(w, g), _divide(z, g)
+
+
+def squarefree_split(cs: list) -> list[tuple[list, int]]:
+    """Yun's square-free split of a nonconstant polynomial over Z or Z[i].
+
+    ``cs`` is an ascending list of ints or of Gaussian integers whose last
+    entry is nonzero.  Returns [(factor_i, i)]: primitive, pairwise coprime,
+    square-free factors, cs a constant times prod factor_i^i.  Yun's
+    recurrence w_{i+1} = w_i / g_i, y_{i+1} = z_i / g_i, z = y - w' needs w
+    and y scaled alike, so both quotients take the same power of lc(g_i),
+    and after each step w and z shed their common content.
+    """
+    p = _primitive(cs)
+    dp = _derivative(p)
+    c = _gcd(p, dp)
+    if len(c) == 1:
+        return [(p, 1)]
+    power = len(p) - len(c) + 1
+    w, y = _exact_quotient(p, c, power), _exact_quotient(dp, c, power)
+    out: list[tuple[list, int]] = []
+    i = 1
+    while True:
+        w, z = _joint_primitive(w, _trim(_subtract(y, _derivative(w))))
+        if not z:
+            break
+        g = _gcd(w, z)
+        if len(g) > 1:
+            out.append((g, i))
+            power = max(len(w), len(z)) - len(g) + 1
+            w, y = _exact_quotient(w, g, power), _exact_quotient(z, g, power)
+        else:
+            y = z
+        i += 1
+    if len(w) > 1:
+        out.append((w, i))
+    return out
+
+
+def _subtract(a: list, b: list) -> list:
+    if len(a) < len(b):
+        a = a + [0] * (len(b) - len(a))
+    return [x - y for x, y in zip(a, b)] + a[len(b) :]
+
+
+def _monic(cs: list) -> Poly:
+    """The monic Poly over Q or Q(i) of an integral coefficient list."""
+    lead = cs[-1]
+    if isinstance(lead, int):
+        return Poly([Fraction(c, lead) for c in cs])
+    return Poly([c / lead for c in cs])
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over Q or Q(i) (Euclid)."""
-    while not b.is_zero():
-        a, b = b, a % b
-    if a.is_zero():
-        return a
-    return a.monic()
+    """Monic gcd over Q or Q(i); the gcd of two zeros is zero."""
+    if a.is_zero() or b.is_zero():
+        return (b if a.is_zero() else a).monic()
+    return _monic(_gcd(integral_coeffs(a.coeffs), integral_coeffs(b.coeffs)))
 
 
 def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     """Yun's algorithm: [(factor_i, multiplicity_i)] with p = lc * prod f_i^i.
 
     Factors are monic, pairwise coprime and square-free; characteristic zero
-    makes the classic recurrence exact.
+    makes the classic recurrence exact.  The work is :func:`squarefree_split`
+    on the cleared coefficients.
     """
     if p.is_zero():
         raise ValueError("square-free decomposition of the zero polynomial")
     if p.degree == 0:
         return []
-    dp = p.derivative()
-    c = poly_gcd(p, dp)
-    if c.degree == 0:
-        return [(p.monic(), 1)]
-    out: list[tuple[Poly, int]] = []
-    w = p.exact_div(c)
-    y = dp.exact_div(c)
-    z = y - w.derivative()
-    i = 1
-    while not z.is_zero():
-        g = poly_gcd(w, z)
-        if g.degree >= 1:
-            out.append((g.monic(), i))
-        w = w.exact_div(g)
-        y = z.exact_div(g)
-        z = y - w.derivative()
-        i += 1
-    if w.degree >= 1:
-        out.append((w.monic(), i))
-    return out
+    return [(_monic(f), i) for f, i in squarefree_split(integral_coeffs(p.coeffs))]
 
 
 def poly_sqrt(p: Poly):
@@ -454,10 +614,9 @@ def complex_roots(p: Poly) -> list[tuple[complex, int]]:
     found: list[tuple[complex, int]] = []
     for factor, mult in squarefree_decomposition(p):
         coeffs = [_numeric(c) for c in reversed(factor.coeffs)]
+        slopes = [_numeric(c) for c in reversed(factor.derivative().coeffs)]
         for root in np.roots(coeffs):
-            z = complex(root)
-            z = _newton_polish(factor, z)
-            found.append((z, mult))
+            found.append((_newton_polish(coeffs, slopes, complex(root)), mult))
     found.sort(key=lambda item: (item[0].real, item[0].imag))
     total = sum(m for _, m in found)
     expected = p.degree
@@ -468,15 +627,22 @@ def complex_roots(p: Poly) -> list[tuple[complex, int]]:
     return found
 
 
-def _newton_polish(factor: Poly, z: complex, steps: int = 2) -> complex:
-    dp = factor.derivative()
+def _horner(coeffs: list, z: complex) -> complex:
+    """The polynomial with float or complex coefficients, highest power first, at z."""
+    acc = 0j
+    for c in coeffs:
+        acc = acc * z + c
+    return acc
+
+
+def _newton_polish(coeffs: list, slopes: list, z: complex, steps: int = 2) -> complex:
+    """Newton steps on a factor, given its and its derivative's numeric coefficients."""
     for _ in range(steps):
-        d = dp.eval_complex(z)
+        d = _horner(slopes, z)
         if d == 0:
             break
-        step = factor.eval_complex(z) / d
+        step = _horner(coeffs, z) / d
         if not np.isfinite(step.real) or not np.isfinite(step.imag):
             break
         z = z - step
     return z
-

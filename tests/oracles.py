@@ -8,6 +8,9 @@ polynomials are rebuilt from eigenvalues via Vieta.  They stay dumb so
 that agreement with the fast paths means something.  The binary-form and
 system operations the resultant laws need (product, scaling, linear
 substitution) live here too, since the library itself never needs them.
+So do the field-arithmetic references of the fraction-free kernels: Euclid's
+gcd and Yun's square-free split over Q or Q(i) by ``Poly.divmod``, and the
+exact eigenvalue at a direction in Q(i) arithmetic.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from echarpoly.echar import (
 )
 from echarpoly.poly import Poly, interpolation_nodes, lagrange_interpolate
 from echarpoly.polymat import det_rational
-from echarpoly.rational import as_fraction
+from echarpoly.rational import ComplexRational, as_fraction
 from echarpoly.resultant import BinaryForm, HomogeneousSystem, macaulay_resultants
 from echarpoly.tensor import SliceCoeffs, binary_slices
 
@@ -307,3 +310,66 @@ def pq_sums(slices: SliceCoeffs) -> tuple[Fraction, Fraction]:
             p += sp * slices.c[k - 1]
             q += sq * slices.b[k - 1]
     return p, q
+
+
+def euclid_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd over Q or Q(i) by Euclid's algorithm in the field."""
+    while not b.is_zero():
+        a, b = b, a % b
+    if a.is_zero():
+        return a
+    return a.monic()
+
+
+def yun_squarefree(p: Poly) -> list[tuple[Poly, int]]:
+    """Yun's square-free split in field arithmetic: [(monic factor, multiplicity)]."""
+    if p.degree == 0:
+        return []
+    dp = p.derivative()
+    c = euclid_gcd(p, dp)
+    if c.degree == 0:
+        return [(p.monic(), 1)]
+    out: list[tuple[Poly, int]] = []
+    w = p.exact_div(c)
+    y = dp.exact_div(c)
+    z = y - w.derivative()
+    i = 1
+    while not z.is_zero():
+        g = euclid_gcd(w, z)
+        if g.degree >= 1:
+            out.append((g.monic(), i))
+        w = w.exact_div(g)
+        y = z.exact_div(g)
+        z = y - w.derivative()
+        i += 1
+    if w.degree >= 1:
+        out.append((w.monic(), i))
+    return out
+
+
+def slice_eval_exact(slices: SliceCoeffs, which: int, x1: ComplexRational, x2: ComplexRational):
+    """Component ``which`` of the map, sum_j s_j x1^{m-1-j} x2^j, in Q(i) arithmetic."""
+    seq = slices.b if which == 0 else slices.c
+    m = slices.order
+    total = ComplexRational(Fraction(0))
+    for j in range(m):
+        if seq[j] == 0:
+            continue
+        total = total + seq[j] * x1 ** (m - 1 - j) * x2**j
+    return total
+
+
+def exact_eigenvalue(slices: SliceCoeffs, x1: ComplexRational, x2: ComplexRational):
+    """lambda (even order) or lambda^2 (odd order) at the exact direction (x1, x2).
+
+    lambda = f_k(x) / (x_k s^{(m-2)/2}) and lambda^2 = f_k(x)^2 / (x_k^2 s^{m-2}),
+    s = x1^2 + x2^2 and k the first nonzero coordinate.
+    """
+    m = slices.order
+    s = x1 * x1 + x2 * x2
+    which = 0 if not x1.is_zero() else 1
+    xk = x1 if which == 0 else x2
+    value = slice_eval_exact(slices, which, x1, x2)
+    if m % 2 == 0:
+        return value / (xk * s ** ((m - 2) // 2))
+    return (value * value) / (xk * xk * s ** (m - 2))

@@ -1,3 +1,4 @@
+import cmath
 import importlib
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ from echarpoly.echar import echar
 from echarpoly.eigen import (
     DEFICIT,
     NORMALIZED,
+    _SliceMap,
     deficit_indicator,
     eigen_directions_n2,
     eigenpairs_n2,
@@ -18,9 +20,16 @@ from echarpoly.eigen import (
 from echarpoly.poly import complex_roots
 from echarpoly.rational import ComplexRational, I_UNIT
 from echarpoly.resultant import BinaryForm, sylvester_resultant
-from echarpoly.tensor import DimensionError, Hypermatrix, OrthogonalMatrix, binary_slices, rotate
+from echarpoly.tensor import (
+    DimensionError,
+    Hypermatrix,
+    OrthogonalMatrix,
+    binary_slices,
+    direction_form_coeffs,
+    rotate,
+)
 from echarpoly.verify import fuzz_tensor
-from oracles import brute_eval_map, convolution
+from oracles import brute_eval_map, convolution, exact_eigenvalue
 
 DEFICIT_ENTRIES = {
     (1, 1, 1): 2,
@@ -378,3 +387,83 @@ def test_deficit_multiplicity_open_question_probe():
     if not res.infinite:
         iso = [(d.multiplicity) for d in res.directions if d.isotropic]
         print(f"\nisotropic direction multiplicities: {iso}")
+
+
+def _tensor_with_cross_form(rng, m, factors):
+    """A tensor whose cross form is prod (a x1 + b x2) over ``factors`` times a
+    random integer form of the remaining degree; rational slice sums b."""
+    q = [1]
+    for a, b in factors:
+        q = convolution(q, [a, b])
+    q = convolution(q, [rng.randint(-5, 5) or 1 for _ in range(m - len(factors) + 1)])
+    b = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(m - 1)] + [q[m]]
+    c = [-q[0]] + [b[j - 1] - q[j] for j in range(1, m)]
+    entries = {}
+    for j in range(m):
+        tail = (1,) * j + (0,) * (m - 1 - j)
+        entries[(0,) + tail], entries[(1,) + tail] = b[j], c[j]
+    A = Hypermatrix(m, 2, entries)
+    assert list(direction_form_coeffs(binary_slices(A))) == q
+    return A
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_exact_eigenvalues_of_rational_directions_match_the_gaussian_oracle(m):
+    # x1 and x2 give the directions (0, 1) and (1, 0), -x1 + 2 x2 gives
+    # (1, 1/2); a repeated factor gives a multiple direction.  In the fixed
+    # cases every multiplicity class is one linear factor, so each of its
+    # directions is found exactly; the random ones draw m - 1 factors and a
+    # random linear form, and classes may merge into nonlinear factors.
+    rng = random.Random(m)
+    fixed = [
+        [(1, 0), (0, 1)] + [(2, -3)] * (m - 2),
+        [(0, 1)] * (m - 1) + [(1, 1)],
+        [(1, 0)] * 2 + [(-1, 2)] * (m - 2),
+        [(3, 5)] + [(-1, 2)] * (m - 1),
+    ]
+    drawn = [[rng.choice([(1, 0), (0, 1), (1, 1), (-1, 2), (3, 5)]) for _ in range(m - 1)] for _ in range(6)]
+    for factors in fixed + drawn:
+        A = _tensor_with_cross_form(rng, m, factors)
+        slices = binary_slices(A)
+        found = {}
+        for pair in eigenpairs_n2(A).pairs:
+            if pair.kind != NORMALIZED or pair.exact_direction is None:
+                continue
+            x1, x2 = pair.exact_direction
+            found[(x1, x2)] = pair.multiplicity
+            want = exact_eigenvalue(slices, x1, x2)
+            u = (complex(x1), complex(x2))
+            root = cmath.sqrt(u[0] * u[0] + u[1] * u[1])
+            vec = (u[0] / root, u[1] / root)
+            if m % 2 == 0:
+                assert pair.exact_eigenvalue == want
+                assert pair.eigenvalue == complex(want) and pair.vector == vec
+            else:
+                assert pair.exact_eigenvalue is None
+                lam = cmath.sqrt(complex(want))
+                assert pair.eigenvalue in (lam, -lam)
+                assert pair.vector in (vec, (-vec[0], -vec[1]))
+            image = brute_eval_map(A, list(pair.vector))
+            assert all(abs(image[i] - pair.eigenvalue * pair.vector[i]) < 1e-9 for i in range(2))
+        if factors in fixed:
+            want = {}
+            for a, b in factors:
+                x = (0, 1) if b == 0 else (1, Fraction(-a, b))
+                key = tuple(ComplexRational(Fraction(v)) for v in x)
+                want[key] = want.get(key, 0) + 1
+            assert found == want
+
+
+def test_exact_eigenvalue_at_gaussian_directions():
+    rng = random.Random(2)
+    points = [
+        (ComplexRational(Fraction(1)), ComplexRational(Fraction(2), Fraction(-1))),
+        (ComplexRational(Fraction(3, 2), Fraction(1)), ComplexRational(Fraction(0), Fraction(-1, 3))),
+        (ComplexRational(Fraction(0)), ComplexRational(Fraction(1), Fraction(1))),
+        (ComplexRational(Fraction(-2, 5)), ComplexRational(Fraction(7, 3))),
+    ]
+    for m in (2, 3, 4, 5, 6):
+        slices = binary_slices(fuzz_tensor(rng, m))
+        smap = _SliceMap(slices)
+        for x1, x2 in points:
+            assert smap.eigenvalue_exact(x1, x2) == exact_eigenvalue(slices, x1, x2)

@@ -17,6 +17,7 @@ from echarpoly.poly import (
     squarefree_decomposition,
 )
 from echarpoly.rational import I_UNIT, ComplexRational
+from oracles import euclid_gcd, yun_squarefree
 
 
 def rand_poly(rng, max_deg=6):
@@ -149,6 +150,57 @@ def test_gaussian_gcd_keeps_a_common_factor(f_coeffs, g_coeffs, h_coeffs):
     common = poly_gcd(f * h, g * h)
     assert common.leading() == 1
     assert (common % h).is_zero()
+
+
+_small = st.integers(-3, 3)
+_nonzero = st.integers(-9, 9).filter(bool)
+
+
+def _scalars(gaussian: bool):
+    real = st.builds(Fraction, _nonzero, st.integers(1, 6))
+    if not gaussian:
+        return real
+    return st.builds(ComplexRational, real, st.builds(Fraction, _small, st.integers(1, 6)))
+
+
+@st.composite
+def _products(draw, gaussian: bool) -> Poly:
+    """c * t^k * prod f_i^{e_i}: a content c (negative or Gaussian allowed),
+    0-3 factors of degree 1-2 with small entries (so factors recur), e_i in 1-4;
+    with no factor and k = 0 the product is a constant."""
+    coefficient = st.one_of(_scalars(gaussian), _small) if gaussian else _small
+    p = Poly([draw(_scalars(gaussian))]) * Poly.monomial(draw(st.integers(0, 3)))
+    for _ in range(draw(st.integers(0, 3))):
+        f = Poly(draw(st.lists(coefficient, min_size=1, max_size=2)) + [draw(_scalars(gaussian))])
+        p = p * f ** draw(st.integers(1, 4))
+    return p
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["Q", "Qi"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_squarefree_and_gcd_match_the_field_euclid_oracle(gaussian, data):
+    p = data.draw(_products(gaussian))
+    split = squarefree_decomposition(p)
+    assert split == yun_squarefree(p)
+    rebuilt = Poly([p.leading()])
+    for factor, mult in split:
+        assert factor.leading() == 1
+        rebuilt = rebuilt * factor**mult
+    assert rebuilt == p
+    common = data.draw(_products(gaussian))
+    a, b = common * data.draw(_products(gaussian)), common * data.draw(_products(gaussian))
+    other = data.draw(st.sampled_from(["same", "zero", "real"]))
+    if other == "zero":
+        a = Poly()
+    elif other == "real":  # over Q(i), a gcd with a polynomial over Q
+        a = data.draw(_products(False)) * Poly([-1, 1])
+    assert poly_gcd(a, b) == euclid_gcd(a, b)
+    assert poly_gcd(b, a) == euclid_gcd(b, a)
+    if not gaussian:
+        # over Q the results stay Fractions
+        assert all(type(c) is Fraction for f, _ in split for c in f.coeffs)
+        assert all(type(c) is Fraction for c in poly_gcd(a, b).coeffs)
 
 
 def test_complex_roots_simple_pair():
