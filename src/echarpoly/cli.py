@@ -151,6 +151,9 @@ def cmd_verify(args) -> int:
         if args.seed is None:
             print("--seed is required with --fuzz", file=sys.stderr)
             return EXIT_PARSE
+        if args.fuzz < 1:
+            print(f"--fuzz needs at least one tensor, got {args.fuzz}", file=sys.stderr)
+            return EXIT_PARSE
         if args.n != 2:
             raise UnsupportedSizeError("fuzz verification runs on dimension 2")
         outcome = run_fuzz(args.fuzz, args.seed, args.m, args.n, deep=args.deep)

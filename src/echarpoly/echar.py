@@ -134,14 +134,14 @@ def _result(A: Hypermatrix, psi: Poly, route: str) -> EcharResult:
 
 def _even_eigen_forms(slices: SliceCoeffs) -> tuple[BinaryForm, BinaryForm]:
     """The two degree-(m-1) forms (Ax^{m-1})_i - lambda (x1^2+x2^2)^{(m-2)/2} x_i."""
-    m = slices.order
+    m, denom = slices.order, slices.denom
     k = (m - 2) // 2
     lam = Poly.x()
     f1 = []
     f2 = []
     for j in range(m):
-        c1 = Poly.constant(slices.b[j])
-        c2 = Poly.constant(slices.c[j])
+        c1 = Poly.constant(Fraction(slices.b[j], denom))
+        c2 = Poly.constant(Fraction(slices.c[j], denom))
         if j % 2 == 0:
             c1 = c1 - lam.scale(comb(k, j // 2))
         else:
@@ -152,16 +152,27 @@ def _even_eigen_forms(slices: SliceCoeffs) -> tuple[BinaryForm, BinaryForm]:
 
 
 def _cross_form(slices: SliceCoeffs) -> BinaryForm:
-    return BinaryForm.from_scalars(direction_form_coeffs(slices))
+    denom = slices.denom
+    return BinaryForm.from_scalars([Fraction(v, denom) for v in direction_form_coeffs(slices)])
 
 
 def _odd_product_form(slices: SliceCoeffs) -> BinaryForm:
-    """(Ax^{m-1})_1 (Ax^{m-1})_2 - lambda^2 (x1^2+x2^2)^{m-2} x1 x2, degree 2m-2."""
+    """(Ax^{m-1})_1 (Ax^{m-1})_2 - lambda^2 (x1^2+x2^2)^{m-2} x1 x2, degree 2m-2.
+
+    The product of the two components is the convolution of b and c, taken
+    on the numerators and divided by denom^2 once per coefficient.
+    """
     m = slices.order
+    square = slices.denom**2
+    conv = [0] * (2 * m - 1)
+    for i, bi in enumerate(slices.b):
+        if bi:
+            for j, cj in enumerate(slices.c):
+                conv[i + j] += bi * cj
     lam2 = Poly.monomial(2)
     coeffs = []
-    for t in range(2 * m - 1):
-        c = Poly.constant(slices.e[t])
+    for t, value in enumerate(conv):
+        c = Poly.constant(Fraction(value, square))
         if t % 2 == 1:
             c = c - lam2.scale(comb(m - 2, (t - 1) // 2))
         coeffs.append(c)
@@ -206,11 +217,12 @@ def echar_odd_n2(A: Hypermatrix) -> EcharResult:
         slices = rotate_slices(slices, _nonsingular_frame(cross))
         pivot = slices.b[m - 1] * slices.c[0]
     big = sylvester_resultant(_odd_product_form(slices), _cross_form(slices))
-    psi = big.scale(Fraction(1) / pivot)
+    # b_m*c_1 is pivot / denom^2 in value
+    psi = big.scale(Fraction(slices.denom**2, pivot))
     return _result(A, psi, ROUTE_SYLVESTER)
 
 
-def _nonsingular_frame(cross: tuple[Fraction, ...]) -> OrthogonalMatrix:
+def _nonsingular_frame(cross: tuple[int, ...]) -> OrthogonalMatrix:
     """The first rotation k = 2, 3, ... whose two axes are not roots of the cross form.
 
     The cross form of rotate(A, C) at x is that of A at C^T x, so the new
@@ -221,7 +233,7 @@ def _nonsingular_frame(cross: tuple[Fraction, ...]) -> OrthogonalMatrix:
     """
     m = len(cross) - 1
 
-    def value(x1: int, x2: int) -> Fraction:
+    def value(x1: int, x2: int) -> int:
         return sum(w * x1 ** (m - j) * x2**j for j, w in enumerate(cross))
 
     for k in range(2, 2 * m + 2):
@@ -290,8 +302,9 @@ def det_matrix_odd(A: Hypermatrix) -> PolyMatrix:
     cross = _pairs(_cross_form(slices), 2)
     rows = [_shifted(product_form, shift) for shift in range(m)]
     rows += [_shifted(cross, shift) for shift in range(2 * m - 2)]
-    rows[0] = _combined(rows[0], rows[m], slices.b[0])
-    rows[m - 1] = _combined(rows[m - 1], rows[size - 1], -slices.c[m - 1])
+    b1, cm = (Fraction(v, slices.denom) for v in (slices.b[0], slices.c[m - 1]))
+    rows[0] = _combined(rows[0], rows[m], b1)
+    rows[m - 1] = _combined(rows[m - 1], rows[size - 1], -cm)
     del rows[size - 1], rows[m]
     return PolyMatrix(
         [[(j - 1, a, b) for j, a, b in row if 0 < j < size - 1] for row in rows], even=True
@@ -409,13 +422,17 @@ def echar_macaulay(A: Hypermatrix) -> EcharResult:
 
 
 def a0_predicted(A: Hypermatrix) -> Fraction:
-    """Resultant of the bare map Ax^{m-1} (its square for odd order)."""
+    """Resultant of the bare map Ax^{m-1} (its square for odd order).
+
+    At dimension 2 the resultant of the two numerator forms, of degree
+    m - 1 each, is denom^(2(m-1)) times that of the map.
+    """
     n, m = A.dim, A.order
     if n == 2:
         slices = binary_slices(A)
         f1 = BinaryForm.from_scalars(slices.b)
         f2 = BinaryForm.from_scalars(slices.c)
-        value = sylvester_resultant(f1, f2).coefficient(0)
+        value = sylvester_resultant(f1, f2).coefficient(0) / slices.denom ** (2 * (m - 1))
     elif 3 <= n <= 4:
         value = macaulay_resultant(HomogeneousSystem(map_forms(A), [m - 1] * n))
     else:

@@ -1,9 +1,13 @@
 """Eigenpair equivalence classes for dimension 2, and regularity decisions.
 
 Eigenvector directions of a 2-D tensor are the projective roots of the
-degree-m cross form x2*(Ax^{m-1})_1 - x1*(Ax^{m-1})_2.  Directions on the
-isotropic cone (proportional to (1, i) or (1, -i)) cannot be normalized and
-form "deficit" classes; everything else is scaled to x^T x = 1.
+degree-m cross form x2*(Ax^{m-1})_1 - x1*(Ax^{m-1})_2, read off the integer
+numerators of the slice sums (``tensor.SliceCoeffs``).  Each root becomes
+its eigenpair class as it is found.  Roots on the isotropic cone
+(proportional to (1, i) or (1, -i)) cannot be normalized and form "deficit"
+classes; everything else is scaled to x^T x = 1.  The exact eigenvalue of a
+rational direction is integer Horner on the numerators; the float values
+divide the numerators by the denominator, which rounds correctly.
 """
 
 from __future__ import annotations
@@ -13,11 +17,10 @@ from fractions import Fraction
 from typing import Optional
 
 import cmath
-from math import lcm
 
 import numpy as np
 
-from .poly import Poly, integral_coeffs, poly_gcd, squarefree_split
+from .poly import Poly, poly_gcd, squarefree_split
 from .rational import ComplexRational, I_UNIT
 from .resultant import HomogeneousSystem, macaulay_resultant
 from .tensor import (
@@ -36,22 +39,6 @@ DEFICIT = "deficit"
 
 #: Largest |imaginary part| a Z-eigenpair's eigenvalue and vector may show.
 Z_TOLERANCE = 1e-10
-
-
-@dataclass
-class Direction:
-    """A projective eigenvector direction with its multiplicity."""
-
-    vector: tuple[complex, complex]
-    multiplicity: int
-    isotropic: bool  # x1^2 + x2^2 == 0, decided exactly
-    exact: Optional[tuple[ComplexRational, ComplexRational]] = None
-
-
-@dataclass
-class DirectionsResult:
-    infinite: bool
-    directions: list[Direction]
 
 
 @dataclass
@@ -86,53 +73,41 @@ class RegularityReport:
     deltas: Optional[tuple[Fraction, ...]] = None
 
 
-# -- directions -----------------------------------------------------------------
+# -- eigenpairs -----------------------------------------------------------------
 
 
-def eigen_directions_n2(A: Hypermatrix) -> DirectionsResult:
-    """Projective roots of the cross form, or the infinitely-many signal.
+def eigenpairs_n2(A: Hypermatrix) -> EigenReport:
+    """One class per projective root of the cross form, classified normalized/deficit.
 
-    The form is identically zero exactly when Ax^{m-1} is a scalar multiple
-    of x everywhere, which makes every direction an eigenvector.
+    The cross form is identically zero exactly when Ax^{m-1} is a scalar
+    multiple of x everywhere, which makes every direction an eigenvector.
+    Otherwise the classes come, in this order, from the roots at (0, 1)
+    and (1, 0), the isotropic pair (1, i) and (1, -i) that the factors
+    t^2 + 1 of q(t) = form(1, t) give, and the square-free factors of the
+    rest: exact for a linear factor, numeric for the others.
     """
     if A.dim != 2:
         raise DimensionError("direction enumeration requires dimension 2")
-    return _directions(binary_slices(A))
-
-
-def _directions(slices: SliceCoeffs) -> DirectionsResult:
-    """The directions of :func:`eigen_directions_n2`, from the slice data."""
+    slices = binary_slices(A)
     coeffs = direction_form_coeffs(slices)
-    if all(c == 0 for c in coeffs):
-        return DirectionsResult(infinite=True, directions=[])
+    if not any(coeffs):
+        return EigenReport(infinite=True, pairs=[])
     m = slices.order
-    directions: list[Direction] = []
+    # the map's slice sums as floats, for the numeric values
+    floats = tuple([v / slices.denom for v in seq] for seq in (slices.b, slices.c))
+    pairs: list[Eigenpair] = []
 
-    # q(t) = form(1, t); trailing zeros of the coefficient list are roots at
-    # (0, 1) of the homogeneous form, leading zeros are roots at (1, 0).
+    # trailing zeros of the coefficient list are roots at (0, 1) of the
+    # homogeneous form, leading zeros are roots at (1, 0)
     top = max(j for j, c in enumerate(coeffs) if c != 0)
     low = min(j for j, c in enumerate(coeffs) if c != 0)
     if top < m:
-        directions.append(
-            Direction(
-                vector=(0j, 1 + 0j),
-                multiplicity=m - top,
-                isotropic=False,
-                exact=(ComplexRational(Fraction(0)), ComplexRational(Fraction(1))),
-            )
-        )
+        pairs.append(_exact_pair(slices, floats, 0, 1, m - top))
     if low > 0:
-        directions.append(
-            Direction(
-                vector=(1 + 0j, 0j),
-                multiplicity=low,
-                isotropic=False,
-                exact=(ComplexRational(Fraction(1)), ComplexRational(Fraction(0))),
-            )
-        )
-    q = integral_coeffs(coeffs[low : top + 1])
+        pairs.append(_exact_pair(slices, floats, 1, 0, low))
 
     # isotropic directions: exact repeated division by t^2 + 1
+    q = list(coeffs[low : top + 1])
     iso_mult = 0
     while len(q) > 2:
         quotient = _divide_by_circle(q)
@@ -141,50 +116,36 @@ def _directions(slices: SliceCoeffs) -> DirectionsResult:
         q = quotient
         iso_mult += 1
     if iso_mult:
-        for sign in (1, -1):
-            directions.append(
-                Direction(
-                    vector=(1 + 0j, complex(0, sign)),
+        # first component 1: lambda is the first map component at x
+        f1 = isotropic_value(slices)[0]
+        one = ComplexRational(Fraction(1))
+        for lam, x2 in ((f1, I_UNIT), (f1.conjugate(), -I_UNIT)):
+            pairs.append(
+                Eigenpair(
+                    eigenvalue=complex(lam),
+                    vector=(complex(one), complex(x2)),
+                    kind=DEFICIT,
                     multiplicity=iso_mult,
-                    isotropic=True,
-                    exact=(
-                        ComplexRational(Fraction(1)),
-                        ComplexRational(Fraction(0), Fraction(sign)),
-                    ),
+                    exact_direction=(one, x2),
+                    exact_eigenvalue=lam,
                 )
             )
 
     if len(q) > 1:
         for factor, mult in squarefree_split(q):
             if len(factor) == 2:
-                root_exact = Fraction(-factor[0], factor[1])
-                directions.append(
-                    Direction(
-                        vector=(1 + 0j, complex(float(root_exact), 0.0)),
-                        multiplicity=mult,
-                        isotropic=False,
-                        exact=(
-                            ComplexRational(Fraction(1)),
-                            ComplexRational(root_exact),
-                        ),
-                    )
-                )
+                # root t = -factor[0] / factor[1], the direction (factor[1], -factor[0])
+                pairs.append(_exact_pair(slices, floats, factor[1], -factor[0], mult))
                 continue
             lead = factor[-1]
             monic = [float(Fraction(c, lead)) for c in reversed(factor)]
             for root in np.roots(monic):
-                directions.append(
-                    Direction(
-                        vector=(1 + 0j, complex(root)),
-                        multiplicity=mult,
-                        isotropic=False,
-                    )
-                )
+                pairs.append(_numeric_pair(floats, (1 + 0j, complex(root)), mult))
 
-    total = sum(d.multiplicity for d in directions)
+    total = sum(p.multiplicity for p in pairs)
     if total != m:
         raise ArithmeticError(f"direction multiplicities sum to {total}, expected {m}")
-    return DirectionsResult(infinite=False, directions=directions)
+    return EigenReport(infinite=False, pairs=pairs)
 
 
 def _divide_by_circle(q: list[int]):
@@ -197,133 +158,71 @@ def _divide_by_circle(q: list[int]):
     return work[-3::-1]
 
 
-# -- eigenpairs -----------------------------------------------------------------
+def _value(seq: list[float], x1: complex, x2: complex) -> complex:
+    """The map component sum_j seq[j] x1^{m-1-j} x2^j, in floats."""
+    m = len(seq)
+    return sum(seq[j] * x1 ** (m - 1 - j) * x2**j for j in range(m))
 
 
-class _SliceMap:
-    """The map components sum_j s_j x1^{m-1-j} x2^j, s = b (first) or c (second).
+def _exact_eigenvalue(slices: SliceCoeffs, u1: int, u2: int) -> Fraction:
+    """lambda (even order) or lambda^2 (odd order) at the integer direction (u1, u2).
 
-    The slice sums are kept once per tensor as integer numerators over one
-    denominator, for exact values, and as floats, for numeric ones.
+    With s = u1^2 + u2^2 and k the first nonzero coordinate, lambda is
+    f_k(u) / (u_k s^{(m-2)/2}) and lambda^2 is f_k(u)^2 / (u_k^2 s^{m-2}),
+    f_k(u) = (sum_j n_j u1^{m-1-j} u2^j) / denom by integer Horner on the
+    numerators n = b (k = 1) or c (k = 2).  Both are homogeneous of degree
+    0 in u, so any integer representative of the direction gives them.
     """
-
-    __slots__ = ("order", "denom", "nums", "floats")
-
-    def __init__(self, slices: SliceCoeffs):
-        seqs = (slices.b, slices.c)
-        self.order = slices.order
-        self.denom = lcm(*(v.denominator for seq in seqs for v in seq))
-        self.nums = tuple(
-            [v.numerator * (self.denom // v.denominator) for v in seq] for seq in seqs
-        )
-        self.floats = tuple([float(v) for v in seq] for seq in seqs)
-
-    def value_complex(self, which: int, x1: complex, x2: complex) -> complex:
-        seq = self.floats[which]
-        m = self.order
-        return sum(seq[j] * x1 ** (m - 1 - j) * x2**j for j in range(m))
-
-    def eigenvalue_exact(self, x1: ComplexRational, x2: ComplexRational) -> ComplexRational:
-        """lambda (even order) or lambda^2 (odd order) at the exact direction (x1, x2).
-
-        With s = x1^2 + x2^2 and k the first nonzero coordinate, lambda is
-        f_k(x) / (x_k s^{(m-2)/2}) and lambda^2 is f_k(x)^2 / (x_k^2 s^{m-2}).
-        Both are homogeneous of degree 0, so they are evaluated at an integer
-        representative of the direction: over Z by integer Horner with one
-        Fraction at the end, over Z[i] when the direction is Gaussian.
-        """
-        m = self.order
-        u1, u2 = _integer_representative(x1, x2)
-        which = 0 if u1 != 0 else 1
-        uk = u1 if which == 0 else u2
-        seq = self.nums[which]
-        value = seq[0]
-        power = 1
-        for j in range(1, m):
-            power = power * u2
-            value = value * u1 + seq[j] * power
-        s = u1 * u1 + u2 * u2
-        if m % 2 == 0:
-            num, den = value, self.denom * uk * s ** ((m - 2) // 2)
-        else:
-            num, den = value * value, (self.denom * uk) ** 2 * s ** (m - 2)
-        if isinstance(num, int) and isinstance(den, int):
-            return ComplexRational(Fraction(num, den))
-        return ComplexRational.coerce(num) / den
+    m = slices.order
+    seq, uk = (slices.b, u1) if u1 != 0 else (slices.c, u2)
+    value = seq[0]
+    power = 1
+    for j in range(1, m):
+        power = power * u2
+        value = value * u1 + seq[j] * power
+    s = u1 * u1 + u2 * u2
+    if m % 2 == 0:
+        return Fraction(value, slices.denom * uk * s ** ((m - 2) // 2))
+    return Fraction(value * value, (slices.denom * uk) ** 2 * s ** (m - 2))
 
 
-def _integer_representative(x1: ComplexRational, x2: ComplexRational):
-    """(x1, x2) times the lcm of the denominators: ints when real, else Gaussian integers."""
-    parts = (x1.re, x1.im, x2.re, x2.im)
-    scale = lcm(*(v.denominator for v in parts))
-    if x1.im == 0 and x2.im == 0:
-        return tuple(v.numerator * (scale // v.denominator) for v in (x1.re, x2.re))
-    return (x1 * scale, x2 * scale)
-
-
-def _canonical_sign(lam: complex) -> bool:
-    return lam.real > 0 or (lam.real == 0 and lam.imag >= 0)
-
-
-def eigenpairs_n2(A: Hypermatrix) -> EigenReport:
-    """One entry per eigenvector direction, classified normalized/deficit."""
-    if A.dim != 2:
-        raise DimensionError("direction enumeration requires dimension 2")
-    slices = binary_slices(A)
-    result = _directions(slices)
-    if result.infinite:
-        return EigenReport(infinite=True, pairs=[])
-    f1 = isotropic_value(slices)[0]
-    smap = _SliceMap(slices)
-    pairs: list[Eigenpair] = []
-    for direction in result.directions:
-        if direction.isotropic:
-            x = direction.exact
-            # first component is 1: lambda is the first map component at x
-            lam = f1 if x[1] == I_UNIT else f1.conjugate()
-            pairs.append(
-                Eigenpair(
-                    eigenvalue=complex(lam),
-                    vector=(complex(x[0]), complex(x[1])),
-                    kind=DEFICIT,
-                    multiplicity=direction.multiplicity,
-                    exact_direction=x,
-                    exact_eigenvalue=lam,
-                )
-            )
-            continue
-        pairs.append(_normalized_pair(smap, direction))
-    return EigenReport(infinite=False, pairs=pairs)
-
-
-def _normalized_pair(smap: _SliceMap, direction: Direction) -> Eigenpair:
-    m = smap.order
-    exact_lam = None
-    if direction.exact is not None:
-        x1, x2 = direction.exact
-        vec = _unit_vector((complex(x1), complex(x2)))
-        if m % 2 == 0:
-            exact_lam = smap.eigenvalue_exact(x1, x2)
-            lam = complex(exact_lam)
-        else:
-            lam = cmath.sqrt(complex(smap.eigenvalue_exact(x1, x2)))
-            lam, vec = _align_odd(smap, lam, vec)
+def _exact_pair(slices: SliceCoeffs, floats, u1: int, u2: int, multiplicity: int) -> Eigenpair:
+    """The normalized class of the rational direction (u1, u2), given as integers."""
+    one, zero = ComplexRational(Fraction(1)), ComplexRational(Fraction(0))
+    x = (one, ComplexRational(Fraction(u2, u1))) if u1 != 0 else (zero, one)
+    vec = _unit_vector((complex(x[0]), complex(x[1])))
+    value = ComplexRational(_exact_eigenvalue(slices, u1, u2))
+    odd = slices.order % 2 == 1
+    if odd:  # value is lambda^2
+        lam, vec = _align_odd(floats, cmath.sqrt(complex(value)), vec)
     else:
-        x = direction.vector
-        vec = _unit_vector(x)
-        which = 0 if abs(vec[0]) >= abs(vec[1]) else 1
-        lam = smap.value_complex(which, vec[0], vec[1]) / vec[which]
-        if m % 2 == 1:
-            lam, vec = _align_odd(smap, lam, vec)
+        lam = complex(value)
     return Eigenpair(
         eigenvalue=lam,
         vector=vec,
         kind=NORMALIZED,
-        multiplicity=direction.multiplicity,
-        sign_pair=m % 2 == 1,
-        exact_direction=direction.exact,
-        exact_eigenvalue=exact_lam,
+        multiplicity=multiplicity,
+        sign_pair=odd,
+        exact_direction=x,
+        exact_eigenvalue=None if odd else value,
     )
+
+
+def _numeric_pair(floats, x: tuple[complex, complex], multiplicity: int) -> Eigenpair:
+    """The normalized class of a direction known only in floats."""
+    vec = _unit_vector(x)
+    which = 0 if abs(vec[0]) >= abs(vec[1]) else 1
+    lam = _value(floats[which], vec[0], vec[1]) / vec[which]
+    odd = len(floats[0]) % 2 == 1
+    if odd:
+        lam, vec = _align_odd(floats, lam, vec)
+    return Eigenpair(
+        eigenvalue=lam, vector=vec, kind=NORMALIZED, multiplicity=multiplicity, sign_pair=odd
+    )
+
+
+def _canonical_sign(lam: complex) -> bool:
+    return lam.real > 0 or (lam.real == 0 and lam.imag >= 0)
 
 
 def _unit_vector(x: tuple[complex, complex]) -> tuple[complex, complex]:
@@ -332,10 +231,10 @@ def _unit_vector(x: tuple[complex, complex]) -> tuple[complex, complex]:
     return (x[0] / root, x[1] / root)
 
 
-def _align_odd(smap: _SliceMap, lam, vec):
+def _align_odd(floats, lam, vec):
     """Pick the class representative with canonical eigenvalue sign."""
     which = 0 if abs(vec[0]) >= abs(vec[1]) else 1
-    measured = smap.value_complex(which, vec[0], vec[1]) / vec[which]
+    measured = _value(floats[which], vec[0], vec[1]) / vec[which]
     # make (lam, vec) consistent, then canonicalize the sign
     if abs(measured - lam) > abs(measured + lam):
         lam = -lam

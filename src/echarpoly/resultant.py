@@ -368,12 +368,6 @@ def _perm_sign(perm: Sequence[int]) -> int:
     return sign
 
 
-def _variable_orderings(k: int):
-    if k == 2:
-        return [tuple(range(2)), (1, 0)]
-    return list(permutations(range(k)))
-
-
 class _EliminationPlan:
     """The Macaulay matrix of a pencil under one variable ordering, in Markowitz order.
 
@@ -468,7 +462,7 @@ def macaulay_resultants(
     if dim > MAX_MACAULAY_DIM:
         raise UnsupportedSizeError(f"Macaulay matrix would be {dim}x{dim}")
     forms, factor = _clear_denominators(base, slope)
-    orderings = _variable_orderings(k)
+    orderings = list(permutations(range(k)))
     plans: list[_EliminationPlan] = []
     values = []
     for t in nodes:

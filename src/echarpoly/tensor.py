@@ -4,6 +4,10 @@ A hypermatrix is stored sparsely: index tuples (0-based internally) mapping
 to nonzero rationals.  Public constructors accept the 1-based convention
 used in the file format; the parser is the only boundary where the shift
 happens.
+
+At dimension 2 the map is carried by its slice sums alone, held in one
+integer record, ``SliceCoeffs``: numerators over one denominator, in lowest
+terms.  Its readers take the integers as they are.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from .rational import ComplexRational, as_fraction
@@ -59,8 +63,8 @@ class Hypermatrix:
         entries = {}
         for j in range(m):
             tail = (1,) * j + (0,) * (m - 1 - j)
-            entries[(0,) + tail] = slices.b[j]
-            entries[(1,) + tail] = slices.c[j]
+            entries[(0,) + tail] = Fraction(slices.b[j], slices.denom)
+            entries[(1,) + tail] = Fraction(slices.c[j], slices.denom)
         return cls(m, 2, entries)
 
     @classmethod
@@ -196,53 +200,31 @@ def rotate(A: Hypermatrix, C: OrthogonalMatrix) -> Hypermatrix:
 
 @dataclass(frozen=True)
 class SliceCoeffs:
-    """Grouped entry sums of a dimension-2 tensor.
+    """Grouped entry sums of a dimension-2 tensor, as integers over one denominator.
 
-    b[j] (paper-style 1-based b_{j+1} here 0-based) sums first-slice entries
-    whose trailing indices contain exactly j twos; c does the same for the
-    second slice.  d and e are the derived difference and convolution
-    sequences used by the determinant formulas.
+    b[j] / denom (paper-style 1-based b_{j+1} here 0-based) sums the
+    first-slice entries whose trailing indices contain exactly j twos; c
+    does the same for the second slice.  The record is in lowest terms
+    (gcd(denom, *b, *c) = 1, denom > 0), so equal sums give equal records.
     """
 
-    b: tuple[Fraction, ...]
-    c: tuple[Fraction, ...]
-    d: tuple[Fraction, ...]
-    e: tuple[Fraction, ...]
+    b: tuple[int, ...]
+    c: tuple[int, ...]
+    denom: int
 
     @property
     def order(self) -> int:
         return len(self.b)
 
-    @classmethod
-    def from_numerators(cls, b: Sequence[int], c: Sequence[int], denom: int) -> "SliceCoeffs":
-        """The slice data of the sums b/denom and c/denom, built on integers.
 
-        d has the denominator denom and e, a convolution, denom^2; each
-        value is reduced once, when it becomes a Fraction.
-        """
-        m = len(b)
-        d = [b[j] - c[j + 1] for j in range(m - 1)] + [b[m - 1]]
-        e = [0] * (2 * m - 1)
-        for i, bi in enumerate(b):
-            if bi:
-                for j, cj in enumerate(c):
-                    e[i + j] += bi * cj
-        square = denom * denom
-        return cls(
-            tuple(Fraction(v, denom) for v in b),
-            tuple(Fraction(v, denom) for v in c),
-            tuple(Fraction(v, denom) for v in d),
-            tuple(Fraction(v, square) for v in e),
-        )
-
-
-def _numerators(values, denom: int) -> list[int]:
-    """values * denom as ints; denom must be a common multiple of their denominators."""
-    return [v.numerator * (denom // v.denominator) for v in values]
+def _lowest_terms(b: Sequence[int], c: Sequence[int], denom: int) -> SliceCoeffs:
+    """The record of the sums b / denom and c / denom, denom > 0."""
+    g = gcd(denom, *b, *c)
+    return SliceCoeffs(tuple(v // g for v in b), tuple(v // g for v in c), denom // g)
 
 
 def binary_slices(A: Hypermatrix) -> SliceCoeffs:
-    """Compute (b, c, d, e) for a dimension-2 tensor of any order.
+    """The slice sums of a dimension-2 tensor of any order.
 
     The entries are summed as integers over their common denominator.
     """
@@ -258,25 +240,23 @@ def binary_slices(A: Hypermatrix) -> SliceCoeffs:
             b[sum(idx[1:])] += num
         else:
             c[sum(idx[1:])] += num
-    return SliceCoeffs.from_numerators(b, c, denom)
+    return _lowest_terms(b, c, denom)
 
 
 def rotate_slices(slices: SliceCoeffs, C: OrthogonalMatrix) -> SliceCoeffs:
-    """The slice data of rotate(A, C), from the slice data of A alone.
+    """The slice sums of rotate(A, C), from the slice sums of A alone.
 
     The map of rotate(A, C) is C F(C^T x), F = (sum_j b_j x1^{m-1-j} x2^j,
     sum_j c_j x1^{m-1-j} x2^j) the map of A: two binary substitutions of
-    y = C^T x and one 2x2 mix.  All of it runs on integers: with D the
-    common denominator of the sums and r that of C, the numerators D*b,
-    D*c are substituted into y = (r C)^T x and mixed by r C, and the
-    result is divided by D * r^m once.
+    y = C^T x and one 2x2 mix.  All of it runs on integers: with r the
+    common denominator of C, the numerators b, c are substituted into
+    y = (r C)^T x and mixed by r C, over the denominator denom * r^m.
     """
     if C.dim != 2:
         raise DimensionError(f"matrix dimension {C.dim} != tensor dimension 2")
     m = slices.order
-    denom = lcm(*(v.denominator for v in slices.b + slices.c))
     r = lcm(*(v.denominator for row in C.rows for v in row))
-    (k11, k12), (k21, k22) = (_numerators(row, r) for row in C.rows)
+    (k11, k12), (k21, k22) = ([v.numerator * (r // v.denominator) for v in row] for row in C.rows)
     # powers of y1 = k11 x1 + k21 x2 and y2 = k12 x1 + k22 x2, ascending in x2
     y1_pows, y2_pows = [[1]], [[1]]
     for _ in range(m - 1):
@@ -284,9 +264,7 @@ def rotate_slices(slices: SliceCoeffs, C: OrthogonalMatrix) -> SliceCoeffs:
         y2_pows.append(_times_linear(y2_pows[-1], k12, k22))
     f1 = [0] * m
     f2 = [0] * m
-    for j, (bj, cj) in enumerate(
-        zip(_numerators(slices.b, denom), _numerators(slices.c, denom))
-    ):
+    for j, (bj, cj) in enumerate(zip(slices.b, slices.c)):
         if not (bj or cj):
             continue
         p, q = y1_pows[m - 1 - j], y2_pows[j]
@@ -298,7 +276,7 @@ def rotate_slices(slices: SliceCoeffs, C: OrthogonalMatrix) -> SliceCoeffs:
                     f2[s + t] += cj * term
     b = [k11 * u + k12 * v for u, v in zip(f1, f2)]
     c = [k21 * u + k22 * v for u, v in zip(f1, f2)]
-    return SliceCoeffs.from_numerators(b, c, denom * r**m)
+    return _lowest_terms(b, c, slices.denom * r**m)
 
 
 def _times_linear(poly: list[int], a: int, b: int) -> list[int]:
@@ -313,23 +291,25 @@ def isotropic_value(slices: SliceCoeffs) -> tuple[ComplexRational, ComplexRation
     the even j, the imaginary parts over the odd j.  At the conjugate point
     (1, -i) the map takes the conjugate values, since the slices are real.
     """
-    return _at_i(slices.b), _at_i(slices.c)
+    return _at_i(slices.b, slices.denom), _at_i(slices.c, slices.denom)
 
 
-def _at_i(seq: Sequence[Fraction]) -> ComplexRational:
-    """sum_j seq[j] i^j, from the four residues of j mod 4."""
+def _at_i(seq: Sequence[int], denom: int) -> ComplexRational:
+    """sum_j seq[j] i^j / denom, from the four residues of j mod 4."""
     return ComplexRational(
-        sum(seq[0::4]) - sum(seq[2::4]), sum(seq[1::4]) - sum(seq[3::4])
+        Fraction(sum(seq[0::4]) - sum(seq[2::4]), denom),
+        Fraction(sum(seq[1::4]) - sum(seq[3::4]), denom),
     )
 
 
-def direction_form_coeffs(slices: SliceCoeffs) -> tuple[Fraction, ...]:
-    """Coefficients (ascending second-variable power) of x2*(Ax^{m-1})_1 - x1*(Ax^{m-1})_2.
+def direction_form_coeffs(slices: SliceCoeffs) -> tuple[int, ...]:
+    """Numerators over ``slices.denom`` of x2*(Ax^{m-1})_1 - x1*(Ax^{m-1})_2,
+    ascending in the second variable: (-c_1, b_1 - c_2, ..., b_{m-1} - c_m, b_m).
 
     This degree-m binary form vanishes exactly on eigenvector directions.
     """
-    m = slices.order
-    return (-slices.c[0],) + tuple(slices.d[: m - 1]) + (slices.b[m - 1],)
+    b, c = slices.b, slices.c
+    return (-c[0],) + tuple(b[j] - c[j + 1] for j in range(slices.order - 1)) + (b[-1],)
 
 
 def all_indices(order: int, dim: int):

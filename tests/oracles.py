@@ -3,11 +3,12 @@
 These deliberately avoid the library's computation paths: determinants are
 cofactor expansions or fraction-free elimination over Q[x] itself, on
 dense Poly matrices (the Sylvester matrix and the compact formulas built
-entry by entry), the multilinear map is a dense brute-force sum, and golden
-polynomials are rebuilt from eigenvalues via Vieta.  They stay dumb so
-that agreement with the fast paths means something.  The binary-form and
-system operations the resultant laws need (product, scaling, linear
-substitution) live here too, since the library itself never needs them.
+entry by entry), the multilinear map and the slice sums are dense
+brute-force sums, and golden polynomials are rebuilt from eigenvalues via
+Vieta.  They stay dumb so that agreement with the fast paths means
+something.  The binary-form and system operations the resultant laws need
+(product, scaling, linear substitution) live here too, since the library
+itself never needs them.
 So do the field-arithmetic references of the fraction-free kernels: Euclid's
 gcd and Yun's square-free split over Q or Q(i) by ``Poly.divmod``, and the
 exact eigenvalue at a direction in Q(i) arithmetic.
@@ -181,10 +182,26 @@ def det_matrix_odd_poly(A) -> list[list[Poly]]:
     slices = binary_slices(A)
     rows = sylvester_matrix(_odd_product_form(slices), _cross_form(slices))
     n = len(rows)
-    b1, cm = slices.b[0], slices.c[m - 1]
+    b, c = slice_sums(slices)
+    b1, cm = b[0], c[m - 1]
     rows[0] = [rows[0][j] + rows[m][j].scale(b1) for j in range(n)]
     rows[m - 1] = [rows[m - 1][j] - rows[n - 1][j].scale(cm) for j in range(n)]
     return [[rows[i][j] for j in range(1, n - 1)] for i in range(n) if i not in (m, n - 1)]
+
+
+def slice_sums(slices: SliceCoeffs) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """The slice sums (b, c) of a record as Fractions."""
+    return tuple(tuple(Fraction(v, slices.denom) for v in seq) for seq in (slices.b, slices.c))
+
+
+def brute_slice_sums(A) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """The slice sums of a dimension-2 tensor by a dense pass over every index
+    tuple: entry (i, i2..im) adds to b (i = 1) or c (i = 2) at the count of
+    twos among i2..im."""
+    sums = ([Fraction(0)] * A.order, [Fraction(0)] * A.order)
+    for idx in product(range(2), repeat=A.order):
+        sums[idx[0]][idx[1:].count(1)] += A[idx]
+    return tuple(sums[0]), tuple(sums[1])
 
 
 def brute_eval_map(A, x):
@@ -298,17 +315,18 @@ def pq_sums(slices: SliceCoeffs) -> tuple[Fraction, Fraction]:
     the library's evaluation of the map at the isotropic point (1, i).
     """
     m = slices.order
+    b, c = slice_sums(slices)
     p = Fraction(0)
     q = Fraction(0)
     for k in range(1, m + 1):
         sp = _P_SIGNS[(k - 1) % 4]
         sq = _Q_SIGNS[(k - 1) % 4]
         if k % 2 == 1:
-            p += sp * slices.b[k - 1]
-            q += sq * slices.c[k - 1]
+            p += sp * b[k - 1]
+            q += sq * c[k - 1]
         else:
-            p += sp * slices.c[k - 1]
-            q += sq * slices.b[k - 1]
+            p += sp * c[k - 1]
+            q += sq * b[k - 1]
     return p, q
 
 
@@ -349,7 +367,7 @@ def yun_squarefree(p: Poly) -> list[tuple[Poly, int]]:
 
 def slice_eval_exact(slices: SliceCoeffs, which: int, x1: ComplexRational, x2: ComplexRational):
     """Component ``which`` of the map, sum_j s_j x1^{m-1-j} x2^j, in Q(i) arithmetic."""
-    seq = slices.b if which == 0 else slices.c
+    seq = slice_sums(slices)[which]
     m = slices.order
     total = ComplexRational(Fraction(0))
     for j in range(m):

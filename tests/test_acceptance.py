@@ -51,6 +51,7 @@ from oracles import (
     pq_sums,
     scale,
     scale_form,
+    slice_sums,
     sylvester_matrix,
 )
 
@@ -141,9 +142,7 @@ def test_criterion_1_golden_polynomials():
     start = time.monotonic()
     D = deficit_tensor()
     s = binary_slices(D)
-    res_matrix = sylvester_matrix(
-        BinaryForm.from_scalars(s.b), BinaryForm.from_scalars(s.c)
-    )
+    res_matrix = sylvester_matrix(*(BinaryForm.from_scalars(seq) for seq in slice_sums(s)))
     res = cofactor_det(res_matrix)
     lam_sq = Fraction(25, 2)
     top = Fraction(625) / (-lam_sq)
@@ -209,7 +208,7 @@ def test_criterion_3_leading_coefficient(corpus):
             c = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(m)]
             A = tensor_from_slices(m, b, c)
             s = binary_slices(A)
-            assert s.b == tuple(b) and s.c == tuple(c)
+            assert slice_sums(s) == (tuple(b), tuple(c))
             result = echar(A)
             top = result.psi.coefficient(result.leading_power)
             if m == 3:

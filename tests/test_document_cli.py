@@ -1,11 +1,16 @@
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import echarpoly
 from echarpoly.document import DocumentError, TensorDocument
+
+GOLDEN_EIGEN = Path(__file__).parent / "golden" / "eigen"
 
 
 def run_cli(*args):
@@ -219,6 +224,38 @@ def test_cli_verify_fuzz_deterministic():
 def test_cli_verify_requires_seed():
     proc = run_cli("verify", "--fuzz", "2")
     assert proc.returncode == 1
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_cli_verify_fuzz_refuses_a_count_below_one(count):
+    proc = run_cli("verify", "--fuzz", count, "--seed", "1", "--m", "3")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "--fuzz" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "name", ["deficit", "deficit-family-m5", "diag4", "repeated3", "zero-pivot5", "pq6"]
+)
+def test_cli_eigen_report_is_pinned(name):
+    """The eigen report, floats included, byte for byte.
+
+    Each ``<name>.stdout`` is the report of ``eigen <name>.json`` run in the
+    golden directory: the README order-3 tensor; an order-5 deficit tensor
+    whose cross form carries (x1^2 + x2^2)^2; the order-4 diagonal; the
+    repeated direction of an order-3 tensor; an order-5 draw with c_1 = 0;
+    and an order-6 p/q draw with irrational real and complex directions.
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(echarpoly.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "echarpoly.cli", "eigen", f"{name}.json"],
+        capture_output=True,
+        text=True,
+        cwd=GOLDEN_EIGEN,
+        env=env,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == (GOLDEN_EIGEN / f"{name}.stdout").read_text()
 
 
 def test_cli_verify_order2_skew_matrix_skips_the_deficit_drop_law(tmp_path):

@@ -35,6 +35,7 @@ from echarpoly.tensor import (
 from echarpoly.verify import fuzz_corpus, fuzz_tensor
 from oracles import (
     cofactor_det,
+    convolution,
     det_fraction_free,
     det_matrix_even_poly,
     det_matrix_odd_poly,
@@ -43,6 +44,7 @@ from oracles import (
     poly_in_square_from_roots,
     poly_rows,
     pq_sums,
+    slice_sums,
     sylvester_matrix,
 )
 
@@ -132,7 +134,8 @@ def test_golden_deficit_family_oracle():
     s = binary_slices(A)
     from echarpoly.resultant import BinaryForm
 
-    matrix = sylvester_matrix(BinaryForm.from_scalars(s.b), BinaryForm.from_scalars(s.c))
+    b, c = slice_sums(s)
+    matrix = sylvester_matrix(BinaryForm.from_scalars(b), BinaryForm.from_scalars(c))
     res = cofactor_det(matrix)
     assert res == Poly.constant(25)
     # single normalized direction (1, 1): lambda^2 = 25/2; deficit classes
@@ -170,7 +173,7 @@ def test_even_det_matrix_structure():
     """Binomial placement of the parameter in the compact even matrix."""
     for m, second_binomial in ((4, 1), (6, 2)):
         A = fuzz_tensor(random.Random(m), m)
-        s = binary_slices(A)
+        b, c = slice_sums(binary_slices(A))
         M = det_matrix_even(A)
         assert M.size == 2 * m - 2
         assert not M.even
@@ -178,14 +181,14 @@ def test_even_det_matrix_structure():
         # a slope of -1 times it
         first = -_pair(M, 0, 0)[1]
         assert first > 0
-        assert _pair(M, 0, 0, first) == (s.b[0], -1)
-        assert _pair(M, 0, 2, first) == (s.b[2], -second_binomial)
-        assert _pair(M, 0, 1, first) == (s.b[1], 0)
+        assert _pair(M, 0, 0, first) == (b[0], -1)
+        assert _pair(M, 0, 2, first) == (b[2], -second_binomial)
+        assert _pair(M, 0, 1, first) == (b[1], 0)
         # row m holds (c1, c2-bar, ...) starting in column m-2
         second = -_pair(M, m - 1, m - 1)[1]
         assert second > 0
-        assert _pair(M, m - 1, m - 2, second) == (s.c[0], 0)
-        assert _pair(M, m - 1, m - 1, second) == (s.c[1], -1)
+        assert _pair(M, m - 1, m - 2, second) == (c[0], 0)
+        assert _pair(M, m - 1, m - 1, second) == (c[1], -1)
         # the cross-form rows are parameter-free
         for i in range(m, 2 * m - 2):
             for j in range(2 * m - 2):
@@ -244,9 +247,10 @@ def test_odd_product_form_binomials():
     form = _odd_product_form(s)
     m = 5
     lam2 = Poly.monomial(2)
+    constants = convolution(*slice_sums(s))
     # even-slot coefficients carry binomial(m-2, j-1) lambda^2
     for t in range(2 * m - 1):
-        expected = Poly.constant(s.e[t])
+        expected = Poly.constant(constants[t])
         if t % 2 == 1:
             from math import comb
 
@@ -613,7 +617,7 @@ def _dense_int(rng, m):
 
 def _from_slices(b, c):
     """The entries of a tensor with the integer slice sums (b, c)."""
-    return Hypermatrix.from_slices(SliceCoeffs.from_numerators(b, c, 1)).entries
+    return Hypermatrix.from_slices(SliceCoeffs(tuple(b), tuple(c), 1)).entries
 
 
 def _mul(f, g):

@@ -9,15 +9,14 @@ from echarpoly.echar import echar
 from echarpoly.eigen import (
     DEFICIT,
     NORMALIZED,
-    _SliceMap,
+    _exact_eigenvalue,
     deficit_indicator,
-    eigen_directions_n2,
     eigenpairs_n2,
     irregularity_residual,
     is_regular,
     z_eigenpairs,
 )
-from echarpoly.poly import complex_roots
+from echarpoly.poly import Poly, complex_roots
 from echarpoly.rational import ComplexRational, I_UNIT
 from echarpoly.resultant import BinaryForm, sylvester_resultant
 from echarpoly.tensor import (
@@ -29,7 +28,7 @@ from echarpoly.tensor import (
     rotate,
 )
 from echarpoly.verify import fuzz_tensor
-from oracles import brute_eval_map, convolution, exact_eigenvalue
+from oracles import brute_eval_map, convolution, exact_eigenvalue, slice_sums
 
 DEFICIT_ENTRIES = {
     (1, 1, 1): 2,
@@ -46,15 +45,16 @@ def deficit_tensor():
 
 
 def direction_set(A):
-    res = eigen_directions_n2(A)
-    assert not res.infinite
+    """The eigenvector directions x2/x1 of the classes, with multiplicities."""
+    report = eigenpairs_n2(A)
+    assert not report.infinite
     out = []
-    for d in res.directions:
-        v = d.vector
+    for p in report.pairs:
+        v = p.vector
         if abs(v[0]) > 1e-12:
-            out.append((round((v[1] / v[0]).real, 6), round((v[1] / v[0]).imag, 6), d.multiplicity))
+            out.append((round((v[1] / v[0]).real, 6), round((v[1] / v[0]).imag, 6), p.multiplicity))
         else:
-            out.append(("inf", 0.0, d.multiplicity))
+            out.append(("inf", 0.0, p.multiplicity))
     return sorted(out, key=str)
 
 
@@ -66,20 +66,20 @@ def test_directions_even_diagonal():
 
 
 def test_directions_deficit_family():
-    res = eigen_directions_n2(deficit_tensor())
-    iso = [d for d in res.directions if d.isotropic]
-    other = [d for d in res.directions if not d.isotropic]
-    assert len(iso) == 2 and all(d.multiplicity == 1 for d in iso)
+    pairs = eigenpairs_n2(deficit_tensor()).pairs
+    iso = [p for p in pairs if p.kind == DEFICIT]
+    other = [p for p in pairs if p.kind == NORMALIZED]
+    assert [p.exact_direction[1] for p in iso] == [I_UNIT, -I_UNIT]
+    assert all(p.multiplicity == 1 for p in iso)
     assert len(other) == 1
     ratio = other[0].vector[1] / other[0].vector[0]
     assert abs(ratio - 1) < 1e-12
-    assert other[0].exact is not None
+    assert other[0].exact_direction == (ComplexRational(1), ComplexRational(1))
 
 
 def test_directions_infinitely_many_signal():
     A = Hypermatrix.from_one_based(3, 2, {(1, 1, 1): 1, (2, 1, 2): 1})
-    res = eigen_directions_n2(A)
-    assert res.infinite
+    assert not any(direction_form_coeffs(binary_slices(A)))
     report = eigenpairs_n2(A)
     assert report.infinite and report.pairs == []
     assert echar(A).psi.is_zero()
@@ -296,11 +296,11 @@ def test_is_regular_n2_against_sylvester_deltas_and_brute_map():
         else:  # sparse draw: about half the entries zero
             dense = fuzz_tensor(rng, m)
             A = Hypermatrix(m, 2, {k: v for k, v in dense.entries.items() if rng.random() < 0.5})
-        s = binary_slices(A)
+        b, c = slice_sums(binary_slices(A))
         report = is_regular(A)
         expected = tuple(
             sylvester_resultant(BinaryForm.from_scalars(seq), circle).coefficient(0)
-            for seq in (s.c, s.b)
+            for seq in (c, b)
         )
         assert report.deltas == expected
         vanishes = all(v == 0 for v in brute_eval_map(A, [ComplexRational(1), I_UNIT]))
@@ -365,28 +365,58 @@ def test_repeated_direction_multiplicity_matches_root_multiplicity():
     assert all(abs(a - b) < 1e-8 for a, b in zip(lams, roots))
 
 
-def test_deficit_multiplicity_open_question_probe():
-    """Repeated isotropic direction roots: report raw data, assert nothing.
+def _circle_power(coeffs) -> int:
+    """The exponent of t^2 + 1 in the nonzero polynomial with these ascending coefficients."""
+    q, circle, power = Poly(coeffs), Poly([1, 0, 1]), 0
+    while q.degree >= 2:
+        quotient, remainder = q.divmod(circle)
+        if not remainder.is_zero():
+            break
+        q, power = quotient, power + 1
+    return power
 
-    With both slices proportional to (x1^2 + x2^2) times a linear form the
-    cross form picks up (t^2 + 1) to a higher power; the bookkeeping of how
-    that splits between degree drop and root multiplicity is only logged.
+
+def test_deficit_multiplicity_is_the_circle_power_of_the_cross_form():
+    """Both deficit classes carry the exact power of t^2 + 1 dividing the cross form.
+
+    F = s^k (u1, u2) + g(x) x with s = x1^2 + x2^2: the cross form
+    x2 F1 - x1 F2 is s^k (x2 u1 - x1 u2), so (t^2 + 1)^k divides q(t), and
+    the map at (1, +-i) is g(1, +-i) (1, +-i), so the deficit eigenvalue
+    there is g(1, +-i).  Random u1, u2 may add further powers; the count
+    is taken independently, by Poly division.
     """
-    A = Hypermatrix.from_one_based(
-        5,
-        2,
-        {
-            # F1 = (x1^2+x2^2)^2 x1, F2 = (x1^2+x2^2)^2 x2 would be diagonalish;
-            # use F1 = (x1^2+x2^2)^2 x2, F2 = 0 pattern instead
-            (1, 1, 1, 1, 2): 1,
-            (1, 1, 2, 2, 2): 2,
-            (1, 2, 2, 2, 2): 0,
-        },
-    )
-    res = eigen_directions_n2(A)
-    if not res.infinite:
-        iso = [(d.multiplicity) for d in res.directions if d.isotropic]
-        print(f"\nisotropic direction multiplicities: {iso}")
+    rng = random.Random(17)
+    tensors = [deficit_tensor(), Hypermatrix.diagonal(5, 2)]
+    for m in range(3, 9):
+        for k in range(1, (m - 1) // 2 + 1):
+            for _ in range(2):
+                s_k = [1]
+                for _ in range(k):
+                    s_k = convolution(s_k, [1, 0, 1])
+                u1, u2, g = (
+                    [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(size)]
+                    for size in (m - 2 * k, m - 2 * k, m - 1)
+                )
+                b = [x + y for x, y in zip(convolution(s_k, u1), g + [0])]
+                c = [x + y for x, y in zip(convolution(s_k, u2), [0] + g)]
+                tensors.append(from_slices(b, c))
+    deficit_seen = 0
+    for A in tensors:
+        s = binary_slices(A)
+        power = _circle_power([Fraction(v, s.denom) for v in direction_form_coeffs(s)])
+        report = eigenpairs_n2(A)
+        assert not report.infinite
+        deficit = [p for p in report.pairs if p.kind == DEFICIT]
+        if power == 0:
+            assert deficit == []
+            continue
+        deficit_seen += 1
+        assert [p.multiplicity for p in deficit] == [power, power]
+        for p in deficit:
+            x = p.exact_direction
+            assert x[0] == 1 and x[1] in (I_UNIT, -I_UNIT)
+            assert brute_eval_map(A, list(x)) == [p.exact_eigenvalue * v for v in x]
+    assert deficit_seen >= 20
 
 
 def _tensor_with_cross_form(rng, m, factors):
@@ -403,7 +433,8 @@ def _tensor_with_cross_form(rng, m, factors):
         tail = (1,) * j + (0,) * (m - 1 - j)
         entries[(0,) + tail], entries[(1,) + tail] = b[j], c[j]
     A = Hypermatrix(m, 2, entries)
-    assert list(direction_form_coeffs(binary_slices(A))) == q
+    s = binary_slices(A)
+    assert [Fraction(v, s.denom) for v in direction_form_coeffs(s)] == q
     return A
 
 
@@ -454,16 +485,15 @@ def test_exact_eigenvalues_of_rational_directions_match_the_gaussian_oracle(m):
             assert found == want
 
 
-def test_exact_eigenvalue_at_gaussian_directions():
+def test_exact_eigenvalue_at_integer_directions():
+    # the integer Horner value on the numerators equals the Q(i) oracle on
+    # the sums, at every integer representative of the direction (the value
+    # is homogeneous of degree 0), the axes included
     rng = random.Random(2)
-    points = [
-        (ComplexRational(Fraction(1)), ComplexRational(Fraction(2), Fraction(-1))),
-        (ComplexRational(Fraction(3, 2), Fraction(1)), ComplexRational(Fraction(0), Fraction(-1, 3))),
-        (ComplexRational(Fraction(0)), ComplexRational(Fraction(1), Fraction(1))),
-        (ComplexRational(Fraction(-2, 5)), ComplexRational(Fraction(7, 3))),
-    ]
-    for m in (2, 3, 4, 5, 6):
-        slices = binary_slices(fuzz_tensor(rng, m))
-        smap = _SliceMap(slices)
-        for x1, x2 in points:
-            assert smap.eigenvalue_exact(x1, x2) == exact_eigenvalue(slices, x1, x2)
+    points = [(1, 0), (0, 1), (0, -3), (3, -2), (-6, 4), (2, 7), (-5, 1)]
+    for m in (2, 3, 4, 5, 6, 7):
+        for _ in range(2):
+            slices = binary_slices(fuzz_tensor(rng, m))
+            for u1, u2 in points:
+                want = exact_eigenvalue(slices, ComplexRational(u1), ComplexRational(u2))
+                assert _exact_eigenvalue(slices, u1, u2) == want

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from echarpoly.echar import _odd_product_form
 from echarpoly.rational import ComplexRational, I_UNIT
 from echarpoly.tensor import (
     DimensionError,
@@ -19,7 +21,7 @@ from echarpoly.tensor import (
     rotate_slices,
 )
 from echarpoly.verify import fuzz_tensor, standard_rotations
-from oracles import brute_eval_map, convolution, pq_sums
+from oracles import brute_eval_map, brute_slice_sums, convolution, pq_sums, slice_sums
 
 
 def identity(n: int) -> OrthogonalMatrix:
@@ -139,11 +141,12 @@ def test_slice_derived_sequences():
         3, 2, {(1, 1, 1): 2, (1, 1, 2): 2, (1, 2, 2): 1, (2, 1, 1): 1, (2, 1, 2): 1, (2, 2, 2): 3}
     )
     s = binary_slices(A)
-    assert s.b == (2, 2, 1)
-    assert s.c == (1, 1, 3)
-    assert s.d == (1, -1, 1)
-    assert s.e == (2, 4, 9, 7, 3)
-    assert list(s.e) == convolution(s.b, s.c)
+    assert (s.b, s.c, s.denom) == ((2, 2, 1), (1, 1, 3), 1)
+    # the cross form: -c_1, the differences b_j - c_{j+1}, then b_m
+    assert direction_form_coeffs(s) == (-1, 1, -1, 1)
+    # the product form's constants: the convolution of b and c
+    constants = [c.coefficient(0) for c in _odd_product_form(s).coeffs]
+    assert constants == [2, 4, 9, 7, 3] == convolution(s.b, s.c)
 
 
 def test_slice_identities_on_random_tensors():
@@ -151,10 +154,11 @@ def test_slice_identities_on_random_tensors():
     for m in (3, 4, 5, 6):
         A = fuzz_tensor(rng, m)
         s = binary_slices(A)
-        assert list(s.e) == convolution(s.b, s.c)
-        for j in range(m - 1):
-            assert s.d[j] == s.b[j] - s.c[j + 1]
-        assert s.d[m - 1] == s.b[m - 1]
+        b, c = slice_sums(s)
+        constants = [coeff.coefficient(0) for coeff in _odd_product_form(s).coeffs]
+        assert constants == convolution(b, c)
+        cross = [Fraction(v, s.denom) for v in direction_form_coeffs(s)]
+        assert cross == [-c[0]] + [b[j] - c[j + 1] for j in range(m - 1)] + [b[m - 1]]
 
 
 def test_first_component_reconstruction():
@@ -162,11 +166,11 @@ def test_first_component_reconstruction():
     rng = random.Random(37)
     for m in (3, 4):
         A = fuzz_tensor(rng, m)
-        s = binary_slices(A)
+        b = slice_sums(binary_slices(A))[0]
         for _ in range(10):
             x1 = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
             x2 = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-            expected = sum(s.b[j] * x1 ** (m - 1 - j) * x2**j for j in range(m))
+            expected = sum(b[j] * x1 ** (m - 1 - j) * x2**j for j in range(m))
             assert eval_map(A, [x1, x2])[0] == expected
 
 
@@ -178,9 +182,9 @@ FRAMES = (
 
 
 @st.composite
-def binary_tensors(draw):
-    """Orders 2..8, p/q entries, dense or with about half the entries zero."""
-    m = draw(st.integers(2, 8))
+def binary_tensors(draw, max_order=8):
+    """Orders 2..max_order, p/q entries, dense or with about half the entries zero."""
+    m = draw(st.integers(2, max_order))
     sparse = draw(st.booleans())
     rng = random.Random(draw(st.integers(0, 2**32)))
     entries = {}
@@ -196,6 +200,21 @@ def test_rotate_slices_matches_rotating_the_tensor(A, C):
     slices = binary_slices(A)
     assert rotate_slices(slices, C) == binary_slices(rotate(A, C))
     assert binary_slices(Hypermatrix.from_slices(slices)) == slices
+
+
+@settings(max_examples=60, deadline=None)
+@given(binary_tensors(max_order=7), st.lists(st.sampled_from(FRAMES), max_size=3))
+def test_slice_record_is_the_brute_force_sums_in_lowest_terms(A, frames):
+    # through a chain of exact rotations, rotate_slices tracks the record of
+    # the rotated tensor, whose sums are recounted entry by entry
+    s = binary_slices(A)
+    for C in [None] + frames:
+        if C is not None:
+            s, A = rotate_slices(s, C), rotate(A, C)
+        assert slice_sums(s) == brute_slice_sums(A)
+        assert s.denom > 0 and gcd(s.denom, *s.b, *s.c) == 1
+        assert all(type(v) is int for v in s.b + s.c + (s.denom,))
+        assert binary_slices(Hypermatrix.from_slices(s)) == s
 
 
 def test_binary_slices_requires_dim2():
