@@ -8,9 +8,11 @@ from pathlib import Path
 import pytest
 
 import echarpoly
+from echarpoly import cli
 from echarpoly.document import DocumentError, TensorDocument
 
 GOLDEN_EIGEN = Path(__file__).parent / "golden" / "eigen"
+GOLDEN_REPORTS = Path(__file__).parent / "golden" / "reports"
 
 
 def run_cli(*args):
@@ -234,9 +236,10 @@ def test_cli_verify_fuzz_refuses_a_count_below_one(count):
     assert "--fuzz" in proc.stderr
 
 
-@pytest.mark.parametrize(
-    "name", ["deficit", "deficit-family-m5", "diag4", "repeated3", "zero-pivot5", "pq6"]
-)
+EIGEN_GOLDENS = ["deficit", "deficit-family-m5", "diag4", "repeated3", "zero-pivot5", "pq6"]
+
+
+@pytest.mark.parametrize("name", EIGEN_GOLDENS)
 def test_cli_eigen_report_is_pinned(name):
     """The eigen report, floats included, byte for byte.
 
@@ -256,6 +259,35 @@ def test_cli_eigen_report_is_pinned(name):
     )
     assert proc.returncode == 0
     assert proc.stdout == (GOLDEN_EIGEN / f"{name}.stdout").read_text()
+
+
+PINNED_DOCUMENTS = [GOLDEN_EIGEN / f"{name}.json" for name in EIGEN_GOLDENS] + [
+    GOLDEN_REPORTS / "pq4.json",
+    GOLDEN_REPORTS / "n3.json",
+]
+PINNED_COMMANDS = [["echar", "--route", route] for route in ("auto", "sylvester", "det", "macaulay")]
+PINNED_COMMANDS.append(["verify", "--deep"])
+
+
+def pinned_report(document: Path, command: list[str], monkeypatch, capsys) -> dict:
+    """The exit code and stdout of ``command`` on ``document``, run in its directory."""
+    monkeypatch.chdir(document.parent)
+    code = cli.main([command[0], document.name, *command[1:]])
+    return {"exit": code, "stdout": capsys.readouterr().out}
+
+
+@pytest.mark.parametrize("document", PINNED_DOCUMENTS, ids=lambda path: path.stem)
+def test_cli_echar_and_verify_reports_are_pinned(document, monkeypatch, capsys):
+    """Every echar route and ``verify --deep``, exit code and stdout byte for byte.
+
+    The documents are the eigen goldens, an order-4 p/q draw and an order-3
+    p/q draw of dimension 3; ``golden/reports.json`` holds the expected
+    reports, keyed by document and command.
+    """
+    expected = json.loads(GOLDEN_REPORTS.with_suffix(".json").read_text())
+    for command in PINNED_COMMANDS:
+        key = " ".join([document.name, *command])
+        assert pinned_report(document, command, monkeypatch, capsys) == expected[key], key
 
 
 def test_cli_verify_order2_skew_matrix_skips_the_deficit_drop_law(tmp_path):
