@@ -36,7 +36,6 @@ from .poly import Poly, interpolation_nodes, lagrange_interpolate
 from .polymat import PolyMatrix, det_interpolated
 from .rational import I_UNIT
 from .resultant import (
-    BinaryForm,
     HomogeneousSystem,
     UnsupportedSizeError,
     macaulay_resultant,
@@ -130,37 +129,34 @@ def _result(A: Hypermatrix, psi: Poly, route: str) -> EcharResult:
 
 
 # -- slice-form builders ---------------------------------------------------------
+#
+# A binary form is an integer pencil: one (constant, slope) int pair per
+# coefficient of x1^(d-i) x2^i, as ``sylvester_resultant`` and the rows of a
+# ``PolyMatrix`` take it.  Each builder states the denominator its pairs are
+# over and whether the slope multiplies lambda or lambda^2.
+BinaryPencil = list[tuple[int, int]]
 
 
-def _even_eigen_forms(slices: SliceCoeffs) -> tuple[BinaryForm, BinaryForm]:
-    """The two degree-(m-1) forms (Ax^{m-1})_i - lambda (x1^2+x2^2)^{(m-2)/2} x_i."""
+def _even_eigen_forms(slices: SliceCoeffs) -> tuple[BinaryPencil, BinaryPencil]:
+    """The two degree-(m-1) forms (Ax^{m-1})_i - lambda (x1^2+x2^2)^{(m-2)/2} x_i,
+    pencils in lambda over ``slices.denom``."""
     m, denom = slices.order, slices.denom
     k = (m - 2) // 2
-    lam = Poly.x()
-    f1 = []
-    f2 = []
-    for j in range(m):
-        c1 = Poly.constant(Fraction(slices.b[j], denom))
-        c2 = Poly.constant(Fraction(slices.c[j], denom))
-        if j % 2 == 0:
-            c1 = c1 - lam.scale(comb(k, j // 2))
-        else:
-            c2 = c2 - lam.scale(comb(k, (j - 1) // 2))
-        f1.append(c1)
-        f2.append(c2)
-    return BinaryForm(m - 1, f1), BinaryForm(m - 1, f2)
+    f1 = [(v, 0 if j % 2 else -denom * comb(k, j // 2)) for j, v in enumerate(slices.b)]
+    f2 = [(v, -denom * comb(k, j // 2) if j % 2 else 0) for j, v in enumerate(slices.c)]
+    return f1, f2
 
 
-def _cross_form(slices: SliceCoeffs) -> BinaryForm:
-    denom = slices.denom
-    return BinaryForm.from_scalars([Fraction(v, denom) for v in direction_form_coeffs(slices)])
+def _cross_form(slices: SliceCoeffs) -> BinaryPencil:
+    """x2 (Ax^{m-1})_1 - x1 (Ax^{m-1})_2, degree m, constant pairs over ``slices.denom``."""
+    return [(v, 0) for v in direction_form_coeffs(slices)]
 
 
-def _odd_product_form(slices: SliceCoeffs) -> BinaryForm:
-    """(Ax^{m-1})_1 (Ax^{m-1})_2 - lambda^2 (x1^2+x2^2)^{m-2} x1 x2, degree 2m-2.
+def _odd_product_form(slices: SliceCoeffs) -> BinaryPencil:
+    """(Ax^{m-1})_1 (Ax^{m-1})_2 - lambda^2 (x1^2+x2^2)^{m-2} x1 x2, degree 2m-2,
+    a pencil in mu = lambda^2 over ``slices.denom``^2.
 
-    The product of the two components is the convolution of b and c, taken
-    on the numerators and divided by denom^2 once per coefficient.
+    The product of the two components is the convolution of b and c.
     """
     m = slices.order
     square = slices.denom**2
@@ -169,14 +165,7 @@ def _odd_product_form(slices: SliceCoeffs) -> BinaryForm:
         if bi:
             for j, cj in enumerate(slices.c):
                 conv[i + j] += bi * cj
-    lam2 = Poly.monomial(2)
-    coeffs = []
-    for t, value in enumerate(conv):
-        c = Poly.constant(Fraction(value, square))
-        if t % 2 == 1:
-            c = c - lam2.scale(comb(m - 2, (t - 1) // 2))
-        coeffs.append(c)
-    return BinaryForm(2 * m - 2, coeffs)
+    return [(v, -square * comb(m - 2, t // 2) if t % 2 else 0) for t, v in enumerate(conv)]
 
 
 # -- direct Sylvester routes -------------------------------------------------------
@@ -187,11 +176,15 @@ def echar_even_n2(A: Hypermatrix) -> EcharResult:
 
     Its degree in lambda is at most h, h = m for dimension 2, so it is
     interpolated on h + 2 nodes instead of the 2m - 1 of the row-degree
-    bound: h + 1 determine it and the last one checks the bound.
+    bound: h + 1 determine it and the last one checks the bound.  Both
+    forms are over denom, of degree m - 1, so the integer resultant is
+    denom^(2m-2) times psi.
     """
     _require(A, parity=0)
-    f1, f2 = _even_eigen_forms(binary_slices(A))
-    psi = sylvester_resultant(f1, f2, _generic_top(A.order, 2))
+    m = A.order
+    slices = binary_slices(A)
+    res = sylvester_resultant(*_even_eigen_forms(slices), False, _generic_top(m, 2))
+    psi = res.scale(Fraction(1, slices.denom ** (2 * m - 2)))
     return _result(A, psi, ROUTE_SYLVESTER)
 
 
@@ -205,6 +198,10 @@ def echar_odd_n2(A: Hypermatrix) -> EcharResult:
     a tensor is first turned into a frame whose axes are not (see
     ``_nonsingular_frame``); a tensor whose cross form vanishes identically
     has every direction as an eigenvector, and psi = 0.
+
+    The product form is over denom^2 and of degree 2m - 2, the cross form
+    over denom and of degree m, and b_m*c_1 is pivot / denom^2, so psi is
+    the integer resultant over denom^(4m-4) * pivot.
     """
     _require(A, parity=1)
     slices = binary_slices(A)
@@ -216,9 +213,8 @@ def echar_odd_n2(A: Hypermatrix) -> EcharResult:
             return _result(A, Poly.zero(), ROUTE_SYLVESTER)
         slices = rotate_slices(slices, _nonsingular_frame(cross))
         pivot = slices.b[m - 1] * slices.c[0]
-    big = sylvester_resultant(_odd_product_form(slices), _cross_form(slices))
-    # b_m*c_1 is pivot / denom^2 in value
-    psi = big.scale(Fraction(slices.denom**2, pivot))
+    big = sylvester_resultant(_odd_product_form(slices), _cross_form(slices), True)
+    psi = big.scale(Fraction(1, slices.denom ** (4 * m - 4) * pivot))
     return _result(A, psi, ROUTE_SYLVESTER)
 
 
@@ -250,22 +246,19 @@ def det_matrix_even(A: Hypermatrix) -> PolyMatrix:
 
     Rows 1..m-1 shift the first eigen-form's coefficients; row m holds the
     second slice sequence (c1, c2-bar, ...) ending in the last column; the
-    remaining rows shift the cross form's coefficients.
+    remaining rows shift the cross form's coefficients.  Every row is the
+    integer pairs of a form over denom, so the determinant is over
+    denom^(2m-2).
     """
     _require(A, parity=0)
     m = A.order
     slices = binary_slices(A)
-    f1, f2 = (_pairs(form, 1) for form in _even_eigen_forms(slices))
-    cross = _pairs(_cross_form(slices), 1)
+    f1, f2 = _even_eigen_forms(slices)
+    cross = _cross_form(slices)
     rows = [_shifted(f1, shift) for shift in range(m - 1)]
     rows.append(_shifted(f2, m - 2))
     rows += [_shifted(cross, shift) for shift in range(m - 2)]
-    return PolyMatrix(rows)
-
-
-def _pairs(form: BinaryForm, power: int) -> list[tuple[Fraction, Fraction]]:
-    """Each coefficient a + b lambda^power of a form as (a, b)."""
-    return [(c.coefficient(0), c.coefficient(power)) for c in form.coeffs]
+    return PolyMatrix(rows, denominator=slices.denom ** (2 * m - 2))
 
 
 def _shifted(pairs: list[tuple], shift: int) -> list[tuple]:
@@ -293,25 +286,31 @@ def det_matrix_odd(A: Hypermatrix) -> PolyMatrix:
     which the first/last columns and the pivot rows are removed.  The
     eliminations add constant cross-form rows, so it stays a pencil.  The
     determinant equals the characteristic polynomial identically.
+
+    The product rows are over denom^2 and the cross rows over denom, so
+    the eliminations are integer ones: row 0 gains the numerator b_1 times
+    the first cross row, and row m-1 loses c_m times the last.  The m
+    product rows and the 2m-4 cross rows left put the determinant over
+    denom^(4m-4).
     """
     _require(A, parity=1)
     m = A.order
     slices = binary_slices(A)
     size = 3 * m - 2
-    product_form = _pairs(_odd_product_form(slices), 2)
-    cross = _pairs(_cross_form(slices), 2)
+    product_form, cross = _odd_product_form(slices), _cross_form(slices)
     rows = [_shifted(product_form, shift) for shift in range(m)]
     rows += [_shifted(cross, shift) for shift in range(2 * m - 2)]
-    b1, cm = (Fraction(v, slices.denom) for v in (slices.b[0], slices.c[m - 1]))
-    rows[0] = _combined(rows[0], rows[m], b1)
-    rows[m - 1] = _combined(rows[m - 1], rows[size - 1], -cm)
+    rows[0] = _combined(rows[0], rows[m], slices.b[0])
+    rows[m - 1] = _combined(rows[m - 1], rows[size - 1], -slices.c[m - 1])
     del rows[size - 1], rows[m]
     return PolyMatrix(
-        [[(j - 1, a, b) for j, a, b in row if 0 < j < size - 1] for row in rows], even=True
+        [[(j - 1, a, b) for j, a, b in row if 0 < j < size - 1] for row in rows],
+        denominator=slices.denom ** (4 * m - 4),
+        even=True,
     )
 
 
-def _combined(row: list[tuple], other: list[tuple], factor: Fraction) -> list[tuple]:
+def _combined(row: list[tuple], other: list[tuple], factor: int) -> list[tuple]:
     """The pencil row ``row + factor * other``, zeros left out."""
     entries = {j: (a, b) for j, a, b in row}
     for j, a, b in other:
@@ -430,9 +429,8 @@ def a0_predicted(A: Hypermatrix) -> Fraction:
     n, m = A.dim, A.order
     if n == 2:
         slices = binary_slices(A)
-        f1 = BinaryForm.from_scalars(slices.b)
-        f2 = BinaryForm.from_scalars(slices.c)
-        value = sylvester_resultant(f1, f2).coefficient(0) / slices.denom ** (2 * (m - 1))
+        f1, f2 = ([(v, 0) for v in seq] for seq in (slices.b, slices.c))
+        value = sylvester_resultant(f1, f2, False).coefficient(0) / slices.denom ** (2 * (m - 1))
     elif 3 <= n <= 4:
         value = macaulay_resultant(HomogeneousSystem(map_forms(A), [m - 1] * n))
     else:
@@ -473,8 +471,6 @@ def echar(A: Hypermatrix, route: str = "auto") -> EcharResult:
         _require(A)
         return echar_det_even(A) if m % 2 == 0 else echar_det_odd(A)
     if route == "macaulay":
-        if n > 3:
-            raise UnsupportedSizeError("macaulay route supports dimensions 2 and 3")
         return echar_macaulay(A)
     raise ValueError(f"unknown route {route!r}")
 

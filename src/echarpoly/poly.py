@@ -521,14 +521,14 @@ def _fraction_sqrt(value: Fraction):
 # -- interpolation ------------------------------------------------------------------
 
 
-def interpolation_nodes(count: int) -> list[Fraction]:
+def interpolation_nodes(count: int) -> list[int]:
     """0, 1, -1, 2, -2, ...: small integers keep the exact arithmetic cheap."""
-    nodes = [Fraction(0)]
+    nodes = [0]
     k = 1
     while len(nodes) < count:
-        nodes.append(Fraction(k))
+        nodes.append(k)
         if len(nodes) < count:
-            nodes.append(Fraction(-k))
+            nodes.append(-k)
         k += 1
     return nodes[:count]
 
@@ -588,7 +588,7 @@ def interpolate_at_nodes(
         if even:
             bound //= 2
         count = min(count, bound + 2)
-    p = lagrange_interpolate([(t, value_at(int(t))) for t in interpolation_nodes(count)])
+    p = lagrange_interpolate([(t, value_at(t)) for t in interpolation_nodes(count)])
     if bound is not None and not p.is_zero() and p.degree > bound:
         variable = "lambda^2" if even else "lambda"
         raise ArithmeticError(

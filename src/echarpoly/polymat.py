@@ -4,14 +4,14 @@ Every determinant the library takes is of a pencil M0 + t M1 over the
 integers: the compact even-order matrix is linear in lambda, the odd-order
 one in mu = lambda^2, the perturbed Macaulay matrix is M + eps I, and each
 Macaulay node evaluates a pencil in lambda.  ``PolyMatrix`` holds one as
-sparse (column, constant, slope) rows, each row cleared of denominators
-once; ``det_interpolated`` evaluates it at small integer nodes, one more
-than the number of rows that carry t, and interpolates the integer node
-determinants, dividing the row scales out once (the test suite checks it
-against fraction-free elimination over Q[x], an oracle kept in the
-tests).  Scalar determinants run fraction-free integer elimination
-(Bareiss); integer rows enter it as they are, rational rows are scaled to
-integers first.
+sparse (column, constant, slope) int rows, over the one denominator its
+builder knows; ``det_interpolated`` evaluates it at small integer nodes,
+one more than the number of rows that carry t, and interpolates the
+integer node determinants, dividing the denominator out once (the test
+suite checks it against fraction-free elimination over Q[x], an oracle
+kept in the tests).  Scalar determinants run fraction-free integer
+elimination (Bareiss); integer rows enter it as they are, rational rows
+are scaled to integers first.
 """
 
 from __future__ import annotations
@@ -25,42 +25,23 @@ from .rational import as_fraction
 
 
 class PolyMatrix:
-    """The square pencil (M0 + t M1) / denominator, M0 and M1 integer.
+    """The square pencil M0 + t M1 over the integers, its determinant over ``denominator``.
 
     ``rows[i]`` lists the (column, constant, slope) int triples of row i,
-    one per column at most; absent columns are zero.  Rows given with
-    rational values are each multiplied by the lcm of their denominators,
-    and the product of those scales is ``denominator``.  ``even`` says
-    that t stands for lambda^2, so the determinant, as a polynomial in
-    lambda, has only even powers; the builder of the matrix sets it.
+    one per column at most; absent columns are zero.  A builder whose
+    rows stand for values over integer denominators passes their product
+    as ``denominator``.  ``even`` says that t stands for lambda^2, so the
+    determinant, as a polynomial in lambda, has only even powers.  The
+    builder of the matrix sets both.
     """
 
     __slots__ = ("rows", "denominator", "even")
 
-    def __init__(self, rows: Sequence[Sequence[tuple]], even: bool = False):
+    def __init__(self, rows: Sequence[Sequence[tuple]], *, denominator: int = 1, even: bool = False):
         size = len(rows)
-        denominator = 1
-        cleared = []
-        for row in rows:
-            # one pass for the common case, a row of ints
-            for j, a, b in row:
-                if not (0 <= j < size and type(a) is int and type(b) is int):
-                    break
-            else:
-                cleared.append(row)
-                continue
-            if any(not 0 <= j < size for j, _, _ in row):
-                raise ValueError("pencil must be square")
-            row = [(j, as_fraction(a), as_fraction(b)) for j, a, b in row]
-            scale = lcm(*(v.denominator for _, a, b in row for v in (a, b)))
-            denominator *= scale
-            cleared.append(
-                [
-                    (j, a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator))
-                    for j, a, b in row
-                ]
-            )
-        self.rows = cleared
+        if any(not 0 <= j < size for row in rows for j, _, _ in row):
+            raise ValueError("pencil must be square")
+        self.rows = rows
         self.denominator = denominator
         self.even = even
 

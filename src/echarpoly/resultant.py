@@ -1,6 +1,6 @@
-"""Resultants of homogeneous systems: Sylvester (two binary forms, possibly
-with polynomial coefficients) and a desk-scale classical Macaulay
-construction for up to four forms.
+"""Resultants of homogeneous systems: Sylvester (two binary integer
+pencils) and a desk-scale classical Macaulay construction for up to four
+forms.
 
 Normalization is anchored once and for all: the resultant of the pure-power
 system (x1^d1, ..., xk^dk) is +1.  With the row and column orderings used
@@ -8,12 +8,13 @@ here that anchor holds by construction, so outputs are canonical including
 sign, never "up to sign".
 
 The binary kernel, ``sylvester_resultant``, has the sign of det of the
-f-rows-first Sylvester matrix but never builds it.  Each form becomes an
-integer pencil once (denominators cleared, their homogeneity factor
-divided back out); at each integer node the two evaluated coefficient
-lists give the resultant by the subresultant PRS in O(d e) integer
-operations, formal degrees kept by the Sylvester column expansions; the
-node values are interpolated.
+f-rows-first Sylvester matrix but never builds it.  A binary form is an
+integer pencil, one (constant, slope) int pair per coefficient, the same
+pairs a ``PolyMatrix`` row holds; its builder puts it over the one
+denominator it knows and divides that back out of the result.  At each
+integer node the two evaluated coefficient lists give the resultant by
+the subresultant PRS in O(d e) integer operations, formal degrees kept by
+the Sylvester column expansions; the node values are interpolated.
 
 The Macaulay kernel, ``macaulay_resultants``, takes a pencil F0 + t F1 and
 a list of nodes t; ``macaulay_resultant`` is its one-node, zero-slope call.
@@ -41,7 +42,7 @@ from math import comb, lcm, prod
 from operator import add
 from typing import Mapping, Sequence
 
-from .poly import Poly, as_poly, interpolate_at_nodes
+from .poly import Poly, interpolate_at_nodes
 from .polymat import PolyMatrix, det_interpolated, det_rational
 from .rational import as_fraction
 
@@ -54,79 +55,33 @@ MAX_FORMS = 4
 MAX_MACAULAY_DIM = 500
 
 
-@dataclass(frozen=True)
-class BinaryForm:
-    """Homogeneous form in (x1, x2) whose coefficients may carry a parameter.
+def sylvester_resultant(
+    f: Sequence[tuple[int, int]],
+    g: Sequence[tuple[int, int]],
+    even: bool,
+    bound: int | None = None,
+) -> Poly:
+    """Resultant of two binary integer pencils, exact; a polynomial in lambda.
 
-    coeffs[i] multiplies x1^(degree-i) * x2^i.  Scalar forms use constant
-    polynomials as coefficients.
+    A form of degree d is its d + 1 (constant, slope) int pairs, pair i the
+    coefficient a + b t of x1^(d-i) x2^i, with t = lambda, or t = lambda^2
+    when ``even``.  The value is det of the f-rows-first Sylvester matrix,
+    which is never built: each node t evaluates a + t b per coefficient and
+    takes the integer resultant of the two lists (``_prs_resultant``).  A
+    form's rows are at most linear in t, so the degree in t is at most the
+    number of rows that carry a slope; the nodes are those of
+    ``interpolate_at_nodes`` for that bound and the optional proven degree
+    ``bound``, which is checked.  Forms over a denominator c are the
+    caller's to divide back out, by c^deg(other form) each.
     """
-
-    degree: int
-    coeffs: tuple[Poly, ...]
-
-    def __init__(self, degree: int, coeffs: Sequence):
-        if len(coeffs) != degree + 1:
-            raise ValueError(f"degree {degree} form needs {degree + 1} coefficients")
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", tuple(as_poly(c) for c in coeffs))
-
-    @classmethod
-    def from_scalars(cls, values: Sequence) -> "BinaryForm":
-        return cls(len(values) - 1, [as_fraction(v) for v in values])
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
-
-def sylvester_resultant(f: BinaryForm, g: BinaryForm, bound: int | None = None) -> Poly:
-    """Resultant of two binary forms, exact; a polynomial in the parameter.
-
-    The value is det of the f-rows-first Sylvester matrix, which is never
-    built.  Each form is cleared of denominators once, as integer
-    coefficient arrays in the parameter (in mu = lambda^2 when neither form
-    has an odd power of it), and the factor c_f^deg(g) * c_g^deg(f) of the
-    homogeneity law is divided back out of the interpolant.  Each node
-    evaluates the arrays by Horner and takes the integer resultant of the
-    two coefficient lists (``_prs_resultant``).  The nodes are those of
-    ``interpolate_at_nodes`` for the row-degree bound and the optional
-    proven degree ``bound``, which is checked.
-    """
-    if f.degree < 1 or g.degree < 1:
+    if len(f) < 2 or len(g) < 2:
         raise ValueError("Sylvester resultant needs two forms of degree >= 1")
-    even = not any(c for form in (f, g) for e in form.coeffs for c in e.coeffs[1::2])
-    step = 2 if even else 1
-    row_bound = 0
-    factor = 1
-    # per form: each coefficient's integer array in the node variable, highest first
-    pencils = []
-    for form, rows in ((f, g.degree), (g, f.degree)):
-        top = max(len(c.coeffs) for c in form.coeffs) - 1
-        if top < 0:
-            return Poly.zero()
-        row_bound += rows * (top // step)
-        denom = lcm(*(v.denominator for c in form.coeffs for v in c.coeffs))
-        factor *= denom**rows
-        pencils.append(
-            [
-                [v.numerator * (denom // v.denominator) for v in c.coeffs[::step]][::-1]
-                for c in form.coeffs
-            ]
-        )
+    row_bound = (len(g) - 1) * any(b for _, b in f) + (len(f) - 1) * any(b for _, b in g)
 
-    def res_at(x: int) -> int:
-        f_at, g_at = ([_horner(cs, x) for cs in pencil] for pencil in pencils)
-        return _prs_resultant(f_at, g_at)
+    def res_at(t: int) -> int:
+        return _prs_resultant([a + t * b for a, b in f], [a + t * b for a, b in g])
 
-    res = interpolate_at_nodes(res_at, row_bound, even, bound)
-    return res if factor == 1 else res.scale(Fraction(1, factor))
-
-
-def _horner(coeffs: Sequence[int], x: int) -> int:
-    acc = 0
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
+    return interpolate_at_nodes(res_at, row_bound, even, bound)
 
 
 def _prs_resultant(f: list[int], g: list[int]) -> int:
@@ -438,9 +393,9 @@ def _clear_denominators(base: HomogeneousSystem, slope: HomogeneousSystem) -> tu
 
 
 def macaulay_resultants(
-    base: HomogeneousSystem, slope: HomogeneousSystem, nodes: Sequence
+    base: HomogeneousSystem, slope: HomogeneousSystem, nodes: Sequence[int]
 ) -> list[Fraction]:
-    """Canonical resultants of the pencil F0 + t F1 at each node t (k <= 4 forms).
+    """Canonical resultants of the pencil F0 + t F1 at each integer node t (k <= 4 forms).
 
     Each value is the Macaulay quotient det(M) / det(M') at t.  What the
     nodes share is built once (see the module docstring), so a node costs
@@ -466,15 +421,16 @@ def macaulay_resultants(
     plans: list[_EliminationPlan] = []
     values = []
     for t in nodes:
-        t = as_fraction(t)
-        if t.denominator == 1:
-            t = t.numerator
         values.append(_node_resultant(forms, degrees, orderings, plans, t) / factor)
     return values
 
 
-def _node_resultant(forms, degrees, orderings, plans, t) -> Fraction:
-    """The resultant of the cleared pencil at t; ``plans`` grows as orderings are reached."""
+def _node_resultant(forms, degrees, orderings, plans, t: int) -> Fraction:
+    """The resultant of the cleared pencil at t; ``plans`` grows as orderings are reached.
+
+    The value is a ``Fraction`` on every path, so the caller's division by
+    the clearing factor stays exact.
+    """
     if any(all(a + t * b == 0 for a, b in form.values()) for form in forms):
         return Fraction(0)
     for index, perm in enumerate(orderings):
@@ -486,8 +442,8 @@ def _node_resultant(forms, degrees, orderings, plans, t) -> Fraction:
         if det_minor == 0:
             continue
         return plan.sign * det_rational(rows) / det_minor
-    node = [{e: a + t * b for e, (a, b) in form.items()} for form in forms]
-    return _macaulay_perturbed(HomogeneousSystem(node, degrees))
+    node = [{e: v for e, (a, b) in form.items() if (v := a + t * b)} for form in forms]
+    return _macaulay_perturbed(node, degrees)
 
 
 def macaulay_resultant(system: HomogeneousSystem) -> Fraction:
@@ -499,22 +455,25 @@ def macaulay_resultant(system: HomogeneousSystem) -> Fraction:
     return macaulay_resultants(system, zero, [0])[0]
 
 
-def _macaulay_perturbed(system: HomogeneousSystem) -> Fraction:
-    """Perturb toward the pure-power system and extract the value at zero.
+def _macaulay_perturbed(
+    forms: Sequence[Mapping[tuple[int, ...], int]], degrees: tuple[int, ...]
+) -> Fraction:
+    """Perturb integer forms toward the pure-power system and extract the value at zero.
 
-    Each form F_i gains eps * x_i^{d_i}, which lands on the diagonal of the
-    lexicographic Macaulay matrix: the ``_macaulay_rows`` of the pencil
-    F + eps x^d are the integer pencil M + eps I, and its non-reduced
-    minor is one too.  The quotient of the two ``det_interpolated`` values
-    is a polynomial in eps whose value at zero is the resultant.
+    ``forms[i]`` maps exponents to ints.  Each form F_i gains eps * x_i^{d_i},
+    which lands on the diagonal of the lexicographic Macaulay matrix: the
+    ``_macaulay_rows`` of the pencil F + eps x^d are the integer pencil
+    M + eps I, and its non-reduced minor is one too.  The quotient of the
+    two ``det_interpolated`` values is a polynomial in eps whose value at
+    zero is the resultant.
     """
-    forms = []
-    for i, (form, degree) in enumerate(zip(system.forms, system.degrees)):
+    pencils = []
+    for i, (form, degree) in enumerate(zip(forms, degrees)):
         pencil = {e: (v, 0) for e, v in form.items()}
-        power = tuple(degree * (j == i) for j in range(system.nvars))
+        power = tuple(degree * (j == i) for j in range(len(degrees)))
         pencil[power] = (form.get(power, 0), 1)
-        forms.append(pencil)
-    rows, non_reduced = _macaulay_rows(forms, system.degrees)
+        pencils.append(pencil)
+    rows, non_reduced = _macaulay_rows(pencils, degrees)
     kept = {c: k for k, c in enumerate(non_reduced)}
     minor = [[(kept[j], a, b) for j, a, b in rows[r] if j in kept] for r in non_reduced]
     det_full = det_interpolated(PolyMatrix(rows))

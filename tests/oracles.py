@@ -6,9 +6,10 @@ dense Poly matrices (the Sylvester matrix and the compact formulas built
 entry by entry), the multilinear map and the slice sums are dense
 brute-force sums, and golden polynomials are rebuilt from eigenvalues via
 Vieta.  They stay dumb so that agreement with the fast paths means
-something.  The binary-form and system operations the resultant laws need
-(product, scaling, linear substitution) live here too, since the library
-itself never needs them.
+something.  Binary forms with polynomial coefficients, ``BinaryForm``, and
+the form and system operations the resultant laws need (product, scaling,
+linear substitution) live here too, since the library itself never needs
+them: its binary forms are integer pencils.
 So do the field-arithmetic references of the fraction-free kernels: Euclid's
 gcd and Yun's square-free split over Q or Q(i) by ``Poly.divmod``, and the
 exact eigenvalue at a direction in Q(i) arithmetic.
@@ -16,8 +17,11 @@ exact eigenvalue at a direction in Q(i) arithmetic.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
+from math import lcm
+from typing import Sequence
 
 from echarpoly.echar import (
     _cross_form,
@@ -26,10 +30,10 @@ from echarpoly.echar import (
     _odd_product_form,
     h_bound,
 )
-from echarpoly.poly import Poly, interpolation_nodes, lagrange_interpolate
+from echarpoly.poly import Poly, as_poly, interpolation_nodes, lagrange_interpolate
 from echarpoly.polymat import det_rational
 from echarpoly.rational import ComplexRational, as_fraction
-from echarpoly.resultant import BinaryForm, HomogeneousSystem, macaulay_resultants
+from echarpoly.resultant import HomogeneousSystem, macaulay_resultants, sylvester_resultant
 from echarpoly.tensor import SliceCoeffs, binary_slices
 
 
@@ -79,7 +83,7 @@ def det_fraction_free(rows) -> Poly:
 
 def poly_rows(rows, size: int, even: bool = False) -> list[list[Poly]]:
     """The dense Poly rows a + b t of sparse (column, a, b) pencil rows, t
-    being lambda^2 when ``even``.  Of a ``PolyMatrix``'s cleared rows, their
+    being lambda^2 when ``even``.  Of a ``PolyMatrix``'s rows, their
     determinant is the pencil's times its ``denominator``."""
     power = 2 if even else 1
     out = []
@@ -92,6 +96,60 @@ def poly_rows(rows, size: int, even: bool = False) -> list[list[Poly]]:
 
 
 # -- binary forms and Sylvester matrices, densely -------------------------------------
+
+
+@dataclass(frozen=True)
+class BinaryForm:
+    """Homogeneous form in (x1, x2) whose coefficients may carry a parameter.
+
+    coeffs[i] multiplies x1^(degree-i) * x2^i.  Scalar forms use constant
+    polynomials as coefficients.
+    """
+
+    degree: int
+    coeffs: tuple[Poly, ...]
+
+    def __init__(self, degree: int, coeffs: Sequence):
+        if len(coeffs) != degree + 1:
+            raise ValueError(f"degree {degree} form needs {degree + 1} coefficients")
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "coeffs", tuple(as_poly(c) for c in coeffs))
+
+    @classmethod
+    def from_scalars(cls, values: Sequence) -> "BinaryForm":
+        return cls(len(values) - 1, [as_fraction(v) for v in values])
+
+
+def pencil_form(pairs, denominator: int = 1, even: bool = False) -> BinaryForm:
+    """The form of a library pencil: coefficient i is (a + b t) / denominator
+    for the pair (a, b), t being lambda, or lambda^2 when ``even``."""
+    power = 2 if even else 1
+    scale = Fraction(1, denominator)
+    coeffs = [(Poly.constant(a) + Poly.monomial(power, b)).scale(scale) for a, b in pairs]
+    return BinaryForm(len(pairs) - 1, coeffs)
+
+
+def kernel_resultant(f: BinaryForm, g: BinaryForm, bound: int | None = None) -> Poly:
+    """Res(f, g) by the library's ``sylvester_resultant``, for forms whose
+    coefficients are a + b lambda or, in both forms, a + b lambda^2.
+
+    Each form is cleared to the kernel's integer pairs over the lcm c of
+    its denominators, and c^deg(other form) is divided back out.  Unlike
+    the oracles above it runs the library kernel: the resultant laws
+    check that kernel.
+    """
+    even = not any(v for form in (f, g) for c in form.coeffs for v in c.coeffs[1::2])
+    power = 2 if even else 1
+    pencils = []
+    factor = 1
+    for form, other in ((f, g), (g, f)):
+        assert all(c.is_zero() or c.degree <= power for c in form.coeffs), "not a pencil"
+        denom = lcm(*(v.denominator for c in form.coeffs for v in c.coeffs))
+        pencils.append(
+            [(int(c.coefficient(0) * denom), int(c.coefficient(power) * denom)) for c in form.coeffs]
+        )
+        factor *= denom**other.degree
+    return sylvester_resultant(*pencils, even, bound).scale(Fraction(1, factor))
 
 
 def sylvester_matrix(f: BinaryForm, g: BinaryForm) -> list[list[Poly]]:
@@ -159,8 +217,8 @@ def det_matrix_even_poly(A) -> list[list[Poly]]:
     cross-form rows shifted."""
     m = A.order
     slices = binary_slices(A)
-    f1, f2 = _even_eigen_forms(slices)
-    cross = _cross_form(slices).coeffs
+    f1, f2 = (pencil_form(f, slices.denom) for f in _even_eigen_forms(slices))
+    cross = pencil_form(_cross_form(slices), slices.denom).coeffs
     size = 2 * m - 2
     rows = []
     for coeffs, shifts in ((f1.coeffs, range(m - 1)), (f2.coeffs, [m - 2]), (cross, range(m - 2))):
@@ -180,7 +238,10 @@ def det_matrix_odd_poly(A) -> list[list[Poly]]:
     go."""
     m = A.order
     slices = binary_slices(A)
-    rows = sylvester_matrix(_odd_product_form(slices), _cross_form(slices))
+    rows = sylvester_matrix(
+        pencil_form(_odd_product_form(slices), slices.denom**2, even=True),
+        pencil_form(_cross_form(slices), slices.denom),
+    )
     n = len(rows)
     b, c = slice_sums(slices)
     b1, cm = b[0], c[m - 1]

@@ -189,6 +189,9 @@ def test_cli_unsupported_exit_2(tmp_path):
         tmp_path, "dim5.json", {"order": 3, "dim": 5, "entries": {"1,1,1": "1"}}
     )
     assert run_cli("echar", path).returncode == 2
+    proc = run_cli("echar", path, "--route", "macaulay")
+    assert proc.returncode == 2
+    assert "the macaulay route supports dimensions 2 and 3" in proc.stderr
     path3 = write_doc(
         tmp_path, "dim3.json", {"order": 3, "dim": 3, "entries": {"1,1,1": "1"}}
     )

@@ -34,12 +34,14 @@ from echarpoly.tensor import (
 )
 from echarpoly.verify import fuzz_corpus, fuzz_tensor
 from oracles import (
+    BinaryForm,
     cofactor_det,
     convolution,
     det_fraction_free,
     det_matrix_even_poly,
     det_matrix_odd_poly,
     homogenized_resultant,
+    pencil_form,
     poly_from_roots,
     poly_in_square_from_roots,
     poly_rows,
@@ -95,7 +97,8 @@ def test_golden_even_diagonal_vieta_oracle():
     # independent 6x6 determinant oracle on the direct Sylvester matrix
     from echarpoly.echar import _even_eigen_forms
 
-    f1, f2 = _even_eigen_forms(binary_slices(A))
+    slices = binary_slices(A)
+    f1, f2 = (pencil_form(f, slices.denom) for f in _even_eigen_forms(slices))
     assert cofactor_det(sylvester_matrix(f1, f2)) == pinned
     assert echar_even_n2(A).psi == pinned
     assert echar_det_even(A).psi == pinned
@@ -132,8 +135,6 @@ def test_golden_deficit_family_oracle():
     A = deficit_tensor()
     # Res of the two slice quadratics by cofactor expansion: 25, squared 625
     s = binary_slices(A)
-    from echarpoly.resultant import BinaryForm
-
     b, c = slice_sums(s)
     matrix = sylvester_matrix(BinaryForm.from_scalars(b), BinaryForm.from_scalars(c))
     res = cofactor_det(matrix)
@@ -162,7 +163,7 @@ def test_m2_regression_characteristic_polynomial():
 
 
 def _pair(M, i, j, scale=1):
-    """The (constant, slope) pair of the pencil M at (i, j), divided by the row's scale."""
+    """The (constant, slope) pair of the pencil M at (i, j), over ``scale``."""
     for col, a, b in M.rows[i]:
         if col == j:
             return Fraction(a, scale), Fraction(b, scale)
@@ -173,22 +174,21 @@ def test_even_det_matrix_structure():
     """Binomial placement of the parameter in the compact even matrix."""
     for m, second_binomial in ((4, 1), (6, 2)):
         A = fuzz_tensor(random.Random(m), m)
-        b, c = slice_sums(binary_slices(A))
+        slices = binary_slices(A)
+        b, c = slice_sums(slices)
         M = det_matrix_even(A)
         assert M.size == 2 * m - 2
         assert not M.even
-        # each row is cleared of denominators by a positive scale, read off
-        # a slope of -1 times it
-        first = -_pair(M, 0, 0)[1]
-        assert first > 0
-        assert _pair(M, 0, 0, first) == (b[0], -1)
-        assert _pair(M, 0, 2, first) == (b[2], -second_binomial)
-        assert _pair(M, 0, 1, first) == (b[1], 0)
+        # every row is a form over the record's denom, which leaves the
+        # determinant over denom^(2m-2)
+        denom = slices.denom
+        assert M.denominator == denom ** (2 * m - 2)
+        assert _pair(M, 0, 0, denom) == (b[0], -1)
+        assert _pair(M, 0, 2, denom) == (b[2], -second_binomial)
+        assert _pair(M, 0, 1, denom) == (b[1], 0)
         # row m holds (c1, c2-bar, ...) starting in column m-2
-        second = -_pair(M, m - 1, m - 1)[1]
-        assert second > 0
-        assert _pair(M, m - 1, m - 2, second) == (c[0], 0)
-        assert _pair(M, m - 1, m - 1, second) == (c[1], -1)
+        assert _pair(M, m - 1, m - 2, denom) == (c[0], 0)
+        assert _pair(M, m - 1, m - 1, denom) == (c[1], -1)
         # the cross-form rows are parameter-free
         for i in range(m, 2 * m - 2):
             for j in range(2 * m - 2):
@@ -203,6 +203,8 @@ def test_odd_det_matrix_structure():
         A = fuzz_tensor(random.Random(m), m)
         M = det_matrix_odd(A)
         assert M.size == 3 * m - 4
+        # m product rows over denom^2 and 2m - 4 cross rows over denom
+        assert M.denominator == binary_slices(A).denom ** (4 * m - 4)
         # parameter appears squared, never linearly, and only in the first m rows
         assert M.even
         for i in range(M.size):
@@ -244,7 +246,7 @@ def test_odd_product_form_binomials():
 
     A = fuzz_tensor(random.Random(55), 5)
     s = binary_slices(A)
-    form = _odd_product_form(s)
+    form = pencil_form(_odd_product_form(s), s.denom**2, even=True)
     m = 5
     lam2 = Poly.monomial(2)
     constants = convolution(*slice_sums(s))
@@ -331,7 +333,7 @@ def test_irregular_tensor_zero_polynomial():
     from echarpoly.echar import _homogenized_system
     from echarpoly.resultant import macaulay_resultants
 
-    nodes = (Fraction(0), Fraction(1), Fraction(-2))
+    nodes = (0, 1, -2)
     assert macaulay_resultants(*_homogenized_system(A), nodes) == [0, 0, 0]
 
 

@@ -18,7 +18,6 @@ from echarpoly.eigen import (
 )
 from echarpoly.poly import Poly, complex_roots
 from echarpoly.rational import ComplexRational, I_UNIT
-from echarpoly.resultant import BinaryForm, sylvester_resultant
 from echarpoly.tensor import (
     DimensionError,
     Hypermatrix,
@@ -28,7 +27,14 @@ from echarpoly.tensor import (
     rotate,
 )
 from echarpoly.verify import fuzz_tensor
-from oracles import brute_eval_map, convolution, exact_eigenvalue, slice_sums
+from oracles import (
+    BinaryForm,
+    brute_eval_map,
+    convolution,
+    exact_eigenvalue,
+    kernel_resultant,
+    slice_sums,
+)
 
 DEFICIT_ENTRIES = {
     (1, 1, 1): 2,
@@ -299,7 +305,7 @@ def test_is_regular_n2_against_sylvester_deltas_and_brute_map():
         b, c = slice_sums(binary_slices(A))
         report = is_regular(A)
         expected = tuple(
-            sylvester_resultant(BinaryForm.from_scalars(seq), circle).coefficient(0)
+            kernel_resultant(BinaryForm.from_scalars(seq), circle).coefficient(0)
             for seq in (c, b)
         )
         assert report.deltas == expected

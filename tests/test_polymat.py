@@ -11,17 +11,18 @@ from oracles import cofactor_det, det_fraction_free, poly_rows
 
 
 def rand_rows(rng, size):
-    """Rational pencil rows, about a third of the entries absent."""
+    """Integer pencil rows, about a third of the entries absent."""
     rows = []
     for _ in range(size):
         rows.append(
-            [
-                (j, Fraction(rng.randint(-5, 5), rng.randint(1, 5)), Fraction(rng.randint(-5, 5), rng.randint(1, 5)))
-                for j in range(size)
-                if rng.random() < 0.7
-            ]
+            [(j, rng.randint(-25, 25), rng.randint(-25, 25)) for j in range(size) if rng.random() < 0.7]
         )
     return rows
+
+
+def oracle_det(rows, size, denominator, even=False) -> Poly:
+    """Fraction-free elimination of the dense Poly rows, over the pencil's denominator."""
+    return det_fraction_free(poly_rows(rows, size, even)).scale(Fraction(1, denominator))
 
 
 def test_diagonal_lambda_matrix():
@@ -38,10 +39,12 @@ def test_matches_scalar_determinant_on_constant_matrices(node_sizes):
     rng = random.Random(5)
     for _ in range(30):
         size = rng.randint(1, 5)
-        rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(size)] for _ in range(size)]
-        pencil = PolyMatrix([[(j, a, 0) for j, a in enumerate(row)] for row in rows])
+        rows = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)]
+        denominator = rng.randint(1, 9)
+        constant_rows = [[(j, a, 0) for j, a in enumerate(row)] for row in rows]
+        pencil = PolyMatrix(constant_rows, denominator=denominator)
         node_sizes.clear()
-        assert det_interpolated(pencil) == Poly.constant(det_rational(rows))
+        assert det_interpolated(pencil) == Poly.constant(det_rational(rows) / denominator)
         # a constant pencil takes one node
         assert node_sizes == [size]
 
@@ -51,7 +54,9 @@ def test_matches_cofactor_oracle_small_sizes():
     for _ in range(25):
         size = rng.randint(1, 6)
         rows = rand_rows(rng, size)
-        assert det_interpolated(PolyMatrix(rows)) == cofactor_det(poly_rows(rows, size))
+        denominator = rng.randint(1, 30)
+        expected = cofactor_det(poly_rows(rows, size)).scale(Fraction(1, denominator))
+        assert det_interpolated(PolyMatrix(rows, denominator=denominator)) == expected
 
 
 def test_interpolation_and_fraction_free_agree():
@@ -61,7 +66,9 @@ def test_interpolation_and_fraction_free_agree():
         size = rng.randint(1, 8)
         rows = rand_rows(rng, size)
         even = rng.random() < 0.5
-        assert det_interpolated(PolyMatrix(rows, even)) == det_fraction_free(poly_rows(rows, size, even))
+        denominator = rng.randint(1, 30)
+        pencil = PolyMatrix(rows, denominator=denominator, even=even)
+        assert det_interpolated(pencil) == oracle_det(rows, size, denominator, even)
 
 
 def test_det_rational_known_values():
@@ -83,21 +90,20 @@ def test_rejects_non_square():
         det_rational([[Fraction(1)], [Fraction(2)]])
 
 
-def test_rows_are_cleared_of_denominators():
-    m = PolyMatrix([[(0, Fraction(1, 2), Fraction(1, 3))], [(1, 2, 0)]])
-    assert m.rows == [[(0, 3, 2)], [(1, 2, 0)]]
-    assert m.denominator == 6
+def test_denominator_divides_the_determinant():
+    # the rows (3 + 2t) / 2 and 2 / 3
+    m = PolyMatrix([[(0, 3, 2)], [(1, 2, 0)]], denominator=6)
     assert det_interpolated(m) == Poly([1, Fraction(2, 3)])
 
 
-_values = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+_values = st.integers(min_value=-81, max_value=81)
 
 
 @st.composite
 def pencils(draw, even):
-    """Sparse rational pencils up to size 6: (column, constant, slope)
-    triples, each entry absent, constant, or with a slope; now and then a
-    zero row or a zero column."""
+    """Sparse integer pencils up to size 6 over a denominator: (column,
+    constant, slope) triples, each entry absent, constant, or with a slope;
+    now and then a zero row or a zero column."""
     size = draw(st.integers(0, 6))
     kinds = st.sampled_from(["absent", "absent", "constant", "pencil"])
     rows = []
@@ -113,21 +119,23 @@ def pencils(draw, even):
     if size and draw(st.integers(0, 4)) == 0:
         column = draw(st.integers(0, size - 1))
         rows = [[e for e in row if e[0] != column] for row in rows]
-    return PolyMatrix(rows, even), poly_rows(rows, size, even)
+    denominator = draw(st.integers(1, 9**6))
+    pencil = PolyMatrix(rows, denominator=denominator, even=even)
+    return pencil, oracle_det(rows, size, denominator, even)
 
 
 @settings(max_examples=80, deadline=None)
 @given(pencils(even=False))
 def test_interpolated_det_matches_fraction_free_property(case):
-    pencil, rows = case
-    assert det_interpolated(pencil) == det_fraction_free(rows)
+    pencil, expected = case
+    assert det_interpolated(pencil) == expected
 
 
 @settings(max_examples=60, deadline=None)
 @given(pencils(even=True))
 def test_even_in_lambda_matrices_match_fraction_free(case):
-    pencil, rows = case
-    assert det_interpolated(pencil) == det_fraction_free(rows)
+    pencil, expected = case
+    assert det_interpolated(pencil) == expected
 
 
 _int_entries = st.one_of(st.just(0), st.integers(-10**6, 10**6))

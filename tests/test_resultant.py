@@ -12,21 +12,22 @@ from echarpoly.eigen import is_regular
 from echarpoly.poly import Poly, complex_roots, interpolation_nodes, lagrange_interpolate
 from echarpoly.polymat import det_rational
 from echarpoly.resultant import (
-    BinaryForm,
     HomogeneousSystem,
     UnsupportedSizeError,
+    _clear_denominators,
     _markowitz_order,
     _perm_sign,
     _restrict,
     macaulay_resultant,
     macaulay_resultants,
-    sylvester_resultant,
 )
 from echarpoly.tensor import Hypermatrix
 from echarpoly.verify import fuzz_tensor
 from oracles import (
+    BinaryForm,
     cofactor_det,
     det_fraction_free,
+    kernel_resultant,
     linear_substitute,
     macaulay_quotient,
     multiply,
@@ -43,7 +44,7 @@ def rand_form(rng, degree, lo=-6, hi=6):
 
 
 def res_scalar(f, g):
-    return sylvester_resultant(f, g).coefficient(0)
+    return kernel_resultant(f, g).coefficient(0)
 
 
 def test_constructors_reject_floats():
@@ -63,7 +64,7 @@ def test_pure_powers_normalize_to_one():
         for e in (1, 2, 4):
             f = BinaryForm.from_scalars([1] + [0] * d)
             g = BinaryForm.from_scalars([0] * e + [1])
-            assert sylvester_resultant(f, g) == Poly.one()
+            assert kernel_resultant(f, g) == Poly.one()
 
 
 def test_linear_pair_is_determinant():
@@ -81,12 +82,12 @@ def test_quadratic_pair_cofactor_oracle():
     matrix = sylvester_matrix(f, g)
     oracle = cofactor_det(matrix)
     assert oracle == Poly.constant(25)
-    assert sylvester_resultant(f, g) == oracle
+    assert kernel_resultant(f, g) == oracle
 
 
 def test_degree_zero_rejected():
     with pytest.raises(ValueError):
-        sylvester_resultant(BinaryForm.from_scalars([1]), BinaryForm.from_scalars([1, 2]))
+        kernel_resultant(BinaryForm.from_scalars([1]), BinaryForm.from_scalars([1, 2]))
 
 
 @st.composite
@@ -129,7 +130,7 @@ def test_node_resultant_matches_sylvester_determinant(pair):
 @given(node_form_pairs(st.fractions(-20, 20, max_denominator=12)))
 def test_rational_forms_match_sylvester_determinant(pair):
     forms = [BinaryForm.from_scalars(c) for c in pair]
-    assert sylvester_resultant(*forms) == _oracle_resultant(*forms)
+    assert kernel_resultant(*forms) == _oracle_resultant(*forms)
 
 
 @st.composite
@@ -158,14 +159,14 @@ def pencil_form_pairs(draw):
 @given(pencil_form_pairs())
 def test_pencil_resultant_matches_sylvester_determinant(forms):
     oracle = _oracle_resultant(*forms)
-    assert sylvester_resultant(*forms) == oracle
+    assert kernel_resultant(*forms) == oracle
     if not oracle.is_zero():
         # a bound at the true degree sets the nodes and one more checks it;
         # one below it still takes enough nodes to see the true degree
-        assert sylvester_resultant(*forms, oracle.degree) == oracle
+        assert kernel_resultant(*forms, oracle.degree) == oracle
         if oracle.degree > 0:
             with pytest.raises(ArithmeticError, match="above the bound"):
-                sylvester_resultant(*forms, oracle.degree - 1)
+                kernel_resultant(*forms, oracle.degree - 1)
 
 
 def test_scaling_homogeneity_binary():
@@ -323,9 +324,16 @@ def test_macaulay_zero_for_common_root():
     assert macaulay_resultant(system) == 0
 
 
-def test_macaulay_perturbation_path_agrees_with_quotient():
-    from echarpoly.resultant import _macaulay_perturbed
+def _perturbed(system: HomogeneousSystem) -> Fraction:
+    """The perturbed quotient of a rational system: its forms are cleared to
+    integers, and the clearing factor is divided back out."""
+    zero = HomogeneousSystem([{}] * system.nvars, system.degrees)
+    cleared, factor = _clear_denominators(system, zero)
+    forms = [{e: a for e, (a, _) in form.items()} for form in cleared]
+    return resultant._macaulay_perturbed(forms, system.degrees) / factor
 
+
+def test_macaulay_perturbation_path_agrees_with_quotient():
     rng = random.Random(29)
     for _ in range(5):
         forms = []
@@ -335,18 +343,14 @@ def test_macaulay_perturbation_path_agrees_with_quotient():
                 form[expo] = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
             forms.append(form)
         system = HomogeneousSystem(forms, [2, 2, 2])
-        assert _macaulay_perturbed(system) == macaulay_resultant(system)
+        assert _perturbed(system) == macaulay_resultant(system)
 
 
 def test_macaulay_variable_relabelings_agree_after_sign_correction():
     from itertools import combinations_with_replacement
 
     from echarpoly.polymat import det_rational
-    from echarpoly.resultant import (
-        _clear_denominators,
-        _EliminationPlan,
-        _macaulay_perturbed,
-    )
+    from echarpoly.resultant import _EliminationPlan
 
     rng = random.Random(31)
     tested = 0
@@ -362,7 +366,7 @@ def test_macaulay_variable_relabelings_agree_after_sign_correction():
                 form[tuple(expo)] = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
             forms.append(form)
         system = HomogeneousSystem(forms, degrees)
-        reference = _macaulay_perturbed(system)
+        reference = _perturbed(system)
         cleared, factor = _clear_denominators(system, HomogeneousSystem([{}] * 3, degrees))
         for perm in permutations(range(3)):
             # every ordering, in its Markowitz order, with the signs of both
@@ -534,11 +538,13 @@ def test_pencil_perturbs_only_the_node_where_every_ordering_degenerates(monkeypa
     real = resultant._macaulay_perturbed
     perturbed = []
     monkeypatch.setattr(
-        resultant, "_macaulay_perturbed", lambda system: perturbed.append(system) or real(system)
+        resultant,
+        "_macaulay_perturbed",
+        lambda forms, degrees: perturbed.append(forms) or real(forms, degrees),
     )
     values = macaulay_resultants(base, slope, [1, 0, 2])
     assert len(perturbed) == 1
-    assert perturbed[0].forms[0] == base.forms[0]
+    assert perturbed[0][0] == base.forms[0]
     # the resultant has degree D / d_1 = 4 in t: five quotients fix it
     psi = lagrange_interpolate(
         [(t, macaulay_quotient(_node_forms(base, slope, t), degrees)[0]) for t in range(1, 6)]
