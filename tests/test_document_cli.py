@@ -269,14 +269,7 @@ PINNED_DOCUMENTS = [GOLDEN_EIGEN / f"{name}.json" for name in EIGEN_GOLDENS] + [
     GOLDEN_REPORTS / "n3.json",
 ]
 PINNED_COMMANDS = [["echar", "--route", route] for route in ("auto", "sylvester", "det", "macaulay")]
-PINNED_COMMANDS.append(["verify", "--deep"])
-
-
-def pinned_report(document: Path, command: list[str], monkeypatch, capsys) -> dict:
-    """The exit code and stdout of ``command`` on ``document``, run in its directory."""
-    monkeypatch.chdir(document.parent)
-    code = cli.main([command[0], document.name, *command[1:]])
-    return {"exit": code, "stdout": capsys.readouterr().out}
+PINNED_COMMANDS += [["verify", "--deep"]]
 
 
 @pytest.mark.parametrize("document", PINNED_DOCUMENTS, ids=lambda path: path.stem)
@@ -284,13 +277,16 @@ def test_cli_echar_and_verify_reports_are_pinned(document, monkeypatch, capsys):
     """Every echar route and ``verify --deep``, exit code and stdout byte for byte.
 
     The documents are the eigen goldens, an order-4 p/q draw and an order-3
-    p/q draw of dimension 3; ``golden/reports.json`` holds the expected
-    reports, keyed by document and command.
+    p/q draw of dimension 3, each run in its own directory;
+    ``golden/reports.json`` holds the expected reports, keyed by document
+    and command.
     """
     expected = json.loads(GOLDEN_REPORTS.with_suffix(".json").read_text())
+    monkeypatch.chdir(document.parent)
     for command in PINNED_COMMANDS:
+        code = cli.main([command[0], document.name, *command[1:]])
         key = " ".join([document.name, *command])
-        assert pinned_report(document, command, monkeypatch, capsys) == expected[key], key
+        assert {"exit": code, "stdout": capsys.readouterr().out} == expected[key], key
 
 
 def test_cli_verify_order2_skew_matrix_skips_the_deficit_drop_law(tmp_path):
