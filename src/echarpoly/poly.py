@@ -536,15 +536,16 @@ def interpolation_nodes(count: int) -> list[int]:
 def lagrange_interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
     """Exact interpolating polynomial through distinct-abscissa points.
 
-    The work is on integers: with d and D the common denominators of the
-    abscissae and of the values, D*y is interpolated at the integer nodes
-    a = d*x in Lagrange form, each basis polynomial M(u) / (u - a_i) over
-    the weight w_i = prod_{j != i} (a_i - a_j), M(u) = prod_j (u - a_j).
-    The sum is taken over the common denominator lcm(w_i), which is divided
-    out once, together with D and the substitution u = d*x.
+    Ints enter as they are.  The work is on integers: with d and D the
+    common denominators of the abscissae and of the values, D*y is
+    interpolated at the integer nodes a = d*x in Lagrange form, each basis
+    polynomial M(u) / (u - a_i) over the weight w_i = prod_{j != i}
+    (a_i - a_j), M(u) = prod_j (u - a_j).  The sum is taken over the
+    common denominator lcm(w_i), which is divided out once, together with
+    D and the substitution u = d*x.
     """
-    xs = [as_fraction(x) for x, _ in points]
-    ys = [as_fraction(y) for _, y in points]
+    xs = [x if type(x) is int else as_fraction(x) for x, _ in points]
+    ys = [y if type(y) is int else as_fraction(y) for _, y in points]
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation nodes must be distinct")
     n = len(xs)

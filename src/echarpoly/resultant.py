@@ -20,16 +20,18 @@ The Macaulay kernel, ``macaulay_resultants``, takes a pencil F0 + t F1 and
 a list of nodes t; ``macaulay_resultant`` is its one-node, zero-slope call.
 Per pencil, denominators are cleared once per form across both parts.  Per
 variable ordering, built only when some node reaches it, the integer rows
-are built once as (constant, slope) pairs, and rows and columns are put in
-the pivot order of a symbolic Markowitz elimination of their pattern in
-either part (Markowitz's fill-reducing rule, run once on Macaulay's fixed
-sparsity pattern and memoized per pattern); the minor takes the same
-order, restricted, and the signs of all four orders are corrected for.
-Those rows are a ``PolyMatrix``, the integer pencil every determinant of
-the library takes; each node evaluates its int rows and eliminates them.
-A node where a form vanishes identically gives 0 at once; a node whose
-minor vanishes tries the next ordering; a node where every ordering's
-minor vanishes alone falls back to the perturbed quotient.
+of the Macaulay matrix M and of its minor M' are built once as (constant,
+slope) pairs, and each part gets its own symbolic pass: a Markowitz
+elimination of its sparsity pattern in either part (Markowitz's
+fill-reducing rule, memoized per pattern) puts its rows and columns in
+pivot order and records the fill schedule, the rows and columns each step
+may touch; the signs of all four orders are corrected for.  Each part is a
+``PolyMatrix``, the integer pencil every determinant of the library takes;
+each node evaluates its int rows and runs the numeric pass,
+``det_scheduled``, along the schedule.  A node where a form vanishes
+identically gives 0 at once; a node whose minor vanishes tries the next
+ordering; a node where every ordering's minor vanishes alone falls back to
+the perturbed quotient.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from operator import add
 from typing import Mapping, Sequence
 
 from .poly import Poly, interpolate_at_nodes
-from .polymat import PolyMatrix, det_interpolated, det_rational
+from .polymat import PolyMatrix, det_interpolated, det_scheduled
 from .rational import as_fraction
 
 
@@ -197,6 +199,13 @@ def _monomials(nvars: int, total: int) -> list[tuple[int, ...]]:
     return out
 
 
+@lru_cache(maxsize=16)
+def _monomial_index(nvars: int, total: int) -> tuple[tuple[tuple[int, ...], ...], dict]:
+    """The monomials of ``_monomials`` and the position of each, memoized."""
+    monomials = tuple(_monomials(nvars, total))
+    return monomials, {mono: j for j, mono in enumerate(monomials)}
+
+
 def macaulay_size(degrees: Sequence[int]) -> int:
     """Side of the Macaulay matrix of forms of these degrees: the number of
     monomials of the critical degree sum(d_i - 1) + 1 in len(degrees) variables."""
@@ -217,16 +226,17 @@ def _is_reduced(alpha: tuple[int, ...], degrees: tuple[int, ...]) -> bool:
 
 
 def _macaulay_rows(forms: Sequence[Mapping], degrees: tuple[int, ...]):
-    """Sparse rows of the Macaulay matrix of a pencil, and the minor's index set.
+    """Sparse rows of the Macaulay matrix M of a pencil, and of its minor M'.
 
     ``forms[i]`` maps exponents to (constant, slope) pairs.  The row for
     monomial alpha in partition class i holds the coefficients of
     (x^alpha / x_i^{d_i}) * F_i as (column, constant, slope) triples.  Rows
     and columns are both the monomials of the critical degree in
     lexicographic order, so the x_i^{d_i} term of F_i lands on the diagonal.
+    M' keeps the rows and columns of the non-reduced monomials, renumbered
+    in the same order.
     """
-    monomials = _monomials(len(degrees), sum(d - 1 for d in degrees) + 1)
-    col_of = {mono: j for j, mono in enumerate(monomials)}
+    monomials, col_of = _monomial_index(len(degrees), sum(d - 1 for d in degrees) + 1)
     terms = [list(form.items()) for form in forms]
     rows = []
     non_reduced = []
@@ -237,22 +247,35 @@ def _macaulay_rows(forms: Sequence[Mapping], degrees: tuple[int, ...]):
         rows.append([(col_of[tuple(map(add, shift, e))], a, b) for e, (a, b) in terms[i]])
         if not _is_reduced(alpha, degrees):
             non_reduced.append(r)
-    return rows, non_reduced
+    kept = {c: k for k, c in enumerate(non_reduced)}
+    minor = [[(kept[j], a, b) for j, a, b in rows[r] if j in kept] for r in non_reduced]
+    return rows, minor
 
 
 @lru_cache(maxsize=16)
 def _markowitz_order(
     supports: tuple[tuple[int, ...], ...],
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Row and column order of a symbolic Markowitz elimination of a pattern.
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple]:
+    """Pivot order and fill schedule of a symbolic Markowitz elimination of a pattern.
 
     ``supports[r]`` lists the nonzero columns of row r.  Each step pivots on
     the nonzero of the active submatrix with the least (r - 1)(c - 1), r
     and c the counts of its row and column there, ties going to the lowest
     row and then the lowest column (Markowitz, Management Science 1957);
     the pivot row's pattern then fills every active row of the pivot
-    column.  A pattern with no active nonzero left is structurally
-    singular: its remaining rows and columns follow in index order.
+    column.  The search examines the columns and rows of count k = 1, 2,
+    ... and stops once the best cost is below k^2, which no entry left
+    unexamined can reach (Duff, Erisman and Reid, *Direct Methods for
+    Sparse Matrices*, ch. 7).  A pattern with no active nonzero left is
+    structurally singular: its remaining rows and columns follow in index
+    order.
+
+    Returns the row order, the column order and the fill schedule of the
+    numeric pass, in positions of those orders.  Step k holds the columns
+    after k that the pivot row may hold, the rows that may hold column k,
+    and for each of those rows the columns after k that it may hold
+    outside the pivot row's.  There is one step per pivot, so a
+    structurally singular pattern has fewer steps than rows.
     """
     size = len(supports)
     row_cols = [set(s) for s in supports]
@@ -260,50 +283,79 @@ def _markowitz_order(
     for r, support in enumerate(supports):
         for c in support:
             col_rows[c].add(r)
-    rows_left = list(range(size))
+    # the rows and the columns of each count in the active pattern
+    rows_by: list[set[int]] = [set() for _ in range(size + 1)]
+    cols_by: list[set[int]] = [set() for _ in range(size + 1)]
+    for r, cols in enumerate(row_cols):
+        rows_by[len(cols)].add(r)
+    for c, rows in enumerate(col_rows):
+        cols_by[len(rows)].add(c)
     row_order: list[int] = []
     col_order: list[int] = []
-    while rows_left:
+    steps = []
+    while True:
         best = None
-        for r in rows_left:
-            cols = row_cols[r]
-            if not cols:
-                continue
-            weight = len(cols) - 1
-            for c in cols:
-                key = (weight * (len(col_rows[c]) - 1), r, c)
-                if best is None or key < best:
-                    best = key
-            if best[0] == 0:
+        for k in range(1, size + 1):
+            weight = k - 1
+            for c in cols_by[k]:
+                for r in col_rows[c]:
+                    key = ((len(row_cols[r]) - 1) * weight, r, c)
+                    if best is None or key < best:
+                        best = key
+            for r in rows_by[k]:
+                for c in row_cols[r]:
+                    key = (weight * (len(col_rows[c]) - 1), r, c)
+                    if best is None or key < best:
+                        best = key
+            # every entry left unexamined has both counts above k
+            if best is not None and best[0] < k * k:
                 break
         if best is None:
             break
         _, p, q = best
         pivot_cols = row_cols[p]
+        targets = [r for r in col_rows[q] if r != p]
+        rows_by[len(pivot_cols)].discard(p)
+        for r in targets:
+            rows_by[len(row_cols[r])].discard(r)
+        for c in pivot_cols:
+            cols_by[len(col_rows[c])].discard(c)
         pivot_cols.discard(q)
         for c in pivot_cols:
             col_rows[c].discard(p)
-        for r in col_rows[q]:
-            if r != p:
-                cols = row_cols[r]
-                cols.discard(q)
-                for c in pivot_cols - cols:
-                    col_rows[c].add(r)
-                cols |= pivot_cols
-        rows_left.remove(p)
+        rests = []
+        for r in targets:
+            cols = row_cols[r]
+            cols.discard(q)
+            rests.append(cols - pivot_cols)
+            for c in pivot_cols - cols:
+                col_rows[c].add(r)
+            cols |= pivot_cols
+            rows_by[len(cols)].add(r)
+        for c in pivot_cols:
+            cols_by[len(col_rows[c])].add(c)
+        steps.append((tuple(pivot_cols), targets, rests))
+        row_cols[p] = set()
+        col_rows[q] = set()
         row_order.append(p)
         col_order.append(q)
-    row_order += rows_left
+    row_order += sorted(set(range(size)).difference(row_order))
     col_order += sorted(set(range(size)).difference(col_order))
-    return tuple(row_order), tuple(col_order)
-
-
-def _restrict(order: Sequence[int], kept: Sequence[int]) -> tuple[list[int], int]:
-    """Positions in ``order`` of the indices in ``kept`` (ascending), and the
-    sign of the order in which ``order`` visits them."""
-    rank = {r: i for i, r in enumerate(kept)}
-    positions = [p for p, r in enumerate(order) if r in rank]
-    return positions, _perm_sign([rank[order[p]] for p in positions])
+    row_pos = [0] * size
+    col_pos = [0] * size
+    for k, (r, c) in enumerate(zip(row_order, col_order)):
+        row_pos[r] = k
+        col_pos[c] = k
+    row_at, col_at = row_pos.__getitem__, col_pos.__getitem__
+    schedule = tuple(
+        (
+            tuple(map(col_at, pivot_cols)),
+            tuple(map(row_at, targets)),
+            tuple(tuple(map(col_at, rest)) for rest in rests),
+        )
+        for pivot_cols, targets, rests in steps
+    )
+    return tuple(row_order), tuple(col_order), schedule
 
 
 def _perm_sign(perm: Sequence[int]) -> int:
@@ -323,43 +375,39 @@ def _perm_sign(perm: Sequence[int]) -> int:
     return sign
 
 
-class _EliminationPlan:
-    """The Macaulay matrix of a pencil under one variable ordering, in Markowitz order.
+def _scheduled(rows: list[list[tuple]]) -> tuple[tuple[PolyMatrix, tuple], int]:
+    """Sparse (column, constant, slope) rows put in the pivot order of their
+    pattern's ``_markowitz_order``, as a pencil with its fill schedule, and
+    the sign of the row and column orders."""
+    pattern = tuple(tuple(sorted(j for j, _, _ in row)) for row in rows)
+    row_order, col_order, schedule = _markowitz_order(pattern)
+    new_col = [0] * len(rows)
+    for p, c in enumerate(col_order):
+        new_col[c] = p
+    pencil = PolyMatrix([[(new_col[j], a, b) for j, a, b in rows[r]] for r in row_order])
+    return (pencil, schedule), _perm_sign(row_order) * _perm_sign(col_order)
 
-    ``pencil`` holds the sparse (column, constant, slope) rows, rows and columns
-    renumbered into the pivot order of ``_markowitz_order`` on the pattern
-    of both parts, so Bareiss's step k pivots where the symbolic
-    elimination did; ``minor_rows`` and ``minor_cols`` are the positions
-    of the non-reduced minor in it.
-    ``sign`` turns det(full) / det(minor) of the reordered matrices into
-    the canonical resultant: the relabeling's sign to the power prod(d_i)
-    times the signs of the row and column orders of both matrices.
+
+class _EliminationPlan:
+    """The Macaulay matrix M of a pencil and its minor M' under one variable
+    ordering, each in the pivot order of its own pattern.
+
+    ``full`` and ``minor`` are (pencil, schedule) pairs for ``det_scheduled``:
+    the symbolic pass is made once per pattern, and each node runs the
+    numeric pass alone.  ``sign`` turns det(M) / det(M') of the reordered
+    matrices into the canonical resultant: the relabeling's sign to the
+    power prod(d_i) times the signs of the row and column orders of both
+    matrices.
     """
 
-    __slots__ = ("pencil", "minor_rows", "minor_cols", "sign")
+    __slots__ = ("full", "minor", "sign")
 
     def __init__(self, forms: Sequence[Mapping], degrees: tuple[int, ...], perm: tuple[int, ...]):
         moved = [{_relabel(e, perm): v for e, v in form.items()} for form in forms]
-        rows, non_reduced = _macaulay_rows(moved, degrees)
-        pattern = tuple(tuple(sorted(j for j, _, _ in row)) for row in rows)
-        row_order, col_order = _markowitz_order(pattern)
-        new_col = [0] * len(rows)
-        for p, c in enumerate(col_order):
-            new_col[c] = p
-        self.pencil = PolyMatrix([[(new_col[j], a, b) for j, a, b in rows[r]] for r in row_order])
-        self.minor_rows, minor_row_sign = _restrict(row_order, non_reduced)
-        self.minor_cols, minor_col_sign = _restrict(col_order, non_reduced)
-        self.sign = (
-            _perm_sign(perm) ** prod(degrees)
-            * _perm_sign(row_order)
-            * _perm_sign(col_order)
-            * minor_row_sign
-            * minor_col_sign
-        )
-
-    def minor(self, rows: list[list]) -> list[list]:
-        cols = self.minor_cols
-        return [[rows[r][c] for c in cols] for r in self.minor_rows]
+        full, minor = _macaulay_rows(moved, degrees)
+        self.full, full_sign = _scheduled(full)
+        self.minor, minor_sign = _scheduled(minor)
+        self.sign = _perm_sign(perm) ** prod(degrees) * full_sign * minor_sign
 
 
 def _relabel(expo: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -399,11 +447,12 @@ def macaulay_resultants(
 
     Each value is the Macaulay quotient det(M) / det(M') at t.  What the
     nodes share is built once (see the module docstring), so a node costs
-    the evaluation of int rows and two ``det_rational`` calls, whose pivot
-    search covers a planned pivot that is zero at that t.  A node is 0 when
-    a form vanishes there identically; while its minor vanishes it tries
-    the next variable relabeling, and only when every one fails is it
-    perturbed toward the pure-power system (``_macaulay_perturbed``).
+    the evaluation of int rows and two numeric passes of ``det_scheduled``,
+    which leaves its schedule for pivoting elimination where a planned
+    pivot is zero at that t.  A node is 0 when a form vanishes there
+    identically; while its minor vanishes it tries the next variable
+    relabeling, and only when every one fails is it perturbed toward the
+    pure-power system (``_macaulay_perturbed``).
     """
     k = base.nvars
     if k < 2:
@@ -437,11 +486,10 @@ def _node_resultant(forms, degrees, orderings, plans, t: int) -> Fraction:
         if index == len(plans):
             plans.append(_EliminationPlan(forms, degrees, perm))
         plan = plans[index]
-        rows = plan.pencil.evaluate(t)
-        det_minor = det_rational(plan.minor(rows))
+        det_minor = det_scheduled(*plan.minor, t)
         if det_minor == 0:
             continue
-        return plan.sign * det_rational(rows) / det_minor
+        return Fraction(plan.sign * det_scheduled(*plan.full, t), det_minor)
     node = [{e: v for e, (a, b) in form.items() if (v := a + t * b)} for form in forms]
     return _macaulay_perturbed(node, degrees)
 
@@ -473,9 +521,7 @@ def _macaulay_perturbed(
         power = tuple(degree * (j == i) for j in range(len(degrees)))
         pencil[power] = (form.get(power, 0), 1)
         pencils.append(pencil)
-    rows, non_reduced = _macaulay_rows(pencils, degrees)
-    kept = {c: k for k, c in enumerate(non_reduced)}
-    minor = [[(kept[j], a, b) for j, a, b in rows[r] if j in kept] for r in non_reduced]
+    rows, minor = _macaulay_rows(pencils, degrees)
     det_full = det_interpolated(PolyMatrix(rows))
     det_minor = det_interpolated(PolyMatrix(minor))
     if det_minor.is_zero():

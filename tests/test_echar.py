@@ -279,6 +279,25 @@ def test_route_equivalence_odd_orders():
             assert echar_macaulay(A).psi == res.psi
 
 
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+def test_macaulay_route_at_dimension_2_with_empty_minors(monkeypatch, order):
+    # even order eliminates two forms in two variables: no monomial is
+    # non-reduced, so M' is empty and its determinant is 1
+    from echarpoly import resultant
+
+    sizes = []
+    real = resultant.det_scheduled
+
+    def recording(pencil, schedule, t):
+        sizes.append(pencil.size)
+        return real(pencil, schedule, t)
+
+    monkeypatch.setattr(resultant, "det_scheduled", recording)
+    A = fuzz_tensor(random.Random(order), order)
+    assert echar_macaulay(A).psi == echar(A).psi
+    assert (0 in sizes) == (order % 2 == 0)
+
+
 def test_route_equivalence_orders_beyond_acceptance():
     # the determinant formulas are stated for every order; spot-check 7 and 8
     rng = random.Random(777)

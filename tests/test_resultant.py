@@ -10,14 +10,15 @@ from echarpoly import resultant
 from echarpoly.echar import _eigen_system, _homogenized_system
 from echarpoly.eigen import is_regular
 from echarpoly.poly import Poly, complex_roots, interpolation_nodes, lagrange_interpolate
-from echarpoly.polymat import det_rational
+from echarpoly import polymat
+from echarpoly.polymat import det_scheduled
 from echarpoly.resultant import (
     HomogeneousSystem,
     UnsupportedSizeError,
     _clear_denominators,
+    _EliminationPlan,
     _markowitz_order,
-    _perm_sign,
-    _restrict,
+    _scheduled,
     macaulay_resultant,
     macaulay_resultants,
 )
@@ -30,6 +31,7 @@ from oracles import (
     kernel_resultant,
     linear_substitute,
     macaulay_quotient,
+    markowitz_order,
     multiply,
     scale,
     scale_form,
@@ -349,9 +351,6 @@ def test_macaulay_perturbation_path_agrees_with_quotient():
 def test_macaulay_variable_relabelings_agree_after_sign_correction():
     from itertools import combinations_with_replacement
 
-    from echarpoly.polymat import det_rational
-    from echarpoly.resultant import _EliminationPlan
-
     rng = random.Random(31)
     tested = 0
     for _ in range(6):
@@ -369,13 +368,12 @@ def test_macaulay_variable_relabelings_agree_after_sign_correction():
         reference = _perturbed(system)
         cleared, factor = _clear_denominators(system, HomogeneousSystem([{}] * 3, degrees))
         for perm in permutations(range(3)):
-            # every ordering, in its Markowitz order, with the signs of both
+            # every ordering, M and M' each in its own Markowitz order, with the signs of all four
             plan = _EliminationPlan(cleared, system.degrees, perm)
-            rows = plan.pencil.evaluate(0)
-            det_minor = det_rational(plan.minor(rows))
+            det_minor = det_scheduled(*plan.minor, 0)
             if det_minor == 0:
                 continue
-            assert plan.sign * det_rational(rows) / (det_minor * factor) == reference
+            assert Fraction(plan.sign * det_scheduled(*plan.full, 0), det_minor * factor) == reference
             tested += 1
     assert tested >= 20
 
@@ -405,6 +403,11 @@ def _poly_rows(rows):
     return [[Poly.constant(v) for v in row] for row in rows]
 
 
+def _sparse_rows(rows):
+    """Dense integer rows as the sparse (column, constant, slope) rows of a constant pencil."""
+    return [[(j, v, 0) for j, v in enumerate(row) if v] for row in rows]
+
+
 @settings(max_examples=150, deadline=None)
 @given(sparse_integer_matrices())
 # the first Markowitz pivot of the pattern is zero in value
@@ -417,28 +420,96 @@ def _poly_rows(rows):
 def test_markowitz_ordered_determinant_keeps_its_sign(case):
     rows, kept = case
     n = len(rows)
-    row_order, col_order = _markowitz_order(
-        tuple(tuple(j for j, v in enumerate(row) if v) for row in rows)
+    (pencil, schedule), sign = _scheduled(_sparse_rows(rows))
+    assert pencil.size == n and len(schedule) <= n
+    assert sign * det_scheduled(pencil, schedule, 0) == _oracle_det(_poly_rows(rows))
+    # a minor takes its own order and schedule, with their signs
+    minor = [[rows[r][c] for c in kept] for r in kept]
+    (pencil, schedule), sign = _scheduled(_sparse_rows(minor))
+    assert sign * det_scheduled(pencil, schedule, 0) == _oracle_det(_poly_rows(minor))
+
+
+@st.composite
+def sparse_pencils(draw):
+    """A sparse square integer pencil of side 0-7 as (constant, slope) rows,
+    some entries slope-only, some rows zeroed, and an integer node."""
+    n = draw(st.integers(0, 7))
+    entry = st.sampled_from(["zero", "zero", "constant", "slope", "both"]).flatmap(
+        lambda kind: st.tuples(
+            st.just(0) if kind in ("zero", "slope") else st.integers(-5, 5).filter(bool),
+            st.just(0) if kind in ("zero", "constant") else st.integers(-5, 5).filter(bool),
+        )
     )
-    assert sorted(row_order) == sorted(col_order) == list(range(n))
-    ordered = [[rows[r][c] for c in col_order] for r in row_order]
-    sign = _perm_sign(row_order) * _perm_sign(col_order)
-    assert sign * det_rational(ordered) == _oracle_det(_poly_rows(rows))
-    # the same order restricted to a minor, with the signs of the restrictions
-    minor_rows, row_sign = _restrict(row_order, kept)
-    minor_cols, col_sign = _restrict(col_order, kept)
-    minor = [[ordered[r][c] for c in minor_cols] for r in minor_rows]
-    expected = _oracle_det(_poly_rows([[rows[r][c] for c in kept] for r in kept]))
-    assert row_sign * col_sign * det_rational(minor) == expected
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n:
+        for r in draw(st.sets(st.integers(0, n - 1), max_size=1)):
+            rows[r] = [(0, 0)] * n
+    return rows, draw(st.integers(-2, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_pencils())
+# a planned pivot is zero at the node 0: a slope-only entry first, a
+# vanishing second minor, and a singular matrix
+@example(([[(0, 1), (1, 0)], [(1, 0), (1, 0)]], 0))
+@example(([[(1, 0), (1, 0), (0, 0)], [(1, 0), (1, 1), (1, 0)], [(0, 0), (1, 0), (1, 0)]], 0))
+@example(([[(0, 1), (1, 0), (0, 0)], [(1, 0), (0, 2), (1, 0)], [(0, 0), (1, 1), (0, 3)]], 0))
+# structurally singular: rows 1 and 2 share one column
+@example(([[(1, 0), (2, 1), (3, 0)], [(0, 4), (0, 0), (0, 0)], [(5, 0), (0, 0), (0, 0)]], 1))
+@example(([], 0))
+def test_scheduled_determinant_of_a_pencil_at_a_node(case):
+    pairs, t = case
+    rows = [[(j, a, b) for j, (a, b) in enumerate(row) if a or b] for row in pairs]
+    (pencil, schedule), sign = _scheduled(rows)
+    values = [[a + t * b for a, b in row] for row in pairs]
+    assert sign * det_scheduled(pencil, schedule, t) == _oracle_det(_poly_rows(values))
+
+
+def test_scheduled_determinant_leaves_the_schedule_at_a_vanishing_pivot(monkeypatch):
+    # det [[t, 1], [1, 1]] = t - 1; the tie goes to the slope-only pivot t, zero at t = 0
+    rows = [[(0, 0, 1), (1, 1, 0)], [(0, 1, 0), (1, 1, 0)]]
+    (pencil, schedule), sign = _scheduled(rows)
+    assert pencil.rows[0][0] == (0, 0, 1)
+    pivoting = []
+    real = polymat._det_int_bareiss
+    monkeypatch.setattr(polymat, "_det_int_bareiss", lambda m: pivoting.append(len(m)) or real(m))
+    assert sign * det_scheduled(pencil, schedule, 2) == 1
+    assert pivoting == []
+    assert sign * det_scheduled(pencil, schedule, 0) == -1
+    assert pivoting == [2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 12).flatmap(
+        lambda n: st.lists(
+            st.sets(st.integers(0, n - 1), max_size=n) if n else st.just(set()), min_size=n, max_size=n
+        )
+    )
+)
+def test_bucketed_markowitz_search_matches_the_full_scan(supports):
+    pattern = tuple(tuple(sorted(s)) for s in supports)
+    row_order, col_order, _ = _markowitz_order(pattern)
+    assert sorted(row_order) == sorted(col_order) == list(range(len(pattern)))
+    assert (row_order, col_order) == markowitz_order(pattern)
 
 
 def test_markowitz_order_pivots_on_the_least_fill_first():
     # an arrow matrix: its spokes go first, without fill; in the dense 2x2
     # left over, ties go to the lowest row, then the lowest column
     arrow = ((0, 1, 2, 3), (0, 1), (0, 2), (0, 3))
-    assert _markowitz_order(arrow) == ((1, 2, 0, 3), (1, 2, 0, 3))
+    assert _markowitz_order(arrow)[:2] == ((1, 2, 0, 3), (1, 2, 0, 3))
     # structurally singular: the rows and columns no pivot reaches follow in index order
-    assert _markowitz_order(((0,), (0,), (1, 2))) == ((0, 2, 1), (0, 1, 2))
+    row_order, col_order, schedule = _markowitz_order(((0,), (0,), (1, 2)))
+    assert (row_order, col_order) == ((0, 2, 1), (0, 1, 2))
+    assert len(schedule) == 2
+
+
+def test_markowitz_schedule_records_the_fill():
+    # pivot (0, 0) first: row 2 gains column 2 from row 0, and keeps column 1 of its own
+    row_order, col_order, schedule = _markowitz_order(((0, 2), (1, 2), (0, 1, 2)))
+    assert (row_order, col_order) == ((0, 1, 2), (0, 1, 2))
+    assert schedule == (((2,), (2,), ((1,),)), ((2,), (2,), ((),)), ((), (), ()))
 
 
 @st.composite
@@ -558,7 +629,8 @@ def test_zero_form_gives_zero_without_orderings_or_perturbation(monkeypatch):
         raise AssertionError("the kernel eliminated a system with a zero form")
 
     monkeypatch.setattr(resultant, "_macaulay_perturbed", refuse)
-    monkeypatch.setattr(resultant, "det_rational", refuse)
+    monkeypatch.setattr(resultant, "det_scheduled", refuse)
+    monkeypatch.setattr(polymat, "_det_int_bareiss", refuse)
     system = HomogeneousSystem([{}, {}, {}, {(0, 0, 0, 2): 1}], [2, 2, 2, 2])
     assert macaulay_resultant(system) == 0
     report = is_regular(Hypermatrix.zero(3, 3))
