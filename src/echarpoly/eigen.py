@@ -14,24 +14,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Optional
 
 import cmath
 
 import numpy as np
 
-from .poly import Poly, poly_gcd, squarefree_split
+from .poly import primitive_gcd, squarefree_split
 from .rational import ComplexRational, I_UNIT
-from .resultant import HomogeneousSystem, macaulay_resultant
 from .tensor import (
     DimensionError,
     Hypermatrix,
     SliceCoeffs,
     binary_slices,
+    conic_values,
     direction_form_coeffs,
     eval_map,
     isotropic_value,
-    map_forms,
 )
 
 NORMALIZED = "normalized"
@@ -70,7 +70,6 @@ class EigenReport:
 class RegularityReport:
     regular: bool
     witness: Optional[tuple] = None  # ComplexRational entries when exact
-    deltas: Optional[tuple[Fraction, ...]] = None
 
 
 # -- eigenpairs -----------------------------------------------------------------
@@ -265,93 +264,52 @@ def is_z_eigenpair(pair: Eigenpair) -> bool:
 def is_regular(A: Hypermatrix) -> RegularityReport:
     """Decide whether Ax^{m-1} = 0, x^T x = 0 has a nonzero solution.
 
-    Dimension 2 is exact: the isotropic cone is the pair of points (1, +-i).
-    Dimension 3 first computes the three elimination resultants (all must
-    vanish for irregularity), then searches the isotropic conic through an
-    exact rational parametrization.
+    Both dimensions decide exactly from one integer record of the map on
+    the isotropic cone.  Dimension 2: the cone is the pair of points
+    (1, +-i), and ``isotropic_value`` gives the map there.  Dimension 3: the
+    cone is the conic x(t) = (1 - t^2, i(1 + t^2), 2t), and ``conic_values``
+    gives the map along it as Gaussian-integer polynomials in t.
     """
     if A.dim == 2:
-        return _is_regular_n2(A)
-    if A.dim == 3:
-        return _is_regular_n3(A)
-    raise DimensionError("regularity test supports dimensions 2 and 3")
+        # irregular exactly when the map vanishes at (1, i), hence also at (1, -i)
+        f1, f2 = isotropic_value(binary_slices(A))
+        irregular = f1.is_zero() and f2.is_zero()
+        witness = (ComplexRational(Fraction(1)), I_UNIT) if irregular else None
+    elif A.dim == 3:
+        irregular, witness = _conic_witness(A)
+    else:
+        raise DimensionError("regularity test supports dimensions 2 and 3")
+    return RegularityReport(regular=not irregular, witness=witness)
 
 
-def _is_regular_n2(A: Hypermatrix) -> RegularityReport:
-    """Irregular exactly when the map vanishes at (1, i), hence also at (1, -i).
+def _conic_witness(A: Hypermatrix):
+    """Whether the map of a dimension-3 tensor vanishes on the isotropic conic, and a witness.
 
-    The deltas are the resultants of the second and the first component
-    against x1^2 + x2^2, that is |f2(1, i)|^2 and |f1(1, i)|^2.
-    """
-    f1, f2 = isotropic_value(binary_slices(A))
-    deltas = (f2.norm2(), f1.norm2())
-    if f1.is_zero() and f2.is_zero():
-        witness = (ComplexRational(Fraction(1)), I_UNIT)
-        return RegularityReport(regular=False, witness=witness, deltas=deltas)
-    return RegularityReport(regular=True, witness=None, deltas=deltas)
-
-
-def _is_regular_n3(A: Hypermatrix) -> RegularityReport:
-    m = A.order
-    forms = map_forms(A)
-    quadric = {(2, 0, 0): Fraction(1), (0, 2, 0): Fraction(1), (0, 0, 2): Fraction(1)}
-    deltas = []
-    for omit in range(3):
-        # the quadric's sparse rows lead, as in echar._homogenized_system;
-        # its degree 2 makes prod(d_i) even, so the order keeps each delta
-        kept = [quadric] + [forms[j] for j in range(3) if j != omit]
-        system = HomogeneousSystem(kept, [2, m - 1, m - 1])
-        deltas.append(macaulay_resultant(system))
-    deltas = tuple(deltas)
-    if any(d != 0 for d in deltas):
-        return RegularityReport(regular=True, witness=None, deltas=deltas)
-    irregular, witness = _conic_witness(A, forms)
-    return RegularityReport(regular=not irregular, witness=witness, deltas=deltas)
-
-
-# parametrization of x1^2 + x2^2 + x3^2 = 0: t -> (1 - t^2, i(1 + t^2), 2t),
-# with t = infinity giving (-1, i, 0)
-
-
-def _conic_witness(A: Hypermatrix, forms: list[dict]):
-    """Whether the forms share a zero on the isotropic conic, and a witness.
-
-    The verdict is exact: the point at t = infinity, else a nonconstant
-    Q(i) gcd of the parametrized forms.  The witness is exact when the gcd
-    has a root at 0 or is linear; otherwise it is the float root of the gcd
-    with the smallest residual, or None when no residual reaches 1e-10.
+    The verdict is exact, read from ``conic_values``: the point t = infinity,
+    (-1, i, 0), is a common zero exactly when every component's t^{2(m-1)}
+    coefficient is 0; otherwise a common zero is a root of the integer
+    gcd of the nonzero components.  The witness is exact at infinity, when
+    the gcd has a root at 0, or when it is linear; otherwise it is the
+    float root of the gcd with the smallest residual, or None when no
+    residual reaches 1e-10.
     """
     one = ComplexRational(Fraction(1))
     zero = ComplexRational(Fraction(0))
-    inf_point = (-one, I_UNIT, zero)
-    if all(v == 0 for v in eval_map(A, list(inf_point))):
-        return True, inf_point
-    conic = (Poly([1, 0, -1]), Poly([I_UNIT, 0, I_UNIT]), Poly([0, 2]))
-    g = Poly()
-    for form in forms:
-        g = poly_gcd(g, _substitute(form, conic))
-    if g.degree == 0:
+    values = conic_values(A)
+    if all(c[-1] == 0 for c in values):
+        return True, (-one, I_UNIT, zero)
+    nonzero = [c[: max(j for j, v in enumerate(c) if v) + 1] for c in values if any(c)]
+    g = reduce(primitive_gcd, nonzero)
+    if len(g) == 1:
         return False, None
-    if g.coefficient(0) == 0:  # exact root at t = 0
+    if g[0] == 0:  # exact root at t = 0
         return True, (one, I_UNIT, zero)
-    if g.degree == 1:  # linear gcd: exact root
-        t = -g.coefficient(0) / g.coefficient(1)
-        return True, _conic_point_exact(t)
-    roots = np.roots([complex(c) for c in reversed(g.coeffs)])
+    if len(g) == 2:  # linear gcd: exact root
+        return True, _conic_point_exact(-g[0] / g[1])
+    roots = np.roots([complex(c) for c in reversed(g)])
     points = [_conic_point_numeric(complex(root)) for root in roots]
     best = min(points, key=lambda point: irregularity_residual(A, point))
     return True, best if irregularity_residual(A, best) <= 1e-10 else None
-
-
-def _substitute(form: dict, var_polys: tuple[Poly, ...]) -> Poly:
-    """The exponent-dict form with a polynomial substituted for each variable."""
-    total = Poly()
-    for expo, value in form.items():
-        term = Poly([value])
-        for var, power in zip(var_polys, expo):
-            term = term * var**power
-        total = total + term
-    return total
 
 
 def _conic_point_exact(t: Fraction | ComplexRational):

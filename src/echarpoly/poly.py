@@ -1,11 +1,12 @@
 """Dense univariate polynomials over Q and Q(i).
 
 Coefficients are ``Fraction`` or ``ComplexRational`` values; the field
-operations, ``divmod`` and ``monic`` work the same over both.  The gcd and
-Yun's square-free split do not use them: they clear the coefficients to Z
-or Z[i] once and run a primitive pseudo-remainder sequence there, with
-ring operations and content removal only, returning monic factors over
-the field.
+operations, ``divmod`` and ``monic`` work the same over both.  The gcd
+(``primitive_gcd``) and Yun's square-free split do not use them: they run
+a primitive pseudo-remainder sequence on coefficient lists over Z or Z[i]
+(``integral_coeffs`` clears a polynomial to one), with ring operations
+and content removal only; ``squarefree_decomposition`` returns monic
+factors over the field.
 
 Everything here is exact except :func:`complex_roots` and the float
 evaluation :meth:`Poly.eval_complex`; the only other place floating point
@@ -380,14 +381,17 @@ def _exact_quotient(a: list, b: list, power: int) -> list:
     return q
 
 
-def _gcd(a: list, b: list) -> list:
+def primitive_gcd(a: list, b: list) -> list:
     """A primitive gcd of two nonzero lists, by the primitive pseudo-remainder sequence.
 
-    One list may be over Z and the other over Z[i]: the first
+    The lists are ascending ints or Gaussian integers with a nonzero last
+    entry.  One may be over Z and the other over Z[i]: the first
     pseudo-remainder is then over Z[i].
     """
     if len(a) < len(b):
         a, b = b, a
+    if len(b) == 1:
+        return [1]
     a, b = _primitive(a), _primitive(b)
     while len(b) > 1:
         r = _pseudo_divmod(a, b, len(a) - len(b) + 1)[1]
@@ -415,7 +419,7 @@ def squarefree_split(cs: list) -> list[tuple[list, int]]:
     """
     p = _primitive(cs)
     dp = _derivative(p)
-    c = _gcd(p, dp)
+    c = primitive_gcd(p, dp)
     if len(c) == 1:
         return [(p, 1)]
     power = len(p) - len(c) + 1
@@ -426,7 +430,7 @@ def squarefree_split(cs: list) -> list[tuple[list, int]]:
         w, z = _joint_primitive(w, _trim(_subtract(y, _derivative(w))))
         if not z:
             break
-        g = _gcd(w, z)
+        g = primitive_gcd(w, z)
         if len(g) > 1:
             out.append((g, i))
             power = max(len(w), len(z)) - len(g) + 1
@@ -451,13 +455,6 @@ def _monic(cs: list) -> Poly:
     if isinstance(lead, int):
         return Poly([Fraction(c, lead) for c in cs])
     return Poly([c / lead for c in cs])
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over Q or Q(i); the gcd of two zeros is zero."""
-    if a.is_zero() or b.is_zero():
-        return (b if a.is_zero() else a).monic()
-    return _monic(_gcd(integral_coeffs(a.coeffs), integral_coeffs(b.coeffs)))
 
 
 def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:

@@ -5,8 +5,8 @@ arbitrary precision, lowest terms, positive denominator); ``as_fraction``
 is the one coercion into them, and it admits ints and nothing else, so a
 float cannot leak in.  This module adds the Gaussian-rational field Q(i)
 needed for eigenvector directions such as (1, i), for exact evaluation of
-the multilinear map at complex points, and for polynomials over Q(i) (the
-irregularity test on the isotropic cone).
+the multilinear map at complex points, and for the Gaussian integers of
+the map on the isotropic cone (the irregularity test).
 """
 
 from __future__ import annotations

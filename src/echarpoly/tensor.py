@@ -7,13 +7,15 @@ happens.
 
 At dimension 2 the map is carried by its slice sums alone, held in one
 integer record, ``SliceCoeffs``: numerators over one denominator, in lowest
-terms.  Its readers take the integers as they are.
+terms.  Its readers take the integers as they are.  At dimension 3 the
+map on the isotropic conic is one integer record too, ``conic_values``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
 from typing import Mapping, Sequence
@@ -300,6 +302,42 @@ def _at_i(seq: Sequence[int], denom: int) -> ComplexRational:
         Fraction(sum(seq[0::4]) - sum(seq[2::4]), denom),
         Fraction(sum(seq[1::4]) - sum(seq[3::4]), denom),
     )
+
+
+def conic_values(A: Hypermatrix) -> tuple[list, list, list]:
+    """The map Ax^{m-1} of a dimension-3 tensor along the isotropic conic x^T x = 0.
+
+    Component k at x(t) = (1 - t^2, i(1 + t^2), 2t), as Gaussian integers
+    (``ComplexRational`` with integer parts) ascending in t, of formal degree
+    2(m-1), over the common denominator of the map's coefficients.  The top
+    coefficient is the value at (-1, i, 0), the point t = infinity.  The
+    monomial x1^a x2^b x3^c gives i^b times the list of
+    (1 - t^2)^a (1 + t^2)^b (2t)^c.
+    """
+    if A.dim != 3:
+        raise DimensionError("conic values are defined for dimension 3 only")
+    forms = map_forms(A)
+    denom = lcm(*(v.denominator for form in forms for v in form.values()))
+    size = 2 * A.order - 1
+    parts = [([0] * size, [0] * size) for _ in forms]  # real and imaginary numerators
+    for part, form in zip(parts, forms):
+        for (a, b, c), value in form.items():
+            num = value.numerator * (denom // value.denominator) * (-1 if b % 4 >= 2 else 1)
+            target = part[b % 2]
+            for j, v in enumerate(_conic_monomial(a, b, c)):
+                target[j] += num * v
+    return tuple([ComplexRational(re, im) for re, im in zip(*part)] for part in parts)
+
+
+@lru_cache(maxsize=64)
+def _conic_monomial(a: int, b: int, c: int) -> tuple[int, ...]:
+    """(1 - t^2)^a (1 + t^2)^b (2t)^c, ascending in t."""
+    square = [1]  # ascending in t^2
+    for sign in [-1] * a + [1] * b:
+        square = _times_linear(square, 1, sign)
+    out = [0] * (c + 2 * len(square) - 1)
+    out[c::2] = [v << c for v in square]
+    return tuple(out)
 
 
 def direction_form_coeffs(slices: SliceCoeffs) -> tuple[int, ...]:

@@ -14,6 +14,8 @@ So do the field-arithmetic references of the fraction-free kernels: Euclid's
 gcd and Yun's square-free split over Q or Q(i) by ``Poly.divmod``, and the
 exact eigenvalue at a direction in Q(i) arithmetic; and the full-scan
 Markowitz search that the library's count-bucketed one must match.
+``poly_gcd`` is not an oracle: it applies the library's list gcd to two
+polynomials, a form only the tests use.
 """
 
 from __future__ import annotations
@@ -31,7 +33,14 @@ from echarpoly.echar import (
     _odd_product_form,
     h_bound,
 )
-from echarpoly.poly import Poly, as_poly, interpolation_nodes, lagrange_interpolate
+from echarpoly.poly import (
+    Poly,
+    as_poly,
+    integral_coeffs,
+    interpolation_nodes,
+    lagrange_interpolate,
+    primitive_gcd,
+)
 from echarpoly.polymat import det_rational
 from echarpoly.rational import ComplexRational, as_fraction
 from echarpoly.resultant import HomogeneousSystem, macaulay_resultants, sylvester_resultant
@@ -433,6 +442,13 @@ def pq_sums(slices: SliceCoeffs) -> tuple[Fraction, Fraction]:
             p += sp * c[k - 1]
             q += sq * b[k - 1]
     return p, q
+
+
+def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd over Q or Q(i) through the library's list gcd; the gcd of two zeros is zero."""
+    if a.is_zero() or b.is_zero():
+        return (b if a.is_zero() else a).monic()
+    return Poly(primitive_gcd(integral_coeffs(a.coeffs), integral_coeffs(b.coeffs))).monic()
 
 
 def euclid_gcd(a: Poly, b: Poly) -> Poly:

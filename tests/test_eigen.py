@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from echarpoly import resultant
 from echarpoly.echar import echar
 from echarpoly.eigen import (
     DEFICIT,
     NORMALIZED,
+    RegularityReport,
     _exact_eigenvalue,
     deficit_indicator,
     eigenpairs_n2,
@@ -18,12 +20,15 @@ from echarpoly.eigen import (
 )
 from echarpoly.poly import Poly, complex_roots
 from echarpoly.rational import ComplexRational, I_UNIT
+from echarpoly.resultant import HomogeneousSystem, macaulay_resultant
 from echarpoly.tensor import (
     DimensionError,
     Hypermatrix,
     OrthogonalMatrix,
+    all_indices,
     binary_slices,
     direction_form_coeffs,
+    map_forms,
     rotate,
 )
 from echarpoly.verify import fuzz_tensor
@@ -253,23 +258,35 @@ def test_is_regular_examples():
 def test_is_regular_dimension3_diagonal():
     report = is_regular(Hypermatrix.diagonal(3, 3))
     assert report.regular
-    assert report.deltas is not None and all(d != 0 for d in report.deltas)
+
+
+#: Every component is x1^2 + x2^2, zero at the conic points (1, +-i, 0).
+SUM_OF_TWO_SQUARES = {(i, 1, 1): 1 for i in (1, 2, 3)} | {(i, 2, 2): 1 for i in (1, 2, 3)}
+#: (x1^2, x1 x2, x1 x3), zero at the conic points (0, +-i, 1).
+FIRST_COORDINATE = {(1, 1, 1): 1, (2, 1, 2): 1, (3, 1, 3): 1}
+#: (x1 x3, x3 (4 x1 + 3 x3), x1 (4 x1 + 3 x3)) is regular, although each pair
+#: of components shares the two conic points of one linear factor.
+PAIRWISE_SHARED = {(1, 1, 3): 1, (2, 1, 3): 4, (2, 3, 3): 3, (3, 1, 1): 4, (3, 1, 3): 3}
+
+
+def at_infinity(m):
+    """(x1 x3, 2 x2 x3, -x3^2) times x3^(m-3): it vanishes at (-1, i, 0), t = infinity."""
+    tail = (3,) * (m - 3)
+    return {(1, 1, 3) + tail: 1, (2, 2, 3) + tail: 2, (3, 3, 3) + tail: -1}
 
 
 def test_is_regular_dimension3_irregular_witness():
-    entries = {(i, 1, 1): 1 for i in (1, 2, 3)} | {(i, 2, 2): 1 for i in (1, 2, 3)}
-    A = Hypermatrix.from_one_based(3, 3, entries)
+    A = Hypermatrix.from_one_based(3, 3, SUM_OF_TWO_SQUARES)
     report = is_regular(A)
     assert not report.regular
-    assert report.deltas == (0, 0, 0)
     assert irregularity_residual(A, report.witness) <= 1e-10
 
 
 def test_is_regular_dimension3_verdict_is_exact_without_float_witness(monkeypatch):
-    # (x1^2, x1 x2, x1 x3) vanishes at the conic points (0, +-i, 1): the Q(i)
+    # (x1^2, x1 x2, x1 x3) vanishes at the conic points (0, +-i, 1): the Z[i]
     # gcd of the parametrized forms is t^2 - 1, so only the float root search
     # yields a witness; the verdict must not depend on it
-    A = Hypermatrix.from_one_based(3, 3, {(1, 1, 1): 1, (2, 1, 2): 1, (3, 1, 3): 1})
+    A = Hypermatrix.from_one_based(3, 3, FIRST_COORDINATE)
     report = is_regular(A)
     assert not report.regular
     assert irregularity_residual(A, report.witness) <= 1e-10
@@ -278,6 +295,103 @@ def test_is_regular_dimension3_verdict_is_exact_without_float_witness(monkeypatc
     report = is_regular(A)
     assert not report.regular
     assert report.witness is None
+
+
+def test_is_regular_dimension3_when_every_pair_shares_conic_points():
+    # each [x^T x, F_j, F_k] has a common zero, so all three of their
+    # Macaulay resultants vanish; no point is shared by all three components
+    A = Hypermatrix.from_one_based(3, 3, PAIRWISE_SHARED)
+    forms = map_forms(A)
+    quadric = {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1}
+    for omit in range(3):
+        kept = [quadric] + [forms[j] for j in range(3) if j != omit]
+        assert macaulay_resultant(HomogeneousSystem(kept, [2, 2, 2])) == 0
+    assert is_regular(A) == RegularityReport(regular=True, witness=None)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_is_regular_dimension3_exact_witness_at_infinity(m):
+    A = Hypermatrix.from_one_based(m, 3, at_infinity(m))
+    report = is_regular(A)
+    one, zero = ComplexRational(Fraction(1)), ComplexRational(Fraction(0))
+    assert not report.regular
+    assert report.witness == (-one, I_UNIT, zero)
+    assert irregularity_residual(A, report.witness) == 0
+
+
+def sympy_irregular(sympy, A):
+    """Whether the map and x^T x share a zero, by sympy over QQ_I.
+
+    The point (-1, i, 0) is tried by evaluation; the other conic points
+    are the roots t of the gcd of the components at (1 - t^2, i(1 + t^2), 2t).
+    """
+    t = sympy.symbols("t")
+    conic = [sympy.Poly(x, t, domain=sympy.QQ_I) for x in (1 - t**2, sympy.I * (1 + t**2), 2 * t)]
+    infinity = (-1, sympy.I, 0)
+    along = [sympy.Poly(0, t, domain=sympy.QQ_I) for _ in range(3)]
+    at_inf = [sympy.Integer(0)] * 3
+    for idx, value in A.entries.items():
+        c = sympy.Rational(value.numerator, value.denominator)
+        term = sympy.Poly(c, t, domain=sympy.QQ_I)
+        point = c
+        for k in idx[1:]:
+            term = term * conic[k]
+            point = point * infinity[k]
+        along[idx[0]] += term
+        at_inf[idx[0]] += point
+    if all(sympy.expand(v) == 0 for v in at_inf):
+        return True
+    g = sympy.Poly(0, t, domain=sympy.QQ_I)
+    for f in along:
+        g = g.gcd(f)
+    return g.degree() > 0
+
+
+def common_line_draw(rng, m):
+    """Sparse G_k of degree m - 2 times one linear form L: the map (L G_1, L G_2, L G_3)
+    vanishes where the line L = 0 meets the conic, so the tensor is irregular."""
+    line = [rng.randint(-3, 3) for _ in range(3)]
+    entries = {}
+    for idx in all_indices(m - 1, 3):
+        if list(idx[1:]) != sorted(idx[1:]) or rng.random() < 0.5:
+            continue
+        value = rng.randint(-5, 5)
+        for j, coeff in enumerate(line):
+            key = (idx[0],) + tuple(sorted(idx[1:] + (j,)))
+            entries[key] = entries.get(key, 0) + value * coeff
+    return Hypermatrix(m, 3, entries)
+
+
+def test_is_regular_dimension3_against_sympy_without_macaulay(monkeypatch):
+    sympy = pytest.importorskip("sympy")
+
+    def refuse(*args):
+        raise AssertionError("regularity entered the Macaulay kernel")
+
+    monkeypatch.setattr(resultant, "macaulay_resultants", refuse)
+    rng = random.Random(2026)
+    nonzero = [v for v in range(-9, 10) if v]
+    tensors = [
+        Hypermatrix(
+            m, 3, {idx: rng.choice(nonzero) for idx in all_indices(m, 3) if rng.random() >= 0.5}
+        )
+        for m in [3, 4] * 20
+    ]
+    tensors += [fuzz_tensor(rng, m, 3) for m in (3, 3, 4)]
+    tensors += [common_line_draw(rng, m) for m in [3, 4] * 5]
+    tensors += [Hypermatrix.diagonal(m, 3) for m in (3, 4)] + [Hypermatrix.zero(m, 3) for m in (3, 4)]
+    examples = [SUM_OF_TWO_SQUARES, FIRST_COORDINATE, PAIRWISE_SHARED, at_infinity(3)]
+    tensors += [Hypermatrix.from_one_based(3, 3, e) for e in examples]
+    tensors.append(Hypermatrix.from_one_based(4, 3, at_infinity(4)))
+    irregular = 0
+    for A in tensors:
+        report = is_regular(A)
+        assert report.regular == (not sympy_irregular(sympy, A))
+        if not report.regular:
+            irregular += 1
+            if report.witness is not None:
+                assert irregularity_residual(A, report.witness) <= 1e-10
+    assert irregular >= 15
 
 
 def from_slices(b, c):
@@ -289,8 +403,8 @@ def from_slices(b, c):
 
 
 def test_is_regular_n2_against_sylvester_deltas_and_brute_map():
-    # deltas are the resultants of each component against x1^2 + x2^2, and
-    # the verdict is whether the dense map vanishes at (1, i)
+    # the verdict is whether the dense map vanishes at (1, i), that is whether
+    # both components' resultants against x1^2 + x2^2 vanish
     circle = BinaryForm.from_scalars([1, 0, 1])
     rng = random.Random(61)
     irregular = 0
@@ -304,17 +418,15 @@ def test_is_regular_n2_against_sylvester_deltas_and_brute_map():
             A = Hypermatrix(m, 2, {k: v for k, v in dense.entries.items() if rng.random() < 0.5})
         b, c = slice_sums(binary_slices(A))
         report = is_regular(A)
-        expected = tuple(
+        deltas = [
             kernel_resultant(BinaryForm.from_scalars(seq), circle).coefficient(0)
             for seq in (c, b)
-        )
-        assert report.deltas == expected
+        ]
         vanishes = all(v == 0 for v in brute_eval_map(A, [ComplexRational(1), I_UNIT]))
-        assert report.regular == (not vanishes)
+        assert report.regular == (not vanishes) == any(deltas)
         if vanishes:
             irregular += 1
             assert report.witness == (ComplexRational(1), I_UNIT)
-            assert report.deltas == (0, 0)
         else:
             assert report.witness is None
     assert irregular >= 20

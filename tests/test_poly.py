@@ -12,12 +12,11 @@ from echarpoly.poly import (
     interpolate_at_nodes,
     interpolation_nodes,
     lagrange_interpolate,
-    poly_gcd,
     poly_sqrt,
     squarefree_decomposition,
 )
 from echarpoly.rational import I_UNIT, ComplexRational
-from oracles import euclid_gcd, yun_squarefree
+from oracles import euclid_gcd, poly_gcd, yun_squarefree
 
 
 def rand_poly(rng, max_deg=6):

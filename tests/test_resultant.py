@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from echarpoly import resultant
 from echarpoly.echar import _eigen_system, _homogenized_system
-from echarpoly.eigen import is_regular
 from echarpoly.poly import Poly, complex_roots, interpolation_nodes, lagrange_interpolate
 from echarpoly import polymat
 from echarpoly.polymat import det_scheduled
@@ -633,9 +632,6 @@ def test_zero_form_gives_zero_without_orderings_or_perturbation(monkeypatch):
     monkeypatch.setattr(polymat, "_det_int_bareiss", refuse)
     system = HomogeneousSystem([{}, {}, {}, {(0, 0, 0, 2): 1}], [2, 2, 2, 2])
     assert macaulay_resultant(system) == 0
-    report = is_regular(Hypermatrix.zero(3, 3))
-    assert not report.regular
-    assert report.deltas == (0, 0, 0)
     # a pencil whose form vanishes at one node only
     base = HomogeneousSystem([{(1, 0): 1}, {(0, 1): 1}], [1, 1])
     slope = HomogeneousSystem([{(1, 0): 1}, {}], [1, 1])

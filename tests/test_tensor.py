@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from echarpoly.echar import _odd_product_form
+from echarpoly.poly import interpolation_nodes
 from echarpoly.rational import ComplexRational, I_UNIT
 from echarpoly.tensor import (
     DimensionError,
@@ -14,6 +15,7 @@ from echarpoly.tensor import (
     OrthogonalMatrix,
     all_indices,
     binary_slices,
+    conic_values,
     direction_form_coeffs,
     eval_map,
     isotropic_value,
@@ -246,6 +248,28 @@ def test_isotropic_value_is_the_map_at_one_i_and_carries_p_plus_iq():
             p, q = pq_sums(s)
             assert f1 + I_UNIT * f2 == ComplexRational(p, q)
     assert isotropic_value(binary_slices(Hypermatrix.zero(3, 2))) == (0, 0)
+
+
+def test_conic_values_are_the_map_along_the_isotropic_conic():
+    # 2m - 1 nodes fix each list of formal degree 2(m - 1); the top
+    # coefficient is the value at t = infinity, the point (-1, i, 0)
+    rng = random.Random(47)
+    one = ComplexRational(1)
+    for m in range(2, 6):
+        dense = fuzz_tensor(rng, m, 3)
+        A = Hypermatrix(m, 3, {k: v for k, v in dense.entries.items() if rng.random() < 0.6})
+        denom = lcm(*(v.denominator for v in A.entries.values()))
+        values = conic_values(A)
+        assert all(len(v) == 2 * m - 1 for v in values)
+        for t in interpolation_nodes(2 * m - 1):
+            point = [one - t * t, I_UNIT * (one + t * t), 2 * t * one]
+            along = [sum(c * t**j for j, c in enumerate(v)) for v in values]
+            assert along == [denom * f for f in brute_eval_map(A, point)]
+        at_infinity = brute_eval_map(A, [-one, I_UNIT, 0 * one])
+        assert [v[-1] for v in values] == [denom * f for f in at_infinity]
+    assert conic_values(Hypermatrix.zero(3, 3)) == ([0] * 5,) * 3
+    with pytest.raises(DimensionError):
+        conic_values(Hypermatrix.zero(3, 2))
 
 
 def test_pq_sums_sign_cycle_order_six():
