@@ -174,11 +174,11 @@ def _odd_product_form(slices: SliceCoeffs) -> BinaryPencil:
 def echar_even_n2(A: Hypermatrix) -> EcharResult:
     """Resultant of the eigen-equations; valid for every even-order tensor.
 
-    Its degree in lambda is at most h, h = m for dimension 2, so it is
-    interpolated on h + 2 nodes instead of the 2m - 1 of the row-degree
-    bound: h + 1 determine it and the last one checks the bound.  Both
-    forms are over denom, of degree m - 1, so the integer resultant is
-    denom^(2m-2) times psi.
+    Its degree in lambda is at most h, h = m for dimension 2, below the
+    2m - 2 of the row degrees; the one Kronecker node of
+    ``sylvester_resultant`` gives it whole and the bound is checked on it.
+    Both forms are over denom, of degree m - 1, so the integer resultant
+    is denom^(2m-2) times psi.
     """
     _require(A, parity=0)
     m = A.order
@@ -201,7 +201,9 @@ def echar_odd_n2(A: Hypermatrix) -> EcharResult:
 
     The product form is over denom^2 and of degree 2m - 2, the cross form
     over denom and of degree m, and b_m*c_1 is pivot / denom^2, so psi is
-    the integer resultant over denom^(4m-4) * pivot.
+    the integer resultant over denom^(4m-4) * pivot.  Both forms are
+    pencils in mu = lambda^2, so the resultant is taken in mu, at one
+    Kronecker node.
     """
     _require(A, parity=1)
     slices = binary_slices(A)

@@ -288,34 +288,24 @@ def _conic_witness(A: Hypermatrix):
     The verdict is exact, read from ``conic_values``: the point t = infinity,
     (-1, i, 0), is a common zero exactly when every component's t^{2(m-1)}
     coefficient is 0; otherwise a common zero is a root of the integer
-    gcd of the nonzero components.  The witness is exact at infinity, when
-    the gcd has a root at 0, or when it is linear; otherwise it is the
-    float root of the gcd with the smallest residual, or None when no
-    residual reaches 1e-10.
+    gcd of the nonzero components.  The tensor is real, so those zeros pair
+    up as t and -1/conj(t), never equal: the gcd is never linear, and a
+    root t = 0 would pair with t = infinity, which the first test takes.
+    The witness is exact at infinity; otherwise it is the float root of
+    the gcd with the smallest residual, or None when no residual reaches
+    1e-10.
     """
-    one = ComplexRational(Fraction(1))
-    zero = ComplexRational(Fraction(0))
     values = conic_values(A)
     if all(c[-1] == 0 for c in values):
-        return True, (-one, I_UNIT, zero)
+        return True, (ComplexRational(Fraction(-1)), I_UNIT, ComplexRational(Fraction(0)))
     nonzero = [c[: max(j for j, v in enumerate(c) if v) + 1] for c in values if any(c)]
     g = reduce(primitive_gcd, nonzero)
     if len(g) == 1:
         return False, None
-    if g[0] == 0:  # exact root at t = 0
-        return True, (one, I_UNIT, zero)
-    if len(g) == 2:  # linear gcd: exact root
-        return True, _conic_point_exact(-g[0] / g[1])
     roots = np.roots([complex(c) for c in reversed(g)])
     points = [_conic_point_numeric(complex(root)) for root in roots]
     best = min(points, key=lambda point: irregularity_residual(A, point))
     return True, best if irregularity_residual(A, best) <= 1e-10 else None
-
-
-def _conic_point_exact(t: Fraction | ComplexRational):
-    one = ComplexRational(Fraction(1))
-    two = ComplexRational(Fraction(2))
-    return (one - t * t, I_UNIT * (one + t * t), two * t)
 
 
 def _conic_point_numeric(t: complex) -> tuple[complex, complex, complex]:

@@ -568,30 +568,15 @@ def lagrange_interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
     return Poly([Fraction(c * d**k, denom) for k, c in enumerate(reversed(total))])
 
 
-def interpolate_at_nodes(
-    value_at: Callable[[int], int], top: int, even: bool, bound: int | None = None
-) -> Poly:
+def interpolate_at_nodes(value_at: Callable[[int], int], top: int, even: bool) -> Poly:
     """The polynomial p in lambda with p = value_at(x) at small integer nodes x.
 
     When ``even``, p has only even powers of lambda and ``value_at`` takes
     mu = lambda^2: p is interpolated in mu and spread back to lambda.
-    ``top`` bounds the degree in the node variable, so top + 1 nodes
-    determine p.  ``bound``, a proven bound on the degree in lambda, sets
-    the nodes instead when it is lower: bound + 1 of them determine p and
-    one more checks it; an interpolant above the bound raises
-    ``ArithmeticError``.
+    ``top`` bounds the degree in the node variable, so the top + 1 nodes
+    0, 1, -1, ... determine p.
     """
-    count = top + 1
-    if bound is not None:
-        if even:
-            bound //= 2
-        count = min(count, bound + 2)
-    p = lagrange_interpolate([(t, value_at(t)) for t in interpolation_nodes(count)])
-    if bound is not None and not p.is_zero() and p.degree > bound:
-        variable = "lambda^2" if even else "lambda"
-        raise ArithmeticError(
-            f"interpolant has degree {p.degree} in {variable}, above the bound {bound}"
-        )
+    p = lagrange_interpolate([(t, value_at(t)) for t in interpolation_nodes(top + 1)])
     if even:
         p = Poly([c for a in p.coeffs for c in (a, 0)])
     return p

@@ -11,10 +11,12 @@ The binary kernel, ``sylvester_resultant``, has the sign of det of the
 f-rows-first Sylvester matrix but never builds it.  A binary form is an
 integer pencil, one (constant, slope) int pair per coefficient, the same
 pairs a ``PolyMatrix`` row holds; its builder puts it over the one
-denominator it knows and divides that back out of the result.  At each
-integer node the two evaluated coefficient lists give the resultant by
-the subresultant PRS in O(d e) integer operations, formal degrees kept by
-the Sylvester column expansions; the node values are interpolated.
+denominator it knows and divides that back out of the result.  The
+pencils are evaluated at one Kronecker node t = 2^K, K past a bound on
+every coefficient of the resultant in t, and the two integer lists give
+its value by the subresultant PRS in O(d e) big-integer operations,
+formal degrees kept by the Sylvester column expansions; the coefficients
+are that value's signed base-2^K digits.
 
 The Macaulay kernel, ``macaulay_resultants``, takes a pencil F0 + t F1 and
 a list of nodes t; ``macaulay_resultant`` is its one-node, zero-slope call.
@@ -40,11 +42,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import comb, lcm, prod
+from math import comb, isqrt, lcm, prod
 from operator import add
 from typing import Mapping, Sequence
 
-from .poly import Poly, interpolate_at_nodes
+from .poly import Poly
 from .polymat import PolyMatrix, det_interpolated, det_scheduled
 from .rational import as_fraction
 
@@ -68,22 +70,50 @@ def sylvester_resultant(
     A form of degree d is its d + 1 (constant, slope) int pairs, pair i the
     coefficient a + b t of x1^(d-i) x2^i, with t = lambda, or t = lambda^2
     when ``even``.  The value is det of the f-rows-first Sylvester matrix,
-    which is never built: each node t evaluates a + t b per coefficient and
-    takes the integer resultant of the two lists (``_prs_resultant``).  A
-    form's rows are at most linear in t, so the degree in t is at most the
-    number of rows that carry a slope; the nodes are those of
-    ``interpolate_at_nodes`` for that bound and the optional proven degree
-    ``bound``, which is checked.  Forms over a denominator c are the
-    caller's to divide back out, by c^deg(other form) each.
+    which is never built.  On |t| = 1 a row of f has 2-norm at most
+    |a_f| + |b_f| (of the constants and of the slopes), so by Hadamard
+    every value, and so every coefficient, of the resultant in t is at
+    most B = (|a_f| + |b_f|)^e (|a_g| + |b_g|)^d, d and e the degrees of
+    f and g.  The one node t = 2^K, 2^(K-2) > B, gives the integer
+    resultant of the evaluated lists (``_prs_resultant``), whose signed
+    base-2^K digits are the coefficients.  As |a| <= B, a coefficient
+    vanishes at the node only when it vanishes in t, so the formal
+    degrees are kept.  A degree in t above the number of rows that carry
+    a slope, or in lambda above the optional proven ``bound``, raises
+    ``ArithmeticError``.  Forms over a denominator c are the caller's to
+    divide back out, by c^deg(other form) each.
     """
     if len(f) < 2 or len(g) < 2:
         raise ValueError("Sylvester resultant needs two forms of degree >= 1")
-    row_bound = (len(g) - 1) * any(b for _, b in f) + (len(f) - 1) * any(b for _, b in g)
+    d, e = len(f) - 1, len(g) - 1
+    row_bound = e * any(b for _, b in f) + d * any(b for _, b in g)
+    shift = (_norm_bound(f) ** e * _norm_bound(g) ** d).bit_length() + 2
+    value = _prs_resultant([a + (b << shift) for a, b in f], [a + (b << shift) for a, b in g])
+    digits = []
+    mask, half = (1 << shift) - 1, 1 << (shift - 1)
+    while value:
+        digit = value & mask
+        if digit >= half:
+            digit -= mask + 1
+        digits.append(digit)
+        value = (value - digit) >> shift
+    degree = len(digits) - 1
+    if degree > row_bound:
+        raise ArithmeticError(f"resultant has degree {degree} in t, above its row degrees {row_bound}")
+    if bound is not None:
+        if even:
+            bound //= 2
+        if degree > bound:
+            variable = "lambda^2" if even else "lambda"
+            raise ArithmeticError(f"resultant has degree {degree} in {variable}, above the bound {bound}")
+    if even:
+        digits = [c for a in digits for c in (a, 0)]
+    return Poly(digits)
 
-    def res_at(t: int) -> int:
-        return _prs_resultant([a + t * b for a, b in f], [a + t * b for a, b in g])
 
-    return interpolate_at_nodes(res_at, row_bound, even, bound)
+def _norm_bound(pencil: Sequence[tuple[int, int]]) -> int:
+    """An integer above the 2-norm of the constants plus that of the slopes."""
+    return isqrt(sum(a * a for a, _ in pencil)) + isqrt(sum(b * b for _, b in pencil)) + 2
 
 
 def _prs_resultant(f: list[int], g: list[int]) -> int:

@@ -667,22 +667,23 @@ def _gx_times_x(rng, m):
 
 
 @pytest.mark.parametrize("order", [4, 6])
-def test_even_sylvester_takes_h_plus_two_nodes(node_degrees, order):
-    # h = m at dimension 2; the row-degree bound would take 2m - 1 nodes
+def test_even_sylvester_takes_one_node_resultant(node_degrees, order):
+    # one Kronecker node gives the whole resultant of the two eigen-forms,
+    # where interpolation would take h + 2 = m + 2 node resultants
     A = fuzz_tensor(random.Random(order), order)
     expected = echar_macaulay(A).psi
     node_degrees.clear()
     assert echar_even_n2(A).psi == expected
-    assert node_degrees == [(order - 1, order - 1)] * (order + 2)
+    assert node_degrees == [(order - 1, order - 1)]
 
 
 @pytest.mark.parametrize("order", [3, 5])
 @pytest.mark.parametrize("route", [echar_odd_n2, echar_det_odd])
 def test_odd_routes_interpolate_in_lambda_squared(node_degrees, node_sizes, order, route):
-    # every entry is even in lambda: h + 1 = m + 1 nodes in lambda^2, where
-    # the row-degree bound in lambda would take 2m + 1; the Sylvester route
-    # takes them as node resultants of the product and cross forms, the
-    # compact route as node determinants
+    # every entry is even in lambda: the compact route takes h + 1 = m + 1
+    # node determinants in lambda^2, where the row-degree bound in lambda
+    # would take 2m + 1; the Sylvester route takes one node resultant of
+    # the product and cross forms, a Kronecker node in lambda^2
     rng = random.Random(order)
     A = fuzz_tensor(rng, order)
     while A[(0,) + (1,) * (order - 1)] * A[(1,) + (0,) * (order - 1)] == 0:  # b_m * c_1
@@ -692,7 +693,7 @@ def test_odd_routes_interpolate_in_lambda_squared(node_degrees, node_sizes, orde
     node_sizes.clear()
     assert route(A).psi == expected
     if route is echar_odd_n2:
-        assert node_degrees == [(2 * order - 2, order)] * (order + 1)
+        assert node_degrees == [(2 * order - 2, order)]
         assert node_sizes == []
     else:
         assert len(node_sizes) == order + 1

@@ -9,7 +9,6 @@ from echarpoly.poly import (
     MINUS_INFINITY,
     Poly,
     complex_roots,
-    interpolate_at_nodes,
     interpolation_nodes,
     lagrange_interpolate,
     poly_sqrt,
@@ -282,26 +281,3 @@ def test_interpolation_rejects_float_nodes_and_values():
         lagrange_interpolate([(0.1, 1), (1, 2)])
     with pytest.raises(TypeError):
         lagrange_interpolate([(0, 0.5), (1, 2)])
-
-
-def test_degree_bound_sets_the_nodes_and_checks_them():
-    # lam^2 + 1 under the top 4: with the bound 5 the top sets the nodes
-    # (5), with the bound 2 the bound does (2 + 2)
-    nodes = []
-
-    def value_at(x):
-        nodes.append(x)
-        return x * x + 1
-
-    assert interpolate_at_nodes(value_at, 4, False, 5) == Poly([1, 0, 1])
-    assert len(nodes) == 5
-    nodes.clear()
-    assert interpolate_at_nodes(value_at, 4, False, 2) == Poly([1, 0, 1])
-    assert len(nodes) == 4
-    with pytest.raises(ArithmeticError):
-        interpolate_at_nodes(value_at, 4, False, 0)
-    # even in lambda: value_at takes mu = lam^2, and the bound, in lambda,
-    # halves to one in mu
-    assert interpolate_at_nodes(value_at, 2, True, 4) == Poly([1, 0, 0, 0, 1])
-    with pytest.raises(ArithmeticError):
-        interpolate_at_nodes(value_at, 2, True, 2)

@@ -32,6 +32,7 @@ from oracles import (
     macaulay_quotient,
     markowitz_order,
     multiply,
+    pencil_form,
     scale,
     scale_form,
     sylvester_matrix,
@@ -162,12 +163,41 @@ def test_pencil_resultant_matches_sylvester_determinant(forms):
     oracle = _oracle_resultant(*forms)
     assert kernel_resultant(*forms) == oracle
     if not oracle.is_zero():
-        # a bound at the true degree sets the nodes and one more checks it;
-        # one below it still takes enough nodes to see the true degree
+        # a bound at the true degree passes; one below it raises
         assert kernel_resultant(*forms, oracle.degree) == oracle
         if oracle.degree > 0:
             with pytest.raises(ArithmeticError, match="above the bound"):
                 kernel_resultant(*forms, oracle.degree - 1)
+
+
+BIG = 2**60
+KRONECKER_EDGE_PENCILS = {
+    "near-2^60-alternating": (
+        [(BIG - 1, -(BIG - 3)), (-BIG, BIG - 5), (BIG - 7, -BIG), (-(BIG - 9), BIG)],
+        [(-(BIG - 11), BIG), (BIG, -(BIG - 13)), (-(BIG - 1), BIG - 1)],
+    ),
+    "equal-forms": ([(3, -2), (0, 5), (-7, 1)], [(3, -2), (0, 5), (-7, 1)]),
+    "negative-and-zero-middles": (
+        [(1, 1), (0, 0), (-5, 0), (0, -3), (2, 1)],
+        [(2, -1), (-4, 0), (0, 0), (1, 1)],
+    ),
+    "leading-slope-alone": ([(0, 3), (1, -2), (4, 1)], [(0, -5), (2, 2)]),
+}
+
+
+@pytest.mark.parametrize("even", [False, True])
+@pytest.mark.parametrize("name", sorted(KRONECKER_EDGE_PENCILS))
+def test_kronecker_digits_match_sylvester_determinant(name, even):
+    # the coefficients are read off one node t = 2^K as signed digits: each
+    # is at most the Hadamard bound B < 2^(K-2), and the read-out matches
+    # the Sylvester determinant over Q[t]
+    f, g = KRONECKER_EDGE_PENCILS[name]
+    oracle = _oracle_resultant(pencil_form(f, even=even), pencil_form(g, even=even))
+    assert resultant.sylvester_resultant(f, g, even) == oracle
+    top = resultant._norm_bound(f) ** (len(g) - 1) * resultant._norm_bound(g) ** (len(f) - 1)
+    assert all(abs(c) <= top for c in oracle.coeffs)
+    if name == "equal-forms":
+        assert oracle.is_zero()
 
 
 def test_scaling_homogeneity_binary():
