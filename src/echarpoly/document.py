@@ -100,10 +100,10 @@ def _parse_index(key: str, order: int, dim: int) -> tuple[int, ...]:
     parts = key.split(",")
     if len(parts) != order:
         raise DocumentError(f"index {key!r} must have {order} components")
-    try:
-        idx = tuple(int(part) for part in parts)
-    except ValueError as exc:
-        raise DocumentError(f"index {key!r} is not a tuple of integers") from exc
+    # int() would also take signs, whitespace, "_" and non-ASCII digits
+    if not all(part.isascii() and part.isdigit() for part in parts):
+        raise DocumentError(f"index {key!r} is not a tuple of integers")
+    idx = tuple(int(part) for part in parts)
     if any(not 1 <= i <= dim for i in idx):
         raise DocumentError(f"index {key!r} out of range 1..{dim}")
     return idx

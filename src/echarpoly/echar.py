@@ -117,15 +117,24 @@ class EcharResult:
         return self.psi.coefficient(self.leading_power)
 
 
-def _result(A: Hypermatrix, psi: Poly, route: str) -> EcharResult:
+def _result(A: Hypermatrix, p: Poly, route: str) -> EcharResult:
+    """psi from a route's polynomial p in t, the one place t becomes lambda.
+
+    t is lambda at even order and lambda^2 at odd order, where psi has only
+    even powers of lambda.  p has degree at most h in t, the proven bound
+    (n for order 2); a higher degree raises ``ArithmeticError``.
+    """
     m, n = A.order, A.dim
     top = _generic_top(m, n)
-    power = top if m % 2 == 0 else 2 * top
-    if not psi.is_zero() and psi.degree > power:
+    if not p.is_zero() and p.degree > top:
+        variable = "lambda" if m % 2 == 0 else "lambda^2"
         raise ArithmeticError(
-            f"degree {psi.degree} exceeds the bound {power} (route {route})"
+            f"psi has degree {p.degree} in {variable}, above the bound {top} (route {route})"
         )
-    return EcharResult(psi=psi, route=route, h_bound=top, leading_power=power, tensor=A)
+    power = top
+    if m % 2:
+        p, power = Poly([c for a in p.coeffs for c in (a, 0)]), 2 * top
+    return EcharResult(psi=p, route=route, h_bound=top, leading_power=power, tensor=A)
 
 
 # -- slice-form builders ---------------------------------------------------------
@@ -176,14 +185,13 @@ def echar_even_n2(A: Hypermatrix) -> EcharResult:
 
     Its degree in lambda is at most h, h = m for dimension 2, below the
     2m - 2 of the row degrees; the one Kronecker node of
-    ``sylvester_resultant`` gives it whole and the bound is checked on it.
-    Both forms are over denom, of degree m - 1, so the integer resultant
-    is denom^(2m-2) times psi.
+    ``sylvester_resultant`` gives it whole.  Both forms are over denom, of
+    degree m - 1, so the integer resultant is denom^(2m-2) times psi.
     """
     _require(A, parity=0)
     m = A.order
     slices = binary_slices(A)
-    res = sylvester_resultant(*_even_eigen_forms(slices), False, _generic_top(m, 2))
+    res = sylvester_resultant(*_even_eigen_forms(slices))
     psi = res.scale(Fraction(1, slices.denom ** (2 * m - 2)))
     return _result(A, psi, ROUTE_SYLVESTER)
 
@@ -203,7 +211,7 @@ def echar_odd_n2(A: Hypermatrix) -> EcharResult:
     over denom and of degree m, and b_m*c_1 is pivot / denom^2, so psi is
     the integer resultant over denom^(4m-4) * pivot.  Both forms are
     pencils in mu = lambda^2, so the resultant is taken in mu, at one
-    Kronecker node.
+    Kronecker node, and ``_result`` spreads it to lambda.
     """
     _require(A, parity=1)
     slices = binary_slices(A)
@@ -215,9 +223,9 @@ def echar_odd_n2(A: Hypermatrix) -> EcharResult:
             return _result(A, Poly.zero(), ROUTE_SYLVESTER)
         slices = rotate_slices(slices, _nonsingular_frame(cross))
         pivot = slices.b[m - 1] * slices.c[0]
-    big = sylvester_resultant(_odd_product_form(slices), _cross_form(slices), True)
-    psi = big.scale(Fraction(1, slices.denom ** (4 * m - 4) * pivot))
-    return _result(A, psi, ROUTE_SYLVESTER)
+    big = sylvester_resultant(_odd_product_form(slices), _cross_form(slices))
+    p = big.scale(Fraction(1, slices.denom ** (4 * m - 4) * pivot))
+    return _result(A, p, ROUTE_SYLVESTER)
 
 
 def _nonsingular_frame(cross: tuple[int, ...]) -> OrthogonalMatrix:
@@ -275,8 +283,7 @@ def echar_det_even(A: Hypermatrix) -> EcharResult:
         raise IrregularTensorError(
             "the compact even-order determinant formula requires a regular tensor"
         )
-    psi = det_interpolated(det_matrix_even(A))
-    return _result(A, psi, ROUTE_M1)
+    return _result(A, det_interpolated(det_matrix_even(A)), ROUTE_M1)
 
 
 def det_matrix_odd(A: Hypermatrix) -> PolyMatrix:
@@ -308,7 +315,6 @@ def det_matrix_odd(A: Hypermatrix) -> PolyMatrix:
     return PolyMatrix(
         [[(j - 1, a, b) for j, a, b in row if 0 < j < size - 1] for row in rows],
         denominator=slices.denom ** (4 * m - 4),
-        even=True,
     )
 
 
@@ -322,8 +328,7 @@ def _combined(row: list[tuple], other: list[tuple], factor: int) -> list[tuple]:
 
 
 def echar_det_odd(A: Hypermatrix) -> EcharResult:
-    psi = det_interpolated(det_matrix_odd(A))
-    return _result(A, psi, ROUTE_M2)
+    return _result(A, det_interpolated(det_matrix_odd(A)), ROUTE_M2)
 
 
 # -- Macaulay route ----------------------------------------------------------------------
@@ -379,8 +384,8 @@ def echar_macaulay(A: Hypermatrix) -> EcharResult:
 
     Either way the interpolant has degree at most h, h = ((m-1)^n - 1)/(m-2)
     the proven degree bound of psi (n for order 2), in lambda or in mu, and
-    is taken on h + 2 nodes: h + 1 determine it and the last one checks the
-    bound, which raises ``ArithmeticError`` when the interpolant exceeds it.
+    is taken on h + 2 nodes: h + 1 determine it and the last one lets
+    ``_result`` check the bound.
 
     The system is a pencil F0 + lambda F1, built once per tensor, and
     ``macaulay_resultants`` takes all the nodes in one call: it builds the
@@ -408,15 +413,7 @@ def echar_macaulay(A: Hypermatrix) -> EcharResult:
         nodes = range(top + 2)
         values = macaulay_resultants(*_homogenized_system(A), nodes)
         points = [(t * t, v) for t, v in zip(nodes, values)]
-    psi = lagrange_interpolate(points)
-    if not psi.is_zero() and psi.degree > top:
-        variable = "lambda" if m % 2 == 0 else "lambda^2"
-        raise ArithmeticError(
-            f"resultant has degree {psi.degree} in {variable}, above the bound {top}"
-        )
-    if m % 2 == 1:
-        psi = Poly([c for a in psi.coeffs for c in (a, 0)])
-    return _result(A, psi, ROUTE_MACAULAY)
+    return _result(A, lagrange_interpolate(points), ROUTE_MACAULAY)
 
 
 # -- closed-form predictions ------------------------------------------------------------
@@ -432,7 +429,7 @@ def a0_predicted(A: Hypermatrix) -> Fraction:
     if n == 2:
         slices = binary_slices(A)
         f1, f2 = ([(v, 0) for v in seq] for seq in (slices.b, slices.c))
-        value = sylvester_resultant(f1, f2, False).coefficient(0) / slices.denom ** (2 * (m - 1))
+        value = sylvester_resultant(f1, f2).coefficient(0) / slices.denom ** (2 * (m - 1))
     elif 3 <= n <= 4:
         value = macaulay_resultant(HomogeneousSystem(map_forms(A), [m - 1] * n))
     else:

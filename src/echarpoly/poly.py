@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -566,20 +566,6 @@ def lagrange_interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
             total[k] += factor * q
     denom = common * big_d
     return Poly([Fraction(c * d**k, denom) for k, c in enumerate(reversed(total))])
-
-
-def interpolate_at_nodes(value_at: Callable[[int], int], top: int, even: bool) -> Poly:
-    """The polynomial p in lambda with p = value_at(x) at small integer nodes x.
-
-    When ``even``, p has only even powers of lambda and ``value_at`` takes
-    mu = lambda^2: p is interpolated in mu and spread back to lambda.
-    ``top`` bounds the degree in the node variable, so the top + 1 nodes
-    0, 1, -1, ... determine p.
-    """
-    p = lagrange_interpolate([(t, value_at(t)) for t in interpolation_nodes(top + 1)])
-    if even:
-        p = Poly([c for a in p.coeffs for c in (a, 0)])
-    return p
 
 
 # -- numeric roots --------------------------------------------------------------------

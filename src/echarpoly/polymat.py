@@ -1,30 +1,28 @@
 """Exact determinants: integer pencils by evaluate/interpolate, scalars by Bareiss.
 
 Every determinant the library takes is of a pencil M0 + t M1 over the
-integers: the compact even-order matrix is linear in lambda, the odd-order
-one in mu = lambda^2, the perturbed Macaulay matrix is M + eps I, and each
-Macaulay node evaluates a pencil in lambda.  ``PolyMatrix`` holds one as
-sparse (column, constant, slope) int rows, over the one denominator its
-builder knows; ``det_interpolated`` evaluates it at small integer nodes,
-one more than the number of rows that carry t, and interpolates the
-integer node determinants, dividing the denominator out once (the test
-suite checks it against fraction-free elimination over Q[x], an oracle
-kept in the tests).  Scalar determinants run fraction-free integer
-elimination (Bareiss); integer rows enter it as they are, rational rows
-are scaled to integers first.  A Macaulay node takes the numeric pass
-alone, ``det_scheduled``: the same elimination on the rows and columns
-that a symbolic pass over the pencil's pattern scheduled, with its ints
-written straight into the dense rows.
+integers: t is lambda in the compact even-order matrix, mu = lambda^2 in
+the odd-order one, eps in the perturbed Macaulay matrix M + eps I, and a
+Macaulay node evaluates a pencil at an integer t.  ``PolyMatrix`` holds
+one as sparse (column, constant, slope) int rows, over the one
+denominator its builder knows; ``det_interpolated`` evaluates it at small
+integer nodes, one more than the number of rows that carry t, and
+interpolates the integer node determinants, dividing the denominator out
+once (the test suite checks it against fraction-free elimination over
+Q[x], an oracle kept in the tests).  The answer is a polynomial in t;
+``echar`` maps it to lambda.  Scalar determinants run fraction-free
+integer elimination (Bareiss) on int rows.  A Macaulay node takes the
+numeric pass alone, ``det_scheduled``: the same elimination on the rows
+and columns that a symbolic pass over the pencil's pattern scheduled,
+with its ints written straight into the dense rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
-from .poly import Poly, interpolate_at_nodes
-from .rational import as_fraction
+from .poly import Poly, interpolation_nodes, lagrange_interpolate
 
 
 class PolyMatrix:
@@ -33,20 +31,17 @@ class PolyMatrix:
     ``rows[i]`` lists the (column, constant, slope) int triples of row i,
     one per column at most; absent columns are zero.  A builder whose
     rows stand for values over integer denominators passes their product
-    as ``denominator``.  ``even`` says that t stands for lambda^2, so the
-    determinant, as a polynomial in lambda, has only even powers.  The
-    builder of the matrix sets both.
+    as ``denominator``.
     """
 
-    __slots__ = ("rows", "denominator", "even")
+    __slots__ = ("rows", "denominator")
 
-    def __init__(self, rows: Sequence[Sequence[tuple]], *, denominator: int = 1, even: bool = False):
+    def __init__(self, rows: Sequence[Sequence[tuple]], *, denominator: int = 1):
         size = len(rows)
         if any(not 0 <= j < size for row in rows for j, _, _ in row):
             raise ValueError("pencil must be square")
         self.rows = rows
         self.denominator = denominator
-        self.even = even
 
     @property
     def size(self) -> int:
@@ -64,50 +59,34 @@ class PolyMatrix:
         return out
 
     def __repr__(self):
-        return f"PolyMatrix(size={self.size}, even={self.even})"
+        return f"PolyMatrix(size={self.size}, denominator={self.denominator})"
 
 
 def det_interpolated(matrix: PolyMatrix) -> Poly:
-    """det of the pencil, exact, as a polynomial in lambda.
+    """det of the pencil, exact, as a polynomial in t.
 
     Each row is at most linear in t, so the determinant has degree at most
     the number of rows with a nonzero slope, and one more node than that
     determines it.  The node determinants are integer ones; the
-    denominator is divided out of the interpolant once.  For an ``even``
-    pencil the interpolant in mu = t is spread back to lambda.
+    denominator is divided out of the interpolant once.
     """
     top = sum(1 for row in matrix.rows if any(b for _, _, b in row))
-    det = interpolate_at_nodes(lambda t: det_rational(matrix.evaluate(t)), top, matrix.even)
+    nodes = interpolation_nodes(top + 1)
+    det = lagrange_interpolate([(t, det_rational(matrix.evaluate(t))) for t in nodes])
     return det if matrix.denominator == 1 else det.scale(Fraction(1, matrix.denominator))
 
 
-def det_rational(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant of a rational matrix.
+def det_rational(rows: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square matrix of ints, fraction-free (Bareiss).
 
-    Rows are eliminated fraction-free over the integers (Bareiss).  A row
-    of ints enters as it is; any other row is scaled to integers by the
-    lcm of its denominators, and the scalings are divided back out.
+    The rows are copied, not changed; the empty matrix has determinant 1.
     """
     n = len(rows)
     if n == 0:
-        return Fraction(1)
+        return 1
     if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
-    scale = 1
-    m = []
-    for row in rows:
-        for e in row:
-            if type(e) is not int:
-                break
-        else:
-            # Bareiss works in place: every row is a copy
-            m.append(list(row))
-            continue
-        row = [as_fraction(e) for e in row]
-        denom = lcm(*(e.denominator for e in row))
-        scale *= denom
-        m.append([e.numerator * (denom // e.denominator) for e in row])
-    return Fraction(_det_int_bareiss(m), scale)
+    return _det_int_bareiss([list(row) for row in rows])
 
 
 def det_scheduled(matrix: PolyMatrix, schedule: Sequence, t: int) -> int:

@@ -7,6 +7,9 @@ system (x1^d1, ..., xk^dk) is +1.  With the row and column orderings used
 here that anchor holds by construction, so outputs are canonical including
 sign, never "up to sign".
 
+Both kernels answer in their own variable t; ``echar`` says whether t is
+lambda or lambda^2 and checks the degree bound.
+
 The binary kernel, ``sylvester_resultant``, has the sign of det of the
 f-rows-first Sylvester matrix but never builds it.  A binary form is an
 integer pencil, one (constant, slope) int pair per coefficient, the same
@@ -59,27 +62,23 @@ MAX_FORMS = 4
 MAX_MACAULAY_DIM = 500
 
 
-def sylvester_resultant(
-    f: Sequence[tuple[int, int]],
-    g: Sequence[tuple[int, int]],
-    even: bool,
-    bound: int | None = None,
-) -> Poly:
-    """Resultant of two binary integer pencils, exact; a polynomial in lambda.
+def sylvester_resultant(f: Sequence[tuple[int, int]], g: Sequence[tuple[int, int]]) -> Poly:
+    """Resultant of two binary integer pencils, exact; a polynomial in t.
 
     A form of degree d is its d + 1 (constant, slope) int pairs, pair i the
-    coefficient a + b t of x1^(d-i) x2^i, with t = lambda, or t = lambda^2
-    when ``even``.  The value is det of the f-rows-first Sylvester matrix,
-    which is never built.  On |t| = 1 a row of f has 2-norm at most
-    |a_f| + |b_f| (of the constants and of the slopes), so by Hadamard
-    every value, and so every coefficient, of the resultant in t is at
-    most B = (|a_f| + |b_f|)^e (|a_g| + |b_g|)^d, d and e the degrees of
-    f and g.  The one node t = 2^K, 2^(K-2) > B, gives the integer
-    resultant of the evaluated lists (``_prs_resultant``), whose signed
-    base-2^K digits are the coefficients.  As |a| <= B, a coefficient
-    vanishes at the node only when it vanishes in t, so the formal
-    degrees are kept.  A degree in t above the number of rows that carry
-    a slope, or in lambda above the optional proven ``bound``, raises
+    coefficient a + b t of x1^(d-i) x2^i.  The value is det of the
+    f-rows-first Sylvester matrix, which is never built.  What t stands
+    for, and the proven degree bound, are the caller's.
+
+    On |t| = 1 a row of f has 2-norm at most |a_f| + |b_f| (of the
+    constants and of the slopes), so by Hadamard every value, and so every
+    coefficient, of the resultant in t is at most B = (|a_f| + |b_f|)^e
+    (|a_g| + |b_g|)^d, d and e the degrees of f and g.  The one node
+    t = 2^K, 2^(K-2) > B, gives the integer resultant of the evaluated
+    lists (``_prs_resultant``), whose signed base-2^K digits are the
+    coefficients.  As |a| <= B, a coefficient vanishes at the node only
+    when it vanishes in t, so the formal degrees are kept.  A degree in t
+    above the number of rows that carry a slope raises
     ``ArithmeticError``.  Forms over a denominator c are the caller's to
     divide back out, by c^deg(other form) each.
     """
@@ -100,14 +99,6 @@ def sylvester_resultant(
     degree = len(digits) - 1
     if degree > row_bound:
         raise ArithmeticError(f"resultant has degree {degree} in t, above its row degrees {row_bound}")
-    if bound is not None:
-        if even:
-            bound //= 2
-        if degree > bound:
-            variable = "lambda^2" if even else "lambda"
-            raise ArithmeticError(f"resultant has degree {degree} in {variable}, above the bound {bound}")
-    if even:
-        digits = [c for a in digits for c in (a, 0)]
     return Poly(digits)
 
 

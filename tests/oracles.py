@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
-from math import lcm
+from math import lcm, prod
 from typing import Sequence
 
 from echarpoly.echar import (
@@ -91,16 +91,15 @@ def det_fraction_free(rows) -> Poly:
     return m[n - 1][n - 1] if sign == 1 else -m[n - 1][n - 1]
 
 
-def poly_rows(rows, size: int, even: bool = False) -> list[list[Poly]]:
-    """The dense Poly rows a + b t of sparse (column, a, b) pencil rows, t
-    being lambda^2 when ``even``.  Of a ``PolyMatrix``'s rows, their
-    determinant is the pencil's times its ``denominator``."""
-    power = 2 if even else 1
+def poly_rows(rows, size: int) -> list[list[Poly]]:
+    """The dense Poly rows a + b t of sparse (column, a, b) pencil rows.  Of
+    a ``PolyMatrix``'s rows, their determinant is the pencil's times its
+    ``denominator``."""
     out = []
     for entries in rows:
         row = [Poly.zero()] * size
         for j, a, b in entries:
-            row[j] = Poly.constant(a) + Poly.monomial(power, b)
+            row[j] = Poly.constant(a) + Poly.monomial(1, b)
         out.append(row)
     return out
 
@@ -130,36 +129,33 @@ class BinaryForm:
         return cls(len(values) - 1, [as_fraction(v) for v in values])
 
 
-def pencil_form(pairs, denominator: int = 1, even: bool = False) -> BinaryForm:
+def pencil_form(pairs, denominator: int = 1) -> BinaryForm:
     """The form of a library pencil: coefficient i is (a + b t) / denominator
-    for the pair (a, b), t being lambda, or lambda^2 when ``even``."""
-    power = 2 if even else 1
+    for the pair (a, b)."""
     scale = Fraction(1, denominator)
-    coeffs = [(Poly.constant(a) + Poly.monomial(power, b)).scale(scale) for a, b in pairs]
+    coeffs = [(Poly.constant(a) + Poly.monomial(1, b)).scale(scale) for a, b in pairs]
     return BinaryForm(len(pairs) - 1, coeffs)
 
 
-def kernel_resultant(f: BinaryForm, g: BinaryForm, bound: int | None = None) -> Poly:
-    """Res(f, g) by the library's ``sylvester_resultant``, for forms whose
-    coefficients are a + b lambda or, in both forms, a + b lambda^2.
+def kernel_resultant(f: BinaryForm, g: BinaryForm) -> Poly:
+    """Res(f, g) in t by the library's ``sylvester_resultant``, for forms
+    whose coefficients are a + b t.
 
     Each form is cleared to the kernel's integer pairs over the lcm c of
     its denominators, and c^deg(other form) is divided back out.  Unlike
     the oracles above it runs the library kernel: the resultant laws
     check that kernel.
     """
-    even = not any(v for form in (f, g) for c in form.coeffs for v in c.coeffs[1::2])
-    power = 2 if even else 1
     pencils = []
     factor = 1
     for form, other in ((f, g), (g, f)):
-        assert all(c.is_zero() or c.degree <= power for c in form.coeffs), "not a pencil"
+        assert all(c.is_zero() or c.degree <= 1 for c in form.coeffs), "not a pencil"
         denom = lcm(*(v.denominator for c in form.coeffs for v in c.coeffs))
         pencils.append(
-            [(int(c.coefficient(0) * denom), int(c.coefficient(power) * denom)) for c in form.coeffs]
+            [(int(c.coefficient(0) * denom), int(c.coefficient(1) * denom)) for c in form.coeffs]
         )
         factor *= denom**other.degree
-    return sylvester_resultant(*pencils, even, bound).scale(Fraction(1, factor))
+    return sylvester_resultant(*pencils).scale(Fraction(1, factor))
 
 
 def sylvester_matrix(f: BinaryForm, g: BinaryForm) -> list[list[Poly]]:
@@ -241,15 +237,16 @@ def det_matrix_even_poly(A) -> list[list[Poly]]:
 
 
 def det_matrix_odd_poly(A) -> list[list[Poly]]:
-    """The compact odd-order matrix with Poly entries, reduced from the big
-    Sylvester matrix of the product/cross pair: b_1 times the first cross
+    """The compact odd-order matrix with Poly entries in mu = lambda^2,
+    reduced from the big Sylvester matrix of the product/cross pair: b_1
+    times the first cross
     row is added to the first row and c_m times the last cross row taken
     from row m, then those two cross rows and the first and last columns
     go."""
     m = A.order
     slices = binary_slices(A)
     rows = sylvester_matrix(
-        pencil_form(_odd_product_form(slices), slices.denom**2, even=True),
+        pencil_form(_odd_product_form(slices), slices.denom**2),
         pencil_form(_cross_form(slices), slices.denom),
     )
     n = len(rows)
@@ -341,8 +338,11 @@ def macaulay_quotient(forms, degrees) -> tuple[Fraction, int]:
     the power prod(d_i).  Returns the value and the index of the
     relabeling used, and raises when every M' is singular.  The
     determinants are the library's ``det_rational`` on these unordered
-    matrices (checked on its own against ``det_fraction_free``), so what
-    this checks is the Macaulay kernel's construction, order and signs.
+    matrices, each row cleared to ints by the lcm c_r of its denominators
+    (so the quotient is over the product of c_r for the rows M' drops);
+    ``det_rational`` is checked on its own against cofactor expansion, so
+    what this checks is the Macaulay kernel's construction, order and
+    signs.
     """
     k = len(degrees)
     critical = sum(degrees) - k + 1
@@ -353,21 +353,24 @@ def macaulay_quotient(forms, degrees) -> tuple[Fraction, int]:
         power *= d
     for index, perm in enumerate(permutations(range(k))):
         moved = [{tuple(e[perm.index(p)] for p in range(k)): v for e, v in f.items()} for f in forms]
-        rows = []
+        rows, scales = [], []
         for alpha in monomials:
             i = next(i for i in range(k) if alpha[i] >= degrees[i])
             row = [Fraction(0)] * len(monomials)
             for e, v in moved[i].items():
                 target = tuple(a - (degrees[i] if p == i else 0) + x for p, (a, x) in enumerate(zip(alpha, e)))
                 row[col[target]] += v
-            rows.append(row)
+            scale = lcm(*(v.denominator for v in row))
+            rows.append([int(v * scale) for v in row])
+            scales.append(scale)
         kept = [j for j, a in enumerate(monomials) if sum(x >= d for x, d in zip(a, degrees)) > 1]
         det_minor = det_rational([[rows[r][c] for c in kept] for r in kept])
         if det_minor == 0:
             continue
+        dropped = prod(scale for r, scale in enumerate(scales) if r not in kept)
         inversions = sum(1 for a in range(k) for b in range(a + 1, k) if perm[a] > perm[b])
         sign = (-1) ** (inversions * power)
-        return sign * det_rational(rows) / det_minor, index
+        return Fraction(sign * det_rational(rows), det_minor * dropped), index
     raise ArithmeticError("every relabeling leaves the Macaulay minor singular")
 
 

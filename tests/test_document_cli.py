@@ -80,6 +80,14 @@ def test_document_rejects_unknown_fields():
         {"order": 2, "dim": 2, "entries": {"0,1": "1"}},
         {"order": "2", "dim": 2, "entries": {}},
         [1, 2],
+        # int() reads "+1, 1,1_0" as (1, 1, 10): indices are ASCII digits only
+        {"order": 3, "dim": 10, "entries": {"+1, 1,1_0": "1"}},
+        {"order": 3, "dim": 2, "entries": {"+1,1,1": "1"}},
+        {"order": 3, "dim": 2, "entries": {"1, 1,1": "1"}},
+        {"order": 3, "dim": 10, "entries": {"1,1,1_0": "1"}},
+        # ARABIC-INDIC DIGIT ONE as an index, THREE as a value
+        {"order": 3, "dim": 2, "entries": {"\u0661,1,1": "1"}},
+        {"order": 3, "dim": 2, "entries": {"1,1,1": "\u0663"}},
     ],
 )
 def test_document_rejects_invalid(payload):

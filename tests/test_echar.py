@@ -1,5 +1,6 @@
 import importlib
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -121,10 +122,10 @@ def test_golden_odd_diagonal_vieta_oracle():
     oracle = poly_in_square_from_roots(leading, squares)
     pinned = Poly([1, 0, -4, 0, 5, 0, -2])
     assert oracle == pinned
-    # independent determinant oracle on the reduced 5x5 matrix
+    # independent determinant oracle on the reduced 5x5 matrix, in mu = lambda^2
     compact = det_matrix_odd(A)
     assert compact.denominator == 1
-    assert cofactor_det(poly_rows(compact.rows, compact.size, compact.even)) == pinned
+    assert cofactor_det(poly_rows(compact.rows, compact.size)) == Poly(pinned.coeffs[::2])
     assert echar_odd_n2(A).psi == pinned
     assert echar_det_odd(A).psi == pinned
     assert echar_macaulay(A).psi == pinned
@@ -178,7 +179,6 @@ def test_even_det_matrix_structure():
         b, c = slice_sums(slices)
         M = det_matrix_even(A)
         assert M.size == 2 * m - 2
-        assert not M.even
         # every row is a form over the record's denom, which leaves the
         # determinant over denom^(2m-2)
         denom = slices.denom
@@ -205,8 +205,7 @@ def test_odd_det_matrix_structure():
         assert M.size == 3 * m - 4
         # m product rows over denom^2 and 2m - 4 cross rows over denom
         assert M.denominator == binary_slices(A).denom ** (4 * m - 4)
-        # parameter appears squared, never linearly, and only in the first m rows
-        assert M.even
+        # the parameter mu = lambda^2 appears only in the first m rows
         for i in range(M.size):
             for j in range(M.size):
                 if i >= m:
@@ -232,7 +231,8 @@ def _compact_identity_draws(m):
 @pytest.mark.parametrize("m", range(2, 9))
 def test_compact_pencils_match_the_poly_construction(m):
     """det of the compact pencils equals fraction-free elimination of the
-    compact matrices built entry by entry from the Sylvester construction."""
+    compact matrices built entry by entry from the Sylvester construction,
+    both in mu = lambda^2 at odd order."""
     for A in _compact_identity_draws(m):
         if m % 2 == 0:
             pencil, rows = det_matrix_even(A), det_matrix_even_poly(A)
@@ -246,17 +246,17 @@ def test_odd_product_form_binomials():
 
     A = fuzz_tensor(random.Random(55), 5)
     s = binary_slices(A)
-    form = pencil_form(_odd_product_form(s), s.denom**2, even=True)
+    form = pencil_form(_odd_product_form(s), s.denom**2)
     m = 5
-    lam2 = Poly.monomial(2)
+    mu = Poly.monomial(1)
     constants = convolution(*slice_sums(s))
-    # even-slot coefficients carry binomial(m-2, j-1) lambda^2
+    # even-slot coefficients carry binomial(m-2, j-1) mu, mu = lambda^2
     for t in range(2 * m - 1):
         expected = Poly.constant(constants[t])
         if t % 2 == 1:
             from math import comb
 
-            expected = expected - lam2.scale(comb(m - 2, (t - 1) // 2))
+            expected = expected - mu.scale(comb(m - 2, (t - 1) // 2))
         assert form.coeffs[t] == expected
 
 
@@ -536,6 +536,42 @@ def test_macaulay_rejects_resultant_above_degree_bound(monkeypatch, order):
     monkeypatch.setattr(module, "macaulay_resultants", too_high)
     with pytest.raises(ArithmeticError, match="above the bound"):
         echar_macaulay(Hypermatrix.zero(order, 2))
+
+
+@pytest.mark.parametrize(
+    "route, order, kernel, name",
+    [
+        (echar_even_n2, 4, "sylvester_resultant", "sylvester-direct"),
+        (echar_odd_n2, 3, "sylvester_resultant", "sylvester-direct"),
+        (echar_det_even, 4, "det_interpolated", "M1-det"),
+        (echar_det_odd, 3, "det_interpolated", "M2-det"),
+        (echar_macaulay, 4, "macaulay_resultants", "macaulay"),
+        (echar_macaulay, 3, "macaulay_resultants", "macaulay"),
+    ],
+)
+def test_every_route_checks_the_degree_bound_in_t(monkeypatch, route, order, kernel, name):
+    # every kernel answers in t, lambda at even order and mu = lambda^2 at
+    # odd order; one answer of degree h + 1 in t is caught, on every route,
+    # by the one check before t becomes lambda
+    module = importlib.import_module("echarpoly.echar")
+    top = h_bound(order, 2)
+
+    if kernel == "macaulay_resultants":
+
+        def too_high(base, slope, nodes):
+            # the nodes are values of lambda; odd order interpolates in mu
+            return [Fraction(lam ** (2 * (top + 1) if order % 2 else top + 1)) for lam in nodes]
+
+    else:
+
+        def too_high(*args):
+            return Poly.monomial(top + 1)
+
+    monkeypatch.setattr(module, kernel, too_high)
+    variable = "lambda^2" if order % 2 else "lambda"
+    message = f"degree {top + 1} in {variable}, above the bound {top} (route {name})"
+    with pytest.raises(ArithmeticError, match=re.escape(message)):
+        route(Hypermatrix.diagonal(order, 2))
 
 
 @pytest.mark.parametrize("order", [5, 6])

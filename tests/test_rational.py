@@ -11,7 +11,9 @@ def test_parse_rational_accepts_integers_and_fractions():
     assert parse_rational("+2/6") == Fraction(1, 3)
 
 
-@pytest.mark.parametrize("bad", ["1.5", "1e3", "3/0", "3/", "/4", "a", "1/-2", ""])
+@pytest.mark.parametrize(
+    "bad", ["1.5", "1e3", "3/0", "3/", "/4", "a", "1/-2", "", "1_0", "\u0663", "1/\u0663", "\uff11"]
+)
 def test_parse_rational_rejects_non_rationals(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)

@@ -137,22 +137,20 @@ def test_rational_forms_match_sylvester_determinant(pair):
 
 @st.composite
 def pencil_form_pairs(draw):
-    """Forms of degrees 1-5 whose coefficients are a + b*lambda or, on the
-    even path, a + b*lambda^2; a leading coefficient may be b*lambda alone,
-    which vanishes at the node lambda = 0."""
-    power = draw(st.sampled_from([1, 2]))
+    """Forms of degrees 1-5 whose coefficients are a + b*t; a leading
+    coefficient may be b*t alone, which vanishes at t = 0."""
     small = st.fractions(-6, 6, max_denominator=4)
 
     def coefficient():
         a, b = draw(small), draw(small)
-        return Poly.constant(a) + Poly.monomial(power, b)
+        return Poly.constant(a) + Poly.monomial(1, b)
 
     forms = []
     for _ in range(2):
         degree = draw(st.integers(1, 5))
         coeffs = [coefficient() for _ in range(degree + 1)]
         if draw(st.booleans()):
-            coeffs[0] = Poly.monomial(power, draw(small))
+            coeffs[0] = Poly.monomial(1, draw(small))
         forms.append(BinaryForm(degree, coeffs))
     return forms
 
@@ -160,14 +158,7 @@ def pencil_form_pairs(draw):
 @settings(max_examples=80, deadline=None)
 @given(pencil_form_pairs())
 def test_pencil_resultant_matches_sylvester_determinant(forms):
-    oracle = _oracle_resultant(*forms)
-    assert kernel_resultant(*forms) == oracle
-    if not oracle.is_zero():
-        # a bound at the true degree passes; one below it raises
-        assert kernel_resultant(*forms, oracle.degree) == oracle
-        if oracle.degree > 0:
-            with pytest.raises(ArithmeticError, match="above the bound"):
-                kernel_resultant(*forms, oracle.degree - 1)
+    assert kernel_resultant(*forms) == _oracle_resultant(*forms)
 
 
 BIG = 2**60
@@ -185,15 +176,17 @@ KRONECKER_EDGE_PENCILS = {
 }
 
 
-@pytest.mark.parametrize("even", [False, True])
+@pytest.mark.parametrize("swapped", [False, True])
 @pytest.mark.parametrize("name", sorted(KRONECKER_EDGE_PENCILS))
-def test_kronecker_digits_match_sylvester_determinant(name, even):
+def test_kronecker_digits_match_sylvester_determinant(name, swapped):
     # the coefficients are read off one node t = 2^K as signed digits: each
     # is at most the Hadamard bound B < 2^(K-2), and the read-out matches
-    # the Sylvester determinant over Q[t]
+    # the Sylvester determinant over Q[t], in either order of the forms
     f, g = KRONECKER_EDGE_PENCILS[name]
-    oracle = _oracle_resultant(pencil_form(f, even=even), pencil_form(g, even=even))
-    assert resultant.sylvester_resultant(f, g, even) == oracle
+    if swapped:
+        f, g = g, f
+    oracle = _oracle_resultant(pencil_form(f), pencil_form(g))
+    assert resultant.sylvester_resultant(f, g) == oracle
     top = resultant._norm_bound(f) ** (len(g) - 1) * resultant._norm_bound(g) ** (len(f) - 1)
     assert all(abs(c) <= top for c in oracle.coeffs)
     if name == "equal-forms":
