@@ -36,7 +36,6 @@ from .poly import Poly, interpolation_nodes, lagrange_interpolate
 from .polymat import PolyMatrix, det_interpolated
 from .rational import I_UNIT
 from .resultant import (
-    HomogeneousSystem,
     UnsupportedSizeError,
     macaulay_resultant,
     macaulay_resultants,
@@ -334,40 +333,54 @@ def echar_det_odd(A: Hypermatrix) -> EcharResult:
 # -- Macaulay route ----------------------------------------------------------------------
 
 
-def _eigen_system(A: Hypermatrix) -> tuple[HomogeneousSystem, HomogeneousSystem]:
+def _map_pencil(A: Hypermatrix, lead: tuple[int, ...] = ()) -> tuple[list[dict], list[int]]:
+    """The map's forms as pencils with zero slopes, exponents prefixed by
+    ``lead``: form i holds the int numerators of ``map_forms`` component i
+    over its denominator c_i.  Also returns the c_i.
+
+    By homogeneity Res(c_1 F_1, ..., c_k F_k) is prod_i c_i^(D / d_i) times
+    Res(F), D the product of the degrees d_i: the clearing factor.
+    """
+    record = map_forms(A)
+    forms = [{lead + e: (v, 0) for e, v in form.coeffs.items()} for form in record]
+    return forms, [form.denom for form in record]
+
+
+def _eigen_system(A: Hypermatrix) -> tuple[list[dict], tuple[int, ...], int]:
     """{(Ax^{m-1})_i - lambda (x^T x)^{(m-2)/2} x_i} in variables (x1..xn), m even,
-    as the pencil F0 + lambda F1: F0 the bare map, F1 the -(x^T x)^k x_i terms."""
+    as the integer pencil F0 + lambda F1, its degrees and its clearing factor:
+    form i is the bare map's over c_i, F1 the -c_i (x^T x)^k x_i terms."""
     n, m = A.dim, A.order
     k = (m - 2) // 2
-    slope = [{} for _ in range(n)]
+    forms, denoms = _map_pencil(A)
     for half in product(range(k + 1), repeat=n):
         if sum(half) != k:
             continue
         # the multinomial coefficient of x^(2*half) in (x1^2 + ... + xn^2)^k
         weight = factorial(k) // prod(factorial(a) for a in half)
-        for i, form in enumerate(slope):
-            form[tuple(2 * a + (j == i) for j, a in enumerate(half))] = -weight
-    degrees = [m - 1] * n
-    return HomogeneousSystem(map_forms(A), degrees), HomogeneousSystem(slope, degrees)
+        for i, (form, c) in enumerate(zip(forms, denoms)):
+            expo = tuple(2 * a + (j == i) for j, a in enumerate(half))
+            form[expo] = (form.get(expo, (0, 0))[0], -weight * c)
+    return forms, (m - 1,) * n, prod(denoms) ** ((m - 1) ** (n - 1))
 
 
-def _homogenized_system(A: Hypermatrix) -> tuple[HomogeneousSystem, HomogeneousSystem]:
+def _homogenized_system(A: Hypermatrix) -> tuple[list[dict], tuple[int, ...], int]:
     """{x^T x - x0^2, Ax^{m-1} - lambda x0^{m-2} x} in variables (x0, x1..xn),
-    as the pencil F0 + lambda F1: F1 holds the -x0^{m-2} x_i terms.
+    as the integer pencil F0 + lambda F1, its degrees and its clearing factor:
+    form i of the map is over c_i, F1 holds the -c_i x0^{m-2} x_i terms.
 
     The quadric leads, and x0 with it, so most Macaulay rows are its sparse
     unit rows.  The degree 2 makes prod(d_i) even, so this order of forms
     and variables has the same canonical resultant as any other.
     """
     n, m = A.dim, A.order
-    quadric = {tuple(2 * (j == v) for j in range(n + 1)): -1 if v == 0 else 1 for v in range(n + 1)}
-    slope = [{tuple((m - 2) * (j == 0) + (j == i + 1) for j in range(n + 1)): -1} for i in range(n)]
-    forms = [{(0,) + e: v for e, v in form.items()} for form in map_forms(A)]
-    degrees = [2] + [m - 1] * n
-    return (
-        HomogeneousSystem([quadric] + forms, degrees),
-        HomogeneousSystem([{}] + slope, degrees),
-    )
+    quadric = {tuple(2 * (j == v) for j in range(n + 1)): (1 if v else -1, 0) for v in range(n + 1)}
+    forms, denoms = _map_pencil(A, lead=(0,))
+    for i, (form, c) in enumerate(zip(forms, denoms)):
+        expo = tuple((m - 2) * (j == 0) + (j == i + 1) for j in range(n + 1))
+        form[expo] = (form.get(expo, (0, 0))[0], -c)
+    degrees = (2,) + (m - 1,) * n
+    return [quadric] + forms, degrees, prod(denoms) ** (2 * (m - 1) ** (n - 1))
 
 
 def echar_macaulay(A: Hypermatrix) -> EcharResult:
@@ -387,12 +400,13 @@ def echar_macaulay(A: Hypermatrix) -> EcharResult:
     is taken on h + 2 nodes: h + 1 determine it and the last one lets
     ``_result`` check the bound.
 
-    The system is a pencil F0 + lambda F1, built once per tensor, and
-    ``macaulay_resultants`` takes all the nodes in one call: it builds the
-    integer Macaulay rows once per variable ordering that some node
-    reaches, eliminates them in the pivot order of a symbolic Markowitz
-    elimination of their pattern (its sign corrected for), and perturbs
-    only a node at which every ordering's minor vanishes.  Dimension 3 is
+    The system is an integer pencil F0 + lambda F1, built once per tensor;
+    its clearing factor is divided out of the interpolant of the int node
+    values once.  ``macaulay_resultants`` takes all the nodes in one call:
+    it builds the integer Macaulay rows once per variable ordering that
+    some node reaches, eliminates them in the pivot order of a symbolic
+    Markowitz elimination of their pattern (its sign corrected for), and
+    perturbs only a node at which every ordering's minor vanishes.  Dimension 3 is
     taken up to order 4; beyond that ``UnsupportedSizeError`` is raised
     before any node, with the work it would take.
     """
@@ -406,14 +420,13 @@ def echar_macaulay(A: Hypermatrix) -> EcharResult:
             f"the macaulay route takes dimension 3 up to order 4; order {m} would need "
             f"{top + 2} interpolation nodes of a {size}-square Macaulay matrix"
         )
-    if m % 2 == 0:
-        nodes = interpolation_nodes(top + 2)
-        points = list(zip(nodes, macaulay_resultants(*_eigen_system(A), nodes)))
-    else:
-        nodes = range(top + 2)
-        values = macaulay_resultants(*_homogenized_system(A), nodes)
-        points = [(t * t, v) for t, v in zip(nodes, values)]
-    return _result(A, lagrange_interpolate(points), ROUTE_MACAULAY)
+    even = m % 2 == 0
+    nodes = interpolation_nodes(top + 2) if even else range(top + 2)
+    forms, degrees, factor = (_eigen_system if even else _homogenized_system)(A)
+    values = macaulay_resultants(forms, degrees, nodes)
+    points = list(zip(nodes if even else [t * t for t in nodes], values))
+    psi = lagrange_interpolate(points).scale(Fraction(1, factor))
+    return _result(A, psi, ROUTE_MACAULAY)
 
 
 # -- closed-form predictions ------------------------------------------------------------
@@ -423,7 +436,8 @@ def a0_predicted(A: Hypermatrix) -> Fraction:
     """Resultant of the bare map Ax^{m-1} (its square for odd order).
 
     At dimension 2 the resultant of the two numerator forms, of degree
-    m - 1 each, is denom^(2(m-1)) times that of the map.
+    m - 1 each, is denom^(2(m-1)) times that of the map; beyond, the
+    clearing factor of ``_map_pencil`` times it.
     """
     n, m = A.dim, A.order
     if n == 2:
@@ -431,7 +445,9 @@ def a0_predicted(A: Hypermatrix) -> Fraction:
         f1, f2 = ([(v, 0) for v in seq] for seq in (slices.b, slices.c))
         value = sylvester_resultant(f1, f2).coefficient(0) / slices.denom ** (2 * (m - 1))
     elif 3 <= n <= 4:
-        value = macaulay_resultant(HomogeneousSystem(map_forms(A), [m - 1] * n))
+        forms, denoms = _map_pencil(A)
+        factor = prod(denoms) ** ((m - 1) ** (n - 1))
+        value = Fraction(macaulay_resultant(forms, [m - 1] * n), factor)
     else:
         raise UnsupportedSizeError("constant-term prediction supports dimensions 2..4")
     return value if m % 2 == 0 else value * value

@@ -326,12 +326,23 @@ def _gaussian_remainder(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, in
 
 
 def _divide(cs: list, g) -> list:
-    """Each entry divided by g, a common divisor in their ring."""
+    """Each entry divided by g, a common divisor in their ring.  Over Z[i],
+    c / g = c conj(g) / |g|^2 is divided exactly on the integer parts, and
+    a remainder raises ``ArithmeticError``."""
     if g == 1 or not cs:
         return cs
     if isinstance(cs[0], int):
         return [c // g for c in cs]
-    return [c / g for c in cs]
+    a, b = g.re.numerator, g.im.numerator
+    norm = a * a + b * b
+    out = []
+    for c in cs:
+        p, q = c.re.numerator, c.im.numerator
+        (re, re_rest), (im, im_rest) = divmod(p * a + q * b, norm), divmod(q * a - p * b, norm)
+        if re_rest or im_rest:
+            raise ArithmeticError("the content does not divide a Gaussian coefficient")
+        out.append(ComplexRational(re, im))
+    return out
 
 
 def _primitive(cs: list) -> list:
@@ -530,42 +541,37 @@ def interpolation_nodes(count: int) -> list[int]:
     return nodes[:count]
 
 
-def lagrange_interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
-    """Exact interpolating polynomial through distinct-abscissa points.
+def lagrange_interpolate(points: Sequence[tuple[int, int]]) -> Poly:
+    """Exact interpolating polynomial through integer points with distinct abscissae.
 
-    Ints enter as they are.  The work is on integers: with d and D the
-    common denominators of the abscissae and of the values, D*y is
-    interpolated at the integer nodes a = d*x in Lagrange form, each basis
-    polynomial M(u) / (u - a_i) over the weight w_i = prod_{j != i}
-    (a_i - a_j), M(u) = prod_j (u - a_j).  The sum is taken over the
-    common denominator lcm(w_i), which is divided out once, together with
-    D and the substitution u = d*x.
+    Every abscissa and value is an int; anything else raises ``TypeError``.
+    The work is on integers: in Lagrange form, each basis polynomial
+    M(x) / (x - a_i) over the weight w_i = prod_{j != i} (a_i - a_j),
+    M(x) = prod_j (x - a_j).  The sum is taken over the common denominator
+    lcm(w_i), which is divided out once.
     """
-    xs = [x if type(x) is int else as_fraction(x) for x, _ in points]
-    ys = [y if type(y) is int else as_fraction(y) for _, y in points]
-    if len(set(xs)) != len(xs):
+    nodes = [x for x, _ in points]
+    values = [y for _, y in points]
+    if not all(isinstance(v, int) for v in nodes + values):
+        raise TypeError("interpolation takes integer nodes and values")
+    if len(set(nodes)) != len(nodes):
         raise ValueError("interpolation nodes must be distinct")
-    n = len(xs)
-    d = lcm(*(x.denominator for x in xs))
-    big_d = lcm(*(y.denominator for y in ys))
-    nodes = [x.numerator * (d // x.denominator) for x in xs]
-    values = [y.numerator * (big_d // y.denominator) for y in ys]
-    master = [1]  # M(u), highest power first
+    n = len(nodes)
+    master = [1]  # M(x), highest power first
     for a in nodes:
         master = [hi - a * lo for hi, lo in zip(master + [0], [0] + master)]
     weights = [prod(a - b for b in nodes if b != a) for a in nodes]
     common = lcm(*weights)
-    total = [0] * n  # common * D * p(u / d), highest power first
+    total = [0] * n  # common * p(x), highest power first
     for a, value, weight in zip(nodes, values, weights):
         if value == 0:
             continue
         factor = value * (common // weight)
         q = 0
-        for k in range(n):  # synthetic division of M by (u - a)
+        for k in range(n):  # synthetic division of M by (x - a)
             q = master[k] + a * q
             total[k] += factor * q
-    denom = common * big_d
-    return Poly([Fraction(c * d**k, denom) for k, c in enumerate(reversed(total))])
+    return Poly([Fraction(c, common) for c in reversed(total)])
 
 
 # -- numeric roots --------------------------------------------------------------------

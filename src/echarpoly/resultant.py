@@ -21,37 +21,36 @@ its value by the subresultant PRS in O(d e) big-integer operations,
 formal degrees kept by the Sylvester column expansions; the coefficients
 are that value's signed base-2^K digits.
 
-The Macaulay kernel, ``macaulay_resultants``, takes a pencil F0 + t F1 and
-a list of nodes t; ``macaulay_resultant`` is its one-node, zero-slope call.
-Per pencil, denominators are cleared once per form across both parts.  Per
-variable ordering, built only when some node reaches it, the integer rows
-of the Macaulay matrix M and of its minor M' are built once as (constant,
-slope) pairs, and each part gets its own symbolic pass: a Markowitz
-elimination of its sparsity pattern in either part (Markowitz's
-fill-reducing rule, memoized per pattern) puts its rows and columns in
-pivot order and records the fill schedule, the rows and columns each step
-may touch; the signs of all four orders are corrected for.  Each part is a
-``PolyMatrix``, the integer pencil every determinant of the library takes;
-each node evaluates its int rows and runs the numeric pass,
-``det_scheduled``, along the schedule.  A node where a form vanishes
-identically gives 0 at once; a node whose minor vanishes tries the next
-ordering; a node where every ordering's minor vanishes alone falls back to
-the perturbed quotient.
+The Macaulay kernel, ``macaulay_resultants``, takes an integer pencil
+F0 + t F1 and integer nodes t; ``macaulay_resultant`` is its call at t = 0.
+The resultant of integer forms is an integer polynomial in their
+coefficients (Cox, Little and O'Shea, *Using Algebraic Geometry*, ch. 3),
+so det(M) / det(M') divides exactly and the values are ints; the caller
+divides its clearing factor out once.  Per variable ordering, built only
+when some node reaches it, the integer rows of the Macaulay matrix M and
+of its minor M' are built once as (constant, slope) pairs, and each part
+gets its own symbolic pass: a Markowitz elimination of its sparsity
+pattern (Markowitz's fill-reducing rule, memoized per pattern) puts its
+rows and columns in pivot order and records the fill schedule, the rows
+and columns each step may touch; the signs of all four orders are
+corrected for.  Each part is a ``PolyMatrix``, the integer pencil every
+determinant of the library takes; each node evaluates its int rows and
+runs the numeric pass, ``det_scheduled``, along the schedule.  A node
+where a form vanishes identically gives 0 at once; a node whose minor
+vanishes tries the next ordering; a node where every ordering's minor
+vanishes alone falls back to the perturbed quotient.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import comb, isqrt, lcm, prod
+from math import comb, isqrt, prod
 from operator import add
 from typing import Mapping, Sequence
 
 from .poly import Poly
 from .polymat import PolyMatrix, det_interpolated, det_scheduled
-from .rational import as_fraction
 
 
 class UnsupportedSizeError(ValueError):
@@ -175,38 +174,6 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
 
 
 # -- Macaulay construction -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HomogeneousSystem:
-    """k homogeneous forms in k variables, each a map exponent -> rational.
-
-    Integral coefficients are stored as ints, so an integer system builds
-    integer Macaulay matrices.
-    """
-
-    nvars: int
-    degrees: tuple[int, ...]
-    forms: tuple[Mapping[tuple[int, ...], int | Fraction], ...]
-
-    def __init__(self, forms: Sequence[Mapping[tuple[int, ...], object]], degrees: Sequence[int]):
-        k = len(forms)
-        if len(degrees) != k:
-            raise ValueError("one degree per form is required")
-        frozen = []
-        for form, deg in zip(forms, degrees):
-            clean = {}
-            for expo, value in form.items():
-                expo = tuple(expo)
-                if len(expo) != k or any(a < 0 for a in expo) or sum(expo) != deg:
-                    raise ValueError(f"exponent {expo} is not degree {deg} in {k} variables")
-                v = as_fraction(value)
-                if v != 0:
-                    clean[expo] = v.numerator if v.denominator == 1 else v
-            frozen.append(clean)
-        object.__setattr__(self, "nvars", k)
-        object.__setattr__(self, "degrees", tuple(int(d) for d in degrees))
-        object.__setattr__(self, "forms", tuple(frozen))
 
 
 def _monomials(nvars: int, total: int) -> list[tuple[int, ...]]:
@@ -439,70 +406,51 @@ def _relabel(expo: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(new)
 
 
-def _clear_denominators(base: HomogeneousSystem, slope: HomogeneousSystem) -> tuple[list[dict], int]:
-    """The pencil's forms with each F0_i + t F1_i times the lcm c_i of the
-    denominators of both parts, as maps exponent -> (constant, slope) ints.
-
-    Also returns prod_i c_i^(D / d_i), D the product of the degrees: by
-    homogeneity, Res(c_1 F_1, ..., c_k F_k) is that factor times Res(F) at
-    every value of t.
-    """
-    total = prod(base.degrees)
-    forms = []
-    factor = 1
-    for f0, f1, degree in zip(base.forms, slope.forms, base.degrees):
-        c = lcm(*(v.denominator for part in (f0, f1) for v in part.values()))
-        form = {}
-        for e in dict.fromkeys([*f0, *f1]):
-            a, b = f0.get(e, 0), f1.get(e, 0)
-            form[e] = (a.numerator * (c // a.denominator), b.numerator * (c // b.denominator))
-        forms.append(form)
-        factor *= c ** (total // degree)
-    return forms, factor
-
-
 def macaulay_resultants(
-    base: HomogeneousSystem, slope: HomogeneousSystem, nodes: Sequence[int]
-) -> list[Fraction]:
-    """Canonical resultants of the pencil F0 + t F1 at each integer node t (k <= 4 forms).
+    forms: Sequence[Mapping[tuple[int, ...], tuple[int, int]]],
+    degrees: Sequence[int],
+    nodes: Sequence[int],
+) -> list[int]:
+    """Canonical resultants of an integer pencil F0 + t F1 at each integer node t (k <= 4 forms).
 
-    Each value is the Macaulay quotient det(M) / det(M') at t.  What the
-    nodes share is built once (see the module docstring), so a node costs
-    the evaluation of int rows and two numeric passes of ``det_scheduled``,
-    which leaves its schedule for pivoting elimination where a planned
-    pivot is zero at that t.  A node is 0 when a form vanishes there
-    identically; while its minor vanishes it tries the next variable
-    relabeling, and only when every one fails is it perturbed toward the
-    pure-power system (``_macaulay_perturbed``).
+    ``forms[i]`` maps the exponents of form i, of degree ``degrees[i]``, to
+    (constant, slope) int pairs; anything else raises ``TypeError``.  Each
+    value is the int det(M) / det(M') at t.  What the nodes share is built
+    once (see the module docstring), so a node costs the evaluation of int
+    rows and two numeric passes of ``det_scheduled``, which leaves its
+    schedule for pivoting elimination where a planned pivot is zero at
+    that t.  A node is 0 when a form vanishes there identically; while its
+    minor vanishes it tries the next variable relabeling, and only when
+    every one fails is it perturbed toward the pure-power system
+    (``_macaulay_perturbed``).
     """
-    k = base.nvars
+    k = len(forms)
     if k < 2:
         raise UnsupportedSizeError("need at least two forms")
     if k > MAX_FORMS:
         raise UnsupportedSizeError(f"at most {MAX_FORMS} forms are supported, got {k}")
-    if slope.degrees != base.degrees:
-        raise ValueError("the two parts of a pencil need the same degrees")
-    degrees = base.degrees
+    if len(degrees) != k:
+        raise ValueError("one degree per form is required")
+    for form, degree in zip(forms, degrees):
+        if any(len(e) != k or min(e) < 0 or sum(e) != degree for e in form):
+            raise ValueError(f"an exponent is not degree {degree} in {k} variables")
+        if not all(isinstance(v, int) for pair in form.values() for v in pair):
+            raise TypeError("pencil coefficients must be int pairs")
     dim = macaulay_size(degrees)
     if dim > MAX_MACAULAY_DIM:
         raise UnsupportedSizeError(f"Macaulay matrix would be {dim}x{dim}")
-    forms, factor = _clear_denominators(base, slope)
     orderings = list(permutations(range(k)))
     plans: list[_EliminationPlan] = []
-    values = []
-    for t in nodes:
-        values.append(_node_resultant(forms, degrees, orderings, plans, t) / factor)
-    return values
+    return [_node_resultant(forms, degrees, orderings, plans, t) for t in nodes]
 
 
-def _node_resultant(forms, degrees, orderings, plans, t: int) -> Fraction:
-    """The resultant of the cleared pencil at t; ``plans`` grows as orderings are reached.
+def _node_resultant(forms, degrees, orderings, plans, t: int) -> int:
+    """The resultant of the pencil at t; ``plans`` grows as orderings are reached.
 
-    The value is a ``Fraction`` on every path, so the caller's division by
-    the clearing factor stays exact.
+    det(M') divides sign * det(M) exactly; a remainder raises ``ArithmeticError``.
     """
     if any(all(a + t * b == 0 for a, b in form.values()) for form in forms):
-        return Fraction(0)
+        return 0
     for index, perm in enumerate(orderings):
         if index == len(plans):
             plans.append(_EliminationPlan(forms, degrees, perm))
@@ -510,31 +458,36 @@ def _node_resultant(forms, degrees, orderings, plans, t: int) -> Fraction:
         det_minor = det_scheduled(*plan.minor, t)
         if det_minor == 0:
             continue
-        return Fraction(plan.sign * det_scheduled(*plan.full, t), det_minor)
+        value, remainder = divmod(plan.sign * det_scheduled(*plan.full, t), det_minor)
+        if remainder:
+            raise ArithmeticError(f"det(M') does not divide det(M) at t = {t}")
+        return value
     node = [{e: v for e, (a, b) in form.items() if (v := a + t * b)} for form in forms]
     return _macaulay_perturbed(node, degrees)
 
 
-def macaulay_resultant(system: HomogeneousSystem) -> Fraction:
-    """Canonical resultant of k forms in k variables (k <= 4).
+def macaulay_resultant(
+    forms: Sequence[Mapping[tuple[int, ...], tuple[int, int]]], degrees: Sequence[int]
+) -> int:
+    """Canonical resultant of an integer pencil at t = 0 (k <= 4 forms).
 
-    The one-node, zero-slope case of ``macaulay_resultants``.
+    The one-node call of ``macaulay_resultants``; with zero slopes, the
+    resultant of the integer forms of the constants.
     """
-    zero = HomogeneousSystem([{}] * system.nvars, system.degrees)
-    return macaulay_resultants(system, zero, [0])[0]
+    return macaulay_resultants(forms, degrees, [0])[0]
 
 
 def _macaulay_perturbed(
     forms: Sequence[Mapping[tuple[int, ...], int]], degrees: tuple[int, ...]
-) -> Fraction:
+) -> int:
     """Perturb integer forms toward the pure-power system and extract the value at zero.
 
     ``forms[i]`` maps exponents to ints.  Each form F_i gains eps * x_i^{d_i},
     which lands on the diagonal of the lexicographic Macaulay matrix: the
     ``_macaulay_rows`` of the pencil F + eps x^d are the integer pencil
     M + eps I, and its non-reduced minor is one too.  The quotient of the
-    two ``det_interpolated`` values is a polynomial in eps whose value at
-    zero is the resultant.
+    two ``det_interpolated`` values is the resultant of the perturbed
+    forms, an integer polynomial in eps; its value at zero is the resultant.
     """
     pencils = []
     for i, (form, degree) in enumerate(zip(forms, degrees)):
@@ -547,5 +500,7 @@ def _macaulay_perturbed(
     det_minor = det_interpolated(PolyMatrix(minor))
     if det_minor.is_zero():
         raise ArithmeticError("degenerate Macaulay minor even after perturbation")
-    quotient = det_full.exact_div(det_minor)
-    return quotient.coefficient(0)
+    value = det_full.exact_div(det_minor).coefficient(0)
+    if value.denominator != 1:
+        raise ArithmeticError("perturbed Macaulay quotient is not an integer")
+    return value.numerator

@@ -5,10 +5,11 @@ to nonzero rationals.  Public constructors accept the 1-based convention
 used in the file format; the parser is the only boundary where the shift
 happens.
 
-At dimension 2 the map is carried by its slice sums alone, held in one
-integer record, ``SliceCoeffs``: numerators over one denominator, in lowest
-terms.  Its readers take the integers as they are.  At dimension 3 the
-map on the isotropic conic is one integer record too, ``conic_values``.
+The map Ax^{m-1} has one integer record per tensor, ``map_forms``: per
+component, int numerators keyed by exponent over that component's own
+denominator, in lowest terms, built on first read.  Every route reads it:
+at dimension 2 as the slice sums, ``SliceCoeffs``, over one denominator;
+at dimension 3 as the map on the isotropic conic, ``conic_values``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .rational import ComplexRational, as_fraction
 
@@ -27,10 +28,19 @@ class DimensionError(ValueError):
     """Input has a dimension/order the operation does not accept."""
 
 
-class Hypermatrix:
-    """Order-m, dimension-n array of exact rationals (sparse)."""
+class MapForm(NamedTuple):
+    """One component of the map: the coefficient of x^e is ``coeffs[e] / denom``,
+    nonzero int numerators in lowest terms, so equal components give equal
+    records.  Read-only: every reader of the tensor shares it."""
 
-    __slots__ = ("order", "dim", "entries")
+    coeffs: dict[tuple[int, ...], int]
+    denom: int
+
+
+class Hypermatrix:
+    """Order-m, dimension-n array of exact rationals (sparse); ``entries`` is fixed once built."""
+
+    __slots__ = ("order", "dim", "entries", "_forms")
 
     def __init__(self, order: int, dim: int, entries: Mapping[tuple, object] | None = None):
         if order < 2:
@@ -48,6 +58,7 @@ class Hypermatrix:
             if v != 0:
                 clean[idx] = v
         self.entries = clean
+        self._forms: tuple[MapForm, ...] | None = None
 
     @classmethod
     def from_one_based(cls, order: int, dim: int, entries: Mapping[tuple, object]) -> "Hypermatrix":
@@ -59,15 +70,18 @@ class Hypermatrix:
         """A dimension-2 tensor with the slice sums of ``slices``, one entry per class.
 
         Class j of either slice is represented by the trailing indices
-        (2, ..., 2, 1, ..., 1) with j twos.
+        (2, ..., 2, 1, ..., 1) with j twos.  The map's record is taken from
+        the slices, not summed again.
         """
         m = slices.order
-        entries = {}
+        entries, forms = {}, ({}, {})
         for j in range(m):
             tail = (1,) * j + (0,) * (m - 1 - j)
-            entries[(0,) + tail] = Fraction(slices.b[j], slices.denom)
-            entries[(1,) + tail] = Fraction(slices.c[j], slices.denom)
-        return cls(m, 2, entries)
+            for i, seq in enumerate((slices.b, slices.c)):
+                entries[(i,) + tail] = forms[i][(m - 1 - j, j)] = Fraction(seq[j], slices.denom)
+        A = cls(m, 2, entries)
+        A._forms = tuple(map(_lowest_terms_form, forms))
+        return A
 
     @classmethod
     def zero(cls, order: int, dim: int) -> "Hypermatrix":
@@ -113,20 +127,28 @@ def eval_map(A: Hypermatrix, x: Sequence) -> list:
     return out
 
 
-def map_forms(A: Hypermatrix) -> list[dict]:
-    """Ax^(m-1) as forms: component i maps exponent tuples to coefficients.
+def map_forms(A: Hypermatrix) -> tuple[MapForm, ...]:
+    """The record of Ax^(m-1), one ``MapForm`` per component, summed on first read and held."""
+    if A._forms is None:
+        A._forms = _build_map_forms(A)
+    return A._forms
 
-    Zero coefficients are left out.
-    """
-    forms: list[dict] = [{} for _ in range(A.dim)]
+
+def _build_map_forms(A: Hypermatrix) -> tuple[MapForm, ...]:
+    """Each component's entries summed per exponent of x_{i2} ... x_{im}."""
+    sums: list[dict] = [{} for _ in range(A.dim)]
     for idx, value in A.entries.items():
-        expo = [0] * A.dim
-        for pos in idx[1:]:
-            expo[pos] += 1
-        form = forms[idx[0]]
-        key = tuple(expo)
-        form[key] = form.get(key, Fraction(0)) + value
-    return [{e: v for e, v in form.items() if v != 0} for form in forms]
+        key = tuple(idx[1:].count(j) for j in range(A.dim))
+        sums[idx[0]][key] = sums[idx[0]].get(key, 0) + value
+    return tuple(map(_lowest_terms_form, sums))
+
+
+def _lowest_terms_form(coeffs: Mapping[tuple[int, ...], Fraction]) -> MapForm:
+    """Rational coefficients over the lcm of their denominators, which is in
+    lowest terms: a prime of it divides some denominator to its full power."""
+    denom = lcm(*(v.denominator for v in coeffs.values()))
+    numerators = {e: v.numerator * (denom // v.denominator) for e, v in coeffs.items() if v}
+    return MapForm(numerators, denom)
 
 
 class OrthogonalMatrix:
@@ -219,30 +241,23 @@ class SliceCoeffs:
         return len(self.b)
 
 
-def _lowest_terms(b: Sequence[int], c: Sequence[int], denom: int) -> SliceCoeffs:
-    """The record of the sums b / denom and c / denom, denom > 0."""
-    g = gcd(denom, *b, *c)
-    return SliceCoeffs(tuple(v // g for v in b), tuple(v // g for v in c), denom // g)
-
-
 def binary_slices(A: Hypermatrix) -> SliceCoeffs:
-    """The slice sums of a dimension-2 tensor of any order.
+    """The slice sums of a dimension-2 tensor of any order, read off ``map_forms``.
 
-    The entries are summed as integers over their common denominator.
+    Slice sum j of a component is its coefficient of x1^(m-1-j) x2^j.  Over
+    the lcm of the two denominators the record stays in lowest terms.
     """
     if A.dim != 2:
         raise DimensionError("slice coefficients are defined for dimension 2 only")
     m = A.order
-    denom = lcm(*(v.denominator for v in A.entries.values()))
-    b = [0] * m
-    c = [0] * m
-    for idx, value in A.entries.items():
-        num = value.numerator * (denom // value.denominator)
-        if idx[0] == 0:
-            b[sum(idx[1:])] += num
-        else:
-            c[sum(idx[1:])] += num
-    return _lowest_terms(b, c, denom)
+    forms = map_forms(A)
+    denom = lcm(*(form.denom for form in forms))
+    b, c = [0] * m, [0] * m
+    for seq, (coeffs, form_denom) in zip((b, c), forms):
+        scale = denom // form_denom
+        for (_, j), v in coeffs.items():
+            seq[j] = v * scale
+    return SliceCoeffs(tuple(b), tuple(c), denom)
 
 
 def rotate_slices(slices: SliceCoeffs, C: OrthogonalMatrix) -> SliceCoeffs:
@@ -278,7 +293,9 @@ def rotate_slices(slices: SliceCoeffs, C: OrthogonalMatrix) -> SliceCoeffs:
                     f2[s + t] += cj * term
     b = [k11 * u + k12 * v for u, v in zip(f1, f2)]
     c = [k21 * u + k22 * v for u, v in zip(f1, f2)]
-    return _lowest_terms(b, c, slices.denom * r**m)
+    denom = slices.denom * r**m
+    g = gcd(denom, *b, *c)
+    return SliceCoeffs(tuple(v // g for v in b), tuple(v // g for v in c), denom // g)
 
 
 def _times_linear(poly: list[int], a: int, b: int) -> list[int]:
@@ -309,7 +326,7 @@ def conic_values(A: Hypermatrix) -> tuple[list, list, list]:
 
     Component k at x(t) = (1 - t^2, i(1 + t^2), 2t), as Gaussian integers
     (``ComplexRational`` with integer parts) ascending in t, of formal degree
-    2(m-1), over the common denominator of the map's coefficients.  The top
+    2(m-1), over the lcm of the denominators of ``map_forms``.  The top
     coefficient is the value at (-1, i, 0), the point t = infinity.  The
     monomial x1^a x2^b x3^c gives i^b times the list of
     (1 - t^2)^a (1 + t^2)^b (2t)^c.
@@ -317,12 +334,13 @@ def conic_values(A: Hypermatrix) -> tuple[list, list, list]:
     if A.dim != 3:
         raise DimensionError("conic values are defined for dimension 3 only")
     forms = map_forms(A)
-    denom = lcm(*(v.denominator for form in forms for v in form.values()))
+    denom = lcm(*(form.denom for form in forms))
     size = 2 * A.order - 1
     parts = [([0] * size, [0] * size) for _ in forms]  # real and imaginary numerators
-    for part, form in zip(parts, forms):
-        for (a, b, c), value in form.items():
-            num = value.numerator * (denom // value.denominator) * (-1 if b % 4 >= 2 else 1)
+    for part, (coeffs, form_denom) in zip(parts, forms):
+        scale = denom // form_denom
+        for (a, b, c), value in coeffs.items():
+            num = value * scale * (-1 if b % 4 >= 2 else 1)
             target = part[b % 2]
             for j, v in enumerate(_conic_monomial(a, b, c)):
                 target[j] += num * v

@@ -68,7 +68,7 @@ def run_checks(A: Hypermatrix, deep: bool = False, rotations=None) -> list[Check
     needs finitely many classes) are skipped, not failed.
     """
     checks: list[CheckResult] = []
-    doc = TensorDocument.from_hypermatrix(A)
+    doc = None  # the counterexample document, formatted at the first failure
     m = A.order
     result = echar(A)
     psi = result.psi
@@ -77,6 +77,9 @@ def run_checks(A: Hypermatrix, deep: bool = False, rotations=None) -> list[Check
     regular = is_regular(A).regular
 
     def record(name: str, passed: bool, detail: str = ""):
+        nonlocal doc
+        if not passed and doc is None:
+            doc = TensorDocument.from_hypermatrix(A)
         checks.append(CheckResult(name, passed, detail, None if passed else doc))
 
     record(

@@ -9,7 +9,8 @@ Vieta.  They stay dumb so that agreement with the fast paths means
 something.  Binary forms with polynomial coefficients, ``BinaryForm``, and
 the form and system operations the resultant laws need (product, scaling,
 linear substitution) live here too, since the library itself never needs
-them: its binary forms are integer pencils.
+them: its binary forms are integer pencils.  So does the clearing of
+rational systems to the integer pencils of the library's Macaulay kernel.
 So do the field-arithmetic references of the fraction-free kernels: Euclid's
 gcd and Yun's square-free split over Q or Q(i) by ``Poly.divmod``, and the
 exact eigenvalue at a direction in Q(i) arithmetic; and the full-scan
@@ -43,7 +44,7 @@ from echarpoly.poly import (
 )
 from echarpoly.polymat import det_rational
 from echarpoly.rational import ComplexRational, as_fraction
-from echarpoly.resultant import HomogeneousSystem, macaulay_resultants, sylvester_resultant
+from echarpoly.resultant import macaulay_resultant, macaulay_resultants, sylvester_resultant
 from echarpoly.tensor import SliceCoeffs, binary_slices
 
 
@@ -206,12 +207,89 @@ def linear_substitute(f: BinaryForm, mat) -> BinaryForm:
     return BinaryForm(f.degree, result)
 
 
-def scale_form(system: HomogeneousSystem, index: int, factor) -> HomogeneousSystem:
-    """The system with form ``index`` multiplied by ``factor``."""
+def scale_form(forms: Sequence[dict], index: int, factor) -> list[dict]:
+    """The forms with form ``index`` multiplied by ``factor``."""
     factor = as_fraction(factor)
-    forms = [dict(f) for f in system.forms]
+    forms = [dict(f) for f in forms]
     forms[index] = {e: v * factor for e, v in forms[index].items()}
-    return HomogeneousSystem(forms, system.degrees)
+    return forms
+
+
+# -- rational systems for the library's integer Macaulay kernel ----------------------
+
+
+def integer_pencil(forms: Sequence[dict], degrees: Sequence[int]) -> tuple[list[dict], int]:
+    """Rational forms as the kernel's integer pencil with zero slopes, and its factor.
+
+    Form i is multiplied by the lcm c_i of its denominators; by
+    homogeneity the resultant gains prod_i c_i^(D / d_i), D the product of
+    the degrees.  A float coefficient raises ``TypeError``.
+    """
+    total = prod(degrees)
+    pencil, factor = [], 1
+    for form, degree in zip(forms, degrees):
+        values = {e: as_fraction(v) for e, v in form.items()}
+        c = lcm(*(v.denominator for v in values.values()))
+        pencil.append({e: (int(v * c), 0) for e, v in values.items() if v})
+        factor *= c ** (total // degree)
+    return pencil, factor
+
+
+def rational_resultant(forms: Sequence[dict], degrees: Sequence[int]) -> Fraction:
+    """The canonical resultant of rational forms by the library's
+    ``macaulay_resultant`` on their integer pencil, its factor divided back
+    out.  Unlike the oracles above it runs the library kernel: the
+    resultant laws check that kernel."""
+    pencil, factor = integer_pencil(forms, degrees)
+    return Fraction(macaulay_resultant(pencil, degrees), factor)
+
+
+def brute_map_forms(A) -> list[dict]:
+    """The map Ax^{m-1} as rational forms, by a dense pass over every index
+    tuple: entry (i, i2..im) adds to form i at the exponent counting i2..im."""
+    forms = [{} for _ in range(A.dim)]
+    for idx in product(range(A.dim), repeat=A.order):
+        expo = tuple(idx[1:].count(j) for j in range(A.dim))
+        forms[idx[0]][expo] = forms[idx[0]].get(expo, Fraction(0)) + A[idx]
+    return [{e: v for e, v in form.items() if v} for form in forms]
+
+
+def _form_product(f: dict, g: dict) -> dict:
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            key = tuple(x + y for x, y in zip(e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return out
+
+
+def route_system(A, lam) -> tuple[list[dict], list[int]]:
+    """The rational system whose resultant the macaulay route takes, at lambda = lam.
+
+    Even order: (Ax^{m-1})_i - lam (x^T x)^{(m-2)/2} x_i in (x1..xn).  Odd
+    order: x^T x - x0^2 first, then (Ax^{m-1})_i - lam x0^{m-2} x_i, in
+    (x0, x1..xn).  Powers of x^T x are multiplied out term by term.
+    """
+    n, m = A.dim, A.order
+    bare = brute_map_forms(A)
+    if m % 2 == 0:
+        square = {tuple(2 * (j == v) for j in range(n)): 1 for v in range(n)}
+        power = {(0,) * n: 1}
+        for _ in range((m - 2) // 2):
+            power = _form_product(power, square)
+        forms = []
+        for i, form in enumerate(bare):
+            tail = _form_product(power, {tuple(int(j == i) for j in range(n)): -lam})
+            forms.append({e: form.get(e, 0) + tail.get(e, 0) for e in {**form, **tail}})
+        return forms, [m - 1] * n
+    quadric = {tuple(2 * (j == v) for j in range(n + 1)): -1 if v == 0 else 1 for v in range(n + 1)}
+    forms = [quadric]
+    for i, form in enumerate(bare):
+        lifted = {(0,) + e: v for e, v in form.items()}
+        key = tuple((m - 2) * (j == 0) + (j == i + 1) for j in range(n + 1))
+        lifted[key] = lifted.get(key, 0) - lam
+        forms.append(lifted)
+    return forms, [2] + [m - 1] * n
 
 
 # -- the compact determinant formulas, as Poly matrices ------------------------------
@@ -316,14 +394,17 @@ def poly_in_square_from_roots(leading: Fraction, square_roots) -> Poly:
 def homogenized_resultant(A) -> Poly:
     """Resultant of {x^T x - x0^2, Ax^{m-1} - lambda x0^{m-2} x} in (x0, x1..xn).
 
-    A polynomial in lambda of degree at most 2h (h the degree bound of psi),
-    interpolated on 2h + 2 nodes.  At even order it is +-psi^2, so it
+    A polynomial in lambda of degree at most 2h (h the degree bound of psi,
+    n at order 2), interpolated on 2h + 2 nodes.  At even order it is +-psi^2, so it
     cross-checks the n-variable system the macaulay route takes there.
     Unlike the oracles above it runs the library's Macaulay kernel: what it
     checks is the identity between the two systems.
     """
-    nodes = interpolation_nodes(2 * h_bound(A.order, A.dim) + 2)
-    return lagrange_interpolate(list(zip(nodes, macaulay_resultants(*_homogenized_system(A), nodes))))
+    top = A.dim if A.order == 2 else h_bound(A.order, A.dim)
+    nodes = interpolation_nodes(2 * top + 2)
+    forms, degrees, factor = _homogenized_system(A)
+    values = macaulay_resultants(forms, degrees, nodes)
+    return lagrange_interpolate(list(zip(nodes, values))).scale(Fraction(1, factor))
 
 
 def macaulay_quotient(forms, degrees) -> tuple[Fraction, int]:

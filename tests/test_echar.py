@@ -353,7 +353,8 @@ def test_irregular_tensor_zero_polynomial():
     from echarpoly.resultant import macaulay_resultants
 
     nodes = (0, 1, -2)
-    assert macaulay_resultants(*_homogenized_system(A), nodes) == [0, 0, 0]
+    forms, degrees, _ = _homogenized_system(A)
+    assert macaulay_resultants(forms, degrees, nodes) == [0, 0, 0]
 
 
 def test_constant_term_prediction_examples():
@@ -487,9 +488,9 @@ def test_macaulay_interpolates_on_h_plus_2_nodes(monkeypatch, dim, order, nodes)
     real = module.macaulay_resultants
     calls = []
 
-    def counting(base, slope, points):
-        calls.append((base.nvars, len(points)))
-        return real(base, slope, points)
+    def counting(forms, degrees, points):
+        calls.append((len(forms), len(points)))
+        return real(forms, degrees, points)
 
     monkeypatch.setattr(module, "macaulay_resultants", counting)
     echar_macaulay(fuzz_tensor(random.Random(order), order, dim))
@@ -525,13 +526,13 @@ def test_macaulay_rejects_resultant_above_degree_bound(monkeypatch, order):
     module = importlib.import_module("echarpoly.echar")
     bound = 2 * h_bound(order, 2)
 
-    def too_high(base, slope, nodes):
+    def too_high(forms, degrees, nodes):
         # the zero tensor's first map form (after the quadric at odd order) is
         # -lambda x1 times x0^(m-2) (odd order) or (x1^2 + x2^2)^((m-2)/2)
         # (even order): its coefficients sum to a nonzero multiple t of lambda
         first = order % 2
-        assert not base.forms[first]
-        return [(-lam * sum(slope.forms[first].values())) ** (bound + 1) for lam in nodes]
+        assert not any(a for a, _ in forms[first].values())
+        return [(-lam * sum(b for _, b in forms[first].values())) ** (bound + 1) for lam in nodes]
 
     monkeypatch.setattr(module, "macaulay_resultants", too_high)
     with pytest.raises(ArithmeticError, match="above the bound"):
@@ -558,9 +559,9 @@ def test_every_route_checks_the_degree_bound_in_t(monkeypatch, route, order, ker
 
     if kernel == "macaulay_resultants":
 
-        def too_high(base, slope, nodes):
+        def too_high(forms, degrees, nodes):
             # the nodes are values of lambda; odd order interpolates in mu
-            return [Fraction(lam ** (2 * (top + 1) if order % 2 else top + 1)) for lam in nodes]
+            return [lam ** (2 * (top + 1) if order % 2 else top + 1) for lam in nodes]
 
     else:
 
@@ -578,7 +579,7 @@ def test_every_route_checks_the_degree_bound_in_t(monkeypatch, route, order, ker
 def test_macaulay_refuses_dimension3_beyond_order4_before_any_node(monkeypatch, order):
     module = importlib.import_module("echarpoly.echar")
 
-    def no_node(base, slope, nodes):
+    def no_node(forms, degrees, nodes):
         raise AssertionError("a node was evaluated")
 
     monkeypatch.setattr(module, "macaulay_resultants", no_node)

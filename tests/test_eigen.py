@@ -20,7 +20,6 @@ from echarpoly.eigen import (
 )
 from echarpoly.poly import Poly, complex_roots
 from echarpoly.rational import ComplexRational, I_UNIT
-from echarpoly.resultant import HomogeneousSystem, macaulay_resultant
 from echarpoly.tensor import (
     DimensionError,
     Hypermatrix,
@@ -28,16 +27,17 @@ from echarpoly.tensor import (
     all_indices,
     binary_slices,
     direction_form_coeffs,
-    map_forms,
     rotate,
 )
 from echarpoly.verify import fuzz_tensor
 from oracles import (
     BinaryForm,
     brute_eval_map,
+    brute_map_forms,
     convolution,
     exact_eigenvalue,
     kernel_resultant,
+    rational_resultant,
     slice_sums,
 )
 
@@ -301,11 +301,11 @@ def test_is_regular_dimension3_when_every_pair_shares_conic_points():
     # each [x^T x, F_j, F_k] has a common zero, so all three of their
     # Macaulay resultants vanish; no point is shared by all three components
     A = Hypermatrix.from_one_based(3, 3, PAIRWISE_SHARED)
-    forms = map_forms(A)
+    forms = brute_map_forms(A)
     quadric = {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1}
     for omit in range(3):
         kept = [quadric] + [forms[j] for j in range(3) if j != omit]
-        assert macaulay_resultant(HomogeneousSystem(kept, [2, 2, 2])) == 0
+        assert rational_resultant(kept, [2, 2, 2]) == 0
     assert is_regular(A) == RegularityReport(regular=True, witness=None)
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -90,13 +91,21 @@ def test_poly_sqrt():
     assert poly_sqrt(Poly([0, 1]) * Poly([0, 1])) == Poly([0, 1])
 
 
+def _integer_points(p: Poly, nodes) -> tuple[list, int]:
+    """The points (t, D p(t)) at integer nodes, D the lcm of the
+    denominators of p, which makes every value an int; and D."""
+    scale = lcm(*(c.denominator for c in p.coeffs))
+    return [(t, int(scale * p(t))) for t in nodes], scale
+
+
 def test_interpolation_round_trip():
     rng = random.Random(3)
     for _ in range(30):
         p = rand_poly(rng, max_deg=5)
         count = (p.degree if p else 0) + 1
         nodes = interpolation_nodes(max(count, 1))
-        rebuilt = lagrange_interpolate([(t, p(t)) for t in nodes])
+        points, scale = _integer_points(p, nodes)
+        rebuilt = lagrange_interpolate(points).scale(Fraction(1, scale))
         assert rebuilt == p
 
 
@@ -104,11 +113,13 @@ _rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(_rationals, max_size=8), st.lists(_rationals, min_size=9, max_size=9, unique=True))
-def test_interpolation_round_trip_at_rational_nodes(coeffs, nodes):
+@given(st.lists(_rationals, max_size=8), st.lists(st.integers(-20, 20), min_size=9, max_size=9, unique=True))
+def test_interpolation_round_trip_at_integer_nodes(coeffs, nodes):
+    # integer values at integer nodes may still need rational coefficients
     p = Poly(coeffs)
-    assert lagrange_interpolate([(t, p(t)) for t in nodes]) == p
-    assert lagrange_interpolate([(t, p(t)) for t in nodes[: len(p.coeffs)]]) == p
+    points, scale = _integer_points(p, nodes)
+    assert lagrange_interpolate(points) == p.scale(scale)
+    assert lagrange_interpolate(points[: len(p.coeffs)]) == p.scale(scale)
 
 
 _gaussians = st.builds(ComplexRational, _rationals, _rationals)
@@ -281,3 +292,8 @@ def test_interpolation_rejects_float_nodes_and_values():
         lagrange_interpolate([(0.1, 1), (1, 2)])
     with pytest.raises(TypeError):
         lagrange_interpolate([(0, 0.5), (1, 2)])
+    # only ints: a rational node or value is the caller's to clear
+    with pytest.raises(TypeError):
+        lagrange_interpolate([(Fraction(1, 2), 1), (1, 2)])
+    with pytest.raises(TypeError):
+        lagrange_interpolate([(0, Fraction(1, 2)), (1, 2)])

@@ -1,20 +1,19 @@
 import random
 from fractions import Fraction
 from itertools import permutations, product
+from math import lcm
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from echarpoly import resultant
-from echarpoly.echar import _eigen_system, _homogenized_system
+from echarpoly.echar import _eigen_system, _homogenized_system, echar_macaulay
 from echarpoly.poly import Poly, complex_roots, interpolation_nodes, lagrange_interpolate
 from echarpoly import polymat
 from echarpoly.polymat import det_scheduled
 from echarpoly.resultant import (
-    HomogeneousSystem,
     UnsupportedSizeError,
-    _clear_denominators,
     _EliminationPlan,
     _markowitz_order,
     _scheduled,
@@ -25,14 +24,19 @@ from echarpoly.tensor import Hypermatrix
 from echarpoly.verify import fuzz_tensor
 from oracles import (
     BinaryForm,
+    brute_map_forms,
     cofactor_det,
     det_fraction_free,
+    homogenized_resultant,
+    integer_pencil,
     kernel_resultant,
     linear_substitute,
     macaulay_quotient,
     markowitz_order,
     multiply,
     pencil_form,
+    rational_resultant,
+    route_system,
     scale,
     scale_form,
     sylvester_matrix,
@@ -51,7 +55,7 @@ def res_scalar(f, g):
 
 def test_constructors_reject_floats():
     with pytest.raises(TypeError):
-        HomogeneousSystem([{(1, 0): 0.1}, {(0, 1): 1}], [1, 1])
+        Hypermatrix(2, 2, {(0, 0): 0.5})
     with pytest.raises(TypeError):
         BinaryForm.from_scalars([0.1, 1])
     f = BinaryForm.from_scalars([1, 2])
@@ -282,46 +286,34 @@ def test_vanishing_iff_common_projective_root():
 
 
 def test_macaulay_pure_powers():
-    system = HomogeneousSystem(
-        [{(2, 0, 0): 1}, {(0, 2, 0): 1}, {(0, 0, 2): 1}], [2, 2, 2]
-    )
-    assert macaulay_resultant(system) == 1
-    system4 = HomogeneousSystem(
-        [
-            {(1, 0, 0, 0): 1},
-            {(0, 2, 0, 0): 1},
-            {(0, 0, 2, 0): 1},
-            {(0, 0, 0, 3): 1},
-        ],
-        [1, 2, 2, 3],
-    )
-    assert macaulay_resultant(system4) == 1
+    assert rational_resultant([{(2, 0, 0): 1}, {(0, 2, 0): 1}, {(0, 0, 2): 1}], [2, 2, 2]) == 1
+    forms4 = [
+        {(1, 0, 0, 0): 1},
+        {(0, 2, 0, 0): 1},
+        {(0, 0, 2, 0): 1},
+        {(0, 0, 0, 3): 1},
+    ]
+    assert rational_resultant(forms4, [1, 2, 2, 3]) == 1
 
 
 def test_macaulay_linear_system_is_determinant():
-    system = HomogeneousSystem(
-        [
-            {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1},
-            {(1, 0, 0): 1, (0, 1, 0): -1},
-            {(0, 1, 0): 1, (0, 0, 1): -1},
-        ],
-        [1, 1, 1],
-    )
-    assert macaulay_resultant(system) == 3
+    forms = [
+        {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1},
+        {(1, 0, 0): 1, (0, 1, 0): -1},
+        {(0, 1, 0): 1, (0, 0, 1): -1},
+    ]
+    assert rational_resultant(forms, [1, 1, 1]) == 3
 
 
 def test_macaulay_matches_sylvester_for_two_forms():
     rng = random.Random(19)
     for _ in range(20):
         f, g = rand_form(rng, 2), rand_form(rng, 2)
-        system = HomogeneousSystem(
-            [
-                {(2, 0): f.coeffs[0].coefficient(0), (1, 1): f.coeffs[1].coefficient(0), (0, 2): f.coeffs[2].coefficient(0)},
-                {(2, 0): g.coeffs[0].coefficient(0), (1, 1): g.coeffs[1].coefficient(0), (0, 2): g.coeffs[2].coefficient(0)},
-            ],
-            [2, 2],
-        )
-        assert macaulay_resultant(system) == res_scalar(f, g)
+        forms = [
+            {(2, 0): f.coeffs[0].coefficient(0), (1, 1): f.coeffs[1].coefficient(0), (0, 2): f.coeffs[2].coefficient(0)},
+            {(2, 0): g.coeffs[0].coefficient(0), (1, 1): g.coeffs[1].coefficient(0), (0, 2): g.coeffs[2].coefficient(0)},
+        ]
+        assert rational_resultant(forms, [2, 2]) == res_scalar(f, g)
 
 
 def test_macaulay_scaling_homogeneity_ternary():
@@ -333,28 +325,25 @@ def test_macaulay_scaling_homogeneity_ternary():
             for expo in [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)]:
                 form[expo] = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
             forms.append(form)
-        system = HomogeneousSystem(forms, [2, 2, 2])
-        base = macaulay_resultant(system)
+        base = rational_resultant(forms, [2, 2, 2])
         t = Fraction(rng.randint(1, 5), rng.randint(1, 5))
-        scaled = macaulay_resultant(scale_form(system, 0, t))
+        scaled = rational_resultant(scale_form(forms, 0, t), [2, 2, 2])
         assert scaled == t ** (2 * 2) * base
 
 
 def test_macaulay_zero_for_common_root():
     # (0 : 0 : 1) solves all three forms
-    system = HomogeneousSystem(
-        [{(2, 0, 0): 1, (0, 2, 0): 1}, {(0, 2, 0): 1}, {(0, 1, 1): 1}], [2, 2, 2]
-    )
-    assert macaulay_resultant(system) == 0
+    forms = [{(2, 0, 0): 1, (0, 2, 0): 1}, {(0, 2, 0): 1}, {(0, 1, 1): 1}]
+    assert rational_resultant(forms, [2, 2, 2]) == 0
 
 
-def _perturbed(system: HomogeneousSystem) -> Fraction:
+def _perturbed(forms, degrees) -> Fraction:
     """The perturbed quotient of a rational system: its forms are cleared to
     integers, and the clearing factor is divided back out."""
-    zero = HomogeneousSystem([{}] * system.nvars, system.degrees)
-    cleared, factor = _clear_denominators(system, zero)
-    forms = [{e: a for e, (a, _) in form.items()} for form in cleared]
-    return resultant._macaulay_perturbed(forms, system.degrees) / factor
+    cleared, factor = integer_pencil(forms, degrees)
+    value = resultant._macaulay_perturbed([{e: a for e, (a, _) in form.items()} for form in cleared], degrees)
+    assert type(value) is int
+    return Fraction(value, factor)
 
 
 def test_macaulay_perturbation_path_agrees_with_quotient():
@@ -366,8 +355,7 @@ def test_macaulay_perturbation_path_agrees_with_quotient():
             for expo in [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)]:
                 form[expo] = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
             forms.append(form)
-        system = HomogeneousSystem(forms, [2, 2, 2])
-        assert _perturbed(system) == macaulay_resultant(system)
+        assert _perturbed(forms, (2, 2, 2)) == rational_resultant(forms, [2, 2, 2])
 
 
 def test_macaulay_variable_relabelings_agree_after_sign_correction():
@@ -386,12 +374,11 @@ def test_macaulay_variable_relabelings_agree_after_sign_correction():
                     expo[c] += 1
                 form[tuple(expo)] = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
             forms.append(form)
-        system = HomogeneousSystem(forms, degrees)
-        reference = _perturbed(system)
-        cleared, factor = _clear_denominators(system, HomogeneousSystem([{}] * 3, degrees))
+        reference = _perturbed(forms, tuple(degrees))
+        cleared, factor = integer_pencil(forms, degrees)
         for perm in permutations(range(3)):
             # every ordering, M and M' each in its own Markowitz order, with the signs of all four
-            plan = _EliminationPlan(cleared, system.degrees, perm)
+            plan = _EliminationPlan(cleared, tuple(degrees), perm)
             det_minor = det_scheduled(*plan.minor, 0)
             if det_minor == 0:
                 continue
@@ -570,16 +557,21 @@ def test_joint_permutation_of_forms_and_variables_keeps_the_resultant(case):
     resultant is exactly unchanged, whatever the parity of prod(d)."""
     degrees, forms, sigma = case
     moved = [{tuple(e[s] for s in sigma): v for e, v in forms[i].items()} for i in sigma]
-    original = macaulay_resultant(HomogeneousSystem(forms, degrees))
-    permuted = macaulay_resultant(HomogeneousSystem(moved, [degrees[i] for i in sigma]))
+    original = rational_resultant(forms, degrees)
+    permuted = rational_resultant(moved, [degrees[i] for i in sigma])
     assert permuted == original
 
 
-def _node_forms(base, slope, t):
-    return [
-        {e: f0.get(e, 0) + t * f1.get(e, 0) for e in {**f0, **f1}}
-        for f0, f1 in zip(base.forms, slope.forms)
-    ]
+def _node_forms(forms, t):
+    """The integer forms of a pencil at t."""
+    return [{e: a + t * b for e, (a, b) in form.items()} for form in forms]
+
+
+def _int_quotient(forms, degrees) -> int:
+    """``macaulay_quotient`` of integer forms, which is an integer."""
+    value = macaulay_quotient(forms, degrees)[0]
+    assert value.denominator == 1
+    return value.numerator
 
 
 def _integer_tensor(order, dim):
@@ -605,29 +597,29 @@ def _second_draw():
     ids=["m3-fuzz", "m3-identity-minor-vanishes", "m4-fuzz", "m4-integer"],
 )
 def test_pencil_values_equal_the_per_node_macaulay_quotient(tensor, build, nodes, identity_fails):
-    base, slope = build(tensor)
-    values = macaulay_resultants(base, slope, nodes)
+    forms, degrees, factor = build(tensor)
+    values = macaulay_resultants(forms, degrees, nodes)
     for t, value in zip(nodes, values):
-        expected, ordering = macaulay_quotient(_node_forms(base, slope, t), base.degrees)
+        expected, ordering = macaulay_quotient(_node_forms(forms, t), degrees)
         assert value == expected
         if identity_fails:
             assert ordering > 0
+        # and the pencil is the rational system of the route, cleared by the factor
+        assert Fraction(value, factor) == macaulay_quotient(*route_system(tensor, t))[0]
 
 
 def test_pencil_perturbs_only_the_node_where_every_ordering_degenerates(monkeypatch):
     """At t = 0 the first form has no pure square, and the Macaulay minor of
     three ternary quadrics vanishes under every relabeling; at other t it
     does not."""
-    degrees = [2, 2, 2]
-    base = HomogeneousSystem(
-        [
-            {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1},
-            {(2, 0, 0): 1, (0, 2, 0): -1, (0, 0, 2): 2, (1, 0, 1): 1},
-            {(2, 0, 0): 3, (0, 2, 0): 1, (0, 0, 2): -1, (0, 1, 1): 1, (1, 1, 0): -1},
-        ],
-        degrees,
-    )
-    slope = HomogeneousSystem([{(2, 0, 0): 1, (0, 2, 0): 2, (0, 0, 2): 3}, {}, {}], degrees)
+    degrees = (2, 2, 2)
+    base = [
+        {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1},
+        {(2, 0, 0): 1, (0, 2, 0): -1, (0, 0, 2): 2, (1, 0, 1): 1},
+        {(2, 0, 0): 3, (0, 2, 0): 1, (0, 0, 2): -1, (0, 1, 1): 1, (1, 1, 0): -1},
+    ]
+    slope = [{(2, 0, 0): 1, (0, 2, 0): 2, (0, 0, 2): 3}, {}, {}]
+    forms = [{e: (f0.get(e, 0), f1.get(e, 0)) for e in {**f0, **f1}} for f0, f1 in zip(base, slope)]
     real = resultant._macaulay_perturbed
     perturbed = []
     monkeypatch.setattr(
@@ -635,15 +627,76 @@ def test_pencil_perturbs_only_the_node_where_every_ordering_degenerates(monkeypa
         "_macaulay_perturbed",
         lambda forms, degrees: perturbed.append(forms) or real(forms, degrees),
     )
-    values = macaulay_resultants(base, slope, [1, 0, 2])
+    values = macaulay_resultants(forms, degrees, [1, 0, 2])
     assert len(perturbed) == 1
-    assert perturbed[0][0] == base.forms[0]
+    assert perturbed[0][0] == base[0]
     # the resultant has degree D / d_1 = 4 in t: five quotients fix it
-    psi = lagrange_interpolate(
-        [(t, macaulay_quotient(_node_forms(base, slope, t), degrees)[0]) for t in range(1, 6)]
-    )
+    psi = lagrange_interpolate([(t, _int_quotient(_node_forms(forms, t), degrees)) for t in range(1, 6)])
     assert psi(0) != 0
     assert values == [psi(1), psi(0), psi(2)]
+
+
+@st.composite
+def sparse_unequal_tensors(draw):
+    """A dimension-3 tensor of order 2-4 with one to three p/q entries per
+    component, over denominators that differ from component to component.
+
+    Component i holds its pure power x_i^{m-1}: without it most draws take
+    the perturbed path, which the dense quotient cannot check and which
+    costs a minute at order 4.
+    """
+    m = draw(st.integers(2, 4))
+    denominators = draw(st.lists(st.sampled_from([1, 2, 3, 4, 5, 7, 9]), min_size=3, max_size=3, unique=True))
+    tails = list(product(range(3), repeat=m - 1))
+    numerator = st.integers(-9, 9).filter(bool)
+    entries = {}
+    for i, q in enumerate(denominators):
+        entries[(i,) * m] = Fraction(draw(numerator), q)
+        for tail in draw(st.lists(st.sampled_from(tails), max_size=2, unique=True)):
+            entries[(i,) + tail] = Fraction(draw(numerator), q)
+    A = Hypermatrix(m, 3, entries)
+    forms = brute_map_forms(A)
+    assume(len({lcm(*(v.denominator for v in form.values())) for form in forms}) > 1)
+    return A
+
+
+@settings(max_examples=20, deadline=None)
+@given(sparse_unequal_tensors())
+def test_integer_kernel_answers_the_cleared_rational_system(A):
+    """The route's integer pencil, each form over its own denominator, has
+    int resultants: Macaulay's quotient of the rational system times the
+    clearing factor.  psi, the interpolant over that factor, is the
+    homogenized resultant at odd order and a square root of it at even."""
+    forms, degrees, factor = (_homogenized_system if A.order % 2 else _eigen_system)(A)
+    for t, value in zip([0, 1, -2], macaulay_resultants(forms, degrees, [0, 1, -2])):
+        assert type(value) is int
+        try:
+            quotient = macaulay_quotient(*route_system(A, t))[0]
+        except ArithmeticError:
+            # every minor vanishes at this node: the kernel perturbs, the oracle cannot
+            continue
+        assert value == quotient * factor
+    psi = echar_macaulay(A).psi
+    square = homogenized_resultant(A)
+    assert (square == psi) if A.order % 2 else (square in (psi * psi, -(psi * psi)))
+
+
+def test_inexact_macaulay_quotient_raises(monkeypatch):
+    """det(M') must divide sign * det(M); a remainder is an error, never a rational."""
+    values = iter([2, 3])  # the minor first, then the full matrix
+    monkeypatch.setattr(resultant, "det_scheduled", lambda *args: next(values))
+    with pytest.raises(ArithmeticError, match="does not divide"):
+        macaulay_resultant([{(1, 0): (1, 0)}, {(0, 1): (1, 0)}], [1, 1])
+
+
+def test_macaulay_kernel_takes_integer_pairs_only():
+    for bad in (Fraction(1, 2), 0.5):
+        with pytest.raises(TypeError):
+            macaulay_resultant([{(1, 0): (bad, 0)}, {(0, 1): (1, 0)}], [1, 1])
+        with pytest.raises(TypeError):
+            macaulay_resultants([{(1, 0): (1, bad)}, {(0, 1): (1, 0)}], [1, 1], [0])
+    with pytest.raises(ValueError, match="not degree"):
+        macaulay_resultant([{(2, 0): (1, 0)}, {(0, 1): (1, 0)}], [1, 1])
 
 
 def test_zero_form_gives_zero_without_orderings_or_perturbation(monkeypatch):
@@ -653,13 +706,11 @@ def test_zero_form_gives_zero_without_orderings_or_perturbation(monkeypatch):
     monkeypatch.setattr(resultant, "_macaulay_perturbed", refuse)
     monkeypatch.setattr(resultant, "det_scheduled", refuse)
     monkeypatch.setattr(polymat, "_det_int_bareiss", refuse)
-    system = HomogeneousSystem([{}, {}, {}, {(0, 0, 0, 2): 1}], [2, 2, 2, 2])
-    assert macaulay_resultant(system) == 0
+    assert macaulay_resultant([{}, {}, {}, {(0, 0, 0, 2): (1, 0)}], [2, 2, 2, 2]) == 0
     # a pencil whose form vanishes at one node only
-    base = HomogeneousSystem([{(1, 0): 1}, {(0, 1): 1}], [1, 1])
-    slope = HomogeneousSystem([{(1, 0): 1}, {}], [1, 1])
+    pencil = [{(1, 0): (1, 1)}, {(0, 1): (1, 0)}]
     monkeypatch.undo()
-    assert macaulay_resultants(base, slope, [0, -1, 2]) == [1, 0, 3]
+    assert macaulay_resultants(pencil, [1, 1], [0, -1, 2]) == [1, 0, 3]
 
 
 def test_sylvester_cross_engine_values():
@@ -694,15 +745,13 @@ def test_sylvester_cross_engine_values():
 def test_macaulay_size_caps():
     with pytest.raises(UnsupportedSizeError):
         macaulay_resultant(
-            HomogeneousSystem(
-                [
-                    {(9, 0, 0, 0): 1},
-                    {(0, 9, 0, 0): 1},
-                    {(0, 0, 9, 0): 1},
-                    {(0, 0, 0, 9): 1},
-                ],
-                [9, 9, 9, 9],
-            )
+            [
+                {(9, 0, 0, 0): (1, 0)},
+                {(0, 9, 0, 0): (1, 0)},
+                {(0, 0, 9, 0): (1, 0)},
+                {(0, 0, 0, 9): (1, 0)},
+            ],
+            [9, 9, 9, 9],
         )
     with pytest.raises(UnsupportedSizeError):
-        macaulay_resultant(HomogeneousSystem([{(1,): 1}], [1]))
+        macaulay_resultant([{(1,): (1, 0)}], [1])

@@ -1,17 +1,23 @@
+import importlib
+import importlib.util
 import random
+import sys
 from fractions import Fraction
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from echarpoly.echar import _odd_product_form
+from echarpoly import tensor as tensor_module
+from echarpoly.echar import _odd_product_form, echar
 from echarpoly.poly import interpolation_nodes
 from echarpoly.rational import ComplexRational, I_UNIT
 from echarpoly.tensor import (
     DimensionError,
     Hypermatrix,
+    MapForm,
     OrthogonalMatrix,
     all_indices,
     binary_slices,
@@ -19,11 +25,14 @@ from echarpoly.tensor import (
     direction_form_coeffs,
     eval_map,
     isotropic_value,
+    map_forms,
     rotate,
     rotate_slices,
 )
 from echarpoly.verify import fuzz_tensor, standard_rotations
-from oracles import brute_eval_map, brute_slice_sums, convolution, pq_sums, slice_sums
+from oracles import brute_eval_map, brute_map_forms, brute_slice_sums, convolution, pq_sums, slice_sums
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def identity(n: int) -> OrthogonalMatrix:
@@ -217,6 +226,92 @@ def test_slice_record_is_the_brute_force_sums_in_lowest_terms(A, frames):
         assert s.denom > 0 and gcd(s.denom, *s.b, *s.c) == 1
         assert all(type(v) is int for v in s.b + s.c + (s.denom,))
         assert binary_slices(Hypermatrix.from_slices(s)) == s
+
+
+def _same_map(rng: random.Random, A: Hypermatrix) -> Hypermatrix:
+    """A tensor with the map of A: each entry is moved to a random reordering
+    of its trailing indices, or split over one to three of them with
+    rational weights that sum to 1."""
+    entries: dict = {}
+    for (i, *tail), value in A.entries.items():
+        weights = [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(rng.randint(0, 2))]
+        for weight in weights + [1 - sum(weights)]:
+            idx = (i,) + tuple(rng.sample(tail, len(tail)))
+            entries[idx] = entries.get(idx, 0) + weight * value
+    return Hypermatrix(A.order, A.dim, entries)
+
+
+@pytest.mark.parametrize("dim, orders", [(2, range(2, 8)), (3, range(2, 5))], ids=["n2", "n3"])
+def test_equal_maps_give_identical_records(dim, orders):
+    rng = random.Random(71 + dim)
+    changed = 0
+    for m in orders:
+        for _ in range(4):
+            dense = fuzz_tensor(rng, m, dim)
+            A = Hypermatrix(m, dim, {k: v for k, v in dense.entries.items() if rng.random() < 0.7})
+            B = _same_map(rng, A)
+            changed += B.entries != A.entries
+            assert map_forms(B) == map_forms(A)
+            assert brute_map_forms(B) == brute_map_forms(A)
+            if dim == 2:
+                assert binary_slices(B) == binary_slices(A)
+            else:
+                assert conic_values(B) == conic_values(A)
+            if dim == 2 or m <= 3:
+                assert echar(B).psi == echar(A).psi
+    # order 2 has one trailing index, so its entries cannot move
+    assert changed >= 3 * (len(orders) - 1)
+    # entries that sum to an integer leave a denominator of 1
+    halves = Hypermatrix(3, 2, {(0, 0, 1): Fraction(1, 2), (0, 1, 0): Fraction(1, 2), (1, 1, 1): 3})
+    assert map_forms(halves) == (MapForm({(1, 1): 1}, 1), MapForm({(0, 2): 3}, 1))
+
+
+def test_record_is_per_component_in_lowest_terms():
+    rng = random.Random(29)
+    for m, dim in [(3, 2), (4, 2), (3, 3), (4, 3)]:
+        A = fuzz_tensor(rng, m, dim)
+        for form, brute in zip(map_forms(A), brute_map_forms(A)):
+            assert form.denom > 0 and gcd(form.denom, *form.coeffs.values()) == 1
+            assert all(type(v) is int and v for v in form.coeffs.values())
+            assert {e: Fraction(v, form.denom) for e, v in form.coeffs.items()} == brute
+
+
+def _refuse_build(A):
+    raise AssertionError("the map was summed again")
+
+
+@settings(max_examples=60, deadline=None)
+@given(binary_tensors(), st.sampled_from(FRAMES))
+def test_from_slices_carries_the_record_of_a_fresh_build(A, C):
+    slices = rotate_slices(binary_slices(A), C)
+    B = Hypermatrix.from_slices(slices)
+    fresh = map_forms(Hypermatrix(B.order, 2, dict(B.entries)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tensor_module, "_build_map_forms", _refuse_build)
+        assert map_forms(B) == fresh
+        assert binary_slices(B) == slices
+
+
+def test_the_map_is_built_at_most_once_per_tensor(monkeypatch):
+    """An n2-dense benchmark round, seed 1: 60 tensors, each read by
+    binary_slices about fourteen times, and by the rotated tensors of the
+    verify battery through from_slices; the map is summed once per tensor."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look the module up
+    spec.loader.exec_module(workloads)
+    _, docs = workloads.n2_dense_inputs(1)
+    builds, reads = [], []
+    real_build, real_slices = tensor_module._build_map_forms, tensor_module.binary_slices
+    monkeypatch.setattr(tensor_module, "_build_map_forms", lambda A: builds.append(A) or real_build(A))
+    for name in ("echar", "eigen", "verify"):
+        module = importlib.import_module(f"echarpoly.{name}")
+        monkeypatch.setattr(module, "binary_slices", lambda A: reads.append(A) or real_slices(A))
+    for text in docs:
+        workloads.operate_n2_dense(text)
+    assert len(builds) == len(docs) == 60
+    assert len({id(A) for A in builds}) == 60
+    assert len(reads) > 10 * len(docs)
 
 
 def test_binary_slices_requires_dim2():
