@@ -20,6 +20,9 @@ macaulay
     n forms (Ax^{m-1})_i - lambda (x^T x)^{(m-2)/2} x_i, for odd order that
     of the homogenized system {Ax^{m-1} - lambda x0^{m-2} x, x^T x - x0^2},
     interpolated in lambda^2.  Dimensions 2 and 3 (the latter up to order 4).
+
+Every kernel answers in ints over its route's one denominator, which
+``_result`` alone divides out before it maps t to lambda.
 """
 
 from __future__ import annotations
@@ -116,16 +119,17 @@ class EcharResult:
         return self.psi.coefficient(self.leading_power)
 
 
-def _result(A: Hypermatrix, p: Poly, route: str) -> EcharResult:
-    """psi from a route's polynomial p in t, the one place t becomes lambda.
+def _result(A: Hypermatrix, coeffs: list[int], denominator: int, route: str) -> EcharResult:
+    """psi from a route's ascending ints in t over its one denominator.
 
-    t is lambda at even order and lambda^2 at odd order, where psi has only
-    even powers of lambda.  p has degree at most h in t, the proven bound
-    (n for order 2); a higher degree raises ``ArithmeticError``.
+    The one place that denominator is divided out and t becomes lambda
+    (lambda^2 at odd order, where psi is even).  A degree above h in t, the
+    proven bound (n for order 2), raises ``ArithmeticError``.
     """
     m, n = A.order, A.dim
     top = _generic_top(m, n)
-    if not p.is_zero() and p.degree > top:
+    p = Poly([Fraction(c, denominator) for c in coeffs])
+    if p.degree > top:  # the zero polynomial's degree is -inf
         variable = "lambda" if m % 2 == 0 else "lambda^2"
         raise ArithmeticError(
             f"psi has degree {p.degree} in {variable}, above the bound {top} (route {route})"
@@ -191,8 +195,7 @@ def echar_even_n2(A: Hypermatrix) -> EcharResult:
     m = A.order
     slices = binary_slices(A)
     res = sylvester_resultant(*_even_eigen_forms(slices))
-    psi = res.scale(Fraction(1, slices.denom ** (2 * m - 2)))
-    return _result(A, psi, ROUTE_SYLVESTER)
+    return _result(A, res, slices.denom ** (2 * m - 2), ROUTE_SYLVESTER)
 
 
 def echar_odd_n2(A: Hypermatrix) -> EcharResult:
@@ -219,12 +222,11 @@ def echar_odd_n2(A: Hypermatrix) -> EcharResult:
     if pivot == 0:
         cross = direction_form_coeffs(slices)
         if not any(cross):
-            return _result(A, Poly.zero(), ROUTE_SYLVESTER)
+            return _result(A, [], 1, ROUTE_SYLVESTER)
         slices = rotate_slices(slices, _nonsingular_frame(cross))
         pivot = slices.b[m - 1] * slices.c[0]
     big = sylvester_resultant(_odd_product_form(slices), _cross_form(slices))
-    p = big.scale(Fraction(1, slices.denom ** (4 * m - 4) * pivot))
-    return _result(A, p, ROUTE_SYLVESTER)
+    return _result(A, big, slices.denom ** (4 * m - 4) * pivot, ROUTE_SYLVESTER)
 
 
 def _nonsingular_frame(cross: tuple[int, ...]) -> OrthogonalMatrix:
@@ -282,7 +284,8 @@ def echar_det_even(A: Hypermatrix) -> EcharResult:
         raise IrregularTensorError(
             "the compact even-order determinant formula requires a regular tensor"
         )
-    return _result(A, det_interpolated(det_matrix_even(A)), ROUTE_M1)
+    matrix = det_matrix_even(A)
+    return _result(A, det_interpolated(matrix), matrix.denominator, ROUTE_M1)
 
 
 def det_matrix_odd(A: Hypermatrix) -> PolyMatrix:
@@ -327,7 +330,8 @@ def _combined(row: list[tuple], other: list[tuple], factor: int) -> list[tuple]:
 
 
 def echar_det_odd(A: Hypermatrix) -> EcharResult:
-    return _result(A, det_interpolated(det_matrix_odd(A)), ROUTE_M2)
+    matrix = det_matrix_odd(A)
+    return _result(A, det_interpolated(matrix), matrix.denominator, ROUTE_M2)
 
 
 # -- Macaulay route ----------------------------------------------------------------------
@@ -401,8 +405,8 @@ def echar_macaulay(A: Hypermatrix) -> EcharResult:
     ``_result`` check the bound.
 
     The system is an integer pencil F0 + lambda F1, built once per tensor;
-    its clearing factor is divided out of the interpolant of the int node
-    values once.  ``macaulay_resultants`` takes all the nodes in one call:
+    its int node values interpolate to an integer polynomial, over the
+    clearing factor.  ``macaulay_resultants`` takes all the nodes in one call:
     it builds the integer Macaulay rows once per variable ordering that
     some node reaches, eliminates them in the pivot order of a symbolic
     Markowitz elimination of their pattern (its sign corrected for), and
@@ -425,8 +429,7 @@ def echar_macaulay(A: Hypermatrix) -> EcharResult:
     forms, degrees, factor = (_eigen_system if even else _homogenized_system)(A)
     values = macaulay_resultants(forms, degrees, nodes)
     points = list(zip(nodes if even else [t * t for t in nodes], values))
-    psi = lagrange_interpolate(points).scale(Fraction(1, factor))
-    return _result(A, psi, ROUTE_MACAULAY)
+    return _result(A, lagrange_interpolate(points), factor, ROUTE_MACAULAY)
 
 
 # -- closed-form predictions ------------------------------------------------------------
@@ -443,7 +446,7 @@ def a0_predicted(A: Hypermatrix) -> Fraction:
     if n == 2:
         slices = binary_slices(A)
         f1, f2 = ([(v, 0) for v in seq] for seq in (slices.b, slices.c))
-        value = sylvester_resultant(f1, f2).coefficient(0) / slices.denom ** (2 * (m - 1))
+        value = Fraction((sylvester_resultant(f1, f2) or [0])[0], slices.denom ** (2 * (m - 1)))
     elif 3 <= n <= 4:
         forms, denoms = _map_pencil(A)
         factor = prod(denoms) ** ((m - 1) ** (n - 1))

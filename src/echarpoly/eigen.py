@@ -304,8 +304,8 @@ def _conic_witness(A: Hypermatrix):
         return False, None
     roots = np.roots([complex(c) for c in reversed(g)])
     points = [_conic_point_numeric(complex(root)) for root in roots]
-    best = min(points, key=lambda point: irregularity_residual(A, point))
-    return True, best if irregularity_residual(A, best) <= 1e-10 else None
+    residual, best = min(((irregularity_residual(A, p), p) for p in points), key=lambda rp: rp[0])
+    return True, best if residual <= 1e-10 else None
 
 
 def _conic_point_numeric(t: complex) -> tuple[complex, complex, complex]:

@@ -1,6 +1,8 @@
 """Dense univariate polynomials over Q and Q(i).
 
-Coefficients are ``Fraction`` or ``ComplexRational`` values; the field
+Below the public API a polynomial is an ascending list of ints, as
+``lagrange_interpolate`` and the kernels return it; ``echar`` builds psi.
+``Poly`` coefficients are ``Fraction`` or ``ComplexRational`` values; the field
 operations, ``divmod`` and ``monic`` work the same over both.  The gcd
 (``primitive_gcd``) and Yun's square-free split do not use them: they run
 a primitive pseudo-remainder sequence on coefficient lists over Z or Z[i]
@@ -21,7 +23,7 @@ each from its exact value.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -67,10 +69,6 @@ class Poly:
     @staticmethod
     def one() -> "Poly":
         return Poly([1])
-
-    @staticmethod
-    def x() -> "Poly":
-        return Poly([0, 1])
 
     @staticmethod
     def constant(c) -> "Poly":
@@ -518,8 +516,6 @@ def poly_sqrt(p: Poly):
 def _fraction_sqrt(value: Fraction):
     if value < 0:
         return None
-    from math import isqrt
-
     pn, pd = isqrt(value.numerator), isqrt(value.denominator)
     if pn * pn == value.numerator and pd * pd == value.denominator:
         return Fraction(pn, pd)
@@ -541,14 +537,14 @@ def interpolation_nodes(count: int) -> list[int]:
     return nodes[:count]
 
 
-def lagrange_interpolate(points: Sequence[tuple[int, int]]) -> Poly:
-    """Exact interpolating polynomial through integer points with distinct abscissae.
+def lagrange_interpolate(points: Sequence[tuple[int, int]]) -> list[int]:
+    """The integer polynomial through integer points with distinct abscissae.
 
-    Every abscissa and value is an int; anything else raises ``TypeError``.
-    The work is on integers: in Lagrange form, each basis polynomial
-    M(x) / (x - a_i) over the weight w_i = prod_{j != i} (a_i - a_j),
-    M(x) = prod_j (x - a_j).  The sum is taken over the common denominator
-    lcm(w_i), which is divided out once.
+    Every abscissa and value is an int, else ``TypeError``.  In Lagrange
+    form, basis polynomial i is M(x) / (x - a_i) over w_i = prod_{j != i}
+    (a_i - a_j), M(x) = prod_j (x - a_j); the sum over lcm(w_i) divides
+    exactly (else ``ArithmeticError``), as it does for every caller's
+    determinant or resultant of an integer pencil.  Ascending ints, trimmed.
     """
     nodes = [x for x, _ in points]
     values = [y for _, y in points]
@@ -571,7 +567,10 @@ def lagrange_interpolate(points: Sequence[tuple[int, int]]) -> Poly:
         for k in range(n):  # synthetic division of M by (x - a)
             q = master[k] + a * q
             total[k] += factor * q
-    return Poly([Fraction(c, common) for c in reversed(total)])
+    quotients = [divmod(c, common) for c in reversed(total)]
+    if any(remainder for _, remainder in quotients):
+        raise ArithmeticError("the interpolant does not have integer coefficients")
+    return _trim([value for value, _ in quotients])
 
 
 # -- numeric roots --------------------------------------------------------------------

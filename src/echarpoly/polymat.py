@@ -7,10 +7,10 @@ Macaulay node evaluates a pencil at an integer t.  ``PolyMatrix`` holds
 one as sparse (column, constant, slope) int rows, over the one
 denominator its builder knows; ``det_interpolated`` evaluates it at small
 integer nodes, one more than the number of rows that carry t, and
-interpolates the integer node determinants, dividing the denominator out
-once (the test suite checks it against fraction-free elimination over
-Q[x], an oracle kept in the tests).  The answer is a polynomial in t;
-``echar`` maps it to lambda.  Scalar determinants run fraction-free
+interpolates the integer node determinants (the test suite checks it
+against fraction-free elimination over Q[x], an oracle kept in the
+tests).  The answer is ints in t; ``echar`` divides the denominator out
+and maps t to lambda.  Scalar determinants run fraction-free
 integer elimination (Bareiss) on int rows.  A Macaulay node takes the
 numeric pass alone, ``det_scheduled``: the same elimination on the rows
 and columns that a symbolic pass over the pencil's pattern scheduled,
@@ -19,10 +19,9 @@ with its ints written straight into the dense rows.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
-from .poly import Poly, interpolation_nodes, lagrange_interpolate
+from .poly import interpolation_nodes, lagrange_interpolate
 
 
 class PolyMatrix:
@@ -62,18 +61,17 @@ class PolyMatrix:
         return f"PolyMatrix(size={self.size}, denominator={self.denominator})"
 
 
-def det_interpolated(matrix: PolyMatrix) -> Poly:
-    """det of the pencil, exact, as a polynomial in t.
+def det_interpolated(matrix: PolyMatrix) -> list[int]:
+    """det(M0 + t M1), exact, as ascending int coefficients in t.
 
     Each row is at most linear in t, so the determinant has degree at most
     the number of rows with a nonzero slope, and one more node than that
-    determines it.  The node determinants are integer ones; the
-    denominator is divided out of the interpolant once.
+    determines it.  The node determinants are integer ones, and so is the
+    answer; ``matrix.denominator`` is the caller's to divide out.
     """
     top = sum(1 for row in matrix.rows if any(b for _, _, b in row))
     nodes = interpolation_nodes(top + 1)
-    det = lagrange_interpolate([(t, det_rational(matrix.evaluate(t))) for t in nodes])
-    return det if matrix.denominator == 1 else det.scale(Fraction(1, matrix.denominator))
+    return lagrange_interpolate([(t, det_rational(matrix.evaluate(t))) for t in nodes])
 
 
 def det_rational(rows: Sequence[Sequence[int]]) -> int:

@@ -41,14 +41,14 @@ def as_fraction(value) -> Fraction:
 
 @dataclass(frozen=True)
 class ComplexRational:
-    """Element of Q(i) with exact field arithmetic."""
+    """Element of Q(i), exact; int or ``Fraction`` parts, kept as given until a division."""
 
-    re: Fraction
-    im: Fraction = Fraction(0)
+    re: int | Fraction
+    im: int | Fraction = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "re", as_fraction(self.re))
-        object.__setattr__(self, "im", as_fraction(self.im))
+        if not isinstance(self.re, (int, Fraction)) or not isinstance(self.im, (int, Fraction)):
+            raise TypeError("the parts of a ComplexRational must be ints or Fractions")
 
     # -- coercion -----------------------------------------------------------
 
@@ -56,7 +56,7 @@ class ComplexRational:
     def coerce(value) -> "ComplexRational":
         if isinstance(value, ComplexRational):
             return value
-        return ComplexRational(as_fraction(value))
+        return ComplexRational(value)
 
     # -- ring/field operations ---------------------------------------------
 
@@ -91,8 +91,8 @@ class ComplexRational:
         if norm == 0:
             raise ZeroDivisionError("division by zero in Q(i)")
         return ComplexRational(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
+            Fraction(self.re * other.re + self.im * other.im) / norm,
+            Fraction(self.im * other.re - self.re * other.im) / norm,
         )
 
     def __rtruediv__(self, other):
@@ -100,8 +100,8 @@ class ComplexRational:
 
     def __pow__(self, exponent: int):
         if exponent < 0:
-            return ComplexRational(Fraction(1)) / self ** (-exponent)
-        result = ComplexRational(Fraction(1))
+            return ComplexRational(1) / self ** (-exponent)
+        result = ComplexRational(1)
         base = self
         n = exponent
         while n:
@@ -125,7 +125,7 @@ class ComplexRational:
     def conjugate(self) -> "ComplexRational":
         return ComplexRational(self.re, -self.im)
 
-    def norm2(self) -> Fraction:
+    def norm2(self) -> int | Fraction:
         """Squared modulus re^2 + im^2 (a nonnegative rational)."""
         return self.re * self.re + self.im * self.im
 

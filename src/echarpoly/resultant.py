@@ -7,8 +7,8 @@ system (x1^d1, ..., xk^dk) is +1.  With the row and column orderings used
 here that anchor holds by construction, so outputs are canonical including
 sign, never "up to sign".
 
-Both kernels answer in their own variable t; ``echar`` says whether t is
-lambda or lambda^2 and checks the degree bound.
+Both kernels answer in ints in their own variable t; ``echar`` divides
+out the route's denominator, maps t to lambda and checks the degree bound.
 
 The binary kernel, ``sylvester_resultant``, has the sign of det of the
 f-rows-first Sylvester matrix but never builds it.  A binary form is an
@@ -19,7 +19,7 @@ pencils are evaluated at one Kronecker node t = 2^K, K past a bound on
 every coefficient of the resultant in t, and the two integer lists give
 its value by the subresultant PRS in O(d e) big-integer operations,
 formal degrees kept by the Sylvester column expansions; the coefficients
-are that value's signed base-2^K digits.
+are that value's signed base-2^K digits, returned as an ascending list.
 
 The Macaulay kernel, ``macaulay_resultants``, takes an integer pencil
 F0 + t F1 and integer nodes t; ``macaulay_resultant`` is its call at t = 0.
@@ -49,7 +49,7 @@ from math import comb, isqrt, prod
 from operator import add
 from typing import Mapping, Sequence
 
-from .poly import Poly
+from .poly import _exact_quotient
 from .polymat import PolyMatrix, det_interpolated, det_scheduled
 
 
@@ -61,8 +61,8 @@ MAX_FORMS = 4
 MAX_MACAULAY_DIM = 500
 
 
-def sylvester_resultant(f: Sequence[tuple[int, int]], g: Sequence[tuple[int, int]]) -> Poly:
-    """Resultant of two binary integer pencils, exact; a polynomial in t.
+def sylvester_resultant(f: Sequence[tuple[int, int]], g: Sequence[tuple[int, int]]) -> list[int]:
+    """Resultant of two binary integer pencils, exact; ascending int coefficients in t.
 
     A form of degree d is its d + 1 (constant, slope) int pairs, pair i the
     coefficient a + b t of x1^(d-i) x2^i.  The value is det of the
@@ -75,11 +75,11 @@ def sylvester_resultant(f: Sequence[tuple[int, int]], g: Sequence[tuple[int, int
     (|a_g| + |b_g|)^d, d and e the degrees of f and g.  The one node
     t = 2^K, 2^(K-2) > B, gives the integer resultant of the evaluated
     lists (``_prs_resultant``), whose signed base-2^K digits are the
-    coefficients.  As |a| <= B, a coefficient vanishes at the node only
-    when it vanishes in t, so the formal degrees are kept.  A degree in t
-    above the number of rows that carry a slope raises
-    ``ArithmeticError``.  Forms over a denominator c are the caller's to
-    divide back out, by c^deg(other form) each.
+    coefficients, lowest first ([] for a zero resultant).  As |a| <= B, a
+    coefficient vanishes at the node only when it vanishes in t, so the
+    formal degrees are kept.  A degree in t above the number of rows that
+    carry a slope raises ``ArithmeticError``.  Forms over a denominator c
+    are the caller's to divide back out, by c^deg(other form) each.
     """
     if len(f) < 2 or len(g) < 2:
         raise ValueError("Sylvester resultant needs two forms of degree >= 1")
@@ -98,7 +98,7 @@ def sylvester_resultant(f: Sequence[tuple[int, int]], g: Sequence[tuple[int, int
     degree = len(digits) - 1
     if degree > row_bound:
         raise ArithmeticError(f"resultant has degree {degree} in t, above its row degrees {row_bound}")
-    return Poly(digits)
+    return digits
 
 
 def _norm_bound(pencil: Sequence[tuple[int, int]]) -> int:
@@ -486,8 +486,8 @@ def _macaulay_perturbed(
     which lands on the diagonal of the lexicographic Macaulay matrix: the
     ``_macaulay_rows`` of the pencil F + eps x^d are the integer pencil
     M + eps I, and its non-reduced minor is one too.  The quotient of the
-    two ``det_interpolated`` values is the resultant of the perturbed
-    forms, an integer polynomial in eps; its value at zero is the resultant.
+    two ``det_interpolated`` lists, taken exactly on the integers, is the
+    resultant of the perturbed forms; its value at zero is the resultant.
     """
     pencils = []
     for i, (form, degree) in enumerate(zip(forms, degrees)):
@@ -495,12 +495,12 @@ def _macaulay_perturbed(
         power = tuple(degree * (j == i) for j in range(len(degrees)))
         pencil[power] = (form.get(power, 0), 1)
         pencils.append(pencil)
-    rows, minor = _macaulay_rows(pencils, degrees)
-    det_full = det_interpolated(PolyMatrix(rows))
-    det_minor = det_interpolated(PolyMatrix(minor))
-    if det_minor.is_zero():
+    det_full, det_minor = map(det_interpolated, map(PolyMatrix, _macaulay_rows(pencils, degrees)))
+    if not det_minor:
         raise ArithmeticError("degenerate Macaulay minor even after perturbation")
-    value = det_full.exact_div(det_minor).coefficient(0)
-    if value.denominator != 1:
+    power = max(len(det_full) - len(det_minor) + 1, 0)
+    quotient = _exact_quotient(det_full, det_minor, power)
+    value, remainder = divmod(quotient[0] if quotient else 0, det_minor[-1] ** power)
+    if remainder:
         raise ArithmeticError("perturbed Macaulay quotient is not an integer")
-    return value.numerator
+    return value

@@ -1,4 +1,5 @@
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,20 @@ sys.path.insert(0, str(Path(__file__).parent))
 # CI runs ``--hypothesis-profile=ci``: a failing property prints the blob
 # that reproduces it with ``@reproduce_failure``
 settings.register_profile("ci", print_blob=True)
+
+# To explain a failing property Hypothesis imports libcst, which warns that
+# ``mypy_extensions.TypedDict is deprecated``; under ``-W error``, as CI runs,
+# that warning inside pytest's report hook ends the run in INTERNALERROR
+# before the falsifying example is printed.  libcst is imported here once,
+# with that one warning ignored.  It is optional: CI does not install it.
+with warnings.catch_warnings():
+    warnings.filterwarnings(
+        "ignore", message=r"mypy_extensions\.TypedDict is deprecated", category=DeprecationWarning
+    )
+    try:
+        import libcst  # noqa: F401
+    except ImportError:
+        pass
 
 
 @pytest.fixture

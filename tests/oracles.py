@@ -42,7 +42,7 @@ from echarpoly.poly import (
     lagrange_interpolate,
     primitive_gcd,
 )
-from echarpoly.polymat import det_rational
+from echarpoly.polymat import PolyMatrix, det_interpolated, det_rational
 from echarpoly.rational import ComplexRational, as_fraction
 from echarpoly.resultant import macaulay_resultant, macaulay_resultants, sylvester_resultant
 from echarpoly.tensor import SliceCoeffs, binary_slices
@@ -90,6 +90,12 @@ def det_fraction_free(rows) -> Poly:
             m[i][k] = Poly.zero()
         prev = m[k][k]
     return m[n - 1][n - 1] if sign == 1 else -m[n - 1][n - 1]
+
+
+def pencil_det(matrix: PolyMatrix) -> Poly:
+    """det of a ``PolyMatrix`` over its denominator: the library's integer
+    determinant, the denominator divided out as ``echar`` divides it."""
+    return Poly([Fraction(c, matrix.denominator) for c in det_interpolated(matrix)])
 
 
 def poly_rows(rows, size: int) -> list[list[Poly]]:
@@ -156,7 +162,7 @@ def kernel_resultant(f: BinaryForm, g: BinaryForm) -> Poly:
             [(int(c.coefficient(0) * denom), int(c.coefficient(1) * denom)) for c in form.coeffs]
         )
         factor *= denom**other.degree
-    return sylvester_resultant(*pencils).scale(Fraction(1, factor))
+    return Poly([Fraction(c, factor) for c in sylvester_resultant(*pencils)])
 
 
 def sylvester_matrix(f: BinaryForm, g: BinaryForm) -> list[list[Poly]]:
@@ -404,7 +410,7 @@ def homogenized_resultant(A) -> Poly:
     nodes = interpolation_nodes(2 * top + 2)
     forms, degrees, factor = _homogenized_system(A)
     values = macaulay_resultants(forms, degrees, nodes)
-    return lagrange_interpolate(list(zip(nodes, values))).scale(Fraction(1, factor))
+    return Poly([Fraction(c, factor) for c in lagrange_interpolate(list(zip(nodes, values)))])
 
 
 def macaulay_quotient(forms, degrees) -> tuple[Fraction, int]:

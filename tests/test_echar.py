@@ -21,7 +21,6 @@ from echarpoly.echar import (
     leading_predicted,
 )
 from echarpoly.poly import Poly
-from echarpoly.polymat import det_interpolated
 from echarpoly.resultant import UnsupportedSizeError
 from echarpoly.tensor import (
     Hypermatrix,
@@ -42,6 +41,7 @@ from oracles import (
     det_matrix_even_poly,
     det_matrix_odd_poly,
     homogenized_resultant,
+    pencil_det,
     pencil_form,
     poly_from_roots,
     poly_in_square_from_roots,
@@ -238,7 +238,7 @@ def test_compact_pencils_match_the_poly_construction(m):
             pencil, rows = det_matrix_even(A), det_matrix_even_poly(A)
         else:
             pencil, rows = det_matrix_odd(A), det_matrix_odd_poly(A)
-        assert det_interpolated(pencil) == det_fraction_free(rows)
+        assert pencil_det(pencil) == det_fraction_free(rows)
 
 
 def test_odd_product_form_binomials():
@@ -331,7 +331,7 @@ def test_even_det_open_question_irregular_probe():
     behavior on the canonical irregular example.
     """
     A = Hypermatrix.from_one_based(4, 2, {(1, 1, 1, 2): 1, (1, 2, 2, 2): 1})
-    det_value = det_interpolated(det_matrix_even(A))
+    det_value = pencil_det(det_matrix_even(A))
     true_psi = echar_even_n2(A).psi
     agree = det_value == true_psi
     print(f"\nirregular even-det probe: det={det_value} psi={true_psi} agree={agree}")
@@ -530,9 +530,11 @@ def test_macaulay_rejects_resultant_above_degree_bound(monkeypatch, order):
         # the zero tensor's first map form (after the quadric at odd order) is
         # -lambda x1 times x0^(m-2) (odd order) or (x1^2 + x2^2)^((m-2)/2)
         # (even order): its coefficients sum to a nonzero multiple t of lambda
+        # raised to the even power 2h + 2, so that at odd order it is
+        # mu^(h + 1), an integer polynomial in mu = lambda^2 above the bound
         first = order % 2
         assert not any(a for a, _ in forms[first].values())
-        return [(-lam * sum(b for _, b in forms[first].values())) ** (bound + 1) for lam in nodes]
+        return [(-lam * sum(b for _, b in forms[first].values())) ** (bound + 2) for lam in nodes]
 
     monkeypatch.setattr(module, "macaulay_resultants", too_high)
     with pytest.raises(ArithmeticError, match="above the bound"):
@@ -566,7 +568,7 @@ def test_every_route_checks_the_degree_bound_in_t(monkeypatch, route, order, ker
     else:
 
         def too_high(*args):
-            return Poly.monomial(top + 1)
+            return [0] * (top + 1) + [1]
 
     monkeypatch.setattr(module, kernel, too_high)
     variable = "lambda^2" if order % 2 else "lambda"

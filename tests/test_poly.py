@@ -105,7 +105,7 @@ def test_interpolation_round_trip():
         count = (p.degree if p else 0) + 1
         nodes = interpolation_nodes(max(count, 1))
         points, scale = _integer_points(p, nodes)
-        rebuilt = lagrange_interpolate(points).scale(Fraction(1, scale))
+        rebuilt = Poly([Fraction(c, scale) for c in lagrange_interpolate(points)])
         assert rebuilt == p
 
 
@@ -118,8 +118,8 @@ def test_interpolation_round_trip_at_integer_nodes(coeffs, nodes):
     # integer values at integer nodes may still need rational coefficients
     p = Poly(coeffs)
     points, scale = _integer_points(p, nodes)
-    assert lagrange_interpolate(points) == p.scale(scale)
-    assert lagrange_interpolate(points[: len(p.coeffs)]) == p.scale(scale)
+    assert Poly(lagrange_interpolate(points)) == p.scale(scale)
+    assert Poly(lagrange_interpolate(points[: len(p.coeffs)])) == p.scale(scale)
 
 
 _gaussians = st.builds(ComplexRational, _rationals, _rationals)
@@ -285,6 +285,16 @@ def test_str_prints_gaussian_coefficients():
     assert str(Poly([1, -6, 13, -12, 4])) == "4*L^4 - 12*L^3 + 13*L^2 - 6*L + 1"
     assert str(Poly([Fraction(-1, 2), 0, -1])) == "-L^2 - 1/2"
     assert str(Poly()) == "0"
+
+
+def test_interpolation_raises_on_a_non_integral_interpolant():
+    # t (t - 1) / 2 is an int at every integer t, but its coefficients are not
+    with pytest.raises(ArithmeticError, match="integer coefficients"):
+        lagrange_interpolate([(0, 0), (1, 0), (2, 1)])
+    with pytest.raises(ArithmeticError, match="integer coefficients"):
+        lagrange_interpolate([(0, 0), (2, 1)])
+    # its double interpolates to int coefficients, trimmed
+    assert lagrange_interpolate([(0, 0), (1, 0), (2, 2), (-1, 2)]) == [0, -1, 1]
 
 
 def test_interpolation_rejects_float_nodes_and_values():

@@ -190,7 +190,7 @@ def test_kronecker_digits_match_sylvester_determinant(name, swapped):
     if swapped:
         f, g = g, f
     oracle = _oracle_resultant(pencil_form(f), pencil_form(g))
-    assert resultant.sylvester_resultant(f, g) == oracle
+    assert Poly(resultant.sylvester_resultant(f, g)) == oracle
     top = resultant._norm_bound(f) ** (len(g) - 1) * resultant._norm_bound(g) ** (len(f) - 1)
     assert all(abs(c) <= top for c in oracle.coeffs)
     if name == "equal-forms":
@@ -631,7 +631,7 @@ def test_pencil_perturbs_only_the_node_where_every_ordering_degenerates(monkeypa
     assert len(perturbed) == 1
     assert perturbed[0][0] == base[0]
     # the resultant has degree D / d_1 = 4 in t: five quotients fix it
-    psi = lagrange_interpolate([(t, _int_quotient(_node_forms(forms, t), degrees)) for t in range(1, 6)])
+    psi = Poly(lagrange_interpolate([(t, _int_quotient(_node_forms(forms, t), degrees)) for t in range(1, 6)]))
     assert psi(0) != 0
     assert values == [psi(1), psi(0), psi(2)]
 
@@ -679,6 +679,45 @@ def test_integer_kernel_answers_the_cleared_rational_system(A):
     psi = echar_macaulay(A).psi
     square = homogenized_resultant(A)
     assert (square == psi) if A.order % 2 else (square in (psi * psi, -(psi * psi)))
+
+
+def test_kernels_answer_in_int_lists():
+    """The polynomial kernels return ascending lists of ints, not ``Poly``:
+    ``echar`` builds psi from them over the route's one denominator."""
+    rng = random.Random(20)
+    for _ in range(20):
+        f = [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(rng.randint(2, 5))]
+        g = [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(rng.randint(2, 5))]
+        size = rng.randint(1, 5)
+        rows = [[(j, rng.randint(-9, 9), rng.randint(-9, 9)) for j in range(size)] for _ in range(size)]
+        p = [rng.randint(-9, 9) for _ in range(4)]  # an integer cubic at four integer nodes
+        points = [(t, sum(c * t**j for j, c in enumerate(p))) for t in range(-2, 2)]
+        for coeffs in (
+            resultant.sylvester_resultant(f, g),
+            polymat.det_interpolated(polymat.PolyMatrix(rows, denominator=rng.randint(1, 9))),
+            lagrange_interpolate(points),
+        ):
+            assert type(coeffs) is list
+            assert all(type(c) is int for c in coeffs)
+            assert not coeffs or coeffs[-1] != 0
+    # an identically zero resultant is the empty list
+    form = [(3, -2), (0, 5), (-7, 1)]
+    assert resultant.sylvester_resultant(form, form) == []
+
+
+@pytest.mark.parametrize(
+    "full, minor, message",
+    [([1, 1], [1, 2], "left a remainder"), ([1, 1], [2], "not an integer")],
+)
+def test_perturbed_quotient_of_lists_that_do_not_divide_raises(monkeypatch, full, minor, message):
+    """The perturbed quotient is exact on the integers: a remainder of the
+    two determinants, or an eps^0 term that lc^power does not divide, raises."""
+    forms = [{(1, 0): 1}, {(0, 1): 1}]
+    assert resultant._macaulay_perturbed(forms, (1, 1)) == 1
+    values = iter([full, minor])  # the full matrix first, then the minor
+    monkeypatch.setattr(resultant, "det_interpolated", lambda matrix: next(values))
+    with pytest.raises(ArithmeticError, match=message):
+        resultant._macaulay_perturbed(forms, (1, 1))
 
 
 def test_inexact_macaulay_quotient_raises(monkeypatch):
