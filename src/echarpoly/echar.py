@@ -15,11 +15,14 @@ M1-det / M2-det
     odd one is obtained from the big Sylvester matrix by exact
     determinant-preserving eliminations and holds unconditionally.
 macaulay
-    The definition itself, by Macaulay resultants evaluated at integer
-    values of lambda and interpolated: for even order the resultant of the
-    n forms (Ax^{m-1})_i - lambda (x^T x)^{(m-2)/2} x_i, for odd order that
-    of the homogenized system {Ax^{m-1} - lambda x0^{m-2} x, x^T x - x0^2},
-    interpolated in lambda^2.  Dimensions 2 and 3 (the latter up to order 4).
+    The definition itself, by resultants evaluated at integer values of
+    lambda and interpolated: for even order the resultant of the n forms
+    (Ax^{m-1})_i - lambda (x^T x)^{(m-2)/2} x_i, for odd order that of the
+    homogenized system {x^T x - x0^2, Ax^{m-1} - lambda x0^{m-2} x},
+    interpolated in lambda^2.  Dimensions 2 and 3 (the latter up to order
+    4).  At dimension 3 each node is one exact Sylvester-Bezout
+    determinant (three forms of degree m - 1, or four quadrics at order 3);
+    at dimension 2 it is Macaulay's ratio det(M) / det(M').
 
 Every kernel answers in ints over its route's one denominator, which
 ``_result`` alone divides out before it maps t to lambda.
@@ -42,7 +45,7 @@ from .resultant import (
     UnsupportedSizeError,
     macaulay_resultant,
     macaulay_resultants,
-    macaulay_size,
+    matrix_size,
     sylvester_resultant,
 )
 from .tensor import (
@@ -406,23 +409,30 @@ def echar_macaulay(A: Hypermatrix) -> EcharResult:
 
     The system is an integer pencil F0 + lambda F1, built once per tensor;
     its int node values interpolate to an integer polynomial, over the
-    clearing factor.  ``macaulay_resultants`` takes all the nodes in one call:
-    it builds the integer Macaulay rows once per variable ordering that
-    some node reaches, eliminates them in the pivot order of a symbolic
-    Markowitz elimination of their pattern (its sign corrected for), and
-    perturbs only a node at which every ordering's minor vanishes.  Dimension 3 is
-    taken up to order 4; beyond that ``UnsupportedSizeError`` is raised
-    before any node, with the work it would take.
+    clearing factor.  ``macaulay_resultants`` takes all the nodes in one
+    call.  At dimension 3 the degrees, (m-1, m-1, m-1) at even order and
+    (2, 2, 2, 2) at order 3, admit one Sylvester-Bezout determinant per
+    node (15- and 20-square at orders 4 and 3): its Bezoutian rows are
+    built once per tensor, with no variable ordering, no elimination plan
+    and no perturbation.  At dimension 2 the two forms take Macaulay's
+    ratio: the integer Macaulay rows are built once per variable ordering
+    that some node reaches and eliminated in the pivot order of a
+    symbolic Markowitz elimination of their pattern (its sign corrected
+    for), and only a node at which every ordering's minor vanishes is
+    perturbed.  Dimension 3 is taken up to order 4; beyond that
+    ``UnsupportedSizeError`` is raised before any node, with the work it
+    would take: the nodes and the side of the matrix the degrees take
+    (``resultant.matrix_size``).
     """
     n, m = A.dim, A.order
     if n not in (2, 3):
         raise UnsupportedSizeError("the macaulay route supports dimensions 2 and 3")
     top = _generic_top(m, n)
     if n == 3 and m > 4:
-        size = macaulay_size([m - 1] * n if m % 2 == 0 else [m - 1] * n + [2])
+        size = matrix_size([m - 1] * n if m % 2 == 0 else [2] + [m - 1] * n)
         raise UnsupportedSizeError(
             f"the macaulay route takes dimension 3 up to order 4; order {m} would need "
-            f"{top + 2} interpolation nodes of a {size}-square Macaulay matrix"
+            f"{top + 2} interpolation nodes of a {size}-square matrix"
         )
     even = m % 2 == 0
     nodes = interpolation_nodes(top + 2) if even else range(top + 2)

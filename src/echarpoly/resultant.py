@@ -1,6 +1,6 @@
 """Resultants of homogeneous systems: Sylvester (two binary integer
-pencils) and a desk-scale classical Macaulay construction for up to four
-forms.
+pencils), and for up to four forms one exact Sylvester-Bezout determinant
+or a desk-scale classical Macaulay construction.
 
 Normalization is anchored once and for all: the resultant of the pure-power
 system (x1^d1, ..., xk^dk) is +1.  With the row and column orderings used
@@ -21,24 +21,39 @@ its value by the subresultant PRS in O(d e) big-integer operations,
 formal degrees kept by the Sylvester column expansions; the coefficients
 are that value's signed base-2^K digits, returned as an ascending list.
 
-The Macaulay kernel, ``macaulay_resultants``, takes an integer pencil
+The multivariate kernel, ``macaulay_resultants``, takes an integer pencil
 F0 + t F1 and integer nodes t; ``macaulay_resultant`` is its call at t = 0.
 The resultant of integer forms is an integer polynomial in their
 coefficients (Cox, Little and O'Shea, *Using Algebraic Geometry*, ch. 3),
-so det(M) / det(M') divides exactly and the values are ints; the caller
-divides its clearing factor out once.  Per variable ordering, built only
-when some node reaches it, the integer rows of the Macaulay matrix M and
-of its minor M' are built once as (constant, slope) pairs, and each part
-gets its own symbolic pass: a Markowitz elimination of its sparsity
-pattern (Markowitz's fill-reducing rule, memoized per pattern) puts its
-rows and columns in pivot order and records the fill schedule, the rows
-and columns each step may touch; the signs of all four orders are
-corrected for.  Each part is a ``PolyMatrix``, the integer pencil every
-determinant of the library takes; each node evaluates its int rows and
-runs the numeric pass, ``det_scheduled``, along the schedule.  A node
-where a form vanishes identically gives 0 at once; a node whose minor
-vanishes tries the next ordering; a node where every ordering's minor
-vanishes alone falls back to the perturbed quotient.
+so every node value is an int, and the caller divides its clearing factor
+out once.  A node where a form vanishes identically gives 0 at once.  The
+degree pattern picks one of two constructions:
+
+- Three forms or more whose degrees admit a nu with rho - min d_i < nu <
+  min_{i != j} (d_i + d_j), nu <= rho = sum(d_i - 1), take one square
+  determinant per node with no extraneous factor (Jouanolou, *Formes
+  d'inertie et resultant: un formulaire*, Adv. Math. 126, 1997; D'Andrea
+  and Dickenstein, *Explicit formulas for the multivariate resultant*,
+  JPAA 164, 2001): the Sylvester rows x^alpha F_i of degree nu and one row
+  per coefficient in y of the Bezoutian Delta(x, y).  Delta is built once
+  per pencil, as ints in t, and each node evaluates the rows to ints for
+  one ``det_rational``.  The sign is that of the pure-power system's
+  determinant, +1 or -1, pinned once per pattern.  Three ternary forms of
+  one degree (dimension 3, every order) and four quaternary quadrics
+  (dimension 3 at odd order 3, dimension 4 at order 3) are such patterns.
+- Every other pattern takes Macaulay's ratio det(M) / det(M'), which
+  divides exactly.  Per variable ordering, built only when some node
+  reaches it, the integer rows of the Macaulay matrix M and of its minor
+  M' are built once as (constant, slope) pairs, and each part gets its
+  own symbolic pass: a Markowitz elimination of its sparsity pattern
+  (Markowitz's fill-reducing rule, memoized per pattern) puts its rows
+  and columns in pivot order and records the fill schedule, the rows and
+  columns each step may touch; the signs of all four orders are corrected
+  for.  Each part is a ``PolyMatrix``, the integer pencil every
+  determinant of the library takes; each node evaluates its int rows and
+  runs the numeric pass, ``det_scheduled``, along the schedule.  A node
+  whose minor vanishes tries the next ordering; a node where every
+  ordering's minor vanishes alone falls back to the perturbed quotient.
 """
 
 from __future__ import annotations
@@ -46,11 +61,11 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations
 from math import comb, isqrt, prod
-from operator import add
+from operator import add, mul
 from typing import Mapping, Sequence
 
 from .poly import _exact_quotient
-from .polymat import PolyMatrix, det_interpolated, det_scheduled
+from .polymat import PolyMatrix, det_interpolated, det_rational, det_scheduled
 
 
 class UnsupportedSizeError(ValueError):
@@ -58,7 +73,7 @@ class UnsupportedSizeError(ValueError):
 
 
 MAX_FORMS = 4
-MAX_MACAULAY_DIM = 500
+MAX_MATRIX_DIM = 500
 
 
 def sylvester_resultant(f: Sequence[tuple[int, int]], g: Sequence[tuple[int, int]]) -> list[int]:
@@ -192,13 +207,6 @@ def _monomial_index(nvars: int, total: int) -> tuple[tuple[tuple[int, ...], ...]
     """The monomials of ``_monomials`` and the position of each, memoized."""
     monomials = tuple(_monomials(nvars, total))
     return monomials, {mono: j for j, mono in enumerate(monomials)}
-
-
-def macaulay_size(degrees: Sequence[int]) -> int:
-    """Side of the Macaulay matrix of forms of these degrees: the number of
-    monomials of the critical degree sum(d_i - 1) + 1 in len(degrees) variables."""
-    k = len(degrees)
-    return comb(sum(d - 1 for d in degrees) + k, k - 1)
 
 
 def _partition_index(alpha: tuple[int, ...], degrees: tuple[int, ...]) -> int:
@@ -406,6 +414,195 @@ def _relabel(expo: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(new)
 
 
+# -- Sylvester-Bezout construction ----------------------------------------------
+
+
+def _bezout_degree(degrees: Sequence[int]) -> int | None:
+    """The least nu with rho - min d_i < nu < min_{i != j} (d_i + d_j) and
+    nu <= rho, rho = sum(d_i - 1), for three forms or more; None when there
+    is none.  Below d_i + d_j no Koszul syzygy of two forms falls in degree
+    nu, and below min d_i no multiple of a form falls in degree rho - nu, so
+    the Sylvester-Bezout matrix of degree nu is square and its determinant
+    is the resultant up to a sign that depends on the degrees alone."""
+    if len(degrees) < 3:
+        return None
+    rho = sum(d - 1 for d in degrees)
+    first, second = sorted(degrees)[:2]
+    nu = rho - first + 1
+    return nu if nu <= min(first + second - 1, rho) else None
+
+
+def matrix_size(degrees: Sequence[int]) -> int:
+    """Side of the one matrix ``macaulay_resultants`` takes per node for
+    forms of these degrees: the monomials of degree nu of
+    ``_bezout_degree`` where that exists, else those of Macaulay's critical
+    degree sum(d_i - 1) + 1, in len(degrees) variables."""
+    k = len(degrees)
+    nu = _bezout_degree(degrees)
+    if nu is None:
+        return comb(sum(d - 1 for d in degrees) + k, k - 1)
+    return comb(nu + k - 1, k - 1)
+
+
+def _sylvester_bezout_rows(forms: Sequence[Mapping], degrees: tuple[int, ...], nu: int) -> list[list]:
+    """The hybrid Sylvester-Bezout matrix of a pencil, as sparse rows of
+    (column, ascending int coefficients in t).
+
+    Columns are the monomials of degree nu (``_monomials`` order).  The
+    Sylvester rows x^alpha F_i, |alpha| = nu - d_i, come first, in form
+    order; then one row per y^beta, |beta| = rho - nu: the coefficient of
+    y^beta in the Bezoutian Delta(x, y), the determinant of the divided
+    differences (F_j(y_1..y_{i-1}, x_i..x_k) - F_j(y_1..y_i, x_{i+1}..x_k))
+    / (x_i - y_i), a form of degree nu in x.  Delta is expanded along its
+    rows from the last up, a minor per set of columns, and every partial
+    product is cut to y-degree at most rho - nu, since y-degrees only add.
+    A term t^c x^a y^b is one int key, c + sum a_i 2^(s(1+i)) + sum b_i
+    2^(s(1+k+i)), so a product of terms is a sum of keys; no exponent of
+    t, x or y reaches 2^s.
+    """
+    k = len(degrees)
+    rho = sum(d - 1 for d in degrees)
+    target = rho - nu
+    s = max(rho, k).bit_length()
+    xs = [1 << (s * (1 + i)) for i in range(k)]
+    ys = [1 << (s * (1 + k + i)) for i in range(k)]
+    # cells[i][j]: the divided difference of form j in variable i, one dict
+    # {key: coefficient} per y-degree 0..target
+    cells = []
+    for i in range(k):
+        row = []
+        for form in forms:
+            cell = [{} for _ in range(target + 1)]
+            for e, (a, b) in form.items():
+                head = sum(e[:i])
+                if not e[i] or head > target:
+                    continue
+                base = sum(map(mul, e[:i], ys)) + sum(map(mul, e[i + 1 :], xs[i + 1 :]))
+                base += (e[i] - 1) * xs[i]
+                for split in range(min(e[i] - 1, target - head) + 1):
+                    key = base + split * (ys[i] - xs[i])
+                    bucket = cell[head + split]
+                    if a:
+                        bucket[key] = bucket.get(key, 0) + a
+                    if b:
+                        bucket[key + 1] = bucket.get(key + 1, 0) + b
+            row.append(cell)
+        cells.append(row)
+    # minors[mask]: the minor of rows i..k-1 on the columns in mask
+    minors = {1 << j: cells[k - 1][j] for j in range(k)}
+    for i in range(k - 2, -1, -1):
+        low = target if i == 0 else 0
+        grown = {}
+        for mask, minor in minors.items():
+            sign = 1
+            for j in range(k):
+                bit = 1 << j
+                if mask & bit:
+                    sign = -sign
+                    continue
+                out = grown.get(mask | bit)
+                if out is None:
+                    out = grown[mask | bit] = [{} for _ in range(target + 1)]
+                _accumulate(out, cells[i][j], minor, sign, low, target)
+        minors = grown
+    (delta,) = minors.values()
+    monomials, col_of = _monomial_index(k, nu)
+    columns = {sum(map(mul, mono, xs)) >> s: col_of[mono] for mono in monomials}
+    betas, row_of = _monomial_index(k, target)
+    bezout = [{} for _ in betas]
+    x_mask, y_shift = (1 << (s * k)) - 1, s * (1 + k)
+    for key, value in delta[target].items():
+        if value:
+            entry = bezout[row_of[_digits(key >> y_shift, s, k)]].setdefault(columns[(key >> s) & x_mask], {})
+            entry[key & ((1 << s) - 1)] = value
+    rows = []
+    for form, degree in zip(forms, degrees):
+        terms = list(form.items())
+        for alpha in _monomials(k, nu - degree) if nu >= degree else ():
+            rows.append([(col_of[tuple(map(add, alpha, e))], (a, b)) for e, (a, b) in terms])
+    for entries in bezout:
+        rows.append([(j, _dense(powers)) for j, powers in entries.items()])
+    return rows
+
+
+def _digits(packed: int, s: int, k: int) -> tuple[int, ...]:
+    """The k base-2^s digits of a packed exponent, lowest first."""
+    mask = (1 << s) - 1
+    return tuple((packed >> (s * i)) & mask for i in range(k))
+
+
+def _dense(powers: Mapping[int, int]) -> tuple[int, ...]:
+    """Ascending coefficients of a polynomial given as {power: coefficient}."""
+    return tuple(powers.get(c, 0) for c in range(max(powers) + 1))
+
+
+def _accumulate(out: list[dict], p: list[dict], q: list[dict], sign: int, low: int, high: int) -> None:
+    """Adds sign * p * q into ``out``, every operand a dict of packed terms per
+    y-degree, keeping the y-degrees from low to high only."""
+    for dp, terms_p in enumerate(p):
+        if not terms_p:
+            continue
+        for dq in range(max(low - dp, 0), high - dp + 1):
+            terms_q = q[dq]
+            if not terms_q:
+                continue
+            bucket = out[dp + dq]
+            for kp, vp in terms_p.items():
+                vp *= sign
+                for kq, vq in terms_q.items():
+                    key = kp + kq
+                    bucket[key] = bucket.get(key, 0) + vp * vq
+
+
+@lru_cache(maxsize=64)
+def _bezout_sign(degrees: tuple[int, ...]) -> int:
+    """The sign that makes the hybrid determinant the canonical resultant.
+
+    The determinant is a constant multiple of the resultant for each
+    degree pattern, and on the pure-power system (x_i^{d_i}), whose
+    resultant is +1, it must be +1 or -1; that value is the sign.
+    """
+    k = len(degrees)
+    powers = [{tuple(d * (j == i) for j in range(k)): (1, 0)} for i, d in enumerate(degrees)]
+    rows = _sylvester_bezout_rows(powers, degrees, _bezout_degree(degrees))
+    value = det_rational(_evaluated(rows, 0))
+    if value not in (1, -1):
+        raise ArithmeticError(f"the pure-power Sylvester-Bezout determinant of {degrees} is {value}")
+    return value
+
+
+def _evaluated(rows: list[list], t: int) -> list[list[int]]:
+    """The dense int rows of the matrix at the node t."""
+    size = len(rows)
+    out = []
+    for entries in rows:
+        row = [0] * size
+        for j, coeffs in entries:
+            value = 0
+            for c in reversed(coeffs):
+                value = value * t + c
+            row[j] = value
+        out.append(row)
+    return out
+
+
+def _sylvester_bezout_resultants(forms, degrees: tuple[int, ...], nu: int, nodes) -> list[int]:
+    """The resultant of the pencil at each node: one determinant each, signed."""
+    rows = _sylvester_bezout_rows(forms, degrees, nu)
+    values = []
+    for t in nodes:
+        if _vanishing_form(forms, t):
+            values.append(0)
+        else:
+            values.append(_bezout_sign(degrees) * det_rational(_evaluated(rows, t)))
+    return values
+
+
+def _vanishing_form(forms, t: int) -> bool:
+    """Whether some form of the pencil vanishes identically at t."""
+    return any(all(a + t * b == 0 for a, b in form.values()) for form in forms)
+
+
 def macaulay_resultants(
     forms: Sequence[Mapping[tuple[int, ...], tuple[int, int]]],
     degrees: Sequence[int],
@@ -414,15 +611,13 @@ def macaulay_resultants(
     """Canonical resultants of an integer pencil F0 + t F1 at each integer node t (k <= 4 forms).
 
     ``forms[i]`` maps the exponents of form i, of degree ``degrees[i]``, to
-    (constant, slope) int pairs; anything else raises ``TypeError``.  Each
-    value is the int det(M) / det(M') at t.  What the nodes share is built
-    once (see the module docstring), so a node costs the evaluation of int
-    rows and two numeric passes of ``det_scheduled``, which leaves its
-    schedule for pivoting elimination where a planned pivot is zero at
-    that t.  A node is 0 when a form vanishes there identically; while its
-    minor vanishes it tries the next variable relabeling, and only when
-    every one fails is it perturbed toward the pure-power system
-    (``_macaulay_perturbed``).
+    (constant, slope) int pairs; anything else raises ``TypeError``, and a
+    matrix side (``matrix_size``) above ``MAX_MATRIX_DIM`` raises
+    ``UnsupportedSizeError`` before any node.  A node is 0 when a form
+    vanishes there identically.  Otherwise, where the degrees admit it
+    (``_bezout_degree``), each value is one signed Sylvester-Bezout
+    determinant, its rows built once; every other pattern takes
+    Macaulay's ratio, ``_ratio_resultants`` (see the module docstring).
     """
     k = len(forms)
     if k < 2:
@@ -436,10 +631,28 @@ def macaulay_resultants(
             raise ValueError(f"an exponent is not degree {degree} in {k} variables")
         if not all(isinstance(v, int) for pair in form.values() for v in pair):
             raise TypeError("pencil coefficients must be int pairs")
-    dim = macaulay_size(degrees)
-    if dim > MAX_MACAULAY_DIM:
-        raise UnsupportedSizeError(f"Macaulay matrix would be {dim}x{dim}")
-    orderings = list(permutations(range(k)))
+    degrees = tuple(degrees)
+    dim = matrix_size(degrees)
+    if dim > MAX_MATRIX_DIM:
+        raise UnsupportedSizeError(f"resultant matrix would be {dim}x{dim}")
+    nu = _bezout_degree(degrees)
+    if nu is None:
+        return _ratio_resultants(forms, degrees, nodes)
+    return _sylvester_bezout_resultants(forms, degrees, nu, nodes)
+
+
+def _ratio_resultants(forms, degrees: tuple[int, ...], nodes) -> list[int]:
+    """Macaulay's ratio det(M) / det(M') at each node, the plans shared.
+
+    What the nodes share is built once, so a node costs the evaluation of
+    int rows and two numeric passes of ``det_scheduled``, which leaves its
+    schedule for pivoting elimination where a planned pivot is zero at
+    that t.  While a node's minor vanishes it tries the next variable
+    relabeling, and only when every one fails is it perturbed toward the
+    pure-power system (``_macaulay_perturbed``).  Callable on any pattern,
+    it is the tests' reference for the Sylvester-Bezout determinant.
+    """
+    orderings = list(permutations(range(len(degrees))))
     plans: list[_EliminationPlan] = []
     return [_node_resultant(forms, degrees, orderings, plans, t) for t in nodes]
 
@@ -449,7 +662,7 @@ def _node_resultant(forms, degrees, orderings, plans, t: int) -> int:
 
     det(M') divides sign * det(M) exactly; a remainder raises ``ArithmeticError``.
     """
-    if any(all(a + t * b == 0 for a, b in form.values()) for form in forms):
+    if _vanishing_form(forms, t):
         return 0
     for index, perm in enumerate(orderings):
         if index == len(plans):

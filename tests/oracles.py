@@ -29,6 +29,7 @@ from typing import Sequence
 
 from echarpoly.echar import (
     _cross_form,
+    _eigen_system,
     _even_eigen_forms,
     _homogenized_system,
     _odd_product_form,
@@ -44,7 +45,12 @@ from echarpoly.poly import (
 )
 from echarpoly.polymat import PolyMatrix, det_interpolated, det_rational
 from echarpoly.rational import ComplexRational, as_fraction
-from echarpoly.resultant import macaulay_resultant, macaulay_resultants, sylvester_resultant
+from echarpoly.resultant import (
+    _ratio_resultants,
+    macaulay_resultant,
+    macaulay_resultants,
+    sylvester_resultant,
+)
 from echarpoly.tensor import SliceCoeffs, binary_slices
 
 
@@ -411,6 +417,23 @@ def homogenized_resultant(A) -> Poly:
     forms, degrees, factor = _homogenized_system(A)
     values = macaulay_resultants(forms, degrees, nodes)
     return Poly([Fraction(c, factor) for c in lagrange_interpolate(list(zip(nodes, values)))])
+
+
+def ratio_psi(A) -> Poly:
+    """psi by the macaulay route's own systems, nodes and clearing factor,
+    each node taken by Macaulay's ratio det(M) / det(M') (the library's
+    ratio entry, perturbation included) instead of the Sylvester-Bezout
+    determinant that dimension 3 takes.  Unlike the oracles above it runs a
+    library kernel: what it checks is the determinant against the ratio."""
+    m = A.order
+    top = A.dim if m == 2 else h_bound(m, A.dim)
+    even = m % 2 == 0
+    nodes = interpolation_nodes(top + 2) if even else range(top + 2)
+    forms, degrees, factor = (_eigen_system if even else _homogenized_system)(A)
+    values = _ratio_resultants(forms, degrees, nodes)
+    points = list(zip(nodes if even else [t * t for t in nodes], values))
+    coeffs = [Fraction(c, factor) for c in lagrange_interpolate(points)]
+    return Poly(coeffs if even else [c for a in coeffs for c in (a, 0)])
 
 
 def macaulay_quotient(forms, degrees) -> tuple[Fraction, int]:

@@ -3,6 +3,7 @@ import random
 import re
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -47,6 +48,7 @@ from oracles import (
     poly_in_square_from_roots,
     poly_rows,
     pq_sums,
+    ratio_psi,
     slice_sums,
     sylvester_matrix,
 )
@@ -577,24 +579,73 @@ def test_every_route_checks_the_degree_bound_in_t(monkeypatch, route, order, ker
         route(Hypermatrix.diagonal(order, 2))
 
 
-@pytest.mark.parametrize("order", [5, 6])
-def test_macaulay_refuses_dimension3_beyond_order4_before_any_node(monkeypatch, order):
+@pytest.mark.parametrize(
+    "order, nodes, size",
+    # order 5: the homogenized degrees (2, 4, 4, 4) take Macaulay's ratio;
+    # order 6: three quintics take the 45-square Sylvester-Bezout matrix
+    [(5, 23, 364), (6, 33, 45)],
+)
+def test_macaulay_refuses_dimension3_beyond_order4_before_any_node(monkeypatch, order, nodes, size):
     module = importlib.import_module("echarpoly.echar")
 
     def no_node(forms, degrees, nodes):
         raise AssertionError("a node was evaluated")
 
     monkeypatch.setattr(module, "macaulay_resultants", no_node)
-    with pytest.raises(UnsupportedSizeError, match="interpolation nodes"):
+    message = f"{nodes} interpolation nodes of a {size}-square matrix"
+    with pytest.raises(UnsupportedSizeError, match=message):
         echar(Hypermatrix.diagonal(order, 3))
+
+
+def _sparse_order4(rng):
+    """An order-4, dimension-3 integer tensor, each entry zero with probability
+    1/2 and otherwise drawn from [-9, 9]."""
+    entries = {}
+    for idx in product(range(3), repeat=4):
+        if rng.random() >= 0.5:
+            entries[idx] = rng.randint(-9, 9)
+    return Hypermatrix(4, 3, {idx: v for idx, v in entries.items() if v})
+
+
+def _dimension3_corpus():
+    rng = random.Random(1)
+    order3 = [fuzz_tensor(rng, 3, 3) for _ in range(24)]
+    rng = random.Random(2026)
+    sparse = [_sparse_order4(rng) for _ in range(5)]
+    rng = random.Random(4)
+    dense = Hypermatrix(4, 3, {idx: rng.choice([-2, -1, 1, 3]) for idx in product(range(3), repeat=4)})
+    matrix = Hypermatrix(2, 3, {(i, j): Fraction(i - 2 * j + 1, j + 1) for i in range(3) for j in range(3)})
+    return [matrix] + order3 + sparse + [dense]
+
+
+def test_dimension3_needs_no_ordering_plan_or_perturbation(monkeypatch):
+    """At dimension 3, orders 2 to 4, every node and the constant term are one
+    Sylvester-Bezout determinant.  The corpus holds the 24 order-3 draws of
+    random.Random(1), five sparse order-4 integer tensors, on four of which
+    the ratio perturbs at a node or in the constant term, and a dense one;
+    psi equals the ratio's, taken before the ratio is shut off."""
+    from echarpoly import resultant
+
+    corpus = _dimension3_corpus()
+    references = [ratio_psi(A) for A in corpus]
+
+    def refuse(*args):
+        raise AssertionError("dimension 3 reached Macaulay's ratio")
+
+    for name in ("_macaulay_perturbed", "_EliminationPlan", "_markowitz_order"):
+        monkeypatch.setattr(resultant, name, refuse)
+    for A, reference in zip(corpus, references):
+        result = echar(A)
+        assert result.route == "macaulay"
+        assert result.psi == reference
+        assert a0_predicted(A) == result.psi(0)
 
 
 def test_order3_draw_with_zero_constant_term_needs_no_perturbation(monkeypatch):
     """The 19th order-3 draw of random.Random(880051790) has psi(0) = 0.
 
-    With the quadric leading the homogenized system, every one of the nine
-    nodes finds a variable ordering with a nonsingular Macaulay minor, so
-    none takes the perturbed quotient, and psi is the one pinned here.
+    Each of the nine nodes is one Sylvester-Bezout determinant, so none
+    takes the perturbed quotient, and psi is the one pinned here.
     """
     from echarpoly import resultant
 

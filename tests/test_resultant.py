@@ -4,7 +4,7 @@ from itertools import permutations, product
 from math import lcm
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from echarpoly import resultant
@@ -611,7 +611,8 @@ def test_pencil_values_equal_the_per_node_macaulay_quotient(tensor, build, nodes
 def test_pencil_perturbs_only_the_node_where_every_ordering_degenerates(monkeypatch):
     """At t = 0 the first form has no pure square, and the Macaulay minor of
     three ternary quadrics vanishes under every relabeling; at other t it
-    does not."""
+    does not.  Ternary quadrics take the Sylvester-Bezout determinant, so
+    the ratio is called by its own entry."""
     degrees = (2, 2, 2)
     base = [
         {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1},
@@ -627,7 +628,7 @@ def test_pencil_perturbs_only_the_node_where_every_ordering_degenerates(monkeypa
         "_macaulay_perturbed",
         lambda forms, degrees: perturbed.append(forms) or real(forms, degrees),
     )
-    values = macaulay_resultants(forms, degrees, [1, 0, 2])
+    values = resultant._ratio_resultants(forms, degrees, [1, 0, 2])
     assert len(perturbed) == 1
     assert perturbed[0][0] == base[0]
     # the resultant has degree D / d_1 = 4 in t: five quotients fix it
@@ -641,9 +642,9 @@ def sparse_unequal_tensors(draw):
     """A dimension-3 tensor of order 2-4 with one to three p/q entries per
     component, over denominators that differ from component to component.
 
-    Component i holds its pure power x_i^{m-1}: without it most draws take
-    the perturbed path, which the dense quotient cannot check and which
-    costs a minute at order 4.
+    Component i holds its pure power x_i^{m-1}: without it the dense
+    quotient cannot check most draws, and ``homogenized_resultant``, which
+    takes Macaulay's ratio, perturbs at a minute a draw at order 4.
     """
     m = draw(st.integers(2, 4))
     denominators = draw(st.lists(st.sampled_from([1, 2, 3, 4, 5, 7, 9]), min_size=3, max_size=3, unique=True))
@@ -673,7 +674,7 @@ def test_integer_kernel_answers_the_cleared_rational_system(A):
         try:
             quotient = macaulay_quotient(*route_system(A, t))[0]
         except ArithmeticError:
-            # every minor vanishes at this node: the kernel perturbs, the oracle cannot
+            # every minor vanishes at this node: the dense quotient cannot take it
             continue
         assert value == quotient * factor
     psi = echar_macaulay(A).psi
@@ -779,6 +780,97 @@ def test_sylvester_cross_engine_values():
             assert ratio in (1, -1)
             assert signs.setdefault((d, e), ratio) == ratio
         checked += 1
+
+
+@st.composite
+def bezout_systems(draw, degrees):
+    """A sparse integer system of the given degrees.  Half the draws share
+    the rational zero p: each form is then a sum of (p_b x_a - p_a x_b) h_ab,
+    h_ab sparse forms of degree d - 1, so the resultant is 0.  Returns the
+    forms and whether they share p."""
+    k = len(degrees)
+    coefficient = st.one_of(st.just(0), st.integers(-4, 4).filter(bool))
+
+    def sparse_form(degree):
+        monomials = [e for e in product(range(degree + 1), repeat=k) if sum(e) == degree]
+        return {e: c for e in monomials if (c := draw(coefficient))}
+
+    if not draw(st.booleans()):
+        return [sparse_form(d) for d in degrees], False
+    point = draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k).filter(any))
+    forms = []
+    for d in degrees:
+        form = {}
+        for a in range(k):
+            for b in range(a + 1, k):
+                for e, c in sparse_form(d - 1).items():
+                    for var, weight in ((a, point[b]), (b, -point[a])):
+                        key = tuple(x + (j == var) for j, x in enumerate(e))
+                        form[key] = form.get(key, 0) + weight * c
+        forms.append({e: c for e, c in form.items() if c})
+    return forms, True
+
+
+# A fixed draw of 12 systems per pattern: the ratio perturbs on many sparse
+# quartic systems, at up to 1 s each, so random draws of this size took 1 to
+# 7 s in all.  These take about 2 s and reach both a shared zero and a
+# nonzero resultant for every pattern.
+@pytest.mark.parametrize(
+    "degrees",
+    [(1, 1, 1), (2, 2, 2), (3, 3, 3), (4, 4, 4), (2, 2, 2, 2)],
+    ids=lambda degrees: "-".join(map(str, degrees)),
+)
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_sylvester_bezout_determinant_equals_the_ratio(degrees, data):
+    """At three ternary forms of one degree, and four quaternary quadrics,
+    ``macaulay_resultants`` takes the one Sylvester-Bezout determinant; it
+    must equal Macaulay's ratio, perturbation included, called directly.
+    These are the only patterns where the two kernels meet: auto and
+    ``--route macaulay`` share the determinant at dimension 3."""
+    forms, common_zero = data.draw(bezout_systems(degrees))
+    pencil = [{e: (c, 0) for e, c in form.items()} for form in forms]
+    assert resultant._bezout_degree(degrees) is not None
+    value = macaulay_resultant(pencil, degrees)
+    assert value == resultant._ratio_resultants(pencil, degrees, [0])[0]
+    if common_zero:
+        assert value == 0
+    event(f"common zero: {common_zero}, resultant 0: {value == 0}")
+
+
+def _bezout_patterns():
+    """Every pattern with a Sylvester-Bezout degree: three forms of degrees up
+    to 7, four of degrees up to 3."""
+    patterns = [d for k, top in ((3, 7), (4, 3)) for d in product(range(1, top + 1), repeat=k)]
+    return [d for d in patterns if resultant._bezout_degree(d) is not None]
+
+
+def test_pure_power_determinant_is_a_unit_and_the_kernel_answers_one():
+    """The premise of the sign pin: on (x_1^d_1, ..., x_k^d_k) the hybrid
+    determinant is +1 or -1, and the signed kernel gives the canonical +1."""
+    patterns = _bezout_patterns()
+    assert (7, 7, 7) in patterns and (2, 2, 2, 2) in patterns and (3, 3, 3, 3) not in patterns
+    signs = set()
+    for degrees in patterns:
+        k = len(degrees)
+        powers = [{tuple(d * (j == i) for j in range(k)): (1, 0)} for i, d in enumerate(degrees)]
+        rows = resultant._sylvester_bezout_rows(powers, degrees, resultant._bezout_degree(degrees))
+        assert len(rows) == resultant.matrix_size(degrees)
+        det = polymat.det_rational(resultant._evaluated(rows, 0))
+        assert det in (1, -1)
+        signs.add(det)
+        assert macaulay_resultant(powers, degrees) == 1
+    # the sign is not one constant
+    assert signs == {1, -1}
+
+
+def test_size_cap_reads_the_matrix_the_pattern_takes():
+    """Three forms of degree 11 take a 231-square determinant, under the cap,
+    although their Macaulay matrix would be 528-square."""
+    degrees = (11, 11, 11)
+    assert resultant.matrix_size(degrees) == 231
+    powers = [{tuple(11 * (j == i) for j in range(3)): (1, 0)} for i in range(3)]
+    assert macaulay_resultant(powers, degrees) == 1
 
 
 def test_macaulay_size_caps():
