@@ -584,6 +584,7 @@ def test_every_route_checks_the_degree_bound_in_t(monkeypatch, route, order, ker
     # order 5: the homogenized degrees (2, 4, 4, 4) take Macaulay's ratio;
     # order 6: three quintics take the 45-square Sylvester-Bezout matrix
     [(5, 23, 364), (6, 33, 45)],
+    ids=["5", "6"],
 )
 def test_macaulay_refuses_dimension3_beyond_order4_before_any_node(monkeypatch, order, nodes, size):
     module = importlib.import_module("echarpoly.echar")
