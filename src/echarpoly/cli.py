@@ -156,6 +156,8 @@ def cmd_verify(args) -> int:
             return EXIT_PARSE
         if args.n != 2:
             raise UnsupportedSizeError("fuzz verification runs on dimension 2")
+        if args.m < 2:
+            raise DimensionError(f"order must be >= 2, got {args.m}")
         outcome = run_fuzz(args.fuzz, args.seed, args.m, args.n, deep=args.deep)
         verdicts = {
             name: {"passed": ok, "ran": ran, "ok": ok == ran}

@@ -22,7 +22,9 @@ macaulay
     interpolated in lambda^2.  Dimensions 2 and 3 (the latter up to order
     4).  At dimension 3 each node is one exact Sylvester-Bezout
     determinant (three forms of degree m - 1, or four quadrics at order 3);
-    at dimension 2 it is Macaulay's ratio det(M) / det(M').
+    at dimension 2 it is Macaulay's ratio det(M) / det(M'), two
+    fraction-free determinants of the lexicographic Macaulay matrix and
+    its minor.
 
 Every kernel answers in ints over its route's one denominator, which
 ``_result`` alone divides out before it maps t to lambda.
@@ -415,14 +417,13 @@ def echar_macaulay(A: Hypermatrix) -> EcharResult:
     node (15- and 20-square at orders 4 and 3): its Bezoutian rows are
     built once per tensor, with no variable ordering, no elimination plan
     and no perturbation.  At dimension 2 the two forms take Macaulay's
-    ratio: the integer Macaulay rows are built once per variable ordering
-    that some node reaches and eliminated in the pivot order of a
-    symbolic Markowitz elimination of their pattern (its sign corrected
-    for), and only a node at which every ordering's minor vanishes is
-    perturbed.  Dimension 3 is taken up to order 4; beyond that
-    ``UnsupportedSizeError`` is raised before any node, with the work it
-    would take: the nodes and the side of the matrix the degrees take
-    (``resultant.matrix_size``).
+    ratio: the integer Macaulay matrix and its minor are built once per
+    variable ordering that some node reaches, in lexicographic order, and
+    each node takes ``det_rational`` of both; only a node at which every
+    ordering's minor vanishes is perturbed.  Dimension 3 is taken up to
+    order 4; beyond that ``UnsupportedSizeError`` is raised before any
+    node, with the work it would take: the nodes and the side of the
+    matrix the degrees take (``resultant.matrix_size``).
     """
     n, m = A.dim, A.order
     if n not in (2, 3):

@@ -10,11 +10,9 @@ integer nodes, one more than the number of rows that carry t, and
 interpolates the integer node determinants (the test suite checks it
 against fraction-free elimination over Q[x], an oracle kept in the
 tests).  The answer is ints in t; ``echar`` divides the denominator out
-and maps t to lambda.  Scalar determinants run fraction-free
-integer elimination (Bareiss) on int rows.  A Macaulay node takes the
-numeric pass alone, ``det_scheduled``: the same elimination on the rows
-and columns that a symbolic pass over the pencil's pattern scheduled,
-with its ints written straight into the dense rows.
+and maps t to lambda.  Scalar determinants, a Macaulay node's among
+them, run fraction-free integer elimination (Bareiss) on int rows,
+``det_rational``.
 """
 
 from __future__ import annotations
@@ -85,56 +83,6 @@ def det_rational(rows: Sequence[Sequence[int]]) -> int:
     if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
     return _det_int_bareiss([list(row) for row in rows])
-
-
-def det_scheduled(matrix: PolyMatrix, schedule: Sequence, t: int) -> int:
-    """det of the pencil at the integer node t, eliminated along a fill schedule.
-
-    ``schedule`` is the symbolic pass over the pencil's pattern, its rows
-    and columns already in pivot order.  Step k holds the columns after k
-    that row k may hold, the rows that may hold column k, and for each of
-    them the columns after k that it may hold outside row k's.  A
-    pattern with fewer steps than rows is structurally singular, so its
-    determinant is 0, and an empty pencil has determinant 1.  The numeric
-    pass is the fraction-free recurrence of ``_det_int_bareiss``, deferred
-    rescaling included, on the scheduled rows and columns only, so the
-    integer minors are the same; a column that row k does not hold only
-    scales.  A planned pivot that vanishes at t leaves the schedule: the
-    node's rows are evaluated again and eliminated with pivoting by
-    ``_det_int_bareiss``.
-    """
-    n = matrix.size
-    if len(schedule) < n:
-        return 0
-    if n == 0:
-        return 1
-    m = matrix.evaluate(t)
-    pivots = [1]
-    last = [0] * n
-    for k in range(n - 1):
-        pivot_cols, targets, rests = schedule[k]
-        row_k = m[k]
-        if last[k] != k:
-            scale, prev = pivots[k], pivots[last[k]]
-            row_k[k] = scale * row_k[k] // prev
-            for j in pivot_cols:
-                row_k[j] = scale * row_k[j] // prev
-        pivot = row_k[k]
-        if pivot == 0:
-            return _det_int_bareiss(matrix.evaluate(t))
-        for i, rest in zip(targets, rests):
-            row_i = m[i]
-            head = row_i[k]
-            if head == 0:
-                continue
-            prev = pivots[last[i]]
-            for j in pivot_cols:
-                row_i[j] = (pivot * row_i[j] - head * row_k[j]) // prev
-            for j in rest:
-                row_i[j] = pivot * row_i[j] // prev
-            last[i] = k + 1
-        pivots.append(pivot)
-    return m[n - 1][n - 1] * pivots[n - 1] // pivots[last[n - 1]]
 
 
 def _det_int_bareiss(m: list[list[int]]) -> int:

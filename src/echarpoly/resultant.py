@@ -43,15 +43,10 @@ degree pattern picks one of two constructions:
   (dimension 3 at odd order 3, dimension 4 at order 3) are such patterns.
 - Every other pattern takes Macaulay's ratio det(M) / det(M'), which
   divides exactly.  Per variable ordering, built only when some node
-  reaches it, the integer rows of the Macaulay matrix M and of its minor
-  M' are built once as (constant, slope) pairs, and each part gets its
-  own symbolic pass: a Markowitz elimination of its sparsity pattern
-  (Markowitz's fill-reducing rule, memoized per pattern) puts its rows
-  and columns in pivot order and records the fill schedule, the rows and
-  columns each step may touch; the signs of all four orders are corrected
-  for.  Each part is a ``PolyMatrix``, the integer pencil every
-  determinant of the library takes; each node evaluates its int rows and
-  runs the numeric pass, ``det_scheduled``, along the schedule.  A node
+  reaches it, the Macaulay matrix M and its minor M' are built once as
+  ``PolyMatrix`` pencils, the integer pencil every determinant of the
+  library takes, rows and columns in lexicographic Macaulay order; each
+  node evaluates both to ints and takes ``det_rational`` of each.  A node
   whose minor vanishes tries the next ordering; a node where every
   ordering's minor vanishes alone falls back to the perturbed quotient.
 """
@@ -65,7 +60,7 @@ from operator import add, mul
 from typing import Mapping, Sequence
 
 from .poly import _exact_quotient
-from .polymat import PolyMatrix, det_interpolated, det_rational, det_scheduled
+from .polymat import PolyMatrix, det_interpolated, det_rational
 
 
 class UnsupportedSizeError(ValueError):
@@ -248,112 +243,6 @@ def _macaulay_rows(forms: Sequence[Mapping], degrees: tuple[int, ...]):
     return rows, minor
 
 
-@lru_cache(maxsize=16)
-def _markowitz_order(
-    supports: tuple[tuple[int, ...], ...],
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple]:
-    """Pivot order and fill schedule of a symbolic Markowitz elimination of a pattern.
-
-    ``supports[r]`` lists the nonzero columns of row r.  Each step pivots on
-    the nonzero of the active submatrix with the least (r - 1)(c - 1), r
-    and c the counts of its row and column there, ties going to the lowest
-    row and then the lowest column (Markowitz, Management Science 1957);
-    the pivot row's pattern then fills every active row of the pivot
-    column.  The search examines the columns and rows of count k = 1, 2,
-    ... and stops once the best cost is below k^2, which no entry left
-    unexamined can reach (Duff, Erisman and Reid, *Direct Methods for
-    Sparse Matrices*, ch. 7).  A pattern with no active nonzero left is
-    structurally singular: its remaining rows and columns follow in index
-    order.
-
-    Returns the row order, the column order and the fill schedule of the
-    numeric pass, in positions of those orders.  Step k holds the columns
-    after k that the pivot row may hold, the rows that may hold column k,
-    and for each of those rows the columns after k that it may hold
-    outside the pivot row's.  There is one step per pivot, so a
-    structurally singular pattern has fewer steps than rows.
-    """
-    size = len(supports)
-    row_cols = [set(s) for s in supports]
-    col_rows: list[set[int]] = [set() for _ in range(size)]
-    for r, support in enumerate(supports):
-        for c in support:
-            col_rows[c].add(r)
-    # the rows and the columns of each count in the active pattern
-    rows_by: list[set[int]] = [set() for _ in range(size + 1)]
-    cols_by: list[set[int]] = [set() for _ in range(size + 1)]
-    for r, cols in enumerate(row_cols):
-        rows_by[len(cols)].add(r)
-    for c, rows in enumerate(col_rows):
-        cols_by[len(rows)].add(c)
-    row_order: list[int] = []
-    col_order: list[int] = []
-    steps = []
-    while True:
-        best = None
-        for k in range(1, size + 1):
-            weight = k - 1
-            for c in cols_by[k]:
-                for r in col_rows[c]:
-                    key = ((len(row_cols[r]) - 1) * weight, r, c)
-                    if best is None or key < best:
-                        best = key
-            for r in rows_by[k]:
-                for c in row_cols[r]:
-                    key = (weight * (len(col_rows[c]) - 1), r, c)
-                    if best is None or key < best:
-                        best = key
-            # every entry left unexamined has both counts above k
-            if best is not None and best[0] < k * k:
-                break
-        if best is None:
-            break
-        _, p, q = best
-        pivot_cols = row_cols[p]
-        targets = [r for r in col_rows[q] if r != p]
-        rows_by[len(pivot_cols)].discard(p)
-        for r in targets:
-            rows_by[len(row_cols[r])].discard(r)
-        for c in pivot_cols:
-            cols_by[len(col_rows[c])].discard(c)
-        pivot_cols.discard(q)
-        for c in pivot_cols:
-            col_rows[c].discard(p)
-        rests = []
-        for r in targets:
-            cols = row_cols[r]
-            cols.discard(q)
-            rests.append(cols - pivot_cols)
-            for c in pivot_cols - cols:
-                col_rows[c].add(r)
-            cols |= pivot_cols
-            rows_by[len(cols)].add(r)
-        for c in pivot_cols:
-            cols_by[len(col_rows[c])].add(c)
-        steps.append((tuple(pivot_cols), targets, rests))
-        row_cols[p] = set()
-        col_rows[q] = set()
-        row_order.append(p)
-        col_order.append(q)
-    row_order += sorted(set(range(size)).difference(row_order))
-    col_order += sorted(set(range(size)).difference(col_order))
-    row_pos = [0] * size
-    col_pos = [0] * size
-    for k, (r, c) in enumerate(zip(row_order, col_order)):
-        row_pos[r] = k
-        col_pos[c] = k
-    row_at, col_at = row_pos.__getitem__, col_pos.__getitem__
-    schedule = tuple(
-        (
-            tuple(map(col_at, pivot_cols)),
-            tuple(map(row_at, targets)),
-            tuple(tuple(map(col_at, rest)) for rest in rests),
-        )
-        for pivot_cols, targets, rests in steps
-    )
-    return tuple(row_order), tuple(col_order), schedule
-
-
 def _perm_sign(perm: Sequence[int]) -> int:
     sign = 1
     seen = [False] * len(perm)
@@ -371,39 +260,21 @@ def _perm_sign(perm: Sequence[int]) -> int:
     return sign
 
 
-def _scheduled(rows: list[list[tuple]]) -> tuple[tuple[PolyMatrix, tuple], int]:
-    """Sparse (column, constant, slope) rows put in the pivot order of their
-    pattern's ``_markowitz_order``, as a pencil with its fill schedule, and
-    the sign of the row and column orders."""
-    pattern = tuple(tuple(sorted(j for j, _, _ in row)) for row in rows)
-    row_order, col_order, schedule = _markowitz_order(pattern)
-    new_col = [0] * len(rows)
-    for p, c in enumerate(col_order):
-        new_col[c] = p
-    pencil = PolyMatrix([[(new_col[j], a, b) for j, a, b in rows[r]] for r in row_order])
-    return (pencil, schedule), _perm_sign(row_order) * _perm_sign(col_order)
-
-
 class _EliminationPlan:
     """The Macaulay matrix M of a pencil and its minor M' under one variable
-    ordering, each in the pivot order of its own pattern.
+    ordering, as the ``PolyMatrix`` pencils ``full`` and ``minor``, rows and
+    columns in lexicographic Macaulay order.
 
-    ``full`` and ``minor`` are (pencil, schedule) pairs for ``det_scheduled``:
-    the symbolic pass is made once per pattern, and each node runs the
-    numeric pass alone.  ``sign`` turns det(M) / det(M') of the reordered
-    matrices into the canonical resultant: the relabeling's sign to the
-    power prod(d_i) times the signs of the row and column orders of both
-    matrices.
+    ``sign``, the relabeling's sign to the power prod(d_i), turns
+    det(M) / det(M') of the relabeled system into the canonical resultant.
     """
 
     __slots__ = ("full", "minor", "sign")
 
     def __init__(self, forms: Sequence[Mapping], degrees: tuple[int, ...], perm: tuple[int, ...]):
         moved = [{_relabel(e, perm): v for e, v in form.items()} for form in forms]
-        full, minor = _macaulay_rows(moved, degrees)
-        self.full, full_sign = _scheduled(full)
-        self.minor, minor_sign = _scheduled(minor)
-        self.sign = _perm_sign(perm) ** prod(degrees) * full_sign * minor_sign
+        self.full, self.minor = map(PolyMatrix, _macaulay_rows(moved, degrees))
+        self.sign = _perm_sign(perm) ** prod(degrees)
 
 
 def _relabel(expo: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -617,7 +488,9 @@ def macaulay_resultants(
     vanishes there identically.  Otherwise, where the degrees admit it
     (``_bezout_degree``), each value is one signed Sylvester-Bezout
     determinant, its rows built once; every other pattern takes
-    Macaulay's ratio, ``_ratio_resultants`` (see the module docstring).
+    Macaulay's ratio, ``_ratio_resultants``: the ``det_rational`` of the
+    lexicographic Macaulay matrix over that of its minor (see the module
+    docstring).
     """
     k = len(forms)
     if k < 2:
@@ -645,9 +518,8 @@ def _ratio_resultants(forms, degrees: tuple[int, ...], nodes) -> list[int]:
     """Macaulay's ratio det(M) / det(M') at each node, the plans shared.
 
     What the nodes share is built once, so a node costs the evaluation of
-    int rows and two numeric passes of ``det_scheduled``, which leaves its
-    schedule for pivoting elimination where a planned pivot is zero at
-    that t.  While a node's minor vanishes it tries the next variable
+    two pencils and their ``det_rational`` determinants, the minor's
+    first.  While a node's minor vanishes it tries the next variable
     relabeling, and only when every one fails is it perturbed toward the
     pure-power system (``_macaulay_perturbed``).  Callable on any pattern,
     it is the tests' reference for the Sylvester-Bezout determinant.
@@ -668,10 +540,10 @@ def _node_resultant(forms, degrees, orderings, plans, t: int) -> int:
         if index == len(plans):
             plans.append(_EliminationPlan(forms, degrees, perm))
         plan = plans[index]
-        det_minor = det_scheduled(*plan.minor, t)
+        det_minor = det_rational(plan.minor.evaluate(t))
         if det_minor == 0:
             continue
-        value, remainder = divmod(plan.sign * det_scheduled(*plan.full, t), det_minor)
+        value, remainder = divmod(plan.sign * det_rational(plan.full.evaluate(t)), det_minor)
         if remainder:
             raise ArithmeticError(f"det(M') does not divide det(M) at t = {t}")
         return value

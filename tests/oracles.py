@@ -13,8 +13,7 @@ them: its binary forms are integer pencils.  So does the clearing of
 rational systems to the integer pencils of the library's Macaulay kernel.
 So do the field-arithmetic references of the fraction-free kernels: Euclid's
 gcd and Yun's square-free split over Q or Q(i) by ``Poly.divmod``, and the
-exact eigenvalue at a direction in Q(i) arithmetic; and the full-scan
-Markowitz search that the library's count-bucketed one must match.
+exact eigenvalue at a direction in Q(i) arithmetic.
 ``poly_gcd`` is not an oracle: it applies the library's list gcd to two
 polynomials, a form only the tests use.
 """
@@ -482,49 +481,6 @@ def macaulay_quotient(forms, degrees) -> tuple[Fraction, int]:
         sign = (-1) ** (inversions * power)
         return Fraction(sign * det_rational(rows), det_minor * dropped), index
     raise ArithmeticError("every relabeling leaves the Macaulay minor singular")
-
-
-def markowitz_order(supports) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Row and column order of a symbolic Markowitz elimination, by full scan.
-
-    Each step scans every nonzero of the active pattern for the least
-    ((r - 1)(c - 1), row, column), r and c the counts of its row and
-    column, and fills every active row of the pivot column with the pivot
-    row's pattern; rows and columns no pivot reaches follow in index order.
-    The library's count-bucketed search must return the same orders.
-    """
-    size = len(supports)
-    row_cols = [set(s) for s in supports]
-    col_rows = [set() for _ in range(size)]
-    for r, support in enumerate(supports):
-        for c in support:
-            col_rows[c].add(r)
-    rows_left = list(range(size))
-    row_order, col_order = [], []
-    while rows_left:
-        best = None
-        for r in rows_left:
-            for c in row_cols[r]:
-                key = ((len(row_cols[r]) - 1) * (len(col_rows[c]) - 1), r, c)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            break
-        _, p, q = best
-        pivot_cols = row_cols[p] - {q}
-        for c in pivot_cols:
-            col_rows[c].discard(p)
-        for r in col_rows[q] - {p}:
-            row_cols[r].discard(q)
-            for c in pivot_cols - row_cols[r]:
-                col_rows[c].add(r)
-            row_cols[r] |= pivot_cols
-        rows_left.remove(p)
-        row_order.append(p)
-        col_order.append(q)
-    row_order += rows_left
-    col_order += sorted(set(range(size)).difference(col_order))
-    return tuple(row_order), tuple(col_order)
 
 
 #: Sign cycles of the two alternating series; index by (term - 1) % 4.

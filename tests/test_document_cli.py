@@ -247,6 +247,14 @@ def test_cli_verify_fuzz_refuses_a_count_below_one(count):
     assert "--fuzz" in proc.stderr
 
 
+@pytest.mark.parametrize("order", ["-1", "0", "1"])
+def test_cli_verify_fuzz_refuses_an_order_below_two(order):
+    proc = run_cli("verify", "--fuzz", "1", "--seed", "1", "--m", order)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"unsupported: order must be >= 2, got {order}" in proc.stderr
+
+
 EIGEN_GOLDENS = ["deficit", "deficit-family-m5", "diag4", "repeated3", "zero-pivot5", "pq6"]
 
 

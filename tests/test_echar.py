@@ -4,6 +4,7 @@ import re
 import time
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
 
@@ -22,7 +23,7 @@ from echarpoly.echar import (
     leading_predicted,
 )
 from echarpoly.poly import Poly
-from echarpoly.resultant import UnsupportedSizeError
+from echarpoly.resultant import UnsupportedSizeError, matrix_size
 from echarpoly.tensor import (
     Hypermatrix,
     OrthogonalMatrix,
@@ -288,13 +289,13 @@ def test_macaulay_route_at_dimension_2_with_empty_minors(monkeypatch, order):
     from echarpoly import resultant
 
     sizes = []
-    real = resultant.det_scheduled
+    real = resultant.det_rational
 
-    def recording(pencil, schedule, t):
-        sizes.append(pencil.size)
-        return real(pencil, schedule, t)
+    def recording(rows):
+        sizes.append(len(rows))
+        return real(rows)
 
-    monkeypatch.setattr(resultant, "det_scheduled", recording)
+    monkeypatch.setattr(resultant, "det_rational", recording)
     A = fuzz_tensor(random.Random(order), order)
     assert echar_macaulay(A).psi == echar(A).psi
     assert (0 in sizes) == (order % 2 == 0)
@@ -370,6 +371,14 @@ def test_constant_term_prediction_examples():
         from echarpoly.poly import _fraction_sqrt
 
         assert _fraction_sqrt(value) is not None
+
+
+@pytest.mark.parametrize("values", [[1, 2, 3, -1], [2, -1, 1, 1], [1, 2, 3, 0]])
+def test_dimension4_constant_term_through_the_ratio(values):
+    # four cubics d_i x_i^3 in four variables: Macaulay's ratio of a
+    # 220-square matrix, whose resultant is prod(d_i)^(3^3)
+    assert matrix_size([3] * 4) == 220
+    assert a0_predicted(Hypermatrix.diagonal(4, 4, values)) == prod(values) ** 27
 
 
 def test_leading_prediction_examples():
@@ -633,7 +642,7 @@ def test_dimension3_needs_no_ordering_plan_or_perturbation(monkeypatch):
     def refuse(*args):
         raise AssertionError("dimension 3 reached Macaulay's ratio")
 
-    for name in ("_macaulay_perturbed", "_EliminationPlan", "_markowitz_order"):
+    for name in ("_macaulay_perturbed", "_EliminationPlan"):
         monkeypatch.setattr(resultant, name, refuse)
     for A, reference in zip(corpus, references):
         result = echar(A)

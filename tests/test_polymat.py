@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from echarpoly.poly import Poly
@@ -140,6 +140,17 @@ _int_entries = st.one_of(st.just(0), st.integers(-10**6, 10**6))
         lambda n: st.lists(st.lists(_int_entries, min_size=n, max_size=n), min_size=n, max_size=n)
     )
 )
+# a zero pivot at the first or the second step, singular or not
+@example([[0, 1], [1, 0]])
+@example([[0, 1], [1, 1]])
+@example([[0, 2, 0], [1, 0, 3], [0, 0, 0]])
+@example([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
+@example([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+# structurally singular with no zero row or column: two rows share one column
+@example([[1, 2, 3], [4, 0, 0], [5, 0, 0]])
+@example([[1, 3, 3], [4, 0, 0], [5, 0, 0]])
+@example([[0, 0, 7, 1], [0, 0, 2, 0], [3, 1, 0, 0], [0, 0, 5, 0]])
+@example([])
 def test_det_rational_integer_rows_match_fraction_rows(rows):
     before = [row.copy() for row in rows]
     value = det_rational(rows)

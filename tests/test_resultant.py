@@ -11,12 +11,9 @@ from echarpoly import resultant
 from echarpoly.echar import _eigen_system, _homogenized_system, echar_macaulay
 from echarpoly.poly import Poly, complex_roots, interpolation_nodes, lagrange_interpolate
 from echarpoly import polymat
-from echarpoly.polymat import det_scheduled
 from echarpoly.resultant import (
     UnsupportedSizeError,
     _EliminationPlan,
-    _markowitz_order,
-    _scheduled,
     macaulay_resultant,
     macaulay_resultants,
 )
@@ -32,7 +29,6 @@ from oracles import (
     kernel_resultant,
     linear_substitute,
     macaulay_quotient,
-    markowitz_order,
     multiply,
     pencil_form,
     rational_resultant,
@@ -377,148 +373,14 @@ def test_macaulay_variable_relabelings_agree_after_sign_correction():
         reference = _perturbed(forms, tuple(degrees))
         cleared, factor = integer_pencil(forms, degrees)
         for perm in permutations(range(3)):
-            # every ordering, M and M' each in its own Markowitz order, with the signs of all four
+            # every ordering, M and M' in lexicographic order, with the relabeling's sign
             plan = _EliminationPlan(cleared, tuple(degrees), perm)
-            det_minor = det_scheduled(*plan.minor, 0)
+            det_minor = polymat.det_rational(plan.minor.evaluate(0))
             if det_minor == 0:
                 continue
-            assert Fraction(plan.sign * det_scheduled(*plan.full, 0), det_minor * factor) == reference
+            assert Fraction(plan.sign * polymat.det_rational(plan.full.evaluate(0)), det_minor * factor) == reference
             tested += 1
     assert tested >= 20
-
-
-@st.composite
-def sparse_integer_matrices(draw):
-    """A sparse integer matrix of side 0-8, some rows and columns zeroed,
-    and a subset of its indices for a minor."""
-    n = draw(st.integers(0, 8))
-    entry = st.one_of(st.just(0), st.integers(-9, 9))
-    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
-    if n:
-        for r in draw(st.sets(st.integers(0, n - 1), max_size=2)):
-            rows[r] = [0] * n
-        for c in draw(st.sets(st.integers(0, n - 1), max_size=2)):
-            for row in rows:
-                row[c] = 0
-    kept = sorted(draw(st.sets(st.integers(0, n - 1)))) if n else []
-    return rows, kept
-
-
-def _oracle_det(rows) -> Fraction:
-    return det_fraction_free(rows).coefficient(0)
-
-
-def _poly_rows(rows):
-    return [[Poly.constant(v) for v in row] for row in rows]
-
-
-def _sparse_rows(rows):
-    """Dense integer rows as the sparse (column, constant, slope) rows of a constant pencil."""
-    return [[(j, v, 0) for j, v in enumerate(row) if v] for row in rows]
-
-
-@settings(max_examples=150, deadline=None)
-@given(sparse_integer_matrices())
-# the first Markowitz pivot of the pattern is zero in value
-@example(([[0, 1], [1, 0]], [0]))
-@example(([[0, 2, 0], [1, 0, 3], [0, 0, 0]], [1, 2]))
-# structurally singular with no zero row or column: rows 1 and 2 share one column
-@example(([[1, 2, 3], [4, 0, 0], [5, 0, 0]], [0, 1]))
-@example(([[0, 0, 7, 1], [0, 0, 2, 0], [3, 1, 0, 0], [0, 0, 5, 0]], [0, 2, 3]))
-@example(([], []))
-def test_markowitz_ordered_determinant_keeps_its_sign(case):
-    rows, kept = case
-    n = len(rows)
-    (pencil, schedule), sign = _scheduled(_sparse_rows(rows))
-    assert pencil.size == n and len(schedule) <= n
-    assert sign * det_scheduled(pencil, schedule, 0) == _oracle_det(_poly_rows(rows))
-    # a minor takes its own order and schedule, with their signs
-    minor = [[rows[r][c] for c in kept] for r in kept]
-    (pencil, schedule), sign = _scheduled(_sparse_rows(minor))
-    assert sign * det_scheduled(pencil, schedule, 0) == _oracle_det(_poly_rows(minor))
-
-
-@st.composite
-def sparse_pencils(draw):
-    """A sparse square integer pencil of side 0-7 as (constant, slope) rows,
-    some entries slope-only, some rows zeroed, and an integer node."""
-    n = draw(st.integers(0, 7))
-    entry = st.sampled_from(["zero", "zero", "constant", "slope", "both"]).flatmap(
-        lambda kind: st.tuples(
-            st.just(0) if kind in ("zero", "slope") else st.integers(-5, 5).filter(bool),
-            st.just(0) if kind in ("zero", "constant") else st.integers(-5, 5).filter(bool),
-        )
-    )
-    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
-    if n:
-        for r in draw(st.sets(st.integers(0, n - 1), max_size=1)):
-            rows[r] = [(0, 0)] * n
-    return rows, draw(st.integers(-2, 2))
-
-
-@settings(max_examples=200, deadline=None)
-@given(sparse_pencils())
-# a planned pivot is zero at the node 0: a slope-only entry first, a
-# vanishing second minor, and a singular matrix
-@example(([[(0, 1), (1, 0)], [(1, 0), (1, 0)]], 0))
-@example(([[(1, 0), (1, 0), (0, 0)], [(1, 0), (1, 1), (1, 0)], [(0, 0), (1, 0), (1, 0)]], 0))
-@example(([[(0, 1), (1, 0), (0, 0)], [(1, 0), (0, 2), (1, 0)], [(0, 0), (1, 1), (0, 3)]], 0))
-# structurally singular: rows 1 and 2 share one column
-@example(([[(1, 0), (2, 1), (3, 0)], [(0, 4), (0, 0), (0, 0)], [(5, 0), (0, 0), (0, 0)]], 1))
-@example(([], 0))
-def test_scheduled_determinant_of_a_pencil_at_a_node(case):
-    pairs, t = case
-    rows = [[(j, a, b) for j, (a, b) in enumerate(row) if a or b] for row in pairs]
-    (pencil, schedule), sign = _scheduled(rows)
-    values = [[a + t * b for a, b in row] for row in pairs]
-    assert sign * det_scheduled(pencil, schedule, t) == _oracle_det(_poly_rows(values))
-
-
-def test_scheduled_determinant_leaves_the_schedule_at_a_vanishing_pivot(monkeypatch):
-    # det [[t, 1], [1, 1]] = t - 1; the tie goes to the slope-only pivot t, zero at t = 0
-    rows = [[(0, 0, 1), (1, 1, 0)], [(0, 1, 0), (1, 1, 0)]]
-    (pencil, schedule), sign = _scheduled(rows)
-    assert pencil.rows[0][0] == (0, 0, 1)
-    pivoting = []
-    real = polymat._det_int_bareiss
-    monkeypatch.setattr(polymat, "_det_int_bareiss", lambda m: pivoting.append(len(m)) or real(m))
-    assert sign * det_scheduled(pencil, schedule, 2) == 1
-    assert pivoting == []
-    assert sign * det_scheduled(pencil, schedule, 0) == -1
-    assert pivoting == [2]
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.integers(0, 12).flatmap(
-        lambda n: st.lists(
-            st.sets(st.integers(0, n - 1), max_size=n) if n else st.just(set()), min_size=n, max_size=n
-        )
-    )
-)
-def test_bucketed_markowitz_search_matches_the_full_scan(supports):
-    pattern = tuple(tuple(sorted(s)) for s in supports)
-    row_order, col_order, _ = _markowitz_order(pattern)
-    assert sorted(row_order) == sorted(col_order) == list(range(len(pattern)))
-    assert (row_order, col_order) == markowitz_order(pattern)
-
-
-def test_markowitz_order_pivots_on_the_least_fill_first():
-    # an arrow matrix: its spokes go first, without fill; in the dense 2x2
-    # left over, ties go to the lowest row, then the lowest column
-    arrow = ((0, 1, 2, 3), (0, 1), (0, 2), (0, 3))
-    assert _markowitz_order(arrow)[:2] == ((1, 2, 0, 3), (1, 2, 0, 3))
-    # structurally singular: the rows and columns no pivot reaches follow in index order
-    row_order, col_order, schedule = _markowitz_order(((0,), (0,), (1, 2)))
-    assert (row_order, col_order) == ((0, 2, 1), (0, 1, 2))
-    assert len(schedule) == 2
-
-
-def test_markowitz_schedule_records_the_fill():
-    # pivot (0, 0) first: row 2 gains column 2 from row 0, and keeps column 1 of its own
-    row_order, col_order, schedule = _markowitz_order(((0, 2), (1, 2), (0, 1, 2)))
-    assert (row_order, col_order) == ((0, 1, 2), (0, 1, 2))
-    assert schedule == (((2,), (2,), ((1,),)), ((2,), (2,), ((),)), ((), (), ()))
 
 
 @st.composite
@@ -724,7 +586,7 @@ def test_perturbed_quotient_of_lists_that_do_not_divide_raises(monkeypatch, full
 def test_inexact_macaulay_quotient_raises(monkeypatch):
     """det(M') must divide sign * det(M); a remainder is an error, never a rational."""
     values = iter([2, 3])  # the minor first, then the full matrix
-    monkeypatch.setattr(resultant, "det_scheduled", lambda *args: next(values))
+    monkeypatch.setattr(resultant, "det_rational", lambda rows: next(values))
     with pytest.raises(ArithmeticError, match="does not divide"):
         macaulay_resultant([{(1, 0): (1, 0)}, {(0, 1): (1, 0)}], [1, 1])
 
@@ -744,7 +606,7 @@ def test_zero_form_gives_zero_without_orderings_or_perturbation(monkeypatch):
         raise AssertionError("the kernel eliminated a system with a zero form")
 
     monkeypatch.setattr(resultant, "_macaulay_perturbed", refuse)
-    monkeypatch.setattr(resultant, "det_scheduled", refuse)
+    monkeypatch.setattr(resultant, "det_rational", refuse)
     monkeypatch.setattr(polymat, "_det_int_bareiss", refuse)
     assert macaulay_resultant([{}, {}, {}, {(0, 0, 0, 2): (1, 0)}], [2, 2, 2, 2]) == 0
     # a pencil whose form vanishes at one node only
