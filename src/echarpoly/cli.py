@@ -75,7 +75,7 @@ def _load(path: str) -> TensorDocument:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     return TensorDocument.from_json(text)
 

@@ -2,14 +2,21 @@
 
 Entries are keyed by 1-based comma-joined indices ("1,2,1") and valued by
 integer or p/q strings; floats never appear so parsing cannot contaminate
-the exact arithmetic.  Serialization is canonical (sorted keys, reduced
-fractions), so parse(print(doc)) is the identity on emitted documents.
+the exact arithmetic.  A JSON member given twice is refused.  Each entry is
+read in one pass: one match of its key (ASCII digits and commas) and one
+of its value (``parse_rational``), ints read once, one range check.  The
+document keeps what it parsed, 0-based index tuples to nonzero Fractions,
+and ``to_hypermatrix`` hands them over without parsing or checking them
+again.  The canonical text (sorted keys, reduced fractions) is made from
+them when ``entries`` is read, so parse(print(doc)) is the identity on
+emitted documents.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .rational import format_rational, parse_rational
@@ -22,18 +29,33 @@ class DocumentError(ValueError):
 
 _ALLOWED_KEYS = {"order", "dim", "entries"}
 
+#: ASCII digits only: int() would also take signs, whitespace, "_" and other scripts' digits.
+_INDEX_RE = re.compile(r"[0-9]+(?:,[0-9]+)*")
+
 
 @dataclass(frozen=True)
 class TensorDocument:
     order: int
     dim: int
-    entries: tuple[tuple[str, str], ...]  # sorted (index-string, rational-string)
+    values: dict[tuple[int, ...], Fraction] = field(hash=False)  # 0-based index -> nonzero value
+
+    @property
+    def entries(self) -> tuple[tuple[str, str], ...]:
+        """Sorted (1-based index string, canonical rational string) pairs."""
+        return tuple(
+            (",".join(str(i + 1) for i in idx), format_rational(v))
+            for idx, v in sorted(self.values.items())
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "TensorDocument":
         try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+            payload = json.loads(text, object_pairs_hook=_unique_members)
+        except DocumentError:
+            raise
+        except (ValueError, RecursionError) as exc:
+            # besides JSONDecodeError: an integer past int()'s digit limit, and nesting
+            # past the recursion limit
             raise DocumentError(f"invalid JSON: {exc}") from exc
         return cls.from_mapping(payload)
 
@@ -55,37 +77,24 @@ class TensorDocument:
         raw = payload["entries"]
         if not isinstance(raw, dict):
             raise DocumentError("entries must be an object")
-        parsed: dict[tuple[int, ...], Fraction] = {}
+        values: dict[tuple[int, ...], Fraction] = {}
         for key, value in raw.items():
             idx = _parse_index(key, order, dim)
             try:
                 rational = parse_rational(value)
-            except (ValueError, TypeError) as exc:
+            except ValueError as exc:
                 raise DocumentError(f"entry {key!r}: {exc}") from exc
-            if idx in parsed:
+            if idx in values:
                 raise DocumentError(f"duplicate index {key!r}")
-            parsed[idx] = rational
-        entries = tuple(
-            (",".join(str(i) for i in idx), format_rational(v))
-            for idx, v in sorted(parsed.items())
-            if v != 0
-        )
-        return cls(order=order, dim=dim, entries=entries)
+            values[idx] = rational
+        return cls(order, dim, {idx: v for idx, v in values.items() if v})
 
     @classmethod
     def from_hypermatrix(cls, A: Hypermatrix) -> "TensorDocument":
-        entries = tuple(
-            (",".join(str(i + 1) for i in idx), format_rational(v))
-            for idx, v in sorted(A.entries.items())
-        )
-        return cls(order=A.order, dim=A.dim, entries=entries)
+        return cls(A.order, A.dim, dict(A.entries))
 
     def to_hypermatrix(self) -> Hypermatrix:
-        mapping = {
-            tuple(int(part) for part in key.split(",")): Fraction(value)
-            for key, value in self.entries
-        }
-        return Hypermatrix.from_one_based(self.order, self.dim, mapping)
+        return Hypermatrix.from_checked(self.order, self.dim, dict(self.values))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -94,16 +103,31 @@ class TensorDocument:
         )
 
 
+def _unique_members(pairs: list) -> dict:
+    """A JSON object's members as a dict; a name given twice is refused."""
+    members = dict(pairs)
+    if len(members) < len(pairs):
+        seen = set()
+        for name, _ in pairs:
+            if name in seen:
+                raise DocumentError(f"duplicate member {name!r}")
+            seen.add(name)
+    return members
+
+
 def _parse_index(key: str, order: int, dim: int) -> tuple[int, ...]:
+    """The 0-based index tuple of a 1-based key such as "1,2,1"."""
     if not isinstance(key, str):
         raise DocumentError(f"entry key must be a string, got {key!r}")
     parts = key.split(",")
     if len(parts) != order:
         raise DocumentError(f"index {key!r} must have {order} components")
-    # int() would also take signs, whitespace, "_" and non-ASCII digits
-    if not all(part.isascii() and part.isdigit() for part in parts):
+    if _INDEX_RE.fullmatch(key) is None:
         raise DocumentError(f"index {key!r} is not a tuple of integers")
-    idx = tuple(int(part) for part in parts)
-    if any(not 1 <= i <= dim for i in idx):
+    try:
+        idx = [int(part) - 1 for part in parts]
+    except ValueError as exc:  # more digits than int() reads, as for a value
+        raise DocumentError(f"index {key!r}: {exc}") from None
+    if min(idx) < 0 or max(idx) >= dim:
         raise DocumentError(f"index {key!r} out of range 1..{dim}")
-    return idx
+    return tuple(idx)

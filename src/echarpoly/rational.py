@@ -15,14 +15,22 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$", re.ASCII)
+#: Optional sign, ASCII digits, optional "/q" with q > 0 and no leading zero.  The
+#: surrounding whitespace is what ``str.strip`` removes: ``\s`` in a str pattern
+#: is ``str.isspace``, U+00A0 and U+2003 included.
+_RATIONAL_RE = re.compile(r"\s*([+-]?[0-9]+)(?:/([1-9][0-9]*))?\s*")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse a strict "p" or "p/q" string; decimals and floats are rejected."""
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
+    """Parse a strict "p" or "p/q" string; decimals and floats are rejected.
+
+    One match validates the text, and its groups are the ints of the value.
+    """
+    match = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
         raise ValueError(f"not an integer or p/q rational string: {text!r}")
-    return Fraction(text.strip())
+    num, den = match.groups()
+    return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
 
 def format_rational(value: Fraction) -> str:

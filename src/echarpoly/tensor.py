@@ -3,11 +3,14 @@
 A hypermatrix is stored sparsely: index tuples (0-based internally) mapping
 to nonzero rationals.  Public constructors accept the 1-based convention
 used in the file format; the parser is the only boundary where the shift
-happens.
+happens.  The document parser checks each entry once, in its one pass, and
+hands its entries to ``Hypermatrix.from_checked``, which checks nothing again.
 
 The map Ax^{m-1} has one integer record per tensor, ``map_forms``: per
 component, int numerators keyed by exponent over that component's own
-denominator, in lowest terms, built on first read.  Every route reads it:
+denominator, in lowest terms, built on first read.  It is summed on ints,
+with no ``Fraction`` added: the entries' numerators over the lcm of their
+denominators, each component then reduced by one gcd.  Every route reads it:
 at dimension 2 as the slice sums, ``SliceCoeffs``, over one denominator;
 at dimension 3 as the map on the isotropic conic, ``conic_values``.
 """
@@ -61,6 +64,14 @@ class Hypermatrix:
         self._forms: tuple[MapForm, ...] | None = None
 
     @classmethod
+    def from_checked(cls, order: int, dim: int, entries: dict[tuple[int, ...], Fraction]) -> "Hypermatrix":
+        """A hypermatrix that takes ``entries`` as its own, unchecked: 0-based index
+        tuples in range, nonzero ``Fraction`` values, as ``TensorDocument`` parses them."""
+        A = cls.__new__(cls)
+        A.order, A.dim, A.entries, A._forms = order, dim, entries, None
+        return A
+
+    @classmethod
     def from_one_based(cls, order: int, dim: int, entries: Mapping[tuple, object]) -> "Hypermatrix":
         shifted = {tuple(i - 1 for i in idx): v for idx, v in entries.items()}
         return cls(order, dim, shifted)
@@ -78,9 +89,10 @@ class Hypermatrix:
         for j in range(m):
             tail = (1,) * j + (0,) * (m - 1 - j)
             for i, seq in enumerate((slices.b, slices.c)):
-                entries[(i,) + tail] = forms[i][(m - 1 - j, j)] = Fraction(seq[j], slices.denom)
+                entries[(i,) + tail] = Fraction(seq[j], slices.denom)
+                forms[i][(m - 1 - j, j)] = seq[j]
         A = cls(m, 2, entries)
-        A._forms = tuple(map(_lowest_terms_form, forms))
+        A._forms = tuple(_lowest_terms_form(form, slices.denom) for form in forms)
         return A
 
     @classmethod
@@ -135,20 +147,25 @@ def map_forms(A: Hypermatrix) -> tuple[MapForm, ...]:
 
 
 def _build_map_forms(A: Hypermatrix) -> tuple[MapForm, ...]:
-    """Each component's entries summed per exponent of x_{i2} ... x_{im}."""
-    sums: list[dict] = [{} for _ in range(A.dim)]
+    """Each component's entries summed per exponent of x_{i2} ... x_{im}, as int
+    numerators over the lcm of every entry's denominator."""
+    denom = lcm(*(value.denominator for value in A.entries.values()))
+    sums: list[dict[tuple[int, ...], int]] = [{} for _ in range(A.dim)]
+    variables = range(A.dim)
     for idx, value in A.entries.items():
-        key = tuple(idx[1:].count(j) for j in range(A.dim))
-        sums[idx[0]][key] = sums[idx[0]].get(key, 0) + value
-    return tuple(map(_lowest_terms_form, sums))
+        tail = idx[1:]
+        key = tuple(map(tail.count, variables))
+        form = sums[idx[0]]
+        form[key] = form.get(key, 0) + value.numerator * (denom // value.denominator)
+    return tuple(_lowest_terms_form(form, denom) for form in sums)
 
 
-def _lowest_terms_form(coeffs: Mapping[tuple[int, ...], Fraction]) -> MapForm:
-    """Rational coefficients over the lcm of their denominators, which is in
-    lowest terms: a prime of it divides some denominator to its full power."""
-    denom = lcm(*(v.denominator for v in coeffs.values()))
-    numerators = {e: v.numerator * (denom // v.denominator) for e, v in coeffs.items() if v}
-    return MapForm(numerators, denom)
+def _lowest_terms_form(numerators: Mapping[tuple[int, ...], int], denom: int) -> MapForm:
+    """The coefficients ``numerators[e] / denom`` as a record: divided by their one
+    gcd with ``denom``, zeros dropped.  The denominator left is the least one, so
+    equal coefficients give equal records."""
+    g = gcd(denom, *numerators.values())
+    return MapForm({e: v // g for e, v in numerators.items() if v}, denom // g)
 
 
 class OrthogonalMatrix:

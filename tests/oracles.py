@@ -11,7 +11,9 @@ the form and system operations the resultant laws need (product, scaling,
 linear substitution) live here too, since the library itself never needs
 them: its binary forms are integer pencils.  So does the clearing of
 rational systems to the integer pencils of the library's Macaulay kernel.
-So do the field-arithmetic references of the fraction-free kernels: Euclid's
+So does the tensor document's grammar as the two-step parser read it, a
+strict pattern and then ``Fraction`` of the text for a value, a split and
+a per-character test for a key.  So do the field-arithmetic references of the fraction-free kernels: Euclid's
 gcd and Yun's square-free split over Q or Q(i) by ``Poly.divmod``, and the
 exact eigenvalue at a direction in Q(i) arithmetic.
 ``poly_gcd`` is not an oracle: it applies the library's list gcd to two
@@ -20,6 +22,7 @@ polynomials, a form only the tests use.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
@@ -581,3 +584,30 @@ def exact_eigenvalue(slices: SliceCoeffs, x1: ComplexRational, x2: ComplexRation
     if m % 2 == 0:
         return value / (xk * s ** ((m - 2) // 2))
     return (value * value) / (xk * xk * s ** (m - 2))
+
+
+# -- the tensor document's grammar, read in two steps -----------------------------------
+
+_REFERENCE_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$", re.ASCII)
+
+
+def reference_rational(text) -> Fraction:
+    """A document value: the strict pattern on the stripped text, then
+    ``Fraction`` of it.  Anything else raises ``ValueError``."""
+    if not isinstance(text, str) or not _REFERENCE_RATIONAL_RE.match(text.strip()):
+        raise ValueError(f"not an integer or p/q rational string: {text!r}")
+    return Fraction(text.strip())
+
+
+def reference_index(key, order: int, dim: int) -> tuple[int, ...]:
+    """A 1-based document key as a 0-based tuple: ``order`` comma-separated
+    parts of ASCII digits, each in 1..dim.  Anything else raises ``ValueError``."""
+    if not isinstance(key, str):
+        raise ValueError(f"entry key must be a string, got {key!r}")
+    parts = key.split(",")
+    if len(parts) != order or not all(part.isascii() and part.isdigit() for part in parts):
+        raise ValueError(f"index {key!r} is not a tuple of {order} integers")
+    idx = tuple(int(part) for part in parts)
+    if any(not 1 <= i <= dim for i in idx):
+        raise ValueError(f"index {key!r} out of range 1..{dim}")
+    return tuple(i - 1 for i in idx)

@@ -3,13 +3,20 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import echarpoly
+import oracles
 from echarpoly import cli
 from echarpoly.document import DocumentError, TensorDocument
+from echarpoly.rational import parse_rational
+from echarpoly.tensor import Hypermatrix, map_forms
 
 GOLDEN_EIGEN = Path(__file__).parent / "golden" / "eigen"
 GOLDEN_REPORTS = Path(__file__).parent / "golden" / "reports"
@@ -93,6 +100,150 @@ def test_document_rejects_unknown_fields():
 def test_document_rejects_invalid(payload):
     with pytest.raises(DocumentError):
         TensorDocument.from_mapping(payload)
+
+
+@pytest.mark.parametrize(
+    "text, member",
+    [
+        ('{"order": 2, "dim": 2, "entries": {"1,1": "2", "1,1": "3"}}', "1,1"),
+        ('{"order": 2, "order": 2, "dim": 2, "entries": {}}', "order"),
+        ('{"order": 2, "dim": 2, "dim": 3, "entries": {}}', "dim"),
+        ('{"order": 2, "dim": 2, "entries": {}, "entries": {"1,1": "1"}}', "entries"),
+    ],
+    ids=["entry", "order", "dim", "entries"],
+)
+def test_document_refuses_a_duplicate_member(text, member, tmp_path):
+    with pytest.raises(DocumentError, match=f"^duplicate member '{member}'$"):
+        TensorDocument.from_json(text)
+    path = tmp_path / "twice.json"
+    path.write_text(text)
+    proc = run_cli("echar", str(path))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"parse error: duplicate member '{member}'\n"
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'{"order": 2, "dim": 2, "entries": {"1,1": "\xff"}}',
+        b'{"order": ' + b"2" * 5000 + b', "dim": 2, "entries": {}}',
+        b'{"order": 2, "dim": ' + b"2" * 5000 + b', "entries": {}}',
+        b'{"order": 2, "dim": 2, "entries": {"1,' + b"1" * 5000 + b'": "1"}}',
+        b"[" * 100_000 + b"]" * 100_000,
+    ],
+    ids=["not-utf8", "long-order", "long-dim", "long-index", "deep-nesting"],
+)
+def test_cli_malformed_file_is_a_parse_error(content, tmp_path):
+    path = tmp_path / "malformed.json"
+    path.write_bytes(content)
+    proc = run_cli("echar", str(path))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("parse error: ") and proc.stderr.count("\n") == 1
+
+
+# Document values: whitespace str.strip() removes (U+00A0, U+2003) and one it
+# keeps (U+200B), signs, ASCII and other scripts' digits, and the slashes,
+# decimals, exponents and underscores of the strict grammar's refusals.
+_SPACES = st.text(st.sampled_from(" \t\n\x0b\x1c\u00a0\u2003\u3000\u200b"), max_size=2)
+_DIGITS = st.text("0123456789", min_size=1, max_size=5) | st.text(
+    "0123456789\u0663\uff11\u0967", max_size=3
+)
+_VALUE_TEXTS = st.builds(
+    lambda lead, sign, num, tail, trail: lead + sign + num + tail + trail,
+    _SPACES,
+    st.sampled_from(["", "", "+", "-", "+-"]),
+    _DIGITS,
+    st.just("") | _DIGITS.map("/".__add__) | st.sampled_from(["/0", "/06", ".5", "e3", "_0", "/", "/-2", " /2"]),
+    _SPACES,
+) | st.text(max_size=6)
+_VALUES = _VALUE_TEXTS | st.integers() | st.floats() | st.none() | st.booleans() | st.lists(st.integers(), max_size=2)
+_KEY_PARTS = st.text("0123456789", min_size=1, max_size=3) | st.sampled_from(
+    ["", "+1", " 1", "1 ", "1_0", "-0", "\u0661", "\uff11", "1\u00a0", "a"]
+)
+_KEYS = st.lists(_KEY_PARTS, min_size=2, max_size=4).map(",".join) | st.integers()
+
+
+def _reference_or_refused(read, *args):
+    try:
+        return read(*args)
+    except ValueError:
+        return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(_VALUES)
+@example("1.5")
+@example("1e3")
+@example("1_0")
+@example("3/0")
+@example("3/06")
+@example("-007/3")
+@example("\u00a0+2/6\u2003")
+@example("\u200b1")
+@example("\u0663")
+def test_parse_rational_matches_the_two_step_reference(value):
+    expected = _reference_or_refused(oracles.reference_rational, value)
+    if expected is None:
+        with pytest.raises(ValueError):
+            parse_rational(value)
+    else:
+        got = parse_rational(value)
+        assert type(got) is Fraction and got == expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 12), _KEYS, _VALUES)
+@example(3, 10, "+1, 1,1_0", "1")
+@example(2, 2, "01,2", "\u00a0-4/6 ")
+@example(2, 2, "1,\u0661", "1")
+@example(2, 10, "10,3", "0")
+def test_document_entry_matches_the_two_step_reference(order, dim, key, value):
+    """One entry is accepted exactly when the split-and-Fraction parser takes
+    its key and value, and then with the same 0-based index and value."""
+    idx = _reference_or_refused(oracles.reference_index, key, order, dim)
+    rational = _reference_or_refused(oracles.reference_rational, value)
+    payload = {"order": order, "dim": dim, "entries": {key: value}}
+    if idx is None or rational is None:
+        with pytest.raises(DocumentError):
+            TensorDocument.from_mapping(payload)
+        return
+    doc = TensorDocument.from_mapping(payload)
+    assert doc.values == ({idx: rational} if rational else {})
+    assert all(type(v) is Fraction for v in doc.values.values())
+
+
+@st.composite
+def sparse_documents(draw):
+    """A document of a few p/q entries, some unreduced, as 1-based key strings."""
+    order, dim = draw(st.integers(2, 5)), draw(st.integers(1, 3))
+    keys = draw(st.lists(st.tuples(*[st.integers(1, dim)] * order), max_size=10, unique=True))
+    entries = {}
+    for key in keys:
+        p, q = draw(st.integers(-40, 40)), draw(st.integers(1, 30))
+        entries[",".join(map(str, key))] = f"{p}/{q}" if q > 1 else str(p)
+    return order, dim, entries
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_documents())
+def test_sparse_document_gives_the_reference_tensor_and_map(document):
+    """``to_hypermatrix`` and its int ``map_forms`` equal the tensor built from
+    the reference's Fractions through ``Hypermatrix(...)`` and its map summed
+    as Fractions."""
+    order, dim, entries = document
+    A = TensorDocument.from_json(json.dumps({"order": order, "dim": dim, "entries": entries})).to_hypermatrix()
+    B = Hypermatrix(
+        order,
+        dim,
+        {
+            oracles.reference_index(key, order, dim): oracles.reference_rational(value)
+            for key, value in entries.items()
+        },
+    )
+    assert A == B and all(type(v) is Fraction for v in A.entries.values())
+    for form, summed in zip(map_forms(A), oracles.brute_map_forms(B)):
+        assert {e: Fraction(v, form.denom) for e, v in form.coeffs.items()} == summed
+        assert form.denom == lcm(*(v.denominator for v in summed.values()))
 
 
 def test_document_one_based_boundary():
