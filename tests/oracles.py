@@ -13,9 +13,10 @@ them: its binary forms are integer pencils.  So does the clearing of
 rational systems to the integer pencils of the library's Macaulay kernel.
 So does the tensor document's grammar as the two-step parser read it, a
 strict pattern and then ``Fraction`` of the text for a value, a split and
-a per-character test for a key.  So do the field-arithmetic references of the fraction-free kernels: Euclid's
-gcd and Yun's square-free split over Q or Q(i) by ``Poly.divmod``, and the
-exact eigenvalue at a direction in Q(i) arithmetic.
+a per-character test for a key.  So do the field-arithmetic references of
+the fraction-free kernels: Euclid's gcd and Yun's square-free split over Q
+or Q(i) by ``Poly.divmod``, and the exact eigenvalue at a direction in Q(i)
+arithmetic.
 ``poly_gcd`` is not an oracle: it applies the library's list gcd to two
 polynomials, a form only the tests use.
 """
