@@ -189,49 +189,42 @@ def _odd_product_form(slices: SliceCoeffs) -> BinaryPencil:
 
 
 def echar_even_n2(A: Hypermatrix) -> EcharResult:
-    """Resultant of the eigen-equations; valid for every even-order tensor.
-
-    Its degree in lambda is at most h, h = m for dimension 2, below the
-    2m - 2 of the row degrees; the one Kronecker node of
-    ``sylvester_resultant`` gives it whole.  Both forms are over denom, of
-    degree m - 1, so the integer resultant is denom^(2m-2) times psi.
-    """
+    """Resultant of the eigen-equations, valid at every even order (see ``sylvester_n2``)."""
     _require(A, parity=0)
-    m = A.order
-    slices = binary_slices(A)
-    res = sylvester_resultant(*_even_eigen_forms(slices))
-    return _result(A, res, slices.denom ** (2 * m - 2), ROUTE_SYLVESTER)
+    return _result(A, *sylvester_n2(binary_slices(A)), ROUTE_SYLVESTER)
 
 
 def echar_odd_n2(A: Hypermatrix) -> EcharResult:
-    """Resultant of the product/cross pair divided by b_m*c_1.
-
-    The big resultant equals b_m*c_1 times the characteristic polynomial,
-    so the division is exact whenever that scalar is nonzero.  Since
-    b_m*c_1 = -cross(e1)*cross(e2), it vanishes exactly when a frame axis
-    is an eigenvector direction.  psi is an orthonormal invariant, so such
-    a tensor is first turned into a frame whose axes are not (see
-    ``_nonsingular_frame``); a tensor whose cross form vanishes identically
-    has every direction as an eigenvector, and psi = 0.
-
-    The product form is over denom^2 and of degree 2m - 2, the cross form
-    over denom and of degree m, and b_m*c_1 is pivot / denom^2, so psi is
-    the integer resultant over denom^(4m-4) * pivot.  Both forms are
-    pencils in mu = lambda^2, so the resultant is taken in mu, at one
-    Kronecker node, and ``_result`` spreads it to lambda.
-    """
+    """Resultant of the product/cross pair divided by b_m*c_1 (see ``sylvester_n2``)."""
     _require(A, parity=1)
-    slices = binary_slices(A)
-    m = A.order
+    return _result(A, *sylvester_n2(binary_slices(A)), ROUTE_SYLVESTER)
+
+
+def sylvester_n2(slices: SliceCoeffs) -> tuple[list[int], int]:
+    """psi of a slice record as ascending ints in t over one denominator, t
+    lambda at even order and lambda^2 at odd, as ``_result`` takes them.
+
+    Even order: the resultant of the two eigen-forms, over denom^(2m-2); its
+    degree h = m is below the row degrees' 2m - 2, so one Kronecker node of
+    ``sylvester_resultant`` gives it whole.  Odd order: the resultant of the
+    product/cross pair, pencils in mu = lambda^2, is b_m*c_1 times psi, over
+    denom^(4m-4) * pivot (b_m*c_1 = pivot / denom^2).  A zero pivot,
+    -cross(e1)*cross(e2), puts an eigenvector direction on a frame axis; psi
+    is an orthonormal invariant, so the record is turned into a frame with
+    none there (``_nonsingular_frame``); a cross form that is zero gives psi = 0.
+    """
+    m = slices.order
+    if m % 2 == 0:
+        return sylvester_resultant(*_even_eigen_forms(slices)), slices.denom ** (2 * m - 2)
     pivot = slices.b[m - 1] * slices.c[0]
     if pivot == 0:
         cross = direction_form_coeffs(slices)
         if not any(cross):
-            return _result(A, [], 1, ROUTE_SYLVESTER)
+            return [], 1
         slices = rotate_slices(slices, _nonsingular_frame(cross))
         pivot = slices.b[m - 1] * slices.c[0]
     big = sylvester_resultant(_odd_product_form(slices), _cross_form(slices))
-    return _result(A, big, slices.denom ** (4 * m - 4) * pivot, ROUTE_SYLVESTER)
+    return big, slices.denom ** (4 * m - 4) * pivot
 
 
 def _nonsingular_frame(cross: tuple[int, ...]) -> OrthogonalMatrix:

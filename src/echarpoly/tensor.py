@@ -11,8 +11,8 @@ component, int numerators keyed by exponent over that component's own
 denominator, in lowest terms, built on first read.  It is summed on ints,
 with no ``Fraction`` added: the entries' numerators over the lcm of their
 denominators, each component then reduced by one gcd.  Every route reads it:
-at dimension 2 as the slice sums, ``SliceCoeffs``, over one denominator;
-at dimension 3 as the map on the isotropic conic, ``conic_values``.
+at dimension 2 as the slice sums over one denominator, ``SliceCoeffs``,
+also held; at dimension 3 as the map on the isotropic conic, ``conic_values``.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class MapForm(NamedTuple):
 class Hypermatrix:
     """Order-m, dimension-n array of exact rationals (sparse); ``entries`` is fixed once built."""
 
-    __slots__ = ("order", "dim", "entries", "_forms")
+    __slots__ = ("order", "dim", "entries", "_forms", "_slices")
 
     def __init__(self, order: int, dim: int, entries: Mapping[tuple, object] | None = None):
         if order < 2:
@@ -62,38 +62,20 @@ class Hypermatrix:
                 clean[idx] = v
         self.entries = clean
         self._forms: tuple[MapForm, ...] | None = None
+        self._slices: SliceCoeffs | None = None
 
     @classmethod
     def from_checked(cls, order: int, dim: int, entries: dict[tuple[int, ...], Fraction]) -> "Hypermatrix":
         """A hypermatrix that takes ``entries`` as its own, unchecked: 0-based index
         tuples in range, nonzero ``Fraction`` values, as ``TensorDocument`` parses them."""
         A = cls.__new__(cls)
-        A.order, A.dim, A.entries, A._forms = order, dim, entries, None
+        A.order, A.dim, A.entries, A._forms, A._slices = order, dim, entries, None, None
         return A
 
     @classmethod
     def from_one_based(cls, order: int, dim: int, entries: Mapping[tuple, object]) -> "Hypermatrix":
         shifted = {tuple(i - 1 for i in idx): v for idx, v in entries.items()}
         return cls(order, dim, shifted)
-
-    @classmethod
-    def from_slices(cls, slices: "SliceCoeffs") -> "Hypermatrix":
-        """A dimension-2 tensor with the slice sums of ``slices``, one entry per class.
-
-        Class j of either slice is represented by the trailing indices
-        (2, ..., 2, 1, ..., 1) with j twos.  The map's record is taken from
-        the slices, not summed again.
-        """
-        m = slices.order
-        entries, forms = {}, ({}, {})
-        for j in range(m):
-            tail = (1,) * j + (0,) * (m - 1 - j)
-            for i, seq in enumerate((slices.b, slices.c)):
-                entries[(i,) + tail] = Fraction(seq[j], slices.denom)
-                forms[i][(m - 1 - j, j)] = seq[j]
-        A = cls(m, 2, entries)
-        A._forms = tuple(_lowest_terms_form(form, slices.denom) for form in forms)
-        return A
 
     @classmethod
     def zero(cls, order: int, dim: int) -> "Hypermatrix":
@@ -169,9 +151,10 @@ def _lowest_terms_form(numerators: Mapping[tuple[int, ...], int], denom: int) ->
 
 
 class OrthogonalMatrix:
-    """Exactly orthogonal rational matrix: C C^T = I with no tolerance."""
+    """Exactly orthogonal rational matrix: C C^T = I with no tolerance.  ``integer_form``
+    is (r, r C), r the least common denominator of the entries, r C an int matrix."""
 
-    __slots__ = ("dim", "rows")
+    __slots__ = ("dim", "rows", "integer_form")
 
     def __init__(self, rows: Sequence[Sequence]):
         rows = tuple(tuple(as_fraction(e) for e in row) for row in rows)
@@ -185,16 +168,19 @@ class OrthogonalMatrix:
                     raise ValueError("matrix is not exactly orthogonal")
         self.dim = n
         self.rows = rows
+        r = lcm(*(v.denominator for row in rows for v in row))
+        self.integer_form = (r, tuple(tuple(v.numerator * (r // v.denominator) for v in row) for row in rows))
 
     @classmethod
     def diagonal_signs(cls, signs: Sequence[int]) -> "OrthogonalMatrix":
         return cls([[s if i == j else 0 for j, s in enumerate(signs)] for i in range(len(signs))])
 
     @classmethod
+    @lru_cache(maxsize=64)
     def rotation(cls, k: int = 2) -> "OrthogonalMatrix":
         """The exact 2-D rotation with cosine (k^2-1)/(k^2+1) and sine 2k/(k^2+1).
 
-        Rows (cos, sin) and (-sin, cos); k = 2 is the 3-4-5 rotation.
+        Rows (cos, sin) and (-sin, cos); k = 2 is the 3-4-5 rotation.  Built once per k.
         """
         r = k * k + 1
         cos, sin = Fraction(k * k - 1, r), Fraction(2 * k, r)
@@ -259,13 +245,19 @@ class SliceCoeffs:
 
 
 def binary_slices(A: Hypermatrix) -> SliceCoeffs:
-    """The slice sums of a dimension-2 tensor of any order, read off ``map_forms``.
+    """The slice sums of a dimension-2 tensor of any order, read off ``map_forms`` once.
 
     Slice sum j of a component is its coefficient of x1^(m-1-j) x2^j.  Over
     the lcm of the two denominators the record stays in lowest terms.
     """
     if A.dim != 2:
         raise DimensionError("slice coefficients are defined for dimension 2 only")
+    if A._slices is None:
+        A._slices = _build_slices(A)
+    return A._slices
+
+
+def _build_slices(A: Hypermatrix) -> SliceCoeffs:
     m = A.order
     forms = map_forms(A)
     denom = lcm(*(form.denom for form in forms))
@@ -289,8 +281,7 @@ def rotate_slices(slices: SliceCoeffs, C: OrthogonalMatrix) -> SliceCoeffs:
     if C.dim != 2:
         raise DimensionError(f"matrix dimension {C.dim} != tensor dimension 2")
     m = slices.order
-    r = lcm(*(v.denominator for row in C.rows for v in row))
-    (k11, k12), (k21, k22) = ([v.numerator * (r // v.denominator) for v in row] for row in C.rows)
+    r, ((k11, k12), (k21, k22)) = C.integer_form
     # powers of y1 = k11 x1 + k21 x2 and y2 = k12 x1 + k22 x2, ascending in x2
     y1_pows, y2_pows = [[1]], [[1]]
     for _ in range(m - 1):

@@ -2,6 +2,12 @@
 
 Every check is exact: a failure hands back the offending tensor as a
 document so the case replays from the command line.
+
+The orthonormal-invariance checks run the Sylvester kernel on the rotated
+slice record and cross-multiply its ints with psi's coefficients: no
+``Hypermatrix``, ``Fraction`` or ``Poly`` is made for a frame.  Infinitely
+many eigenpair classes imply psi = 0 from order 3 on; at order 2 they make
+a scalar matrix cI, whose psi is (lambda - c)^2.
 """
 
 from __future__ import annotations
@@ -9,11 +15,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Optional
 
 from .document import TensorDocument
-from .echar import echar, echar_det_even, echar_det_odd, echar_macaulay
+from .echar import echar, echar_det_even, echar_det_odd, echar_macaulay, sylvester_n2
 from .eigen import deficit_indicator, eigenpairs_n2, is_regular
+from .poly import Poly
 from .tensor import Hypermatrix, OrthogonalMatrix, all_indices, binary_slices, rotate_slices
 
 
@@ -98,13 +106,16 @@ def run_checks(A: Hypermatrix, deep: bool = False, rotations=None) -> list[Check
             "odd-power-parity",
             all(psi.coefficient(j) == 0 for j in range(1, len(psi.coeffs), 2)),
         )
+    psi_t = psi.coeffs[:: 1 + m % 2]  # in the kernel's t: lambda at even order, lambda^2 at odd
     slices = binary_slices(A)
     for i, C in enumerate(rotations if rotations is not None else standard_rotations()):
         # psi at n = 2 depends on the slice sums alone, so the frame change
-        # rotates the binary map and one tensor per slice class carries it
-        rotated = echar(Hypermatrix.from_slices(rotate_slices(slices, C))).psi
-        record(f"orthonormal-invariance-{i}", rotated == psi)
-        if not checks[-1].passed:
+        # rotates the binary map and the kernel takes the rotated ints
+        coeffs, denominator = sylvester_n2(rotate_slices(slices, C))
+        pairs = zip_longest(coeffs, psi_t, fillvalue=0)
+        same = all(c * v.denominator == v.numerator * denominator for c, v in pairs)
+        record(f"orthonormal-invariance-{i}", same)
+        if not same:
             break
     if m % 2 == 0:
         if regular:
@@ -120,7 +131,11 @@ def run_checks(A: Hypermatrix, deep: bool = False, rotations=None) -> list[Check
         psi.is_zero() or psi.degree <= result.leading_power,
         f"degree={psi.degree} bound={result.leading_power}",
     )
-    if not finite:
+    if not finite and m == 2:
+        # every direction is an eigenvector only of A = cI, whose psi is (lambda - c)^2
+        c = A[(0, 0)]
+        record("scalar-matrix-square", psi == Poly([c * c, -2 * c, 1]), f"c={c} psi={psi}")
+    elif not finite:
         record("infinite-implies-zero", psi.is_zero())
     else:
         record("class-count", sum(p.multiplicity for p in report.pairs) == m)

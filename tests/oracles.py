@@ -17,6 +17,8 @@ a per-character test for a key.  So do the field-arithmetic references of
 the fraction-free kernels: Euclid's gcd and Yun's square-free split over Q
 or Q(i) by ``Poly.divmod``, and the exact eigenvalue at a direction in Q(i)
 arithmetic.
+So does ``from_slices``, a tensor with given slice sums that carries the
+record of its slices, which the library never builds.
 ``poly_gcd`` is not an oracle: it applies the library's list gcd to two
 polynomials, a form only the tests use.
 """
@@ -54,7 +56,7 @@ from echarpoly.resultant import (
     macaulay_resultants,
     sylvester_resultant,
 )
-from echarpoly.tensor import SliceCoeffs, binary_slices
+from echarpoly.tensor import Hypermatrix, SliceCoeffs, _lowest_terms_form, binary_slices
 
 
 def cofactor_det(rows):
@@ -363,6 +365,25 @@ def brute_slice_sums(A) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     for idx in product(range(2), repeat=A.order):
         sums[idx[0]][idx[1:].count(1)] += A[idx]
     return tuple(sums[0]), tuple(sums[1])
+
+
+def from_slices(slices: SliceCoeffs) -> Hypermatrix:
+    """A dimension-2 tensor with the slice sums of ``slices``, one entry per class.
+
+    Class j of either slice is represented by the trailing indices
+    (2, ..., 2, 1, ..., 1) with j twos.  The map's record is taken from
+    the slices, not summed again.
+    """
+    m = slices.order
+    entries, forms = {}, ({}, {})
+    for j in range(m):
+        tail = (1,) * j + (0,) * (m - 1 - j)
+        for i, seq in enumerate((slices.b, slices.c)):
+            entries[(i,) + tail] = Fraction(seq[j], slices.denom)
+            forms[i][(m - 1 - j, j)] = seq[j]
+    A = Hypermatrix(m, 2, entries)
+    A._forms = tuple(_lowest_terms_form(form, slices.denom) for form in forms)
+    return A
 
 
 def brute_eval_map(A, x):

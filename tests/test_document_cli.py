@@ -468,6 +468,25 @@ def test_cli_verify_order2_skew_matrix_skips_the_deficit_drop_law(tmp_path):
     assert verdicts["deficit-degree-drop"]["detail"].startswith("skipped: order 2")
 
 
+@pytest.mark.parametrize(
+    "entries, c",
+    [({"1,1": "1", "2,2": "1"}, "1"), ({"1,1": "-3/2", "2,2": "-3/2"}, "-3/2"), ({}, "0")],
+    ids=["identity", "scalar", "zero"],
+)
+def test_cli_verify_order2_scalar_matrix_passes(tmp_path, entries, c):
+    # every direction is an eigenvector of cI, and psi = (lambda - c)^2 is
+    # not zero: the order-2 law replaces psi = 0
+    scalar = {"order": 2, "dim": 2, "entries": entries}
+    proc = run_cli("verify", write_doc(tmp_path, "scalar.json", scalar))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["failures"] == []
+    verdicts = {v["check"]: v for v in report["verdicts"]}
+    assert verdicts["scalar-matrix-square"]["passed"]
+    assert verdicts["scalar-matrix-square"]["detail"].startswith(f"c={c} psi=")
+    assert "infinite-implies-zero" not in verdicts
+
+
 def test_cli_verify_rotation_invariance_line(tmp_path):
     path = write_doc(tmp_path, "diag4.json", DIAG4)
     proc = run_cli("verify", path)

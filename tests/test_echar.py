@@ -42,6 +42,7 @@ from oracles import (
     det_fraction_free,
     det_matrix_even_poly,
     det_matrix_odd_poly,
+    from_slices,
     homogenized_resultant,
     pencil_det,
     pencil_form,
@@ -738,7 +739,7 @@ def _dense_int(rng, m):
 
 def _from_slices(b, c):
     """The entries of a tensor with the integer slice sums (b, c)."""
-    return Hypermatrix.from_slices(SliceCoeffs(tuple(b), tuple(c), 1)).entries
+    return from_slices(SliceCoeffs(tuple(b), tuple(c), 1)).entries
 
 
 def _mul(f, g):

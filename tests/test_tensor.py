@@ -30,7 +30,15 @@ from echarpoly.tensor import (
     rotate_slices,
 )
 from echarpoly.verify import fuzz_tensor, standard_rotations
-from oracles import brute_eval_map, brute_map_forms, brute_slice_sums, convolution, pq_sums, slice_sums
+from oracles import (
+    brute_eval_map,
+    brute_map_forms,
+    brute_slice_sums,
+    convolution,
+    from_slices,
+    pq_sums,
+    slice_sums,
+)
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -210,7 +218,7 @@ def binary_tensors(draw, max_order=8):
 def test_rotate_slices_matches_rotating_the_tensor(A, C):
     slices = binary_slices(A)
     assert rotate_slices(slices, C) == binary_slices(rotate(A, C))
-    assert binary_slices(Hypermatrix.from_slices(slices)) == slices
+    assert binary_slices(from_slices(slices)) == slices
 
 
 @settings(max_examples=60, deadline=None)
@@ -225,7 +233,7 @@ def test_slice_record_is_the_brute_force_sums_in_lowest_terms(A, frames):
         assert slice_sums(s) == brute_slice_sums(A)
         assert s.denom > 0 and gcd(s.denom, *s.b, *s.c) == 1
         assert all(type(v) is int for v in s.b + s.c + (s.denom,))
-        assert binary_slices(Hypermatrix.from_slices(s)) == s
+        assert binary_slices(from_slices(s)) == s
 
 
 def _same_map(rng: random.Random, A: Hypermatrix) -> Hypermatrix:
@@ -284,7 +292,7 @@ def _refuse_build(A):
 @given(binary_tensors(), st.sampled_from(FRAMES))
 def test_from_slices_carries_the_record_of_a_fresh_build(A, C):
     slices = rotate_slices(binary_slices(A), C)
-    B = Hypermatrix.from_slices(slices)
+    B = from_slices(slices)
     fresh = map_forms(Hypermatrix(B.order, 2, dict(B.entries)))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tensor_module, "_build_map_forms", _refuse_build)
@@ -294,16 +302,21 @@ def test_from_slices_carries_the_record_of_a_fresh_build(A, C):
 
 def test_the_map_is_built_at_most_once_per_tensor(monkeypatch):
     """An n2-dense benchmark round, seed 1: 60 tensors, each read by
-    binary_slices about fourteen times, and by the rotated tensors of the
-    verify battery through from_slices; the map is summed once per tensor."""
+    binary_slices about nine times; the verify battery's rotated frames
+    rotate the slice record and read no tensor.  The map is summed, and
+    its slice record built, once per tensor."""
     spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look the module up
     spec.loader.exec_module(workloads)
     _, docs = workloads.n2_dense_inputs(1)
-    builds, reads = [], []
+    builds, slice_builds, reads = [], [], []
     real_build, real_slices = tensor_module._build_map_forms, tensor_module.binary_slices
+    real_slice_build = tensor_module._build_slices
     monkeypatch.setattr(tensor_module, "_build_map_forms", lambda A: builds.append(A) or real_build(A))
+    monkeypatch.setattr(
+        tensor_module, "_build_slices", lambda A: slice_builds.append(A) or real_slice_build(A)
+    )
     for name in ("echar", "eigen", "verify"):
         module = importlib.import_module(f"echarpoly.{name}")
         monkeypatch.setattr(module, "binary_slices", lambda A: reads.append(A) or real_slices(A))
@@ -311,7 +324,8 @@ def test_the_map_is_built_at_most_once_per_tensor(monkeypatch):
         workloads.operate_n2_dense(text)
     assert len(builds) == len(docs) == 60
     assert len({id(A) for A in builds}) == 60
-    assert len(reads) > 10 * len(docs)
+    assert [id(A) for A in slice_builds] == [id(A) for A in builds]
+    assert len(reads) > 9 * len(docs)
 
 
 def test_binary_slices_requires_dim2():
