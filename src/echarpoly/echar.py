@@ -32,7 +32,7 @@ Every kernel answers in ints over its route's one denominator, which
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -87,7 +87,7 @@ def _generic_top(m: int, n: int) -> int:
     return n if m == 2 else h_bound(m, n)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EcharResult:
     """A characteristic polynomial plus the closed-form predictions.
 
@@ -95,7 +95,8 @@ class EcharResult:
     nonzero top coefficient: h for even order, 2h for odd.  The predictions
     ``a0_predicted`` and ``leading_predicted`` (None beyond dimension 2)
     are computed from ``tensor`` on first read, since most callers that
-    cross-check routes never read them.
+    cross-check routes never read them.  Read-only: a tensor's readers share
+    its route "auto" result, whose ``tensor`` is a twin (see ``_held``).
     """
 
     psi: Poly
@@ -478,14 +479,16 @@ def leading_predicted(A: Hypermatrix) -> Fraction:
 
 
 def echar(A: Hypermatrix, route: str = "auto") -> EcharResult:
-    """Compute the characteristic polynomial by the requested route."""
+    """Compute the characteristic polynomial by the requested route.  The tensor
+    holds its route "auto" result; every other route computes anew."""
     n, m = A.dim, A.order
     if route == "auto":
-        if n == 2:
-            return echar_even_n2(A) if m % 2 == 0 else echar_odd_n2(A)
-        if n == 3:
-            return echar_macaulay(A)
-        raise UnsupportedSizeError(f"no route for dimension {n}")
+        if n not in (2, 3):
+            raise UnsupportedSizeError(f"no route for dimension {n}")
+        if A._echar is None:
+            sylvester = echar_even_n2 if m % 2 == 0 else echar_odd_n2
+            A._echar = _held(sylvester(A) if n == 2 else echar_macaulay(A))
+        return A._echar
     if route == "sylvester":
         _require(A)
         return echar_even_n2(A) if m % 2 == 0 else echar_odd_n2(A)
@@ -495,6 +498,15 @@ def echar(A: Hypermatrix, route: str = "auto") -> EcharResult:
     if route == "macaulay":
         return echar_macaulay(A)
     raise ValueError(f"unknown route {route!r}")
+
+
+def _held(result: EcharResult) -> EcharResult:
+    """The result as its tensor holds it, predicting from a twin that shares the tensor's
+    entries and records: no reference cycle leaves a dead tensor to the garbage collector."""
+    A = result.tensor
+    twin = Hypermatrix.from_checked(A.order, A.dim, A.entries)
+    twin._forms, twin._slices = A._forms, A._slices
+    return replace(result, tensor=twin)
 
 
 def _require(A: Hypermatrix, parity: int | None = None):

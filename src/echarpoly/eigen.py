@@ -7,7 +7,8 @@ its eigenpair class as it is found.  Roots on the isotropic cone
 (proportional to (1, i) or (1, -i)) cannot be normalized and form "deficit"
 classes; everything else is scaled to x^T x = 1.  The exact eigenvalue of a
 rational direction is integer Horner on the numerators; the float values
-divide the numerators by the denominator, which rounds correctly.
+divide the numerators by the denominator, which rounds correctly.  The
+tensor holds its report: one direction pass serves every reader.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ DEFICIT = "deficit"
 Z_TOLERANCE = 1e-10
 
 
-@dataclass
+@dataclass(frozen=True)
 class Eigenpair:
     """One eigenpair equivalence class.
 
@@ -60,8 +61,10 @@ class Eigenpair:
     exact_eigenvalue: Optional[ComplexRational] = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class EigenReport:
+    """A tensor's eigenpair classes; read-only, ``pairs`` too: its readers share it."""
+
     infinite: bool
     pairs: list[Eigenpair]
 
@@ -76,6 +79,15 @@ class RegularityReport:
 
 
 def eigenpairs_n2(A: Hypermatrix) -> EigenReport:
+    """The tensor's eigenpair report, built from ``binary_slices`` on first read and held."""
+    if A.dim != 2:
+        raise DimensionError("direction enumeration requires dimension 2")
+    if A._eigen is None:
+        A._eigen = _eigen_report(binary_slices(A))
+    return A._eigen
+
+
+def _eigen_report(slices: SliceCoeffs) -> EigenReport:
     """One class per projective root of the cross form, classified normalized/deficit.
 
     The cross form is identically zero exactly when Ax^{m-1} is a scalar
@@ -85,9 +97,6 @@ def eigenpairs_n2(A: Hypermatrix) -> EigenReport:
     t^2 + 1 of q(t) = form(1, t) give, and the square-free factors of the
     rest: exact for a linear factor, numeric for the others.
     """
-    if A.dim != 2:
-        raise DimensionError("direction enumeration requires dimension 2")
-    slices = binary_slices(A)
     coeffs = direction_form_coeffs(slices)
     if not any(coeffs):
         return EigenReport(infinite=True, pairs=[])

@@ -2,10 +2,10 @@
 
 Below the public API a polynomial is an ascending list of ints, as
 ``lagrange_interpolate`` and the kernels return it; ``echar`` builds psi.
-``Poly`` coefficients are ``Fraction`` or ``ComplexRational`` values; the field
-operations, ``divmod`` and ``monic`` work the same over both.  The gcd
-(``primitive_gcd``) and Yun's square-free split do not use them: they run
-a primitive pseudo-remainder sequence on coefficient lists over Z or Z[i]
+``Poly`` is psi's value type: coefficients are ``Fraction`` or
+``ComplexRational`` values, and its ring operations work the same over
+both.  The gcd (``primitive_gcd``) and Yun's square-free split run a
+primitive pseudo-remainder sequence on coefficient lists over Z or Z[i]
 (``integral_coeffs`` clears a polynomial to one), with ring operations
 and content removal only; ``squarefree_decomposition`` returns monic
 factors over the field.
@@ -16,8 +16,8 @@ enters the package is ``np.roots`` in ``eigen`` (the eigenvector
 directions and the dimension-3 irregularity witness).  Root multiplicities
 come from the exact square-free (Yun) decomposition alone, so a double
 root is a double root by construction, not by luck of clustering.  The
-float coefficients that polish the roots are converted once per factor,
-each from its exact value.
+roots come from the integer split's factors, each coefficient converted
+once, from its exact quotient by the factor's leading coefficient.
 """
 
 from __future__ import annotations
@@ -184,47 +184,6 @@ class Poly:
 
     def eval_complex(self, z: complex) -> complex:
         return _horner([_numeric(c) for c in reversed(self.coeffs)], z)
-
-    # -- calculus / division -----------------------------------------------------
-
-    def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def divmod(self, divisor: "Poly"):
-        """Quotient and remainder over the coefficient field."""
-        if divisor.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dcs = divisor.coeffs
-        dn = len(dcs)
-        if len(rem) < dn:
-            return Poly(), Poly(rem)
-        quot = [Fraction(0)] * (len(rem) - dn + 1)
-        inv_lead = 1 / dcs[-1]
-        for i in range(len(quot) - 1, -1, -1):
-            q = rem[i + dn - 1] * inv_lead
-            quot[i] = q
-            if q != 0:
-                for j, d in enumerate(dcs):
-                    rem[i + j] -= q * d
-        return Poly(quot), Poly(rem[: dn - 1])
-
-    def __floordiv__(self, divisor):
-        return self.divmod(as_poly(divisor))[0]
-
-    def __mod__(self, divisor):
-        return self.divmod(as_poly(divisor))[1]
-
-    def exact_div(self, divisor: "Poly") -> "Poly":
-        q, r = self.divmod(divisor)
-        if not r.is_zero():
-            raise ArithmeticError("exact polynomial division left a remainder")
-        return q
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        return self.scale(1 / self.leading())
 
     # -- display ------------------------------------------------------------------
 
@@ -579,16 +538,17 @@ def lagrange_interpolate(points: Sequence[tuple[int, int]]) -> list[int]:
 def complex_roots(p: Poly) -> list[tuple[complex, int]]:
     """All complex roots with multiplicities, sorted by (re, im).
 
-    Multiplicities come from the exact square-free decomposition alone;
-    roots of each square-free factor are simple and found with numpy's
-    companion matrix, then polished by Newton steps.
+    Multiplicities come from the exact square-free split of the integral
+    coefficients alone, over Z or Z[i]; roots of each square-free factor are
+    simple and found with numpy's companion matrix, from the factor over its
+    leading coefficient (``_over_lead``), then polished by Newton steps.
     """
     if p.is_zero():
         raise ValueError("the zero polynomial has every number as a root")
     found: list[tuple[complex, int]] = []
-    for factor, mult in squarefree_decomposition(p):
-        coeffs = [_numeric(c) for c in reversed(factor.coeffs)]
-        slopes = [_numeric(c) for c in reversed(factor.derivative().coeffs)]
+    for factor, mult in squarefree_split(integral_coeffs(p.coeffs)) if p.degree else []:
+        coeffs = _over_lead(factor, factor[-1])
+        slopes = _over_lead(_derivative(factor), factor[-1])
         for root in np.roots(coeffs):
             found.append((_newton_polish(coeffs, slopes, complex(root)), mult))
     found.sort(key=lambda item: (item[0].real, item[0].imag))
@@ -599,6 +559,15 @@ def complex_roots(p: Poly) -> list[tuple[complex, int]]:
             f"root count with multiplicity {total} != degree {expected}"
         )
     return found
+
+
+def _over_lead(cs: list, lead) -> list:
+    """cs / lead, highest power first, each quotient rounded once as ``float`` rounds
+    a ``Fraction``: a zero is 0.0, where 0 / lead is -0.0 for lead < 0."""
+    if isinstance(lead, int):
+        return [c / lead if c else 0.0 for c in reversed(cs)]
+    conj, norm = lead.conjugate(), lead.norm2().numerator  # c / lead = c conj(lead) / norm
+    return [complex(w.re.numerator / norm, w.im.numerator / norm) for w in map(conj.__mul__, reversed(cs))]
 
 
 def _horner(coeffs: list, z: complex) -> complex:

@@ -13,6 +13,8 @@ with no ``Fraction`` added: the entries' numerators over the lcm of their
 denominators, each component then reduced by one gcd.  Every route reads it:
 at dimension 2 as the slice sums over one denominator, ``SliceCoeffs``,
 also held; at dimension 3 as the map on the isotropic conic, ``conic_values``.
+The tensor also holds, from their first read, its eigenpair report and route
+"auto" result (``eigen.eigenpairs_n2``, ``echar.echar``); a raise holds nothing.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ class MapForm(NamedTuple):
 class Hypermatrix:
     """Order-m, dimension-n array of exact rationals (sparse); ``entries`` is fixed once built."""
 
-    __slots__ = ("order", "dim", "entries", "_forms", "_slices")
+    __slots__ = ("order", "dim", "entries", "_forms", "_slices", "_eigen", "_echar")
 
     def __init__(self, order: int, dim: int, entries: Mapping[tuple, object] | None = None):
         if order < 2:
@@ -63,13 +65,16 @@ class Hypermatrix:
         self.entries = clean
         self._forms: tuple[MapForm, ...] | None = None
         self._slices: SliceCoeffs | None = None
+        self._eigen = None  # eigen.EigenReport
+        self._echar = None  # echar.EcharResult of route "auto"
 
     @classmethod
     def from_checked(cls, order: int, dim: int, entries: dict[tuple[int, ...], Fraction]) -> "Hypermatrix":
         """A hypermatrix that takes ``entries`` as its own, unchecked: 0-based index
         tuples in range, nonzero ``Fraction`` values, as ``TensorDocument`` parses them."""
         A = cls.__new__(cls)
-        A.order, A.dim, A.entries, A._forms, A._slices = order, dim, entries, None, None
+        A.order, A.dim, A.entries = order, dim, entries
+        A._forms = A._slices = A._eigen = A._echar = None
         return A
 
     @classmethod

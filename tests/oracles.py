@@ -15,8 +15,10 @@ So does the tensor document's grammar as the two-step parser read it, a
 strict pattern and then ``Fraction`` of the text for a value, a split and
 a per-character test for a key.  So do the field-arithmetic references of
 the fraction-free kernels: Euclid's gcd and Yun's square-free split over Q
-or Q(i) by ``Poly.divmod``, and the exact eigenvalue at a direction in Q(i)
-arithmetic.
+or Q(i) by ``poly_divmod``, and the exact eigenvalue at a direction in Q(i)
+arithmetic.  So do the field division and the derivative that ``Poly`` no
+longer carries (``poly_divmod``, ``exact_div``, ``monic``, ``derivative``),
+and ``complex_roots`` as it was computed through ``Poly``'s monic factors.
 So does ``from_slices``, a tensor with given slice sums that carries the
 record of its slices, which the library never builds.
 ``poly_gcd`` is not an oracle: it applies the library's list gcd to two
@@ -32,6 +34,8 @@ from itertools import permutations, product
 from math import lcm, prod
 from typing import Sequence
 
+import numpy as np
+
 from echarpoly.echar import (
     _cross_form,
     _eigen_system,
@@ -42,11 +46,14 @@ from echarpoly.echar import (
 )
 from echarpoly.poly import (
     Poly,
+    _newton_polish,
+    _numeric,
     as_poly,
     integral_coeffs,
     interpolation_nodes,
     lagrange_interpolate,
     primitive_gcd,
+    squarefree_decomposition,
 )
 from echarpoly.polymat import PolyMatrix, det_interpolated, det_rational
 from echarpoly.rational import ComplexRational, as_fraction
@@ -97,7 +104,7 @@ def det_fraction_free(rows) -> Poly:
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = num.exact_div(prev)
+                m[i][j] = exact_div(num, prev)
             m[i][k] = Poly.zero()
         prev = m[k][k]
     return m[n - 1][n - 1] if sign == 1 else -m[n - 1][n - 1]
@@ -538,45 +545,97 @@ def pq_sums(slices: SliceCoeffs) -> tuple[Fraction, Fraction]:
     return p, q
 
 
+# -- field division, and root finding through it ----------------------------------------
+
+
+def poly_divmod(a: Poly, divisor: Poly) -> tuple[Poly, Poly]:
+    """Quotient and remainder over the coefficient field, Q or Q(i)."""
+    if divisor.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a.coeffs)
+    dcs = divisor.coeffs
+    dn = len(dcs)
+    if len(rem) < dn:
+        return Poly(), Poly(rem)
+    quot = [Fraction(0)] * (len(rem) - dn + 1)
+    inv_lead = 1 / dcs[-1]
+    for i in range(len(quot) - 1, -1, -1):
+        q = rem[i + dn - 1] * inv_lead
+        quot[i] = q
+        if q != 0:
+            for j, d in enumerate(dcs):
+                rem[i + j] -= q * d
+    return Poly(quot), Poly(rem[: dn - 1])
+
+
+def derivative(p: Poly) -> Poly:
+    return Poly([i * c for i, c in enumerate(p.coeffs)][1:])
+
+
+def exact_div(a: Poly, divisor: Poly) -> Poly:
+    q, r = poly_divmod(a, divisor)
+    if not r.is_zero():
+        raise ArithmeticError("exact polynomial division left a remainder")
+    return q
+
+
+def monic(p: Poly) -> Poly:
+    if p.is_zero():
+        return p
+    return p.scale(1 / p.leading())
+
+
+def poly_path_roots(p: Poly) -> list[tuple[complex, int]]:
+    """``complex_roots`` through ``Poly``: each monic factor of ``squarefree_decomposition``
+    and its derivative, coefficient by coefficient as ``float`` (or ``complex``) of
+    the ``Fraction`` values, into numpy's companion matrix and two Newton steps."""
+    found = []
+    for factor, mult in squarefree_decomposition(p):
+        coeffs = [_numeric(c) for c in reversed(factor.coeffs)]
+        slopes = [_numeric(c) for c in reversed(derivative(factor).coeffs)]
+        for root in np.roots(coeffs):
+            found.append((_newton_polish(coeffs, slopes, complex(root)), mult))
+    found.sort(key=lambda item: (item[0].real, item[0].imag))
+    return found
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd over Q or Q(i) through the library's list gcd; the gcd of two zeros is zero."""
     if a.is_zero() or b.is_zero():
-        return (b if a.is_zero() else a).monic()
-    return Poly(primitive_gcd(integral_coeffs(a.coeffs), integral_coeffs(b.coeffs))).monic()
+        return monic(b if a.is_zero() else a)
+    return monic(Poly(primitive_gcd(integral_coeffs(a.coeffs), integral_coeffs(b.coeffs))))
 
 
 def euclid_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd over Q or Q(i) by Euclid's algorithm in the field."""
     while not b.is_zero():
-        a, b = b, a % b
-    if a.is_zero():
-        return a
-    return a.monic()
+        a, b = b, poly_divmod(a, b)[1]
+    return monic(a)
 
 
 def yun_squarefree(p: Poly) -> list[tuple[Poly, int]]:
     """Yun's square-free split in field arithmetic: [(monic factor, multiplicity)]."""
     if p.degree == 0:
         return []
-    dp = p.derivative()
+    dp = derivative(p)
     c = euclid_gcd(p, dp)
     if c.degree == 0:
-        return [(p.monic(), 1)]
+        return [(monic(p), 1)]
     out: list[tuple[Poly, int]] = []
-    w = p.exact_div(c)
-    y = dp.exact_div(c)
-    z = y - w.derivative()
+    w = exact_div(p, c)
+    y = exact_div(dp, c)
+    z = y - derivative(w)
     i = 1
     while not z.is_zero():
         g = euclid_gcd(w, z)
         if g.degree >= 1:
-            out.append((g.monic(), i))
-        w = w.exact_div(g)
-        y = z.exact_div(g)
-        z = y - w.derivative()
+            out.append((monic(g), i))
+        w = exact_div(w, g)
+        y = exact_div(z, g)
+        z = y - derivative(w)
         i += 1
     if w.degree >= 1:
-        out.append((w.monic(), i))
+        out.append((monic(w), i))
     return out
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+import gc
 import importlib
 import random
 import re
@@ -587,6 +589,58 @@ def test_every_route_checks_the_degree_bound_in_t(monkeypatch, route, order, ker
     message = f"degree {top + 1} in {variable}, above the bound {top} (route {name})"
     with pytest.raises(ArithmeticError, match=re.escape(message)):
         route(Hypermatrix.diagonal(order, 2))
+
+
+@pytest.mark.parametrize("route, kernel", [("det", "det_interpolated"), ("macaulay", "macaulay_resultants")])
+def test_only_the_auto_route_is_held_on_the_tensor(monkeypatch, route, kernel):
+    """echar(A) answers once and then returns the held result; an explicit
+    route and the echar_* entry points compute on every call."""
+    module = importlib.import_module("echarpoly.echar")
+    real, calls = getattr(module, kernel), []
+    monkeypatch.setattr(module, kernel, lambda *args: calls.append(args) or real(*args))
+    A = fuzz_tensor(random.Random(3), 3)
+    held = echar(A)
+    assert echar(A) is held
+    first, second = echar(A, route), echar(A, route)
+    assert len(calls) == 2
+    assert len({id(held), id(first), id(second)}) == 3
+    assert first.psi == second.psi == held.psi
+    assert echar_odd_n2(A) is not held and echar_odd_n2(A).psi == held.psi
+    assert echar(A) is held
+
+
+def test_a_refused_or_failed_auto_route_is_not_held():
+    """A size refusal raises on every call; a degree-bound failure leaves the
+    tensor to compute afresh."""
+    A = Hypermatrix.diagonal(3, 4)
+    for _ in range(2):
+        with pytest.raises(UnsupportedSizeError):
+            echar(A)
+    module = importlib.import_module("echarpoly.echar")
+    B = Hypermatrix.diagonal(4, 2)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "sylvester_resultant", lambda *args: [0] * 8 + [1])
+        with pytest.raises(ArithmeticError, match="above the bound"):
+            echar(B)
+    assert echar(B).psi == echar_even_n2(B).psi
+
+
+def test_the_held_result_is_read_only_and_makes_no_reference_cycle():
+    A = Hypermatrix.diagonal(4, 2)
+    result = echar(A)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        result.psi = Poly()
+    # the predictions are still computed on first read, and kept, from a twin
+    # that shares the tensor's records and holds no result
+    assert result.a0_predicted is result.a0_predicted
+    twin = result.tensor
+    assert twin == A and twin is not A and twin._echar is None
+    assert twin._forms is A._forms and twin._slices is A._slices
+    gc.collect()
+    B = fuzz_tensor(random.Random(5), 5)
+    assert echar(B).leading_predicted is not None
+    del B
+    assert gc.collect() == 0
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,12 @@
 import cmath
+import dataclasses
 import importlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from echarpoly import eigen as eigen_module
 from echarpoly import resultant
 from echarpoly.echar import echar
 from echarpoly.eigen import (
@@ -16,6 +18,7 @@ from echarpoly.eigen import (
     eigenpairs_n2,
     irregularity_residual,
     is_regular,
+    is_z_eigenpair,
     z_eigenpairs,
 )
 from echarpoly.poly import Poly, complex_roots
@@ -37,6 +40,7 @@ from oracles import (
     convolution,
     exact_eigenvalue,
     kernel_resultant,
+    poly_divmod,
     rational_resultant,
     slice_sums,
 )
@@ -186,6 +190,30 @@ def test_z_eigenpairs_nonempty_for_even_symmetric():
         if report.infinite:
             continue
         assert len(z_eigenpairs(A)) > 0
+
+
+def test_the_report_is_held_and_a_scaled_tensor_has_its_own(monkeypatch):
+    """One direction pass per tensor: eigenpairs_n2 and z_eigenpairs read the
+    held report.  scale() makes a new tensor, with a report of its own."""
+    passes = []
+    real = eigen_module.direction_form_coeffs
+    monkeypatch.setattr(eigen_module, "direction_form_coeffs", lambda s: passes.append(s) or real(s))
+    A = deficit_tensor()
+    report = eigenpairs_n2(A)
+    assert eigenpairs_n2(A) is report
+    assert z_eigenpairs(A) == [p for p in report.pairs if is_z_eigenpair(p)]
+    assert len(passes) == 1
+    B = A.scale(2)
+    scaled = eigenpairs_n2(B)
+    assert scaled is not report and len(passes) == 2
+    # odd order: the classes keep their directions, and lambda doubles
+    assert [p.exact_direction for p in scaled.pairs] == [p.exact_direction for p in report.pairs]
+    assert [p.eigenvalue for p in scaled.pairs] != [p.eigenvalue for p in report.pairs]
+    assert scaled == eigenpairs_n2(Hypermatrix(3, 2, dict(B.entries)))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.infinite = True
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.pairs[0].multiplicity = 2
 
 
 def test_class_count_matches_order():
@@ -487,7 +515,7 @@ def _circle_power(coeffs) -> int:
     """The exponent of t^2 + 1 in the nonzero polynomial with these ascending coefficients."""
     q, circle, power = Poly(coeffs), Poly([1, 0, 1]), 0
     while q.degree >= 2:
-        quotient, remainder = q.divmod(circle)
+        quotient, remainder = poly_divmod(q, circle)
         if not remainder.is_zero():
             break
         q, power = quotient, power + 1

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from echarpoly.poly import (
@@ -16,7 +16,7 @@ from echarpoly.poly import (
     squarefree_decomposition,
 )
 from echarpoly.rational import I_UNIT, ComplexRational
-from oracles import euclid_gcd, poly_gcd, yun_squarefree
+from oracles import euclid_gcd, monic, poly_divmod, poly_gcd, poly_path_roots, yun_squarefree
 
 
 def rand_poly(rng, max_deg=6):
@@ -60,7 +60,7 @@ def test_divmod_reconstructs():
         b = rand_poly(rng)
         if b.is_zero():
             continue
-        q, r = a.divmod(b)
+        q, r = poly_divmod(a, b)
         assert q * b + r == a
         assert r.is_zero() or r.degree < b.degree
 
@@ -70,7 +70,7 @@ def test_gcd_common_factor():
     a = f * Poly([2, 3, 1])
     b = f * Poly([5, 1])
     g = poly_gcd(a, b)
-    assert g % f == Poly()
+    assert poly_divmod(g, f)[1] == Poly()
     assert g.degree == 1
 
 
@@ -141,7 +141,7 @@ def test_gaussian_coefficients_are_kept_and_ints_promoted():
 def test_gaussian_divmod_reconstructs(a_coeffs, b_coeffs):
     a, b = Poly(a_coeffs), Poly(b_coeffs)
     assume(not b.is_zero())
-    q, r = a.divmod(b)
+    q, r = poly_divmod(a, b)
     assert q * b + r == a
     assert r.degree < b.degree
 
@@ -155,10 +155,10 @@ def test_gaussian_divmod_reconstructs(a_coeffs, b_coeffs):
 def test_gaussian_gcd_keeps_a_common_factor(f_coeffs, g_coeffs, h_coeffs):
     f, g, h = Poly(f_coeffs), Poly(g_coeffs), Poly(h_coeffs)
     assume(not f.is_zero() and not g.is_zero() and h.degree >= 1)
-    h = h.monic()
+    h = monic(h)
     common = poly_gcd(f * h, g * h)
     assert common.leading() == 1
-    assert (common % h).is_zero()
+    assert poly_divmod(common, h)[1].is_zero()
 
 
 _small = st.integers(-3, 3)
@@ -274,6 +274,21 @@ def test_complex_roots_and_eval_complex_over_gaussian_rationals():
     roots = complex_roots(q)
     assert [m for _, m in roots] == [1, 2]
     assert abs(roots[0][0] + 2) < 1e-12 and abs(roots[1][0] - 1j) < 1e-12
+
+
+def _bits(roots: list[tuple[complex, int]]) -> list[tuple[str, str, int]]:
+    """The roots bit for bit: -0.0 and 0.0 differ here, as they do not under ==."""
+    return [(r.real.hex(), r.imag.hex(), m) for r, m in roots]
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.one_of(_products(False), _products(True)))
+@example(p=Poly([0, 0, 0, 0, 36, 0, -40]))  # the factor 9 - 10 t^2 over its lead -10 has a zero
+@example(p=Poly([-I_UNIT, 1]) ** 2 * Poly([2, 1]))
+def test_complex_roots_match_the_poly_path_bit_for_bit(p):
+    """The roots from the integer split's factors equal those from the monic
+    ``Fraction`` (or Q(i)) factors of ``squarefree_decomposition``."""
+    assert _bits(complex_roots(p)) == _bits(poly_path_roots(p))
 
 
 def test_str_prints_gaussian_coefficients():

@@ -300,15 +300,26 @@ def test_from_slices_carries_the_record_of_a_fresh_build(A, C):
         assert binary_slices(B) == slices
 
 
-def test_the_map_is_built_at_most_once_per_tensor(monkeypatch):
-    """An n2-dense benchmark round, seed 1: 60 tensors, each read by
-    binary_slices about nine times; the verify battery's rotated frames
-    rotate the slice record and read no tensor.  The map is summed, and
-    its slice record built, once per tensor."""
+def _bench_workloads(monkeypatch):
+    """The benchmark's workload module, loaded from its file."""
     spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look the module up
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_the_map_is_built_at_most_once_per_tensor(monkeypatch):
+    """An n2-dense benchmark round, seed 1: 60 tensors, 30 of odd order and
+    30 of even, all regular with finitely many classes.  The map is summed,
+    and its slice record built, once per tensor.  binary_slices reads it
+    seven times per tensor: the Sylvester route, a0_predicted,
+    leading_predicted, eigenpairs_n2, is_regular, the battery itself and
+    deficit_indicator; and once more (det_matrix_odd) at odd order, twice
+    (is_regular, det_matrix_even) at even: 30 * 8 + 30 * 9 = 510.  The
+    operation's own echar(A) reads the held result, and the battery's
+    rotated frames rotate the slice record and read no tensor."""
+    workloads = _bench_workloads(monkeypatch)
     _, docs = workloads.n2_dense_inputs(1)
     builds, slice_builds, reads = [], [], []
     real_build, real_slices = tensor_module._build_map_forms, tensor_module.binary_slices
@@ -325,7 +336,34 @@ def test_the_map_is_built_at_most_once_per_tensor(monkeypatch):
     assert len(builds) == len(docs) == 60
     assert len({id(A) for A in builds}) == 60
     assert [id(A) for A in slice_builds] == [id(A) for A in builds]
-    assert len(reads) > 9 * len(docs)
+    assert len(reads) == 510
+
+
+def test_an_n2_dense_round_takes_one_unrotated_sylvester_kernel_per_tensor(monkeypatch):
+    """Seed 1: the battery's echar(A) and the operation's own read one held
+    result, so psi's kernel runs once per tensor, on the tensor's own slice
+    record; the rotated frames call the kernel from the battery."""
+    workloads = _bench_workloads(monkeypatch)
+    _, docs = workloads.n2_dense_inputs(1)
+    echar_module = importlib.import_module("echarpoly.echar")
+    records, real = [], echar_module.sylvester_n2
+    monkeypatch.setattr(echar_module, "sylvester_n2", lambda s: records.append(s) or real(s))
+    for text in docs:
+        workloads.operate_n2_dense(text)
+    assert records == [binary_slices(workloads._parse(text)) for text in docs]
+
+
+def test_an_n2_degenerate_round_makes_one_direction_pass_per_tensor(monkeypatch):
+    """Seed 1: eigenpairs_n2 and z_eigenpairs read one held report, so the
+    cross form is read off the slice record once per tensor."""
+    workloads = _bench_workloads(monkeypatch)
+    _, docs = workloads.n2_degenerate_inputs(1)
+    eigen_module = importlib.import_module("echarpoly.eigen")
+    passes, real = [], eigen_module.direction_form_coeffs
+    monkeypatch.setattr(eigen_module, "direction_form_coeffs", lambda s: passes.append(s) or real(s))
+    for text in docs:
+        workloads.operate_n2_degenerate(text)
+    assert passes == [binary_slices(workloads._parse(text)) for text in docs]
 
 
 def test_binary_slices_requires_dim2():
