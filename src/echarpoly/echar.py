@@ -20,11 +20,10 @@ macaulay
     (Ax^{m-1})_i - lambda (x^T x)^{(m-2)/2} x_i, for odd order that of the
     homogenized system {x^T x - x0^2, Ax^{m-1} - lambda x0^{m-2} x},
     interpolated in lambda^2.  Dimensions 2 and 3 (the latter up to order
-    4).  At dimension 3 each node is one exact Sylvester-Bezout
-    determinant (three forms of degree m - 1, or four quadrics at order 3);
-    at dimension 2 it is Macaulay's ratio det(M) / det(M'), two
-    fraction-free determinants of the lexicographic Macaulay matrix and
-    its minor.
+    4).  Each node is one exact Sylvester-Bezout determinant: at dimension
+    3 of three forms of degree m - 1, or four quadrics at order 3; at
+    dimension 2 the Sylvester matrix of two binary forms, at odd order
+    those of the homogenized system on its parametrized conic.
 
 Every kernel answers in ints over its route's one denominator, which
 ``_result`` alone divides out before it maps t to lambda.
@@ -55,6 +54,7 @@ from .tensor import (
     Hypermatrix,
     OrthogonalMatrix,
     SliceCoeffs,
+    _conic_monomial,
     binary_slices,
     direction_form_coeffs,
     isotropic_value,
@@ -372,9 +372,9 @@ def _homogenized_system(A: Hypermatrix) -> tuple[list[dict], tuple[int, ...], in
     as the integer pencil F0 + lambda F1, its degrees and its clearing factor:
     form i of the map is over c_i, F1 holds the -c_i x0^{m-2} x_i terms.
 
-    The quadric leads, and x0 with it, so most Macaulay rows are its sparse
-    unit rows.  The degree 2 makes prod(d_i) even, so this order of forms
-    and variables has the same canonical resultant as any other.
+    The quadric leads, and x0 with it.  The degree 2 makes prod(d_i) even,
+    so this order of forms and variables has the same canonical resultant
+    as any other.
     """
     n, m = A.dim, A.order
     quadric = {tuple(2 * (j == v) for j in range(n + 1)): (1 if v else -1, 0) for v in range(n + 1)}
@@ -384,6 +384,35 @@ def _homogenized_system(A: Hypermatrix) -> tuple[list[dict], tuple[int, ...], in
         form[expo] = (form.get(expo, (0, 0))[0], -c)
     degrees = (2,) + (m - 1,) * n
     return [quadric] + forms, degrees, prod(denoms) ** (2 * (m - 1) ** (n - 1))
+
+
+def _conic_system(A: Hypermatrix) -> tuple[list[dict], tuple[int, ...], int]:
+    """The homogenized system of a dimension-2 tensor on its quadric: two
+    binary integer pencils of degree 2d, d = m - 1, their degrees and their
+    clearing factor (``_on_conic``).
+
+    The binary resultant of the two map forms on the conic is 2^(2d^2)
+    times the resultant of the system (the constant exists by Buse, Elkadi
+    and Mourrain, JSC 2000; the tests pin its value for d = 1..5), so the
+    clearing factor gains 2^(2d^2).
+    """
+    forms, _, factor = _homogenized_system(A)
+    d = A.order - 1
+    return [_on_conic(form, d) for form in forms[1:]], (2 * d, 2 * d), factor << (2 * d * d)
+
+
+def _on_conic(form: dict, d: int) -> dict:
+    """A pencil form of degree d in (x0, x1, x2) on the conic x1^2 + x2^2 =
+    x0^2, which is P^1: (x0, x1, x2) = (s^2 + u^2, u^2 - s^2, 2su).  Then
+    x0^e0 x1^e1 x2^e2 is u^(2d) times ``_conic_monomial(e1, e0, e2)`` in
+    t = s/u, and the coefficient of t^j is that of u^(2d-j) s^j, the key
+    (2d - j, j) of the binary pencil."""
+    pencil = {}
+    for (e0, e1, e2), (a, b) in form.items():
+        for j, v in enumerate(_conic_monomial(e1, e0, e2)):
+            x, y = pencil.get((2 * d - j, j), (0, 0))
+            pencil[(2 * d - j, j)] = (x + a * v, y + b * v)
+    return {e: pair for e, pair in pencil.items() if pair != (0, 0)}
 
 
 def echar_macaulay(A: Hypermatrix) -> EcharResult:
@@ -406,32 +435,37 @@ def echar_macaulay(A: Hypermatrix) -> EcharResult:
     The system is an integer pencil F0 + lambda F1, built once per tensor;
     its int node values interpolate to an integer polynomial, over the
     clearing factor.  ``macaulay_resultants`` takes all the nodes in one
-    call.  At dimension 3 the degrees, (m-1, m-1, m-1) at even order and
-    (2, 2, 2, 2) at order 3, admit one Sylvester-Bezout determinant per
-    node (15- and 20-square at orders 4 and 3): its Bezoutian rows are
-    built once per tensor, with no variable ordering, no elimination plan
-    and no perturbation.  At dimension 2 the two forms take Macaulay's
-    ratio: the integer Macaulay matrix and its minor are built once per
-    variable ordering that some node reaches, in lexicographic order, and
-    each node takes ``det_rational`` of both; only a node at which every
-    ordering's minor vanishes is perturbed.  Dimension 3 is taken up to
-    order 4; beyond that ``UnsupportedSizeError`` is raised before any
-    node, with the work it would take: the nodes and the side of the
-    matrix the degrees take (``resultant.matrix_size``).
+    call, one Sylvester-Bezout determinant per node, its rows built once
+    per tensor.  At dimension 3 the degrees are (m-1, m-1, m-1) at even
+    order and (2, 2, 2, 2) at order 3 (15- and 20-square at orders 4 and
+    3).  At dimension 2 the two forms are binary: the eigen-forms at even
+    order, and at odd order the two map forms of the homogenized system on
+    its parametrized conic (``_conic_system``), so each node is one
+    Sylvester determinant, (2m-2)- or (4m-4)-square.  Dimension 3 is taken
+    up to order 4; beyond that ``UnsupportedSizeError`` is raised before
+    any node, with the work it would take: the nodes and the side of the
+    matrix the degrees take (``resultant.matrix_size``) at even order, and
+    at odd order the degrees (2, m-1, m-1, m-1), which no kernel admits.
     """
     n, m = A.dim, A.order
     if n not in (2, 3):
         raise UnsupportedSizeError("the macaulay route supports dimensions 2 and 3")
     top = _generic_top(m, n)
-    if n == 3 and m > 4:
-        size = matrix_size([m - 1] * n if m % 2 == 0 else [2] + [m - 1] * n)
-        raise UnsupportedSizeError(
-            f"the macaulay route takes dimension 3 up to order 4; order {m} would need "
-            f"{top + 2} interpolation nodes of a {size}-square matrix"
-        )
     even = m % 2 == 0
+    if n == 3 and m > 4:
+        degrees = (m - 1,) * n if even else (2,) + (m - 1,) * n
+        size = matrix_size(degrees)
+        need = (
+            f"{top + 2} interpolation nodes of a {size}-square matrix"
+            if size
+            else f"a resultant of the degrees {degrees}, which no kernel admits"
+        )
+        raise UnsupportedSizeError(
+            f"the macaulay route takes dimension 3 up to order 4; order {m} would need {need}"
+        )
     nodes = interpolation_nodes(top + 2) if even else range(top + 2)
-    forms, degrees, factor = (_eigen_system if even else _homogenized_system)(A)
+    build = _eigen_system if even else _conic_system if n == 2 else _homogenized_system
+    forms, degrees, factor = build(A)
     values = macaulay_resultants(forms, degrees, nodes)
     points = list(zip(nodes if even else [t * t for t in nodes], values))
     return _result(A, lagrange_interpolate(points), factor, ROUTE_MACAULAY)
@@ -445,7 +479,9 @@ def a0_predicted(A: Hypermatrix) -> Fraction:
 
     At dimension 2 the resultant of the two numerator forms, of degree
     m - 1 each, is denom^(2(m-1)) times that of the map; beyond, the
-    clearing factor of ``_map_pencil`` times it.
+    clearing factor of ``_map_pencil`` times it.  At dimension 4 only order
+    3's four quadrics have a kernel; from order 4 on ``macaulay_resultant``
+    raises ``UnsupportedSizeError`` naming the degrees.
     """
     n, m = A.dim, A.order
     if n == 2:

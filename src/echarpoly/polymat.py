@@ -1,16 +1,16 @@
 """Exact determinants: integer pencils by evaluate/interpolate, scalars by Bareiss.
 
 Every determinant the library takes is of a pencil M0 + t M1 over the
-integers: t is lambda in the compact even-order matrix, mu = lambda^2 in
-the odd-order one, eps in the perturbed Macaulay matrix M + eps I, and a
-Macaulay node evaluates a pencil at an integer t.  ``PolyMatrix`` holds
+integers: t is lambda in the compact even-order matrix and mu = lambda^2
+in the odd-order one, and a resultant node evaluates the Sylvester-Bezout
+rows at an integer t.  ``PolyMatrix`` holds
 one as sparse (column, constant, slope) int rows, over the one
 denominator its builder knows; ``det_interpolated`` evaluates it at small
 integer nodes, one more than the number of rows that carry t, and
 interpolates the integer node determinants (the test suite checks it
 against fraction-free elimination over Q[x], an oracle kept in the
 tests).  The answer is ints in t; ``echar`` divides the denominator out
-and maps t to lambda.  Scalar determinants, a Macaulay node's among
+and maps t to lambda.  Scalar determinants, a resultant node's among
 them, run fraction-free integer elimination (Bareiss) on int rows,
 ``det_rational``.
 """
@@ -95,8 +95,8 @@ def _det_int_bareiss(m: list[list[int]]) -> int:
     pivots[last[i]].  Its next elimination divides by pivots[last[i]]
     instead of pivots[k], which yields the same integer minors, and a row
     that becomes the pivot row is brought up to date first.  Sparse
-    Macaulay rows and banded compact-formula rows skip most steps this
-    way, and their entries stay short.
+    Sylvester-Bezout rows and banded compact-formula rows skip most steps
+    this way, and their entries stay short.
     """
     n = len(m)
     if n == 1:

@@ -1,6 +1,5 @@
 """Resultants of homogeneous systems: Sylvester (two binary integer
-pencils), and for up to four forms one exact Sylvester-Bezout determinant
-or a desk-scale classical Macaulay construction.
+pencils), and for two to four forms one exact Sylvester-Bezout determinant.
 
 Normalization is anchored once and for all: the resultant of the pure-power
 system (x1^d1, ..., xk^dk) is +1.  With the row and column orderings used
@@ -26,41 +25,36 @@ F0 + t F1 and integer nodes t; ``macaulay_resultant`` is its call at t = 0.
 The resultant of integer forms is an integer polynomial in their
 coefficients (Cox, Little and O'Shea, *Using Algebraic Geometry*, ch. 3),
 so every node value is an int, and the caller divides its clearing factor
-out once.  A node where a form vanishes identically gives 0 at once.  The
-degree pattern picks one of two constructions:
+out once.  A node where a form vanishes identically gives 0 at once.
 
-- Three forms or more whose degrees admit a nu with rho - min d_i < nu <
-  min_{i != j} (d_i + d_j), nu <= rho = sum(d_i - 1), take one square
-  determinant per node with no extraneous factor (Jouanolou, *Formes
-  d'inertie et resultant: un formulaire*, Adv. Math. 126, 1997; D'Andrea
-  and Dickenstein, *Explicit formulas for the multivariate resultant*,
-  JPAA 164, 2001): the Sylvester rows x^alpha F_i of degree nu and one row
-  per coefficient in y of the Bezoutian Delta(x, y).  Delta is built once
-  per pencil, as ints in t, and each node evaluates the rows to ints for
-  one ``det_rational``.  The sign is that of the pure-power system's
-  determinant, +1 or -1, pinned once per pattern.  Three ternary forms of
-  one degree (dimension 3, every order) and four quaternary quadrics
-  (dimension 3 at odd order 3, dimension 4 at order 3) are such patterns.
-- Every other pattern takes Macaulay's ratio det(M) / det(M'), which
-  divides exactly.  Per variable ordering, built only when some node
-  reaches it, the Macaulay matrix M and its minor M' are built once as
-  ``PolyMatrix`` pencils, the integer pencil every determinant of the
-  library takes, rows and columns in lexicographic Macaulay order; each
-  node evaluates both to ints and takes ``det_rational`` of each.  A node
-  whose minor vanishes tries the next ordering; a node where every
-  ordering's minor vanishes alone falls back to the perturbed quotient.
+Every degree pattern it admits takes one square determinant per node
+with no extraneous factor (Jouanolou, *Formes d'inertie et resultant:
+un formulaire*, Adv. Math. 126, 1997; D'Andrea and Dickenstein,
+*Explicit formulas for the multivariate resultant*, JPAA 164, 2001): the
+Sylvester rows x^alpha F_i of degree nu and one row per coefficient in y
+of the Bezoutian Delta(x, y).  Three forms or more need a nu with
+rho - min d_i < nu < min_{i != j} (d_i + d_j), nu <= rho = sum(d_i - 1);
+two forms take nu = d1 + d2 - 1, where no Bezoutian row is left and the
+matrix is Sylvester's.  Delta is built once per pencil, as ints in t, and
+each node evaluates the rows to ints for one ``det_rational``.  The sign
+is that of the pure-power system's determinant, +1 or -1, pinned once per
+pattern.  Two binary forms (dimension 2: the eigen-forms at even order,
+the homogenized system on its conic at odd order), three ternary forms
+of one degree (dimension 3, every order) and four quaternary quadrics
+(dimension 3 at order 3, dimension 4 at order 3) are such patterns.  A
+pattern with no nu, four cubics or (2, d, d, d) from d = 4 on, raises
+``UnsupportedSizeError`` before any node; Macaulay's ratio det(M) / det(M'),
+which takes every pattern, is kept in the tests as the reference.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
-from math import comb, isqrt, prod
+from math import comb, isqrt
 from operator import add, mul
 from typing import Mapping, Sequence
 
-from .poly import _exact_quotient
-from .polymat import PolyMatrix, det_interpolated, det_rational
+from .polymat import det_rational
 
 
 class UnsupportedSizeError(ValueError):
@@ -183,7 +177,7 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
     return []
 
 
-# -- Macaulay construction -----------------------------------------------------
+# -- Sylvester-Bezout construction ----------------------------------------------
 
 
 def _monomials(nvars: int, total: int) -> list[tuple[int, ...]]:
@@ -204,115 +198,29 @@ def _monomial_index(nvars: int, total: int) -> tuple[tuple[tuple[int, ...], ...]
     return monomials, {mono: j for j, mono in enumerate(monomials)}
 
 
-def _partition_index(alpha: tuple[int, ...], degrees: tuple[int, ...]) -> int:
-    """Smallest i with alpha_i >= d_i; exists since |alpha| exceeds sum(d_i - 1)."""
-    for i, (a, d) in enumerate(zip(alpha, degrees)):
-        if a >= d:
-            return i
-    raise AssertionError("monomial below the critical degree")
-
-
-def _is_reduced(alpha: tuple[int, ...], degrees: tuple[int, ...]) -> bool:
-    return sum(1 for a, d in zip(alpha, degrees) if a >= d) == 1
-
-
-def _macaulay_rows(forms: Sequence[Mapping], degrees: tuple[int, ...]):
-    """Sparse rows of the Macaulay matrix M of a pencil, and of its minor M'.
-
-    ``forms[i]`` maps exponents to (constant, slope) pairs.  The row for
-    monomial alpha in partition class i holds the coefficients of
-    (x^alpha / x_i^{d_i}) * F_i as (column, constant, slope) triples.  Rows
-    and columns are both the monomials of the critical degree in
-    lexicographic order, so the x_i^{d_i} term of F_i lands on the diagonal.
-    M' keeps the rows and columns of the non-reduced monomials, renumbered
-    in the same order.
-    """
-    monomials, col_of = _monomial_index(len(degrees), sum(d - 1 for d in degrees) + 1)
-    terms = [list(form.items()) for form in forms]
-    rows = []
-    non_reduced = []
-    for r, alpha in enumerate(monomials):
-        i = _partition_index(alpha, degrees)
-        shift = list(alpha)
-        shift[i] -= degrees[i]
-        rows.append([(col_of[tuple(map(add, shift, e))], a, b) for e, (a, b) in terms[i]])
-        if not _is_reduced(alpha, degrees):
-            non_reduced.append(r)
-    kept = {c: k for k, c in enumerate(non_reduced)}
-    minor = [[(kept[j], a, b) for j, a, b in rows[r] if j in kept] for r in non_reduced]
-    return rows, minor
-
-
-def _perm_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-class _EliminationPlan:
-    """The Macaulay matrix M of a pencil and its minor M' under one variable
-    ordering, as the ``PolyMatrix`` pencils ``full`` and ``minor``, rows and
-    columns in lexicographic Macaulay order.
-
-    ``sign``, the relabeling's sign to the power prod(d_i), turns
-    det(M) / det(M') of the relabeled system into the canonical resultant.
-    """
-
-    __slots__ = ("full", "minor", "sign")
-
-    def __init__(self, forms: Sequence[Mapping], degrees: tuple[int, ...], perm: tuple[int, ...]):
-        moved = [{_relabel(e, perm): v for e, v in form.items()} for form in forms]
-        self.full, self.minor = map(PolyMatrix, _macaulay_rows(moved, degrees))
-        self.sign = _perm_sign(perm) ** prod(degrees)
-
-
-def _relabel(expo: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
-    """The exponent of x_i moves to x_{perm[i]}."""
-    new = [0] * len(expo)
-    for pos, a in enumerate(expo):
-        new[perm[pos]] = a
-    return tuple(new)
-
-
-# -- Sylvester-Bezout construction ----------------------------------------------
-
-
 def _bezout_degree(degrees: Sequence[int]) -> int | None:
     """The least nu with rho - min d_i < nu < min_{i != j} (d_i + d_j) and
     nu <= rho, rho = sum(d_i - 1), for three forms or more; None when there
     is none.  Below d_i + d_j no Koszul syzygy of two forms falls in degree
     nu, and below min d_i no multiple of a form falls in degree rho - nu, so
     the Sylvester-Bezout matrix of degree nu is square and its determinant
-    is the resultant up to a sign that depends on the degrees alone."""
-    if len(degrees) < 3:
-        return None
+    is the resultant up to a sign that depends on the degrees alone.  Two
+    forms take nu = rho + 1 = d1 + d2 - 1: their Sylvester matrix."""
     rho = sum(d - 1 for d in degrees)
+    if len(degrees) == 2:
+        return rho + 1
     first, second = sorted(degrees)[:2]
     nu = rho - first + 1
     return nu if nu <= min(first + second - 1, rho) else None
 
 
-def matrix_size(degrees: Sequence[int]) -> int:
+def matrix_size(degrees: Sequence[int]) -> int | None:
     """Side of the one matrix ``macaulay_resultants`` takes per node for
-    forms of these degrees: the monomials of degree nu of
-    ``_bezout_degree`` where that exists, else those of Macaulay's critical
-    degree sum(d_i - 1) + 1, in len(degrees) variables."""
-    k = len(degrees)
+    forms of these degrees, the monomials of degree nu of ``_bezout_degree``
+    in len(degrees) variables; None when no nu exists."""
     nu = _bezout_degree(degrees)
-    if nu is None:
-        return comb(sum(d - 1 for d in degrees) + k, k - 1)
-    return comb(nu + k - 1, k - 1)
+    k = len(degrees)
+    return None if nu is None else comb(nu + k - 1, k - 1)
 
 
 def _sylvester_bezout_rows(forms: Sequence[Mapping], degrees: tuple[int, ...], nu: int) -> list[list]:
@@ -321,7 +229,8 @@ def _sylvester_bezout_rows(forms: Sequence[Mapping], degrees: tuple[int, ...], n
 
     Columns are the monomials of degree nu (``_monomials`` order).  The
     Sylvester rows x^alpha F_i, |alpha| = nu - d_i, come first, in form
-    order; then one row per y^beta, |beta| = rho - nu: the coefficient of
+    order, and are all there is for two forms, where rho - nu = -1; then
+    one row per y^beta, |beta| = rho - nu: the coefficient of
     y^beta in the Bezoutian Delta(x, y), the determinant of the divided
     differences (F_j(y_1..y_{i-1}, x_i..x_k) - F_j(y_1..y_i, x_{i+1}..x_k))
     / (x_i - y_i), a form of degree nu in x.  Delta is expanded along its
@@ -332,8 +241,16 @@ def _sylvester_bezout_rows(forms: Sequence[Mapping], degrees: tuple[int, ...], n
     t, x or y reaches 2^s.
     """
     k = len(degrees)
+    monomials, col_of = _monomial_index(k, nu)
+    rows = []
+    for form, degree in zip(forms, degrees):
+        terms = list(form.items())
+        for alpha in _monomials(k, nu - degree) if nu >= degree else ():
+            rows.append([(col_of[tuple(map(add, alpha, e))], (a, b)) for e, (a, b) in terms])
     rho = sum(d - 1 for d in degrees)
     target = rho - nu
+    if target < 0:
+        return rows
     s = max(rho, k).bit_length()
     xs = [1 << (s * (1 + i)) for i in range(k)]
     ys = [1 << (s * (1 + k + i)) for i in range(k)]
@@ -377,7 +294,6 @@ def _sylvester_bezout_rows(forms: Sequence[Mapping], degrees: tuple[int, ...], n
                 _accumulate(out, cells[i][j], minor, sign, low, target)
         minors = grown
     (delta,) = minors.values()
-    monomials, col_of = _monomial_index(k, nu)
     columns = {sum(map(mul, mono, xs)) >> s: col_of[mono] for mono in monomials}
     betas, row_of = _monomial_index(k, target)
     bezout = [{} for _ in betas]
@@ -386,11 +302,6 @@ def _sylvester_bezout_rows(forms: Sequence[Mapping], degrees: tuple[int, ...], n
         if value:
             entry = bezout[row_of[_digits(key >> y_shift, s, k)]].setdefault(columns[(key >> s) & x_mask], {})
             entry[key & ((1 << s) - 1)] = value
-    rows = []
-    for form, degree in zip(forms, degrees):
-        terms = list(form.items())
-        for alpha in _monomials(k, nu - degree) if nu >= degree else ():
-            rows.append([(col_of[tuple(map(add, alpha, e))], (a, b)) for e, (a, b) in terms])
     for entries in bezout:
         rows.append([(j, _dense(powers)) for j, powers in entries.items()])
     return rows
@@ -482,14 +393,12 @@ def macaulay_resultants(
     """Canonical resultants of an integer pencil F0 + t F1 at each integer node t (k <= 4 forms).
 
     ``forms[i]`` maps the exponents of form i, of degree ``degrees[i]``, to
-    (constant, slope) int pairs; anything else raises ``TypeError``, and a
-    matrix side (``matrix_size``) above ``MAX_MATRIX_DIM`` raises
+    (constant, slope) int pairs; anything else raises ``TypeError``.  A
+    pattern with no Sylvester-Bezout degree (``_bezout_degree``), or a
+    matrix side (``matrix_size``) above ``MAX_MATRIX_DIM``, raises
     ``UnsupportedSizeError`` before any node.  A node is 0 when a form
-    vanishes there identically.  Otherwise, where the degrees admit it
-    (``_bezout_degree``), each value is one signed Sylvester-Bezout
-    determinant, its rows built once; every other pattern takes
-    Macaulay's ratio, ``_ratio_resultants``: the ``det_rational`` of the
-    lexicographic Macaulay matrix over that of its minor (see the module
+    vanishes there identically; otherwise its value is one signed
+    Sylvester-Bezout determinant, the rows built once (see the module
     docstring).
     """
     k = len(forms)
@@ -506,49 +415,11 @@ def macaulay_resultants(
             raise TypeError("pencil coefficients must be int pairs")
     degrees = tuple(degrees)
     dim = matrix_size(degrees)
+    if dim is None:
+        raise UnsupportedSizeError(f"no resultant kernel admits the degrees {degrees}")
     if dim > MAX_MATRIX_DIM:
         raise UnsupportedSizeError(f"resultant matrix would be {dim}x{dim}")
-    nu = _bezout_degree(degrees)
-    if nu is None:
-        return _ratio_resultants(forms, degrees, nodes)
-    return _sylvester_bezout_resultants(forms, degrees, nu, nodes)
-
-
-def _ratio_resultants(forms, degrees: tuple[int, ...], nodes) -> list[int]:
-    """Macaulay's ratio det(M) / det(M') at each node, the plans shared.
-
-    What the nodes share is built once, so a node costs the evaluation of
-    two pencils and their ``det_rational`` determinants, the minor's
-    first.  While a node's minor vanishes it tries the next variable
-    relabeling, and only when every one fails is it perturbed toward the
-    pure-power system (``_macaulay_perturbed``).  Callable on any pattern,
-    it is the tests' reference for the Sylvester-Bezout determinant.
-    """
-    orderings = list(permutations(range(len(degrees))))
-    plans: list[_EliminationPlan] = []
-    return [_node_resultant(forms, degrees, orderings, plans, t) for t in nodes]
-
-
-def _node_resultant(forms, degrees, orderings, plans, t: int) -> int:
-    """The resultant of the pencil at t; ``plans`` grows as orderings are reached.
-
-    det(M') divides sign * det(M) exactly; a remainder raises ``ArithmeticError``.
-    """
-    if _vanishing_form(forms, t):
-        return 0
-    for index, perm in enumerate(orderings):
-        if index == len(plans):
-            plans.append(_EliminationPlan(forms, degrees, perm))
-        plan = plans[index]
-        det_minor = det_rational(plan.minor.evaluate(t))
-        if det_minor == 0:
-            continue
-        value, remainder = divmod(plan.sign * det_rational(plan.full.evaluate(t)), det_minor)
-        if remainder:
-            raise ArithmeticError(f"det(M') does not divide det(M) at t = {t}")
-        return value
-    node = [{e: v for e, (a, b) in form.items() if (v := a + t * b)} for form in forms]
-    return _macaulay_perturbed(node, degrees)
+    return _sylvester_bezout_resultants(forms, degrees, _bezout_degree(degrees), nodes)
 
 
 def macaulay_resultant(
@@ -560,32 +431,3 @@ def macaulay_resultant(
     resultant of the integer forms of the constants.
     """
     return macaulay_resultants(forms, degrees, [0])[0]
-
-
-def _macaulay_perturbed(
-    forms: Sequence[Mapping[tuple[int, ...], int]], degrees: tuple[int, ...]
-) -> int:
-    """Perturb integer forms toward the pure-power system and extract the value at zero.
-
-    ``forms[i]`` maps exponents to ints.  Each form F_i gains eps * x_i^{d_i},
-    which lands on the diagonal of the lexicographic Macaulay matrix: the
-    ``_macaulay_rows`` of the pencil F + eps x^d are the integer pencil
-    M + eps I, and its non-reduced minor is one too.  The quotient of the
-    two ``det_interpolated`` lists, taken exactly on the integers, is the
-    resultant of the perturbed forms; its value at zero is the resultant.
-    """
-    pencils = []
-    for i, (form, degree) in enumerate(zip(forms, degrees)):
-        pencil = {e: (v, 0) for e, v in form.items()}
-        power = tuple(degree * (j == i) for j in range(len(degrees)))
-        pencil[power] = (form.get(power, 0), 1)
-        pencils.append(pencil)
-    det_full, det_minor = map(det_interpolated, map(PolyMatrix, _macaulay_rows(pencils, degrees)))
-    if not det_minor:
-        raise ArithmeticError("degenerate Macaulay minor even after perturbation")
-    power = max(len(det_full) - len(det_minor) + 1, 0)
-    quotient = _exact_quotient(det_full, det_minor, power)
-    value, remainder = divmod(quotient[0] if quotient else 0, det_minor[-1] ** power)
-    if remainder:
-        raise ArithmeticError("perturbed Macaulay quotient is not an integer")
-    return value

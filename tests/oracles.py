@@ -20,7 +20,12 @@ arithmetic.  So do the field division and the derivative that ``Poly`` no
 longer carries (``poly_divmod``, ``exact_div``, ``monic``, ``derivative``),
 and ``complex_roots`` as it was computed through ``Poly``'s monic factors.
 So does ``from_slices``, a tensor with given slice sums that carries the
-record of its slices, which the library never builds.
+record of its slices, which the library never builds.  So does Macaulay's
+ratio det(M) / det(M'), ``ratio_resultants``, with its variable
+orderings and its perturbation toward the pure-power system: it takes
+every degree pattern, so it is the reference for the library's one
+Sylvester-Bezout determinant, and the kernel of the law tests and systems
+whose degrees admit no Sylvester-Bezout degree.
 ``poly_gcd`` is not an oracle: it applies the library's list gcd to two
 polynomials, a form only the tests use.
 """
@@ -32,7 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 from math import lcm, prod
-from typing import Sequence
+from operator import add
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -46,6 +52,7 @@ from echarpoly.echar import (
 )
 from echarpoly.poly import (
     Poly,
+    _exact_quotient,
     _newton_polish,
     _numeric,
     as_poly,
@@ -58,8 +65,9 @@ from echarpoly.poly import (
 from echarpoly.polymat import PolyMatrix, det_interpolated, det_rational
 from echarpoly.rational import ComplexRational, as_fraction
 from echarpoly.resultant import (
-    _ratio_resultants,
-    macaulay_resultant,
+    _bezout_degree,
+    _monomial_index,
+    _vanishing_form,
     macaulay_resultants,
     sylvester_resultant,
 )
@@ -260,12 +268,169 @@ def integer_pencil(forms: Sequence[dict], degrees: Sequence[int]) -> tuple[list[
 
 
 def rational_resultant(forms: Sequence[dict], degrees: Sequence[int]) -> Fraction:
-    """The canonical resultant of rational forms by the library's
-    ``macaulay_resultant`` on their integer pencil, its factor divided back
-    out.  Unlike the oracles above it runs the library kernel: the
-    resultant laws check that kernel."""
+    """The canonical resultant of rational forms by ``pattern_resultants``
+    on their integer pencil, its factor divided back out.  Unlike the
+    oracles above it runs the library kernel where the degrees admit it:
+    the resultant laws check that kernel."""
     pencil, factor = integer_pencil(forms, degrees)
-    return Fraction(macaulay_resultant(pencil, degrees), factor)
+    return Fraction(pattern_resultants(pencil, degrees, [0])[0], factor)
+
+
+def pattern_resultants(forms, degrees: Sequence[int], nodes) -> list[int]:
+    """The library's ``macaulay_resultants`` where the degrees have a
+    Sylvester-Bezout degree, else Macaulay's ratio, which takes the
+    patterns the library refuses."""
+    if _bezout_degree(degrees) is None:
+        return ratio_resultants(forms, tuple(degrees), nodes)
+    return macaulay_resultants(forms, degrees, nodes)
+
+
+# -- Macaulay's ratio, the reference for every degree pattern --------------------------
+
+
+def _partition_index(alpha: tuple[int, ...], degrees: tuple[int, ...]) -> int:
+    """Smallest i with alpha_i >= d_i; exists since |alpha| exceeds sum(d_i - 1)."""
+    for i, (a, d) in enumerate(zip(alpha, degrees)):
+        if a >= d:
+            return i
+    raise AssertionError("monomial below the critical degree")
+
+
+def _is_reduced(alpha: tuple[int, ...], degrees: tuple[int, ...]) -> bool:
+    return sum(1 for a, d in zip(alpha, degrees) if a >= d) == 1
+
+
+def macaulay_rows(forms: Sequence[Mapping], degrees: tuple[int, ...]):
+    """Sparse rows of the Macaulay matrix M of a pencil, and of its minor M'.
+
+    ``forms[i]`` maps exponents to (constant, slope) pairs.  The row for
+    monomial alpha in partition class i holds the coefficients of
+    (x^alpha / x_i^{d_i}) * F_i as (column, constant, slope) triples.  Rows
+    and columns are both the monomials of the critical degree in
+    lexicographic order, so the x_i^{d_i} term of F_i lands on the diagonal.
+    M' keeps the rows and columns of the non-reduced monomials, renumbered
+    in the same order.
+    """
+    monomials, col_of = _monomial_index(len(degrees), sum(d - 1 for d in degrees) + 1)
+    terms = [list(form.items()) for form in forms]
+    rows = []
+    non_reduced = []
+    for r, alpha in enumerate(monomials):
+        i = _partition_index(alpha, degrees)
+        shift = list(alpha)
+        shift[i] -= degrees[i]
+        rows.append([(col_of[tuple(map(add, shift, e))], a, b) for e, (a, b) in terms[i]])
+        if not _is_reduced(alpha, degrees):
+            non_reduced.append(r)
+    kept = {c: k for k, c in enumerate(non_reduced)}
+    minor = [[(kept[j], a, b) for j, a, b in rows[r] if j in kept] for r in non_reduced]
+    return rows, minor
+
+
+def _perm_sign(perm: Sequence[int]) -> int:
+    sign = 1
+    seen = [False] * len(perm)
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        length = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+class EliminationPlan:
+    """The Macaulay matrix M of a pencil and its minor M' under one variable
+    ordering, as the ``PolyMatrix`` pencils ``full`` and ``minor``, rows and
+    columns in lexicographic Macaulay order.
+
+    ``sign``, the relabeling's sign to the power prod(d_i), turns
+    det(M) / det(M') of the relabeled system into the canonical resultant.
+    """
+
+    __slots__ = ("full", "minor", "sign")
+
+    def __init__(self, forms: Sequence[Mapping], degrees: tuple[int, ...], perm: tuple[int, ...]):
+        moved = [{_relabel(e, perm): v for e, v in form.items()} for form in forms]
+        self.full, self.minor = map(PolyMatrix, macaulay_rows(moved, degrees))
+        self.sign = _perm_sign(perm) ** prod(degrees)
+
+
+def _relabel(expo: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
+    """The exponent of x_i moves to x_{perm[i]}."""
+    new = [0] * len(expo)
+    for pos, a in enumerate(expo):
+        new[perm[pos]] = a
+    return tuple(new)
+
+
+def ratio_resultants(forms, degrees: tuple[int, ...], nodes) -> list[int]:
+    """Macaulay's ratio det(M) / det(M') of an integer pencil at each node,
+    the plans shared; 0 where a form vanishes identically.
+
+    What the nodes share is built once, so a node costs the evaluation of
+    two pencils and their ``det_rational`` determinants, the minor's
+    first.  While a node's minor vanishes it tries the next variable
+    relabeling, and only when every one fails is it perturbed toward the
+    pure-power system (``macaulay_perturbed``).
+    """
+    orderings = list(permutations(range(len(degrees))))
+    plans: list[EliminationPlan] = []
+    return [_node_resultant(forms, degrees, orderings, plans, t) for t in nodes]
+
+
+def _node_resultant(forms, degrees, orderings, plans, t: int) -> int:
+    """The resultant of the pencil at t; ``plans`` grows as orderings are reached.
+
+    det(M') divides sign * det(M) exactly; a remainder raises ``ArithmeticError``.
+    """
+    if _vanishing_form(forms, t):
+        return 0
+    for index, perm in enumerate(orderings):
+        if index == len(plans):
+            plans.append(EliminationPlan(forms, degrees, perm))
+        plan = plans[index]
+        det_minor = det_rational(plan.minor.evaluate(t))
+        if det_minor == 0:
+            continue
+        value, remainder = divmod(plan.sign * det_rational(plan.full.evaluate(t)), det_minor)
+        if remainder:
+            raise ArithmeticError(f"det(M') does not divide det(M) at t = {t}")
+        return value
+    node = [{e: v for e, (a, b) in form.items() if (v := a + t * b)} for form in forms]
+    return macaulay_perturbed(node, degrees)
+
+
+def macaulay_perturbed(forms: Sequence[Mapping[tuple[int, ...], int]], degrees: tuple[int, ...]) -> int:
+    """Perturb integer forms toward the pure-power system and extract the value at zero.
+
+    ``forms[i]`` maps exponents to ints.  Each form F_i gains eps * x_i^{d_i},
+    which lands on the diagonal of the lexicographic Macaulay matrix: the
+    ``macaulay_rows`` of the pencil F + eps x^d are the integer pencil
+    M + eps I, and its non-reduced minor is one too.  The quotient of the
+    two ``det_interpolated`` lists, taken exactly on the integers, is the
+    resultant of the perturbed forms; its value at zero is the resultant.
+    """
+    pencils = []
+    for i, (form, degree) in enumerate(zip(forms, degrees)):
+        pencil = {e: (v, 0) for e, v in form.items()}
+        power = tuple(degree * (j == i) for j in range(len(degrees)))
+        pencil[power] = (form.get(power, 0), 1)
+        pencils.append(pencil)
+    det_full, det_minor = map(det_interpolated, map(PolyMatrix, macaulay_rows(pencils, degrees)))
+    if not det_minor:
+        raise ArithmeticError("degenerate Macaulay minor even after perturbation")
+    power = max(len(det_full) - len(det_minor) + 1, 0)
+    quotient = _exact_quotient(det_full, det_minor, power)
+    value, remainder = divmod(quotient[0] if quotient else 0, det_minor[-1] ** power)
+    if remainder:
+        raise ArithmeticError("perturbed Macaulay quotient is not an integer")
+    return value
 
 
 def brute_map_forms(A) -> list[dict]:
@@ -440,28 +605,30 @@ def homogenized_resultant(A) -> Poly:
     A polynomial in lambda of degree at most 2h (h the degree bound of psi,
     n at order 2), interpolated on 2h + 2 nodes.  At even order it is +-psi^2, so it
     cross-checks the n-variable system the macaulay route takes there.
-    Unlike the oracles above it runs the library's Macaulay kernel: what it
-    checks is the identity between the two systems.
+    Unlike the oracles above it runs the library's kernel where the degrees
+    admit it (``pattern_resultants``): what it checks is the identity
+    between the two systems.
     """
     top = A.dim if A.order == 2 else h_bound(A.order, A.dim)
     nodes = interpolation_nodes(2 * top + 2)
     forms, degrees, factor = _homogenized_system(A)
-    values = macaulay_resultants(forms, degrees, nodes)
+    values = pattern_resultants(forms, degrees, nodes)
     return Poly([Fraction(c, factor) for c in lagrange_interpolate(list(zip(nodes, values)))])
 
 
 def ratio_psi(A) -> Poly:
-    """psi by the macaulay route's own systems, nodes and clearing factor,
-    each node taken by Macaulay's ratio det(M) / det(M') (the library's
-    ratio entry, perturbation included) instead of the Sylvester-Bezout
-    determinant that dimension 3 takes.  Unlike the oracles above it runs a
-    library kernel: what it checks is the determinant against the ratio."""
+    """psi by the macaulay route's nodes, each taken by Macaulay's ratio
+    det(M) / det(M') (``ratio_resultants``, perturbation included) of the
+    route's system before any reduction: the eigen-system at even order,
+    the homogenized system at odd order, its quadric included.  What it
+    checks is the Sylvester-Bezout determinant, and at dimension 2 and odd
+    order the conic's constant, against the ratio."""
     m = A.order
     top = A.dim if m == 2 else h_bound(m, A.dim)
     even = m % 2 == 0
     nodes = interpolation_nodes(top + 2) if even else range(top + 2)
     forms, degrees, factor = (_eigen_system if even else _homogenized_system)(A)
-    values = _ratio_resultants(forms, degrees, nodes)
+    values = ratio_resultants(forms, degrees, nodes)
     points = list(zip(nodes if even else [t * t for t in nodes], values))
     coeffs = [Fraction(c, factor) for c in lagrange_interpolate(points)]
     return Poly(coeffs if even else [c for a in coeffs for c in (a, 0)])

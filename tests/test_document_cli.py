@@ -434,6 +434,7 @@ def test_cli_eigen_report_is_pinned(name):
 PINNED_DOCUMENTS = [GOLDEN_EIGEN / f"{name}.json" for name in EIGEN_GOLDENS] + [
     GOLDEN_REPORTS / "pq4.json",
     GOLDEN_REPORTS / "n3.json",
+    GOLDEN_REPORTS / "sparse7.json",
 ]
 PINNED_COMMANDS = [["echar", "--route", route] for route in ("auto", "sylvester", "det", "macaulay")]
 PINNED_COMMANDS += [["verify", "--deep"]]
@@ -443,8 +444,10 @@ PINNED_COMMANDS += [["verify", "--deep"]]
 def test_cli_echar_and_verify_reports_are_pinned(document, monkeypatch, capsys):
     """Every echar route and ``verify --deep``, exit code and stdout byte for byte.
 
-    The documents are the eigen goldens, an order-4 p/q draw and an order-3
-    p/q draw of dimension 3, each run in its own directory;
+    The documents are the eigen goldens, an order-4 p/q draw, an order-3
+    p/q draw of dimension 3 and a two-entry order-7 tensor on which every
+    node of the ``macaulay`` route is degenerate for Macaulay's ratio, each
+    run in its own directory;
     ``golden/reports.json`` holds the expected reports, keyed by document
     and command.
     """

@@ -7,9 +7,11 @@ import time
 from fractions import Fraction
 from itertools import product
 from math import prod
+from pathlib import Path
 
 import pytest
 
+from echarpoly.document import TensorDocument
 from echarpoly.echar import (
     IrregularTensorError,
     a0_predicted,
@@ -287,8 +289,10 @@ def test_route_equivalence_odd_orders():
 
 @pytest.mark.parametrize("order", [2, 3, 4, 5])
 def test_macaulay_route_at_dimension_2_with_empty_minors(monkeypatch, order):
-    # even order eliminates two forms in two variables: no monomial is
-    # non-reduced, so M' is empty and its determinant is 1
+    # dimension 2 takes two binary forms at every order, the eigen-forms of
+    # degree m - 1 at even order and the homogenized system's map forms on
+    # the conic, of degree 2m - 2, at odd order: one Sylvester determinant
+    # per node, with no minor
     from echarpoly import resultant
 
     sizes = []
@@ -301,7 +305,42 @@ def test_macaulay_route_at_dimension_2_with_empty_minors(monkeypatch, order):
     monkeypatch.setattr(resultant, "det_rational", recording)
     A = fuzz_tensor(random.Random(order), order)
     assert echar_macaulay(A).psi == echar(A).psi
-    assert (0 in sizes) == (order % 2 == 0)
+    # every node, and the pure-power determinant that pins the sign
+    assert set(sizes) == {2 * (order - 1) if order % 2 == 0 else 4 * (order - 1)}
+
+
+# Odd orders at dimension 2: the order-5 eigen golden with c_1 = 0, and sparse
+# and zero tensors on which Macaulay's ratio perturbed at every node where no
+# form vanishes
+SPARSE_ODD = {
+    7: {(2, 2, 2, 2, 1, 2, 1): 2, (1, 2, 1, 2, 1, 2, 1): -2},
+    9: {(2, 2, 2, 1, 2, 1, 1, 2, 2): -2, (1, 2, 2, 2, 2, 1, 2, 1, 1): 2},
+}
+ODD_N2_CASES = {
+    "zero-pivot5": TensorDocument.from_json(
+        (Path(__file__).parent / "golden" / "eigen" / "zero-pivot5.json").read_text()
+    ).to_hypermatrix(),
+    **{f"sparse{m}": Hypermatrix.from_one_based(m, 2, entries) for m, entries in SPARSE_ODD.items()},
+    **{f"zero{m}": Hypermatrix.zero(m, 2) for m in (5, 7, 9)},
+}
+
+
+@pytest.mark.parametrize("name", ODD_N2_CASES)
+def test_odd_macaulay_route_at_dimension_2_takes_one_sylvester_determinant_per_node(monkeypatch, name):
+    """On the conic each node is one Sylvester determinant of side 4(m - 1),
+    and nothing is perturbed; Macaulay's ratio took 45-square determinants
+    at order 5, and seconds to tens of seconds on the sparse and zero
+    tensors of orders 7 and 9."""
+    from echarpoly import polymat, resultant
+
+    A = ODD_N2_CASES[name]
+    sizes = []
+    real = polymat.det_rational
+    for module in (polymat, resultant):  # resultant binds det_rational by name
+        monkeypatch.setattr(module, "det_rational", lambda rows: sizes.append(len(rows)) or real(rows))
+    monkeypatch.setattr(polymat, "det_interpolated", lambda matrix: pytest.fail("a node was perturbed"))
+    assert echar(A, "macaulay").psi == echar(A).psi
+    assert sizes and max(sizes) <= 4 * (A.order - 1)
 
 
 def test_route_equivalence_orders_beyond_acceptance():
@@ -377,11 +416,19 @@ def test_constant_term_prediction_examples():
 
 
 @pytest.mark.parametrize("values", [[1, 2, 3, -1], [2, -1, 1, 1], [1, 2, 3, 0]])
-def test_dimension4_constant_term_through_the_ratio(values):
-    # four cubics d_i x_i^3 in four variables: Macaulay's ratio of a
-    # 220-square matrix, whose resultant is prod(d_i)^(3^3)
-    assert matrix_size([3] * 4) == 220
-    assert a0_predicted(Hypermatrix.diagonal(4, 4, values)) == prod(values) ** 27
+def test_dimension4_constant_term_takes_quadrics_and_refuses_cubics(monkeypatch, values):
+    # order 3: four quadrics d_i x_i^2 in four variables take one
+    # 20-square Sylvester-Bezout determinant; the resultant is prod(d_i)^(2^3),
+    # its square the constant term at odd order
+    assert matrix_size([2] * 4) == 20
+    assert a0_predicted(Hypermatrix.diagonal(3, 4, values)) == prod(values) ** 16
+    # order 4: four cubics have no Sylvester-Bezout degree, so no kernel
+    # takes them, and the refusal names the degrees before any node
+    module = importlib.import_module("echarpoly.resultant")
+    monkeypatch.setattr(module, "det_rational", lambda rows: pytest.fail("a node was evaluated"))
+    assert matrix_size([3] * 4) is None
+    with pytest.raises(UnsupportedSizeError, match=re.escape("the degrees (3, 3, 3, 3)")):
+        a0_predicted(Hypermatrix.diagonal(4, 4, values))
 
 
 def test_leading_prediction_examples():
@@ -511,8 +558,9 @@ def test_macaulay_interpolates_on_h_plus_2_nodes(monkeypatch, dim, order, nodes)
     # one pencil per tensor, evaluated at every node
     [(nvars, count)] = calls
     assert count == nodes == h_bound(order, dim) + 2
-    # even order takes the n-variable eigen-system, odd order the homogenized one
-    assert nvars == (dim if order % 2 == 0 else dim + 1)
+    # even order takes the n-variable eigen-system, odd order the homogenized
+    # one, which at dimension 2 is two binary forms on the conic
+    assert nvars == (dim if order % 2 == 0 or dim == 2 else dim + 1)
 
 
 @pytest.mark.parametrize(
@@ -644,21 +692,23 @@ def test_the_held_result_is_read_only_and_makes_no_reference_cycle():
 
 
 @pytest.mark.parametrize(
-    "order, nodes, size",
-    # order 5: the homogenized degrees (2, 4, 4, 4) take Macaulay's ratio;
-    # order 6: three quintics take the 45-square Sylvester-Bezout matrix
-    [(5, 23, 364), (6, 33, 45)],
+    "order, message",
+    # order 5: no kernel admits the homogenized degrees (2, 4, 4, 4);
+    # order 6: three quintics would take the 45-square Sylvester-Bezout matrix
+    [
+        (5, "order 5 would need a resultant of the degrees (2, 4, 4, 4), which no kernel admits"),
+        (6, "order 6 would need 33 interpolation nodes of a 45-square matrix"),
+    ],
     ids=["5", "6"],
 )
-def test_macaulay_refuses_dimension3_beyond_order4_before_any_node(monkeypatch, order, nodes, size):
+def test_macaulay_refuses_dimension3_beyond_order4_before_any_node(monkeypatch, order, message):
     module = importlib.import_module("echarpoly.echar")
 
     def no_node(forms, degrees, nodes):
         raise AssertionError("a node was evaluated")
 
     monkeypatch.setattr(module, "macaulay_resultants", no_node)
-    message = f"{nodes} interpolation nodes of a {size}-square matrix"
-    with pytest.raises(UnsupportedSizeError, match=message):
+    with pytest.raises(UnsupportedSizeError, match=re.escape(message)):
         echar(Hypermatrix.diagonal(order, 3))
 
 
@@ -683,22 +733,14 @@ def _dimension3_corpus():
     return [matrix] + order3 + sparse + [dense]
 
 
-def test_dimension3_needs_no_ordering_plan_or_perturbation(monkeypatch):
+def test_dimension3_needs_no_ordering_plan_or_perturbation():
     """At dimension 3, orders 2 to 4, every node and the constant term are one
-    Sylvester-Bezout determinant.  The corpus holds the 24 order-3 draws of
-    random.Random(1), five sparse order-4 integer tensors, on four of which
-    the ratio perturbs at a node or in the constant term, and a dense one;
-    psi equals the ratio's, taken before the ratio is shut off."""
-    from echarpoly import resultant
-
+    Sylvester-Bezout determinant; the library has no other kernel.  The
+    corpus holds the 24 order-3 draws of random.Random(1), five sparse
+    order-4 integer tensors, on four of which the ratio perturbs at a node
+    or in the constant term, and a dense one; psi equals the ratio's."""
     corpus = _dimension3_corpus()
     references = [ratio_psi(A) for A in corpus]
-
-    def refuse(*args):
-        raise AssertionError("dimension 3 reached Macaulay's ratio")
-
-    for name in ("_macaulay_perturbed", "_EliminationPlan"):
-        monkeypatch.setattr(resultant, name, refuse)
     for A, reference in zip(corpus, references):
         result = echar(A)
         assert result.route == "macaulay"
@@ -706,18 +748,12 @@ def test_dimension3_needs_no_ordering_plan_or_perturbation(monkeypatch):
         assert a0_predicted(A) == result.psi(0)
 
 
-def test_order3_draw_with_zero_constant_term_needs_no_perturbation(monkeypatch):
+def test_order3_draw_with_zero_constant_term_needs_no_perturbation():
     """The 19th order-3 draw of random.Random(880051790) has psi(0) = 0.
 
-    Each of the nine nodes is one Sylvester-Bezout determinant, so none
-    takes the perturbed quotient, and psi is the one pinned here.
+    Each of the nine nodes is one Sylvester-Bezout determinant, with no
+    perturbed quotient to fall back on, and psi is the one pinned here.
     """
-    from echarpoly import resultant
-
-    def refuse(system):
-        raise AssertionError("a node took the perturbed quotient")
-
-    monkeypatch.setattr(resultant, "_macaulay_perturbed", refuse)
     rng = random.Random(880051790)
     for _ in range(18):
         fuzz_tensor(rng, 3, 3)

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import permutations, product
 from math import lcm
@@ -7,13 +8,13 @@ import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from echarpoly import resultant
-from echarpoly.echar import _eigen_system, _homogenized_system, echar_macaulay
+from echarpoly.echar import _eigen_system, _homogenized_system, _on_conic, echar_macaulay
 from echarpoly.poly import Poly, complex_roots, interpolation_nodes, lagrange_interpolate
 from echarpoly import polymat
 from echarpoly.resultant import (
     UnsupportedSizeError,
-    _EliminationPlan,
     macaulay_resultant,
     macaulay_resultants,
 )
@@ -21,6 +22,7 @@ from echarpoly.tensor import Hypermatrix
 from echarpoly.verify import fuzz_tensor
 from oracles import (
     BinaryForm,
+    EliminationPlan,
     brute_map_forms,
     cofactor_det,
     det_fraction_free,
@@ -32,6 +34,7 @@ from oracles import (
     multiply,
     pencil_form,
     rational_resultant,
+    ratio_resultants,
     route_system,
     scale,
     scale_form,
@@ -337,7 +340,7 @@ def _perturbed(forms, degrees) -> Fraction:
     """The perturbed quotient of a rational system: its forms are cleared to
     integers, and the clearing factor is divided back out."""
     cleared, factor = integer_pencil(forms, degrees)
-    value = resultant._macaulay_perturbed([{e: a for e, (a, _) in form.items()} for form in cleared], degrees)
+    value = oracles.macaulay_perturbed([{e: a for e, (a, _) in form.items()} for form in cleared], degrees)
     assert type(value) is int
     return Fraction(value, factor)
 
@@ -374,7 +377,7 @@ def test_macaulay_variable_relabelings_agree_after_sign_correction():
         cleared, factor = integer_pencil(forms, degrees)
         for perm in permutations(range(3)):
             # every ordering, M and M' in lexicographic order, with the relabeling's sign
-            plan = _EliminationPlan(cleared, tuple(degrees), perm)
+            plan = EliminationPlan(cleared, tuple(degrees), perm)
             det_minor = polymat.det_rational(plan.minor.evaluate(0))
             if det_minor == 0:
                 continue
@@ -473,8 +476,8 @@ def test_pencil_values_equal_the_per_node_macaulay_quotient(tensor, build, nodes
 def test_pencil_perturbs_only_the_node_where_every_ordering_degenerates(monkeypatch):
     """At t = 0 the first form has no pure square, and the Macaulay minor of
     three ternary quadrics vanishes under every relabeling; at other t it
-    does not.  Ternary quadrics take the Sylvester-Bezout determinant, so
-    the ratio is called by its own entry."""
+    does not.  The ratio is the tests' reference kernel, called by its own
+    entry."""
     degrees = (2, 2, 2)
     base = [
         {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1},
@@ -483,14 +486,14 @@ def test_pencil_perturbs_only_the_node_where_every_ordering_degenerates(monkeypa
     ]
     slope = [{(2, 0, 0): 1, (0, 2, 0): 2, (0, 0, 2): 3}, {}, {}]
     forms = [{e: (f0.get(e, 0), f1.get(e, 0)) for e in {**f0, **f1}} for f0, f1 in zip(base, slope)]
-    real = resultant._macaulay_perturbed
+    real = oracles.macaulay_perturbed
     perturbed = []
     monkeypatch.setattr(
-        resultant,
-        "_macaulay_perturbed",
+        oracles,
+        "macaulay_perturbed",
         lambda forms, degrees: perturbed.append(forms) or real(forms, degrees),
     )
-    values = resultant._ratio_resultants(forms, degrees, [1, 0, 2])
+    values = ratio_resultants(forms, degrees, [1, 0, 2])
     assert len(perturbed) == 1
     assert perturbed[0][0] == base[0]
     # the resultant has degree D / d_1 = 4 in t: five quotients fix it
@@ -506,7 +509,7 @@ def sparse_unequal_tensors(draw):
 
     Component i holds its pure power x_i^{m-1}: without it the dense
     quotient cannot check most draws, and ``homogenized_resultant``, which
-    takes Macaulay's ratio, perturbs at a minute a draw at order 4.
+    takes Macaulay's ratio at order 4, perturbs at a minute a draw.
     """
     m = draw(st.integers(2, 4))
     denominators = draw(st.lists(st.sampled_from([1, 2, 3, 4, 5, 7, 9]), min_size=3, max_size=3, unique=True))
@@ -576,19 +579,19 @@ def test_perturbed_quotient_of_lists_that_do_not_divide_raises(monkeypatch, full
     """The perturbed quotient is exact on the integers: a remainder of the
     two determinants, or an eps^0 term that lc^power does not divide, raises."""
     forms = [{(1, 0): 1}, {(0, 1): 1}]
-    assert resultant._macaulay_perturbed(forms, (1, 1)) == 1
+    assert oracles.macaulay_perturbed(forms, (1, 1)) == 1
     values = iter([full, minor])  # the full matrix first, then the minor
-    monkeypatch.setattr(resultant, "det_interpolated", lambda matrix: next(values))
+    monkeypatch.setattr(oracles, "det_interpolated", lambda matrix: next(values))
     with pytest.raises(ArithmeticError, match=message):
-        resultant._macaulay_perturbed(forms, (1, 1))
+        oracles.macaulay_perturbed(forms, (1, 1))
 
 
 def test_inexact_macaulay_quotient_raises(monkeypatch):
     """det(M') must divide sign * det(M); a remainder is an error, never a rational."""
     values = iter([2, 3])  # the minor first, then the full matrix
-    monkeypatch.setattr(resultant, "det_rational", lambda rows: next(values))
+    monkeypatch.setattr(oracles, "det_rational", lambda rows: next(values))
     with pytest.raises(ArithmeticError, match="does not divide"):
-        macaulay_resultant([{(1, 0): (1, 0)}, {(0, 1): (1, 0)}], [1, 1])
+        ratio_resultants([{(1, 0): (1, 0)}, {(0, 1): (1, 0)}], (1, 1), [0])
 
 
 def test_macaulay_kernel_takes_integer_pairs_only():
@@ -605,7 +608,6 @@ def test_zero_form_gives_zero_without_orderings_or_perturbation(monkeypatch):
     def refuse(*args):
         raise AssertionError("the kernel eliminated a system with a zero form")
 
-    monkeypatch.setattr(resultant, "_macaulay_perturbed", refuse)
     monkeypatch.setattr(resultant, "det_rational", refuse)
     monkeypatch.setattr(polymat, "_det_int_bareiss", refuse)
     assert macaulay_resultant([{}, {}, {}, {(0, 0, 0, 2): (1, 0)}], [2, 2, 2, 2]) == 0
@@ -660,17 +662,21 @@ def bezout_systems(draw, degrees):
     if not draw(st.booleans()):
         return [sparse_form(d) for d in degrees], False
     point = draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k).filter(any))
-    forms = []
-    for d in degrees:
-        form = {}
-        for a in range(k):
-            for b in range(a + 1, k):
-                for e, c in sparse_form(d - 1).items():
-                    for var, weight in ((a, point[b]), (b, -point[a])):
-                        key = tuple(x + (j == var) for j, x in enumerate(e))
-                        form[key] = form.get(key, 0) + weight * c
-        forms.append({e: c for e, c in form.items() if c})
-    return forms, True
+    return [_through(point, sparse_form, d) for d in degrees], True
+
+
+def _through(point, sparse_form, degree: int) -> dict:
+    """sum_{a < b} (p_b x_a - p_a x_b) h_ab, each h_ab drawn by ``sparse_form``
+    of degree - 1: a form of the given degree that vanishes at p."""
+    k = len(point)
+    form = {}
+    for a in range(k):
+        for b in range(a + 1, k):
+            for e, c in sparse_form(degree - 1).items():
+                for var, weight in ((a, point[b]), (b, -point[a])):
+                    key = tuple(x + (j == var) for j, x in enumerate(e))
+                    form[key] = form.get(key, 0) + weight * c
+    return {e: c for e, c in form.items() if c}
 
 
 # A fixed draw of 12 systems per pattern: the ratio perturbs on many sparse
@@ -687,30 +693,32 @@ def bezout_systems(draw, degrees):
 def test_sylvester_bezout_determinant_equals_the_ratio(degrees, data):
     """At three ternary forms of one degree, and four quaternary quadrics,
     ``macaulay_resultants`` takes the one Sylvester-Bezout determinant; it
-    must equal Macaulay's ratio, perturbation included, called directly.
-    These are the only patterns where the two kernels meet: auto and
-    ``--route macaulay`` share the determinant at dimension 3."""
+    must equal Macaulay's ratio, the tests' reference, perturbation
+    included.  Auto and ``--route macaulay`` share the determinant at
+    dimension 3, so this is its cross-check there."""
     forms, common_zero = data.draw(bezout_systems(degrees))
     pencil = [{e: (c, 0) for e, c in form.items()} for form in forms]
     assert resultant._bezout_degree(degrees) is not None
     value = macaulay_resultant(pencil, degrees)
-    assert value == resultant._ratio_resultants(pencil, degrees, [0])[0]
+    assert value == ratio_resultants(pencil, degrees, [0])[0]
     if common_zero:
         assert value == 0
     event(f"common zero: {common_zero}, resultant 0: {value == 0}")
 
 
 def _bezout_patterns():
-    """Every pattern with a Sylvester-Bezout degree: three forms of degrees up
-    to 7, four of degrees up to 3."""
-    patterns = [d for k, top in ((3, 7), (4, 3)) for d in product(range(1, top + 1), repeat=k)]
+    """Every pattern with a Sylvester-Bezout degree: two forms of degrees up
+    to 8, three up to 7, four up to 3."""
+    patterns = [d for k, top in ((2, 8), (3, 7), (4, 3)) for d in product(range(1, top + 1), repeat=k)]
     return [d for d in patterns if resultant._bezout_degree(d) is not None]
 
 
 def test_pure_power_determinant_is_a_unit_and_the_kernel_answers_one():
     """The premise of the sign pin: on (x_1^d_1, ..., x_k^d_k) the hybrid
-    determinant is +1 or -1, and the signed kernel gives the canonical +1."""
+    determinant is +1 or -1, and the signed kernel gives the canonical +1.
+    Every pair of binary forms has one: their Sylvester matrix."""
     patterns = _bezout_patterns()
+    assert sum(len(d) == 2 for d in patterns) == 64
     assert (7, 7, 7) in patterns and (2, 2, 2, 2) in patterns and (3, 3, 3, 3) not in patterns
     signs = set()
     for degrees in patterns:
@@ -736,15 +744,94 @@ def test_size_cap_reads_the_matrix_the_pattern_takes():
 
 
 def test_macaulay_size_caps():
-    with pytest.raises(UnsupportedSizeError):
-        macaulay_resultant(
-            [
-                {(9, 0, 0, 0): (1, 0)},
-                {(0, 9, 0, 0): (1, 0)},
-                {(0, 0, 9, 0): (1, 0)},
-                {(0, 0, 0, 9): (1, 0)},
-            ],
-            [9, 9, 9, 9],
-        )
+    # three forms of degree 17 take a 561-square matrix, above the cap
+    powers = [{tuple(17 * (j == i) for j in range(3)): (1, 0)} for i in range(3)]
+    with pytest.raises(UnsupportedSizeError, match="would be 561x561"):
+        macaulay_resultant(powers, [17] * 3)
     with pytest.raises(UnsupportedSizeError):
         macaulay_resultant([{(1,): (1, 0)}], [1])
+    # the homogenized degrees (2, d, d, d) from d = 4 on, and (1, 1, 3), have
+    # no Sylvester-Bezout degree: refused by name before any node
+    for degrees in [(2, 4, 4, 4), (1, 1, 3)]:
+        k = len(degrees)
+        powers = [{tuple(d * (j == i) for j in range(k)): (1, 0)} for i, d in enumerate(degrees)]
+        assert resultant.matrix_size(degrees) is None
+        message = f"no resultant kernel admits the degrees {degrees}"
+        with pytest.raises(UnsupportedSizeError, match=re.escape(message)):
+            macaulay_resultant(powers, degrees)
+
+
+@st.composite
+def binary_pencils(draw):
+    """Two integer pencils of degrees 1-6 as ``sylvester_resultant`` takes
+    them, pair i the coefficient of x1^(d-i) x2^i; a leading pair, or both,
+    may be (0, 0) or a slope alone, so a node may drop a formal degree."""
+    pair = st.tuples(st.integers(-9, 9), st.integers(-9, 9))
+    pencils = []
+    for _ in range(2):
+        pencil = draw(st.lists(pair, min_size=2, max_size=7))
+        lead = draw(st.sampled_from(["drawn", "zero", "slope"]))
+        if lead == "zero":
+            pencil[0] = (0, 0)
+        elif lead == "slope":
+            pencil[0] = (0, pencil[0][1])
+        pencils.append(pencil)
+    return pencils
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(binary_pencils())
+@example([[(0, 0), (1, 2)], [(0, 0), (3, -1), (2, 0)]])
+@example([[(0, 1), (1, 0)], [(0, 0), (0, 0), (1, 1)]])
+def test_two_form_kernel_equals_the_prs_at_every_node(pencils):
+    """Two binary forms take their Sylvester matrix, one determinant per
+    node; at every node it equals ``sylvester_resultant``, the subresultant
+    PRS, read at that node."""
+    f, g = pencils
+    d, e = len(f) - 1, len(g) - 1
+    forms = [{(len(p) - 1 - i, i): pair for i, pair in enumerate(p) if pair != (0, 0)} for p in pencils]
+    nodes = [0, 1, -1, 2, -3]
+    in_t = Poly(resultant.sylvester_resultant(f, g))
+    assert macaulay_resultants(forms, (d, e), nodes) == [in_t(t) for t in nodes]
+    assert resultant.matrix_size((d, e)) == d + e
+
+
+@st.composite
+def conic_systems(draw, d):
+    """Two sparse integer forms of degree d in (x0, x1, x2).  Half the draws
+    share the point (s^2 + u^2, u^2 - s^2, 2su) of the conic x1^2 + x2^2 =
+    x0^2, so the resultant with the quadric is 0.  Returns the forms and
+    whether they share it."""
+    coefficient = st.one_of(st.just(0), st.integers(-4, 4).filter(bool))
+
+    def sparse_form(degree):
+        monomials = [e for e in product(range(degree + 1), repeat=3) if sum(e) == degree]
+        return {e: c for e in monomials if (c := draw(coefficient))}
+
+    if not draw(st.booleans()):
+        return [sparse_form(d) for _ in range(2)], False
+    s, u = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any))
+    point = (s * s + u * u, u * u - s * s, 2 * s * u)
+    return [_through(point, sparse_form, d) for _ in range(2)], True
+
+
+QUADRIC = {(2, 0, 0): (-1, 0), (0, 2, 0): (1, 0), (0, 0, 2): (1, 0)}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_the_conic_takes_the_homogenized_resultant_times_two_to_the_2d_squared(d, data):
+    """On the conic (s^2 + u^2, u^2 - s^2, 2su) two forms G1, G2 of degree d
+    become binary forms of degree 2d (``echar._on_conic``), and their
+    resultant is 2^(2d^2) times Res(x^T x - x0^2, G1, G2), sign +, at odd d
+    as at even d.  The three-form side is Macaulay's ratio, the tests'
+    reference; a shared conic point gives 0 on both sides."""
+    forms, shared = data.draw(conic_systems(d))
+    pencils = [{e: (c, 0) for e, c in form.items()} for form in forms]
+    [system] = ratio_resultants([QUADRIC] + pencils, (2, d, d), [0])
+    on_conic = [_on_conic(pencil, d) for pencil in pencils]
+    assert macaulay_resultant(on_conic, (2 * d, 2 * d)) == system << (2 * d * d)
+    if shared:
+        assert system == 0
+    event(f"shared conic point: {shared}, resultant 0: {system == 0}")
