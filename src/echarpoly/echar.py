@@ -149,9 +149,9 @@ def _result(A: Hypermatrix, coeffs: list[int], denominator: int, route: str) -> 
 # -- slice-form builders ---------------------------------------------------------
 #
 # A binary form is an integer pencil: one (constant, slope) int pair per
-# coefficient of x1^(d-i) x2^i, as ``sylvester_resultant`` and the rows of a
-# ``PolyMatrix`` take it.  Each builder states the denominator its pairs are
-# over and whether the slope multiplies lambda or lambda^2.
+# coefficient of x1^(d-i) x2^i, as ``sylvester_resultant`` and a
+# ``PolyMatrix`` entry take it.  Each builder states the denominator its
+# pairs are over and whether the slope multiplies lambda or lambda^2.
 BinaryPencil = list[tuple[int, int]]
 
 
@@ -273,7 +273,7 @@ def det_matrix_even(A: Hypermatrix) -> PolyMatrix:
 
 def _shifted(pairs: list[tuple], shift: int) -> list[tuple]:
     """The pencil row with the coefficient pairs from column ``shift`` on, zeros left out."""
-    return [(shift + j, a, b) for j, (a, b) in enumerate(pairs) if a or b]
+    return [(shift + j, pair) for j, pair in enumerate(pairs) if any(pair)]
 
 
 def echar_det_even(A: Hypermatrix) -> EcharResult:
@@ -314,18 +314,18 @@ def det_matrix_odd(A: Hypermatrix) -> PolyMatrix:
     rows[m - 1] = _combined(rows[m - 1], rows[size - 1], -slices.c[m - 1])
     del rows[size - 1], rows[m]
     return PolyMatrix(
-        [[(j - 1, a, b) for j, a, b in row if 0 < j < size - 1] for row in rows],
+        [[(j - 1, pair) for j, pair in row if 0 < j < size - 1] for row in rows],
         denominator=slices.denom ** (4 * m - 4),
     )
 
 
 def _combined(row: list[tuple], other: list[tuple], factor: int) -> list[tuple]:
     """The pencil row ``row + factor * other``, zeros left out."""
-    entries = {j: (a, b) for j, a, b in row}
-    for j, a, b in other:
+    entries = dict(row)
+    for j, (a, b) in other:
         x, y = entries.get(j, (0, 0))
         entries[j] = (x + factor * a, y + factor * b)
-    return [(j, a, b) for j, (a, b) in sorted(entries.items()) if a or b]
+    return [(j, pair) for j, pair in sorted(entries.items()) if any(pair)]
 
 
 def echar_det_odd(A: Hypermatrix) -> EcharResult:

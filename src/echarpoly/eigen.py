@@ -7,8 +7,10 @@ its eigenpair class as it is found.  Roots on the isotropic cone
 (proportional to (1, i) or (1, -i)) cannot be normalized and form "deficit"
 classes; everything else is scaled to x^T x = 1.  The exact eigenvalue of a
 rational direction is integer Horner on the numerators; the float values
-divide the numerators by the denominator, which rounds correctly.  The
-tensor holds its report: one direction pass serves every reader.
+divide the numerators by the denominator, which rounds correctly.  Sturm's
+chain isolates the real roots exactly, so the number of Z-eigenpairs needs no
+tolerance; each real direction's values are those of the float root nearest
+its interval.  The tensor holds its report: one direction pass serves every reader.
 """
 
 from __future__ import annotations
@@ -20,9 +22,7 @@ from typing import Optional
 
 import cmath
 
-import numpy as np
-
-from .poly import primitive_gcd, squarefree_split
+from .poly import _over_lead, _pseudo_divmod, float_roots, primitive_gcd, real_root_intervals, squarefree_split
 from .rational import ComplexRational, I_UNIT
 from .tensor import (
     DimensionError,
@@ -38,9 +38,6 @@ from .tensor import (
 NORMALIZED = "normalized"
 DEFICIT = "deficit"
 
-#: Largest |imaginary part| a Z-eigenpair's eigenvalue and vector may show.
-Z_TOLERANCE = 1e-10
-
 
 @dataclass(frozen=True)
 class Eigenpair:
@@ -49,7 +46,8 @@ class Eigenpair:
     For odd order a normalized class contains (lambda, x) and (-lambda, -x);
     the representative stored has Re(lambda) > 0 (ties broken by Im >= 0)
     and ``sign_pair`` is set.  Deficit classes are reported at the fixed
-    representative x = (1, +-i), whose first component is 1.
+    representative x = (1, +-i), whose first component is 1.  ``real``, exact,
+    is whether the direction is real: every rational one is, no deficit one.
     """
 
     eigenvalue: complex
@@ -59,6 +57,7 @@ class Eigenpair:
     sign_pair: bool = False
     exact_direction: Optional[tuple[ComplexRational, ComplexRational]] = None
     exact_eigenvalue: Optional[ComplexRational] = None
+    real: bool = False
 
 
 @dataclass(frozen=True)
@@ -95,7 +94,9 @@ def _eigen_report(slices: SliceCoeffs) -> EigenReport:
     Otherwise the classes come, in this order, from the roots at (0, 1)
     and (1, 0), the isotropic pair (1, i) and (1, -i) that the factors
     t^2 + 1 of q(t) = form(1, t) give, and the square-free factors of the
-    rest: exact for a linear factor, numeric for the others.
+    rest: exact for a linear factor, numeric for the others.  A nonlinear
+    factor's real roots are isolated exactly, each in an interval; the float
+    root nearest each interval is the real one, taken on the axis.
     """
     coeffs = direction_form_coeffs(slices)
     if not any(coeffs):
@@ -118,8 +119,8 @@ def _eigen_report(slices: SliceCoeffs) -> EigenReport:
     q = list(coeffs[low : top + 1])
     iso_mult = 0
     while len(q) > 2:
-        quotient = _divide_by_circle(q)
-        if quotient is None:
+        quotient, rest = _pseudo_divmod(q, [1, 0, 1], len(q) - 2)
+        if rest:
             break
         q = quotient
         iso_mult += 1
@@ -145,25 +146,21 @@ def _eigen_report(slices: SliceCoeffs) -> EigenReport:
                 # root t = -factor[0] / factor[1], the direction (factor[1], -factor[0])
                 pairs.append(_exact_pair(slices, floats, factor[1], -factor[0], mult))
                 continue
-            lead = factor[-1]
-            monic = [float(Fraction(c, lead)) for c in reversed(factor)]
-            for root in np.roots(monic):
-                pairs.append(_numeric_pair(floats, (1 + 0j, complex(root)), mult))
+            roots = float_roots(_over_lead(factor, factor[-1]))
+            real: set[int] = set()
+            for lo, hi in real_root_intervals(factor):
+                # of the float roots not yet taken, the one nearest the interval
+                free = [k for k in range(len(roots)) if k not in real]
+                lo, hi = float(lo), float(hi)
+                real.add(min(free, key=lambda k: abs(roots[k] - min(max(roots[k].real, lo), hi))))
+            for k, root in enumerate(roots):
+                x2 = complex(root.real) if k in real else root
+                pairs.append(_numeric_pair(floats, (1 + 0j, x2), mult, k in real))
 
     total = sum(p.multiplicity for p in pairs)
     if total != m:
         raise ArithmeticError(f"direction multiplicities sum to {total}, expected {m}")
     return EigenReport(infinite=False, pairs=pairs)
-
-
-def _divide_by_circle(q: list[int]):
-    """q / (t^2 + 1) when t^2 + 1 divides q, else None; ascending ints."""
-    work = q[::-1]
-    for k in range(len(work) - 2):
-        work[k + 2] -= work[k]
-    if work[-1] or work[-2]:
-        return None
-    return work[-3::-1]
 
 
 def _value(seq: list[float], x1: complex, x2: complex) -> complex:
@@ -213,10 +210,11 @@ def _exact_pair(slices: SliceCoeffs, floats, u1: int, u2: int, multiplicity: int
         sign_pair=odd,
         exact_direction=x,
         exact_eigenvalue=None if odd else value,
+        real=True,
     )
 
 
-def _numeric_pair(floats, x: tuple[complex, complex], multiplicity: int) -> Eigenpair:
+def _numeric_pair(floats, x: tuple[complex, complex], multiplicity: int, real: bool) -> Eigenpair:
     """The normalized class of a direction known only in floats."""
     vec = _unit_vector(x)
     which = 0 if abs(vec[0]) >= abs(vec[1]) else 1
@@ -225,7 +223,7 @@ def _numeric_pair(floats, x: tuple[complex, complex], multiplicity: int) -> Eige
     if odd:
         lam, vec = _align_odd(floats, lam, vec)
     return Eigenpair(
-        eigenvalue=lam, vector=vec, kind=NORMALIZED, multiplicity=multiplicity, sign_pair=odd
+        eigenvalue=lam, vector=vec, kind=NORMALIZED, multiplicity=multiplicity, sign_pair=odd, real=real
     )
 
 
@@ -261,10 +259,8 @@ def z_eigenpairs(A: Hypermatrix) -> list[Eigenpair]:
 
 
 def is_z_eigenpair(pair: Eigenpair) -> bool:
-    """A normalized pair whose eigenvalue and vector have |imag| <= Z_TOLERANCE."""
-    return pair.kind == NORMALIZED and all(
-        abs(z.imag) <= Z_TOLERANCE for z in (pair.eigenvalue, *pair.vector)
-    )
+    """A normalized pair with a real direction, decided exactly."""
+    return pair.kind == NORMALIZED and pair.real
 
 
 # -- regularity ------------------------------------------------------------------
@@ -311,8 +307,7 @@ def _conic_witness(A: Hypermatrix):
     g = reduce(primitive_gcd, nonzero)
     if len(g) == 1:
         return False, None
-    roots = np.roots([complex(c) for c in reversed(g)])
-    points = [_conic_point_numeric(complex(root)) for root in roots]
+    points = [_conic_point_numeric(root) for root in float_roots([complex(c) for c in reversed(g)])]
     residual, best = min(((irregularity_residual(A, p), p) for p in points), key=lambda rp: rp[0])
     return True, best if residual <= 1e-10 else None
 

@@ -8,25 +8,24 @@ both.  The gcd (``primitive_gcd``) and Yun's square-free split run a
 primitive pseudo-remainder sequence on coefficient lists over Z or Z[i]
 (``integral_coeffs`` clears a polynomial to one), with ring operations
 and content removal only; ``squarefree_decomposition`` returns monic
-factors over the field.
+factors over the field.  Their one pseudo-division, ``_pseudo_divmod``,
+also builds the Sturm chain that isolates real roots
+(``real_root_intervals``) and serves the resultant PRS and ``eigen``.
 
-Everything here is exact except :func:`complex_roots` and the float
-evaluation :meth:`Poly.eval_complex`; the only other place floating point
-enters the package is ``np.roots`` in ``eigen`` (the eigenvector
-directions and the dimension-3 irregularity witness).  Root multiplicities
-come from the exact square-free (Yun) decomposition alone, so a double
-root is a double root by construction, not by luck of clustering.  The
-roots come from the integer split's factors, each coefficient converted
-once, from its exact quotient by the factor's leading coefficient.
+Everything here is exact except :func:`complex_roots`, :func:`float_roots`
+(the package's one numpy call) and :meth:`Poly.eval_complex`.  Root
+multiplicities come from the exact square-free (Yun) decomposition alone,
+so a double root is a double root by construction, not by luck of
+clustering.  The roots come from the integer split's factors, each
+coefficient converted once, from its exact quotient by its leading one.
 """
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .rational import ComplexRational, as_fraction
 
@@ -369,6 +368,55 @@ def primitive_gcd(a: list, b: list) -> list:
     return b
 
 
+def real_root_count(cs: list[int]) -> int:
+    """The number of distinct real roots of a square-free ascending int list."""
+    return len(real_root_intervals(cs))
+
+
+def real_root_intervals(cs: list[int]) -> list[tuple[Fraction, Fraction]]:
+    """Disjoint intervals (lo, hi], one around each real root of a square-free
+    ascending int list: bisection at dyadic points from a power of two past
+    Cauchy's root bound, each side's roots counted exactly as V(lo) - V(hi),
+    V the sign changes of Sturm's chain p, p', -prem(p_(i-1), p_i), ...
+    (primitive members, a negative divisor's lead taken to an even power so
+    that no sign flips)."""
+    if len(cs) < 2:
+        return []
+    chain = [_primitive(cs), _primitive(_derivative(cs))]
+    while len(chain[-1]) > 1:
+        a, b = chain[-2:]
+        power = len(a) - len(b) + 1
+        r = _pseudo_divmod(a, b, power + (power & 1 if b[-1] < 0 else 0))[1]
+        chain.append(_primitive([-c for c in r]))
+
+    def changes(signs: list[bool]) -> int:
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+
+    def signs_at(a: int, k: int) -> list[bool]:
+        # the members' signs at a / 2^k, zeros skipped; each is evaluated times 2^(k deg)
+        signs = []
+        for p in chain:
+            h = 0
+            for j, c in enumerate(reversed(p)):
+                h = h * a + (c << k * j)
+            if h:
+                signs.append(h > 0)
+        return signs
+
+    # the bound is past every root, where V is V(-inf) or V(+inf), read off the leads
+    bound = 1 << max(abs(c) for c in cs).bit_length() - abs(cs[-1]).bit_length() + 2
+    low, high = changes([(p[-1] > 0) == (len(p) % 2 == 1) for p in chain]), changes([p[-1] > 0 for p in chain])
+    found, todo = [], [(-bound, bound, 0, low, high)]
+    while todo:
+        a, b, k, va, vb = todo.pop()
+        if va - vb == 1:
+            found.append((Fraction(a, 1 << k), Fraction(b, 1 << k)))
+        elif va - vb > 1:
+            vm = changes(signs_at(a + b, k + 1))
+            todo += [(2 * a, a + b, k + 1, va, vm), (a + b, 2 * b, k + 1, vm, vb)]
+    return found
+
+
 def _joint_primitive(w: list, z: list):
     """w and z divided by one common divisor, the content of both together."""
     g = _content(w + z)
@@ -540,8 +588,8 @@ def complex_roots(p: Poly) -> list[tuple[complex, int]]:
 
     Multiplicities come from the exact square-free split of the integral
     coefficients alone, over Z or Z[i]; roots of each square-free factor are
-    simple and found with numpy's companion matrix, from the factor over its
-    leading coefficient (``_over_lead``), then polished by Newton steps.
+    simple and found by ``float_roots``, from the factor over its leading
+    coefficient (``_over_lead``), then polished by Newton steps.
     """
     if p.is_zero():
         raise ValueError("the zero polynomial has every number as a root")
@@ -549,8 +597,8 @@ def complex_roots(p: Poly) -> list[tuple[complex, int]]:
     for factor, mult in squarefree_split(integral_coeffs(p.coeffs)) if p.degree else []:
         coeffs = _over_lead(factor, factor[-1])
         slopes = _over_lead(_derivative(factor), factor[-1])
-        for root in np.roots(coeffs):
-            found.append((_newton_polish(coeffs, slopes, complex(root)), mult))
+        for root in float_roots(coeffs):
+            found.append((_newton_polish(coeffs, slopes, root), mult))
     found.sort(key=lambda item: (item[0].real, item[0].imag))
     total = sum(m for _, m in found)
     expected = p.degree
@@ -559,6 +607,13 @@ def complex_roots(p: Poly) -> list[tuple[complex, int]]:
             f"root count with multiplicity {total} != degree {expected}"
         )
     return found
+
+
+def float_roots(coeffs: list) -> list[complex]:
+    """The roots of float or complex coefficients, highest first: numpy, imported here."""
+    import numpy
+
+    return [complex(root) for root in numpy.roots(coeffs)]
 
 
 def _over_lead(cs: list, lead) -> list:
@@ -585,7 +640,7 @@ def _newton_polish(coeffs: list, slopes: list, z: complex, steps: int = 2) -> co
         if d == 0:
             break
         step = _horner(coeffs, z) / d
-        if not np.isfinite(step.real) or not np.isfinite(step.imag):
+        if not cmath.isfinite(step):
             break
         z = z - step
     return z

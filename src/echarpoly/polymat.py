@@ -1,18 +1,17 @@
 """Exact determinants: integer pencils by evaluate/interpolate, scalars by Bareiss.
 
-Every determinant the library takes is of a pencil M0 + t M1 over the
-integers: t is lambda in the compact even-order matrix and mu = lambda^2
-in the odd-order one, and a resultant node evaluates the Sylvester-Bezout
-rows at an integer t.  ``PolyMatrix`` holds
-one as sparse (column, constant, slope) int rows, over the one
-denominator its builder knows; ``det_interpolated`` evaluates it at small
-integer nodes, one more than the number of rows that carry t, and
-interpolates the integer node determinants (the test suite checks it
-against fraction-free elimination over Q[x], an oracle kept in the
-tests).  The answer is ints in t; ``echar`` divides the denominator out
-and maps t to lambda.  Scalar determinants, a resultant node's among
-them, run fraction-free integer elimination (Bareiss) on int rows,
-``det_rational``.
+Every matrix the library takes a determinant of is over Z[t]: t is lambda
+in the compact even-order matrix, mu = lambda^2 in the odd-order one, and
+a resultant node evaluates the Sylvester-Bezout rows at an integer t.
+``PolyMatrix`` holds one as sparse rows of (column, ascending int
+coefficients in t) pairs, over the one denominator its builder knows;
+``det_interpolated`` evaluates it at small integer nodes, one more than
+the sum of its row degrees, and interpolates the integer node
+determinants (the test suite checks it against fraction-free elimination
+over Q[x], an oracle kept in the tests).  The answer is ints in t;
+``echar`` divides the denominator out and maps t to lambda.  Scalar
+determinants, a resultant node's among them, run fraction-free integer
+elimination (Bareiss) on int rows, ``det_rational``.
 """
 
 from __future__ import annotations
@@ -23,19 +22,19 @@ from .poly import interpolation_nodes, lagrange_interpolate
 
 
 class PolyMatrix:
-    """The square pencil M0 + t M1 over the integers, its determinant over ``denominator``.
+    """A square matrix of integer polynomials in t, its determinant over ``denominator``.
 
-    ``rows[i]`` lists the (column, constant, slope) int triples of row i,
-    one per column at most; absent columns are zero.  A builder whose
-    rows stand for values over integer denominators passes their product
-    as ``denominator``.
+    ``rows[i]`` lists the (column, coefficients) pairs of row i, one per
+    column at most, the coefficients ascending ints in t; absent columns
+    are zero.  A builder whose rows stand for values over integer
+    denominators passes their product as ``denominator``.
     """
 
     __slots__ = ("rows", "denominator")
 
     def __init__(self, rows: Sequence[Sequence[tuple]], *, denominator: int = 1):
         size = len(rows)
-        if any(not 0 <= j < size for row in rows for j, _, _ in row):
+        if any(not 0 <= j < size for row in rows for j, _ in row):
             raise ValueError("pencil must be square")
         self.rows = rows
         self.denominator = denominator
@@ -45,13 +44,16 @@ class PolyMatrix:
         return len(self.rows)
 
     def evaluate(self, t) -> list[list]:
-        """The dense rows of M0 + t M1: ints at an integer node."""
+        """The dense rows of the matrix at t, by Horner: ints at an integer node."""
         size = len(self.rows)
         out = []
         for entries in self.rows:
             row = [0] * size
-            for j, a, b in entries:
-                row[j] = a + t * b
+            for j, coeffs in entries:
+                value = 0
+                for c in reversed(coeffs):
+                    value = value * t + c
+                row[j] = value
             out.append(row)
         return out
 
@@ -60,14 +62,14 @@ class PolyMatrix:
 
 
 def det_interpolated(matrix: PolyMatrix) -> list[int]:
-    """det(M0 + t M1), exact, as ascending int coefficients in t.
+    """The determinant, exact, as ascending int coefficients in t.
 
-    Each row is at most linear in t, so the determinant has degree at most
-    the number of rows with a nonzero slope, and one more node than that
-    determines it.  The node determinants are integer ones, and so is the
-    answer; ``matrix.denominator`` is the caller's to divide out.
+    Its degree is at most the sum of the row degrees, a row's the highest
+    power of t with a nonzero coefficient in it, and one more node than that
+    determines it: a constant matrix takes one.  The node determinants are
+    ints, and so is the answer; ``matrix.denominator`` is the caller's.
     """
-    top = sum(1 for row in matrix.rows if any(b for _, _, b in row))
+    top = sum(max((k for _, cs in row for k, c in enumerate(cs) if c), default=0) for row in matrix.rows)
     nodes = interpolation_nodes(top + 1)
     return lagrange_interpolate([(t, det_rational(matrix.evaluate(t))) for t in nodes])
 

@@ -11,14 +11,15 @@ out the route's denominator, maps t to lambda and checks the degree bound.
 
 The binary kernel, ``sylvester_resultant``, has the sign of det of the
 f-rows-first Sylvester matrix but never builds it.  A binary form is an
-integer pencil, one (constant, slope) int pair per coefficient, the same
-pairs a ``PolyMatrix`` row holds; its builder puts it over the one
-denominator it knows and divides that back out of the result.  The
-pencils are evaluated at one Kronecker node t = 2^K, K past a bound on
-every coefficient of the resultant in t, and the two integer lists give
-its value by the subresultant PRS in O(d e) big-integer operations,
-formal degrees kept by the Sylvester column expansions; the coefficients
-are that value's signed base-2^K digits, returned as an ascending list.
+integer pencil, one (constant, slope) int pair per coefficient, the
+ascending coefficients in t a ``PolyMatrix`` entry holds; its builder
+puts it over the one denominator it knows and divides that back out of
+the result.  The pencils are evaluated at one Kronecker node t = 2^K, K
+past a bound on every coefficient of the resultant in t, and the two
+integer lists give its value by the subresultant PRS in O(d e)
+big-integer operations, each step ``poly``'s pseudo-division, formal
+degrees kept by the Sylvester column expansions; the coefficients are
+that value's signed base-2^K digits, returned as an ascending list.
 
 The multivariate kernel, ``macaulay_resultants``, takes an integer pencil
 F0 + t F1 and integer nodes t; ``macaulay_resultant`` is its call at t = 0.
@@ -35,16 +36,17 @@ Sylvester rows x^alpha F_i of degree nu and one row per coefficient in y
 of the Bezoutian Delta(x, y).  Three forms or more need a nu with
 rho - min d_i < nu < min_{i != j} (d_i + d_j), nu <= rho = sum(d_i - 1);
 two forms take nu = d1 + d2 - 1, where no Bezoutian row is left and the
-matrix is Sylvester's.  Delta is built once per pencil, as ints in t, and
-each node evaluates the rows to ints for one ``det_rational``.  The sign
-is that of the pure-power system's determinant, +1 or -1, pinned once per
-pattern.  Two binary forms (dimension 2: the eigen-forms at even order,
-the homogenized system on its conic at odd order), three ternary forms
-of one degree (dimension 3, every order) and four quaternary quadrics
-(dimension 3 at order 3, dimension 4 at order 3) are such patterns.  A
-pattern with no nu, four cubics or (2, d, d, d) from d = 4 on, raises
-``UnsupportedSizeError`` before any node; Macaulay's ratio det(M) / det(M'),
-which takes every pattern, is kept in the tests as the reference.
+matrix is Sylvester's.  The rows are one ``PolyMatrix``, Delta built once
+per pencil as ints in t, and each node evaluates them to ints for one
+``det_rational``.  The sign is that of the pure-power system's
+determinant, +1 or -1, pinned once per pattern.  Two binary forms
+(dimension 2: the eigen-forms at even order, the homogenized system on
+its conic at odd order), three ternary forms of one degree (dimension 3,
+every order) and four quaternary quadrics (dimension 3 at order 3,
+dimension 4 at order 3) are such patterns.  A pattern with no nu, four
+cubics or (2, d, d, d) from d = 4 on, raises ``UnsupportedSizeError``
+before any node; Macaulay's ratio det(M) / det(M'), which takes every
+pattern, is kept in the tests as the reference.
 """
 
 from __future__ import annotations
@@ -54,7 +56,8 @@ from math import comb, isqrt
 from operator import add, mul
 from typing import Mapping, Sequence
 
-from .polymat import det_rational
+from .poly import _pseudo_divmod
+from .polymat import PolyMatrix, det_rational
 
 
 class UnsupportedSizeError(ValueError):
@@ -119,7 +122,8 @@ def _prs_resultant(f: list[int], g: list[int]) -> int:
     (-1)^e g0 Res_{d-1,e} when f0 = 0, f0 Res_{d,e-1} when g0 = 0, and 0
     when both vanish.  With both leading coefficients nonzero the
     subresultant PRS (Collins, JACM 1967; Brown and Traub, JACM 1971)
-    takes the value in O(d e) integer operations, every division exact.
+    takes the value in O(d e) integer operations, every division exact,
+    on the lists turned ascending for ``poly._pseudo_divmod``.
     """
     scale = 1
     while True:
@@ -142,6 +146,7 @@ def _prs_resultant(f: list[int], g: list[int]) -> int:
         f, g = g, f
         if d & e & 1:
             scale = -scale
+    f, g = f[::-1], g[::-1]
     # g_k and h_k of the subresultant PRS; f and g are consecutive members
     lead = h = 1
     while True:
@@ -149,32 +154,17 @@ def _prs_resultant(f: list[int], g: list[int]) -> int:
         delta = d - e
         if d & e & 1:
             scale = -scale
-        r = _pseudo_remainder(f, g)
+        r = _pseudo_divmod(f, g, delta + 1)[1]
         if not r:
             return 0
         divisor = lead * h**delta
         f, g = g, [c // divisor for c in r]
-        lead = f[0]
+        lead = f[-1]
         if delta:
             h = lead**delta // h ** (delta - 1)
         if len(g) == 1:
             d = len(f) - 1
             return scale * (g[0] ** d // h ** (d - 1))
-
-
-def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
-    """b0^(deg a - deg b + 1) * a mod b, its leading zeros stripped."""
-    lead = b[0]
-    tail = b[1:]
-    n = len(b)
-    r = a
-    for _ in range(len(a) - n + 1):
-        q = r[0]
-        r = [lead * x - q * y for x, y in zip(r[1:n], tail)] + [lead * x for x in r[n:]]
-    for k, c in enumerate(r):
-        if c:
-            return r[k:]
-    return []
 
 
 # -- Sylvester-Bezout construction ----------------------------------------------
@@ -223,9 +213,8 @@ def matrix_size(degrees: Sequence[int]) -> int | None:
     return None if nu is None else comb(nu + k - 1, k - 1)
 
 
-def _sylvester_bezout_rows(forms: Sequence[Mapping], degrees: tuple[int, ...], nu: int) -> list[list]:
-    """The hybrid Sylvester-Bezout matrix of a pencil, as sparse rows of
-    (column, ascending int coefficients in t).
+def _sylvester_bezout_rows(forms: Sequence[Mapping], degrees: tuple[int, ...], nu: int) -> PolyMatrix:
+    """The hybrid Sylvester-Bezout matrix of a pencil, a ``PolyMatrix`` in t.
 
     Columns are the monomials of degree nu (``_monomials`` order).  The
     Sylvester rows x^alpha F_i, |alpha| = nu - d_i, come first, in form
@@ -250,7 +239,7 @@ def _sylvester_bezout_rows(forms: Sequence[Mapping], degrees: tuple[int, ...], n
     rho = sum(d - 1 for d in degrees)
     target = rho - nu
     if target < 0:
-        return rows
+        return PolyMatrix(rows)
     s = max(rho, k).bit_length()
     xs = [1 << (s * (1 + i)) for i in range(k)]
     ys = [1 << (s * (1 + k + i)) for i in range(k)]
@@ -304,7 +293,7 @@ def _sylvester_bezout_rows(forms: Sequence[Mapping], degrees: tuple[int, ...], n
             entry[key & ((1 << s) - 1)] = value
     for entries in bezout:
         rows.append([(j, _dense(powers)) for j, powers in entries.items()])
-    return rows
+    return PolyMatrix(rows)
 
 
 def _digits(packed: int, s: int, k: int) -> tuple[int, ...]:
@@ -346,37 +335,22 @@ def _bezout_sign(degrees: tuple[int, ...]) -> int:
     """
     k = len(degrees)
     powers = [{tuple(d * (j == i) for j in range(k)): (1, 0)} for i, d in enumerate(degrees)]
-    rows = _sylvester_bezout_rows(powers, degrees, _bezout_degree(degrees))
-    value = det_rational(_evaluated(rows, 0))
+    matrix = _sylvester_bezout_rows(powers, degrees, _bezout_degree(degrees))
+    value = det_rational(matrix.evaluate(0))
     if value not in (1, -1):
         raise ArithmeticError(f"the pure-power Sylvester-Bezout determinant of {degrees} is {value}")
     return value
 
 
-def _evaluated(rows: list[list], t: int) -> list[list[int]]:
-    """The dense int rows of the matrix at the node t."""
-    size = len(rows)
-    out = []
-    for entries in rows:
-        row = [0] * size
-        for j, coeffs in entries:
-            value = 0
-            for c in reversed(coeffs):
-                value = value * t + c
-            row[j] = value
-        out.append(row)
-    return out
-
-
 def _sylvester_bezout_resultants(forms, degrees: tuple[int, ...], nu: int, nodes) -> list[int]:
     """The resultant of the pencil at each node: one determinant each, signed."""
-    rows = _sylvester_bezout_rows(forms, degrees, nu)
+    matrix = _sylvester_bezout_rows(forms, degrees, nu)
     values = []
     for t in nodes:
         if _vanishing_form(forms, t):
             values.append(0)
         else:
-            values.append(_bezout_sign(degrees) * det_rational(_evaluated(rows, t)))
+            values.append(_bezout_sign(degrees) * det_rational(matrix.evaluate(t)))
     return values
 
 

@@ -125,14 +125,14 @@ def pencil_det(matrix: PolyMatrix) -> Poly:
 
 
 def poly_rows(rows, size: int) -> list[list[Poly]]:
-    """The dense Poly rows a + b t of sparse (column, a, b) pencil rows.  Of
-    a ``PolyMatrix``'s rows, their determinant is the pencil's times its
-    ``denominator``."""
+    """The dense Poly rows of sparse (column, ascending coefficients in t)
+    rows.  Of a ``PolyMatrix``'s rows, their determinant is the matrix's
+    times its ``denominator``."""
     out = []
     for entries in rows:
         row = [Poly.zero()] * size
-        for j, a, b in entries:
-            row[j] = Poly.constant(a) + Poly.monomial(1, b)
+        for j, coeffs in entries:
+            row[j] = Poly(coeffs)
         out.append(row)
     return out
 
@@ -305,7 +305,7 @@ def macaulay_rows(forms: Sequence[Mapping], degrees: tuple[int, ...]):
 
     ``forms[i]`` maps exponents to (constant, slope) pairs.  The row for
     monomial alpha in partition class i holds the coefficients of
-    (x^alpha / x_i^{d_i}) * F_i as (column, constant, slope) triples.  Rows
+    (x^alpha / x_i^{d_i}) * F_i as (column, (constant, slope)) pairs.  Rows
     and columns are both the monomials of the critical degree in
     lexicographic order, so the x_i^{d_i} term of F_i lands on the diagonal.
     M' keeps the rows and columns of the non-reduced monomials, renumbered
@@ -319,11 +319,11 @@ def macaulay_rows(forms: Sequence[Mapping], degrees: tuple[int, ...]):
         i = _partition_index(alpha, degrees)
         shift = list(alpha)
         shift[i] -= degrees[i]
-        rows.append([(col_of[tuple(map(add, shift, e))], a, b) for e, (a, b) in terms[i]])
+        rows.append([(col_of[tuple(map(add, shift, e))], pair) for e, pair in terms[i]])
         if not _is_reduced(alpha, degrees):
             non_reduced.append(r)
     kept = {c: k for k, c in enumerate(non_reduced)}
-    minor = [[(kept[j], a, b) for j, a, b in rows[r] if j in kept] for r in non_reduced]
+    minor = [[(kept[j], pair) for j, pair in rows[r] if j in kept] for r in non_reduced]
     return rows, minor
 
 

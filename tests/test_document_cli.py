@@ -431,6 +431,19 @@ def test_cli_eigen_report_is_pinned(name):
     assert proc.stdout == (GOLDEN_EIGEN / f"{name}.stdout").read_text()
 
 
+def test_echar_command_leaves_numpy_unimported():
+    """numpy is imported only where float roots are taken: the package and
+    its ``echar`` command never load it."""
+    script = (
+        "import sys, echarpoly; from echarpoly import cli; "
+        f"status = cli.main(['echar', {str(GOLDEN_REPORTS / 'n3.json')!r}]); "
+        "print('numpy' in sys.modules, status)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(echarpoly.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.stdout.splitlines()[-1] == "False 0"
+
+
 PINNED_DOCUMENTS = [GOLDEN_EIGEN / f"{name}.json" for name in EIGEN_GOLDENS] + [
     GOLDEN_REPORTS / "pq4.json",
     GOLDEN_REPORTS / "n3.json",

@@ -173,7 +173,7 @@ def test_m2_regression_characteristic_polynomial():
 
 def _pair(M, i, j, scale=1):
     """The (constant, slope) pair of the pencil M at (i, j), over ``scale``."""
-    for col, a, b in M.rows[i]:
+    for col, (a, b) in M.rows[i]:
         if col == j:
             return Fraction(a, scale), Fraction(b, scale)
     return 0, 0

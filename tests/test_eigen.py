@@ -167,6 +167,48 @@ def test_z_eigenpairs_deficit_family_positive_representative():
     assert abs(zs[0].eigenvalue - 5 / 2**0.5) < 1e-10
 
 
+def test_three_real_directions_a_near_double_root_apart_are_three_z_eigenpairs():
+    """The cross form q(t) = ((t - 1)^2 - 10^-24)(t - 3) has three real roots,
+    two of them 2e-12 apart, which the companion matrix returns as a conjugate
+    pair with imaginary parts near 5e-8.  The exact Sturm count makes them real."""
+    eps = Fraction(1, 10**24)
+    q = [-3 + 3 * eps, 7 - eps, Fraction(-5), Fraction(1)]
+    A = Hypermatrix.from_one_based(3, 2, {(1, 1, 1): q[1], (1, 1, 2): q[2], (1, 2, 2): q[3], (2, 1, 1): -q[0]})
+    assert direction_form_coeffs(binary_slices(A)) == tuple(c * binary_slices(A).denom for c in q)
+    zs = z_eigenpairs(A)
+    assert len(zs) == 3
+    for pair in zs:
+        assert pair.real and pair.kind == NORMALIZED
+        assert all(z.imag == 0 for z in (pair.eigenvalue, *pair.vector))
+    assert sorted(round(pair.eigenvalue.real, 6) for pair in zs) == [0.316228, 2.12132, 2.12132]
+
+
+@pytest.mark.parametrize("center, gap", [(3, 10**-20), (10, 10**-18)])
+def test_real_directions_are_found_by_isolation_not_by_the_smallest_imaginary_part(center, gap):
+    """q(t) = ((t - 1)^2 - 10^-24)((t - c)^2 + g) is square-free with two real
+    roots 2e-12 apart near 1 and a conjugate pair near c.  Both pairs come
+    back from the companion matrix with small imaginary parts, and at c = 3
+    the pair near 3 has the smaller ones; the real directions are the two
+    near t = 1, (1, 1) / sqrt(2), whichever pair lies closer to the axis."""
+    q = convolution([1 - Fraction(1, 10**24), -2, 1], [center**2 + Fraction(gap), -2 * center, 1])
+    entries = {(1, 1, 1, 1): q[1], (1, 1, 1, 2): q[2], (1, 1, 2, 2): q[3], (1, 2, 2, 2): q[4], (2, 1, 1, 1): -q[0]}
+    A = Hypermatrix.from_one_based(4, 2, entries)
+    slices = binary_slices(A)
+    assert direction_form_coeffs(slices) == tuple(c * slices.denom for c in q)
+    zs = z_eigenpairs(A)
+    assert len(zs) == 2
+    for pair in zs:
+        assert abs(pair.vector[0] - 2**-0.5) < 1e-6 and abs(pair.vector[1] - 2**-0.5) < 1e-6
+    assert sum(not p.real for p in eigenpairs_n2(A).pairs) == 2
+
+
+def test_real_marks_rational_directions_and_never_a_deficit_class():
+    pairs = eigenpairs_n2(deficit_tensor()).pairs
+    assert all(not p.real for p in pairs if p.kind == DEFICIT)
+    assert all(p.real for p in pairs if p.exact_direction is not None and p.kind == NORMALIZED)
+    assert any(p.kind == DEFICIT for p in pairs)
+
+
 def test_largest_z_eigenvalue_even_diagonal():
     zs = z_eigenpairs(Hypermatrix.diagonal(4, 2))
     best = max(zs, key=lambda p: p.eigenvalue.real)

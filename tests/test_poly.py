@@ -13,6 +13,8 @@ from echarpoly.poly import (
     interpolation_nodes,
     lagrange_interpolate,
     poly_sqrt,
+    real_root_count,
+    real_root_intervals,
     squarefree_decomposition,
 )
 from echarpoly.rational import I_UNIT, ComplexRational
@@ -322,3 +324,60 @@ def test_interpolation_rejects_float_nodes_and_values():
         lagrange_interpolate([(Fraction(1, 2), 1), (1, 2)])
     with pytest.raises(TypeError):
         lagrange_interpolate([(0, Fraction(1, 2)), (1, 2)])
+
+
+@st.composite
+def clustered_integer_polys(draw):
+    """Nonzero integer polynomials, ascending, whose real roots crowd together:
+    linear factors s t - (c s + j) with roots c + j/s, quadratics (s t - c s)^2
+    +- k with two real roots or a conjugate pair 1/s or less from c, and
+    small random integer factors; s is up to 10^24."""
+    scale = 10 ** draw(st.integers(0, 24))
+    center = draw(st.integers(-5, 5))
+    factors = [[-(center * scale + draw(st.integers(-3, 3))), scale] for _ in range(draw(st.integers(0, 3)))]
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(1, 9)) * draw(st.sampled_from([1, -1]))
+        factors.append([(center * scale) ** 2 + k, -2 * center * scale**2, scale**2])
+    coefficients = st.lists(st.integers(-9, 9), min_size=2, max_size=5).filter(lambda c: c[-1] != 0)
+    factors += draw(st.lists(coefficients, max_size=2))
+    product = [draw(st.sampled_from([1, -1, 3]))]
+    for factor in factors:
+        product = [sum(product[i] * factor[k - i] for i in range(len(product)) if 0 <= k - i < len(factor))
+                   for k in range(len(product) + len(factor) - 1)]
+    return product
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(clustered_integer_polys())
+@example([-3, 7, -5, 1])  # (t - 1)^2 (t - 3): the square-free part is taken below
+@example([5])
+# a remainder two degrees down under a negative lead: an odd power would flip its sign
+@example([1, 3, 0, 0, -2])
+@example([0, 2, 2, 4, 3])
+def test_real_root_count_matches_sympy(coeffs):
+    """Sturm's count equals sympy's on the square-free part, roots 10^-24 apart included."""
+    sympy = pytest.importorskip("sympy")
+    t = sympy.symbols("t")
+    part = sympy.Poly(list(reversed(coeffs)), t).sqf_part()
+    square_free = [int(c) for c in reversed(part.all_coeffs())]
+    assert real_root_count(square_free) == part.count_roots()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(clustered_integer_polys())
+@example([-3, 7, -5, 1])
+@example([5])
+@example([1, 3, 0, 0, -2])
+@example([0, 2, 2, 4, 3])
+def test_real_root_intervals_isolate_each_real_root(coeffs):
+    """Disjoint intervals (lo, hi], each holding exactly one of sympy's real roots,
+    one interval per root, roots 10^-24 apart included."""
+    sympy = pytest.importorskip("sympy")
+    t = sympy.symbols("t")
+    part = sympy.Poly(list(reversed(coeffs)), t).sqf_part()
+    intervals = sorted(real_root_intervals([int(c) for c in reversed(part.all_coeffs())]))
+    assert len(intervals) == part.count_roots()
+    assert all(hi <= lo for (_, hi), (lo, _) in zip(intervals, intervals[1:]))
+    for lo, hi in intervals:
+        low, high = sympy.Rational(lo.numerator, lo.denominator), sympy.Rational(hi.numerator, hi.denominator)
+        assert lo < hi and part.count_roots(low, high) - (part.eval(low) == 0) == 1

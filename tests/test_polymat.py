@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from echarpoly import polymat
 from echarpoly.poly import Poly
 from echarpoly.polymat import PolyMatrix, det_interpolated, det_rational
 from oracles import cofactor_det, det_fraction_free, pencil_det, poly_rows
@@ -15,7 +17,7 @@ def rand_rows(rng, size):
     rows = []
     for _ in range(size):
         rows.append(
-            [(j, rng.randint(-25, 25), rng.randint(-25, 25)) for j in range(size) if rng.random() < 0.7]
+            [(j, (rng.randint(-25, 25), rng.randint(-25, 25))) for j in range(size) if rng.random() < 0.7]
         )
     return rows
 
@@ -26,12 +28,12 @@ def oracle_det(rows, size, denominator) -> Poly:
 
 
 def test_diagonal_lambda_matrix():
-    m = PolyMatrix([[(0, 0, 1)], [(1, 0, 1)]])
+    m = PolyMatrix([[(0, (0, 1))], [(1, (0, 1))]])
     assert det_interpolated(m) == [0, 0, 1]
 
 
 def test_off_diagonal_example():
-    m = PolyMatrix([[(0, 0, 1), (1, 1, 0)], [(0, 1, 0), (1, 0, 1)]])
+    m = PolyMatrix([[(0, (0, 1)), (1, (1, 0))], [(0, (1, 0)), (1, (0, 1))]])
     assert det_interpolated(m) == [-1, 0, 1]
 
 
@@ -41,7 +43,7 @@ def test_matches_scalar_determinant_on_constant_matrices(node_sizes):
         size = rng.randint(1, 5)
         rows = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)]
         denominator = rng.randint(1, 9)
-        constant_rows = [[(j, a, 0) for j, a in enumerate(row)] for row in rows]
+        constant_rows = [[(j, (a, 0)) for j, a in enumerate(row)] for row in rows]
         pencil = PolyMatrix(constant_rows, denominator=denominator)
         node_sizes.clear()
         assert pencil_det(pencil) == Poly.constant(Fraction(det_rational(rows), denominator))
@@ -83,7 +85,7 @@ def test_det_rational_singular():
 def test_rejects_non_square():
     # a column beyond the last row
     with pytest.raises(ValueError):
-        PolyMatrix([[(0, 1, 0), (1, 1, 0)]])
+        PolyMatrix([[(0, (1, 0)), (1, (1, 0))]])
     with pytest.raises(ValueError):
         det_rational([[1], [2]])
 
@@ -91,7 +93,7 @@ def test_rejects_non_square():
 def test_denominator_divides_the_determinant():
     # the rows (3 + 2t) / 2 and 2 / 3: the kernel answers the integer
     # determinant, and the denominator divides it out
-    m = PolyMatrix([[(0, 3, 2)], [(1, 2, 0)]], denominator=6)
+    m = PolyMatrix([[(0, (3, 2))], [(1, (2, 0))]], denominator=6)
     assert det_interpolated(m) == [6, 4]
     assert pencil_det(m) == Poly([1, Fraction(2, 3)])
 
@@ -101,18 +103,22 @@ _values = st.integers(min_value=-81, max_value=81)
 
 @st.composite
 def pencils(draw):
-    """Sparse integer pencils up to size 6 over a denominator: (column,
-    constant, slope) triples, each entry absent, constant, or with a slope;
-    now and then a zero row or a zero column."""
+    """Sparse matrices of integer polynomials in t up to size 6 over a
+    denominator: (column, ascending coefficients) pairs, each entry absent,
+    a constant pair (a, 0), a pencil (a, b), or of degree up to 3 with
+    trailing zeros now and then; now and then a zero row or a zero column."""
     size = draw(st.integers(0, 6))
-    kinds = st.sampled_from(["absent", "absent", "constant", "pencil"])
+    kinds = st.sampled_from(["absent", "absent", "constant", "pencil", "cubic"])
+    cubics = st.lists(_values, min_size=1, max_size=4).map(lambda cs: tuple(cs) + (0,) * (len(cs) % 2))
     rows = []
     for _ in range(size):
         row = []
         for j in range(size):
             kind = draw(kinds)
-            if kind != "absent":
-                row.append((j, draw(_values), draw(_values) if kind == "pencil" else 0))
+            if kind == "cubic":
+                row.append((j, draw(cubics)))
+            elif kind != "absent":
+                row.append((j, (draw(_values), draw(_values) if kind == "pencil" else 0)))
         rows.append(row)
     if size and draw(st.integers(0, 4)) == 0:
         rows[draw(st.integers(0, size - 1))] = []
@@ -124,11 +130,23 @@ def pencils(draw):
     return pencil, oracle_det(rows, size, denominator)
 
 
+_CONSTANT_ROWS = [[(0, (2, 0, 0))], [(1, (3,))]]
+_CUBIC_ROWS = [[(0, (0, 0, 0, 1))], [(1, (1, 0, 1)), (0, (5,))]]
+
+
 @settings(max_examples=80, deadline=None)
 @given(pencils())
+@example((PolyMatrix(_CONSTANT_ROWS), oracle_det(_CONSTANT_ROWS, 2, 1)))
+@example((PolyMatrix(_CUBIC_ROWS), oracle_det(_CUBIC_ROWS, 2, 1)))
 def test_interpolated_det_matches_fraction_free_property(case):
+    """The nodes are one more than the sum of the row degrees, a row's degree
+    its highest power of t with a nonzero coefficient: a constant matrix
+    takes one node."""
     pencil, expected = case
-    assert pencil_det(pencil) == expected
+    with mock.patch.object(polymat, "det_rational", wraps=polymat.det_rational) as nodes:
+        assert pencil_det(pencil) == expected
+    degrees = [max((k for _, cs in row for k, c in enumerate(cs) if c), default=0) for row in pencil.rows]
+    assert nodes.call_count == sum(degrees) + 1
 
 
 _int_entries = st.one_of(st.just(0), st.integers(-10**6, 10**6))
@@ -163,7 +181,12 @@ def test_det_rational_integer_rows_match_fraction_rows(rows):
 def test_even_in_lambda_matrix_takes_the_mu_bound_plus_one_nodes(node_sizes):
     # every row carries t, as each row of the odd-order compact matrix
     # carries mu = lambda^2: 4 nodes in t, where t^2 entries would take 7
-    rows = [[(0, 1, 1), (1, 0, 1), (2, 1, 0)], [(0, 1, 0), (1, 2, 1), (2, 1, 0)], [(0, 1, 0), (1, 1, 0), (2, 3, -1)]]
+    rows = [
+        [(0, (1, 1)), (1, (0, 1)), (2, (1, 0))],
+        [(0, (1, 0)), (1, (2, 1)), (2, (1, 0))],
+        [(0, (1, 0)), (1, (1, 0)), (2, (3, -1))],
+    ]
     matrix = PolyMatrix(rows)
     assert Poly(det_interpolated(matrix)) == det_fraction_free(poly_rows(rows, 3))
     assert len(node_sizes) == 4
+

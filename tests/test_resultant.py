@@ -555,7 +555,7 @@ def test_kernels_answer_in_int_lists():
         f = [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(rng.randint(2, 5))]
         g = [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(rng.randint(2, 5))]
         size = rng.randint(1, 5)
-        rows = [[(j, rng.randint(-9, 9), rng.randint(-9, 9)) for j in range(size)] for _ in range(size)]
+        rows = [[(j, (rng.randint(-9, 9), rng.randint(-9, 9))) for j in range(size)] for _ in range(size)]
         p = [rng.randint(-9, 9) for _ in range(4)]  # an integer cubic at four integer nodes
         points = [(t, sum(c * t**j for j, c in enumerate(p))) for t in range(-2, 2)]
         for coeffs in (
@@ -725,8 +725,8 @@ def test_pure_power_determinant_is_a_unit_and_the_kernel_answers_one():
         k = len(degrees)
         powers = [{tuple(d * (j == i) for j in range(k)): (1, 0)} for i, d in enumerate(degrees)]
         rows = resultant._sylvester_bezout_rows(powers, degrees, resultant._bezout_degree(degrees))
-        assert len(rows) == resultant.matrix_size(degrees)
-        det = polymat.det_rational(resultant._evaluated(rows, 0))
+        assert rows.size == resultant.matrix_size(degrees)
+        det = polymat.det_rational(rows.evaluate(0))
         assert det in (1, -1)
         signs.add(det)
         assert macaulay_resultant(powers, degrees) == 1
