@@ -19,9 +19,9 @@ macaulay
     lambda and interpolated: for even order the resultant of the n forms
     (Ax^{m-1})_i - lambda (x^T x)^{(m-2)/2} x_i, for odd order that of the
     homogenized system {x^T x - x0^2, Ax^{m-1} - lambda x0^{m-2} x},
-    interpolated in lambda^2.  Dimensions 2 and 3 (the latter up to order
-    4).  Each node is one exact Sylvester-Bezout determinant: at dimension
-    3 of three forms of degree m - 1, or four quadrics at order 3; at
+    interpolated in lambda^2.  Dimensions 2 and 3, as the resultant's cost
+    estimate admits.  Each node is one exact Sylvester-Bezout determinant:
+    at dimension 3 of three forms of degree m - 1, or four quadrics at order 3; at
     dimension 2 the Sylvester matrix of two binary forms, at odd order
     those of the homogenized system on its parametrized conic.
 
@@ -38,15 +38,13 @@ from itertools import product
 from math import comb, factorial, prod
 from typing import Optional
 
-from .eigen import is_regular
+from .eigen import deficit_indicator, is_regular
 from .poly import Poly, interpolation_nodes, lagrange_interpolate
 from .polymat import PolyMatrix, det_interpolated
-from .rational import I_UNIT
 from .resultant import (
     UnsupportedSizeError,
     macaulay_resultant,
     macaulay_resultants,
-    matrix_size,
     sylvester_resultant,
 )
 from .tensor import (
@@ -57,7 +55,6 @@ from .tensor import (
     _conic_monomial,
     binary_slices,
     direction_form_coeffs,
-    isotropic_value,
     map_forms,
     rotate_slices,
 )
@@ -437,32 +434,22 @@ def echar_macaulay(A: Hypermatrix) -> EcharResult:
     clearing factor.  ``macaulay_resultants`` takes all the nodes in one
     call, one Sylvester-Bezout determinant per node, its rows built once
     per tensor.  At dimension 3 the degrees are (m-1, m-1, m-1) at even
-    order and (2, 2, 2, 2) at order 3 (15- and 20-square at orders 4 and
-    3).  At dimension 2 the two forms are binary: the eigen-forms at even
-    order, and at odd order the two map forms of the homogenized system on
-    its parametrized conic (``_conic_system``), so each node is one
-    Sylvester determinant, (2m-2)- or (4m-4)-square.  Dimension 3 is taken
-    up to order 4; beyond that ``UnsupportedSizeError`` is raised before
-    any node, with the work it would take: the nodes and the side of the
-    matrix the degrees take (``resultant.matrix_size``) at even order, and
-    at odd order the degrees (2, m-1, m-1, m-1), which no kernel admits.
+    order and (2, 2, 2, 2) at order 3 (15-, 20- and 45-square at orders 4,
+    3 and 6).  At dimension 2 the two forms are binary: the eigen-forms at
+    even order, and at odd order the two map forms of the homogenized
+    system on its parametrized conic (``_conic_system``), so each node is
+    one Sylvester determinant, (2m-2)- or (4m-4)-square.  The kernel alone
+    refuses sizes, before any node: the homogenized degrees (2, m-1, m-1,
+    m-1) from order 5 on, which no kernel admits, and estimates nodes x
+    side^3 above ``resultant.MAX_ESTIMATE`` = 20,000,000.  Dimension 3
+    takes order 6 (3,007,125: 0.20-0.49 s) and refuses order 8; the
+    largest admitted, 19,456,632 at dimension 2, order 40, takes 1.7-5.6 s.
     """
     n, m = A.dim, A.order
     if n not in (2, 3):
         raise UnsupportedSizeError("the macaulay route supports dimensions 2 and 3")
     top = _generic_top(m, n)
     even = m % 2 == 0
-    if n == 3 and m > 4:
-        degrees = (m - 1,) * n if even else (2,) + (m - 1,) * n
-        size = matrix_size(degrees)
-        need = (
-            f"{top + 2} interpolation nodes of a {size}-square matrix"
-            if size
-            else f"a resultant of the degrees {degrees}, which no kernel admits"
-        )
-        raise UnsupportedSizeError(
-            f"the macaulay route takes dimension 3 up to order 4; order {m} would need {need}"
-        )
     nodes = interpolation_nodes(top + 2) if even else range(top + 2)
     build = _eigen_system if even else _conic_system if n == 2 else _homogenized_system
     forms, degrees, factor = build(A)
@@ -504,8 +491,7 @@ def leading_predicted(A: Hypermatrix) -> Fraction:
     """
     if A.dim != 2:
         raise DimensionError("the top-coefficient formula is for dimension 2")
-    f1, f2 = isotropic_value(binary_slices(A))
-    s = (f1 + I_UNIT * f2).norm2()
+    s = deficit_indicator(A)[0]
     if A.order % 2 == 0:
         return s ** ((A.order - 2) // 2)
     return -(s ** (A.order - 2))

@@ -368,11 +368,6 @@ def primitive_gcd(a: list, b: list) -> list:
     return b
 
 
-def real_root_count(cs: list[int]) -> int:
-    """The number of distinct real roots of a square-free ascending int list."""
-    return len(real_root_intervals(cs))
-
-
 def real_root_intervals(cs: list[int]) -> list[tuple[Fraction, Fraction]]:
     """Disjoint intervals (lo, hi], one around each real root of a square-free
     ascending int list: bisection at dyadic points from a power of two past

@@ -300,17 +300,26 @@ def test_cli_echar_dimension3_diagonal_with_a_zero_entry(tmp_path):
     assert report["coefficients"] == ["0"] * 9 + ["-1", "6", "-13", "12", "-4"]
 
 
-def test_cli_dimension3_order6_exit_2_fast(tmp_path):
-    path = write_doc(
-        tmp_path,
-        "dim3-order6.json",
-        {"order": 6, "dim": 3, "entries": {"1,1,1,1,1,1": "1", "2,2,2,2,2,2": "2", "3,3,3,3,3,3": "3"}},
-    )
+def _diagonal_dim3(tmp_path, order):
+    entries = {",".join([str(i)] * order): str(i) for i in (1, 2, 3)}
+    return write_doc(tmp_path, f"dim3-order{order}.json", {"order": order, "dim": 3, "entries": entries})
+
+
+def test_cli_dimension3_order6_takes_the_macaulay_route(tmp_path):
+    proc = run_cli("echar", _diagonal_dim3(tmp_path, 6))
+    assert proc.returncode == 0
+    report = json.loads(proc.stdout)
+    assert report["route"] == "macaulay"
+    assert len(report["coefficients"]) == 32
+
+
+def test_cli_dimension3_order8_exit_2_fast(tmp_path):
+    path = _diagonal_dim3(tmp_path, 8)
     start = time.perf_counter()
     proc = run_cli("echar", path)
     assert time.perf_counter() - start < 1.0
     assert proc.returncode == 2
-    assert "interpolation nodes" in proc.stderr
+    assert "resultant estimate 44,460,689 = nodes x side^3 = 59 x 91^3" in proc.stderr
 
 
 def test_cli_eigen_deficit(tmp_path):

@@ -694,22 +694,59 @@ def test_the_held_result_is_read_only_and_makes_no_reference_cycle():
 @pytest.mark.parametrize(
     "order, message",
     # order 5: no kernel admits the homogenized degrees (2, 4, 4, 4);
-    # order 6: three quintics would take the 45-square Sylvester-Bezout matrix
+    # order 8: 59 nodes of the 91-square Sylvester-Bezout matrix of three
+    # septics, an estimate above the bound
     [
-        (5, "order 5 would need a resultant of the degrees (2, 4, 4, 4), which no kernel admits"),
-        (6, "order 6 would need 33 interpolation nodes of a 45-square matrix"),
+        (5, "no resultant kernel admits the degrees (2, 4, 4, 4)"),
+        (8, "resultant estimate 44,460,689 = nodes x side^3 = 59 x 91^3, above the bound"),
     ],
-    ids=["5", "6"],
+    ids=["5", "8"],
 )
 def test_macaulay_refuses_dimension3_beyond_order4_before_any_node(monkeypatch, order, message):
-    module = importlib.import_module("echarpoly.echar")
-
-    def no_node(forms, degrees, nodes):
-        raise AssertionError("a node was evaluated")
-
-    monkeypatch.setattr(module, "macaulay_resultants", no_node)
+    """The kernel refuses, before it builds the rows a node would read."""
+    module = importlib.import_module("echarpoly.resultant")
+    monkeypatch.setattr(module, "_sylvester_bezout_rows", lambda *args: pytest.fail("rows were built"))
     with pytest.raises(UnsupportedSizeError, match=re.escape(message)):
         echar(Hypermatrix.diagonal(order, 3))
+
+
+def _cayley(S):
+    """(I - S)(I + S)^-1 of an integer skew matrix, by Gauss-Jordan over Q on
+    [I + S | I - S]: the two factors commute, so it is (I + S)^-1 (I - S)."""
+    n = len(S)
+    eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    aug = [[e + s for e, s in zip(eye[i], S[i])] + [e - s for e, s in zip(eye[i], S[i])] for i in range(n)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col])
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                aug[r] = [v - aug[r][col] * w for v, w in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+@pytest.mark.parametrize("kind", ["integer", "pq"])
+def test_macaulay_takes_dimension3_order6(kind):
+    """Order 6 at dimension 3, 33 nodes of the 45-square Sylvester-Bezout
+    matrix of three quintics (estimate 3,007,125), is admitted: psi has
+    degree at most h = 31 and is unchanged under two exact rotations."""
+    rng = random.Random(3)
+    if kind == "integer":
+        A = Hypermatrix(6, 3, {idx: rng.choice([-9, -5, -2, -1, 1, 3, 7, 9]) for idx in all_indices(6, 3)})
+    else:
+        A = fuzz_tensor(rng, 6, 3)
+    result = echar(A)
+    assert result.route == "macaulay"
+    assert h_bound(6, 3) == 31
+    assert not result.psi.is_zero() and result.psi.degree <= 31
+    third = Fraction(1, 3)
+    rotations = [
+        [[third, 2 * third, 2 * third], [2 * third, third, -2 * third], [2 * third, -2 * third, third]],
+        _cayley([[0, 1, 2], [-1, 0, 3], [-2, -3, 0]]),
+    ]
+    for rows in rotations:
+        assert echar(rotate(A, OrthogonalMatrix(rows))).psi == result.psi
 
 
 def _sparse_order4(rng):

@@ -13,7 +13,6 @@ from echarpoly.poly import (
     interpolation_nodes,
     lagrange_interpolate,
     poly_sqrt,
-    real_root_count,
     real_root_intervals,
     squarefree_decomposition,
 )
@@ -355,12 +354,13 @@ def clustered_integer_polys(draw):
 @example([1, 3, 0, 0, -2])
 @example([0, 2, 2, 4, 3])
 def test_real_root_count_matches_sympy(coeffs):
-    """Sturm's count equals sympy's on the square-free part, roots 10^-24 apart included."""
+    """Sturm's count, one isolating interval per real root, equals sympy's on
+    the square-free part, roots 10^-24 apart included."""
     sympy = pytest.importorskip("sympy")
     t = sympy.symbols("t")
     part = sympy.Poly(list(reversed(coeffs)), t).sqf_part()
     square_free = [int(c) for c in reversed(part.all_coeffs())]
-    assert real_root_count(square_free) == part.count_roots()
+    assert len(real_root_intervals(square_free)) == part.count_roots()
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -651,9 +651,12 @@ def bezout_systems(draw, degrees):
     """A sparse integer system of the given degrees.  Half the draws share
     the rational zero p: each form is then a sum of (p_b x_a - p_a x_b) h_ab,
     h_ab sparse forms of degree d - 1, so the resultant is 0.  Returns the
-    forms and whether they share p."""
+    forms and whether they share p.  Quintics and above are dense: the
+    ratio perturbs on sparse quintic systems, at up to 5 s a draw, and
+    takes 0.01-0.04 s on dense ones."""
     k = len(degrees)
-    coefficient = st.one_of(st.just(0), st.integers(-4, 4).filter(bool))
+    nonzero = st.integers(-4, 4).filter(bool)
+    coefficient = nonzero if min(degrees) >= 5 else st.one_of(st.just(0), nonzero)
 
     def sparse_form(degree):
         monomials = [e for e in product(range(degree + 1), repeat=k) if sum(e) == degree]
@@ -681,11 +684,12 @@ def _through(point, sparse_form, degree: int) -> dict:
 
 # A fixed draw of 12 systems per pattern: the ratio perturbs on many sparse
 # quartic systems, at up to 1 s each, so random draws of this size took 1 to
-# 7 s in all.  These take about 2 s and reach both a shared zero and a
-# nonzero resultant for every pattern.
+# 7 s in all.  These take about 2 s for the quartics, under 1 s for every
+# other pattern, and reach both a shared zero and a nonzero resultant for
+# every pattern.
 @pytest.mark.parametrize(
     "degrees",
-    [(1, 1, 1), (2, 2, 2), (3, 3, 3), (4, 4, 4), (2, 2, 2, 2)],
+    [(1, 1, 1), (2, 2, 2), (3, 3, 3), (4, 4, 4), (5, 5, 5), (2, 2, 2, 2)],
     ids=lambda degrees: "-".join(map(str, degrees)),
 )
 @settings(max_examples=12, deadline=None, derandomize=True)
@@ -735,18 +739,24 @@ def test_pure_power_determinant_is_a_unit_and_the_kernel_answers_one():
 
 
 def test_size_cap_reads_the_matrix_the_pattern_takes():
-    """Three forms of degree 11 take a 231-square determinant, under the cap,
-    although their Macaulay matrix would be 528-square."""
+    """Three forms of degree 11 take a 231-square determinant, one node of
+    it an estimate of 231^3 = 12,326,391, under the bound, although their
+    Macaulay matrix would be 528-square.  It is the largest estimate the
+    tests run."""
     degrees = (11, 11, 11)
     assert resultant.matrix_size(degrees) == 231
+    assert 231**3 <= resultant.MAX_ESTIMATE
     powers = [{tuple(11 * (j == i) for j in range(3)): (1, 0)} for i in range(3)]
     assert macaulay_resultant(powers, degrees) == 1
 
 
-def test_macaulay_size_caps():
-    # three forms of degree 17 take a 561-square matrix, above the cap
+def test_macaulay_size_caps(monkeypatch):
+    # three forms of degree 17 take a 561-square matrix: one node of it is an
+    # estimate of 176,558,481, above the bound, refused before the rows are built
+    monkeypatch.setattr(resultant, "_sylvester_bezout_rows", lambda *args: pytest.fail("rows were built"))
     powers = [{tuple(17 * (j == i) for j in range(3)): (1, 0)} for i in range(3)]
-    with pytest.raises(UnsupportedSizeError, match="would be 561x561"):
+    message = "resultant estimate 176,558,481 = nodes x side^3 = 1 x 561^3, above the bound"
+    with pytest.raises(UnsupportedSizeError, match=re.escape(message)):
         macaulay_resultant(powers, [17] * 3)
     with pytest.raises(UnsupportedSizeError):
         macaulay_resultant([{(1,): (1, 0)}], [1])
@@ -759,6 +769,27 @@ def test_macaulay_size_caps():
         message = f"no resultant kernel admits the degrees {degrees}"
         with pytest.raises(UnsupportedSizeError, match=re.escape(message)):
             macaulay_resultant(powers, degrees)
+
+
+def test_five_linear_forms_take_their_coefficient_determinant():
+    """Five linear forms, more than any route passes, are admitted: their
+    one Sylvester-Bezout row is the Bezoutian's constant, the 5x5
+    determinant of the coefficients, at every node of the pencil."""
+    rng = random.Random(5)
+    nodes = [0, 1, -2]
+    for _ in range(4):
+        constants = [[rng.randint(-4, 4) for _ in range(5)] for _ in range(5)]
+        slopes = [[rng.randint(-2, 2) for _ in range(5)] for _ in range(5)]
+        unit = [tuple(int(i == j) for j in range(5)) for i in range(5)]
+        forms = [
+            {unit[j]: (a, b) for j, (a, b) in enumerate(zip(row_a, row_b)) if (a, b) != (0, 0)}
+            for row_a, row_b in zip(constants, slopes)
+        ]
+        expected = [
+            cofactor_det([[a + t * b for a, b in zip(ra, rb)] for ra, rb in zip(constants, slopes)])
+            for t in nodes
+        ]
+        assert macaulay_resultants(forms, (1,) * 5, nodes) == expected
 
 
 @st.composite
