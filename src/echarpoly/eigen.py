@@ -9,8 +9,12 @@ classes; everything else is scaled to x^T x = 1.  The exact eigenvalue of a
 rational direction is integer Horner on the numerators; the float values
 divide the numerators by the denominator, which rounds correctly.  Sturm's
 chain isolates the real roots exactly, so the number of Z-eigenpairs needs no
-tolerance; each real direction's values are those of the float root nearest
-its interval.  The tensor holds its report: one direction pass serves every reader.
+tolerance.  Each irrational real direction's x2/x1 is the float that
+``poly.real_roots`` certifies within one ulp of its root, and its values are
+exact at that float, rounded once; the non-real directions come from
+``poly.nonreal_roots``.  Within a factor the classes run real x2/x1
+ascending, then non-real by (re, im).  The tensor holds its report: one
+direction pass serves every reader.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import Optional
 
 import cmath
 
-from .poly import _over_lead, _pseudo_divmod, float_roots, primitive_gcd, real_root_intervals, squarefree_split
+from .poly import _pseudo_divmod, float_roots, nonreal_roots, primitive_gcd, real_roots, squarefree_split
 from .rational import ComplexRational, I_UNIT
 from .tensor import (
     DimensionError,
@@ -95,8 +99,8 @@ def _eigen_report(slices: SliceCoeffs) -> EigenReport:
     and (1, 0), the isotropic pair (1, i) and (1, -i) that the factors
     t^2 + 1 of q(t) = form(1, t) give, and the square-free factors of the
     rest: exact for a linear factor, numeric for the others.  A nonlinear
-    factor's real roots are isolated exactly, each in an interval; the float
-    root nearest each interval is the real one, taken on the axis.
+    factor's real roots are certified floats (``real_roots``), its
+    non-real ones the rest (``nonreal_roots``).
     """
     coeffs = direction_form_coeffs(slices)
     if not any(coeffs):
@@ -146,16 +150,11 @@ def _eigen_report(slices: SliceCoeffs) -> EigenReport:
                 # root t = -factor[0] / factor[1], the direction (factor[1], -factor[0])
                 pairs.append(_exact_pair(slices, floats, factor[1], -factor[0], mult))
                 continue
-            roots = float_roots(_over_lead(factor, factor[-1]))
-            real: set[int] = set()
-            for lo, hi in real_root_intervals(factor):
-                # of the float roots not yet taken, the one nearest the interval
-                free = [k for k in range(len(roots)) if k not in real]
-                lo, hi = float(lo), float(hi)
-                real.add(min(free, key=lambda k: abs(roots[k] - min(max(roots[k].real, lo), hi))))
-            for k, root in enumerate(roots):
-                x2 = complex(root.real) if k in real else root
-                pairs.append(_numeric_pair(floats, (1 + 0j, x2), mult, k in real))
+            reals = real_roots(factor)
+            for t in reals:
+                pairs.append(_real_pair(slices, floats, t, mult))
+            for t in nonreal_roots(factor, reals):
+                pairs.append(_numeric_pair(floats, (1 + 0j, t), mult))
 
     total = sum(p.multiplicity for p in pairs)
     if total != m:
@@ -178,6 +177,11 @@ def _exact_eigenvalue(slices: SliceCoeffs, u1: int, u2: int) -> Fraction:
     numerators n = b (k = 1) or c (k = 2).  Both are homogeneous of degree
     0 in u, so any integer representative of the direction gives them.
     """
+    return Fraction(*_eigenvalue_terms(slices, u1, u2))
+
+
+def _eigenvalue_terms(slices: SliceCoeffs, u1: int, u2: int) -> tuple[int, int]:
+    """``_exact_eigenvalue`` as an unreduced int numerator and denominator."""
     m = slices.order
     seq, uk = (slices.b, u1) if u1 != 0 else (slices.c, u2)
     value = seq[0]
@@ -187,8 +191,8 @@ def _exact_eigenvalue(slices: SliceCoeffs, u1: int, u2: int) -> Fraction:
         value = value * u1 + seq[j] * power
     s = u1 * u1 + u2 * u2
     if m % 2 == 0:
-        return Fraction(value, slices.denom * uk * s ** ((m - 2) // 2))
-    return Fraction(value * value, (slices.denom * uk) ** 2 * s ** (m - 2))
+        return value, slices.denom * uk * s ** ((m - 2) // 2)
+    return value * value, (slices.denom * uk) ** 2 * s ** (m - 2)
 
 
 def _exact_pair(slices: SliceCoeffs, floats, u1: int, u2: int, multiplicity: int) -> Eigenpair:
@@ -214,8 +218,25 @@ def _exact_pair(slices: SliceCoeffs, floats, u1: int, u2: int, multiplicity: int
     )
 
 
-def _numeric_pair(floats, x: tuple[complex, complex], multiplicity: int, real: bool) -> Eigenpair:
-    """The normalized class of a direction known only in floats."""
+def _real_pair(slices: SliceCoeffs, floats, t: float, multiplicity: int) -> Eigenpair:
+    """The normalized class of the real direction (1, t), for a float t within one
+    ulp of an irrational root: the values at (1, t) are exact and rounded once,
+    read off the integer direction (den, num) of t = num / den."""
+    num, den = t.as_integer_ratio()
+    top, bottom = _eigenvalue_terms(slices, den, num)
+    vec = _unit_vector((1 + 0j, complex(t)))
+    odd = slices.order % 2 == 1
+    if odd:  # top / bottom is lambda^2
+        lam, vec = _align_odd(floats, cmath.sqrt(top / bottom), vec)
+    else:
+        lam = complex(top / bottom)
+    return Eigenpair(
+        eigenvalue=lam, vector=vec, kind=NORMALIZED, multiplicity=multiplicity, sign_pair=odd, real=True
+    )
+
+
+def _numeric_pair(floats, x: tuple[complex, complex], multiplicity: int) -> Eigenpair:
+    """The normalized class of a non-real direction known only in floats."""
     vec = _unit_vector(x)
     which = 0 if abs(vec[0]) >= abs(vec[1]) else 1
     lam = _value(floats[which], vec[0], vec[1]) / vec[which]
@@ -223,7 +244,7 @@ def _numeric_pair(floats, x: tuple[complex, complex], multiplicity: int, real: b
     if odd:
         lam, vec = _align_odd(floats, lam, vec)
     return Eigenpair(
-        eigenvalue=lam, vector=vec, kind=NORMALIZED, multiplicity=multiplicity, sign_pair=odd, real=real
+        eigenvalue=lam, vector=vec, kind=NORMALIZED, multiplicity=multiplicity, sign_pair=odd
     )
 
 

@@ -12,17 +12,21 @@ factors over the field.  Their one pseudo-division, ``_pseudo_divmod``,
 also builds the Sturm chain that isolates real roots
 (``real_root_intervals``) and serves the resultant PRS and ``eigen``.
 
-Everything here is exact except :func:`complex_roots`, :func:`float_roots`
-(the package's one numpy call) and :meth:`Poly.eval_complex`.  Root
-multiplicities come from the exact square-free (Yun) decomposition alone,
-so a double root is a double root by construction, not by luck of
-clustering.  The roots come from the integer split's factors, each
-coefficient converted once, from its exact quotient by its leading one.
+Everything here is exact except :func:`complex_roots`, :func:`float_roots`,
+:func:`real_roots`, :func:`nonreal_roots` and :meth:`Poly.eval_complex`, all
+pure Python.  Root multiplicities come from the exact square-free (Yun)
+decomposition alone, so a double root is a double root by construction,
+not by luck of clustering.  The roots come from the integer split's
+factors, each coefficient converted once, from its exact quotient by its
+leading one.  ``real_roots`` certifies each real root's float within one
+ulp by exact signs; ``float_roots`` (closed forms, then Aberth–Ehrlich)
+decides realness in floats, as ``complex_roots`` does.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 from typing import Iterable, Sequence
@@ -605,10 +609,353 @@ def complex_roots(p: Poly) -> list[tuple[complex, int]]:
 
 
 def float_roots(coeffs: list) -> list[complex]:
-    """The roots of float or complex coefficients, highest first: numpy, imported here."""
-    import numpy
+    """The roots of float or complex coefficients, highest power first.
 
-    return [complex(root) for root in numpy.roots(coeffs)]
+    Leading zeros are dropped and each trailing zero is the root 0j.  Degree
+    1 is the exact quotient, degree 2 the quadratic formula without
+    cancellation, and higher degrees Aberth–Ehrlich iteration
+    (``_aberth``); a polynomial in z^2, as psi is at odd order, is solved in
+    z^2 and each root w gives +-sqrt(w).  Real coefficients give a
+    conjugate-closed list: each non-real root's conjugate is in it bit for
+    bit, and a real root has imaginary part 0.0.
+    """
+    cs = list(coeffs)
+    while cs and cs[0] == 0:
+        del cs[0]
+    zeros = 0
+    while cs and cs[-1] == 0:
+        cs.pop()
+        zeros += 1
+    real = all(c.imag == 0 for c in cs)
+    cs = [float(c.real) if real else complex(c) for c in cs]
+    degree = len(cs) - 1
+    if degree < 1:
+        roots = []
+    elif degree == 1:
+        roots = [complex(-cs[1] / cs[0])]
+    elif degree == 2:
+        roots = _quadratic_roots(*cs)
+    elif degree % 2 == 0 and not any(cs[1::2]):
+        roots = []
+        for w in float_roots(cs[::2]):
+            s = cmath.sqrt(w)
+            if not real:
+                roots += [s, -s]
+            elif w.imag > 0:  # its conjugate, skipped, has the conjugate roots
+                roots += [s, -s, s.conjugate(), -s.conjugate()]
+            elif w.imag == 0 and w.real > 0:
+                roots += [complex(s.real, 0.0), complex(-s.real, 0.0)]
+            elif w.imag == 0:
+                roots += [complex(0.0, s.imag), complex(0.0, -s.imag)]
+    else:
+        roots = _aberth(cs)
+        if real:
+            roots = _conjugate_closed(roots)
+    return roots + [0j] * zeros
+
+
+def _quadratic_roots(a, b, c) -> list[complex]:
+    """The roots of a z^2 + b z + c, c != 0: q = -(b + s) / 2 with s the square
+    root of the discriminant on b's side, roots q / a and c / q; a negative
+    real discriminant gives -b / 2a +- i sqrt(-disc) / |2a|."""
+    scale = 2.0 ** -math.frexp(max(abs(a), abs(b), abs(c)))[1]
+    a, b, c = a * scale, b * scale, c * scale
+    disc = b * b - 4 * a * c
+    if isinstance(disc, float):
+        if disc < 0:
+            re, im = -b / (2 * a), math.sqrt(-disc) / abs(2 * a)
+            return [complex(re, im), complex(re, -im)]
+        q = -(b + math.copysign(math.sqrt(disc), b)) / 2
+        return [complex(q / a), complex(c / q)]
+    root = cmath.sqrt(disc)
+    if (b.conjugate() * root).real < 0:
+        root = -root
+    q = -(b + root) / 2
+    return [q / a, c / q]
+
+
+#: Sweeps of the Aberth iteration before it stops unconverged.
+_ABERTH_SWEEPS = 100
+
+#: The unit roundoff of a float.
+_EPSILON = 2.0**-53
+
+
+def _aberth(cs: list) -> list[complex]:
+    """Aberth–Ehrlich iteration (Aberth, Math. Comp. 1973), Gauss–Seidel style.
+
+    Each approximation z_k moves by 1 / (p'/p(z_k) - sum_{j != k} 1 / (z_k - z_j))
+    until |p(z_k)| is within Horner's rounding error bound.  Past the unit
+    circle p is valued through its reversal q(w) = w^n p(1/w), with
+    p'/p(z) = (n - w q'(w) / q(w)) w, so no power of z overflows.  The
+    starting points are ``_starting_points``, so equal coefficients give
+    equal roots, bit for bit.
+    """
+    n = len(cs) - 1
+    zs = _starting_points(cs)
+    forms = (cs, cs[::-1])
+    sizes = ([abs(c) for c in cs], [abs(c) for c in reversed(cs)])
+    tolerance = 2 * n * _EPSILON
+    loose = tolerance * sum(sizes[0])  # the rounding bound at |w| = 1, the largest it gets
+    active = range(n)
+    for _ in range(_ABERTH_SWEEPS):
+        moving = []
+        for k in active:
+            z = zs[k]
+            r = abs(z)
+            outside = r > 1
+            w = 1 / z if outside else z
+            p = dp = 0j
+            for c in forms[outside]:
+                dp = dp * w + p
+                p = p * w + c
+            if abs(p) <= loose and abs(p) <= tolerance * _horner(sizes[outside], 1 / r if outside else r).real:
+                continue
+            slope = (n - w * dp / p) * w if outside else dp / p  # p'(z) / p(z)
+            pull = 0j
+            for other in zs:
+                if other != z:
+                    pull += 1 / (z - other)
+            if slope != pull:
+                zs[k] = z - 1 / (slope - pull)
+            moving.append(k)
+        active = moving
+        if not active:
+            break
+    return zs
+
+
+def _starting_points(cs: list) -> list[complex]:
+    """Bini's starting points (Numer. Algorithms 1996): for each edge of the upper
+    convex hull of (j, log |a_j|), a_j the coefficient of z^j, as many points as the
+    edge is long, evenly spaced on the circle of radius (|a_i| / |a_j|)^(1 / (j - i))
+    and turned by 0.7 so that none starts on the real axis."""
+    n = len(cs) - 1
+    hull: list[tuple[int, float]] = []
+    for j in range(n + 1):
+        if cs[n - j] == 0:
+            continue
+        point = (j, math.log(abs(cs[n - j])))
+        while len(hull) >= 2:
+            (i0, y0), (i1, y1) = hull[-2:]
+            if (i1 - i0) * (point[1] - y0) - (y1 - y0) * (point[0] - i0) < 0:
+                break
+            hull.pop()
+        hull.append(point)
+    zs = []
+    for (i, yi), (j, yj) in zip(hull, hull[1:]):
+        radius = math.exp((yi - yj) / (j - i))
+        for h in range(j - i):
+            zs.append(cmath.rect(radius, 2 * math.pi * (h / (j - i) + i / n) + 0.7))
+    return zs
+
+
+def _conjugate_closed(zs: list[complex]) -> list[complex]:
+    """The roots of a real polynomial as real roots and conjugate pairs.
+
+    z_k and z_j pair when |z_j - conj(z_k)| is small, and z_k is real when that
+    distance is smallest for j = k, 2 |Im z_k|: the links are taken shortest
+    first.  A pair becomes its mean w, Im w >= 0, and conj(w); a real root loses
+    its imaginary part.
+    """
+    links = sorted((abs(zs[j] - zs[k].conjugate()), k, j) for k in range(len(zs)) for j in range(k, len(zs)))
+    free = set(range(len(zs)))
+    out = []
+    for _, k, j in links:
+        if k in free and j in free:
+            free -= {k, j}
+            if k == j:
+                out.append(complex(zs[k].real, 0.0))
+            else:
+                w = (zs[k] + zs[j].conjugate()) / 2
+                w = complex(w.real, abs(w.imag))
+                out += [w, w.conjugate()]
+    return out
+
+
+def real_roots(cs: list[int]) -> list[float]:
+    """Each real root of a square-free int list, ascending, as a float within one ulp of it.
+
+    Each isolating interval (lo, hi] of ``real_root_intervals`` gives its
+    root: Newton steps in floats, kept inside the interval by bisection,
+    then Newton steps with p and p' valued exactly, each exact sign
+    narrowing the interval.  The float x is taken when p's signs at its two
+    float neighbours bracket the root; otherwise exact bisection of the
+    interval gives the correctly rounded root.
+    """
+    coeffs, slopes = _over_lead(cs, cs[-1]), _derivative(cs)
+    intervals = sorted(real_root_intervals(cs), reverse=True)
+    # p / lc(p) is positive right of the largest root, and each root flips its sign
+    return sorted(_real_root(cs, coeffs, slopes, lo, hi, 1 - 2 * (k % 2)) for k, (lo, hi) in enumerate(intervals))
+
+
+#: Exact Newton steps that ``real_roots`` takes before it checks the float.
+_EXACT_STEPS = 4
+
+#: Float Newton or bisection steps that ``real_roots`` takes at most.
+_FLOAT_STEPS = 64
+
+
+def _real_root(cs: list[int], coeffs: list[float], slopes: list[int], lo: Fraction, hi: Fraction, side: int) -> float:
+    """The root in (lo, hi], where p / lc(p), whose coefficients ``coeffs`` are, has
+    the sign ``side`` right of it and -side left of it."""
+    top = side if cs[-1] > 0 else -side  # the sign of p itself right of the root
+    ends = _exact_float(lo), _exact_float(hi)
+    if None in ends:
+        return _bisect(cs, lo, hi, top)
+    lo, hi = a, b = ends
+    x = (a + b) / 2
+    for _ in range(_FLOAT_STEPS):
+        p = dp = 0.0
+        for c in coeffs:
+            dp = dp * x + p
+            p = p * x + c
+        if p == 0:
+            break
+        if (p > 0) == (side > 0):
+            b = x
+        else:
+            a = x
+        after = x - p / dp if dp else a
+        if abs(after - x) <= 4 * math.ulp(x):  # converged, as far as float values of p tell
+            x = after
+            break
+        if not a < after < b:
+            after = (a + b) / 2
+            if not a < after < b:
+                break
+        x = after
+    for _ in range(_EXACT_STEPS):
+        if not lo < x <= hi:
+            break
+        num, den = x.as_integer_ratio()
+        value = _scaled_value(cs, num, den)
+        if value == 0:
+            return x
+        if (value > 0) == (top > 0):
+            hi = x
+        else:
+            lo = x
+        try:
+            after = x - value / (_scaled_value(slopes, num, den) * den)  # p(x) / p'(x), rounded once
+        except (ZeroDivisionError, OverflowError):
+            break
+        if after == x or not lo < after <= hi:
+            break
+        x = after
+    # the root is in (lo, hi]; the neighbours' signs tell whether it is in [below, above]
+    below, above = math.nextafter(x, -math.inf), math.nextafter(x, math.inf)
+    if (above >= hi or _sign_at(cs, above) != -top) and (below <= lo or _sign_at(cs, below) != top):
+        return x
+    return _bisect(cs, Fraction(lo), Fraction(hi), top)
+
+
+def _exact_float(q: Fraction):
+    """q as a float when a float holds it exactly, else None."""
+    x = float(q)
+    return x if x.as_integer_ratio() == (q.numerator, q.denominator) else None
+
+
+def _bisect(cs: list[int], lo: Fraction, hi: Fraction, top: int) -> float:
+    """The correctly rounded root in (lo, hi] by exact bisection: halve until the
+    ends round to one float or to two neighbours, whose midpoint then decides."""
+    while True:
+        a, b = float(lo), float(hi)
+        if a == b:
+            return a
+        neighbours = math.nextafter(a, math.inf) == b
+        mid = (Fraction(a) + Fraction(b)) / 2 if neighbours else (lo + hi) / 2
+        if neighbours and not lo < mid < hi:
+            return b if mid <= lo else a
+        sign = _sign_at(cs, mid)
+        if sign == 0:
+            return float(mid)
+        if neighbours:
+            return a if sign == top else b
+        if sign == top:
+            hi = mid
+        else:
+            lo = mid
+
+
+def _scaled_value(cs: list[int], num: int, den: int) -> int:
+    """den^deg p(num / den) for an ascending int list p, exactly."""
+    acc, power = 0, 1
+    for c in reversed(cs):
+        acc = acc * num + c * power
+        power *= den
+    return acc
+
+
+def _sign_at(cs: list[int], x) -> int:
+    """The sign of the int list's polynomial at a float or Fraction x."""
+    value = _scaled_value(cs, *x.as_integer_ratio())
+    return (value > 0) - (value < 0)
+
+
+def nonreal_roots(cs: list[int], reals: list[float]) -> list[complex]:
+    """The non-real roots of a square-free int list whose real roots are ``reals``,
+    sorted by (re, im).
+
+    ``float_roots`` solves the list over its lead deflated by the real roots;
+    of its deg - r roots, the (deg - r) / 2 highest in the plane are polished
+    by Newton on the whole list, p and p' valued exactly, and each is taken
+    with its conjugate.  A root on the axis starts 2^-26 above it.
+    """
+    count = len(cs) - 1 - len(reals)
+    if not count:
+        return []
+    coeffs = _over_lead(cs, cs[-1])
+    for x in sorted(reals, key=abs):  # synthetic division by t - x, the remainder dropped
+        quotient = [coeffs[0]]
+        for c in coeffs[1:-1]:
+            quotient.append(c + x * quotient[-1])
+        coeffs = quotient
+    slopes = _derivative(cs)
+    upper = sorted(float_roots(coeffs), key=lambda z: -z.imag)[: count // 2]
+    out = []
+    for z in upper:
+        if z.imag == 0:
+            z = complex(z.real, max(1.0, abs(z.real)) * 2.0**-26)
+        z = _exact_newton(cs, slopes, z)
+        z = complex(z.real, abs(z.imag))
+        out += [z, z.conjugate()]
+    return sorted(out, key=lambda z: (z.real, z.imag))
+
+
+#: Newton steps that ``nonreal_roots`` takes at most on one root.
+_POLISH_STEPS = 40
+
+
+def _exact_newton(cs: list[int], slopes: list[int], z: complex) -> complex:
+    """Newton steps on an int list at a complex float, p(z) / p'(z) rounded once
+    from the exact Gaussian-integer values, until a step no longer moves z."""
+    for _ in range(_POLISH_STEPS):
+        (a, da), (b, db) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+        den = max(da, db)  # both powers of two
+        point = (a * (den // da), b * (den // db))
+        pr, pi = _gaussian_scaled_value(cs, point, den)
+        qr, qi = _gaussian_scaled_value(slopes, point, den)
+        norm = (qr * qr + qi * qi) * den
+        try:
+            # p / p' = p conj(p') / |p'|^2, over the scales den^deg and den^(deg - 1)
+            step = complex((pr * qr + pi * qi) / norm, (pi * qr - pr * qi) / norm)
+        except (ZeroDivisionError, OverflowError):
+            break
+        after = z - step
+        if after == z:
+            break
+        z = after
+    return z
+
+
+def _gaussian_scaled_value(cs: list[int], point: tuple[int, int], den: int) -> tuple[int, int]:
+    """den^deg p((a + bi) / den) for an ascending int list p and point (a, b), as (re, im) ints."""
+    (a, b), re, im, power = point, 0, 0, 1
+    for c in reversed(cs):
+        re, im = re * a - im * b + c * power, re * b + im * a
+        power *= den
+    return re, im
 
 
 def _over_lead(cs: list, lead) -> list:

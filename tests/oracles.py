@@ -26,6 +26,8 @@ orderings and its perturbation toward the pure-power system: it takes
 every degree pattern, so it is the reference for the library's one
 Sylvester-Bezout determinant, and the kernel of the law tests and systems
 whose degrees admit no Sylvester-Bezout degree.
+So does ``eigenpair_errors``, each eigenpair class's distance from its
+value to 50 digits, from mpmath's roots of the cross form.
 ``poly_gcd`` is not an oracle: it applies the library's list gcd to two
 polynomials, a form only the tests use.
 """
@@ -39,8 +41,6 @@ from itertools import permutations, product
 from math import lcm, prod
 from operator import add
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from echarpoly.echar import (
     _cross_form,
@@ -56,6 +56,7 @@ from echarpoly.poly import (
     _newton_polish,
     _numeric,
     as_poly,
+    float_roots,
     integral_coeffs,
     interpolation_nodes,
     lagrange_interpolate,
@@ -755,13 +756,13 @@ def monic(p: Poly) -> Poly:
 def poly_path_roots(p: Poly) -> list[tuple[complex, int]]:
     """``complex_roots`` through ``Poly``: each monic factor of ``squarefree_decomposition``
     and its derivative, coefficient by coefficient as ``float`` (or ``complex``) of
-    the ``Fraction`` values, into numpy's companion matrix and two Newton steps."""
+    the ``Fraction`` values, into ``float_roots`` and two Newton steps."""
     found = []
     for factor, mult in squarefree_decomposition(p):
         coeffs = [_numeric(c) for c in reversed(factor.coeffs)]
         slopes = [_numeric(c) for c in reversed(derivative(factor).coeffs)]
-        for root in np.roots(coeffs):
-            found.append((_newton_polish(coeffs, slopes, complex(root)), mult))
+        for root in float_roots(coeffs):
+            found.append((_newton_polish(coeffs, slopes, root), mult))
     found.sort(key=lambda item: (item[0].real, item[0].imag))
     return found
 
@@ -859,3 +860,63 @@ def reference_index(key, order: int, dim: int) -> tuple[int, ...]:
     if any(not 1 <= i <= dim for i in idx):
         raise ValueError(f"index {key!r} out of range 1..{dim}")
     return tuple(i - 1 for i in idx)
+
+
+def eigenpair_errors(A: Hypermatrix, pairs, digits: int = 50) -> list[tuple[float, float]]:
+    """Each normalized class's distance from its value to ``digits`` digits, by mpmath.
+
+    The cross form x2 f_1(x) - x1 f_2(x) comes from ``brute_slice_sums``; its
+    factors t^2 + 1 (the isotropic directions) are divided out and each
+    factor of ``yun_squarefree`` is solved by ``mpmath.polyroots``, so each
+    root t is the direction (1, t); a drop in degree is the direction (0, 1).
+    The directions are dealt to the pairs nearest first, by |u1 v2 - u2 v1|.
+    x* = u / sqrt(u^T u), its sign taken nearest the pair's x, and
+    lambda* = f_k(x*) / x*_k, flipped with the sign at odd order.  One
+    (|lambda - lambda*| / max(1, |lambda*|), max_i |x_i - x*_i|) per pair,
+    in the order of ``pairs``.
+    """
+    import mpmath
+
+    b, c = brute_slice_sums(A)
+    m = A.order
+    cross = Poly([-c[0]] + [b[j] - c[j + 1] for j in range(m - 1)] + [b[-1]])
+    with mpmath.workdps(digits + 20):
+        directions = [(mpmath.mpf(0), mpmath.mpf(1))] if cross.degree < m else []
+        while cross.degree >= 2:
+            quotient, rest = poly_divmod(cross, Poly([1, 0, 1]))
+            if not rest.is_zero():
+                break
+            cross = quotient
+        for factor, _ in yun_squarefree(cross):
+            coeffs = [mpmath.mpf(v.numerator) / v.denominator for v in reversed(factor.coeffs)]
+            roots = mpmath.polyroots(coeffs, maxsteps=500, extraprec=4 * digits) if len(coeffs) > 2 else [-coeffs[1] / coeffs[0]]
+            directions += [(mpmath.mpf(1), mpmath.mpc(t)) for t in roots]
+
+        def f(seq, x):
+            return sum(mpmath.mpf(v.numerator) / v.denominator * x[0] ** (m - 1 - j) * x[1] ** j for j, v in enumerate(seq))
+
+        normalized = [k for k, pair in enumerate(pairs) if pair.kind == "normalized"]
+        links = sorted(
+            (abs(u[0] * pairs[k].vector[1] - u[1] * pairs[k].vector[0]), k, i)
+            for k in normalized
+            for i, u in enumerate(directions)
+        )
+        taken, matched = set(), {}
+        for _, k, i in links:
+            if k not in matched and i not in taken:
+                matched[k] = i
+                taken.add(i)
+        out = []
+        for k in normalized:
+            u = directions[matched[k]]
+            root = mpmath.sqrt(u[0] * u[0] + u[1] * u[1])
+            x = (u[0] / root, u[1] / root)
+            vec = pairs[k].vector
+            sign = min((1, -1), key=lambda s: max(abs(vec[i] - s * x[i]) for i in range(2)))
+            which = 0 if abs(x[0]) >= abs(x[1]) else 1
+            lam = (b, c)[which]
+            value = f(lam, x) / x[which] * sign ** (m - 2)
+            x = (sign * x[0], sign * x[1])
+            lam_error = abs(pairs[k].eigenvalue - value) / max(1, abs(value))
+            out.append((float(lam_error), float(max(abs(vec[i] - x[i]) for i in range(2)))))
+    return out

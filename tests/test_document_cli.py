@@ -6,6 +6,7 @@ import time
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -440,17 +441,58 @@ def test_cli_eigen_report_is_pinned(name):
     assert proc.stdout == (GOLDEN_EIGEN / f"{name}.stdout").read_text()
 
 
-def test_echar_command_leaves_numpy_unimported():
-    """numpy is imported only where float roots are taken: the package and
-    its ``echar`` command never load it."""
+#: Each golden's largest lambda and vector errors while its roots came from
+#: numpy's companion matrix, rounded up: no golden may get further off.
+COMPANION_MATRIX_ERRORS = {
+    "deficit": (3.7e-17, 6.3e-17),
+    "deficit-family-m5": (4.1e-17, 2.4e-17),
+    "diag4": (5.6e-17, 6.3e-17),
+    "repeated3": (4.9e-17, 6.3e-17),
+    "zero-pivot5": (2.5e-15, 6.1e-16),
+    "pq6": (2.6e-15, 7.6e-16),
+}
+
+
+@pytest.mark.parametrize("name", EIGEN_GOLDENS)
+def test_cli_eigen_report_values_are_within_2e_15_of_50_digits(name):
+    """Every printed normalized lambda is within 2e-15 max(1, |lambda|), and every
+    vector component within 2e-15, of its value to 50 digits (mpmath); pq6's
+    complex lambda was 2.6e-14 off."""
+    pytest.importorskip("mpmath")
+    A = TensorDocument.from_json((GOLDEN_EIGEN / f"{name}.json").read_text()).to_hypermatrix()
+    rows = json.loads((GOLDEN_EIGEN / f"{name}.stdout").read_text())["eigenpairs"]
+    pairs = [
+        SimpleNamespace(kind=row["kind"], eigenvalue=complex(*row["lambda"]), vector=tuple(complex(*v) for v in row["vector"]))
+        for row in rows
+    ]
+    errors = oracles.eigenpair_errors(A, pairs)
+    assert len(errors) == sum(row["kind"] == "normalized" for row in rows)
+    lam, vec = max(e for e, _ in errors), max(e for _, e in errors)
+    assert lam <= 2e-15 and vec <= 2e-15
+    assert lam <= COMPANION_MATRIX_ERRORS[name][0] and vec <= COMPANION_MATRIX_ERRORS[name][1]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["echar", str(GOLDEN_REPORTS / "n3.json")],
+        ["eigen", str(GOLDEN_EIGEN / "pq6.json")],
+        ["verify", "--fuzz", "2", "--seed", "1"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_echar_command_leaves_numpy_unimported(args):
+    """numpy is a test oracle only: with its import made to fail, the
+    ``echar``, ``eigen`` and ``verify`` commands still run, float roots
+    included."""
     script = (
-        "import sys, echarpoly; from echarpoly import cli; "
-        f"status = cli.main(['echar', {str(GOLDEN_REPORTS / 'n3.json')!r}]); "
-        "print('numpy' in sys.modules, status)"
+        "import sys; sys.modules['numpy'] = None; import echarpoly; from echarpoly import cli; "
+        f"status = cli.main({args!r}); "
+        "print(sys.modules['numpy'] is None, status)"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(echarpoly.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
-    assert proc.stdout.splitlines()[-1] == "False 0"
+    assert proc.stdout.splitlines()[-1] == "True 0", proc.stderr
 
 
 PINNED_DOCUMENTS = [GOLDEN_EIGEN / f"{name}.json" for name in EIGEN_GOLDENS] + [

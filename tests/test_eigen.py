@@ -1,13 +1,16 @@
 import cmath
 import dataclasses
 import importlib
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from echarpoly import eigen as eigen_module
 from echarpoly import resultant
+from echarpoly.document import TensorDocument
 from echarpoly.echar import echar
 from echarpoly.eigen import (
     DEFICIT,
@@ -38,11 +41,13 @@ from oracles import (
     brute_eval_map,
     brute_map_forms,
     convolution,
+    eigenpair_errors,
     exact_eigenvalue,
     kernel_resultant,
     poly_divmod,
     rational_resultant,
     slice_sums,
+    yun_squarefree,
 )
 
 DEFICIT_ENTRIES = {
@@ -181,6 +186,57 @@ def test_three_real_directions_a_near_double_root_apart_are_three_z_eigenpairs()
         assert pair.real and pair.kind == NORMALIZED
         assert all(z.imag == 0 for z in (pair.eigenvalue, *pair.vector))
     assert sorted(round(pair.eigenvalue.real, 6) for pair in zs) == [0.316228, 2.12132, 2.12132]
+
+
+def near_double_tensor() -> Hypermatrix:
+    """The order-3 tensor whose cross form is q(t) = ((t - 1)^2 - 10^-24)(t - 3)."""
+    eps = Fraction(1, 10**24)
+    q = [-3 + 3 * eps, 7 - eps, Fraction(-5), Fraction(1)]
+    return Hypermatrix.from_one_based(3, 2, {(1, 1, 1): q[1], (1, 1, 2): q[2], (1, 2, 2): q[3], (2, 1, 1): -q[0]})
+
+
+def test_real_directions_a_near_double_root_apart_have_their_own_values():
+    """The two real directions near t = 1, 2e-12 apart, print distinct x2/x1
+    and distinct eigenvalues, each within 2e-15 of its 50-digit value; the
+    float that stood for both printed 2.1213203435596464 twice."""
+    A = near_double_tensor()
+    pairs = eigenpairs_n2(A).pairs
+    near = [p for p in pairs if abs(p.vector[1] / p.vector[0] - 1) < 1e-6]
+    assert len(near) == 2 and all(p.real for p in near)
+    assert len({p.vector[1] / p.vector[0] for p in near}) == 2
+    assert len({p.eigenvalue for p in near}) == 2
+    pytest.importorskip("mpmath")
+    assert all(lam <= 2e-15 and vec <= 2e-15 for lam, vec in eigenpair_errors(A, pairs))
+
+
+GOLDEN_EIGEN = Path(__file__).parent / "golden" / "eigen"
+
+
+@pytest.mark.parametrize(
+    "A",
+    [near_double_tensor()]
+    + [TensorDocument.from_json(path.read_text()).to_hypermatrix() for path in sorted(GOLDEN_EIGEN.glob("*.json"))],
+    ids=["near-double"] + [path.stem for path in sorted(GOLDEN_EIGEN.glob("*.json"))],
+)
+def test_each_real_direction_lies_in_its_exact_interval(A):
+    """Each irrational real direction's x2/x1 has a root of the cross form's
+    square-free part between the floats 4 ulps either side of it (the float
+    root is within one, normalizing adds the rest): exact signs at both ends
+    differ, and no two directions share the interval."""
+    cross = Poly(direction_form_coeffs(binary_slices(A)))
+    square_free = Poly.one()
+    for factor, _ in yun_squarefree(cross):
+        square_free = square_free * factor
+    intervals = []
+    for pair in eigenpairs_n2(A).pairs:
+        if not pair.real or pair.exact_direction is not None:
+            continue
+        t = (pair.vector[1] / pair.vector[0]).real
+        lo, hi = Fraction(t - 4 * math.ulp(t)), Fraction(t + 4 * math.ulp(t))
+        assert square_free(lo) * square_free(hi) < 0
+        intervals.append((lo, hi))
+    intervals.sort()
+    assert all(hi < lo for (_, hi), (lo, _) in zip(intervals, intervals[1:]))
 
 
 @pytest.mark.parametrize("center, gap", [(3, 10**-20), (10, 10**-18)])

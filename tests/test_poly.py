@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from math import lcm
@@ -10,10 +11,12 @@ from echarpoly.poly import (
     MINUS_INFINITY,
     Poly,
     complex_roots,
+    float_roots,
     interpolation_nodes,
     lagrange_interpolate,
     poly_sqrt,
     real_root_intervals,
+    real_roots,
     squarefree_decomposition,
 )
 from echarpoly.rational import I_UNIT, ComplexRational
@@ -381,3 +384,72 @@ def test_real_root_intervals_isolate_each_real_root(coeffs):
     for lo, hi in intervals:
         low, high = sympy.Rational(lo.numerator, lo.denominator), sympy.Rational(hi.numerator, hi.denominator)
         assert lo < hi and part.count_roots(low, high) - (part.eval(low) == 0) == 1
+
+
+def _float_roots_degree_1_to_12(coeffs: list) -> list:
+    """Highest power first, as floats, or [] outside degrees 1 to 12."""
+    while coeffs and coeffs[-1] == 0:
+        coeffs = coeffs[:-1]
+    return [float(c) for c in reversed(coeffs)] if 1 <= len(coeffs) - 1 <= 12 else []
+
+
+_GAUSSIAN_COEFFS = st.lists(st.builds(complex, st.integers(-9, 9), st.integers(-9, 9)), min_size=2, max_size=13).filter(
+    lambda cs: cs[0] != 0
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(clustered_integer_polys().map(_float_roots_degree_1_to_12), _GAUSSIAN_COEFFS))
+@example([1.0, -6.0, 11.0, -6.0])
+@example([1.0, 0.0, 1.0])
+@example([2.0, 3.0])
+@example([1.0, 5.0, 7.0, 3.0])  # (z + 1)^2 (z + 3)
+@example([1.0, 0.0, 0.0, 0.0, 0.0])
+@example([1j, 2, 3 + 1j, 4])
+def test_float_roots_against_numpy(coeffs):
+    """Degrees 1 to 12: each root's residual within Horner's rounding bound,
+    numpy's roots matched to 1e-6 wherever numpy's root is 0.1 from the
+    others, a real input's roots closed under conjugation bit for bit with
+    imaginary part 0.0 on the axis, and the same bits on a second call."""
+    numpy = pytest.importorskip("numpy")
+    assume(coeffs)
+    roots = float_roots(coeffs)
+    degree = len(coeffs) - 1
+    assert len(roots) == degree
+    assert _bits([(z, 1) for z in float_roots(list(coeffs))]) == _bits([(z, 1) for z in roots])
+    for z in roots:
+        value, bound = 0j, 0.0
+        for c in coeffs:
+            value, bound = value * z + c, bound * abs(z) + abs(c)
+        assert abs(value) <= 8 * degree * 2.0**-53 * bound
+    if degree == 1 and all(isinstance(c, float) for c in coeffs):
+        assert roots == [complex(numpy.roots(coeffs)[0])]
+    theirs = [complex(w) for w in numpy.roots(coeffs)]
+    for w in theirs:
+        if all(abs(v - w) > 0.1 * max(1, abs(w)) for v in theirs if v is not w):
+            assert min(abs(z - w) for z in roots) <= 1e-6 * max(1, abs(w))
+    if all(isinstance(c, float) for c in coeffs):
+        nonreal = [(z, 1) for z in roots if z.imag]
+        assert sorted(_bits([(z.conjugate(), 1) for z, _ in nonreal])) == sorted(_bits(nonreal))
+        assert all(math.copysign(1, z.imag) == 1 for z in roots if z.imag == 0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(clustered_integer_polys())
+@example([-3, 7, -5, 1])
+@example([0, 2, 2, 4, 3])
+@example([-(10**24 - 1), 2 * 10**24, -(10**24)])  # (t - 1)^2 - 10^-24, times 10^24
+def test_real_roots_are_within_one_ulp_of_each_root(coeffs):
+    """One float per real root, as many as sympy counts, ascending, each with
+    a root between its two float neighbours by sympy's exact count; roots
+    10^-24 apart included, which may round to one float."""
+    sympy = pytest.importorskip("sympy")
+    t = sympy.symbols("t")
+    part = sympy.Poly(list(reversed(coeffs)), t).sqf_part()
+    square_free = [int(c) for c in reversed(part.all_coeffs())]
+    found = real_roots(square_free)
+    assert len(found) == part.count_roots()
+    assert found == sorted(found)
+    for x in found:
+        below, above = (sympy.Rational(*math.nextafter(x, end).as_integer_ratio()) for end in (-math.inf, math.inf))
+        assert part.count_roots(below, above) >= 1

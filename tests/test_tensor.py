@@ -195,8 +195,8 @@ def test_first_component_reconstruction():
 
 FRAMES = (
     [OrthogonalMatrix.rotation(k) for k in (2, 3, 5)]
-    + [OrthogonalMatrix.diagonal_signs(s) for s in ([1, -1], [-1, 1], [-1, -1])]
-    + standard_rotations(seed=7, extra=4)
+    + [OrthogonalMatrix.diagonal_signs(s) for s in ([1, -1], [-1, 1], [-1, -1], [1, 1])]
+    + standard_rotations(seed=7, extra=3)
 )
 
 

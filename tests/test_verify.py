@@ -218,3 +218,21 @@ def test_infinite_implies_zero_from_order_3_on():
         verdicts = _verdicts(run_checks(_infinite(random.Random(m), m)))
         assert verdicts["infinite-implies-zero"].passed
         assert "scalar-matrix-square" not in verdicts
+
+
+@pytest.mark.parametrize("seeds", [range(1001), [20260810]], ids=["0-1000", "ci-seed"])
+def test_extra_frames_are_new_up_to_sign_and_small(seeds):
+    """Each seeded frame differs from +-I and from +- every earlier frame, so
+    each invariance check compares psi with a new frame change; seeds 7 and
+    20260810 drew I, 20260817 drew -I and 0 a base frame.  Denominators stay
+    at 5, below the 25 (and 125, 625) that products reach."""
+    identity = OrthogonalMatrix.diagonal_signs([1, 1]).rows
+    for seed in seeds:
+        frames = standard_rotations(seed)
+        assert len(frames) == 5
+        assert [C.rows for C in frames[:3]] == [C.rows for C in standard_rotations(seed, extra=0)]
+        for k in range(3, 5):
+            negated = tuple(tuple(-v for v in row) for row in frames[k].rows)
+            assert identity not in (frames[k].rows, negated)
+            assert all(earlier.rows not in (frames[k].rows, negated) for earlier in frames[:k])
+            assert frames[k].integer_form[0] <= 5
