@@ -39,7 +39,7 @@ from math import comb, factorial, prod
 from typing import Optional
 
 from .eigen import deficit_indicator, is_regular
-from .poly import Poly, interpolation_nodes, lagrange_interpolate
+from .poly import Poly, _scaled_value, interpolation_nodes, lagrange_interpolate
 from .polymat import PolyMatrix, det_interpolated
 from .resultant import (
     UnsupportedSizeError,
@@ -235,12 +235,9 @@ def _nonsingular_frame(cross: tuple[int, ...]) -> OrthogonalMatrix:
     frames, so one of the first 2m rotations qualifies.
     """
     m = len(cross) - 1
-
-    def value(x1: int, x2: int) -> int:
-        return sum(w * x1 ** (m - j) * x2**j for j, w in enumerate(cross))
-
     for k in range(2, 2 * m + 2):
-        if value(k * k - 1, 2 * k) != 0 and value(-2 * k, k * k - 1) != 0:
+        # the form at (x1, x2) is x1^m cross(x2 / x1), Horner's value with den = x1
+        if _scaled_value(cross, 2 * k, k * k - 1) != 0 and _scaled_value(cross, k * k - 1, -2 * k) != 0:
             return OrthogonalMatrix.rotation(k)
     raise ArithmeticError("no rotation avoids the cross form's roots")  # impossible: see above
 

@@ -5,16 +5,18 @@ degree-m cross form x2*(Ax^{m-1})_1 - x1*(Ax^{m-1})_2, read off the integer
 numerators of the slice sums (``tensor.SliceCoeffs``).  Each root becomes
 its eigenpair class as it is found.  Roots on the isotropic cone
 (proportional to (1, i) or (1, -i)) cannot be normalized and form "deficit"
-classes; everything else is scaled to x^T x = 1.  The exact eigenvalue of a
-rational direction is integer Horner on the numerators; the float values
-divide the numerators by the denominator, which rounds correctly.  Sturm's
-chain isolates the real roots exactly, so the number of Z-eigenpairs needs no
-tolerance.  Each irrational real direction's x2/x1 is the float that
-``poly.real_roots`` certifies within one ulp of its root, and its values are
-exact at that float, rounded once; the non-real directions come from
-``poly.nonreal_roots``.  Within a factor the classes run real x2/x1
-ascending, then non-real by (re, im).  The tensor holds its report: one
-direction pass serves every reader.
+classes; everything else is scaled to x^T x = 1.  Sturm's chain isolates
+the real roots exactly, so the number of Z-eigenpairs needs no tolerance.
+Every real class is built from one integer direction (u1, u2): an axis, a
+rational root, or the float x2/x1 = num / den that ``poly.real_roots``
+certifies within one ulp of an irrational root, taken as (den, num).  Its
+lambda (even order) or lambda^2 (odd order) is integer Horner on the
+numerators there, rounded once; at odd order the sign of that Horner value
+orients the representative, so lambda >= 0 is decided exactly.  The
+non-real directions come from ``poly.nonreal_roots``, and their values
+divide the numerators by the denominator in floats.  Within a factor the
+classes run real x2/x1 ascending, then non-real by (re, im).  The tensor
+holds its report: one direction pass serves every reader.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Optional
 
 import cmath
 
-from .poly import _pseudo_divmod, float_roots, nonreal_roots, primitive_gcd, real_roots, squarefree_split
+from .poly import _pseudo_divmod, _scaled_value, float_roots, nonreal_roots, primitive_gcd, real_roots, squarefree_split
 from .rational import ComplexRational, I_UNIT
 from .tensor import (
     DimensionError,
@@ -49,9 +51,11 @@ class Eigenpair:
 
     For odd order a normalized class contains (lambda, x) and (-lambda, -x);
     the representative stored has Re(lambda) > 0 (ties broken by Im >= 0)
-    and ``sign_pair`` is set.  Deficit classes are reported at the fixed
-    representative x = (1, +-i), whose first component is 1.  ``real``, exact,
-    is whether the direction is real: every rational one is, no deficit one.
+    and ``sign_pair`` is set.  A real class has lambda >= 0, its orientation
+    chosen by the exact sign of a Horner value, not by a float comparison.
+    Deficit classes are reported at the fixed representative x = (1, +-i),
+    whose first component is 1.  ``real``, exact, is whether the direction
+    is real: every rational one is, no deficit one.
     """
 
     eigenvalue: complex
@@ -98,15 +102,15 @@ def _eigen_report(slices: SliceCoeffs) -> EigenReport:
     Otherwise the classes come, in this order, from the roots at (0, 1)
     and (1, 0), the isotropic pair (1, i) and (1, -i) that the factors
     t^2 + 1 of q(t) = form(1, t) give, and the square-free factors of the
-    rest: exact for a linear factor, numeric for the others.  A nonlinear
-    factor's real roots are certified floats (``real_roots``), its
-    non-real ones the rest (``nonreal_roots``).
+    rest.  A linear factor is one rational direction; a nonlinear factor's
+    real roots are certified floats (``real_roots``), its non-real ones the
+    rest (``nonreal_roots``).  Every real class comes from ``_real_pair``.
     """
     coeffs = direction_form_coeffs(slices)
     if not any(coeffs):
         return EigenReport(infinite=True, pairs=[])
     m = slices.order
-    # the map's slice sums as floats, for the numeric values
+    # the map's slice sums as floats, for the values of non-real directions
     floats = tuple([v / slices.denom for v in seq] for seq in (slices.b, slices.c))
     pairs: list[Eigenpair] = []
 
@@ -115,9 +119,9 @@ def _eigen_report(slices: SliceCoeffs) -> EigenReport:
     top = max(j for j, c in enumerate(coeffs) if c != 0)
     low = min(j for j, c in enumerate(coeffs) if c != 0)
     if top < m:
-        pairs.append(_exact_pair(slices, floats, 0, 1, m - top))
+        pairs.append(_real_pair(slices, 0, 1, m - top))
     if low > 0:
-        pairs.append(_exact_pair(slices, floats, 1, 0, low))
+        pairs.append(_real_pair(slices, 1, 0, low))
 
     # isotropic directions: exact repeated division by t^2 + 1
     q = list(coeffs[low : top + 1])
@@ -148,11 +152,12 @@ def _eigen_report(slices: SliceCoeffs) -> EigenReport:
         for factor, mult in squarefree_split(q):
             if len(factor) == 2:
                 # root t = -factor[0] / factor[1], the direction (factor[1], -factor[0])
-                pairs.append(_exact_pair(slices, floats, factor[1], -factor[0], mult))
+                pairs.append(_real_pair(slices, factor[1], -factor[0], mult))
                 continue
             reals = real_roots(factor)
             for t in reals:
-                pairs.append(_real_pair(slices, floats, t, mult))
+                num, den = t.as_integer_ratio()
+                pairs.append(_real_pair(slices, den, num, mult, exact=False))
             for t in nonreal_roots(factor, reals):
                 pairs.append(_numeric_pair(floats, (1 + 0j, t), mult))
 
@@ -168,70 +173,58 @@ def _value(seq: list[float], x1: complex, x2: complex) -> complex:
     return sum(seq[j] * x1 ** (m - 1 - j) * x2**j for j in range(m))
 
 
-def _exact_eigenvalue(slices: SliceCoeffs, u1: int, u2: int) -> Fraction:
-    """lambda (even order) or lambda^2 (odd order) at the integer direction (u1, u2).
-
-    With s = u1^2 + u2^2 and k the first nonzero coordinate, lambda is
-    f_k(u) / (u_k s^{(m-2)/2}) and lambda^2 is f_k(u)^2 / (u_k^2 s^{m-2}),
-    f_k(u) = (sum_j n_j u1^{m-1-j} u2^j) / denom by integer Horner on the
-    numerators n = b (k = 1) or c (k = 2).  Both are homogeneous of degree
-    0 in u, so any integer representative of the direction gives them.
-    """
-    return Fraction(*_eigenvalue_terms(slices, u1, u2))
-
-
 def _eigenvalue_terms(slices: SliceCoeffs, u1: int, u2: int) -> tuple[int, int]:
-    """``_exact_eigenvalue`` as an unreduced int numerator and denominator."""
+    """(f, d): lambda = f / d at even order and lambda^2 = f^2 / d at odd order,
+    at the integer direction (u1, u2), as unreduced ints.
+
+    With s = u1^2 + u2^2 and k the first nonzero coordinate, f is f_k(u)
+    times denom, by integer Horner on the numerators b (k = 1) or c (k = 2);
+    d is denom u_k s^{(m-2)/2}, or its square.  Both ratios are homogeneous
+    of degree 0 in u, so any integer representative of the direction gives
+    them.  At odd order m - 1 is even, so f has the sign of lambda along the
+    unit vector whose coordinate k is positive.
+    """
     m = slices.order
     seq, uk = (slices.b, u1) if u1 != 0 else (slices.c, u2)
-    value = seq[0]
-    power = 1
-    for j in range(1, m):
-        power = power * u2
-        value = value * u1 + seq[j] * power
+    f = _scaled_value(seq, u2, u1)
     s = u1 * u1 + u2 * u2
     if m % 2 == 0:
-        return value, slices.denom * uk * s ** ((m - 2) // 2)
-    return value * value, (slices.denom * uk) ** 2 * s ** (m - 2)
+        return f, slices.denom * uk * s ** ((m - 2) // 2)
+    return f, (slices.denom * uk) ** 2 * s ** (m - 2)
 
 
-def _exact_pair(slices: SliceCoeffs, floats, u1: int, u2: int, multiplicity: int) -> Eigenpair:
-    """The normalized class of the rational direction (u1, u2), given as integers."""
-    one, zero = ComplexRational(Fraction(1)), ComplexRational(Fraction(0))
-    x = (one, ComplexRational(Fraction(u2, u1))) if u1 != 0 else (zero, one)
-    vec = _unit_vector((complex(x[0]), complex(x[1])))
-    value = ComplexRational(_exact_eigenvalue(slices, u1, u2))
+def _real_pair(slices: SliceCoeffs, u1: int, u2: int, multiplicity: int, exact: bool = True) -> Eigenpair:
+    """The normalized class of the real direction (u1, u2), given as integers.
+
+    An axis or a rational root is exact; a certified float root x2/x1 =
+    num / den comes as (den, num) with ``exact`` false.  lambda (even order)
+    or lambda^2 (odd order) is rounded once from ``_eigenvalue_terms``.  At
+    odd order the vector, scaled so that its first nonzero coordinate is 1,
+    is negated when f < 0, which makes lambda >= 0 by an exact sign.
+    """
+    f, d = _eigenvalue_terms(slices, u1, u2)
+    vec = _unit_vector((1 + 0j, complex(u2 / u1)) if u1 != 0 else (0j, 1 + 0j))
     odd = slices.order % 2 == 1
-    if odd:  # value is lambda^2
-        lam, vec = _align_odd(floats, cmath.sqrt(complex(value)), vec)
+    if odd:
+        lam = cmath.sqrt(f * f / d)
+        if f < 0:
+            vec = (-vec[0], -vec[1])
     else:
-        lam = complex(value)
+        lam = complex(f / d)
+    direction = value = None
+    if exact:
+        one = ComplexRational(Fraction(1))
+        direction = (one, ComplexRational(Fraction(u2, u1))) if u1 != 0 else (ComplexRational(Fraction(0)), one)
+        value = None if odd else ComplexRational(Fraction(f, d))
     return Eigenpair(
         eigenvalue=lam,
         vector=vec,
         kind=NORMALIZED,
         multiplicity=multiplicity,
         sign_pair=odd,
-        exact_direction=x,
-        exact_eigenvalue=None if odd else value,
+        exact_direction=direction,
+        exact_eigenvalue=value,
         real=True,
-    )
-
-
-def _real_pair(slices: SliceCoeffs, floats, t: float, multiplicity: int) -> Eigenpair:
-    """The normalized class of the real direction (1, t), for a float t within one
-    ulp of an irrational root: the values at (1, t) are exact and rounded once,
-    read off the integer direction (den, num) of t = num / den."""
-    num, den = t.as_integer_ratio()
-    top, bottom = _eigenvalue_terms(slices, den, num)
-    vec = _unit_vector((1 + 0j, complex(t)))
-    odd = slices.order % 2 == 1
-    if odd:  # top / bottom is lambda^2
-        lam, vec = _align_odd(floats, cmath.sqrt(top / bottom), vec)
-    else:
-        lam = complex(top / bottom)
-    return Eigenpair(
-        eigenvalue=lam, vector=vec, kind=NORMALIZED, multiplicity=multiplicity, sign_pair=odd, real=True
     )
 
 
@@ -241,8 +234,8 @@ def _numeric_pair(floats, x: tuple[complex, complex], multiplicity: int) -> Eige
     which = 0 if abs(vec[0]) >= abs(vec[1]) else 1
     lam = _value(floats[which], vec[0], vec[1]) / vec[which]
     odd = len(floats[0]) % 2 == 1
-    if odd:
-        lam, vec = _align_odd(floats, lam, vec)
+    if odd and not _canonical_sign(lam):
+        lam, vec = -lam, (-vec[0], -vec[1])
     return Eigenpair(
         eigenvalue=lam, vector=vec, kind=NORMALIZED, multiplicity=multiplicity, sign_pair=odd
     )
@@ -256,19 +249,6 @@ def _unit_vector(x: tuple[complex, complex]) -> tuple[complex, complex]:
     s = x[0] * x[0] + x[1] * x[1]
     root = cmath.sqrt(s)
     return (x[0] / root, x[1] / root)
-
-
-def _align_odd(floats, lam, vec):
-    """Pick the class representative with canonical eigenvalue sign."""
-    which = 0 if abs(vec[0]) >= abs(vec[1]) else 1
-    measured = _value(floats[which], vec[0], vec[1]) / vec[which]
-    # make (lam, vec) consistent, then canonicalize the sign
-    if abs(measured - lam) > abs(measured + lam):
-        lam = -lam
-    if not _canonical_sign(lam):
-        lam = -lam
-        vec = (-vec[0], -vec[1])
-    return lam, vec
 
 
 def z_eigenpairs(A: Hypermatrix) -> list[Eigenpair]:

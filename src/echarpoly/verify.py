@@ -45,21 +45,22 @@ def fuzz_corpus(count: int, seed: int, order: int, dim: int = 2) -> list[Hyperma
 
 
 def standard_rotations(seed: int = 0, extra: int = 2) -> list[OrthogonalMatrix]:
-    """The 3-4-5 rotation, the axis reflections, and ``extra`` seeded products.
+    """The 3-4-5 rotation, the reflection diag(1, -1), the axis swap, and ``extra`` seeded products.
 
-    A product is drawn again while it is +-I or +- an earlier frame, which
-    would check nothing new (C and -C change the frame of psi alike), or
-    while its denominator passes 5: a denominator of 25 made the n2-dense
-    benchmark's battery 13 % slower than with the I it replaces.  Three
-    frames up to sign pass, R^-1, D R and D R^-1 (R the rotation, D a
-    reflection), so ``extra`` is at most 3.
+    The base frames differ up to sign: diag(-1, 1) is -diag(1, -1), and C
+    and -C change the frame of psi alike.  A product is drawn again while it
+    is +-I or +- an earlier frame, which would check nothing new, or while
+    its denominator passes 5: a denominator of 25 made the n2-dense
+    benchmark's battery 13 % slower than with the I it replaces.  Eight
+    frames up to sign pass, the 90-degree rotation and seven of denominator
+    5, so ``extra`` is at most 8.
     """
-    if extra > 3:
-        raise ValueError("at most 3 seeded frames are new up to sign with denominator 5")
+    if extra > 8:
+        raise ValueError("at most 8 seeded frames are new up to sign with denominator at most 5")
     base = [
         OrthogonalMatrix.rotation(),
         OrthogonalMatrix.diagonal_signs([1, -1]),
-        OrthogonalMatrix.diagonal_signs([-1, 1]),
+        OrthogonalMatrix([[0, 1], [1, 0]]),
     ]
     rng = random.Random(seed)
     out = list(base)

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import echarpoly
 import oracles
 from echarpoly import cli
 from echarpoly.document import DocumentError, TensorDocument
@@ -23,11 +22,20 @@ GOLDEN_EIGEN = Path(__file__).parent / "golden" / "eigen"
 GOLDEN_REPORTS = Path(__file__).parent / "golden" / "reports"
 
 
+#: The environment of every subprocess here: the repository's src first on
+#: PYTHONPATH, so the tests run this checkout without an install or a set PYTHONPATH.
+CLI_ENV = dict(
+    os.environ,
+    PYTHONPATH=os.pathsep.join(filter(None, [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")])),
+)
+
+
 def run_cli(*args):
     proc = subprocess.run(
         [sys.executable, "-m", "echarpoly.cli", *args],
         capture_output=True,
         text=True,
+        env=CLI_ENV,
     )
     return proc
 
@@ -429,13 +437,12 @@ def test_cli_eigen_report_is_pinned(name):
     repeated direction of an order-3 tensor; an order-5 draw with c_1 = 0;
     and an order-6 p/q draw with irrational real and complex directions.
     """
-    env = dict(os.environ, PYTHONPATH=str(Path(echarpoly.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-m", "echarpoly.cli", "eigen", f"{name}.json"],
         capture_output=True,
         text=True,
         cwd=GOLDEN_EIGEN,
-        env=env,
+        env=CLI_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout == (GOLDEN_EIGEN / f"{name}.stdout").read_text()
@@ -490,8 +497,7 @@ def test_echar_command_leaves_numpy_unimported(args):
         f"status = cli.main({args!r}); "
         "print(sys.modules['numpy'] is None, status)"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(echarpoly.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=CLI_ENV)
     assert proc.stdout.splitlines()[-1] == "True 0", proc.stderr
 
 

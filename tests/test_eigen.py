@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import importlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -16,7 +17,7 @@ from echarpoly.eigen import (
     DEFICIT,
     NORMALIZED,
     RegularityReport,
-    _exact_eigenvalue,
+    _eigenvalue_terms,
     deficit_indicator,
     eigenpairs_n2,
     irregularity_residual,
@@ -740,4 +741,91 @@ def test_exact_eigenvalue_at_integer_directions():
             slices = binary_slices(fuzz_tensor(rng, m))
             for u1, u2 in points:
                 want = exact_eigenvalue(slices, ComplexRational(u1), ComplexRational(u2))
-                assert _exact_eigenvalue(slices, u1, u2) == want
+                f, d = _eigenvalue_terms(slices, u1, u2)
+                assert Fraction(f if m % 2 == 0 else f * f, d) == want
+
+
+def _integer_direction(pair):
+    """The integer direction a real class is built from: its exact direction
+    cleared of denominators, else (den, num) of the float t = num / den whose
+    unit vector (1, t) / |(1, t)| is +-``pair.vector`` bit for bit, searched
+    8 ulps either side of vector[1] / vector[0]."""
+    if pair.exact_direction is not None:
+        x1, x2 = (Fraction(c.re) for c in pair.exact_direction)
+        scale = math.lcm(x1.denominator, x2.denominator)
+        return int(x1 * scale), int(x2 * scale)
+    t = (pair.vector[1] / pair.vector[0]).real
+    for _ in range(8):
+        t = math.nextafter(t, -math.inf)
+    for _ in range(17):
+        v = eigen_module._unit_vector((1 + 0j, complex(t)))
+        if pair.vector in (v, (-v[0], -v[1])):
+            num, den = t.as_integer_ratio()
+            return den, num
+        t = math.nextafter(t, math.inf)
+    raise AssertionError(f"no float x2/x1 has the unit vector {pair.vector}")
+
+
+def assert_oriented_exactly(A) -> int:
+    """At odd order, each real class has lambda >= 0, and lambda along the
+    printed vector has the sign of f_k(u) sign(v_k): f_k the map component
+    at the class's integer direction u, valued from ``Fraction`` entries, k
+    the first nonzero coordinate of u.  Returns the number of classes checked."""
+    assert A.order % 2 == 1
+    checked = 0
+    for pair in eigenpairs_n2(A).pairs:
+        if not pair.real:
+            continue
+        u = _integer_direction(pair)
+        k = 0 if u[0] != 0 else 1
+        f = brute_eval_map(A, [Fraction(c) for c in u])[k]
+        lam = pair.eigenvalue
+        assert lam.imag == 0 and lam.real >= 0 and pair.sign_pair
+        side = (f > 0) - (f < 0)
+        if pair.vector[k].real < 0:
+            side = -side
+        assert side == (lam.real > 0), (pair, u, f)
+        checked += 1
+    return checked
+
+
+def epsilon_family_tensor(t: Fraction, eps: Fraction):
+    """Order 3: a1jk with a111 = 10^6 t^2 + eps, a112 = -2 10^6 t, a122 = 10^6, and
+    a2jk = t a1jk.  Then Ax^2 = (10^6 (t x1 - x2)^2 + eps x1^2)(1, t), so
+    Ax^2 = eps (1, t) at x = (1, t): the class of +(1, t) has lambda > 0."""
+    row = {(1, 1): 10**6 * t * t + eps, (1, 2): -2 * 10**6 * t, (2, 2): Fraction(10**6)}
+    entries = {}
+    for (j, k), v in row.items():
+        entries[(1, j, k)] = v
+        entries[(2, j, k)] = t * v
+    return Hypermatrix.from_one_based(3, 2, entries)
+
+
+def test_odd_order_representative_points_along_the_direction_with_positive_lambda():
+    """For every t and eps = k / 10^12, k = 1..40, the one real class points
+    along +(1, t) with lambda > 0.  41 of the 160 pointed along -(1, t) while
+    the sign came from a float evaluation at the rounded vector, which is
+    about 5e-10 off at t = 3 when lambda is 3e-13."""
+    for t in (Fraction(2), Fraction(3), Fraction(1, 3), Fraction(3, 7)):
+        for k in range(1, 41):
+            A = epsilon_family_tensor(t, Fraction(k, 10**12))
+            assert assert_oriented_exactly(A) == 1
+            (pair,) = [p for p in eigenpairs_n2(A).pairs if p.real]
+            v = pair.vector
+            assert pair.eigenvalue.real > 0 and v[0].real > 0 and abs(v[1] / v[0] - float(t)) < 1e-15 * float(t)
+
+
+ODD_GOLDENS = [path.stem for path in sorted(GOLDEN_EIGEN.glob("*.json")) if json.loads(path.read_text())["order"] % 2]
+
+
+@pytest.mark.parametrize("name", ODD_GOLDENS)
+def test_odd_order_golden_classes_are_oriented_by_an_exact_sign(name):
+    """The odd-order eigen goldens (diag4 and pq6 are of even order)."""
+    A = TensorDocument.from_json((GOLDEN_EIGEN / f"{name}.json").read_text()).to_hypermatrix()
+    assert assert_oriented_exactly(A) >= 1
+
+
+@pytest.mark.parametrize("m", [3, 5, 7])
+def test_odd_order_fuzz_classes_are_oriented_by_an_exact_sign(m):
+    rng = random.Random(m)
+    assert sum(assert_oriented_exactly(fuzz_tensor(rng, m)) for _ in range(20)) >= 20

@@ -222,17 +222,33 @@ def test_infinite_implies_zero_from_order_3_on():
 
 @pytest.mark.parametrize("seeds", [range(1001), [20260810]], ids=["0-1000", "ci-seed"])
 def test_extra_frames_are_new_up_to_sign_and_small(seeds):
-    """Each seeded frame differs from +-I and from +- every earlier frame, so
-    each invariance check compares psi with a new frame change; seeds 7 and
-    20260810 drew I, 20260817 drew -I and 0 a base frame.  Denominators stay
-    at 5, below the 25 (and 125, 625) that products reach."""
-    identity = OrthogonalMatrix.diagonal_signs([1, 1]).rows
+    """The five frames, the base frames included, are pairwise distinct up to
+    sign and none is +-I, so each invariance check compares psi with a new
+    frame change; seeds 7 and 20260810 drew I, 20260817 drew -I and 0 a base
+    frame, and the base frames diag(1, -1) and diag(-1, 1) were negatives of
+    each other.  Denominators stay at 5, below the 25 (and 125, 625) that
+    products reach."""
     for seed in seeds:
         frames = standard_rotations(seed)
         assert len(frames) == 5
         assert [C.rows for C in frames[:3]] == [C.rows for C in standard_rotations(seed, extra=0)]
-        for k in range(3, 5):
-            negated = tuple(tuple(-v for v in row) for row in frames[k].rows)
-            assert identity not in (frames[k].rows, negated)
-            assert all(earlier.rows not in (frames[k].rows, negated) for earlier in frames[:k])
-            assert frames[k].integer_form[0] <= 5
+        assert_distinct_up_to_sign(frames)
+        assert all(C.integer_form[0] <= 5 for C in frames)
+
+
+def assert_distinct_up_to_sign(frames):
+    identity = OrthogonalMatrix.diagonal_signs([1, 1]).rows
+    for k, C in enumerate(frames):
+        negated = tuple(tuple(-v for v in row) for row in C.rows)
+        assert identity not in (C.rows, negated)
+        assert all(earlier.rows not in (C.rows, negated) for earlier in frames[:k])
+
+
+def test_eight_extra_frames_are_all_there_are():
+    """The 90-degree rotation and seven frames of denominator 5 are new up to
+    sign; a ninth is refused before any draw."""
+    frames = standard_rotations(seed=1, extra=8)
+    assert_distinct_up_to_sign(frames)
+    assert sorted(C.integer_form[0] for C in frames[3:]) == [1] + [5] * 7
+    with pytest.raises(ValueError):
+        standard_rotations(seed=1, extra=9)
