@@ -12,7 +12,7 @@ import json
 import sys
 
 from .document import DocumentError, TensorDocument
-from .echar import IrregularTensorError, echar
+from .echar import IrregularTensorError, a0_predicted, echar, leading_predicted
 from .eigen import DEFICIT, eigenpairs_n2, is_z_eigenpair
 from .rational import format_rational
 from .resultant import UnsupportedSizeError
@@ -89,6 +89,7 @@ def cmd_echar(args) -> int:
     doc = _load(args.file)
     A = doc.to_hypermatrix()
     result = echar(A, route=args.route)
+    a0 = a0_predicted(A)
     coeffs = [format_rational(c) for c in result.psi.coeffs]
     report = {
         "command": f"echar --route {args.route} {args.file}",
@@ -97,22 +98,20 @@ def cmd_echar(args) -> int:
         "coefficients": coeffs,
         "h_bound": result.h_bound,
         "leading_power": result.leading_power,
-        "a0_predicted": format_rational(result.a0_predicted),
-        "a0_matches": result.a0_actual() == result.a0_predicted,
+        "a0_predicted": format_rational(a0),
+        "a0_matches": result.a0_actual() == a0,
     }
-    if result.leading_predicted is not None:
-        report["leading_predicted"] = format_rational(result.leading_predicted)
-        report["leading_matches"] = result.leading_actual() == result.leading_predicted
+    if A.dim == 2:
+        leading = leading_predicted(A)
+        report["leading_predicted"] = format_rational(leading)
+        report["leading_matches"] = result.leading_actual() == leading
     _emit(report, f"psi = {result.psi} (route {result.route})")
     return EXIT_OK
 
 
 def cmd_eigen(args) -> int:
     doc = _load(args.file)
-    A = doc.to_hypermatrix()
-    if A.dim != 2:
-        raise DimensionError("eigen enumeration requires dimension 2")
-    report = eigenpairs_n2(A)
+    report = eigenpairs_n2(doc.to_hypermatrix())
     rows = []
     for pair in report.pairs:
         rows.append(
@@ -146,7 +145,16 @@ def cmd_eigen(args) -> int:
     return EXIT_OK
 
 
+def _failures(checks) -> list[dict]:
+    """The report entries of failed checks, each with its counterexample document."""
+    return [
+        {"check": c.name, "detail": c.detail, "tensor": json.loads(c.counterexample.to_json())}
+        for c in checks
+    ]
+
+
 def cmd_verify(args) -> int:
+    deep = " --deep" if args.deep else ""
     if args.fuzz is not None:
         if args.seed is None:
             print("--seed is required with --fuzz", file=sys.stderr)
@@ -164,17 +172,10 @@ def cmd_verify(args) -> int:
             for name, (ok, ran) in sorted(outcome.per_check.items())
         }
         payload = {
-            "command": f"verify --fuzz {args.fuzz} --seed {args.seed} --m {args.m} --n {args.n}",
+            "command": f"verify --fuzz {args.fuzz} --seed {args.seed} --m {args.m} --n {args.n}{deep}",
             "tensors": outcome.total,
             "verdicts": verdicts,
-            "failures": [
-                {
-                    "check": f.name,
-                    "detail": f.detail,
-                    "tensor": json.loads(f.counterexample.to_json()),
-                }
-                for f in outcome.failures
-            ],
+            "failures": _failures(outcome.failures),
         }
         for name, v in verdicts.items():
             mark = "PASS" if v["ok"] else "FAIL"
@@ -190,24 +191,9 @@ def cmd_verify(args) -> int:
         raise UnsupportedSizeError("per-file verification runs on dimension 2")
     checks = run_checks(A, deep=args.deep)
     payload = {
-        "command": f"verify {args.file}",
-        "verdicts": [
-            {
-                "check": c.name,
-                "passed": c.passed,
-                "detail": c.detail,
-            }
-            for c in checks
-        ],
-        "failures": [
-            {
-                "check": c.name,
-                "detail": c.detail,
-                "tensor": json.loads(c.counterexample.to_json()),
-            }
-            for c in checks
-            if not c.passed
-        ],
+        "command": f"verify{deep} {args.file}",
+        "verdicts": [{"check": c.name, "passed": c.passed, "detail": c.detail} for c in checks],
+        "failures": _failures(c for c in checks if not c.passed),
     }
     for c in checks:
         mark = "PASS" if c.passed else "FAIL"

@@ -31,12 +31,10 @@ Every kernel answers in ints over its route's one denominator, which
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import product
 from math import comb, factorial, prod
-from typing import Optional
 
 from .eigen import deficit_indicator, is_regular
 from .poly import Poly, _scaled_value, interpolation_nodes, lagrange_interpolate
@@ -86,30 +84,19 @@ def _generic_top(m: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class EcharResult:
-    """A characteristic polynomial plus the closed-form predictions.
+    """A characteristic polynomial and the power of lambda it is read at.
 
     ``leading_power`` is the power of lambda carrying the generically
-    nonzero top coefficient: h for even order, 2h for odd.  The predictions
-    ``a0_predicted`` and ``leading_predicted`` (None beyond dimension 2)
-    are computed from ``tensor`` on first read, since most callers that
-    cross-check routes never read them.  Read-only: a tensor's readers share
-    its route "auto" result, whose ``tensor`` is a twin (see ``_held``).
+    nonzero top coefficient: h for even order, 2h for odd.  The closed-form
+    predictions it is checked against are ``a0_predicted(A)`` and
+    ``leading_predicted(A)``.  Read-only: a tensor's readers share its
+    route "auto" result, which refers to no tensor.
     """
 
     psi: Poly
     route: str
     h_bound: int
     leading_power: int
-    tensor: Hypermatrix = field(repr=False)
-
-    # the bodies call the module-level functions of the same names
-    @cached_property
-    def a0_predicted(self) -> Fraction:
-        return a0_predicted(self.tensor)
-
-    @cached_property
-    def leading_predicted(self) -> Optional[Fraction]:
-        return leading_predicted(self.tensor) if self.tensor.dim == 2 else None
 
     @property
     def identically_zero(self) -> bool:
@@ -140,7 +127,7 @@ def _result(A: Hypermatrix, coeffs: list[int], denominator: int, route: str) -> 
     power = top
     if m % 2:
         p, power = Poly([c for a in p.coeffs for c in (a, 0)]), 2 * top
-    return EcharResult(psi=p, route=route, h_bound=top, leading_power=power, tensor=A)
+    return EcharResult(psi=p, route=route, h_bound=top, leading_power=power)
 
 
 # -- slice-form builders ---------------------------------------------------------
@@ -439,8 +426,8 @@ def echar_macaulay(A: Hypermatrix) -> EcharResult:
     refuses sizes, before any node: the homogenized degrees (2, m-1, m-1,
     m-1) from order 5 on, which no kernel admits, and estimates nodes x
     side^3 above ``resultant.MAX_ESTIMATE`` = 20,000,000.  Dimension 3
-    takes order 6 (3,007,125: 0.20-0.49 s) and refuses order 8; the
-    largest admitted, 19,456,632 at dimension 2, order 40, takes 1.7-5.6 s.
+    takes order 6 (3,007,125) and refuses order 8; the largest admitted is
+    19,456,632, at dimension 2, order 40.
     """
     n, m = A.dim, A.order
     if n not in (2, 3):
@@ -506,7 +493,7 @@ def echar(A: Hypermatrix, route: str = "auto") -> EcharResult:
             raise UnsupportedSizeError(f"no route for dimension {n}")
         if A._echar is None:
             sylvester = echar_even_n2 if m % 2 == 0 else echar_odd_n2
-            A._echar = _held(sylvester(A) if n == 2 else echar_macaulay(A))
+            A._echar = sylvester(A) if n == 2 else echar_macaulay(A)
         return A._echar
     if route == "sylvester":
         _require(A)
@@ -517,15 +504,6 @@ def echar(A: Hypermatrix, route: str = "auto") -> EcharResult:
     if route == "macaulay":
         return echar_macaulay(A)
     raise ValueError(f"unknown route {route!r}")
-
-
-def _held(result: EcharResult) -> EcharResult:
-    """The result as its tensor holds it, predicting from a twin that shares the tensor's
-    entries and records: no reference cycle leaves a dead tensor to the garbage collector."""
-    A = result.tensor
-    twin = Hypermatrix.from_checked(A.order, A.dim, A.entries)
-    twin._forms, twin._slices = A._forms, A._slices
-    return replace(result, tensor=twin)
 
 
 def _require(A: Hypermatrix, parity: int | None = None):

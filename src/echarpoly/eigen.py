@@ -12,7 +12,10 @@ rational root, or the float x2/x1 = num / den that ``poly.real_roots``
 certifies within one ulp of an irrational root, taken as (den, num).  Its
 lambda (even order) or lambda^2 (odd order) is integer Horner on the
 numerators there, rounded once; at odd order the sign of that Horner value
-orients the representative, so lambda >= 0 is decided exactly.  The
+orients the representative, so lambda >= 0 is decided exactly.  Where the
+float direction may move that value by more than 2^-40 of itself, near a
+zero of it, the value and its sign are taken at the root instead: exactly
+0 when a gcd says so, else at a dyadic point refined by exact signs.  The
 non-real directions come from ``poly.nonreal_roots``, and their values
 divide the numerators by the denominator in floats.  Within a factor the
 classes run real x2/x1 ascending, then non-real by (re, im).  The tensor
@@ -27,8 +30,22 @@ from functools import reduce
 from typing import Optional
 
 import cmath
+import math
 
-from .poly import _pseudo_divmod, _scaled_value, float_roots, nonreal_roots, primitive_gcd, real_roots, squarefree_split
+from .poly import (
+    Poly,
+    _derivative,
+    _pseudo_divmod,
+    _scaled_value,
+    _sign_at,
+    _trim,
+    float_roots,
+    nonreal_roots,
+    primitive_gcd,
+    real_root_intervals,
+    real_roots,
+    squarefree_split,
+)
 from .rational import ComplexRational, I_UNIT
 from .tensor import (
     DimensionError,
@@ -155,9 +172,9 @@ def _eigen_report(slices: SliceCoeffs) -> EigenReport:
                 pairs.append(_real_pair(slices, factor[1], -factor[0], mult))
                 continue
             reals = real_roots(factor)
-            for t in reals:
+            for k, t in enumerate(reals):
                 num, den = t.as_integer_ratio()
-                pairs.append(_real_pair(slices, den, num, mult, exact=False))
+                pairs.append(_real_pair(slices, den, num, mult, root=(factor, k)))
             for t in nonreal_roots(factor, reals):
                 pairs.append(_numeric_pair(floats, (1 + 0j, t), mult))
 
@@ -193,16 +210,23 @@ def _eigenvalue_terms(slices: SliceCoeffs, u1: int, u2: int) -> tuple[int, int]:
     return f, (slices.denom * uk) ** 2 * s ** (m - 2)
 
 
-def _real_pair(slices: SliceCoeffs, u1: int, u2: int, multiplicity: int, exact: bool = True) -> Eigenpair:
+def _real_pair(
+    slices: SliceCoeffs, u1: int, u2: int, multiplicity: int, root: Optional[tuple[list[int], int]] = None
+) -> Eigenpair:
     """The normalized class of the real direction (u1, u2), given as integers.
 
-    An axis or a rational root is exact; a certified float root x2/x1 =
-    num / den comes as (den, num) with ``exact`` false.  lambda (even order)
-    or lambda^2 (odd order) is rounded once from ``_eigenvalue_terms``.  At
-    odd order the vector, scaled so that its first nonzero coordinate is 1,
-    is negated when f < 0, which makes lambda >= 0 by an exact sign.
+    An axis or a rational root is exact; the certified float x2/x1 = num /
+    den of the k-th real root of a square-free factor comes as (den, num)
+    with ``root`` = (factor, k).  lambda (even order) or lambda^2 (odd
+    order) is rounded once from ``_eigenvalue_terms``: at the float
+    direction, or at the root itself (``_root_terms``) when the float may
+    move f by more than ``_DIRECTION_SHARE`` of itself (``_needs_root``).
+    At odd order the vector, scaled so that its first nonzero coordinate
+    is 1, is negated when f < 0, which makes lambda >= 0 by an exact sign.
     """
     f, d = _eigenvalue_terms(slices, u1, u2)
+    if root is not None and _needs_root(slices, f, u2, u1):
+        f, d = _root_terms(slices, *root, u2 / u1)
     vec = _unit_vector((1 + 0j, complex(u2 / u1)) if u1 != 0 else (0j, 1 + 0j))
     odd = slices.order % 2 == 1
     if odd:
@@ -212,7 +236,7 @@ def _real_pair(slices: SliceCoeffs, u1: int, u2: int, multiplicity: int, exact: 
     else:
         lam = complex(f / d)
     direction = value = None
-    if exact:
+    if root is None:
         one = ComplexRational(Fraction(1))
         direction = (one, ComplexRational(Fraction(u2, u1))) if u1 != 0 else (ComplexRational(Fraction(0)), one)
         value = None if odd else ComplexRational(Fraction(f, d))
@@ -226,6 +250,84 @@ def _real_pair(slices: SliceCoeffs, u1: int, u2: int, multiplicity: int, exact: 
         exact_eigenvalue=value,
         real=True,
     )
+
+
+#: The share of f that the float direction may move it by: past it, ``_real_pair``
+#: values lambda at the root itself.  So a lambda valued at the float is within
+#: 2^-40 of its value at the root, and its sign, which orients the odd-order
+#: class, is the root's.
+_DIRECTION_SHARE = 2.0**-40
+
+
+def _needs_root(slices: SliceCoeffs, f: int, num: int, den: int) -> bool:
+    """Whether f, valued at the float x = num / den of a root r, may be further
+    than ``_DIRECTION_SHARE`` of itself from its value at r.
+
+    f is den^(m-1) F(x) with F(t) = sum b_j t^j, and |x - r| <= ulp(x), so F
+    moves by at most ulp(x) sum j |b_j| (|x| + ulp(x))^(j-1) between them.
+    The share dwarfs the rounding of that float sum.  A value past float
+    range counts as too far, which only costs the exact path.
+    """
+    b = slices.b
+    if not any(b):
+        return False
+    x = num / den
+    step = math.ulp(x)
+    reach = abs(x) + step
+    try:
+        slope = sum(j * abs(c) * reach ** (j - 1) for j, c in enumerate(b) if j)
+        return abs(f) / den ** (len(b) - 1) * _DIRECTION_SHARE <= step * slope
+    except OverflowError:
+        return True
+
+
+def _root_terms(slices: SliceCoeffs, factor: list[int], k: int, x: float) -> tuple[int, int]:
+    """``_eigenvalue_terms`` at the k-th real root r of the square-free ``factor``,
+    whose certified float is x.
+
+    r's isolating interval (lo, hi] is narrowed by exact signs of ``factor``,
+    first at x's float neighbours, which bracket r.  F(t) = sum b_j t^j
+    vanishes at r exactly when r is a root of gcd(factor, F), read off
+    that gcd's signs at lo and hi: then lambda = 0, the terms (0, 1).
+    Otherwise the interval is halved until F moves on it by at most 2^-55
+    of its value at the midpoint c, and c, within 2^-60 max(1, |c|) of r,
+    gives the terms as the dyadic direction (denominator, numerator).
+    """
+    b = _trim(list(slices.b))
+    lo, hi = sorted(real_root_intervals(factor))[k]
+    top = _sign_at(factor, hi)
+
+    def narrow(c: Fraction) -> None:
+        nonlocal lo, hi
+        sign = _sign_at(factor, c)
+        if sign == top:
+            hi = c
+        elif sign:
+            lo = c
+        else:
+            lo = hi = c
+
+    if top == 0:
+        lo = hi
+    for c in (math.nextafter(x, -math.inf), math.nextafter(x, math.inf)):
+        if lo < c < hi:
+            narrow(Fraction(c))
+    while lo < hi and _sign_at(factor, lo) == 0:
+        narrow((lo + hi) / 2)
+    if lo < hi:
+        g = primitive_gcd(factor, b)
+        if len(g) > 1 and _sign_at(g, lo) != _sign_at(g, hi):
+            return 0, 1
+    slope = Poly(_derivative([abs(c) for c in b]))  # bounds |F'| on [-t, t] at t
+    while lo < hi:
+        c = (lo + hi) / 2
+        width = hi - lo
+        value = Fraction(_scaled_value(b, c.numerator, c.denominator), c.denominator ** (len(b) - 1))
+        if width * slope(max(-lo, hi)) <= abs(value) / 2**55 and width <= max(1, abs(c)) / 2**60:
+            lo = hi = c
+        else:
+            narrow(c)
+    return _eigenvalue_terms(slices, hi.denominator, hi.numerator)
 
 
 def _numeric_pair(floats, x: tuple[complex, complex], multiplicity: int) -> Eigenpair:

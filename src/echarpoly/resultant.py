@@ -51,12 +51,11 @@ pattern, is kept in the tests as the reference.
 One estimate admits or refuses every size: nodes x side^3 (``matrix_size``),
 the Bareiss multiplications, known from the degrees before any row is
 built.  Above ``MAX_ESTIMATE``, 20,000,000, the call raises
-``UnsupportedSizeError`` naming the nodes, the side and the estimate.  On
-one core of a shared 2-CPU machine, Python 3.11, integer / p/q draw:
-dimension 3 at order 6, 33 x 45^3 = 3,007,125, takes 0.20 / 0.49 s; the
-largest estimates admitted, dimension 2 at orders 40 (41 x 78^3) and 23
-(25 x 88^3), take 1.7 / 5.6 s and 3.3 / 7.2 s; dimension 3 at order 8,
-59 x 91^3 = 44,460,689, is refused.
+``UnsupportedSizeError`` naming the nodes, the side and the estimate.
+Dimension 3 at order 6 estimates 33 x 45^3 = 3,007,125; the largest
+estimates admitted are dimension 2 at orders 40 (41 x 78^3) and 23
+(25 x 88^3); dimension 3 at order 8, 59 x 91^3 = 44,460,689, is refused.
+The README's Scale limits give their times.
 """
 
 from __future__ import annotations
@@ -380,8 +379,8 @@ def macaulay_resultants(
     (constant, slope) int pairs; anything else raises ``TypeError``.  A
     pattern with no Sylvester-Bezout degree (``_bezout_degree``), or an
     estimate len(nodes) * matrix_size^3 above ``MAX_ESTIMATE`` = 20,000,000
-    (dimension 3 at order 6: 3,007,125, 0.20-0.49 s; the largest admitted,
-    19,456,632: 1.7-5.6 s), raises ``UnsupportedSizeError`` before the rows
+    (dimension 3 at order 6: 3,007,125; the largest admitted, 19,456,632),
+    raises ``UnsupportedSizeError`` before the rows
     are built.  Callers pass at most four forms: the Bezoutian's 2^k minors
     are not counted.  A node is 0 when a form vanishes there identically;
     otherwise its value is one signed Sylvester-Bezout determinant, the

@@ -19,7 +19,7 @@ from itertools import zip_longest
 from typing import Optional
 
 from .document import TensorDocument
-from .echar import echar, echar_det_even, echar_det_odd, echar_macaulay, sylvester_n2
+from .echar import a0_predicted, echar, echar_det_even, echar_det_odd, echar_macaulay, leading_predicted, sylvester_n2
 from .eigen import deficit_indicator, eigenpairs_n2, is_regular
 from .poly import Poly
 from .tensor import Hypermatrix, OrthogonalMatrix, all_indices, binary_slices, rotate_slices
@@ -106,16 +106,14 @@ def run_checks(A: Hypermatrix, deep: bool = False, rotations=None) -> list[Check
             doc = TensorDocument.from_hypermatrix(A)
         checks.append(CheckResult(name, passed, detail, None if passed else doc))
 
-    record(
-        "constant-term",
-        psi.coefficient(0) == result.a0_predicted,
-        f"psi(0)={psi.coefficient(0)} predicted={result.a0_predicted}",
-    )
+    a0 = a0_predicted(A)
+    record("constant-term", psi.coefficient(0) == a0, f"psi(0)={psi.coefficient(0)} predicted={a0}")
     if finite:
+        leading = leading_predicted(A)
         record(
             "leading-coefficient",
-            result.leading_actual() == result.leading_predicted,
-            f"actual={result.leading_actual()} predicted={result.leading_predicted}",
+            result.leading_actual() == leading,
+            f"actual={result.leading_actual()} predicted={leading}",
         )
     if m % 2 == 1:
         record(

@@ -27,7 +27,10 @@ every degree pattern, so it is the reference for the library's one
 Sylvester-Bezout determinant, and the kernel of the law tests and systems
 whose degrees admit no Sylvester-Bezout degree.
 So does ``eigenpair_errors``, each eigenpair class's distance from its
-value to 50 digits, from mpmath's roots of the cross form.
+value to 50 digits, from mpmath's roots of the cross form, and the two
+families of order-2-dimension tensors whose real classes have lambda near
+0 beside a map of size 10^6 (``epsilon_family_tensor``,
+``sqrt2_family_tensor``), where a float direction's value is far off.
 ``poly_gcd`` is not an oracle: it applies the library's list gcd to two
 polynomials, a form only the tests use.
 """
@@ -920,3 +923,30 @@ def eigenpair_errors(A: Hypermatrix, pairs, digits: int = 50) -> list[tuple[floa
             lam_error = abs(pairs[k].eigenvalue - value) / max(1, abs(value))
             out.append((float(lam_error), float(max(abs(vec[i] - x[i]) for i in range(2)))))
     return out
+
+
+def epsilon_family_tensor(t: Fraction, eps: Fraction):
+    """Order 3: a1jk with a111 = 10^6 t^2 + eps, a112 = -2 10^6 t, a122 = 10^6, and
+    a2jk = t a1jk.  Then Ax^2 = (10^6 (t x1 - x2)^2 + eps x1^2)(1, t), so
+    Ax^2 = eps (1, t) at x = (1, t): the class of +(1, t) has lambda > 0."""
+    row = {(1, 1): 10**6 * t * t + eps, (1, 2): -2 * 10**6 * t, (2, 2): Fraction(10**6)}
+    entries = {}
+    for (j, k), v in row.items():
+        entries[(1, j, k)] = v
+        entries[(2, j, k)] = t * v
+    return Hypermatrix.from_one_based(3, 2, entries)
+
+
+def sqrt2_family_tensor(order: int, eps: Fraction) -> Hypermatrix:
+    """Order 3 or 4, with u = x2^2 - 2 x1^2: Ax^{m-1} = 10^6 u x1^(m-3) (1, 3)
+    + eps x1^(m-2) x.  Along the irrational (1, +-sqrt 2) u = 0, so lambda
+    is eps / sqrt 3 at order 3, in the class of +(1, +-sqrt 2) when eps > 0
+    and of -(1, +-sqrt 2) when eps < 0, and eps / 3 at order 4."""
+    M = 10**6
+    if order == 3:
+        entries = {(1, 1, 1): eps - 2 * M, (1, 2, 2): Fraction(M), (2, 1, 1): Fraction(-6 * M)}
+        entries.update({(2, 1, 2): eps / 2, (2, 2, 1): eps / 2, (2, 2, 2): Fraction(3 * M)})
+    else:
+        entries = {(1, 1, 1, 1): eps - 2 * M, (1, 1, 2, 2): Fraction(M), (2, 1, 1, 1): Fraction(-6 * M)}
+        entries.update({(2, 1, 1, 2): eps, (2, 1, 2, 2): Fraction(3 * M)})
+    return Hypermatrix.from_one_based(order, 2, entries)

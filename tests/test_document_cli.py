@@ -403,6 +403,19 @@ def test_cli_verify_fuzz_deterministic():
     assert c.stdout != a.stdout
 
 
+@pytest.mark.parametrize("deep", [False, True], ids=["plain", "deep"])
+def test_cli_verify_reports_name_the_command_that_ran(tmp_path, monkeypatch, capsys, deep):
+    # a report read alone says whether the macaulay cross-check ran, in file and fuzz mode
+    monkeypatch.chdir(tmp_path)
+    write_doc(tmp_path, "diag4.json", DIAG4)
+    flag = ["--deep"] if deep else []
+    assert cli.main(["verify", *flag, "diag4.json"]) == 0
+    assert json.loads(capsys.readouterr().out)["command"] == " ".join(["verify", *flag, "diag4.json"])
+    assert cli.main(["verify", "--fuzz", "1", "--seed", "3", "--m", "4", *flag]) == 0
+    command = json.loads(capsys.readouterr().out)["command"]
+    assert command == " ".join(["verify", "--fuzz", "1", "--seed", "3", "--m", "4", "--n", "2", *flag])
+
+
 def test_cli_verify_requires_seed():
     proc = run_cli("verify", "--fuzz", "2")
     assert proc.returncode == 1
@@ -460,14 +473,30 @@ COMPANION_MATRIX_ERRORS = {
 }
 
 
-@pytest.mark.parametrize("name", EIGEN_GOLDENS)
-def test_cli_eigen_report_values_are_within_2e_15_of_50_digits(name):
+#: Real classes with lambda = +-10^-12 / sqrt 3 or / 3 beside a map of size
+#: 10^6, along the irrational (1, +-sqrt 2), at orders 3 and 4.
+NEAR_ZERO_TENSORS = {
+    f"sqrt2-order{order}{'+-'[sign < 0]}": (order, Fraction(sign, 10**12)) for order in (3, 4) for sign in (1, -1)
+}
+
+
+@pytest.mark.parametrize("name", EIGEN_GOLDENS + list(NEAR_ZERO_TENSORS))
+def test_cli_eigen_report_values_are_within_2e_15_of_50_digits(name, tmp_path, capsys):
     """Every printed normalized lambda is within 2e-15 max(1, |lambda|), and every
     vector component within 2e-15, of its value to 50 digits (mpmath); pq6's
-    complex lambda was 2.6e-14 off."""
+    complex lambda was 2.6e-14 off.  The near-zero tensors printed lambda
+    about 1.6e-10 (order 3) or 9e-11 (order 4) along (1, +-sqrt 2) while it
+    was valued at the float direction."""
     pytest.importorskip("mpmath")
-    A = TensorDocument.from_json((GOLDEN_EIGEN / f"{name}.json").read_text()).to_hypermatrix()
-    rows = json.loads((GOLDEN_EIGEN / f"{name}.stdout").read_text())["eigenpairs"]
+    if name in NEAR_ZERO_TENSORS:
+        A = oracles.sqrt2_family_tensor(*NEAR_ZERO_TENSORS[name])
+        path = tmp_path / "near-zero.json"
+        path.write_text(TensorDocument.from_hypermatrix(A).to_json())
+        assert cli.main(["eigen", str(path)]) == 0
+        rows = json.loads(capsys.readouterr().out)["eigenpairs"]
+    else:
+        A = TensorDocument.from_json((GOLDEN_EIGEN / f"{name}.json").read_text()).to_hypermatrix()
+        rows = json.loads((GOLDEN_EIGEN / f"{name}.stdout").read_text())["eigenpairs"]
     pairs = [
         SimpleNamespace(kind=row["kind"], eigenvalue=complex(*row["lambda"]), vector=tuple(complex(*v) for v in row["vector"]))
         for row in rows
@@ -476,7 +505,8 @@ def test_cli_eigen_report_values_are_within_2e_15_of_50_digits(name):
     assert len(errors) == sum(row["kind"] == "normalized" for row in rows)
     lam, vec = max(e for e, _ in errors), max(e for _, e in errors)
     assert lam <= 2e-15 and vec <= 2e-15
-    assert lam <= COMPANION_MATRIX_ERRORS[name][0] and vec <= COMPANION_MATRIX_ERRORS[name][1]
+    if name in COMPANION_MATRIX_ERRORS:
+        assert lam <= COMPANION_MATRIX_ERRORS[name][0] and vec <= COMPANION_MATRIX_ERRORS[name][1]
 
 
 @pytest.mark.parametrize(

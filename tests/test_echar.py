@@ -566,21 +566,19 @@ def test_macaulay_interpolates_on_h_plus_2_nodes(monkeypatch, dim, order, nodes)
 @pytest.mark.parametrize(
     "route, order", [(echar_even_n2, 4), (echar_odd_n2, 3), (echar_det_odd, 5), (echar_macaulay, 3)]
 )
-def test_route_call_computes_the_predictions_on_first_read(monkeypatch, route, order):
+def test_a_route_call_computes_no_prediction(monkeypatch, route, order):
+    """The result holds psi and its bounds only; the closed-form predictions
+    are the caller's to compute, from the tensor."""
     module = importlib.import_module("echarpoly.echar")
-    real_a0, real_leading = module.a0_predicted, module.leading_predicted
     calls = []
-    monkeypatch.setattr(module, "a0_predicted", lambda A: calls.append("a0") or real_a0(A))
-    monkeypatch.setattr(
-        module, "leading_predicted", lambda A: calls.append("leading") or real_leading(A)
-    )
+    monkeypatch.setattr(module, "a0_predicted", lambda A: calls.append("a0"))
+    monkeypatch.setattr(module, "leading_predicted", lambda A: calls.append("leading"))
     A = fuzz_tensor(random.Random(order), order)
     result = route(A)
     assert calls == []
-    for _ in range(2):
-        assert result.a0_predicted == real_a0(A) == result.psi.coefficient(0)
-        assert result.leading_predicted == real_leading(A)
-    assert calls == ["a0", "leading"]
+    assert [f.name for f in dataclasses.fields(result)] == ["psi", "route", "h_bound", "leading_power"]
+    assert a0_predicted(A) == result.psi.coefficient(0)
+    assert leading_predicted(A) == result.leading_actual()
 
 
 @pytest.mark.parametrize("order", [3, 4])
@@ -678,15 +676,9 @@ def test_the_held_result_is_read_only_and_makes_no_reference_cycle():
     result = echar(A)
     with pytest.raises(dataclasses.FrozenInstanceError):
         result.psi = Poly()
-    # the predictions are still computed on first read, and kept, from a twin
-    # that shares the tensor's records and holds no result
-    assert result.a0_predicted is result.a0_predicted
-    twin = result.tensor
-    assert twin == A and twin is not A and twin._echar is None
-    assert twin._forms is A._forms and twin._slices is A._slices
     gc.collect()
     B = fuzz_tensor(random.Random(5), 5)
-    assert echar(B).leading_predicted is not None
+    assert echar(B) is B._echar
     del B
     assert gc.collect() == 0
 
@@ -830,7 +822,7 @@ def test_dimension3_diagonal_with_a_zero_entry():
     result = echar(A)
     assert time.perf_counter() - start < 1.0
     assert result.route == "macaulay"
-    assert result.a0_predicted == 0
+    assert a0_predicted(A) == 0
     planar = echar(Hypermatrix.diagonal(4, 2)).psi
     assert planar == Poly([1, -6, 13, -12, 4])
     assert result.psi == -(Poly.monomial(9) * planar)

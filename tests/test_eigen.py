@@ -43,11 +43,13 @@ from oracles import (
     brute_map_forms,
     convolution,
     eigenpair_errors,
+    epsilon_family_tensor,
     exact_eigenvalue,
     kernel_resultant,
     poly_divmod,
     rational_resultant,
     slice_sums,
+    sqrt2_family_tensor,
     yun_squarefree,
 )
 
@@ -789,18 +791,6 @@ def assert_oriented_exactly(A) -> int:
     return checked
 
 
-def epsilon_family_tensor(t: Fraction, eps: Fraction):
-    """Order 3: a1jk with a111 = 10^6 t^2 + eps, a112 = -2 10^6 t, a122 = 10^6, and
-    a2jk = t a1jk.  Then Ax^2 = (10^6 (t x1 - x2)^2 + eps x1^2)(1, t), so
-    Ax^2 = eps (1, t) at x = (1, t): the class of +(1, t) has lambda > 0."""
-    row = {(1, 1): 10**6 * t * t + eps, (1, 2): -2 * 10**6 * t, (2, 2): Fraction(10**6)}
-    entries = {}
-    for (j, k), v in row.items():
-        entries[(1, j, k)] = v
-        entries[(2, j, k)] = t * v
-    return Hypermatrix.from_one_based(3, 2, entries)
-
-
 def test_odd_order_representative_points_along_the_direction_with_positive_lambda():
     """For every t and eps = k / 10^12, k = 1..40, the one real class points
     along +(1, t) with lambda > 0.  41 of the 160 pointed along -(1, t) while
@@ -813,6 +803,45 @@ def test_odd_order_representative_points_along_the_direction_with_positive_lambd
             (pair,) = [p for p in eigenpairs_n2(A).pairs if p.real]
             v = pair.vector
             assert pair.eigenvalue.real > 0 and v[0].real > 0 and abs(v[1] / v[0] - float(t)) < 1e-15 * float(t)
+            if k in (1, 40):
+                assert eigenpair_errors(A, [pair])[0][0] <= 2e-15
+
+
+@pytest.mark.parametrize("order", [3, 4])
+def test_lambda_is_valued_and_oriented_at_the_algebraic_root(order):
+    """Along the irrational (1, +-sqrt 2) lambda is eps / sqrt 3 (order 3, in
+    the class of -(1, +-sqrt 2) when eps < 0) or eps / 3 (order 4), and 0 at
+    eps = 0, which the gcd of the root's factor and f_1(1, t) decides.  Valued
+    at the float direction it printed about 1.6e-10 (order 3) or 9e-11
+    (order 4) off whatever eps, so at eps = -10^-12 order 3 pointed along
+    +(1, +-sqrt 2) and order 4 had the wrong sign."""
+    for k in (-(10**7), -1, 0, 1, 1000, 10**7):
+        eps = Fraction(k, 10**12)
+        A = sqrt2_family_tensor(order, eps)
+        pairs = [p for p in eigenpairs_n2(A).pairs if p.vector[0] and abs(abs(p.vector[1] / p.vector[0]) - math.sqrt(2)) < 1e-9]
+        assert len(pairs) == 2
+        for pair in pairs:
+            lam = pair.eigenvalue
+            if k == 0:
+                assert lam == 0
+                continue
+            expected = float(eps) / math.sqrt(3) if order == 3 else float(eps) / 3
+            if order == 3:
+                assert (pair.vector[0].real < 0) == (k < 0)
+                expected = abs(expected)
+            assert pair.real and lam.imag == 0 and abs(lam.real - expected) <= 2e-15 * abs(expected), (k, lam)
+
+
+def test_the_float_direction_serves_the_common_case(monkeypatch):
+    """Draws and goldens value every real class at its float direction: the
+    exact path at the root runs only where the float cannot tell f."""
+    monkeypatch.setattr(eigen_module, "_root_terms", lambda *args: pytest.fail(f"exact path on {args}"))
+    rng = random.Random(11)
+    for m in (3, 4, 5, 6):
+        for _ in range(10):
+            eigenpairs_n2(fuzz_tensor(rng, m))
+    for path in sorted(GOLDEN_EIGEN.glob("*.json")):
+        eigenpairs_n2(TensorDocument.from_json(path.read_text()).to_hypermatrix())
 
 
 ODD_GOLDENS = [path.stem for path in sorted(GOLDEN_EIGEN.glob("*.json")) if json.loads(path.read_text())["order"] % 2]

@@ -2,6 +2,7 @@
 and the order-2 law for tensors with infinitely many eigenpair classes."""
 
 import dataclasses
+import gc
 import random
 import sys
 from collections import Counter
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from echarpoly import verify as verify_module
+from echarpoly.document import TensorDocument
 from echarpoly.echar import echar
 from echarpoly.poly import Poly
 from echarpoly.tensor import (
@@ -184,12 +186,56 @@ def test_the_invariance_loop_builds_no_tensor_fraction_or_poly(A):
     assert without["Hypermatrix"] == with_frames["Hypermatrix"]
     assert without["Poly"] == with_frames["Poly"] > 0
     assert without["Fraction"] == with_frames["Fraction"] > 0
-    # the counter sees what a round trip through a rotated tensor makes (by
-    # the route "auto" takes, which would also make the twin its held result reads)
-    rotated = counting.run(
-        lambda: echar(from_slices(rotate_slices(binary_slices(A), frames[0])), route="sylvester")
-    )
+    # the counter sees what a round trip through a rotated tensor makes
+    rotated = counting.run(lambda: echar(from_slices(rotate_slices(binary_slices(A), frames[0]))))
     assert rotated["Hypermatrix"] == 1 and rotated["Poly"] > 0 and rotated["Fraction"] > 0
+
+
+@pytest.mark.parametrize(
+    "route, order, dim",
+    [("auto", 3, 2), ("auto", 4, 2), ("auto", 3, 3), ("sylvester", 5, 2), ("det", 4, 2), ("macaulay", 3, 2)],
+)
+def test_echar_builds_no_second_tensor_and_leaves_no_cycle(route, order, dim):
+    """A result refers to no tensor, so the held one needs no copy of its
+    tensor, and a dead tensor goes with its refcount."""
+    gc.collect()
+    A = fuzz_tensor(random.Random(order), order, dim)
+    made = _Counting().run(lambda: echar(A, route))
+    assert made["Hypermatrix"] == 0
+    assert (A._echar is not None) == (route == "auto")
+    del A
+    assert gc.collect() == 0
+
+
+def _counting_predictions(monkeypatch, module):
+    """Count the calls of the two closed-form predictions as ``module`` binds them."""
+    calls = Counter()
+    for name in ("a0_predicted", "leading_predicted"):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda A, real=real, name=name: calls.update([name]) or real(A))
+    return calls
+
+
+def test_the_cli_and_the_battery_compute_each_prediction_once(monkeypatch, tmp_path, capsys):
+    """``cmd_echar`` and ``run_checks`` ask for each prediction once per tensor:
+    the constant term always, the top coefficient at dimension 2 only, and in
+    the battery only when the classes are finite."""
+    from echarpoly import cli as cli_module
+
+    echar_calls = _counting_predictions(monkeypatch, cli_module)
+    for dim, expected in ((2, {"a0_predicted": 1, "leading_predicted": 1}), (3, {"a0_predicted": 1})):
+        path = tmp_path / f"n{dim}.json"
+        path.write_text(TensorDocument.from_hypermatrix(fuzz_tensor(random.Random(dim), 3, dim)).to_json())
+        echar_calls.clear()
+        assert cli_module.main(["echar", str(path)]) == 0
+        assert echar_calls == expected
+    capsys.readouterr()
+    battery_calls = _counting_predictions(monkeypatch, verify_module)
+    rng = random.Random(7)
+    tensors = [fuzz_tensor(rng, m) for m in (2, 3, 4, 5)] + [_infinite(rng, 4)]
+    for A in tensors:
+        run_checks(A, rotations=[])
+    assert battery_calls == {"a0_predicted": 5, "leading_predicted": 4}
 
 
 def _verdicts(checks):
