@@ -1,8 +1,8 @@
 """Command-line surface: echar / eigen / verify on JSON tensor documents.
 
 The machine-readable report goes to stdout as JSON; a short human summary
-goes to stderr.  Exit codes: 0 ok, 1 parse failure, 2 unsupported size,
-3 verification failure.
+goes to stderr.  Exit codes: 0 ok, 1 parse failure, 2 unsupported size
+or a value beyond float range, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -35,6 +35,9 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except (UnsupportedSizeError, DimensionError, IrregularTensorError) as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
+    except OverflowError as exc:
+        print(f"unsupported: {exc}, a value beyond float range", file=sys.stderr)
         return EXIT_UNSUPPORTED
 
 

@@ -39,7 +39,6 @@ from .poly import (
     _scaled_value,
     _sign_at,
     _trim,
-    float_roots,
     nonreal_roots,
     primitive_gcd,
     real_root_intervals,
@@ -54,7 +53,6 @@ from .tensor import (
     binary_slices,
     conic_values,
     direction_form_coeffs,
-    eval_map,
     isotropic_value,
 )
 
@@ -95,8 +93,10 @@ class EigenReport:
 
 @dataclass
 class RegularityReport:
+    """The exact verdict; ``witness`` is an exact zero of the map on x^T x = 0, or None."""
+
     regular: bool
-    witness: Optional[tuple] = None  # ComplexRational entries when exact
+    witness: Optional[tuple] = None
 
 
 # -- eigenpairs -----------------------------------------------------------------
@@ -376,7 +376,9 @@ def is_regular(A: Hypermatrix) -> RegularityReport:
     the isotropic cone.  Dimension 2: the cone is the pair of points
     (1, +-i), and ``isotropic_value`` gives the map there.  Dimension 3: the
     cone is the conic x(t) = (1 - t^2, i(1 + t^2), 2t), and ``conic_values``
-    gives the map along it as Gaussian-integer polynomials in t.
+    gives the map along it as Gaussian-integer polynomials in t.  The
+    witness is exact or absent: (1, i) at dimension 2; at dimension 3,
+    (-1, i, 0) when the map vanishes at the conic's point at infinity.
     """
     if A.dim == 2:
         # irregular exactly when the map vanishes at (1, i), hence also at (1, -i)
@@ -395,41 +397,17 @@ def _conic_witness(A: Hypermatrix):
 
     The verdict is exact, read from ``conic_values``: the point t = infinity,
     (-1, i, 0), is a common zero exactly when every component's t^{2(m-1)}
-    coefficient is 0; otherwise a common zero is a root of the integer
-    gcd of the nonzero components.  The tensor is real, so those zeros pair
-    up as t and -1/conj(t), never equal: the gcd is never linear, and a
-    root t = 0 would pair with t = infinity, which the first test takes.
-    The witness is exact at infinity; otherwise it is the float root of
-    the gcd with the smallest residual, or None when no residual reaches
-    1e-10.
+    coefficient is 0, and is then the witness; otherwise a common zero is a
+    root of the integer gcd of the nonzero components, and no witness is
+    given.  The tensor is real, so those zeros pair up as t and
+    -1/conj(t), never equal: the gcd is never linear, and a root t = 0
+    would pair with t = infinity, which the first test takes.
     """
     values = conic_values(A)
     if all(c[-1] == 0 for c in values):
         return True, (ComplexRational(Fraction(-1)), I_UNIT, ComplexRational(Fraction(0)))
     nonzero = [c[: max(j for j, v in enumerate(c) if v) + 1] for c in values if any(c)]
-    g = reduce(primitive_gcd, nonzero)
-    if len(g) == 1:
-        return False, None
-    points = [_conic_point_numeric(root) for root in float_roots([complex(c) for c in reversed(g)])]
-    residual, best = min(((irregularity_residual(A, p), p) for p in points), key=lambda rp: rp[0])
-    return True, best if residual <= 1e-10 else None
-
-
-def _conic_point_numeric(t: complex) -> tuple[complex, complex, complex]:
-    point = (1 - t * t, 1j * (1 + t * t), 2 * t)
-    scale = max(abs(c) for c in point)
-    return tuple(c / scale for c in point)
-
-
-def irregularity_residual(A: Hypermatrix, point) -> float:
-    """max |(Ax^{m-1})_i| together with |x^T x| at a max-normalized witness."""
-    xs = [complex(c) for c in point]
-    scale = max(abs(c) for c in xs) or 1.0
-    xs = [c / scale for c in xs]
-    image = eval_map(A, xs)
-    res = max(abs(complex(v)) for v in image)
-    res = max(res, abs(sum(c * c for c in xs)))
-    return res
+    return len(reduce(primitive_gcd, nonzero)) > 1, None
 
 
 # -- deficit indicator ----------------------------------------------------------

@@ -12,15 +12,16 @@ factors over the field.  Their one pseudo-division, ``_pseudo_divmod``,
 also builds the Sturm chain that isolates real roots
 (``real_root_intervals``) and serves the resultant PRS and ``eigen``.
 
-Everything here is exact except :func:`complex_roots`, :func:`float_roots`,
-:func:`real_roots`, :func:`nonreal_roots` and :meth:`Poly.eval_complex`, all
-pure Python.  Root multiplicities come from the exact square-free (Yun)
-decomposition alone, so a double root is a double root by construction,
-not by luck of clustering.  The roots come from the integer split's
-factors, each coefficient converted once, from its exact quotient by its
-leading one.  ``real_roots`` certifies each real root's float within one
-ulp by exact signs; ``float_roots`` (closed forms, then Aberth–Ehrlich)
-decides realness in floats, as ``complex_roots`` does.
+Everything here is exact except :meth:`Poly.eval_complex` and the roots,
+:func:`complex_roots`, :func:`float_roots`, :func:`real_roots` and
+:func:`nonreal_roots`, all pure Python and for real coefficients only.
+Root multiplicities come from the exact square-free (Yun) decomposition
+alone, so a double root is a double root by construction, not by luck of
+clustering.  The roots come from the integer split's factors, each
+coefficient converted once, from its exact quotient by its leading one.
+``real_roots`` certifies each real root's float within one ulp by exact
+signs; ``float_roots`` (closed forms, then Aberth–Ehrlich) decides realness
+in floats, as ``complex_roots`` does.
 """
 
 from __future__ import annotations
@@ -583,13 +584,15 @@ def lagrange_interpolate(points: Sequence[tuple[int, int]]) -> list[int]:
 
 
 def complex_roots(p: Poly) -> list[tuple[complex, int]]:
-    """All complex roots with multiplicities, sorted by (re, im).
+    """All complex roots of a polynomial over Q with multiplicities, sorted by (re, im).
 
     Multiplicities come from the exact square-free split of the integral
-    coefficients alone, over Z or Z[i]; roots of each square-free factor are
-    simple and found by ``float_roots``, from the factor over its leading
-    coefficient (``_over_lead``), then polished by Newton steps.
+    coefficients alone; roots of each square-free factor are simple and
+    found by ``float_roots``, from the factor over its leading coefficient
+    (``_over_lead``), then polished by Newton steps.  Q(i) raises TypeError.
     """
+    if any(isinstance(c, ComplexRational) for c in p.coeffs):
+        raise TypeError("complex_roots takes a polynomial over Q")
     if p.is_zero():
         raise ValueError("the zero polynomial has every number as a root")
     found: list[tuple[complex, int]] = []
@@ -609,15 +612,15 @@ def complex_roots(p: Poly) -> list[tuple[complex, int]]:
 
 
 def float_roots(coeffs: list) -> list[complex]:
-    """The roots of float or complex coefficients, highest power first.
+    """The roots of real coefficients, highest power first; a complex one raises TypeError.
 
     Leading zeros are dropped and each trailing zero is the root 0j.  Degree
     1 is the exact quotient, degree 2 the quadratic formula without
     cancellation, and higher degrees Aberth–Ehrlich iteration
     (``_aberth``); a polynomial in z^2, as psi is at odd order, is solved in
-    z^2 and each root w gives +-sqrt(w).  Real coefficients give a
-    conjugate-closed list: each non-real root's conjugate is in it bit for
-    bit, and a real root has imaginary part 0.0.
+    z^2 and each root w gives +-sqrt(w).  The list is conjugate-closed: each
+    non-real root's conjugate is in it bit for bit, and a real root has
+    imaginary part 0.0.
     """
     cs = list(coeffs)
     while cs and cs[0] == 0:
@@ -626,8 +629,7 @@ def float_roots(coeffs: list) -> list[complex]:
     while cs and cs[-1] == 0:
         cs.pop()
         zeros += 1
-    real = all(c.imag == 0 for c in cs)
-    cs = [float(c.real) if real else complex(c) for c in cs]
+    cs = [float(c) for c in cs]
     degree = len(cs) - 1
     if degree < 1:
         roots = []
@@ -639,39 +641,29 @@ def float_roots(coeffs: list) -> list[complex]:
         roots = []
         for w in float_roots(cs[::2]):
             s = cmath.sqrt(w)
-            if not real:
-                roots += [s, -s]
-            elif w.imag > 0:  # its conjugate, skipped, has the conjugate roots
+            if w.imag > 0:  # its conjugate, skipped, has the conjugate roots
                 roots += [s, -s, s.conjugate(), -s.conjugate()]
             elif w.imag == 0 and w.real > 0:
                 roots += [complex(s.real, 0.0), complex(-s.real, 0.0)]
             elif w.imag == 0:
                 roots += [complex(0.0, s.imag), complex(0.0, -s.imag)]
     else:
-        roots = _aberth(cs)
-        if real:
-            roots = _conjugate_closed(roots)
+        roots = _conjugate_closed(_aberth(cs))
     return roots + [0j] * zeros
 
 
-def _quadratic_roots(a, b, c) -> list[complex]:
+def _quadratic_roots(a: float, b: float, c: float) -> list[complex]:
     """The roots of a z^2 + b z + c, c != 0: q = -(b + s) / 2 with s the square
     root of the discriminant on b's side, roots q / a and c / q; a negative
-    real discriminant gives -b / 2a +- i sqrt(-disc) / |2a|."""
+    discriminant gives -b / 2a +- i sqrt(-disc) / |2a|."""
     scale = 2.0 ** -math.frexp(max(abs(a), abs(b), abs(c)))[1]
     a, b, c = a * scale, b * scale, c * scale
     disc = b * b - 4 * a * c
-    if isinstance(disc, float):
-        if disc < 0:
-            re, im = -b / (2 * a), math.sqrt(-disc) / abs(2 * a)
-            return [complex(re, im), complex(re, -im)]
-        q = -(b + math.copysign(math.sqrt(disc), b)) / 2
-        return [complex(q / a), complex(c / q)]
-    root = cmath.sqrt(disc)
-    if (b.conjugate() * root).real < 0:
-        root = -root
-    q = -(b + root) / 2
-    return [q / a, c / q]
+    if disc < 0:
+        re, im = -b / (2 * a), math.sqrt(-disc) / abs(2 * a)
+        return [complex(re, im), complex(re, -im)]
+    q = -(b + math.copysign(math.sqrt(disc), b)) / 2
+    return [complex(q / a), complex(c / q)]
 
 
 #: Sweeps of the Aberth iteration before it stops unconverged.
@@ -958,13 +950,10 @@ def _gaussian_scaled_value(cs: list[int], point: tuple[int, int], den: int) -> t
     return re, im
 
 
-def _over_lead(cs: list, lead) -> list:
+def _over_lead(cs: list[int], lead: int) -> list[float]:
     """cs / lead, highest power first, each quotient rounded once as ``float`` rounds
     a ``Fraction``: a zero is 0.0, where 0 / lead is -0.0 for lead < 0."""
-    if isinstance(lead, int):
-        return [c / lead if c else 0.0 for c in reversed(cs)]
-    conj, norm = lead.conjugate(), lead.norm2().numerator  # c / lead = c conj(lead) / norm
-    return [complex(w.re.numerator / norm, w.im.numerator / norm) for w in map(conj.__mul__, reversed(cs))]
+    return [c / lead if c else 0.0 for c in reversed(cs)]
 
 
 def _horner(coeffs: list, z: complex) -> complex:

@@ -109,23 +109,6 @@ class Hypermatrix:
         return f"Hypermatrix(order={self.order}, dim={self.dim}, nnz={len(self.entries)})"
 
 
-def eval_map(A: Hypermatrix, x: Sequence) -> list:
-    """The vector Ax^(m-1): component i sums a[i,i2,..,im] * x[i2] * ... * x[im].
-
-    Works for any exact scalar type closed under + and * (Fraction,
-    ComplexRational); the result components have the promoted type.
-    """
-    if len(x) != A.dim:
-        raise DimensionError(f"vector length {len(x)} != dimension {A.dim}")
-    out = [Fraction(0)] * A.dim
-    for idx, value in A.entries.items():
-        term = value
-        for k in idx[1:]:
-            term = term * x[k]
-        out[idx[0]] = out[idx[0]] + term
-    return out
-
-
 def map_forms(A: Hypermatrix) -> tuple[MapForm, ...]:
     """The record of Ax^(m-1), one ``MapForm`` per component, summed on first read and held."""
     if A._forms is None:

@@ -30,7 +30,9 @@ So does ``eigenpair_errors``, each eigenpair class's distance from its
 value to 50 digits, from mpmath's roots of the cross form, and the two
 families of order-2-dimension tensors whose real classes have lambda near
 0 beside a map of size 10^6 (``epsilon_family_tensor``,
-``sqrt2_family_tensor``), where a float direction's value is far off.
+``sqrt2_family_tensor``), where a float direction's value is far off,
+and the family whose non-real classes lie near the isotropic cone
+(``isotropic_family_tensor``), where the value at a float root is.
 ``poly_gcd`` is not an oracle: it applies the library's list gcd to two
 polynomials, a form only the tests use.
 """
@@ -758,8 +760,8 @@ def monic(p: Poly) -> Poly:
 
 def poly_path_roots(p: Poly) -> list[tuple[complex, int]]:
     """``complex_roots`` through ``Poly``: each monic factor of ``squarefree_decomposition``
-    and its derivative, coefficient by coefficient as ``float`` (or ``complex``) of
-    the ``Fraction`` values, into ``float_roots`` and two Newton steps."""
+    and its derivative, coefficient by coefficient as ``float`` of the
+    ``Fraction`` values, into ``float_roots`` and two Newton steps."""
     found = []
     for factor, mult in squarefree_decomposition(p):
         coeffs = [_numeric(c) for c in reversed(factor.coeffs)]
@@ -935,6 +937,22 @@ def epsilon_family_tensor(t: Fraction, eps: Fraction):
         entries[(1, j, k)] = v
         entries[(2, j, k)] = t * v
     return Hypermatrix.from_one_based(3, 2, entries)
+
+
+def isotropic_family_tensor(order: int, eps: Fraction) -> Hypermatrix:
+    """Order m >= 3: Ax^{m-1} = x2^(m-3) ((x2 - x1)^2 + eps x1^2, 2 (1 + eps) x1^2),
+    from a(1, 2^(m-3), 1, 1) = 1 + eps, a(1, 2^(m-2), 1) = -2, a(1, 2^(m-1)) = 1
+    and a(2, 2^(m-3), 1, 1) = 2 (1 + eps), 2^k meaning k copies of the index 2.
+    For small eps its two non-real classes lie near the isotropic cone, where
+    1 + t^2 cancels at the float root t, and their lambda is large."""
+    tail = (2,) * (order - 3)
+    entries = {
+        (1,) + tail + (1, 1): 1 + eps,
+        (1,) + tail + (2, 1): Fraction(-2),
+        (1,) + tail + (2, 2): Fraction(1),
+        (2,) + tail + (1, 1): 2 * (1 + eps),
+    }
+    return Hypermatrix.from_one_based(order, 2, entries)
 
 
 def sqrt2_family_tensor(order: int, eps: Fraction) -> Hypermatrix:

@@ -382,6 +382,18 @@ def test_cli_unsupported_exit_2(tmp_path):
     assert json.loads(proc.stdout)["route"] == "sylvester-direct"
 
 
+@pytest.mark.parametrize("command", ["eigen", "verify"])
+def test_cli_value_beyond_float_range_exits_2_without_a_traceback(command, tmp_path):
+    # order 23, eps = 10^-30: the non-real classes' lambda is about 2e315
+    A = oracles.isotropic_family_tensor(23, Fraction(1, 10**30))
+    path = tmp_path / "overflow.json"
+    path.write_text(TensorDocument.from_hypermatrix(A).to_json())
+    proc = run_cli(command, str(path))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("unsupported: ") and "beyond float range" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_verify_file_mode(tmp_path):
     path = write_doc(tmp_path, "deficit.json", DEFICIT)
     proc = run_cli("verify", path, "--deep")

@@ -1,15 +1,16 @@
 import cmath
 import dataclasses
-import importlib
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from echarpoly import eigen as eigen_module
+from echarpoly import poly as poly_module
 from echarpoly import resultant
 from echarpoly.document import TensorDocument
 from echarpoly.echar import echar
@@ -20,7 +21,6 @@ from echarpoly.eigen import (
     _eigenvalue_terms,
     deficit_indicator,
     eigenpairs_n2,
-    irregularity_residual,
     is_regular,
     is_z_eigenpair,
     z_eigenpairs,
@@ -45,6 +45,7 @@ from oracles import (
     eigenpair_errors,
     epsilon_family_tensor,
     exact_eigenvalue,
+    isotropic_family_tensor,
     kernel_resultant,
     poly_divmod,
     rational_resultant,
@@ -130,11 +131,9 @@ def test_eigenpairs_deficit_family():
     assert exact[0] == ComplexRational(Fraction(1), Fraction(-2))
     assert exact[1] == ComplexRational(Fraction(1), Fraction(2))
     # the eigen equation holds at the deficit representatives
-    from echarpoly.tensor import eval_map
-
     for p in deficit:
         x = p.exact_direction
-        image = eval_map(deficit_tensor(), list(x))
+        image = brute_eval_map(deficit_tensor(), list(x))
         assert image[0] == p.exact_eigenvalue * x[0]
         assert image[1] == p.exact_eigenvalue * x[1]
 
@@ -374,12 +373,18 @@ def test_eigenvalue_multiset_invariant_under_rotation():
             assert abs(a[0] - b[0]) < 1e-6 and abs(a[1] - b[1]) < 1e-6
 
 
+def assert_exact_witness(A, witness):
+    """The witness is a common zero of Ax^{m-1} and x^T x, exactly in Q(i)."""
+    assert all(v == 0 for v in brute_eval_map(A, list(witness)))
+    assert sum((c * c for c in witness), ComplexRational(0)) == 0
+
+
 def test_is_regular_examples():
     A = Hypermatrix.from_one_based(3, 2, {(1, 1, 1): 1, (1, 2, 2): 1})
     report = is_regular(A)
     assert not report.regular
     assert report.witness == (ComplexRational(Fraction(1)), I_UNIT)
-    assert irregularity_residual(A, report.witness) == 0
+    assert_exact_witness(A, report.witness)
     assert is_regular(Hypermatrix.diagonal(3, 2)).regular
     assert is_regular(deficit_tensor()).regular
 
@@ -405,25 +410,42 @@ def at_infinity(m):
 
 
 def test_is_regular_dimension3_irregular_witness():
+    # x1^2 + x2^2 vanishes at (1, i, 0), the conic's t = 0, and at its
+    # conjugate (1, -i, 0), proportional to the point at infinity (-1, i, 0)
     A = Hypermatrix.from_one_based(3, 3, SUM_OF_TWO_SQUARES)
     report = is_regular(A)
+    one, zero = ComplexRational(Fraction(1)), ComplexRational(Fraction(0))
     assert not report.regular
-    assert irregularity_residual(A, report.witness) <= 1e-10
+    assert report.witness == (-one, I_UNIT, zero)
+    assert_exact_witness(A, report.witness)
 
 
 def test_is_regular_dimension3_verdict_is_exact_without_float_witness(monkeypatch):
-    # (x1^2, x1 x2, x1 x3) vanishes at the conic points (0, +-i, 1): the Z[i]
-    # gcd of the parametrized forms is t^2 - 1, so only the float root search
-    # yields a witness; the verdict must not depend on it
-    A = Hypermatrix.from_one_based(3, 3, FIRST_COORDINATE)
-    report = is_regular(A)
-    assert not report.regular
-    assert irregularity_residual(A, report.witness) <= 1e-10
-    module = importlib.import_module("echarpoly.eigen")
-    monkeypatch.setattr(module, "irregularity_residual", lambda A, point: 1.0)
-    report = is_regular(A)
-    assert not report.regular
-    assert report.witness is None
+    # the verdict and the witness come from exact arithmetic alone: no module
+    # of the package may reach the float root finder.  (x1^2, x1 x2, x1 x3)
+    # vanishes at the conic points (0, +-i, 1), roots of the Z[i] gcd t^2 - 1,
+    # where no exact witness is given
+    original = poly_module.float_roots
+
+    def refuse(*args):
+        raise AssertionError("regularity called float_roots")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("echarpoly") and getattr(module, "float_roots", None) is original:
+            monkeypatch.setattr(module, "float_roots", refuse)
+    # (entries, regular, whether a witness is given)
+    examples = [
+        (SUM_OF_TWO_SQUARES, False, True),
+        (FIRST_COORDINATE, False, False),
+        (PAIRWISE_SHARED, True, False),
+        (at_infinity(3), False, True),
+    ]
+    for entries, regular, witnessed in examples:
+        A = Hypermatrix.from_one_based(3, 3, entries)
+        report = is_regular(A)
+        assert (report.regular, report.witness is not None) == (regular, witnessed)
+        if witnessed:
+            assert_exact_witness(A, report.witness)
 
 
 def test_is_regular_dimension3_when_every_pair_shares_conic_points():
@@ -445,7 +467,7 @@ def test_is_regular_dimension3_exact_witness_at_infinity(m):
     one, zero = ComplexRational(Fraction(1)), ComplexRational(Fraction(0))
     assert not report.regular
     assert report.witness == (-one, I_UNIT, zero)
-    assert irregularity_residual(A, report.witness) == 0
+    assert_exact_witness(A, report.witness)
 
 
 def sympy_irregular(sympy, A):
@@ -519,7 +541,7 @@ def test_is_regular_dimension3_against_sympy_without_macaulay(monkeypatch):
         if not report.regular:
             irregular += 1
             if report.witness is not None:
-                assert irregularity_residual(A, report.witness) <= 1e-10
+                assert_exact_witness(A, report.witness)
     assert irregular >= 15
 
 
@@ -570,7 +592,7 @@ def test_is_regular_zero_tensors():
     for dim in (2, 3):
         report = is_regular(Hypermatrix.zero(3, dim))
         assert not report.regular
-        assert irregularity_residual(Hypermatrix.zero(3, dim), report.witness) == 0
+        assert_exact_witness(Hypermatrix.zero(3, dim), report.witness)
 
 
 def test_deficit_indicator_examples():
@@ -830,6 +852,22 @@ def test_lambda_is_valued_and_oriented_at_the_algebraic_root(order):
                 assert (pair.vector[0].real < 0) == (k < 0)
                 expected = abs(expected)
             assert pair.real and lam.imag == 0 and abs(lam.real - expected) <= 2e-15 * abs(expected), (k, lam)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a non-real class is valued at its float root, where s = 1 + t^2 cancels near the isotropic cone",
+)
+@pytest.mark.parametrize("order, digits", [(3, 12), (4, 12)])
+def test_nonreal_classes_near_the_isotropic_cone_are_within_2e_15(order, digits):
+    """Known defect: lambda of the non-real classes is 4.4e-5 (order 3) and
+    8.9e-5 (order 4) off its 50-digit value.  Valuing them exactly needs the
+    non-real analogue of the real classes' valuation at the algebraic root."""
+    pytest.importorskip("mpmath")
+    A = isotropic_family_tensor(order, Fraction(1, 10**digits))
+    pairs = [p for p in eigenpairs_n2(A).pairs if p.kind == NORMALIZED and not p.real]
+    assert len(pairs) == 2
+    assert all(lam <= 2e-15 for lam, _ in eigenpair_errors(A, pairs))
 
 
 def test_the_float_direction_serves_the_common_case(monkeypatch):

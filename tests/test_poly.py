@@ -268,16 +268,15 @@ def test_complex_roots_near_double_root_stays_two_simple_roots():
 
 
 def test_complex_roots_and_eval_complex_over_gaussian_rationals():
+    """``eval_complex`` takes Q(i); the numeric roots take real coefficients only."""
     p = Poly([I_UNIT, 1])  # root -i
     assert p.eval_complex(-1j) == 0
     assert p.eval_complex(1 + 0j) == 1 + 1j
-    [(root, mult)] = complex_roots(p)
-    assert mult == 1 and abs(root + 1j) < 1e-12
-    # (L - i)^2 (L + 2): one double and one simple root
-    q = Poly([-I_UNIT, 1]) ** 2 * Poly([2, 1])
-    roots = complex_roots(q)
-    assert [m for _, m in roots] == [1, 2]
-    assert abs(roots[0][0] + 2) < 1e-12 and abs(roots[1][0] - 1j) < 1e-12
+    for q in (p, Poly([-I_UNIT, 1]) ** 2 * Poly([2, 1])):
+        with pytest.raises(TypeError):
+            complex_roots(q)
+    with pytest.raises(TypeError):
+        float_roots([1j, 1])
 
 
 def _bits(roots: list[tuple[complex, int]]) -> list[tuple[str, str, int]]:
@@ -286,12 +285,11 @@ def _bits(roots: list[tuple[complex, int]]) -> list[tuple[str, str, int]]:
 
 
 @settings(max_examples=100, deadline=None)
-@given(p=st.one_of(_products(False), _products(True)))
+@given(p=_products(False))
 @example(p=Poly([0, 0, 0, 0, 36, 0, -40]))  # the factor 9 - 10 t^2 over its lead -10 has a zero
-@example(p=Poly([-I_UNIT, 1]) ** 2 * Poly([2, 1]))
 def test_complex_roots_match_the_poly_path_bit_for_bit(p):
     """The roots from the integer split's factors equal those from the monic
-    ``Fraction`` (or Q(i)) factors of ``squarefree_decomposition``."""
+    ``Fraction`` factors of ``squarefree_decomposition``."""
     assert _bits(complex_roots(p)) == _bits(poly_path_roots(p))
 
 
@@ -393,24 +391,18 @@ def _float_roots_degree_1_to_12(coeffs: list) -> list:
     return [float(c) for c in reversed(coeffs)] if 1 <= len(coeffs) - 1 <= 12 else []
 
 
-_GAUSSIAN_COEFFS = st.lists(st.builds(complex, st.integers(-9, 9), st.integers(-9, 9)), min_size=2, max_size=13).filter(
-    lambda cs: cs[0] != 0
-)
-
-
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.one_of(clustered_integer_polys().map(_float_roots_degree_1_to_12), _GAUSSIAN_COEFFS))
+@given(clustered_integer_polys().map(_float_roots_degree_1_to_12))
 @example([1.0, -6.0, 11.0, -6.0])
 @example([1.0, 0.0, 1.0])
 @example([2.0, 3.0])
 @example([1.0, 5.0, 7.0, 3.0])  # (z + 1)^2 (z + 3)
 @example([1.0, 0.0, 0.0, 0.0, 0.0])
-@example([1j, 2, 3 + 1j, 4])
 def test_float_roots_against_numpy(coeffs):
     """Degrees 1 to 12: each root's residual within Horner's rounding bound,
     numpy's roots matched to 1e-6 wherever numpy's root is 0.1 from the
-    others, a real input's roots closed under conjugation bit for bit with
-    imaginary part 0.0 on the axis, and the same bits on a second call."""
+    others, the roots closed under conjugation bit for bit with imaginary
+    part 0.0 on the axis, and the same bits on a second call."""
     numpy = pytest.importorskip("numpy")
     assume(coeffs)
     roots = float_roots(coeffs)
@@ -422,16 +414,15 @@ def test_float_roots_against_numpy(coeffs):
         for c in coeffs:
             value, bound = value * z + c, bound * abs(z) + abs(c)
         assert abs(value) <= 8 * degree * 2.0**-53 * bound
-    if degree == 1 and all(isinstance(c, float) for c in coeffs):
+    if degree == 1:
         assert roots == [complex(numpy.roots(coeffs)[0])]
     theirs = [complex(w) for w in numpy.roots(coeffs)]
     for w in theirs:
         if all(abs(v - w) > 0.1 * max(1, abs(w)) for v in theirs if v is not w):
             assert min(abs(z - w) for z in roots) <= 1e-6 * max(1, abs(w))
-    if all(isinstance(c, float) for c in coeffs):
-        nonreal = [(z, 1) for z in roots if z.imag]
-        assert sorted(_bits([(z.conjugate(), 1) for z, _ in nonreal])) == sorted(_bits(nonreal))
-        assert all(math.copysign(1, z.imag) == 1 for z in roots if z.imag == 0)
+    nonreal = [(z, 1) for z in roots if z.imag]
+    assert sorted(_bits([(z.conjugate(), 1) for z, _ in nonreal])) == sorted(_bits(nonreal))
+    assert all(math.copysign(1, z.imag) == 1 for z in roots if z.imag == 0)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
