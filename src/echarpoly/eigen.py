@@ -8,8 +8,8 @@ its eigenpair class as it is found.  Roots on the isotropic cone
 classes; everything else is scaled to x^T x = 1.  Sturm's chain isolates
 the real roots exactly, so the number of Z-eigenpairs needs no tolerance.
 Every real class is built from one integer direction (u1, u2): an axis, a
-rational root, or the float x2/x1 = num / den that ``poly.real_roots``
-certifies within one ulp of an irrational root, taken as (den, num).  Its
+rational root, or the nearest float x2/x1 = num / den to an irrational
+root, as ``poly.real_roots`` gives it, taken as (den, num).  Its
 lambda (even order) or lambda^2 (odd order) is integer Horner on the
 numerators there, rounded once; at odd order the sign of that Horner value
 orients the representative, so lambda >= 0 is decided exactly.  Where the
@@ -41,7 +41,6 @@ from .poly import (
     _trim,
     nonreal_roots,
     primitive_gcd,
-    real_root_intervals,
     real_roots,
     squarefree_split,
 )
@@ -120,7 +119,7 @@ def _eigen_report(slices: SliceCoeffs) -> EigenReport:
     and (1, 0), the isotropic pair (1, i) and (1, -i) that the factors
     t^2 + 1 of q(t) = form(1, t) give, and the square-free factors of the
     rest.  A linear factor is one rational direction; a nonlinear factor's
-    real roots are certified floats (``real_roots``), its non-real ones the
+    real roots are nearest floats (``real_roots``), its non-real ones the
     rest (``nonreal_roots``).  Every real class comes from ``_real_pair``.
     """
     coeffs = direction_form_coeffs(slices)
@@ -172,10 +171,10 @@ def _eigen_report(slices: SliceCoeffs) -> EigenReport:
                 pairs.append(_real_pair(slices, factor[1], -factor[0], mult))
                 continue
             reals = real_roots(factor)
-            for k, t in enumerate(reals):
+            for t, lo, hi in reals:
                 num, den = t.as_integer_ratio()
-                pairs.append(_real_pair(slices, den, num, mult, root=(factor, k)))
-            for t in nonreal_roots(factor, reals):
+                pairs.append(_real_pair(slices, den, num, mult, root=(factor, lo, hi)))
+            for t in nonreal_roots(factor, [t for t, _, _ in reals]):
                 pairs.append(_numeric_pair(floats, (1 + 0j, t), mult))
 
     total = sum(p.multiplicity for p in pairs)
@@ -211,16 +210,16 @@ def _eigenvalue_terms(slices: SliceCoeffs, u1: int, u2: int) -> tuple[int, int]:
 
 
 def _real_pair(
-    slices: SliceCoeffs, u1: int, u2: int, multiplicity: int, root: Optional[tuple[list[int], int]] = None
+    slices: SliceCoeffs, u1: int, u2: int, multiplicity: int, root: Optional[tuple[list, Fraction, Fraction]] = None
 ) -> Eigenpair:
     """The normalized class of the real direction (u1, u2), given as integers.
 
-    An axis or a rational root is exact; the certified float x2/x1 = num /
-    den of the k-th real root of a square-free factor comes as (den, num)
-    with ``root`` = (factor, k).  lambda (even order) or lambda^2 (odd
-    order) is rounded once from ``_eigenvalue_terms``: at the float
-    direction, or at the root itself (``_root_terms``) when the float may
-    move f by more than ``_DIRECTION_SHARE`` of itself (``_needs_root``).
+    An axis or a rational root is exact; the nearest float x2/x1 = num /
+    den to a real root of a square-free factor, isolated in (lo, hi], comes
+    as (den, num) with ``root`` = (factor, lo, hi).  lambda (even order) or
+    lambda^2 (odd order) is rounded once from ``_eigenvalue_terms``: at the
+    float direction, or at the root itself (``_root_terms``) when the float
+    may move f by more than ``_DIRECTION_SHARE`` of itself (``_needs_root``).
     At odd order the vector, scaled so that its first nonzero coordinate
     is 1, is negated when f < 0, which makes lambda >= 0 by an exact sign.
     """
@@ -281,20 +280,19 @@ def _needs_root(slices: SliceCoeffs, f: int, num: int, den: int) -> bool:
         return True
 
 
-def _root_terms(slices: SliceCoeffs, factor: list[int], k: int, x: float) -> tuple[int, int]:
-    """``_eigenvalue_terms`` at the k-th real root r of the square-free ``factor``,
-    whose certified float is x.
+def _root_terms(slices: SliceCoeffs, factor: list[int], lo: Fraction, hi: Fraction, x: float) -> tuple[int, int]:
+    """``_eigenvalue_terms`` at the real root r of the square-free ``factor``
+    isolated in (lo, hi], whose nearest float is x, as ``real_roots`` gives them.
 
-    r's isolating interval (lo, hi] is narrowed by exact signs of ``factor``,
-    first at x's float neighbours, which bracket r.  F(t) = sum b_j t^j
-    vanishes at r exactly when r is a root of gcd(factor, F), read off
-    that gcd's signs at lo and hi: then lambda = 0, the terms (0, 1).
-    Otherwise the interval is halved until F moves on it by at most 2^-55
-    of its value at the midpoint c, and c, within 2^-60 max(1, |c|) of r,
-    gives the terms as the dyadic direction (denominator, numerator).
+    The interval is narrowed by exact signs of ``factor``, first at x's
+    float neighbours, which bracket r.  F(t) = sum b_j t^j vanishes at r
+    exactly when r is a root of gcd(factor, F), read off that gcd's signs
+    at lo and hi: then lambda = 0, the terms (0, 1).  Otherwise the
+    interval is halved until F moves on it by at most 2^-55 of its value
+    at the midpoint c, and c, within 2^-60 max(1, |c|) of r, gives the
+    terms as the dyadic direction (denominator, numerator).
     """
     b = _trim(list(slices.b))
-    lo, hi = sorted(real_root_intervals(factor))[k]
     top = _sign_at(factor, hi)
 
     def narrow(c: Fraction) -> None:

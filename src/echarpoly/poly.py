@@ -19,9 +19,9 @@ Root multiplicities come from the exact square-free (Yun) decomposition
 alone, so a double root is a double root by construction, not by luck of
 clustering.  The roots come from the integer split's factors, each
 coefficient converted once, from its exact quotient by its leading one.
-``real_roots`` certifies each real root's float within one ulp by exact
-signs; ``float_roots`` (closed forms, then Aberth–Ehrlich) decides realness
-in floats, as ``complex_roots`` does.
+``real_roots`` gives each real root's nearest float, certified by exact
+signs, with the interval that isolated it; ``float_roots`` (closed forms,
+then Aberth–Ehrlich) decides realness in floats, as ``complex_roots`` does.
 """
 
 from __future__ import annotations
@@ -488,36 +488,19 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
 
 
 def poly_sqrt(p: Poly):
-    """Exact square root of a perfect-square polynomial, or None.
+    """Exact square root of a perfect square over Q, or None.
 
-    The returned root has positive leading coefficient.
+    The root is sqrt(lc) times prod f_i^(i/2) over the square-free split
+    p = lc prod f_i^i: None when a multiplicity is odd or lc is not the
+    square of a rational.  Its leading coefficient is positive.
     """
     if p.is_zero():
         return Poly()
-    deg = p.degree
-    if deg % 2 != 0:
+    split = squarefree_decomposition(p)
+    root_lead = _fraction_sqrt(p.leading())
+    if root_lead is None or any(i % 2 for _, i in split):
         return None
-    lead = p.leading()
-    if lead < 0:
-        return None
-    root_lead = _fraction_sqrt(lead)
-    if root_lead is None:
-        return None
-    half = deg // 2
-    s = [Fraction(0)] * (half + 1)
-    s[half] = root_lead
-    for k in range(half - 1, -1, -1):
-        # match the coefficient of x^(k + half)
-        acc = Fraction(0)
-        for i in range(k + 1, half):
-            j = k + half - i
-            if 0 <= j <= half:
-                acc += s[i] * s[j]
-        s[k] = (p.coefficient(k + half) - acc) / (2 * root_lead)
-    candidate = Poly(s)
-    if candidate * candidate == p:
-        return candidate
-    return None
+    return prod((f ** (i // 2) for f, i in split), start=Poly.constant(root_lead))
 
 
 def _fraction_sqrt(value: Fraction):
@@ -765,20 +748,22 @@ def _conjugate_closed(zs: list[complex]) -> list[complex]:
     return out
 
 
-def real_roots(cs: list[int]) -> list[float]:
-    """Each real root of a square-free int list, ascending, as a float within one ulp of it.
+def real_roots(cs: list[int]) -> list[tuple[float, Fraction, Fraction]]:
+    """Each real root of a square-free int list, ascending, as (x, lo, hi): x the
+    nearest float to it, (lo, hi] its isolating interval from ``real_root_intervals``.
 
-    Each isolating interval (lo, hi] of ``real_root_intervals`` gives its
-    root: Newton steps in floats, kept inside the interval by bisection,
-    then Newton steps with p and p' valued exactly, each exact sign
-    narrowing the interval.  The float x is taken when p's signs at its two
-    float neighbours bracket the root; otherwise exact bisection of the
-    interval gives the correctly rounded root.
+    Each root is found in its interval: Newton steps in floats, kept inside
+    the interval by bisection, then Newton steps with p and p' valued
+    exactly, each exact sign narrowing the interval.  The float x is taken
+    when p's signs at the two midpoints between x and its float neighbours
+    bracket the root; otherwise exact bisection of the interval gives the
+    nearest float.
     """
     coeffs, slopes = _over_lead(cs, cs[-1]), _derivative(cs)
     intervals = sorted(real_root_intervals(cs), reverse=True)
     # p / lc(p) is positive right of the largest root, and each root flips its sign
-    return sorted(_real_root(cs, coeffs, slopes, lo, hi, 1 - 2 * (k % 2)) for k, (lo, hi) in enumerate(intervals))
+    found = [(_real_root(cs, coeffs, slopes, lo, hi, 1 - 2 * (k % 2)), lo, hi) for k, (lo, hi) in enumerate(intervals)]
+    return found[::-1]
 
 
 #: Exact Newton steps that ``real_roots`` takes before it checks the float.
@@ -808,7 +793,7 @@ def _real_root(cs: list[int], coeffs: list[float], slopes: list[int], lo: Fracti
             b = x
         else:
             a = x
-        after = x - p / dp if dp else a
+        after = x - p / dp if dp else (a + b) / 2
         if abs(after - x) <= 4 * math.ulp(x):  # converged, as far as float values of p tell
             x = after
             break
@@ -835,11 +820,20 @@ def _real_root(cs: list[int], coeffs: list[float], slopes: list[int], lo: Fracti
         if after == x or not lo < after <= hi:
             break
         x = after
-    # the root is in (lo, hi]; the neighbours' signs tell whether it is in [below, above]
-    below, above = math.nextafter(x, -math.inf), math.nextafter(x, math.inf)
-    if (above >= hi or _sign_at(cs, above) != -top) and (below <= lo or _sign_at(cs, below) != top):
+    # the root is in (lo, hi]; x is the nearest float when the root lies between
+    # the midpoints from x to its neighbours, the upper one at or past hi exactly
+    # when x is, as no float lies between x and a neighbour (the lower likewise)
+    if (x >= hi or _midpoint_sign(cs, x, math.inf) != -top) and (x <= lo or _midpoint_sign(cs, x, -math.inf) != top):
         return x
     return _bisect(cs, Fraction(lo), Fraction(hi), top)
+
+
+def _midpoint_sign(cs: list[int], x: float, end: float) -> int:
+    """The sign of the int list's polynomial halfway from x to its float neighbour toward end."""
+    (a, b), (c, d) = x.as_integer_ratio(), math.nextafter(x, end).as_integer_ratio()
+    den = max(b, d)  # both powers of two
+    value = _scaled_value(cs, a * (den // b) + c * (den // d), 2 * den)
+    return (value > 0) - (value < 0)
 
 
 def _exact_float(q: Fraction):

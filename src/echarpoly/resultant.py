@@ -26,7 +26,8 @@ F0 + t F1 and integer nodes t; ``macaulay_resultant`` is its call at t = 0.
 The resultant of integer forms is an integer polynomial in their
 coefficients (Cox, Little and O'Shea, *Using Algebraic Geometry*, ch. 3),
 so every node value is an int, and the caller divides its clearing factor
-out once.  A node where a form vanishes identically gives 0 at once.
+out once.  A form that vanishes identically at a node gives zero rows
+there, so that node's determinant is 0 with no test of its own.
 
 Every degree pattern it admits takes one square determinant per node
 with no extraneous factor (Jouanolou, *Formes d'inertie et resultant:
@@ -354,18 +355,7 @@ def _bezout_sign(degrees: tuple[int, ...]) -> int:
 def _sylvester_bezout_resultants(forms, degrees: tuple[int, ...], nu: int, nodes) -> list[int]:
     """The resultant of the pencil at each node: one determinant each, signed."""
     matrix = _sylvester_bezout_rows(forms, degrees, nu)
-    values = []
-    for t in nodes:
-        if _vanishing_form(forms, t):
-            values.append(0)
-        else:
-            values.append(_bezout_sign(degrees) * det_rational(matrix.evaluate(t)))
-    return values
-
-
-def _vanishing_form(forms, t: int) -> bool:
-    """Whether some form of the pencil vanishes identically at t."""
-    return any(all(a + t * b == 0 for a, b in form.values()) for form in forms)
+    return [_bezout_sign(degrees) * det_rational(matrix.evaluate(t)) for t in nodes]
 
 
 def macaulay_resultants(
@@ -382,9 +372,9 @@ def macaulay_resultants(
     (dimension 3 at order 6: 3,007,125; the largest admitted, 19,456,632),
     raises ``UnsupportedSizeError`` before the rows
     are built.  Callers pass at most four forms: the Bezoutian's 2^k minors
-    are not counted.  A node is 0 when a form vanishes there identically;
-    otherwise its value is one signed Sylvester-Bezout determinant, the
-    rows built once (see the module docstring).
+    are not counted.  Each node's value is one signed Sylvester-Bezout
+    determinant, the rows built once (see the module docstring); it is 0
+    where a form vanishes identically.
     """
     k = len(forms)
     if k < 2:

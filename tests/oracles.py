@@ -73,7 +73,6 @@ from echarpoly.rational import ComplexRational, as_fraction
 from echarpoly.resultant import (
     _bezout_degree,
     _monomial_index,
-    _vanishing_form,
     macaulay_resultants,
     sylvester_resultant,
 )
@@ -395,8 +394,8 @@ def _node_resultant(forms, degrees, orderings, plans, t: int) -> int:
 
     det(M') divides sign * det(M) exactly; a remainder raises ``ArithmeticError``.
     """
-    if _vanishing_form(forms, t):
-        return 0
+    if any(all(a + t * b == 0 for a, b in form.values()) for form in forms):
+        return 0  # a form vanishing identically: the minor may vanish too
     for index, perm in enumerate(orderings):
         if index == len(plans):
             plans.append(EliminationPlan(forms, degrees, perm))

@@ -854,6 +854,39 @@ def test_lambda_is_valued_and_oriented_at_the_algebraic_root(order):
             assert pair.real and lam.imag == 0 and abs(lam.real - expected) <= 2e-15 * abs(expected), (k, lam)
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_real_root_is_isolated_once(monkeypatch, sign):
+    """The cubic factor (t^2 - 2)(t - 3) of sqrt2_family_tensor(3, +-10^-12)
+    is isolated once: ``real_roots`` hands each root's interval to the
+    exact valuation at +-sqrt 2, which isolated the factor again per root."""
+    calls, exact = [], []
+    isolate, root_terms = poly_module.real_root_intervals, eigen_module._root_terms
+
+    def counting(cs):
+        calls.append(cs)
+        return isolate(cs)
+
+    monkeypatch.setattr(poly_module, "real_root_intervals", counting)
+    monkeypatch.setattr(eigen_module, "real_root_intervals", counting, raising=False)  # any reference eigen holds
+    monkeypatch.setattr(eigen_module, "_root_terms", lambda *args: exact.append(args) or root_terms(*args))
+    eigenpairs_n2(sqrt2_family_tensor(3, Fraction(sign, 10**12)))
+    assert len(exact) == 2
+    assert calls == [[6, -2, -3, 1]]
+
+
+@pytest.mark.xfail(strict=True, reason="a non-real class is valued in floats at its float root, though its lambda is 0")
+def test_nonreal_class_whose_lambda_is_zero_is_within_2e_15():
+    """Known defect: epsilon_family_tensor(3, 10^-12) has the non-real pair
+    (1, 3 +- 10^-9 i), where Ax^2 = 0 and so lambda = 0, yet it prints
+    4.9e-10.  A gcd of the root's factor with f_1(1, t) over Z[i] would
+    decide lambda = 0 there."""
+    pytest.importorskip("mpmath")
+    A = epsilon_family_tensor(Fraction(3), Fraction(1, 10**12))
+    pairs = [p for p in eigenpairs_n2(A).pairs if p.kind == NORMALIZED and not p.real]
+    assert len(pairs) == 2
+    assert all(lam <= 2e-15 for lam, _ in eigenpair_errors(A, pairs))
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="a non-real class is valued at its float root, where s = 1 + t^2 cancels near the isotropic cone",

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from echarpoly import poly as poly_module
 from echarpoly.poly import (
     MINUS_INFINITY,
     Poly,
@@ -93,6 +94,26 @@ def test_poly_sqrt():
     assert poly_sqrt(-(s * s)) is None
     assert poly_sqrt(Poly([1, 1])) is None
     assert poly_sqrt(Poly([0, 1]) * Poly([0, 1])) == Poly([0, 1])
+
+
+_RATIONAL_POLYS = st.lists(
+    st.fractions(min_value=-9, max_value=9, max_denominator=9), min_size=1, max_size=5
+).filter(lambda cs: cs[-1] != 0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_RATIONAL_POLYS)
+@example([Fraction(-1, 2), Fraction(1)])  # s = t - 1/2: s s (t - 1/2) has a cube
+@example([Fraction(4, 9)])
+def test_poly_sqrt_of_squares_and_non_squares(coeffs):
+    """s s gives s back for s with a positive lead; -s s and s s (t - 1/2),
+    a negative lead and an odd multiplicity, give None."""
+    s = Poly(coeffs)
+    if s.leading() < 0:
+        s = -s
+    assert poly_sqrt(s * s) == s
+    assert poly_sqrt(-(s * s)) is None
+    assert poly_sqrt(s * s * Poly([Fraction(-1, 2), 1])) is None
 
 
 def _integer_points(p: Poly, nodes) -> tuple[list, int]:
@@ -430,17 +451,33 @@ def test_float_roots_against_numpy(coeffs):
 @example([-3, 7, -5, 1])
 @example([0, 2, 2, 4, 3])
 @example([-(10**24 - 1), 2 * 10**24, -(10**24)])  # (t - 1)^2 - 10^-24, times 10^24
+@example([1, 6, 5])  # (t + 1)(5t + 1): the root -1 came one ulp off, -0.9999999999999999
 def test_real_roots_are_within_one_ulp_of_each_root(coeffs):
-    """One float per real root, as many as sympy counts, ascending, each with
-    a root between its two float neighbours by sympy's exact count; roots
-    10^-24 apart included, which may round to one float."""
+    """One (x, lo, hi) per real root, as many as sympy counts, ascending:
+    (lo, hi] the isolating intervals of ``real_root_intervals``, and x the
+    nearest float to a root, which lies between the midpoints from x to its
+    two float neighbours by sympy's exact count; roots 10^-24 apart
+    included, which may round to one float."""
     sympy = pytest.importorskip("sympy")
     t = sympy.symbols("t")
     part = sympy.Poly(list(reversed(coeffs)), t).sqf_part()
     square_free = [int(c) for c in reversed(part.all_coeffs())]
     found = real_roots(square_free)
     assert len(found) == part.count_roots()
-    assert found == sorted(found)
-    for x in found:
-        below, above = (sympy.Rational(*math.nextafter(x, end).as_integer_ratio()) for end in (-math.inf, math.inf))
+    assert [(lo, hi) for _, lo, hi in found] == sorted(real_root_intervals(square_free))
+    floats = [x for x, _, _ in found]
+    assert floats == sorted(floats)
+    for x in floats:
+        below, above = (
+            (sympy.Rational(*x.as_integer_ratio()) + sympy.Rational(*math.nextafter(x, end).as_integer_ratio())) / 2
+            for end in (-math.inf, math.inf)
+        )
         assert part.count_roots(below, above) >= 1
+
+
+def test_real_root_steps_off_a_zero_slope_without_exact_bisection(monkeypatch):
+    """t^3 = 8 in (-32, 32] starts at 0, where p' = 0: the float stage steps
+    to the bracket's midpoint and finds the root.  Counting 0 as converged
+    left the root to exact bisection."""
+    monkeypatch.setattr(poly_module, "_bisect", lambda *args: pytest.fail(f"exact bisection on {args}"))
+    assert real_roots([8, 0, 0, -1]) == [(2.0, Fraction(-32), Fraction(32))]
